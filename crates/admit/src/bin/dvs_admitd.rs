@@ -63,7 +63,7 @@ use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use dvs_admit::replication::{self, serve_hub, FollowEnd, HubOptions};
@@ -83,12 +83,20 @@ enum Mode {
     Replay(String),
 }
 
-/// Set by the SIGTERM handler; polled by the TCP accept loop and promoted
-/// into a serving-layer drain.
+/// Set by the SIGTERM handler; the TCP accept loop promotes it into a
+/// serving-layer drain.
 static DRAIN: AtomicBool = AtomicBool::new(false);
+
+/// The `--listen` server's control block, for the SIGTERM handler: the
+/// accept loop blocks in `accept`, which restarts after a signal, so the
+/// flag alone would go unseen until the next connection.
+static CONTROL: OnceLock<Arc<ServerControl>> = OnceLock::new();
 
 extern "C" fn on_sigterm(_sig: i32) {
     DRAIN.store(true, Ordering::SeqCst);
+    if let Some(ctl) = CONTROL.get() {
+        ctl.request_drain();
+    }
 }
 
 #[cfg(unix)]
@@ -97,9 +105,12 @@ fn install_sigterm() {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
     const SIGTERM: i32 = 15;
-    // SAFETY: installing a handler that only stores to a static atomic —
-    // async-signal-safe by construction. The library crate forbids unsafe
-    // code; this binary-local registration is the sole exception.
+    // SAFETY: the handler stores to a static atomic, reads a `OnceLock`
+    // (one atomic load) and calls `ServerControl::request_drain` — an
+    // atomic swap, another `OnceLock` read and the socket / connect /
+    // poll / close system calls, all async-signal-safe; it takes no lock
+    // and does not allocate. The library crate forbids unsafe code; this
+    // binary-local registration is the sole exception.
     unsafe {
         signal(SIGTERM, on_sigterm);
     }
@@ -381,6 +392,7 @@ fn run() -> Result<(), String> {
             std::io::stdout().flush().ok();
             let engine = Arc::new(Mutex::new(engine));
             let ctl = Arc::new(ServerControl::new());
+            let _ = CONTROL.set(Arc::clone(&ctl));
             let opts = ServeOptions {
                 read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
                 overload_threshold: overload,

@@ -29,6 +29,7 @@
 //!   (`duplicate-task` / `already-departed` are rejected without
 //!   mutating) backstops the rare ambiguous resend.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -228,6 +229,12 @@ pub struct ReplayReport {
 pub struct AdmitClient {
     config: ClientConfig,
     conn: Option<BufReader<TcpStream>>,
+    /// Every line sent whose reply has not been read, newline-terminated,
+    /// oldest first; `line_lens` holds their lengths.
+    unanswered: String,
+    line_lens: VecDeque<usize>,
+    /// How much of `unanswered` the current connection has carried.
+    written: usize,
     metrics: ClientMetrics,
     consecutive_failures: u32,
     breaker: Breaker,
@@ -244,6 +251,9 @@ impl AdmitClient {
         AdmitClient {
             config,
             conn: None,
+            unanswered: String::new(),
+            line_lens: VecDeque::new(),
+            written: 0,
             metrics: ClientMetrics::default(),
             consecutive_failures: 0,
             breaker: Breaker::Closed,
@@ -298,51 +308,113 @@ impl AdmitClient {
         Err(last)
     }
 
-    /// One send-and-read attempt over the current (or a fresh) connection.
-    fn attempt(&mut self, line: &str) -> std::io::Result<String> {
+    /// Queues `line` behind any unanswered ones without waiting for its
+    /// reply; [`recv`](Self::recv) returns replies in the order the lines
+    /// were sent. Nothing reaches the socket until [`flush`](Self::flush)
+    /// (or the next `recv`), so a burst of sends costs one write.
+    ///
+    /// A line stays queued until its reply has been read: when the
+    /// connection drops, the reconnect resends every unanswered line, in
+    /// order, before anything newer. Transport errors surface from `recv`.
+    pub fn send(&mut self, line: &str) {
+        self.unanswered.push_str(line);
+        self.unanswered.push('\n');
+        self.line_lens.push_back(line.len() + 1);
+    }
+
+    /// Bytes sent (or queued) whose replies have not been read yet.
+    #[must_use]
+    pub fn unanswered_bytes(&self) -> usize {
+        self.unanswered.len()
+    }
+
+    /// Writes every queued line that this connection has not carried yet,
+    /// connecting first if need be. Errors are kept for `recv` to retry:
+    /// a failed write only drops the connection.
+    pub fn flush(&mut self) {
+        let _ = self.try_flush();
+    }
+
+    fn try_flush(&mut self) -> std::io::Result<()> {
+        if self.written == self.unanswered.len() {
+            return Ok(());
+        }
         self.connect()?;
         let conn = self.conn.as_mut().expect("connected above");
-        let send = conn
-            .get_mut()
-            .write_all(line.as_bytes())
-            .and_then(|()| conn.get_mut().write_all(b"\n"))
-            .and_then(|()| conn.get_mut().flush());
-        if let Err(e) = send {
-            self.conn = None;
+        let unwritten = &self.unanswered.as_bytes()[self.written..];
+        if let Err(e) = conn.get_mut().write_all(unwritten) {
+            self.drop_connection();
             return Err(e);
         }
+        self.written = self.unanswered.len();
+        Ok(())
+    }
+
+    /// Forgets the connection; the next flush starts the unanswered
+    /// lines over on a fresh one.
+    fn drop_connection(&mut self) {
+        self.conn = None;
+        self.written = 0;
+    }
+
+    /// One flush-and-read attempt at the oldest unanswered line's reply.
+    fn attempt(&mut self) -> std::io::Result<String> {
+        self.try_flush()?;
+        let conn = self.conn.as_mut().expect("flushed above");
         let mut response = String::new();
         match conn.read_line(&mut response) {
             Ok(0) => {
-                self.conn = None;
+                self.drop_connection();
                 Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ))
             }
-            Ok(_) => Ok(response.trim_end().to_string()),
+            Ok(_) => {
+                response.truncate(response.trim_end().len());
+                Ok(response)
+            }
             Err(e) => {
-                self.conn = None;
+                self.drop_connection();
                 Err(e)
             }
         }
     }
 
-    /// Sends one request line and returns the server's response line,
-    /// retrying with backoff across connection failures. While the
-    /// breaker is open, arrive requests are answered by the local
-    /// fallback (if installed) and everything else fails fast.
+    /// Reads the reply to the oldest unanswered line, retrying with
+    /// backoff across connection failures (each reconnect resends what is
+    /// still unanswered). When every attempt fails the line is given up
+    /// — the next `recv` is about the line after it — and the failure
+    /// counts towards the circuit breaker; while the breaker is open
+    /// `recv` fails without touching the network.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Unavailable`] when every attempt failed and no
-    /// fallback could answer; [`ClientError::Fallback`] when the local
-    /// decision itself errored.
-    pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
+    /// [`ClientError::Unavailable`].
+    ///
+    /// # Panics
+    ///
+    /// If every line sent has already been answered.
+    pub fn recv(&mut self) -> Result<String, ClientError> {
+        let len = self
+            .line_lens
+            .pop_front()
+            .expect("recv needs an unanswered send");
+        let outcome = self.recv_oldest();
+        self.unanswered.drain(..len);
+        self.written = self.written.saturating_sub(len);
+        outcome.map_err(|last| ClientError::Unavailable {
+            attempts: self.config.max_attempts,
+            last,
+        })
+    }
+
+    fn recv_oldest(&mut self) -> std::io::Result<String> {
         if self.breaker_open() {
-            return self.degrade(line, None);
+            self.drop_connection();
+            return Err(std::io::Error::other("breaker open"));
         }
-        let mut last: Option<std::io::Error> = None;
+        let mut last = std::io::Error::other("no attempt made");
         for attempt in 0..self.config.max_attempts {
             if attempt > 0 {
                 self.metrics.retries += 1;
@@ -354,14 +426,14 @@ impl AdmitClient {
                 );
                 std::thread::sleep(delay);
             }
-            match self.attempt(line) {
+            match self.attempt() {
                 Ok(response) => {
                     self.consecutive_failures = 0;
                     self.breaker = Breaker::Closed;
                     self.metrics.responses += 1;
                     return Ok(response);
                 }
-                Err(e) => last = Some(e),
+                Err(e) => last = e,
             }
         }
         self.consecutive_failures += 1;
@@ -373,7 +445,31 @@ impl AdmitClient {
                 since: Instant::now(),
             };
         }
-        self.degrade(line, last)
+        Err(last)
+    }
+
+    /// Sends one request line and returns the server's response line,
+    /// retrying with backoff across connection failures. While the
+    /// breaker is open, arrive requests are answered by the local
+    /// fallback (if installed) and everything else fails fast.
+    ///
+    /// Must not be interleaved with unanswered [`send`](Self::send)s: the
+    /// reply read is the oldest outstanding one.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Unavailable`] when every attempt failed and no
+    /// fallback could answer; [`ClientError::Fallback`] when the local
+    /// decision itself errored.
+    pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
+        if self.breaker_open() {
+            return self.degrade(line, None);
+        }
+        self.send(line);
+        match self.recv() {
+            Err(ClientError::Unavailable { last, .. }) => self.degrade(line, Some(last)),
+            answered => answered,
+        }
     }
 
     /// Answers locally (arrive requests, fallback installed) or reports
@@ -591,6 +687,58 @@ mod tests {
             Err(ClientError::Unavailable { .. })
         ));
         assert_eq!(client.metrics().degraded_decisions, 3);
+    }
+
+    #[test]
+    fn pipelined_replies_come_back_in_order_and_a_reconnect_resends_the_unanswered() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // First connection: reads three lines, answers only the first,
+        // hangs up. Second connection: answers whatever arrives.
+        let server = std::thread::spawn(move || {
+            let mut seen: Vec<Vec<String>> = Vec::new();
+            for answered in [1, usize::MAX] {
+                let (stream, _) = listener.accept().unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut lines = Vec::new();
+                for line in BufReader::new(stream).lines() {
+                    let Ok(line) = line else { break };
+                    if lines.len() < answered {
+                        writeln!(writer, "re:{line}").unwrap();
+                    }
+                    lines.push(line);
+                    if answered == 1 && lines.len() == 3 {
+                        break;
+                    }
+                }
+                seen.push(lines);
+            }
+            seen
+        });
+        let mut client = AdmitClient::new(ClientConfig {
+            addr,
+            backoff_base: Duration::from_millis(1),
+            ..ClientConfig::default()
+        });
+        for line in ["a", "b", "c"] {
+            client.send(line);
+        }
+        assert_eq!(client.unanswered_bytes(), 6);
+        assert_eq!(client.recv().unwrap(), "re:a");
+        // The hang-up surfaces here; b and c are resent, d goes behind.
+        client.send("d");
+        assert_eq!(client.recv().unwrap(), "re:b");
+        assert_eq!(client.recv().unwrap(), "re:c");
+        assert_eq!(client.request("e").unwrap(), "re:d");
+        assert_eq!(client.recv().unwrap(), "re:e");
+        assert_eq!(client.unanswered_bytes(), 0);
+        assert_eq!(client.metrics().connects, 2);
+        assert_eq!(client.metrics().responses, 5);
+        drop(client);
+        let seen = server.join().unwrap();
+        assert_eq!(seen[0], ["a", "b", "c"]);
+        assert_eq!(seen[1], ["b", "c", "d", "e"]);
     }
 
     #[test]

@@ -93,27 +93,33 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Nesting cap for [`parse_document`]: deep enough for any report this
+/// workspace emits, shallow enough to bound the stack.
+const DOCUMENT_DEPTH: usize = 64;
+
+/// The one scanner behind [`parse_object`], [`parse_object_into`] and
+/// [`parse_document`]; the entry points differ only in how much nesting
+/// they allow.
 struct Cursor<'a, 'p> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Whether objects may nest below the top-level value (documents);
+    /// protocol lines only nest flat arrays.
+    nested_objects: bool,
     /// Recycled `String` allocations to draw from when decoding strings
     /// (see [`Scratch`]); `None` outside the steady-state protocol path.
     pool: Option<&'p mut Vec<String>>,
 }
 
-impl<'a, 'p> Cursor<'a, 'p> {
+impl Cursor<'_, '_> {
     fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, expected: &'static str) -> Result<(), JsonParseError> {
@@ -133,7 +139,7 @@ impl<'a, 'p> Cursor<'a, 'p> {
     }
 
     fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -141,6 +147,10 @@ impl<'a, 'p> Cursor<'a, 'p> {
         }
     }
 
+    /// Linear in the string's length: the runs between quotes and
+    /// backslashes are copied whole. Both delimiters are ASCII and the
+    /// input is a `&str`, so every run boundary is a character boundary
+    /// and nothing needs re-validating.
     fn string(&mut self) -> Result<String, JsonParseError> {
         self.eat(b'"', "string")?;
         let mut out = match self.pool.as_mut().and_then(|p| p.pop()) {
@@ -151,46 +161,40 @@ impl<'a, 'p> Cursor<'a, 'p> {
             None => String::new(),
         };
         loop {
-            match self.peek().ok_or_else(|| self.err("closing quote"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
+            let rest = &self.text[self.pos..];
+            let run =
+                rest.bytes()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .ok_or(JsonParseError {
+                        at: self.text.len(),
+                        expected: "closing quote",
+                    })?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or_else(|| self.err("escape character"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("4 hex digits"))?;
+                    self.pos += 4;
+                    out.push(char::from_u32(hex).ok_or_else(|| self.err("scalar value"))?);
                 }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("escape character"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("4 hex digits"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).ok_or_else(|| self.err("scalar value"))?);
-                        }
-                        _ => return Err(self.err("valid escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("character"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("valid escape")),
             }
         }
     }
@@ -203,9 +207,9 @@ impl<'a, 'p> Cursor<'a, 'p> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .filter(|v| v.is_finite())
             .ok_or(JsonParseError {
                 at: start,
@@ -213,11 +217,12 @@ impl<'a, 'p> Cursor<'a, 'p> {
             })
     }
 
-    fn value(&mut self, allow_array: bool) -> Result<JsonValue, JsonParseError> {
+    /// One value with at most `room` levels of containers beneath it.
+    fn value(&mut self, room: usize) -> Result<JsonValue, JsonParseError> {
         self.skip_ws();
         match self.peek().ok_or_else(|| self.err("value"))? {
             b'"' => Ok(JsonValue::Str(self.string()?)),
-            b'[' if allow_array => {
+            b'[' if room > 0 => {
                 self.pos += 1;
                 let mut items = Vec::new();
                 self.skip_ws();
@@ -226,7 +231,7 @@ impl<'a, 'p> Cursor<'a, 'p> {
                     return Ok(JsonValue::Arr(items));
                 }
                 loop {
-                    items.push(self.value(false)?);
+                    items.push(self.value(room - 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -238,6 +243,12 @@ impl<'a, 'p> Cursor<'a, 'p> {
                     }
                 }
             }
+            b'{' if room > 0 && self.nested_objects => {
+                let mut pairs = Vec::new();
+                self.object(room - 1, &mut pairs)?;
+                Ok(JsonValue::Obj(pairs))
+            }
+            b'[' | b'{' if self.nested_objects => Err(self.err("shallower nesting")),
             b't' | b'f' => {
                 if self.literal("true") {
                     Ok(JsonValue::Bool(true))
@@ -258,82 +269,44 @@ impl<'a, 'p> Cursor<'a, 'p> {
         }
     }
 
-    /// Recursion cap for [`parse_document`]: deep enough for any report
-    /// this workspace emits, shallow enough to bound the stack.
-    const MAX_DEPTH: usize = 64;
-
-    /// Full-JSON value parser (arbitrary nesting), used for trusted
-    /// documents like the benchmark baseline rather than protocol lines.
-    fn document_value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        if depth > Self::MAX_DEPTH {
-            return Err(self.err("shallower nesting"));
-        }
+    /// One object, its values allowed `room` levels of containers, pushed
+    /// onto `out` in document order.
+    fn object(
+        &mut self,
+        room: usize,
+        out: &mut Vec<(String, JsonValue)>,
+    ) -> Result<(), JsonParseError> {
+        self.eat(b'{', "'{'")?;
         self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("value"))? {
-            b'"' => Ok(JsonValue::Str(self.string()?)),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':', "':'")?;
+            let value = self.value(room)?;
+            out.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+                    return Ok(());
                 }
-                loop {
-                    items.push(self.document_value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => return Err(self.err("',' or ']'")),
-                    }
-                }
+                _ => return Err(self.err("',' or '}'")),
             }
-            b'{' => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':', "':'")?;
-                    pairs.push((key, self.document_value(depth + 1)?));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Obj(pairs));
-                        }
-                        _ => return Err(self.err("',' or '}'")),
-                    }
-                }
-            }
-            b't' | b'f' => {
-                if self.literal("true") {
-                    Ok(JsonValue::Bool(true))
-                } else if self.literal("false") {
-                    Ok(JsonValue::Bool(false))
-                } else {
-                    Err(self.err("boolean"))
-                }
-            }
-            b'n' => {
-                if self.literal("null") {
-                    Ok(JsonValue::Null)
-                } else {
-                    Err(self.err("null"))
-                }
-            }
-            _ => self.number().map(JsonValue::Num),
+        }
+    }
+
+    fn end(&mut self, expected: &'static str) -> Result<(), JsonParseError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err(expected))
         }
     }
 }
@@ -347,15 +320,13 @@ impl<'a, 'p> Cursor<'a, 'p> {
 /// [`JsonParseError`] with the byte offset of the first offense.
 pub fn parse_document(text: &str) -> Result<JsonValue, JsonParseError> {
     let mut c = Cursor {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
+        nested_objects: true,
         pool: None,
     };
-    let value = c.document_value(0)?;
-    c.skip_ws();
-    if c.pos != c.bytes.len() {
-        return Err(c.err("end of document"));
-    }
+    let value = c.value(DOCUMENT_DEPTH)?;
+    c.end("end of document")?;
     Ok(value)
 }
 
@@ -378,39 +349,15 @@ fn parse_object_impl(
     pool: Option<&mut Vec<String>>,
 ) -> Result<(), JsonParseError> {
     let mut c = Cursor {
-        bytes: line.as_bytes(),
+        text: line,
         pos: 0,
+        nested_objects: false,
         pool,
     };
     c.skip_ws();
-    c.eat(b'{', "'{'")?;
-    c.skip_ws();
-    if c.peek() == Some(b'}') {
-        c.pos += 1;
-    } else {
-        loop {
-            c.skip_ws();
-            let key = c.string()?;
-            c.skip_ws();
-            c.eat(b':', "':'")?;
-            let value = c.value(true)?;
-            out.push((key, value));
-            c.skip_ws();
-            match c.peek() {
-                Some(b',') => c.pos += 1,
-                Some(b'}') => {
-                    c.pos += 1;
-                    break;
-                }
-                _ => return Err(c.err("',' or '}'")),
-            }
-        }
-    }
-    c.skip_ws();
-    if c.pos != c.bytes.len() {
-        return Err(c.err("end of line"));
-    }
-    Ok(())
+    // Values may be flat arrays: one level of containers, no objects.
+    c.object(1, out)?;
+    c.end("end of line")
 }
 
 /// Reusable parse buffers for the steady-state protocol path.
@@ -487,18 +434,33 @@ pub fn get<'a>(pairs: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonVa
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// [`escape`], appending to `out`. Runs of characters that need no
+/// escaping are copied whole.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b < 0x20 || matches!(b, b'"' | b'\\'))
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                use std::fmt::Write;
+                let _ = write!(out, "\\u{control:04x}");
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
 }
 
 #[cfg(test)]
@@ -598,5 +560,72 @@ mod tests {
         let line = format!("{{\"s\":\"{}\"}}", escape(raw));
         let kv = parse_object(&line).unwrap();
         assert_eq!(get(&kv, "s").unwrap().as_str(), Some(raw));
+        // Random strings over the characters that stress the scanner:
+        // both delimiters, control characters, multi-byte scalars.
+        const ALPHABET: [char; 12] = [
+            'a', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', 'τ', '∑', '🦀',
+        ];
+        let mut rng = rt_model::rng::Rng::seed_from_u64(16);
+        for _ in 0..500 {
+            let raw: String = (0..rng.gen_index(40))
+                .map(|_| ALPHABET[rng.gen_index(ALPHABET.len())])
+                .collect();
+            let line = format!("{{\"s\":\"{}\"}}", escape(&raw));
+            let kv = parse_object(&line).unwrap();
+            assert_eq!(
+                get(&kv, "s").unwrap().as_str(),
+                Some(raw.as_str()),
+                "{line}"
+            );
+            assert_eq!(parse_document(&line).unwrap(), JsonValue::Obj(kv));
+        }
+    }
+
+    #[test]
+    fn a_multi_megabyte_escaped_log_parses_in_linear_time() {
+        // The shape of a big `log` reply: one decision line per event,
+        // every newline escaped.
+        let mut log = String::new();
+        while log.len() < 4 << 20 {
+            log.push_str("t=1234.5 τ17 accepted@3\n");
+        }
+        let line = format!("{{\"ok\":true,\"log\":\"{}\"}}", escape(&log));
+        let started = std::time::Instant::now();
+        let kv = parse_object(&line).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(get(&kv, "log").unwrap().as_str(), Some(log.as_str()));
+        // A scanner that re-validates the rest of the input per character
+        // needs minutes for this; a linear one needs milliseconds.
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_next_to_escapes() {
+        let kv = parse_object(r#"{"s":"τ\"é\\∑\n🦀\t","τ\"k":"é"}"#).unwrap();
+        assert_eq!(get(&kv, "s").unwrap().as_str(), Some("τ\"é\\∑\n🦀\t"));
+        assert_eq!(get(&kv, "τ\"k").unwrap().as_str(), Some("é"));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_or_fail_with_their_offset() {
+        let kv = parse_object(r#"{"s":"\u0041\u00e9\u03c4\u001f"}"#).unwrap();
+        assert_eq!(get(&kv, "s").unwrap().as_str(), Some("Aéτ\u{1f}"));
+        for bad in [
+            r#"{"s":"\u12"}"#,   // short
+            r#"{"s":"\u12é4"}"#, // not hex, and not on a character boundary
+            r#"{"s":"\ud800"}"#, // a lone surrogate is no scalar value
+            r#"{"s":"\x41"}"#,   // unknown escape
+        ] {
+            assert!(parse_object(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors_at_end_of_input() {
+        for bad in [r#"{"s":"abc"#, r#"{"s":"abc\"#, r#"{"s":"abc\""#, r#"{"s"#] {
+            let err = parse_object(bad).unwrap_err();
+            assert_eq!(err.at, bad.len(), "{bad}");
+            assert!(parse_document(bad).is_err(), "{bad}");
+        }
     }
 }

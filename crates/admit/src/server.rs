@@ -54,9 +54,9 @@
 //!   journal.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use rt_model::io::{EventKind, EventRecord};
@@ -341,8 +341,10 @@ fn handle_inner(
                     None => format!("{}:-", id.index()),
                 })
                 .collect();
-            let departed: Vec<String> =
-                engine.departed_ids().map(|id| id.index().to_string()).collect();
+            let departed: Vec<String> = engine
+                .departed_ids()
+                .map(|id| id.index().to_string())
+                .collect();
             Ok(format!(
                 "{{\"ok\":true,\"op\":\"present\",\"tasks\":\"{}\",\"departed\":\"{}\"}}",
                 json::escape(&tasks.join(" ")),
@@ -501,6 +503,10 @@ pub struct ServerControl {
     drain: AtomicBool,
     pending: AtomicUsize,
     timeouts: AtomicU64,
+    /// Where a loopback connect wakes the accept loop out of its blocking
+    /// `accept`. Set once, by the accept loop: a control block belongs to
+    /// one listener.
+    wake: OnceLock<SocketAddr>,
 }
 
 impl ServerControl {
@@ -512,8 +518,18 @@ impl ServerControl {
 
     /// Asks every serving loop to drain: the accept loop stops taking
     /// connections and each session ends at its next batch boundary.
+    ///
+    /// The first request also wakes the accept loop, which blocks in
+    /// `accept`, by connecting to its listener. That is an atomic swap, a
+    /// lock-free read and socket system calls — no allocation, no lock —
+    /// so a signal handler may call this.
     pub fn request_drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
+        if self.drain.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(addr) = self.wake.get() {
+            let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
+        }
     }
 
     /// Whether a drain has been requested.
@@ -535,22 +551,118 @@ impl ServerControl {
     }
 }
 
-/// Serves a newline-delimited session from `reader` to `writer` under the
-/// given options and control block. Blank lines are ignored.
+/// Bound on the accept loop's wake-up connect. It only bites when the
+/// listener's backlog is full, and then pending connections wake the
+/// loop anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Read-buffer size of a session, and so the most request bytes one
+/// batch can hold. A handler that forwards a batch downstream before
+/// reading any reply (the router) relies on this being small against a
+/// socket buffer.
+const READ_BUFFER: usize = 8 * 1024;
+
+/// The one serving loop: reads newline-delimited requests from `reader`
+/// and writes one response line each to `writer`, both buffered.
 ///
-/// Both sides are buffered internally. Responses are flushed per request
-/// *batch*, not per line: the writer drains whenever the read buffer is
-/// empty — i.e. just before the next read could block — so pipelined
+/// `handle` is given **every complete request already buffered** — what
+/// the client has sent so far, never waiting for more — with blank lines
+/// dropped and whitespace trimmed, and a sink that takes one [`Handled`]
+/// per request, in order; it stops early only after a request that asks
+/// for shutdown. A client that sends one request and waits sees batches
+/// of one; a pipelining client lets the handler overlap the work of a
+/// burst.
+///
+/// Responses are flushed when no complete request is left in the read
+/// buffer — i.e. just before the next read could block — so pipelined
 /// clients get one syscall per burst while interactive clients still see
-/// every response before the server waits on them. (The engine's
-/// write-ahead journal, when attached, is flushed per *event* inside
-/// `apply` — a decision is journaled before its response is even
-/// formatted, regardless of response batching.)
+/// every response before the server waits on them.
 ///
 /// A drain request is honoured at batch boundaries: buffered requests are
 /// finished first, then the session ends with [`SessionEnd::Drained`]. A
 /// read that fails with `WouldBlock`/`TimedOut` (the socket read timeout)
 /// ends the session with [`SessionEnd::TimedOut`].
+///
+/// # Errors
+///
+/// Propagates I/O errors on the transport, invalid UTF-8 included
+/// (protocol errors are reported in-band).
+pub fn serve_batches<R: Read, W: Write>(
+    reader: R,
+    writer: W,
+    ctl: &ServerControl,
+    mut handle: impl FnMut(&[&str], &mut dyn FnMut(Handled)),
+) -> std::io::Result<SessionEnd> {
+    let mut reader = BufReader::with_capacity(READ_BUFFER, reader);
+    let mut writer = BufWriter::new(writer);
+    let mut long_line = String::new();
+    // How much of the read buffer is complete requests.
+    let complete_in = |buffer: &[u8]| {
+        buffer
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1)
+    };
+    loop {
+        let mut complete = complete_in(reader.buffer());
+        if complete == 0 {
+            writer.flush()?;
+            if reader.buffer().is_empty() && ctl.draining() {
+                return Ok(SessionEnd::Drained);
+            }
+            // Blocks for more input: the rest of a partial line, or —
+            // past the end of a full buffer — a line longer than it.
+            long_line.clear();
+            match reader.read_line(&mut long_line) {
+                Ok(0) => return Ok(SessionEnd::Eof),
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    ctl.timeouts.fetch_add(1, Ordering::Relaxed);
+                    return Ok(SessionEnd::TimedOut);
+                }
+                Err(e) => return Err(e),
+            }
+            // Whatever arrived behind that line joins its batch.
+            complete = complete_in(reader.buffer());
+        }
+        let buffered = std::str::from_utf8(&reader.buffer()[..complete])
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let requests: Vec<&str> = std::iter::once(long_line.as_str())
+            .chain(buffered.split('\n'))
+            .map(str::trim)
+            .filter(|request| !request.is_empty())
+            .collect();
+        let mut written = Ok(());
+        let mut shutdown = false;
+        handle(&requests, &mut |handled| {
+            if written.is_ok() {
+                written = writer
+                    .write_all(handled.response.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"));
+            }
+            shutdown |= handled.shutdown;
+        });
+        written?;
+        if shutdown {
+            writer.flush()?;
+            return Ok(SessionEnd::Shutdown);
+        }
+        reader.consume(complete);
+        long_line.clear();
+    }
+}
+
+/// Serves a newline-delimited session from `reader` to `writer` under the
+/// given options and control block: [`serve_batches`] with the engine as
+/// the handler, one request at a time under its lock. (The engine's
+/// write-ahead journal, when attached, is flushed per *event* inside
+/// `apply` — a decision is journaled before its response is even
+/// formatted, regardless of response batching.)
 ///
 /// # Errors
 ///
@@ -581,54 +693,22 @@ pub fn serve_session_role<R: Read, W: Write>(
     ctl: &ServerControl,
     role: Option<&RoleContext>,
 ) -> std::io::Result<SessionEnd> {
-    let mut reader = BufReader::new(reader);
-    let mut writer = BufWriter::new(writer);
-    let mut line = String::new();
     let mut scratch = json::Scratch::default();
-    loop {
-        if reader.buffer().is_empty() {
-            writer.flush()?;
-            if ctl.draining() {
-                return Ok(SessionEnd::Drained);
+    serve_batches(reader, writer, ctl, |requests, reply| {
+        for request in requests {
+            ctl.pending.fetch_add(1, Ordering::SeqCst);
+            let fast = opts
+                .overload_threshold
+                .is_some_and(|th| ctl.pending.load(Ordering::SeqCst) > th);
+            let handled = handle_line_role(engine, request, &mut scratch, fast, role);
+            ctl.pending.fetch_sub(1, Ordering::SeqCst);
+            let shutdown = handled.shutdown;
+            reply(handled);
+            if shutdown {
+                break;
             }
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                writer.flush()?;
-                return Ok(SessionEnd::Eof);
-            }
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                ctl.timeouts.fetch_add(1, Ordering::Relaxed);
-                writer.flush()?;
-                return Ok(SessionEnd::TimedOut);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-        let request = line.trim();
-        if request.is_empty() {
-            continue;
-        }
-        ctl.pending.fetch_add(1, Ordering::SeqCst);
-        let fast = opts
-            .overload_threshold
-            .is_some_and(|th| ctl.pending.load(Ordering::SeqCst) > th);
-        let handled = handle_line_role(engine, request, &mut scratch, fast, role);
-        ctl.pending.fetch_sub(1, Ordering::SeqCst);
-        writer.write_all(handled.response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        if handled.shutdown {
-            writer.flush()?;
-            return Ok(SessionEnd::Shutdown);
-        }
-    }
+    })
 }
 
 /// [`serve_session`] with default options and a throwaway control block,
@@ -657,12 +737,15 @@ pub fn serve_lines<R: Read, W: Write>(
 /// connection) over the shared engine until a session requests shutdown
 /// or a drain is signalled.
 ///
-/// `drain_signal`, when given, is polled every accept iteration and
-/// promoted into [`ServerControl::request_drain`] — the bridge from a
-/// `SIGTERM` handler's static flag to the serving loops. On shutdown or
-/// drain the loop stops accepting, asks every live session to drain, and
-/// joins the workers (sessions end at their next batch boundary or read
-/// timeout).
+/// The loop blocks in `accept`; [`ServerControl::request_drain`] — called
+/// by whoever wants the server gone, and by the session that saw a
+/// `shutdown` request — wakes it with a loopback connect. `drain_signal`,
+/// when given, is a flag checked before every `accept` and promoted into
+/// a drain: a `SIGTERM` handler that sets it must also call
+/// `request_drain` (or otherwise wake the loop), because `accept`
+/// restarts after a signal. On shutdown or drain the loop stops
+/// accepting, asks every live session to drain, and joins the workers
+/// (sessions end at their next batch boundary or read timeout).
 ///
 /// # Errors
 ///
@@ -693,49 +776,66 @@ pub fn serve_tcp_role(
     drain_signal: Option<&AtomicBool>,
     role: Option<&Arc<RoleContext>>,
 ) -> std::io::Result<()> {
-    let stop = Arc::new(AtomicBool::new(false));
-    listener.set_nonblocking(true)?;
-    let mut workers = Vec::new();
-    loop {
-        if let Some(flag) = drain_signal {
-            if flag.load(Ordering::SeqCst) {
+    serve_connections(listener, ctl, drain_signal, |stream| {
+        let engine = Arc::clone(engine);
+        let ctl = Arc::clone(ctl);
+        let role = role.map(Arc::clone);
+        Some(std::thread::spawn(move || {
+            if let Some(t) = opts.read_timeout {
+                let _ = stream.set_read_timeout(Some(t));
+            }
+            let reader = stream.try_clone().expect("clone stream");
+            if let Ok(SessionEnd::Shutdown) =
+                serve_session_role(&engine, reader, stream, &opts, &ctl, role.as_deref())
+            {
                 ctl.request_drain();
             }
+        }))
+    })
+}
+
+/// The blocking accept loop under [`serve_tcp`] (and `dvs_routerd`, which
+/// serves its connections one at a time on the accepting thread): hands
+/// every connection to `session` until `ctl` drains, then joins whatever
+/// threads `session` returned.
+///
+/// # Errors
+///
+/// Propagates listener errors.
+pub fn serve_connections(
+    listener: &TcpListener,
+    ctl: &ServerControl,
+    drain_signal: Option<&AtomicBool>,
+    mut session: impl FnMut(TcpStream) -> Option<std::thread::JoinHandle<()>>,
+) -> std::io::Result<()> {
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = ctl.wake.set(wake);
+    let mut workers = Vec::new();
+    loop {
+        if drain_signal.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
+            ctl.request_drain();
         }
-        if stop.load(Ordering::SeqCst) || ctl.draining() {
+        if ctl.draining() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let engine = Arc::clone(engine);
-                let stop = Arc::clone(&stop);
-                let ctl = Arc::clone(ctl);
-                let role = role.map(Arc::clone);
-                workers.push(std::thread::spawn(move || {
-                    stream.set_nonblocking(false).expect("stream mode");
-                    // Responses are small and latency-sensitive; batching is
-                    // handled by serve_session's BufWriter, so Nagle only
-                    // adds delay on the final partial segment of each flush.
-                    let _ = stream.set_nodelay(true);
-                    if let Some(t) = opts.read_timeout {
-                        let _ = stream.set_read_timeout(Some(t));
-                    }
-                    let reader = stream.try_clone().expect("clone stream");
-                    if let Ok(SessionEnd::Shutdown) =
-                        serve_session_role(&engine, reader, stream, &opts, &ctl, role.as_deref())
-                    {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
+        let (stream, _peer) = listener.accept()?;
+        if ctl.draining() {
+            // The wake-up connect, or a client that lost the race with
+            // the drain: either way it is not served.
+            break;
         }
+        // Responses are small and latency-sensitive; batching is handled
+        // by the session's BufWriter, so Nagle only adds delay on the
+        // final partial segment of each flush.
+        let _ = stream.set_nodelay(true);
+        workers.extend(session(stream));
     }
-    // Ask the remaining sessions to finish their buffered work and exit.
-    ctl.request_drain();
     for w in workers {
         let _ = w.join();
     }
@@ -921,6 +1021,116 @@ mod tests {
         // Drain honoured before any read: nothing was handled.
         assert_eq!(end, SessionEnd::Drained);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_batch_is_every_complete_request_already_buffered() {
+        // 3 requests, a blank line, one request longer than the read
+        // buffer, one more, and an unterminated last one.
+        let long = format!("{{\"pad\":\"{}\"}}", "x".repeat(3 * READ_BUFFER));
+        let input = format!("a\n b \n\nc\n{long}\nd\ne");
+        let mut batches: Vec<Vec<String>> = Vec::new();
+        let mut out = Vec::new();
+        let end = serve_batches(
+            input.as_bytes(),
+            &mut out,
+            &ServerControl::new(),
+            |reqs, reply| {
+                batches.push(reqs.iter().map(|r| (*r).to_string()).collect());
+                for r in reqs {
+                    reply(Handled {
+                        response: format!("<{}>", r.len()),
+                        shutdown: false,
+                    });
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(end, SessionEnd::Eof);
+        let flat: Vec<String> = batches.concat();
+        assert_eq!(flat, ["a", "b", "c", long.as_str(), "d", "e"]);
+        // Everything in front of the long line arrived in one read, so it
+        // is one batch; nothing is ever split into single requests.
+        assert_eq!(batches[0], ["a", "b", "c"]);
+        assert!(batches.len() <= 4, "{} batches", batches.len());
+        let replies = String::from_utf8(out).unwrap();
+        assert_eq!(
+            replies,
+            format!("<1>\n<1>\n<1>\n<{}>\n<1>\n<1>\n", long.len())
+        );
+    }
+
+    #[test]
+    fn a_batch_stops_at_the_request_that_shuts_down() {
+        let mut out = Vec::new();
+        let end = serve_batches(
+            &b"a\nstop\nnever\n"[..],
+            &mut out,
+            &ServerControl::new(),
+            |reqs, reply| {
+                for r in reqs {
+                    let shutdown = *r == "stop";
+                    reply(Handled {
+                        response: (*r).to_string(),
+                        shutdown,
+                    });
+                    if shutdown {
+                        break;
+                    }
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(end, SessionEnd::Shutdown);
+        assert_eq!(out, b"a\nstop\n");
+    }
+
+    fn tcp_server() -> (
+        String,
+        Arc<ServerControl>,
+        std::thread::JoinHandle<std::io::Result<()>>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let ctl = Arc::new(ServerControl::new());
+        let engine = Arc::new(Mutex::new(engine()));
+        let served = Arc::clone(&ctl);
+        let server = std::thread::spawn(move || {
+            serve_tcp(&listener, &engine, ServeOptions::default(), &served, None)
+        });
+        (addr, ctl, server)
+    }
+
+    #[test]
+    fn a_drain_request_wakes_the_blocked_accept_loop() {
+        let (addr, ctl, server) = tcp_server();
+        // A served round trip first: the loop is back in `accept`, with
+        // its wake address set, when the drain arrives.
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(b"{\"op\":\"role\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut reply)
+            .unwrap();
+        assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+        drop(stream);
+        let started = std::time::Instant::now();
+        ctl.request_drain();
+        server.join().unwrap().unwrap();
+        // No accept poll to wait out.
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_shutdown_request_ends_the_accept_loop() {
+        let (addr, ctl, server) = tcp_server();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"op\":\"stats\""), "{reply}");
+        server.join().unwrap().unwrap();
+        assert!(ctl.draining());
     }
 
     #[test]

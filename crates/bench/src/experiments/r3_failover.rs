@@ -82,8 +82,12 @@ fn jconfig() -> JournalConfig {
     }
 }
 
+/// A directory of its own for every call: runs of the same seed may
+/// overlap (the tests run in parallel) and must not share journal files.
 fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bench_r3_failover_{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("bench_r3_failover_{}_{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }
@@ -303,6 +307,7 @@ pub fn run_one(scale: Scale, seed: u64) -> FailoverRun {
     for p in [&wal, &wal_rep, &mirror_rep, &wal_cut, &mirror_cut] {
         let _ = std::fs::remove_file(p);
     }
+    let _ = std::fs::remove_dir(&dir);
     FailoverRun {
         eps_solo,
         eps_replicated,

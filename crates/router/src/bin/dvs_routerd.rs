@@ -59,6 +59,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 
 use dvs_admit::json::{self, JsonValue};
+use dvs_admit::server::{serve_batches, serve_connections, Handled, ServerControl, SessionEnd};
 use dvs_admit::ClientConfig;
 use dvs_router::{Router, ShardMap, ShardSpec};
 
@@ -259,40 +260,46 @@ fn prepare_reshard(
     }
 }
 
-fn serve<R: BufRead, W: Write>(
+/// The router's spawned fleet, when it manages one.
+type Fleet<'a> = Option<(&'a mut Vec<SpawnedShard>, &'a SpawnCtx)>;
+
+/// Serves one session through the shared serving loop: every batch the
+/// loop hands over goes to [`Router::handle_batch`] whole, except that a
+/// managed fleet's reshards split it — their fleet work (respawns, the
+/// joiner's spawn) happens when the reshard's turn comes, after
+/// everything in front of it has been answered.
+fn serve<R: Read, W: Write>(
     router: &mut Router,
     reader: R,
-    mut writer: W,
-    mut fleet: Option<(&mut Vec<SpawnedShard>, &SpawnCtx)>,
-) -> std::io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        let mut request = line.trim().to_string();
-        if request.is_empty() {
-            continue;
-        }
+    writer: W,
+    ctl: &ServerControl,
+    mut fleet: Fleet<'_>,
+) -> std::io::Result<SessionEnd> {
+    serve_batches(reader, writer, ctl, |requests, reply| {
+        let mut rest = requests;
         if let Some((children, ctx)) = fleet.as_mut() {
-            match prepare_reshard(&request, children, ctx) {
-                Ok(prepared) => request = prepared,
-                Err(msg) => {
-                    writeln!(
-                        writer,
-                        "{{\"ok\":false,\"kind\":\"reshard\",\"error\":\"{}\"}}",
-                        json::escape(&msg)
-                    )?;
-                    writer.flush()?;
-                    continue;
+            while let Some(at) = rest.iter().position(|r| r.contains("\"reshard\"")) {
+                let before = router.handle_batch(&rest[..at]);
+                let stop = before.last().is_some_and(|h| h.shutdown);
+                before.into_iter().for_each(&mut *reply);
+                if stop {
+                    return;
                 }
+                reply(match prepare_reshard(rest[at], children, ctx) {
+                    Ok(prepared) => router.handle_line(&prepared),
+                    Err(msg) => Handled {
+                        response: format!(
+                            "{{\"ok\":false,\"kind\":\"reshard\",\"error\":\"{}\"}}",
+                            json::escape(&msg)
+                        ),
+                        shutdown: false,
+                    },
+                });
+                rest = &rest[at + 1..];
             }
         }
-        let handled = router.handle_line(&request);
-        writeln!(writer, "{}", handled.response)?;
-        writer.flush()?;
-        if handled.shutdown {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+        router.handle_batch(rest).into_iter().for_each(reply);
+    })
 }
 
 #[allow(clippy::too_many_lines)]
@@ -516,36 +523,38 @@ fn run() -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
 
+    let ctl = ServerControl::new();
     let result = match mode {
         Mode::Stdin => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
             let fleet = spawn_ctx.as_ref().map(|ctx| (&mut children, ctx));
-            serve(&mut router, stdin.lock(), stdout.lock(), fleet).map_err(|e| e.to_string())
+            serve(&mut router, stdin.lock(), stdout.lock(), &ctl, fleet)
         }
         Mode::Listen(addr) => {
             let listener = TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
             let local = listener.local_addr().map_err(|e| e.to_string())?;
             println!("listening on {local}");
             std::io::stdout().flush().ok();
-            // One session at a time: the merged decision log is one
-            // serialized stream, so interleaving sessions would make the
-            // cluster history depend on connection scheduling.
-            let mut end = Ok(false);
-            for stream in listener.incoming() {
-                let stream = stream.map_err(|e| e.to_string())?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+            // One session at a time, on the accepting thread: the merged
+            // decision log is one serialized stream, so interleaving
+            // sessions would make the cluster history depend on
+            // connection scheduling.
+            let mut end = Ok(SessionEnd::Eof);
+            serve_connections(&listener, &ctl, None, |stream| {
                 let fleet = spawn_ctx.as_ref().map(|ctx| (&mut children, ctx));
-                end = serve(&mut router, reader, stream, fleet).map_err(|e| e.to_string());
-                match end {
-                    Ok(true) | Err(_) => break,
-                    Ok(false) => {}
+                end = stream
+                    .try_clone()
+                    .and_then(|reader| serve(&mut router, reader, stream, &ctl, fleet));
+                if !matches!(end, Ok(SessionEnd::Eof)) {
+                    ctl.request_drain();
                 }
-            }
-            end
+                None
+            })
+            .and(end)
         }
     };
-    let shutdown = result?;
+    let shutdown = result.map_err(|e| e.to_string())? == SessionEnd::Shutdown;
     if !shutdown {
         // EOF without a shutdown op: shut the fleet down ourselves so
         // spawned children do not outlive the router.

@@ -8,10 +8,10 @@
 //!   a global power-domain pin, the [`ShardMap`] names the owning shard,
 //!   and the event goes to that shard alone with the pin translated to
 //!   the shard's local domain index.
-//! * **Tick** is *fanned out* to every shard concurrently and gathered
-//!   in shard-index order, so each shard's engine clock and billing
-//!   window advance in lockstep and a cluster tick costs the slowest
-//!   shard's re-solve, not the sum of all shards'.
+//! * **Tick** is *fanned out*: written to every shard before any reply
+//!   is read, and gathered in shard-index order, so each shard's engine
+//!   clock and billing window advance in lockstep and a cluster tick
+//!   costs the slowest shard's re-solve, not the sum of all shards'.
 //! * **Stats/shutdown** *scatter-gather*: every shard's counters are
 //!   summed into cluster aggregates, and the balance invariant
 //!   `Σ accepted + rejected + standing-shed = arrivals` is enforced at
@@ -26,6 +26,15 @@
 //!   iteration order exactly — the K-shard cluster log is byte-identical
 //!   to the 1-shard run, at any `DVS_THREADS` (the routing-property
 //!   suite pins this across shards × threads).
+//!
+//! Those three are **pipelined** ([`Router::handle_batch`]): every
+//! request of a batch is validated against the state the earlier ones
+//! will leave behind, translated, and written to its shard without
+//! waiting; replies are then gathered in request order, which is when
+//! the merged log grows and the client is answered. Each shard serves
+//! its connection first-in first-out and every domain lives on one
+//! shard, so the bytes match one-request-at-a-time handling exactly —
+//! which is just a batch of one ([`Router::handle_line`]).
 //!
 //! Reads may be **hedged**: a shard spec can name a follower replica
 //! (`addr~replica`), and when the primary cannot answer a `stats` read
@@ -61,11 +70,12 @@
 //! the cluster balance invariant and stats totals are unchanged by any
 //! reshard sequence.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write as _;
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::Handled;
-use dvs_admit::{AdmitClient, ClientConfig};
+use dvs_admit::{AdmitClient, ClientConfig, ClientError};
 
 use crate::map::ShardMap;
 
@@ -159,12 +169,9 @@ impl Slot {
 }
 
 struct Shard {
-    /// Requests to this shard's dedicated worker thread (which owns the
-    /// primary connection). One request in flight per shard at a time;
-    /// the worker answers on `rx` in request order.
-    tx: std::sync::mpsc::Sender<String>,
-    rx: std::sync::mpsc::Receiver<Result<String, String>>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    /// The primary connection, owned by the router thread: requests of
+    /// a batch are queued on it and their replies read back in order.
+    primary: AdmitClient,
     replica: Option<AdmitClient>,
     /// The member name this shard serves. Routing goes through names,
     /// not indices: the map's member list shifts on removal, while a
@@ -179,62 +186,61 @@ struct Shard {
     slots: Vec<Slot>,
 }
 
-/// Builds one shard endpoint: the worker thread owning the primary
-/// connection, the optional read replica, and an empty slot table (the
-/// caller fills it from the map or grows it via imports).
-fn connect_shard(label: usize, name: &str, spec: &ShardSpec, client: &ClientConfig) -> Shard {
-    let mut cfg = client.clone();
-    cfg.addr = spec.addr.clone();
-    let replica = spec.replica.as_ref().map(|addr| {
-        let mut rcfg = client.clone();
-        rcfg.addr = addr.clone();
-        AdmitClient::new(rcfg)
-    });
-    let (req_tx, req_rx) = std::sync::mpsc::channel::<String>();
-    let (resp_tx, resp_rx) = std::sync::mpsc::channel::<Result<String, String>>();
-    let primary = AdmitClient::new(cfg);
-    let worker = std::thread::spawn(move || shard_worker(label, primary, &req_rx, &resp_tx));
+/// Builds one shard endpoint: the (lazily connecting) primary client,
+/// the optional read replica, and an empty slot table (the caller fills
+/// it from the map or grows it via imports).
+fn connect_shard(name: &str, spec: &ShardSpec, client: &ClientConfig) -> Shard {
+    let at = |addr: &String| {
+        let mut cfg = client.clone();
+        cfg.addr = addr.clone();
+        AdmitClient::new(cfg)
+    };
     Shard {
-        tx: req_tx,
-        rx: resp_rx,
-        worker: Some(worker),
-        replica,
+        primary: at(&spec.addr),
+        replica: spec.replica.as_ref().map(at),
         name: name.to_string(),
         spec: spec.clone(),
         slots: Vec::new(),
     }
 }
 
-/// Winds a shard's worker down: replacing the request channel ends the
-/// worker's loop, which drops the primary connection (the shard server
-/// session sees EOF), and the join bounds the cleanup.
-fn wind_down(shard: &mut Shard) {
-    let (tx, _) = std::sync::mpsc::channel();
-    drop(std::mem::replace(&mut shard.tx, tx));
-    if let Some(worker) = shard.worker.take() {
-        let _ = worker.join();
-    }
+/// The in-band answer when shard `s`'s primary cannot be reached.
+fn unavailable(s: usize, e: &ClientError) -> String {
+    err_response("shard-unavailable", None, &format!("shard {s}: {e}"))
 }
 
-/// The per-shard worker: owns the primary connection and serves one
-/// request at a time off its channel. Persistent (rather than spawned
-/// per fan-out) so a cluster tick costs two channel hops per shard, not
-/// a thread spawn.
-fn shard_worker(
-    s: usize,
-    mut client: AdmitClient,
-    rx: &std::sync::mpsc::Receiver<String>,
-    tx: &std::sync::mpsc::Sender<Result<String, String>>,
-) {
-    while let Ok(line) = rx.recv() {
-        let resp = client
-            .request(&line)
-            .map_err(|e| err_response("shard-unavailable", None, &format!("shard {s}: {e}")));
-        if tx.send(resp).is_err() {
-            break;
-        }
-    }
+/// A request of the batch in hand that has not been answered yet.
+enum Pending {
+    /// Decided without shard traffic (a validation error), or after the
+    /// pipeline drained (every op that is not arrive / depart / tick).
+    Answered(Handled),
+    /// Written to shard `s`; `present` and the issue clock already count
+    /// on it succeeding.
+    Arrive {
+        s: usize,
+        id: usize,
+        g: usize,
+        at: f64,
+        echo: bool,
+    },
+    /// As `Arrive`, with `departed` updated as well.
+    Depart {
+        s: usize,
+        id: usize,
+        g: usize,
+        at: f64,
+        echo: bool,
+    },
+    /// Written to every shard.
+    Tick { at: f64, echo: bool },
 }
+
+/// Most bytes a shard may be sent ahead of its replies. The router
+/// writes a batch out before it reads anything back, so the writes must
+/// fit in the socket buffers even when the shard has stopped reading
+/// because *its* replies have nowhere to go; this is well under a
+/// loopback socket's buffer, and past it the router gathers first.
+const MAX_UNANSWERED_BYTES: usize = 32 * 1024;
 
 /// The stateful router front-end. See the [module docs](self).
 pub struct Router {
@@ -250,7 +256,24 @@ pub struct Router {
     /// Tasks that have departed; their ids are burned, mirroring the
     /// engine's own replay-safety rule.
     departed: BTreeSet<usize>,
+    /// The cluster clock as of the last *answered* event.
     clock: f64,
+    /// The clock requests are validated against: `clock` as it will be
+    /// once everything in flight has been answered `ok`.
+    issue_clock: f64,
+    /// Global domain → (fleet index of the owner, its live local slot):
+    /// the routing decision per arrival, rebuilt whenever the map or a
+    /// slot table changes. `None` when the owner does not serve the
+    /// domain live (mid-migration).
+    routes: Vec<Option<(usize, usize)>>,
+    /// Requests of the batch in hand, oldest first.
+    pending: VecDeque<Pending>,
+    /// Set when a shard refused or failed a pipelined request: the rest
+    /// of the batch is then handled one request at a time.
+    careful: bool,
+    request_scratch: json::Scratch,
+    reply_scratch: json::Scratch,
+    downstream: String,
     merged_log: String,
     merged_decisions: u64,
     metrics: RouterMetrics,
@@ -291,17 +314,11 @@ fn ids_json(ids: &[usize]) -> String {
 /// Asks a shard's engine for its `layout` — one `(fenced, import-key)`
 /// pair per local domain, in index order. Errors are plain messages
 /// (callers wrap them into the response shape they need).
-fn probe_layout(shard: &Shard) -> Result<Vec<(bool, Option<String>)>, String> {
+fn probe_layout(shard: &mut Shard) -> Result<Vec<(bool, Option<String>)>, String> {
     let name = &shard.name;
-    let gone = || format!("shard {name:?}: worker gone");
-    shard
-        .tx
-        .send("{\"op\":\"layout\"}".to_string())
-        .map_err(|_| gone())?;
     let resp = shard
-        .rx
-        .recv()
-        .map_err(|_| gone())?
+        .primary
+        .request("{\"op\":\"layout\"}")
         .map_err(|e| format!("shard {name:?} layout probe failed: {e}"))?;
     let rp = json::parse_object(&resp)
         .map_err(|e| format!("bad layout response from shard {name:?}: {e}"))?;
@@ -328,17 +345,11 @@ fn probe_layout(shard: &Shard) -> Result<Vec<(bool, Option<String>)>, String> {
 /// `(id, local domain)` (`None` for an unpinned standing rejection) and
 /// the ids it has burned as departed.
 #[allow(clippy::type_complexity)]
-fn probe_present(shard: &Shard) -> Result<(Vec<(usize, Option<usize>)>, Vec<usize>), String> {
+fn probe_present(shard: &mut Shard) -> Result<(Vec<(usize, Option<usize>)>, Vec<usize>), String> {
     let name = &shard.name;
-    let gone = || format!("shard {name:?}: worker gone");
-    shard
-        .tx
-        .send("{\"op\":\"present\"}".to_string())
-        .map_err(|_| gone())?;
     let resp = shard
-        .rx
-        .recv()
-        .map_err(|_| gone())?
+        .primary
+        .request("{\"op\":\"present\"}")
         .map_err(|e| format!("shard {name:?} presence probe failed: {e}"))?;
     let rp = json::parse_object(&resp)
         .map_err(|e| format!("bad presence response from shard {name:?}: {e}"))?;
@@ -544,9 +555,9 @@ impl Router {
         }
         let mut shards = Vec::with_capacity(endpoints.len());
         for (s, spec) in endpoints.iter().enumerate() {
-            let mut shard = connect_shard(s, &map.members()[s], spec, client);
+            let mut shard = connect_shard(&map.members()[s], spec, client);
             if reconcile {
-                let layout = probe_layout(&shard).map_err(RouterError::Config)?;
+                let layout = probe_layout(&mut shard).map_err(RouterError::Config)?;
                 shard.slots =
                     slots_from_layout(&shard.name, &layout, &birth_domains(&map, &shard.name))
                         .map_err(RouterError::Config)?;
@@ -566,7 +577,7 @@ impl Router {
             // just-reconciled slot tables; a task on a fenced slot is
             // mid-migration and maps to the same global domain its live
             // holder will report.
-            for shard in &shards {
+            for shard in &mut shards {
                 let (tasks, burned) = probe_present(shard).map_err(RouterError::Config)?;
                 for (id, pin) in tasks {
                     let Some(local) = pin else { continue };
@@ -586,20 +597,43 @@ impl Router {
             }
         }
         let per_shard_routed = vec![0; shards.len()];
-        Ok(Router {
+        let mut router = Router {
             map,
             shards,
             client: client.clone(),
             present,
             departed,
             clock: 0.0,
+            issue_clock: 0.0,
+            routes: Vec::new(),
+            pending: VecDeque::new(),
+            careful: false,
+            request_scratch: json::Scratch::default(),
+            reply_scratch: json::Scratch::default(),
+            downstream: String::new(),
             merged_log: String::new(),
             merged_decisions: 0,
             metrics: RouterMetrics {
                 per_shard_routed,
                 ..RouterMetrics::default()
             },
-        })
+        };
+        router.rebuild_routes();
+        Ok(router)
+    }
+
+    /// Recomputes the `routes` table from the map and the slot tables.
+    fn rebuild_routes(&mut self) {
+        self.routes = (0..self.map.domains())
+            .map(|g| {
+                let s = self.route(g).ok()?;
+                let local = self.shards[s]
+                    .slots
+                    .iter()
+                    .position(|slot| *slot == Slot::Live(g))?;
+                Some((s, local))
+            })
+            .collect();
     }
 
     /// The shard map in force.
@@ -626,27 +660,97 @@ impl Router {
     /// the single-server contract: never panics, never returns `Err` —
     /// protocol, routing, and shard errors are all encoded in-band.
     pub fn handle_line(&mut self, line: &str) -> Handled {
-        let mut shutdown = false;
-        let response = match self.handle_inner(line, &mut shutdown) {
-            Ok(r) => r,
-            Err(r) => r,
-        };
-        Handled { response, shutdown }
+        self.handle_batch(&[line])
+            .pop()
+            .expect("one request, one answer")
     }
 
-    /// `Err` carries a fully-formatted error response.
-    #[allow(clippy::too_many_lines)]
-    fn handle_inner(&mut self, line: &str, shutdown: &mut bool) -> Result<String, String> {
-        let pairs = json::parse_object(line)
-            .map_err(|e| err_response("bad-request", None, &format!("bad request: {e}")))?;
-        let op = json::get(&pairs, "op")
+    /// Executes a batch of request lines — what a client has sent without
+    /// waiting for replies — and answers them in request order: one
+    /// [`Handled`] per line, stopping early only after a `shutdown`.
+    ///
+    /// Arrivals, departures and ticks are pipelined: each is validated
+    /// against the state the requests before it will leave behind, then
+    /// written to its shard (a tick: to every shard) without waiting,
+    /// and the replies are gathered in request order afterwards. While
+    /// every shard answers `ok` — which the router's own validation is
+    /// there to guarantee — responses, merged log, metrics and stats are
+    /// those of handling the lines one at a time. Two things wait for the
+    /// pipeline to drain: a second request about a task id that has one
+    /// in flight, and every other op (`stats`, `log`, `reshard`, …).
+    ///
+    /// When a shard refuses a request or cannot be reached, everything
+    /// already in flight is still gathered, the refused request alone is
+    /// rolled back in the router's tables, and the rest of the batch is
+    /// handled one request at a time.
+    pub fn handle_batch(&mut self, lines: &[&str]) -> Vec<Handled> {
+        let mut out = Vec::with_capacity(lines.len());
+        let mut scratch = std::mem::take(&mut self.request_scratch);
+        self.careful = false;
+        for line in lines {
+            let step = match json::parse_object_into(line, &mut scratch) {
+                Ok(pairs) => self.issue(pairs, &mut out),
+                Err(e) => Err(err_response(
+                    "bad-request",
+                    None,
+                    &format!("bad request: {e}"),
+                )),
+            }
+            .unwrap_or_else(|response| {
+                Pending::Answered(Handled {
+                    response,
+                    shutdown: false,
+                })
+            });
+            let last = matches!(&step, Pending::Answered(h) if h.shutdown);
+            self.pending.push_back(step);
+            if self.careful {
+                self.gather(&mut out);
+            }
+            if last {
+                break;
+            }
+        }
+        self.gather(&mut out);
+        self.request_scratch = scratch;
+        out
+    }
+
+    /// Validates one request and, for the pipelined ops, writes it to
+    /// its shard(s). `Err` carries a fully-formatted error response.
+    fn issue(
+        &mut self,
+        pairs: &[(String, JsonValue)],
+        out: &mut Vec<Handled>,
+    ) -> Result<Pending, String> {
+        let op = json::get(pairs, "op")
             .and_then(JsonValue::as_str)
-            .ok_or_else(|| err_response("bad-request", None, "missing field \"op\""))?
-            .to_string();
-        match op.as_str() {
-            "arrive" => self.arrive(line, &pairs),
-            "depart" => self.depart(&pairs),
-            "tick" => self.tick(&pairs),
+            .ok_or_else(|| err_response("bad-request", None, "missing field \"op\""))?;
+        match op {
+            "arrive" => self.issue_arrive(pairs, out),
+            "depart" => self.issue_depart(pairs, out),
+            "tick" => self.issue_tick(pairs, out),
+            _ => {
+                // Everything else reads or rewires the cluster as a
+                // whole: it sees the pipeline drained.
+                self.gather(out);
+                let mut shutdown = false;
+                let response = match self.control(op, pairs, &mut shutdown) {
+                    Ok(r) | Err(r) => r,
+                };
+                Ok(Pending::Answered(Handled { response, shutdown }))
+            }
+        }
+    }
+
+    /// The ops that are not pipelined.
+    fn control(
+        &mut self,
+        op: &str,
+        pairs: &[(String, JsonValue)],
+        shutdown: &mut bool,
+    ) -> Result<String, String> {
+        match op {
             "stats" => self.cluster_stats("stats"),
             "log" => Ok(format!(
                 "{{\"ok\":true,\"decisions\":{},\"log\":\"{}\"}}",
@@ -665,7 +769,13 @@ impl Router {
                     assignment.join(",")
                 ))
             }
-            "reshard" => self.reshard(&pairs),
+            "reshard" => {
+                let done = self.reshard(pairs);
+                // Slot tables change as domains land, even when the
+                // reshard stops half-way.
+                self.rebuild_routes();
+                done
+            }
             "role" => Ok(format!(
                 "{{\"ok\":true,\"role\":\"router\",\"shards\":{},\"map_version\":{}}}",
                 self.shards.len(),
@@ -686,6 +796,8 @@ impl Router {
     /// The router-shard index serving global domain `g`: the map names
     /// the owning member, and the fleet is searched by name (drained
     /// shards keep their slot in the fleet but leave the membership).
+    /// Per request this is answered from `routes`; the search runs when
+    /// that table is rebuilt, and to explain a miss.
     fn route(&self, g: usize) -> Result<usize, String> {
         let member = &self.map.members()[self.map.shard_for(g)];
         self.shards
@@ -700,22 +812,74 @@ impl Router {
             })
     }
 
+    /// Why an arrival pinned to `g` cannot be routed (`routes[g]` is
+    /// `None`).
+    fn unroutable(&self, g: usize, id: usize) -> String {
+        let s = match self.route(g) {
+            Ok(s) => s,
+            Err(response) => return response,
+        };
+        // The owner does not serve g live. If the domain is fenced (or
+        // parked live on a non-owner) an interrupted reshard left it
+        // mid-migration: structured and retryable — re-issuing the
+        // reshard rolls the transfer forward.
+        let mid_migration = self
+            .shards
+            .iter()
+            .any(|sh| sh.slots.contains(&Slot::Fenced(g)) || sh.slots.contains(&Slot::Live(g)));
+        let (kind, msg) = if mid_migration {
+            (
+                "domain-fenced",
+                format!(
+                    "domain {g} is mid-migration (fenced on its owner); \
+                     re-issue the reshard to complete it"
+                ),
+            )
+        } else {
+            (
+                "shard-unavailable",
+                format!("shard {s} does not hold domain {g}"),
+            )
+        };
+        err_response(kind, Some(id), &msg)
+    }
+
     /// Mirrors the engine's validation order: the clock check comes
     /// before any id check, so cluster error kinds match a single server.
     fn check_clock(&self, at: f64) -> Result<(), String> {
-        if !at.is_finite() || at < self.clock {
+        if !at.is_finite() || at < self.issue_clock {
             return Err(err_response(
                 "time-regression",
                 None,
-                &format!("event at {at} precedes cluster clock {}", self.clock),
+                &format!("event at {at} precedes cluster clock {}", self.issue_clock),
             ));
         }
         Ok(())
     }
 
-    /// Routes an arrival to the owning shard and stitches its decision
-    /// lines into the merged log.
-    fn arrive(&mut self, line: &str, pairs: &[(String, JsonValue)]) -> Result<String, String> {
+    /// Gathers first when the next pipelined request must not go out
+    /// behind what is in flight: a request about task `id` while another
+    /// one is unanswered (it is validated against that one's outcome),
+    /// or a shard already sent [`MAX_UNANSWERED_BYTES`].
+    fn make_room(&mut self, id: Option<usize>, out: &mut Vec<Handled>) {
+        let about = |step: &Pending| match step {
+            Pending::Arrive { id, .. } | Pending::Depart { id, .. } => Some(*id),
+            Pending::Answered(_) | Pending::Tick { .. } => None,
+        };
+        let full = |sh: &Shard| sh.primary.unanswered_bytes() > MAX_UNANSWERED_BYTES;
+        if id.is_some_and(|id| self.pending.iter().any(|step| about(step) == Some(id)))
+            || self.shards.iter().any(full)
+        {
+            self.gather(out);
+        }
+    }
+
+    /// Validates an arrival and writes it to the owning shard.
+    fn issue_arrive(
+        &mut self,
+        pairs: &[(String, JsonValue)],
+        out: &mut Vec<Handled>,
+    ) -> Result<Pending, String> {
         let proto = |msg: String| err_response("bad-request", None, &msg);
         let at = num_field(pairs, "at").map_err(proto)?;
         let id = num_field(pairs, "id").map_err(proto)? as usize;
@@ -735,6 +899,7 @@ impl Router {
             // trace see identical pins.
             None => id % self.map.domains(),
         };
+        self.make_room(Some(id), out);
         self.check_clock(at)?;
         if id == RESERVED_ANCHOR_ID {
             return Err(err_response(
@@ -767,60 +932,82 @@ impl Router {
                 &format!("task \u{3c4}{id} is already present"),
             ));
         }
-        let s = self.route(g)?;
-        let Some(local) = self.shards[s]
-            .slots
-            .iter()
-            .position(|slot| *slot == Slot::Live(g))
-        else {
-            // The owner does not serve g live. If the domain is fenced
-            // (or parked live on a non-owner) an interrupted reshard
-            // left it mid-migration: structured and retryable —
-            // re-issuing the reshard rolls the transfer forward.
-            let mid_migration = self.shards.iter().any(|sh| {
-                sh.slots.contains(&Slot::Fenced(g)) || sh.slots.contains(&Slot::Live(g))
-            });
-            let (kind, msg) = if mid_migration {
-                (
-                    "domain-fenced",
-                    format!(
-                        "domain {g} is mid-migration (fenced on its owner); \
-                         re-issue the reshard to complete it"
-                    ),
-                )
-            } else {
-                ("shard-unavailable", format!("shard {s} does not hold domain {g}"))
-            };
-            return Err(err_response(kind, Some(id), &msg));
+        let Some((s, local)) = self.routes[g] else {
+            return Err(self.unroutable(g, id));
         };
         // Forward the original fields verbatim (minus any client pin or
         // dlog flag), adding the shard-local pin and the dlog echo.
-        let mut downstream = String::with_capacity(line.len() + 32);
-        downstream.push_str("{\"op\":\"arrive\"");
+        let line = &mut self.downstream;
+        line.clear();
+        line.push_str("{\"op\":\"arrive\"");
         for (key, value) in pairs {
             if matches!(key.as_str(), "op" | "domain" | "dlog") {
                 continue;
             }
-            downstream.push_str(&format!(",\"{key}\":{}", render_value(value)));
+            line.push_str(",\"");
+            json::escape_into(line, key);
+            line.push_str("\":");
+            render_value(line, value);
         }
-        downstream.push_str(&format!(",\"domain\":{local},\"dlog\":true}}"));
-        let resp = self.shard_write(s, &downstream)?;
-        let rp = json::parse_object(&resp).map_err(|e| {
-            err_response("bad-request", Some(id), &format!("bad shard response: {e}"))
-        })?;
-        if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
-            // Structured shard refusals (the router pre-validates, so
-            // these indicate state skew) pass through unchanged.
-            return Err(resp);
-        }
-        let lines = self.globalize(s, &rp)?;
+        let _ = write!(line, ",\"domain\":{local},\"dlog\":true}}");
+        self.shards[s].primary.send(line);
+        self.issue_clock = at;
+        self.present.insert(id, g);
+        Ok(Pending::Arrive {
+            s,
+            id,
+            g,
+            at,
+            echo: wants_dlog(pairs),
+        })
+    }
+
+    /// Reads shard `s`'s reply to the arrival or departure of task `id`
+    /// and stitches its decision lines into the merged log; returns them
+    /// with whether the reply says `accepted`. `Err` is the answer to a
+    /// refused or failed request; the caller rolls the optimistic updates
+    /// back.
+    fn finish_routed(
+        &mut self,
+        s: usize,
+        id: usize,
+        at: f64,
+    ) -> Result<(bool, Vec<(usize, String)>), String> {
+        let resp = self.shards[s]
+            .primary
+            .recv()
+            .map_err(|e| unavailable(s, &e))?;
+        let (accepted, lines) = {
+            let rp = json::parse_object_into(&resp, &mut self.reply_scratch).map_err(|e| {
+                err_response("bad-request", Some(id), &format!("bad shard response: {e}"))
+            })?;
+            if json::get(rp, "ok") != Some(&JsonValue::Bool(true)) {
+                // Structured shard refusals (the router pre-validates, so
+                // these indicate state skew) pass through unchanged.
+                return Err(resp);
+            }
+            (
+                json::get(rp, "decision").and_then(JsonValue::as_str) == Some("accepted"),
+                globalize(s, &self.shards[s].slots, rp)?,
+            )
+        };
         self.append_merged(lines.iter().map(|(_, l)| l.as_str()));
         self.clock = at;
-        self.present.insert(id, g);
-        self.metrics.routed_arrives += 1;
         self.metrics.per_shard_routed[s] += 1;
-        let accepted = json::get(&rp, "decision").and_then(JsonValue::as_str) == Some("accepted");
-        let dlog = self.dlog_suffix(pairs, &lines);
+        Ok((accepted, lines))
+    }
+
+    fn finish_arrive(
+        &mut self,
+        s: usize,
+        id: usize,
+        g: usize,
+        at: f64,
+        echo: bool,
+    ) -> Result<String, String> {
+        let (accepted, lines) = self.finish_routed(s, id, at)?;
+        self.metrics.routed_arrives += 1;
+        let dlog = dlog_suffix(echo, &lines);
         Ok(if accepted {
             format!("{{\"ok\":true,\"decision\":\"accepted\",\"id\":{id},\"domain\":{g}{dlog}}}")
         } else {
@@ -828,10 +1015,16 @@ impl Router {
         })
     }
 
-    fn depart(&mut self, pairs: &[(String, JsonValue)]) -> Result<String, String> {
+    /// Validates a departure and writes it to the shard holding the task.
+    fn issue_depart(
+        &mut self,
+        pairs: &[(String, JsonValue)],
+        out: &mut Vec<Handled>,
+    ) -> Result<Pending, String> {
         let proto = |msg: String| err_response("bad-request", None, &msg);
         let at = num_field(pairs, "at").map_err(proto)?;
         let id = num_field(pairs, "id").map_err(proto)? as usize;
+        self.make_room(Some(id), out);
         self.check_clock(at)?;
         if self.departed.contains(&id) {
             return Err(err_response(
@@ -847,86 +1040,98 @@ impl Router {
                 &format!("task \u{3c4}{id} is not present"),
             ));
         };
-        let s = self.route(g)?;
-        let downstream = format!("{{\"op\":\"depart\",\"at\":{at},\"id\":{id},\"dlog\":true}}");
-        let resp = self.shard_write(s, &downstream)?;
-        let rp = json::parse_object(&resp).map_err(|e| {
-            err_response("bad-request", Some(id), &format!("bad shard response: {e}"))
-        })?;
-        if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
-            return Err(resp);
-        }
-        let lines = self.globalize(s, &rp)?;
-        self.append_merged(lines.iter().map(|(_, l)| l.as_str()));
-        self.clock = at;
+        let s = match self.routes[g] {
+            Some((s, _)) => s,
+            None => self.route(g)?,
+        };
+        let line = &mut self.downstream;
+        line.clear();
+        let _ = write!(
+            line,
+            "{{\"op\":\"depart\",\"at\":{at},\"id\":{id},\"dlog\":true}}"
+        );
+        self.shards[s].primary.send(line);
+        self.issue_clock = at;
         self.present.remove(&id);
         self.departed.insert(id);
+        Ok(Pending::Depart {
+            s,
+            id,
+            g,
+            at,
+            echo: wants_dlog(pairs),
+        })
+    }
+
+    fn finish_depart(
+        &mut self,
+        s: usize,
+        id: usize,
+        at: f64,
+        echo: bool,
+    ) -> Result<String, String> {
+        let (_, lines) = self.finish_routed(s, id, at)?;
         self.metrics.routed_departs += 1;
-        self.metrics.per_shard_routed[s] += 1;
-        let shed: Vec<usize> = lines
-            .iter()
-            .filter(|(_, l)| line_is_shed(l))
-            .filter_map(|(_, l)| line_task_id(l))
-            .collect();
-        let dlog = self.dlog_suffix(pairs, &lines);
         Ok(format!(
-            "{{\"ok\":true,\"id\":{id},\"shed\":{}{dlog}}}",
-            ids_json(&shed)
+            "{{\"ok\":true,\"id\":{id},\"shed\":{}{}}}",
+            ids_json(&shed_ids(&lines)),
+            dlog_suffix(echo, &lines)
         ))
     }
 
-    /// Fans a tick to every shard and merges the decision lines in
-    /// global-domain order.
-    ///
-    /// The scatter is **concurrent** — every shard advances its clock and
-    /// runs its re-solve pass in parallel, so a cluster tick costs the
-    /// slowest shard, not the sum of all shards. The gather walks the
-    /// responses in shard-index order and the merge sorts by global
-    /// domain, so concurrency never reorders a byte of the merged log.
-    fn tick(&mut self, pairs: &[(String, JsonValue)]) -> Result<String, String> {
+    /// Validates a tick and writes it to every shard. Nothing is read
+    /// back before all of them have it, so every shard advances its
+    /// clock and runs its re-solve pass concurrently: a cluster tick
+    /// costs the slowest shard, not the sum of all shards.
+    fn issue_tick(
+        &mut self,
+        pairs: &[(String, JsonValue)],
+        out: &mut Vec<Handled>,
+    ) -> Result<Pending, String> {
         let proto = |msg: String| err_response("bad-request", None, &msg);
         let at = num_field(pairs, "at").map_err(proto)?;
+        self.make_room(None, out);
         self.check_clock(at)?;
-        let downstream = format!("{{\"op\":\"tick\",\"at\":{at},\"dlog\":true}}");
-        // Scatter to every worker first, then gather in shard-index
-        // order: all shards tick (and re-solve) concurrently.
-        for (s, shard) in self.shards.iter().enumerate() {
-            shard.tx.send(downstream.clone()).map_err(|_| {
-                err_response(
-                    "shard-unavailable",
-                    None,
-                    &format!("shard {s}: worker gone"),
-                )
-            })?;
+        let line = &mut self.downstream;
+        line.clear();
+        let _ = write!(line, "{{\"op\":\"tick\",\"at\":{at},\"dlog\":true}}");
+        for shard in &mut self.shards {
+            shard.primary.send(line);
         }
+        self.issue_clock = at;
+        Ok(Pending::Tick {
+            at,
+            echo: wants_dlog(pairs),
+        })
+    }
+
+    /// Reads every shard's reply to a tick, in shard-index order, and
+    /// merges the decision lines in global-domain order — so neither
+    /// pipelining nor shard concurrency reorders a byte of the merged
+    /// log.
+    fn finish_tick(&mut self, at: f64, echo: bool) -> Result<String, String> {
+        // Every shard was sent the tick, so every reply is read, even
+        // past one that failed.
         let responses: Vec<Result<String, String>> = self
             .shards
-            .iter()
+            .iter_mut()
             .enumerate()
-            .map(|(s, shard)| {
-                shard.rx.recv().unwrap_or_else(|_| {
-                    Err(err_response(
-                        "shard-unavailable",
-                        None,
-                        &format!("shard {s}: worker gone"),
-                    ))
-                })
-            })
+            .map(|(s, shard)| shard.primary.recv().map_err(|e| unavailable(s, &e)))
             .collect();
         let mut merged: Vec<(usize, String)> = Vec::new();
         let mut resolves: u64 = 0;
         for (s, resp) in responses.into_iter().enumerate() {
             let resp = resp?;
-            let rp = json::parse_object(&resp).map_err(|e| {
+            let rp = json::parse_object_into(&resp, &mut self.reply_scratch).map_err(|e| {
                 err_response("bad-request", None, &format!("bad shard response: {e}"))
             })?;
-            if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
+            if json::get(rp, "ok") != Some(&JsonValue::Bool(true)) {
                 return Err(resp);
             }
-            resolves += json::get(&rp, "resolves")
+            resolves += json::get(rp, "resolves")
                 .and_then(JsonValue::as_f64)
                 .unwrap_or(0.0) as u64;
-            merged.extend(self.globalize(s, &rp)?);
+            merged.extend(globalize(s, &self.shards[s].slots, rp)?);
         }
         // Stable sort by global domain: every domain lives on exactly one
         // shard and each shard emits its owned domains in ascending
@@ -936,16 +1141,52 @@ impl Router {
         self.append_merged(merged.iter().map(|(_, l)| l.as_str()));
         self.clock = at;
         self.metrics.fanned_ticks += 1;
-        let shed: Vec<usize> = merged
-            .iter()
-            .filter(|(_, l)| line_is_shed(l))
-            .filter_map(|(_, l)| line_task_id(l))
-            .collect();
-        let dlog = self.dlog_suffix(pairs, &merged);
         Ok(format!(
-            "{{\"ok\":true,\"shed\":{},\"resolves\":{resolves}{dlog}}}",
-            ids_json(&shed)
+            "{{\"ok\":true,\"shed\":{},\"resolves\":{resolves}{}}}",
+            ids_json(&shed_ids(&merged)),
+            dlog_suffix(echo, &merged)
         ))
+    }
+
+    /// Puts everything issued on the wire, then answers every pending
+    /// request in request order. Afterwards nothing is in flight.
+    fn gather(&mut self, out: &mut Vec<Handled>) {
+        if self.pending.is_empty() {
+            return;
+        }
+        for shard in &mut self.shards {
+            shard.primary.flush();
+        }
+        while let Some(step) = self.pending.pop_front() {
+            let answer = match step {
+                Pending::Answered(handled) => {
+                    out.push(handled);
+                    continue;
+                }
+                Pending::Arrive { s, id, g, at, echo } => {
+                    self.finish_arrive(s, id, g, at, echo).inspect_err(|_| {
+                        self.present.remove(&id);
+                    })
+                }
+                Pending::Depart { s, id, g, at, echo } => {
+                    self.finish_depart(s, id, at, echo).inspect_err(|_| {
+                        self.departed.remove(&id);
+                        self.present.insert(id, g);
+                    })
+                }
+                Pending::Tick { at, echo } => self.finish_tick(at, echo),
+            };
+            self.careful |= answer.is_err();
+            out.push(Handled {
+                response: match answer {
+                    Ok(r) | Err(r) => r,
+                },
+                shutdown: false,
+            });
+        }
+        // Equal already unless a request was refused: its timestamp is
+        // rolled back with it.
+        self.issue_clock = self.clock;
     }
 
     /// Scatter-gathers per-shard stats into cluster aggregates, enforcing
@@ -1109,13 +1350,11 @@ impl Router {
             let spec = spec.as_ref().expect("add always carries a spec");
             match self.shards.iter().position(|sh| sh.name == name) {
                 Some(pos) if self.shards[pos].spec != *spec => {
-                    let mut stale = connect_shard(pos, &name, spec, &self.client);
-                    std::mem::swap(&mut stale, &mut self.shards[pos]);
-                    wind_down(&mut stale);
+                    self.shards[pos] = connect_shard(&name, spec, &self.client);
                 }
                 Some(_) => {}
                 None => {
-                    let shard = connect_shard(self.shards.len(), &name, spec, &self.client);
+                    let shard = connect_shard(&name, spec, &self.client);
                     self.shards.push(shard);
                     self.metrics.per_shard_routed.push(0);
                 }
@@ -1191,9 +1430,7 @@ impl Router {
                 let src = self
                     .shards
                     .iter()
-                    .position(|sh| {
-                        &sh.name == map_owner && sh.slots.contains(&Slot::Fenced(g))
-                    })
+                    .position(|sh| &sh.name == map_owner && sh.slots.contains(&Slot::Fenced(g)))
                     .or_else(|| {
                         self.shards
                             .iter()
@@ -1268,21 +1505,15 @@ impl Router {
         ))
     }
 
-    /// Sends a write to shard `s`'s primary (through its worker). Writes
-    /// never fall back to a replica: a follower refuses them
-    /// (`not-primary`), and silently retrying elsewhere would fork the
-    /// shard's history.
+    /// Sends a write to shard `s`'s primary and waits for its reply (the
+    /// pipeline is drained whenever this is called). Writes never fall
+    /// back to a replica: a follower refuses them (`not-primary`), and
+    /// silently retrying elsewhere would fork the shard's history.
     fn shard_write(&mut self, s: usize, line: &str) -> Result<String, String> {
-        let gone = || {
-            err_response(
-                "shard-unavailable",
-                None,
-                &format!("shard {s}: worker gone"),
-            )
-        };
-        let shard = &self.shards[s];
-        shard.tx.send(line.to_string()).map_err(|_| gone())?;
-        shard.rx.recv().map_err(|_| gone())?
+        self.shards[s]
+            .primary
+            .request(line)
+            .map_err(|e| unavailable(s, &e))
     }
 
     /// Sends a read to shard `s`, hedging to the replica when the primary
@@ -1311,51 +1542,6 @@ impl Router {
         }
     }
 
-    /// Rewrites a shard's echoed decision lines from local to global
-    /// domain indices, returning `(global_domain, line)` pairs in emitted
-    /// order. Lines without a domain suffix (rejected verdicts) keep
-    /// their bytes and sort under the shard's first owned domain — they
-    /// only occur on single-shard arrive responses, where the sort key is
-    /// irrelevant.
-    fn globalize(
-        &self,
-        s: usize,
-        response_pairs: &[(String, JsonValue)],
-    ) -> Result<Vec<(usize, String)>, String> {
-        let Some(dlog) = json::get(response_pairs, "dlog").and_then(JsonValue::as_str) else {
-            return Ok(Vec::new());
-        };
-        let slots = &self.shards[s].slots;
-        let mut out = Vec::new();
-        for line in dlog.lines() {
-            if let Some(pos) = line.rfind('@') {
-                let local: usize = line[pos + 1..].parse().map_err(|_| {
-                    err_response(
-                        "bad-request",
-                        None,
-                        &format!("unparseable decision line from shard {s}: {line:?}"),
-                    )
-                })?;
-                let g = slots
-                    .get(local)
-                    .copied()
-                    .and_then(Slot::live)
-                    .ok_or_else(|| {
-                        err_response(
-                            "bad-request",
-                            None,
-                            &format!("shard {s} named unknown or exported local domain {local}"),
-                        )
-                    })?;
-                out.push((g, format!("{}{g}", &line[..=pos])));
-            } else {
-                let first = slots.iter().copied().filter_map(Slot::live).next().unwrap_or(0);
-                out.push((first, line.to_string()));
-            }
-        }
-        Ok(out)
-    }
-
     fn append_merged<'a>(&mut self, lines: impl Iterator<Item = &'a str>) {
         for line in lines {
             self.merged_log.push_str(line);
@@ -1363,51 +1549,115 @@ impl Router {
             self.merged_decisions += 1;
         }
     }
-
-    /// The `,"dlog":"…"` suffix when the client asked for the echo.
-    fn dlog_suffix(&self, pairs: &[(String, JsonValue)], lines: &[(usize, String)]) -> String {
-        if json::get(pairs, "dlog") != Some(&JsonValue::Bool(true)) {
-            return String::new();
-        }
-        let mut text = String::new();
-        for (_, line) in lines {
-            text.push_str(line);
-            text.push('\n');
-        }
-        format!(",\"dlog\":\"{}\"", json::escape(&text))
-    }
 }
 
-impl Drop for Router {
-    /// Winds the worker fleet down: closing a request channel ends its
-    /// worker's loop, which drops the primary connection (so shard
-    /// server sessions see EOF), and the join bounds the cleanup.
-    fn drop(&mut self) {
-        for mut shard in self.shards.drain(..) {
-            wind_down(&mut shard);
-        }
-    }
+/// Whether the request asked for its decision-log lines to be echoed.
+fn wants_dlog(pairs: &[(String, JsonValue)]) -> bool {
+    json::get(pairs, "dlog") == Some(&JsonValue::Bool(true))
 }
 
-/// Renders a parsed JSON value back to JSON text (numbers via `f64`
-/// round-trip formatting, which preserves every value a shard will
+/// Rewrites shard `s`'s echoed decision lines from local to global
+/// domain indices, returning `(global_domain, line)` pairs in emitted
+/// order. Lines without a domain suffix (rejected verdicts) keep their
+/// bytes and sort under the shard's first owned domain — they only occur
+/// on single-shard arrive responses, where the sort key is irrelevant.
+fn globalize(
+    s: usize,
+    slots: &[Slot],
+    response_pairs: &[(String, JsonValue)],
+) -> Result<Vec<(usize, String)>, String> {
+    let Some(dlog) = json::get(response_pairs, "dlog").and_then(JsonValue::as_str) else {
+        return Ok(Vec::new());
+    };
+    let mut out = Vec::new();
+    for line in dlog.lines() {
+        if let Some(pos) = line.rfind('@') {
+            let local: usize = line[pos + 1..].parse().map_err(|_| {
+                err_response(
+                    "bad-request",
+                    None,
+                    &format!("unparseable decision line from shard {s}: {line:?}"),
+                )
+            })?;
+            let g = slots
+                .get(local)
+                .copied()
+                .and_then(Slot::live)
+                .ok_or_else(|| {
+                    err_response(
+                        "bad-request",
+                        None,
+                        &format!("shard {s} named unknown or exported local domain {local}"),
+                    )
+                })?;
+            out.push((g, format!("{}{g}", &line[..=pos])));
+        } else {
+            let first = slots.iter().copied().find_map(Slot::live).unwrap_or(0);
+            out.push((first, line.to_string()));
+        }
+    }
+    Ok(out)
+}
+
+/// The ids of the tasks the decision lines shed.
+fn shed_ids(lines: &[(usize, String)]) -> Vec<usize> {
+    lines
+        .iter()
+        .filter(|(_, l)| line_is_shed(l))
+        .filter_map(|(_, l)| line_task_id(l))
+        .collect()
+}
+
+/// The `,"dlog":"…"` suffix when the client asked for the echo.
+fn dlog_suffix(echo: bool, lines: &[(usize, String)]) -> String {
+    if !echo {
+        return String::new();
+    }
+    let mut text = String::new();
+    for (_, line) in lines {
+        text.push_str(line);
+        text.push('\n');
+    }
+    format!(",\"dlog\":\"{}\"", json::escape(&text))
+}
+
+/// Renders a parsed JSON value back to JSON text onto `out` (numbers via
+/// `f64` round-trip formatting, which preserves every value a shard will
 /// parse with `as_f64` anyway).
-fn render_value(value: &JsonValue) -> String {
+fn render_value(out: &mut String, value: &JsonValue) {
     match value {
-        JsonValue::Null => "null".to_string(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Num(n) => format!("{n}"),
-        JsonValue::Str(s) => format!("\"{}\"", json::escape(s)),
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(n) => {
+            let _ = write!(out, "{n}");
+        }
+        JsonValue::Str(s) => {
+            out.push('"');
+            json::escape_into(out, s);
+            out.push('"');
+        }
         JsonValue::Arr(items) => {
-            let parts: Vec<String> = items.iter().map(render_value).collect();
-            format!("[{}]", parts.join(","))
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_value(out, item);
+            }
+            out.push(']');
         }
         JsonValue::Obj(pairs) => {
-            let parts: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", json::escape(k), render_value(v)))
-                .collect();
-            format!("{{{}}}", parts.join(","))
+            out.push('{');
+            for (i, (key, item)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                json::escape_into(out, key);
+                out.push_str("\":");
+                render_value(out, item);
+            }
+            out.push('}');
         }
     }
 }
