@@ -5,7 +5,6 @@
 //!            [--policy greedy|threshold=θ|watermark=HI,LO,θ]
 //!            [--power xscale|cubic|xscale-table] [--domains N]
 //!            [--horizon H] [--resolve-every K] [--regret R] [--budget N]
-//!            [--threads N]
 //!            [--journal FILE] [--recover] [--snapshot-every N]
 //!            [--fsync snapshot|always]
 //!            [--read-timeout-ms MS] [--overload N]
@@ -25,8 +24,6 @@
 //!   --resolve-every K  re-solve every K-th tick (0 disables; default 1)
 //!   --regret R       also re-solve when shedding profit exceeds R
 //!   --budget N       re-solve node budget (default 20000)
-//!   --threads N      set DVS_THREADS for this process (decision logs are
-//!                    identical for any N — see the determinism contract)
 //!   --journal FILE   write-ahead journal: every applied event is CRC-framed
 //!                    and flushed before its decision is acknowledged
 //!   --recover        reconstruct engine state from the journal before
@@ -225,17 +222,6 @@ fn run() -> Result<(), String> {
                         .map_err(|e| format!("bad --budget: {e}"))?,
                 );
             }
-            "--threads" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                std::env::set_var(dvs_exec::THREADS_ENV, n.to_string());
-            }
             "--journal" => {
                 journal_path = Some(it.next().ok_or("--journal needs a file")?.clone());
             }
@@ -288,7 +274,7 @@ fn run() -> Result<(), String> {
                     "usage: dvs_admitd (--stdin | --listen ADDR | --replay FILE) \
                      [--policy greedy|threshold=T|watermark=HI,LO,T] \
                      [--power xscale|cubic|xscale-table] [--domains N] [--horizon H] \
-                     [--resolve-every K] [--regret R] [--budget N] [--threads N] \
+                     [--resolve-every K] [--regret R] [--budget N] \
                      [--journal FILE] [--recover] [--snapshot-every N] \
                      [--fsync snapshot|always] [--read-timeout-ms MS] [--overload N] \
                      [--repl-listen ADDR] [--follow ADDR] [--auto-promote-ms MS]"

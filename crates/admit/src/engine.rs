@@ -54,11 +54,11 @@
 //! ## Determinism contract
 //!
 //! Given the same event stream and configuration, the decision log is
-//! **bit-identical regardless of `DVS_THREADS`**: admission decisions are
-//! pure arithmetic, and the re-solve uses the *sequential* node-budgeted
-//! branch & bound (`solve_within`), whose incumbent is reproducible by
-//! construction. Only the wall-clock decision-latency histogram in the
-//! metrics registry varies between runs.
+//! **bit-identical from run to run**: admission decisions are pure
+//! arithmetic, and the re-solve uses the node-budgeted branch & bound
+//! (`solve_within`), whose incumbent is reproducible by construction.
+//! Only the wall-clock decision-latency histogram in the metrics registry
+//! varies between runs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -1017,11 +1017,11 @@ impl AdmissionEngine {
     /// their rejection penalties) and readmitting reserved tasks it picks
     /// back up. Returns the shed/readmit decisions.
     ///
-    /// The solver is the *sequential* anytime branch & bound under the
-    /// configured node budget (bit-deterministic regardless of
-    /// `DVS_THREADS`); instances above its size limit fall back to the
-    /// deterministic marginal-greedy heuristic. A domain is only touched
-    /// when the re-solve strictly improves on its current serving choice.
+    /// The solver is the anytime branch & bound under the configured node
+    /// budget (bit-deterministic); instances above its size limit fall
+    /// back to the deterministic marginal-greedy heuristic. A domain is
+    /// only touched when the re-solve strictly improves on its current
+    /// serving choice.
     ///
     /// # Errors
     ///
@@ -2079,7 +2079,7 @@ impl AdmissionEngine {
     /// journal for appending. The result's decision log is bit-identical
     /// to the engine that wrote the journal, at the point of its last
     /// flushed record — the crash-recovery invariant the chaos suite
-    /// asserts across `DVS_THREADS`.
+    /// asserts.
     ///
     /// `cpus`, `policy`, and `config` must match the original serving
     /// configuration (the snapshot cross-checks them). A missing file is
@@ -2220,7 +2220,7 @@ impl AdmissionEngine {
             .map(|d| d.active.len().to_string())
             .collect();
         format!(
-            "{{\"op\":\"stats\",\"policy\":\"{}\",\"clock\":{},\"threads\":{},\
+            "{{\"op\":\"stats\",\"policy\":\"{}\",\"clock\":{},\
              \"domains\":{},\"fenced\":{},\"active\":[{}],\"committed\":[{}],\
              \"arrivals\":{},\"accepted\":{},\"admitted\":{},\"rejected\":{},\"shed\":{},\
              \"shed_total\":{},\"readmitted\":{},\
@@ -2236,7 +2236,6 @@ impl AdmissionEngine {
              \"repl_reconnects\":{},\"heartbeat_misses\":{},\"latency_us_log2\":{}}}",
             self.policy.name(),
             self.clock,
-            dvs_exec::num_threads(),
             self.domains.len(),
             self.fenced_count(),
             active.join(","),

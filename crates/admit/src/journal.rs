@@ -5,9 +5,8 @@
 //! acknowledges the decision — as a CRC-framed record; periodically the
 //! engine embeds a full snapshot of its deterministic state in the same
 //! file. Recovery is then `last snapshot + deterministic replay of the
-//! event tail`, which reproduces the decision log bit-for-bit (the same
-//! contract the `DVS_THREADS` determinism suite pins, extended across a
-//! crash boundary).
+//! event tail`, which reproduces the decision log bit-for-bit (the
+//! engine's determinism contract, extended across a crash boundary).
 //!
 //! ## Frame format
 //!

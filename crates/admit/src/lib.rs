@@ -16,8 +16,8 @@
 //! The front-end is the `dvs_admitd` binary: newline-delimited JSON over
 //! stdin/stdout or TCP (one thread per connection, zero dependencies),
 //! with a built-in metrics registry dumped by the `stats` request and on
-//! shutdown. The engine core is deterministic under `DVS_THREADS` — see
-//! the [`engine`] module docs for the contract.
+//! shutdown. The engine core is deterministic — see the [`engine`] module
+//! docs for the contract.
 //!
 //! ```
 //! use dvs_admit::{AdmissionEngine, EngineConfig};

@@ -19,9 +19,9 @@
 //! The follower appends every received byte to a local **mirror** file —
 //! byte-identical to the primary's journal prefix — and applies each
 //! complete `E` frame to its own engine. Because the engine is
-//! deterministic (the `DVS_THREADS` contract), replaying the same event
-//! bytes reproduces the primary's decision log bit-for-bit: the standby
-//! *is* a recovery, streamed continuously instead of run after a crash.
+//! deterministic, replaying the same event bytes reproduces the primary's
+//! decision log bit-for-bit: the standby *is* a recovery, streamed
+//! continuously instead of run after a crash.
 //!
 //! When the journal is idle the primary emits a single [`HEARTBEAT_BYTE`]
 //! between frames so the follower can distinguish "quiet primary" from

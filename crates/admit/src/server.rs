@@ -28,9 +28,9 @@
 //!
 //! The same handler serves stdin/stdout ([`serve_lines`]) and TCP
 //! connections ([`serve_tcp`], one thread per connection over a shared
-//! engine). The engine core itself stays `DVS_THREADS`-deterministic —
-//! concurrency only affects the interleaving of *independent sessions'*
-//! requests, never the outcome of a given event sequence.
+//! engine). The engine core itself stays deterministic — concurrency only
+//! affects the interleaving of *independent sessions'* requests, never the
+//! outcome of a given event sequence.
 //!
 //! ## Robustness controls
 //!

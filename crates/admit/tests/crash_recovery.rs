@@ -1,8 +1,8 @@
 //! The recovery invariant, end to end: kill a journaled engine at an
 //! arbitrary point, recover `snapshot + replay of the journal tail`, feed
 //! the rest of the trace, and the decision log is bit-identical to an
-//! uninterrupted run — at every `DVS_THREADS`, across many seeds, and
-//! across a real SIGKILL of the `dvs_admitd` process.
+//! uninterrupted run — across many seeds, and across a real SIGKILL of
+//! the `dvs_admitd` process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -12,18 +12,6 @@ use dvs_admit::{AdmissionEngine, EngineConfig, JournalConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::EventRecord;
-
-/// Serialises tests that touch the process-global `DVS_THREADS` variable.
-fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = ENV_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::env::set_var(dvs_exec::THREADS_ENV, n);
-    let out = f();
-    std::env::remove_var(dvs_exec::THREADS_ENV);
-    out
-}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dvs_admit_crash_{}", std::process::id()));
@@ -97,33 +85,31 @@ fn killed_and_recovered(trace: &[EventRecord], cut: usize, path: &PathBuf) -> (S
     )
 }
 
-/// ≥10 seeds × DVS_THREADS {1,2,4,8}: a kill at a seed-dependent cut
-/// point recovers to a bit-identical decision log and deterministic
-/// metrics summary (the balance invariant holds across the recovery
-/// boundary because `deterministic_summary` quantifies over it).
+/// ≥10 seeds: a kill at a seed-dependent cut point recovers to a
+/// bit-identical decision log and deterministic metrics summary (the
+/// balance invariant holds across the recovery boundary because
+/// `deterministic_summary` quantifies over it).
 #[test]
-fn kill_and_recover_is_bit_identical_across_seeds_and_threads() {
+fn kill_and_recover_is_bit_identical_across_seeds() {
     for seed in 0..10u64 {
         let trace = TraceSpec::new(14, 2.2, seed).generate().unwrap();
         let cut = 1 + (seed as usize * 7 + 3) % (trace.len() - 1);
         let ref_path = tmp(&format!("ref_{seed}.wal"));
-        let (ref_log, ref_sum) = with_threads("1", || uninterrupted(&trace, &ref_path));
+        let (ref_log, ref_sum) = uninterrupted(&trace, &ref_path);
         assert!(
             ref_log.contains("accepted") || ref_log.contains("rejected"),
             "seed {seed}: empty decision log"
         );
-        for threads in ["1", "2", "4", "8"] {
-            let path = tmp(&format!("cut_{seed}_{threads}.wal"));
-            let (log, sum) = with_threads(threads, || killed_and_recovered(&trace, cut, &path));
-            assert_eq!(
-                log, ref_log,
-                "seed {seed} cut {cut} threads {threads}: decision log diverged after recovery"
-            );
-            assert_eq!(
-                sum, ref_sum,
-                "seed {seed} cut {cut} threads {threads}: metrics diverged after recovery"
-            );
-        }
+        let path = tmp(&format!("cut_{seed}.wal"));
+        let (log, sum) = killed_and_recovered(&trace, cut, &path);
+        assert_eq!(
+            log, ref_log,
+            "seed {seed} cut {cut}: decision log diverged after recovery"
+        );
+        assert_eq!(
+            sum, ref_sum,
+            "seed {seed} cut {cut}: metrics diverged after recovery"
+        );
     }
 }
 
@@ -133,75 +119,71 @@ fn kill_and_recover_is_bit_identical_across_seeds_and_threads() {
 fn double_kill_double_recover_converges() {
     let trace = TraceSpec::new(14, 2.4, 42).generate().unwrap();
     let ref_path = tmp("double_ref.wal");
-    let (ref_log, ref_sum) = with_threads("1", || uninterrupted(&trace, &ref_path));
+    let (ref_log, ref_sum) = uninterrupted(&trace, &ref_path);
 
-    with_threads("1", || {
-        let path = tmp("double_cut.wal");
-        {
-            let mut engine = journaled_engine(&path);
-            for e in &trace[..trace.len() / 3] {
-                engine.apply(e).unwrap();
-            }
-        }
-        let once = AdmissionEngine::recover(
-            &path,
-            vec![xscale_ideal()],
-            Box::new(OnlineGreedy),
-            config(),
-            jconfig(),
-        )
-        .unwrap();
-        let mut engine = once.engine;
-        for e in &trace[trace.len() / 3..2 * trace.len() / 3] {
+    let path = tmp("double_cut.wal");
+    {
+        let mut engine = journaled_engine(&path);
+        for e in &trace[..trace.len() / 3] {
             engine.apply(e).unwrap();
         }
-        drop(engine); // second crash
+    }
+    let once = AdmissionEngine::recover(
+        &path,
+        vec![xscale_ideal()],
+        Box::new(OnlineGreedy),
+        config(),
+        jconfig(),
+    )
+    .unwrap();
+    let mut engine = once.engine;
+    for e in &trace[trace.len() / 3..2 * trace.len() / 3] {
+        engine.apply(e).unwrap();
+    }
+    drop(engine); // second crash
 
-        let twice = AdmissionEngine::recover(
-            &path,
-            vec![xscale_ideal()],
-            Box::new(OnlineGreedy),
-            config(),
-            jconfig(),
-        )
-        .unwrap();
-        let mut engine = twice.engine;
-        assert_eq!(engine.metrics().recoveries, 2);
-        for e in &trace[2 * trace.len() / 3..] {
-            engine.apply(e).unwrap();
-        }
-        assert_eq!(engine.format_decision_log(), ref_log);
-        assert_eq!(engine.metrics().deterministic_summary(), ref_sum);
-    });
+    let twice = AdmissionEngine::recover(
+        &path,
+        vec![xscale_ideal()],
+        Box::new(OnlineGreedy),
+        config(),
+        jconfig(),
+    )
+    .unwrap();
+    let mut engine = twice.engine;
+    assert_eq!(engine.metrics().recoveries, 2);
+    for e in &trace[2 * trace.len() / 3..] {
+        engine.apply(e).unwrap();
+    }
+    assert_eq!(engine.format_decision_log(), ref_log);
+    assert_eq!(engine.metrics().deterministic_summary(), ref_sum);
 }
 
 /// A graceful drain (snapshot_now) followed by recovery restores from the
 /// snapshot with zero tail replay.
 #[test]
 fn drain_snapshot_recovers_without_replay() {
-    with_threads("2", || {
-        let trace = TraceSpec::new(12, 2.0, 7).generate().unwrap();
-        let path = tmp("drain.wal");
-        let mut engine = journaled_engine(&path);
-        for e in &trace {
-            engine.apply(e).unwrap();
-        }
-        let ref_log = engine.format_decision_log();
-        engine.snapshot_now().unwrap();
-        drop(engine);
+    let trace = TraceSpec::new(12, 2.0, 7).generate().unwrap();
+    let path = tmp("drain.wal");
+    let mut engine = journaled_engine(&path);
+    for e in &trace {
+        engine.apply(e).unwrap();
+    }
+    let ref_log = engine.format_decision_log();
+    engine.snapshot_now().unwrap();
+    drop(engine);
 
-        let recovered = AdmissionEngine::recover(
-            &path,
-            vec![xscale_ideal()],
-            Box::new(OnlineGreedy),
-            config(),
-            jconfig(),
-        )
-        .unwrap();
-        assert!(recovered.had_snapshot);
-        assert_eq!(recovered.replayed, 0, "drain snapshot covers the whole log");
-        assert_eq!(recovered.engine.format_decision_log(), ref_log);
-    });
+    let recovered = AdmissionEngine::recover(
+        &path,
+        vec![xscale_ideal()],
+        Box::new(OnlineGreedy),
+        config(),
+        jconfig(),
+    )
+    .unwrap();
+    assert!(recovered.had_snapshot);
+    assert_eq!(recovered.replayed, 0, "drain snapshot covers the whole log");
+    assert_eq!(recovered.engine.format_decision_log(), ref_log);
 }
 
 /// Recovering a journal path that does not exist yet starts fresh: no
@@ -236,7 +218,6 @@ fn recover_missing_journal_starts_fresh() {
 fn spawn_admitd(args: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_dvs_admitd"))
         .args(args)
-        .env(dvs_exec::THREADS_ENV, "2")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

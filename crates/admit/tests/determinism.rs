@@ -1,22 +1,10 @@
 //! The engine's determinism contract: replaying the same event trace
-//! under any `DVS_THREADS` produces a bit-identical decision log and
-//! deterministic-metrics summary.
+//! produces a bit-identical decision log and deterministic-metrics
+//! summary.
 
 use dvs_admit::{AdmissionEngine, EngineConfig, TraceSpec, WatermarkPolicy};
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
 use reject_sched::online::OnlineGreedy;
-
-/// Serialises tests that touch the process-global `DVS_THREADS` variable.
-fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = ENV_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::env::set_var(dvs_exec::THREADS_ENV, n);
-    let out = f();
-    std::env::remove_var(dvs_exec::THREADS_ENV);
-    out
-}
 
 fn replayed(spec: TraceSpec, domains: usize, watermark: bool) -> (String, String) {
     let trace = spec.generate().unwrap();
@@ -50,26 +38,21 @@ fn replayed(spec: TraceSpec, domains: usize, watermark: bool) -> (String, String
 }
 
 #[test]
-fn decision_log_is_bit_identical_across_thread_counts() {
+fn decision_log_is_bit_identical_across_replays() {
     for seed in [1u64, 9, 23] {
         for (domains, watermark) in [(1, false), (2, true)] {
             let spec = TraceSpec::new(18, 2.4, seed);
-            let (log1, sum1) = with_threads("1", || replayed(spec, domains, watermark));
+            let (log1, sum1) = replayed(spec, domains, watermark);
             assert!(
                 log1.contains("accepted") || log1.contains("rejected"),
                 "seed {seed}: empty decision log"
             );
-            for threads in ["2", "4", "8"] {
-                let (log, sum) = with_threads(threads, || replayed(spec, domains, watermark));
-                assert_eq!(
-                    log, log1,
-                    "seed {seed} domains {domains}: decision log diverged at {threads} threads"
-                );
-                assert_eq!(
-                    sum, sum1,
-                    "seed {seed} domains {domains}: metrics diverged at {threads} threads"
-                );
-            }
+            let (log, sum) = replayed(spec, domains, watermark);
+            assert_eq!(
+                log, log1,
+                "seed {seed} domains {domains}: decision log diverged"
+            );
+            assert_eq!(sum, sum1, "seed {seed} domains {domains}: metrics diverged");
         }
     }
 }
@@ -105,35 +88,32 @@ fn replayed_warm(spec: TraceSpec, warm: bool) -> (String, String) {
 /// The hot-path optimizations of this crate — memoized pricing (always
 /// on), the clean-domain re-solve short circuit (always on) and the
 /// warm-started incremental re-solve (toggleable) — must never change a
-/// decision: across ≥10 seeds and every thread count, warm-started
-/// replays produce the same decision log and cost bits as the naive
-/// cold-start path.
+/// decision: across ≥10 seeds, warm-started replays produce the same
+/// decision log and cost bits as the naive cold-start path.
 #[test]
-fn warm_start_decision_logs_match_cold_across_threads_and_seeds() {
+fn warm_start_decision_logs_match_cold_across_seeds() {
     for seed in 0..10u64 {
         let spec = TraceSpec::new(14, 2.2, seed);
-        let (ref_log, ref_decisions) = with_threads("1", || replayed_warm(spec, false));
-        for threads in ["1", "2", "4", "8"] {
-            for warm in [false, true] {
-                let (log, decisions) = with_threads(threads, || replayed_warm(spec, warm));
-                assert_eq!(
-                    log, ref_log,
-                    "seed {seed} threads {threads} warm {warm}: decision log diverged"
-                );
-                assert_eq!(
-                    decisions, ref_decisions,
-                    "seed {seed} threads {threads} warm {warm}: decision counters diverged"
-                );
-            }
+        let (ref_log, ref_decisions) = replayed_warm(spec, false);
+        for warm in [false, true] {
+            let (log, decisions) = replayed_warm(spec, warm);
+            assert_eq!(
+                log, ref_log,
+                "seed {seed} warm {warm}: decision log diverged"
+            );
+            assert_eq!(
+                decisions, ref_decisions,
+                "seed {seed} warm {warm}: decision counters diverged"
+            );
         }
     }
 }
 
 #[test]
-fn repeated_replays_are_reproducible_within_one_thread_count() {
+fn repeated_replays_are_reproducible() {
     let spec = TraceSpec::new(14, 1.8, 5);
-    let (a_log, a_sum) = with_threads("4", || replayed(spec, 2, false));
-    let (b_log, b_sum) = with_threads("4", || replayed(spec, 2, false));
+    let (a_log, a_sum) = replayed(spec, 2, false);
+    let (b_log, b_sum) = replayed(spec, 2, false);
     assert_eq!(a_log, b_log);
     assert_eq!(a_sum, b_sum);
 }

@@ -1,8 +1,7 @@
 //! The replication and failover invariants, end to end at the library
 //! level: a hot-standby follower streaming the primary's journal keeps a
-//! bit-identical decision log at every `DVS_THREADS`; disconnects,
-//! torn frames, and promotion all preserve that identity; a deposed
-//! primary is fenced off by epoch.
+//! bit-identical decision log; disconnects, torn frames, and promotion
+//! all preserve that identity; a deposed primary is fenced off by epoch.
 
 use std::io::Write as _;
 use std::net::TcpListener;
@@ -18,18 +17,6 @@ use dvs_admit::{AdmissionEngine, EngineConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::EventRecord;
-
-/// Serialises tests that touch the process-global `DVS_THREADS` variable.
-fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = ENV_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::env::set_var(dvs_exec::THREADS_ENV, n);
-    let out = f();
-    std::env::remove_var(dvs_exec::THREADS_ENV);
-    out
-}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dvs_admit_repl_{}", std::process::id()));
@@ -226,49 +213,39 @@ fn reference(trace: &[EventRecord]) -> (String, String) {
 }
 
 /// Streaming replication reproduces the primary's decision log bit for
-/// bit on the standby — across seeds and at every `DVS_THREADS`.
+/// bit on the standby, across seeds.
 #[test]
-fn follower_log_is_bit_identical_across_seeds_and_threads() {
+fn follower_log_is_bit_identical_across_seeds() {
     for seed in 0..3u64 {
         let trace = TraceSpec::new(14, 2.2, seed).generate().unwrap();
-        let (ref_log, ref_sum) = with_threads("1", || reference(&trace));
-        for threads in ["1", "2", "4", "8"] {
-            with_threads(threads, || {
-                let mut f = Fixture::start(&format!("identity_{seed}_{threads}"));
-                f.apply(&trace);
-                f.wait_catchup();
-                let end = f.stop_follower();
-                assert_eq!(end, FollowEnd::Stopped);
-                let (log, sum) = logs(&f.follower);
-                assert_eq!(
-                    log, ref_log,
-                    "seed {seed} threads {threads}: standby log diverged"
-                );
-                assert_eq!(
-                    sum, ref_sum,
-                    "seed {seed} threads {threads}: metrics diverged"
-                );
-                {
-                    let g = f
-                        .follower
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let m = g.metrics();
-                    assert!(m.repl_records > 0, "no frames applied");
-                    assert!(m.repl_bytes > 0, "no bytes mirrored");
-                    assert_eq!(m.epoch_bumps, 0, "no failover happened");
-                }
-                f.shutdown();
-            });
+        let (ref_log, ref_sum) = reference(&trace);
+        let mut f = Fixture::start(&format!("identity_{seed}"));
+        f.apply(&trace);
+        f.wait_catchup();
+        let end = f.stop_follower();
+        assert_eq!(end, FollowEnd::Stopped);
+        let (log, sum) = logs(&f.follower);
+        assert_eq!(log, ref_log, "seed {seed}: standby log diverged");
+        assert_eq!(sum, ref_sum, "seed {seed}: metrics diverged");
+        {
+            let g = f
+                .follower
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let m = g.metrics();
+            assert!(m.repl_records > 0, "no frames applied");
+            assert!(m.repl_bytes > 0, "no bytes mirrored");
+            assert_eq!(m.epoch_bumps, 0, "no failover happened");
         }
+        f.shutdown();
     }
 }
 
 /// Multi-domain replication determinism: a primary running several power
 /// domains over a **domain-pinned** trace streams to a standby that
-/// reproduces the cross-domain decision log bit for bit at every
-/// `DVS_THREADS`. This is the replication leg of the cluster contract —
-/// the same pinned traces drive the router's sharded log identity.
+/// reproduces the cross-domain decision log bit for bit. This is the
+/// replication leg of the cluster contract — the same pinned traces drive
+/// the router's sharded log identity.
 #[test]
 fn multi_domain_follower_log_is_bit_identical() {
     const DOMAINS: usize = 3;
@@ -277,13 +254,13 @@ fn multi_domain_follower_log_is_bit_identical() {
             .domains(DOMAINS)
             .generate()
             .unwrap();
-        let (ref_log, ref_sum) = with_threads("1", || {
+        let (ref_log, ref_sum) = {
             let mut e = engine_with_domains(DOMAINS);
             for ev in &trace {
                 e.apply(ev).unwrap();
             }
             (e.format_decision_log(), e.metrics().deterministic_summary())
-        });
+        };
         // The pinned trace must actually spread decisions across domains,
         // otherwise this test degenerates to the single-domain one.
         for d in 1..DOMAINS {
@@ -292,26 +269,18 @@ fn multi_domain_follower_log_is_bit_identical() {
                 "seed {seed}: no decisions on domain {d}"
             );
         }
-        for threads in ["1", "4", "8"] {
-            with_threads(threads, || {
-                let mut f =
-                    Fixture::start_with_domains(&format!("multidom_{seed}_{threads}"), DOMAINS);
-                f.apply(&trace);
-                f.wait_catchup();
-                let end = f.stop_follower();
-                assert_eq!(end, FollowEnd::Stopped);
-                let (log, sum) = logs(&f.follower);
-                assert_eq!(
-                    log, ref_log,
-                    "seed {seed} threads {threads}: multi-domain standby log diverged"
-                );
-                assert_eq!(
-                    sum, ref_sum,
-                    "seed {seed} threads {threads}: multi-domain metrics diverged"
-                );
-                f.shutdown();
-            });
-        }
+        let mut f = Fixture::start_with_domains(&format!("multidom_{seed}"), DOMAINS);
+        f.apply(&trace);
+        f.wait_catchup();
+        let end = f.stop_follower();
+        assert_eq!(end, FollowEnd::Stopped);
+        let (log, sum) = logs(&f.follower);
+        assert_eq!(
+            log, ref_log,
+            "seed {seed}: multi-domain standby log diverged"
+        );
+        assert_eq!(sum, ref_sum, "seed {seed}: multi-domain metrics diverged");
+        f.shutdown();
     }
 }
 
@@ -320,51 +289,49 @@ fn multi_domain_follower_log_is_bit_identical() {
 /// log; the reconnect is counted.
 #[test]
 fn mid_stream_disconnect_reconnects_and_converges() {
-    with_threads("2", || {
-        let trace = TraceSpec::new(14, 2.2, 5).generate().unwrap();
-        let (ref_log, _) = reference(&trace);
-        let cut = trace.len() / 2;
-        let mut f = Fixture::start("reconnect");
-        f.apply(&trace[..cut]);
-        f.wait_catchup();
+    let trace = TraceSpec::new(14, 2.2, 5).generate().unwrap();
+    let (ref_log, _) = reference(&trace);
+    let cut = trace.len() / 2;
+    let mut f = Fixture::start("reconnect");
+    f.apply(&trace[..cut]);
+    f.wait_catchup();
 
-        // Kill the hub: every follower connection drops.
-        f.hub.shutdown();
-        if let Some(t) = f.hub_thread.take() {
-            let _ = t.join();
+    // Kill the hub: every follower connection drops.
+    f.hub.shutdown();
+    if let Some(t) = f.hub_thread.take() {
+        let _ = t.join();
+    }
+    // Rebind the same port and serve the same journal again.
+    let listener = loop {
+        match TcpListener::bind(&f.addr) {
+            Ok(l) => break l,
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-        // Rebind the same port and serve the same journal again.
-        let listener = loop {
-            match TcpListener::bind(&f.addr) {
-                Ok(l) => break l,
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        };
-        let hub = Arc::new(ReplicationHub::new(1));
-        f.hub = Arc::clone(&hub);
-        let path = f.journal_path.clone();
-        f.hub_thread = Some(std::thread::spawn(move || {
-            let _ = serve_hub(&listener, &path, &hub, hub_options());
-        }));
+    };
+    let hub = Arc::new(ReplicationHub::new(1));
+    f.hub = Arc::clone(&hub);
+    let path = f.journal_path.clone();
+    f.hub_thread = Some(std::thread::spawn(move || {
+        let _ = serve_hub(&listener, &path, &hub, hub_options());
+    }));
 
-        f.apply(&trace[cut..]);
-        f.wait_catchup();
-        f.stop_follower();
-        let (log, _) = logs(&f.follower);
-        assert_eq!(log, ref_log, "log diverged across the disconnect");
-        {
-            let g = f
-                .follower
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            assert!(
-                g.metrics().repl_reconnects >= 1,
-                "reconnect not counted: {:?}",
-                g.metrics().repl_reconnects
-            );
-        }
-        f.shutdown();
-    });
+    f.apply(&trace[cut..]);
+    f.wait_catchup();
+    f.stop_follower();
+    let (log, _) = logs(&f.follower);
+    assert_eq!(log, ref_log, "log diverged across the disconnect");
+    {
+        let g = f
+            .follower
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert!(
+            g.metrics().repl_reconnects >= 1,
+            "reconnect not counted: {:?}",
+            g.metrics().repl_reconnects
+        );
+    }
+    f.shutdown();
 }
 
 /// A torn partial frame at the mirror's tail (as a kill mid-write leaves
@@ -372,49 +339,47 @@ fn mid_stream_disconnect_reconnects_and_converges() {
 /// log still converges.
 #[test]
 fn torn_mirror_tail_is_resynced_and_counted() {
-    with_threads("1", || {
-        let trace = TraceSpec::new(12, 2.0, 9).generate().unwrap();
-        let (ref_log, _) = reference(&trace);
-        let cut = trace.len() / 2;
-        let mut f = Fixture::start("torn");
-        f.apply(&trace[..cut]);
-        f.wait_catchup();
-        f.stop_follower();
+    let trace = TraceSpec::new(12, 2.0, 9).generate().unwrap();
+    let (ref_log, _) = reference(&trace);
+    let cut = trace.len() / 2;
+    let mut f = Fixture::start("torn");
+    f.apply(&trace[..cut]);
+    f.wait_catchup();
+    f.stop_follower();
 
-        // Simulate a kill mid-append: a frame header promising more
-        // payload than follows.
-        {
-            let mut file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&f.mirror_path)
-                .unwrap();
-            let mut torn = vec![0xA6, b'E'];
-            torn.extend_from_slice(&100u32.to_le_bytes());
-            torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-            torn.extend_from_slice(b"n 1 arrive");
-            file.write_all(&torn).unwrap();
-        }
+    // Simulate a kill mid-append: a frame header promising more
+    // payload than follows.
+    {
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&f.mirror_path)
+            .unwrap();
+        let mut torn = vec![0xA6, b'E'];
+        torn.extend_from_slice(&100u32.to_le_bytes());
+        torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        torn.extend_from_slice(b"n 1 arrive");
+        file.write_all(&torn).unwrap();
+    }
 
-        f.start_follower();
-        f.apply(&trace[cut..]);
-        f.wait_catchup();
-        f.stop_follower();
-        let (log, _) = logs(&f.follower);
-        assert_eq!(log, ref_log, "log diverged across the torn tail");
-        {
-            let g = f
-                .follower
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            assert_eq!(g.metrics().repl_torn_tails, 1, "torn tail not counted");
-        }
-        // The mirror's torn bytes were truncated before re-streaming:
-        // scanning it now loses nothing.
-        let data = std::fs::read(&f.mirror_path).unwrap();
-        let scan = dvs_admit::journal::scan_bytes(&data);
-        assert_eq!(scan.bytes_lost(), 0, "mirror still torn after resync");
-        f.shutdown();
-    });
+    f.start_follower();
+    f.apply(&trace[cut..]);
+    f.wait_catchup();
+    f.stop_follower();
+    let (log, _) = logs(&f.follower);
+    assert_eq!(log, ref_log, "log diverged across the torn tail");
+    {
+        let g = f
+            .follower
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert_eq!(g.metrics().repl_torn_tails, 1, "torn tail not counted");
+    }
+    // The mirror's torn bytes were truncated before re-streaming:
+    // scanning it now loses nothing.
+    let data = std::fs::read(&f.mirror_path).unwrap();
+    let scan = dvs_admit::journal::scan_bytes(&data);
+    assert_eq!(scan.bytes_lost(), 0, "mirror still torn after resync");
+    f.shutdown();
 }
 
 /// Failover: promote the caught-up standby, apply the rest of the trace
@@ -424,68 +389,66 @@ fn torn_mirror_tail_is_resynced_and_counted() {
 #[test]
 fn promoted_follower_resumes_bit_identically() {
     for seed in [1u64, 8, 21] {
-        with_threads("2", || {
-            let trace = TraceSpec::new(14, 2.4, seed).generate().unwrap();
-            let (ref_log, ref_sum) = reference(&trace);
-            let cut = 1 + (seed as usize * 5 + 2) % (trace.len() - 1);
-            let mut f = Fixture::start(&format!("promote_{seed}"));
-            f.apply(&trace[..cut]);
-            f.wait_catchup();
+        let trace = TraceSpec::new(14, 2.4, seed).generate().unwrap();
+        let (ref_log, ref_sum) = reference(&trace);
+        let cut = 1 + (seed as usize * 5 + 2) % (trace.len() - 1);
+        let mut f = Fixture::start(&format!("promote_{seed}"));
+        f.apply(&trace[..cut]);
+        f.wait_catchup();
 
-            // The primary "dies"; the standby is promoted.
-            f.hub.shutdown();
-            if let Some(t) = f.hub_thread.take() {
-                let _ = t.join();
+        // The primary "dies"; the standby is promoted.
+        f.hub.shutdown();
+        if let Some(t) = f.hub_thread.take() {
+            let _ = t.join();
+        }
+        let epoch = replication::promote(&f.follower, &f.ctx).unwrap();
+        assert_eq!(epoch, 2, "promotion must fence past the primary's epoch 1");
+        assert!(f.ctx.role.is_primary());
+        let end = f.follower_thread.take().unwrap().join().unwrap().unwrap();
+        assert_eq!(end, FollowEnd::PromoteRequested);
+
+        // Promotion is idempotent.
+        assert_eq!(replication::promote(&f.follower, &f.ctx).unwrap(), 2);
+
+        {
+            let mut g = f
+                .follower
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            for e in &trace[cut..] {
+                g.apply(e).unwrap();
             }
-            let epoch = replication::promote(&f.follower, &f.ctx).unwrap();
-            assert_eq!(epoch, 2, "promotion must fence past the primary's epoch 1");
-            assert!(f.ctx.role.is_primary());
-            let end = f.follower_thread.take().unwrap().join().unwrap().unwrap();
-            assert_eq!(end, FollowEnd::PromoteRequested);
-
-            // Promotion is idempotent.
-            assert_eq!(replication::promote(&f.follower, &f.ctx).unwrap(), 2);
-
-            {
-                let mut g = f
-                    .follower
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                for e in &trace[cut..] {
-                    g.apply(e).unwrap();
-                }
-                let m = g.metrics();
-                assert_eq!(
-                    m.accepted() + m.rejected + m.standing_shed(),
-                    m.arrivals,
-                    "seed {seed}: balance broken across failover"
-                );
-                assert_eq!(m.epoch_bumps, 1);
-                assert_eq!(g.epoch(), 2);
-            }
-            let (log, sum) = logs(&f.follower);
-            assert_eq!(log, ref_log, "seed {seed}: failed-over log diverged");
-            assert_eq!(sum, ref_sum, "seed {seed}: failed-over metrics diverged");
-
-            // The promoted journal (the mirror) is now a valid journal a
-            // fresh engine can recover the same log from.
-            let recovered = AdmissionEngine::recover(
-                &f.mirror_path,
-                vec![xscale_ideal()],
-                Box::new(OnlineGreedy),
-                config(),
-                jconfig(),
-            )
-            .unwrap();
-            assert_eq!(recovered.records_lost, 0);
-            assert_eq!(recovered.engine.format_decision_log(), ref_log);
+            let m = g.metrics();
             assert_eq!(
-                recovered.engine.epoch(),
-                2,
-                "epoch must recover from the B record"
+                m.accepted() + m.rejected + m.standing_shed(),
+                m.arrivals,
+                "seed {seed}: balance broken across failover"
             );
-            f.shutdown();
-        });
+            assert_eq!(m.epoch_bumps, 1);
+            assert_eq!(g.epoch(), 2);
+        }
+        let (log, sum) = logs(&f.follower);
+        assert_eq!(log, ref_log, "seed {seed}: failed-over log diverged");
+        assert_eq!(sum, ref_sum, "seed {seed}: failed-over metrics diverged");
+
+        // The promoted journal (the mirror) is now a valid journal a
+        // fresh engine can recover the same log from.
+        let recovered = AdmissionEngine::recover(
+            &f.mirror_path,
+            vec![xscale_ideal()],
+            Box::new(OnlineGreedy),
+            config(),
+            jconfig(),
+        )
+        .unwrap();
+        assert_eq!(recovered.records_lost, 0);
+        assert_eq!(recovered.engine.format_decision_log(), ref_log);
+        assert_eq!(
+            recovered.engine.epoch(),
+            2,
+            "epoch must recover from the B record"
+        );
+        f.shutdown();
     }
 }
 
@@ -493,40 +456,38 @@ fn promoted_follower_resumes_bit_identically() {
 /// handshake is fenced off on both sides.
 #[test]
 fn deposed_primary_is_fenced_off() {
-    with_threads("1", || {
-        let trace = TraceSpec::new(10, 2.0, 3).generate().unwrap();
-        let mut f = Fixture::start("fence");
-        f.apply(&trace);
-        f.wait_catchup();
-        f.stop_follower();
+    let trace = TraceSpec::new(10, 2.0, 3).generate().unwrap();
+    let mut f = Fixture::start("fence");
+    f.apply(&trace);
+    f.wait_catchup();
+    f.stop_follower();
 
-        // The follower has been promoted elsewhere to epoch 3; its fence
-        // must reject the old primary's epoch-1 stream.
-        {
-            let mut g = f
-                .follower
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            g.observe_epoch(3).unwrap();
-        }
-        f.start_follower();
-        let end = f.follower_thread.take().unwrap().join().unwrap().unwrap();
-        assert_eq!(end, FollowEnd::StaleSource);
-        {
-            let g = f
-                .follower
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            assert!(
-                g.metrics().epoch_rejects >= 1,
-                "fence rejection not counted"
-            );
-        }
-        // The hub noticed it is deposed and refuses to stream.
-        assert!(f.hub.deposed(), "primary did not notice the higher term");
-        assert!(f.hub.stale_rejects() >= 1);
-        f.shutdown();
-    });
+    // The follower has been promoted elsewhere to epoch 3; its fence
+    // must reject the old primary's epoch-1 stream.
+    {
+        let mut g = f
+            .follower
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        g.observe_epoch(3).unwrap();
+    }
+    f.start_follower();
+    let end = f.follower_thread.take().unwrap().join().unwrap().unwrap();
+    assert_eq!(end, FollowEnd::StaleSource);
+    {
+        let g = f
+            .follower
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert!(
+            g.metrics().epoch_rejects >= 1,
+            "fence rejection not counted"
+        );
+    }
+    // The hub noticed it is deposed and refuses to stream.
+    assert!(f.hub.deposed(), "primary did not notice the higher term");
+    assert!(f.hub.stale_rejects() >= 1);
+    f.shutdown();
 }
 
 /// Engine-level fencing: a stale `begin_epoch` is rejected with the

@@ -54,26 +54,24 @@ const TRACE: &str = "\
 
 #[test]
 fn stdin_session_balances_on_eof() {
-    for threads in ["1", "4"] {
-        let mut child = spawn(&["--stdin", "--threads", threads]);
-        child
-            .stdin
-            .take()
-            .unwrap()
-            .write_all(TRACE.as_bytes())
-            .unwrap();
-        let out = child.wait_with_output().unwrap();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8(out.stdout).unwrap();
-        let last = stdout.lines().last().expect("no output");
-        assert_balanced(last, 3.0);
-        // One response per request plus the EOF stats dump.
-        assert_eq!(stdout.lines().count(), 7, "stdout: {stdout}");
-    }
+    let mut child = spawn(&["--stdin"]);
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(TRACE.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let last = stdout.lines().last().expect("no output");
+    assert_balanced(last, 3.0);
+    // One response per request plus the EOF stats dump.
+    assert_eq!(stdout.lines().count(), 7, "stdout: {stdout}");
 }
 
 #[test]
@@ -185,7 +183,6 @@ fn bad_flags_fail_with_a_message() {
     for args in [
         &["--listen"][..],
         &["--policy", "nope"][..],
-        &["--threads", "0"][..],
         &["--frobnicate"][..],
     ] {
         let mut child = spawn(args);

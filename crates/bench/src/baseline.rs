@@ -11,8 +11,8 @@
 //! results/bench_baseline.json`). The encoder is hand-rolled: the workspace
 //! builds offline with zero external dependencies, and the schema is flat
 //! enough that serde would be overkill. [`load_baseline`] reads a document
-//! back (any schema version up to the current one), so tooling can compare
-//! old snapshots without regenerating them.
+//! of the current schema version back; anything else is rejected by
+//! version, not half-parsed.
 
 use std::fmt;
 use std::io::Write;
@@ -22,12 +22,10 @@ use dvs_admit::json::{self, JsonValue};
 
 use crate::{Scale, Table};
 
-/// Schema version stamped into the document. Version 2 added the
-/// `r1_fault_sweep` table; version 3 added `e7_admission_replay`;
-/// version 4 added `e8_hotpath_throughput`; version 5 added `r2_chaos`;
-/// version 6 added `r3_failover`; version 7 added `e9_cluster_serving`;
-/// version 8 added `e10_reshard`.
-pub const BASELINE_VERSION: u32 = 8;
+/// Schema version stamped into the document. Version 9 dropped the
+/// `threads` column from E8/E9/E10/R2/R3; the top-level `threads` field
+/// is the harness worker count only.
+pub const BASELINE_VERSION: u32 = 9;
 
 /// Escapes a string for a JSON string literal (quotes not included).
 fn json_escape(s: &str) -> String {
@@ -95,8 +93,9 @@ fn table_to_json(table: &Table, indent: &str) -> String {
 /// Writes the baseline document for the given
 /// T1/T2/R1/E7/E8/E9/E10/R2/R3 tables.
 ///
-/// The document records the scale, the worker-thread count the run used
-/// (timings depend on it), and the tables row-by-row.
+/// The document records the scale, the harness worker count the run used
+/// (the batch's wall time depends on it; no table cell does), and the
+/// tables row-by-row.
 ///
 /// # Errors
 ///
@@ -152,17 +151,13 @@ pub type BaselineRow = Vec<(String, String)>;
 /// strings; `null` becomes `-`, matching the [`Table`] placeholder).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineDoc {
-    /// Schema version found in the document (`≤ BASELINE_VERSION`).
+    /// Schema version found in the document (always [`BASELINE_VERSION`]).
     pub version: u32,
     /// `"quick"` or `"full"`.
     pub scale: String,
-    /// Worker-thread count of the recorded run.
+    /// Harness worker count of the recorded run.
     pub threads: u64,
-    /// `(table name, rows)` in document order. Older documents simply
-    /// lack the later tables (version 2 has no `e7_admission_replay`,
-    /// version 3 no `e8_hotpath_throughput`, version 4 no `r2_chaos`,
-    /// version 5 no `r3_failover`, version 6 no `e9_cluster_serving`,
-    /// version 7 no `e10_reshard`).
+    /// `(table name, rows)` in document order.
     pub tables: Vec<(String, Vec<BaselineRow>)>,
 }
 
@@ -186,7 +181,7 @@ pub enum LoadBaselineError {
     /// The document is not valid JSON.
     Parse(json::JsonParseError),
     /// The document parses but lacks a required header field, or its
-    /// version is newer than this build understands.
+    /// version is not the one this build writes.
     Schema(String),
 }
 
@@ -221,16 +216,12 @@ fn cell_to_string(v: &JsonValue) -> String {
     }
 }
 
-/// Reads a baseline document written by any schema version up to
-/// [`BASELINE_VERSION`] — in particular version-2 documents (without the
-/// E7 table), version-3 documents (without E8), version-4 documents
-/// (without R2), version-5 documents (without R3), version-6 documents
-/// (without E9), and version-7 documents (without E10) load cleanly.
+/// Reads a baseline document of schema version [`BASELINE_VERSION`].
 ///
 /// # Errors
 ///
 /// [`LoadBaselineError`] on I/O failure, malformed JSON, a missing header
-/// field, or a version from the future.
+/// field, or any other version.
 pub fn load_baseline(path: &Path) -> Result<BaselineDoc, LoadBaselineError> {
     let text = std::fs::read_to_string(path).map_err(LoadBaselineError::Io)?;
     let doc = json::parse_document(&text).map_err(LoadBaselineError::Parse)?;
@@ -241,9 +232,9 @@ pub fn load_baseline(path: &Path) -> Result<BaselineDoc, LoadBaselineError> {
         .and_then(JsonValue::as_f64)
         .ok_or_else(|| LoadBaselineError::Schema("missing version".to_string()))?
         as u32;
-    if version == 0 || version > BASELINE_VERSION {
+    if version != BASELINE_VERSION {
         return Err(LoadBaselineError::Schema(format!(
-            "version {version} not supported (this build reads 1..={BASELINE_VERSION})"
+            "version {version} not supported (this build reads {BASELINE_VERSION})"
         )));
     }
     let scale = json::get(pairs, "scale")
@@ -314,40 +305,27 @@ mod tests {
         r1.push(&["0.5", "late-reject", "2.3456"]);
         let mut e7 = Table::new("E7", &["load", "policy", "avg_total_cost", "savings_pct"]);
         e7.push(&["2.0", "greedy+resolve", "118.2", "4.31"]);
-        let mut e8 = Table::new("E8", &["threads", "policy", "events_per_sec", "avg_nodes"]);
-        e8.push(&["1", "resolve-warm", "812345", "59.0"]);
+        let mut e8 = Table::new("E8", &["policy", "events_per_sec", "avg_nodes"]);
+        e8.push(&["resolve-warm", "812345", "59.0"]);
         let mut e9 = Table::new(
             "E9",
-            &[
-                "shards",
-                "threads",
-                "events_per_sec",
-                "p99_us",
-                "log_identical",
-            ],
+            &["shards", "events_per_sec", "p99_us", "log_identical"],
         );
-        e9.push(&["4", "1", "51234", "88.5", "yes"]);
+        e9.push(&["4", "51234", "88.5", "yes"]);
         let mut e10 = Table::new(
             "E10",
             &[
-                "threads",
                 "reshard_ms_p99",
                 "moved_hrw",
                 "moved_naive",
                 "log_identical",
             ],
         );
-        e10.push(&["1", "2.41", "4", "8", "yes"]);
-        let mut r2 = Table::new(
-            "R2",
-            &["threads", "eps_journal", "recovery_ms", "identical"],
-        );
-        r2.push(&["1", "731002", "0.412", "yes"]);
-        let mut r3 = Table::new(
-            "R3",
-            &["threads", "eps_replicated", "promote_ms", "identical"],
-        );
-        r3.push(&["1", "698411", "1.204", "yes"]);
+        e10.push(&["2.41", "4", "8", "yes"]);
+        let mut r2 = Table::new("R2", &["eps_journal", "recovery_ms", "identical"]);
+        r2.push(&["731002", "0.412", "yes"]);
+        let mut r3 = Table::new("R3", &["eps_replicated", "promote_ms", "identical"]);
+        r3.push(&["698411", "1.204", "yes"]);
         (t1, t2, r1, e7, e8, e9, e10, r2, r3)
     }
 
@@ -372,7 +350,7 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_dir_all(dir);
-        assert!(text.contains("\"version\": 8"));
+        assert!(text.contains(&format!("\"version\": {BASELINE_VERSION}")));
         assert!(text.contains("\"scale\": \"quick\""));
         assert!(text.contains("\"avg_norm_cost\": 1.0123"));
         assert!(text.contains("\"avg_ms\": null"));
@@ -396,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn loader_round_trips_a_v8_document() {
+    fn loader_round_trips_the_current_version() {
         let (t1, t2, r1, e7, e8, e9, e10, r2, r3) = sample_tables();
         let dir = std::env::temp_dir().join("bench_suite_baseline_roundtrip");
         let path = dir.join("bench_baseline.json");
@@ -416,7 +394,7 @@ mod tests {
         .unwrap();
         let doc = load_baseline(&path).unwrap();
         let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 8);
+        assert_eq!(doc.version, BASELINE_VERSION);
         assert_eq!(doc.scale, "full");
         assert_eq!(doc.tables.len(), 9);
         let e7_rows = doc.table("e7_admission_replay").unwrap();
@@ -440,176 +418,23 @@ mod tests {
     }
 
     #[test]
-    fn loader_accepts_version_7_documents_without_e10() {
-        let v7 = "{\n  \"version\": 7,\n  \"scale\": \"full\",\n  \"threads\": 8,\n  \
-                  \"t1_normalized_cost\": [\n    {\"n\": 8, \"algorithm\": \"marginal-greedy\", \
-                  \"avg_norm_cost\": 1.01}\n  ],\n  \"t2_runtime_ms\": [\n    {\"n\": 10, \
-                  \"algorithm\": \"exhaustive\", \"avg_ms\": null}\n  ],\n  \"r1_fault_sweep\": [\n    \
-                  {\"intensity\": 0.5, \"policy\": \"late-reject\", \"avg_total_cost\": 2.34}\n  ],\n  \
-                  \"e7_admission_replay\": [\n    {\"load\": 2.0, \"policy\": \"greedy+resolve\", \
-                  \"avg_total_cost\": 118.2}\n  ],\n  \"e8_hotpath_throughput\": [\n    \
-                  {\"threads\": 1, \"policy\": \"resolve-warm\", \"events_per_sec\": 812345}\n  ],\n  \
-                  \"e9_cluster_serving\": [\n    {\"shards\": 4, \"threads\": 1, \
-                  \"log_identical\": \"yes\"}\n  ],\n  \
-                  \"r2_chaos\": [\n    {\"threads\": 1, \"eps_journal\": 731002, \
-                  \"identical\": \"yes\"}\n  ],\n  \"r3_failover\": [\n    {\"threads\": 1, \
-                  \"eps_replicated\": 698411, \"identical\": \"yes\"}\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("bench_suite_baseline_v7");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_baseline.json");
-        std::fs::write(&path, v7).unwrap();
-        let doc = load_baseline(&path).unwrap();
-        let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 7);
-        assert_eq!(doc.tables.len(), 8);
-        assert!(doc.table("e10_reshard").is_none());
-        assert!(doc.table("e9_cluster_serving").is_some());
-    }
-
-    #[test]
-    fn loader_accepts_version_6_documents_without_e9() {
-        let v6 = "{\n  \"version\": 6,\n  \"scale\": \"full\",\n  \"threads\": 8,\n  \
-                  \"t1_normalized_cost\": [\n    {\"n\": 8, \"algorithm\": \"marginal-greedy\", \
-                  \"avg_norm_cost\": 1.01}\n  ],\n  \"t2_runtime_ms\": [\n    {\"n\": 10, \
-                  \"algorithm\": \"exhaustive\", \"avg_ms\": null}\n  ],\n  \"r1_fault_sweep\": [\n    \
-                  {\"intensity\": 0.5, \"policy\": \"late-reject\", \"avg_total_cost\": 2.34}\n  ],\n  \
-                  \"e7_admission_replay\": [\n    {\"load\": 2.0, \"policy\": \"greedy+resolve\", \
-                  \"avg_total_cost\": 118.2}\n  ],\n  \"e8_hotpath_throughput\": [\n    \
-                  {\"threads\": 1, \"policy\": \"resolve-warm\", \"events_per_sec\": 812345}\n  ],\n  \
-                  \"r2_chaos\": [\n    {\"threads\": 1, \"eps_journal\": 731002, \
-                  \"identical\": \"yes\"}\n  ],\n  \"r3_failover\": [\n    {\"threads\": 1, \
-                  \"eps_replicated\": 698411, \"identical\": \"yes\"}\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("bench_suite_baseline_v6");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_baseline.json");
-        std::fs::write(&path, v6).unwrap();
-        let doc = load_baseline(&path).unwrap();
-        let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 6);
-        assert_eq!(doc.tables.len(), 7);
-        assert!(doc.table("e9_cluster_serving").is_none());
-        assert!(doc.table("r3_failover").is_some());
-    }
-
-    #[test]
-    fn loader_accepts_version_1_documents_with_only_t1_and_t2() {
-        let v1 = "{\n  \"version\": 1,\n  \"scale\": \"quick\",\n  \"threads\": 4,\n  \
-                  \"t1_normalized_cost\": [\n    {\"n\": 8, \"algorithm\": \"marginal-greedy\", \
-                  \"avg_norm_cost\": 1.01}\n  ],\n  \"t2_runtime_ms\": [\n    {\"n\": 10, \
-                  \"algorithm\": \"exhaustive\", \"avg_ms\": 0.5}\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("bench_suite_baseline_v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_baseline.json");
-        std::fs::write(&path, v1).unwrap();
-        let doc = load_baseline(&path).unwrap();
-        let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 1);
-        assert_eq!(doc.tables.len(), 2);
-        assert!(doc.table("r1_fault_sweep").is_none());
-        assert!(doc.table("t1_normalized_cost").is_some());
-    }
-
-    #[test]
-    fn loader_accepts_version_5_documents_without_r3() {
-        let v5 = "{\n  \"version\": 5,\n  \"scale\": \"full\",\n  \"threads\": 8,\n  \
-                  \"t1_normalized_cost\": [\n    {\"n\": 8, \"algorithm\": \"marginal-greedy\", \
-                  \"avg_norm_cost\": 1.01}\n  ],\n  \"t2_runtime_ms\": [\n    {\"n\": 10, \
-                  \"algorithm\": \"exhaustive\", \"avg_ms\": null}\n  ],\n  \"r1_fault_sweep\": [\n    \
-                  {\"intensity\": 0.5, \"policy\": \"late-reject\", \"avg_total_cost\": 2.34}\n  ],\n  \
-                  \"e7_admission_replay\": [\n    {\"load\": 2.0, \"policy\": \"greedy+resolve\", \
-                  \"avg_total_cost\": 118.2}\n  ],\n  \"e8_hotpath_throughput\": [\n    \
-                  {\"threads\": 1, \"policy\": \"resolve-warm\", \"events_per_sec\": 812345}\n  ],\n  \
-                  \"r2_chaos\": [\n    {\"threads\": 1, \"eps_journal\": 731002, \
-                  \"identical\": \"yes\"}\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("bench_suite_baseline_v5");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_baseline.json");
-        std::fs::write(&path, v5).unwrap();
-        let doc = load_baseline(&path).unwrap();
-        let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 5);
-        assert_eq!(doc.tables.len(), 6);
-        assert!(doc.table("r3_failover").is_none());
-        assert!(doc.table("r2_chaos").is_some());
-    }
-
-    #[test]
-    fn loader_accepts_version_4_documents_without_r2() {
-        let v4 = "{\n  \"version\": 4,\n  \"scale\": \"full\",\n  \"threads\": 8,\n  \
-                  \"t1_normalized_cost\": [\n    {\"n\": 8, \"algorithm\": \"marginal-greedy\", \
-                  \"avg_norm_cost\": 1.01}\n  ],\n  \"t2_runtime_ms\": [\n    {\"n\": 10, \
-                  \"algorithm\": \"exhaustive\", \"avg_ms\": null}\n  ],\n  \"r1_fault_sweep\": [\n    \
-                  {\"intensity\": 0.5, \"policy\": \"late-reject\", \"avg_total_cost\": 2.34}\n  ],\n  \
-                  \"e7_admission_replay\": [\n    {\"load\": 2.0, \"policy\": \"greedy+resolve\", \
-                  \"avg_total_cost\": 118.2}\n  ],\n  \"e8_hotpath_throughput\": [\n    \
-                  {\"threads\": 1, \"policy\": \"resolve-warm\", \"events_per_sec\": 812345}\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("bench_suite_baseline_v4");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_baseline.json");
-        std::fs::write(&path, v4).unwrap();
-        let doc = load_baseline(&path).unwrap();
-        let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 4);
-        assert_eq!(doc.tables.len(), 5);
-        assert!(doc.table("r2_chaos").is_none());
-        assert!(doc.table("e8_hotpath_throughput").is_some());
-    }
-
-    #[test]
-    fn loader_accepts_version_3_documents_without_e8() {
-        let v3 = "{\n  \"version\": 3,\n  \"scale\": \"full\",\n  \"threads\": 8,\n  \
-                  \"t1_normalized_cost\": [\n    {\"n\": 8, \"algorithm\": \"marginal-greedy\", \
-                  \"avg_norm_cost\": 1.01}\n  ],\n  \"t2_runtime_ms\": [\n    {\"n\": 10, \
-                  \"algorithm\": \"exhaustive\", \"avg_ms\": null}\n  ],\n  \"r1_fault_sweep\": [\n    \
-                  {\"intensity\": 0.5, \"policy\": \"late-reject\", \"avg_total_cost\": 2.34}\n  ],\n  \
-                  \"e7_admission_replay\": [\n    {\"load\": 2.0, \"policy\": \"greedy+resolve\", \
-                  \"avg_total_cost\": 118.2}\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("bench_suite_baseline_v3");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_baseline.json");
-        std::fs::write(&path, v3).unwrap();
-        let doc = load_baseline(&path).unwrap();
-        let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 3);
-        assert_eq!(doc.tables.len(), 4);
-        assert!(doc.table("e8_hotpath_throughput").is_none());
-        assert!(doc.table("e7_admission_replay").is_some());
-    }
-
-    #[test]
-    fn loader_accepts_version_2_documents_without_e7() {
-        let v2 = "{\n  \"version\": 2,\n  \"scale\": \"full\",\n  \"threads\": 8,\n  \
-                  \"t1_normalized_cost\": [\n    {\"n\": 8, \"algorithm\": \"marginal-greedy\", \
-                  \"avg_norm_cost\": 1.01}\n  ],\n  \"t2_runtime_ms\": [\n    {\"n\": 10, \
-                  \"algorithm\": \"exhaustive\", \"avg_ms\": null}\n  ],\n  \"r1_fault_sweep\": [\n    \
-                  {\"intensity\": 0.5, \"policy\": \"late-reject\", \"avg_total_cost\": 2.34}\n  ]\n}\n";
-        let dir = std::env::temp_dir().join("bench_suite_baseline_v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_baseline.json");
-        std::fs::write(&path, v2).unwrap();
-        let doc = load_baseline(&path).unwrap();
-        let _ = std::fs::remove_dir_all(dir);
-        assert_eq!(doc.version, 2);
-        assert_eq!(doc.threads, 8);
-        assert_eq!(doc.tables.len(), 3);
-        assert!(doc.table("e7_admission_replay").is_none());
-        assert!(doc.table("r1_fault_sweep").is_some());
-    }
-
-    #[test]
     fn loader_rejects_future_versions_and_garbage() {
         let dir = std::env::temp_dir().join("bench_suite_baseline_bad");
         std::fs::create_dir_all(&dir).unwrap();
-        let future = dir.join("future.json");
-        std::fs::write(
-            &future,
-            "{\"version\": 99, \"scale\": \"quick\", \"threads\": 1}",
-        )
-        .unwrap();
-        assert!(matches!(
-            load_baseline(&future),
-            Err(LoadBaselineError::Schema(_))
-        ));
+        // Exactly the current version loads: one ahead and one behind
+        // (the last schema with per-thread rows) are both refused.
+        for version in [99, BASELINE_VERSION - 1] {
+            let other = dir.join(format!("v{version}.json"));
+            std::fs::write(
+                &other,
+                format!("{{\"version\": {version}, \"scale\": \"quick\", \"threads\": 1}}"),
+            )
+            .unwrap();
+            assert!(matches!(
+                load_baseline(&other),
+                Err(LoadBaselineError::Schema(_))
+            ));
+        }
         let garbage = dir.join("garbage.json");
         std::fs::write(&garbage, "not json at all").unwrap();
         assert!(matches!(

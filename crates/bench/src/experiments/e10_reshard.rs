@@ -3,8 +3,8 @@
 //!
 //! Replays seed-deterministic, domain-pinned sessions through a 2-shard
 //! `dvs-router` cluster, fires a `{"op":"reshard","add":"shard2"}` join
-//! **mid-session**, and finishes the session over the 3-shard layout,
-//! at `DVS_THREADS` ∈ {1, 4}. Three figures per cell:
+//! **mid-session**, and finishes the session over the 3-shard layout.
+//! Three figures:
 //!
 //! * `reshard_ms_p99` — the migration pause: wall-clock time the router
 //!   spends inside the reshard op (drain → export → import → cutover for
@@ -19,7 +19,7 @@
 //!   event the fleet handled over the busiest shard engine's own
 //!   handling time.
 //!
-//! Every cell also checks the reshard contract: the merged decision log
+//! The run also checks the reshard contract: the merged decision log
 //! of the resharded run must be **byte-identical** to one unsharded
 //! multi-domain engine replaying the same trace (pinned here and by the
 //! `dvs-router` reshard suite), and the scatter-gathered stats must
@@ -54,9 +54,6 @@ pub const LOAD: f64 = 3.0;
 
 /// Global power domains: enough that the 2→3 join moves a handful.
 pub const DOMAINS: usize = 12;
-
-/// The worker-thread axis.
-pub const THREADS: [usize; 2] = [1, 4];
 
 /// Tick interval, as in E9.
 #[must_use]
@@ -292,18 +289,6 @@ pub fn reference_log(scale: Scale, seed: u64) -> String {
     engine.format_decision_log()
 }
 
-/// Runs `f` with `DVS_THREADS` set to `n`, restoring the previous value.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var(dvs_exec::THREADS_ENV).ok();
-    std::env::set_var(dvs_exec::THREADS_ENV, n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(dvs_exec::THREADS_ENV, v),
-        None => std::env::remove_var(dvs_exec::THREADS_ENV),
-    }
-    out
-}
-
 /// Runs the experiment.
 ///
 /// # Panics
@@ -315,7 +300,6 @@ pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(
         format!("E10: live resharding 2\u{2192}3 mid-session (n = {N}, load = {LOAD}, domains = {DOMAINS})"),
         &[
-            "threads",
             "reshard_ms_p99",
             "moved_hrw",
             "moved_naive",
@@ -326,31 +310,26 @@ pub fn run(scale: Scale) -> Table {
     let references: Vec<String> = (0..scale.seeds())
         .map(|seed| reference_log(scale, seed))
         .collect();
-    for &threads in &THREADS {
-        let runs: Vec<ReshardReplay> = with_threads(threads, || {
-            (0..scale.seeds())
-                .map(|seed| replay_one(scale, seed))
-                .collect()
-        });
-        let identical = runs
-            .iter()
-            .zip(&references)
-            .all(|(r, reference)| &r.merged_log == reference);
-        let mut pauses: Vec<f64> = runs.iter().map(|r| r.reshard_ms).collect();
-        let caps: Vec<f64> = runs.iter().map(|r| r.capacity_eps).collect();
-        // The moved count is a property of the map, not the trace: it is
-        // identical across seeds by construction.
-        let moved = runs[0].moved;
-        assert!(runs.iter().all(|r| r.moved == moved));
-        table.push(&[
-            threads.to_string(),
-            format!("{:.2}", p99(&mut pauses)),
-            moved.to_string(),
-            naive_moved(2, 3).to_string(),
-            format!("{:.0}", mean(&caps)),
-            if identical { "yes" } else { "DIVERGED" }.to_string(),
-        ]);
-    }
+    let runs: Vec<ReshardReplay> = (0..scale.seeds())
+        .map(|seed| replay_one(scale, seed))
+        .collect();
+    let identical = runs
+        .iter()
+        .zip(&references)
+        .all(|(r, reference)| &r.merged_log == reference);
+    let mut pauses: Vec<f64> = runs.iter().map(|r| r.reshard_ms).collect();
+    let caps: Vec<f64> = runs.iter().map(|r| r.capacity_eps).collect();
+    // The moved count is a property of the map, not the trace: it is
+    // identical across seeds by construction.
+    let moved = runs[0].moved;
+    assert!(runs.iter().all(|r| r.moved == moved));
+    table.push(&[
+        format!("{:.2}", p99(&mut pauses)),
+        moved.to_string(),
+        naive_moved(2, 3).to_string(),
+        format!("{:.0}", mean(&caps)),
+        if identical { "yes" } else { "DIVERGED" }.to_string(),
+    ]);
     table
 }
 
@@ -389,16 +368,16 @@ mod tests {
     #[test]
     fn rows_have_figures_and_identical_logs() {
         let table = run(Scale::Quick);
-        assert_eq!(table.rows().len(), THREADS.len());
+        assert_eq!(table.rows().len(), 1);
         for row in table.rows() {
-            let pause: f64 = row[1].parse().unwrap();
+            let pause: f64 = row[0].parse().unwrap();
             assert!(pause > 0.0, "no pause figure in {row:?}");
-            let moved: u64 = row[2].parse().unwrap();
-            let naive: u64 = row[3].parse().unwrap();
+            let moved: u64 = row[1].parse().unwrap();
+            let naive: u64 = row[2].parse().unwrap();
             assert!(moved > 0 && moved < naive, "movement not minimal: {row:?}");
-            let cap: f64 = row[4].parse().unwrap();
+            let cap: f64 = row[3].parse().unwrap();
             assert!(cap > 0.0, "no capacity figure in {row:?}");
-            assert_eq!(row[5], "yes", "merged log diverged in {row:?}");
+            assert_eq!(row[4], "yes", "merged log diverged in {row:?}");
         }
     }
 }

@@ -6,17 +6,14 @@
 //! search nodes spent. Three serving configurations are compared — the
 //! myopic online greedy (no re-solves at all, the throughput ceiling),
 //! periodic re-solves with cold-started branch-and-bound, and the same
-//! re-solves warm-started from the standing accepted set — each at
-//! `DVS_THREADS` ∈ {1, 4}.
+//! re-solves warm-started from the standing accepted set.
 //!
 //! Expected shape: identical decision counters and replay cost in the two
 //! re-solving columns (warm-starting is an *optimization*, pinned by the
 //! determinism suite), with the warm column spending strictly fewer
-//! search nodes. The thread axis exists to demonstrate the determinism
-//! contract under timing: node counts are bit-identical across thread
-//! counts, only wall-clock figures move. Timing numbers are wall-clock
-//! and therefore excluded from any regression gating; the node counters
-//! are deterministic and are pinned by this module's tests.
+//! search nodes. Timing numbers are wall-clock and therefore excluded
+//! from any regression gating; the node counters are deterministic and
+//! are pinned by this module's tests.
 //!
 //! This experiment times real work, so the harness runs it **alone**
 //! (after the parallel batch), like T2. The seed loop is deliberately
@@ -37,9 +34,6 @@ pub const N: usize = 32;
 /// Total utilization demand of each session's task set (sustained
 /// overload: rejections and sheds both occur).
 pub const LOAD: f64 = 3.0;
-
-/// The worker-thread axis.
-pub const THREADS: [usize; 2] = [1, 4];
 
 /// Tick interval: quick keeps CI fast, full gives each replay enough
 /// re-solve opportunities for stable per-event timing.
@@ -112,20 +106,6 @@ pub fn replay_one(scale: Scale, seed: u64, config: EngineConfig) -> Replay {
     }
 }
 
-/// Runs `f` with `DVS_THREADS` set to `n`, restoring the previous value.
-/// Safe to use mid-suite: the determinism contract guarantees the thread
-/// count never changes any decision, only timing.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var(dvs_exec::THREADS_ENV).ok();
-    std::env::set_var(dvs_exec::THREADS_ENV, n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(dvs_exec::THREADS_ENV, v),
-        None => std::env::remove_var(dvs_exec::THREADS_ENV),
-    }
-    out
-}
-
 /// Runs the experiment.
 ///
 /// # Panics
@@ -136,7 +116,6 @@ pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(
         format!("E8: hot-path throughput, warm vs cold re-solves (n = {N}, load = {LOAD})"),
         &[
-            "threads",
             "policy",
             "events_per_sec",
             "avg_resolves",
@@ -145,28 +124,23 @@ pub fn run(scale: Scale) -> Table {
             "avg_total_cost",
         ],
     );
-    for &threads in &THREADS {
-        for (name, config) in configs() {
-            let runs: Vec<Replay> = with_threads(threads, || {
-                (0..scale.seeds())
-                    .map(|seed| replay_one(scale, seed, config))
-                    .collect()
-            });
-            let eps: Vec<f64> = runs.iter().map(|r| r.events_per_sec).collect();
-            let resolves: Vec<f64> = runs.iter().map(|r| r.resolves as f64).collect();
-            let skipped: Vec<f64> = runs.iter().map(|r| r.skipped as f64).collect();
-            let nodes: Vec<f64> = runs.iter().map(|r| r.nodes as f64).collect();
-            let costs: Vec<f64> = runs.iter().map(|r| r.cost).collect();
-            table.push(&[
-                threads.to_string(),
-                name.to_string(),
-                format!("{:.0}", mean(&eps)),
-                format!("{:.1}", mean(&resolves)),
-                format!("{:.1}", mean(&skipped)),
-                format!("{:.1}", mean(&nodes)),
-                format!("{:.4}", mean(&costs)),
-            ]);
-        }
+    for (name, config) in configs() {
+        let runs: Vec<Replay> = (0..scale.seeds())
+            .map(|seed| replay_one(scale, seed, config))
+            .collect();
+        let eps: Vec<f64> = runs.iter().map(|r| r.events_per_sec).collect();
+        let resolves: Vec<f64> = runs.iter().map(|r| r.resolves as f64).collect();
+        let skipped: Vec<f64> = runs.iter().map(|r| r.skipped as f64).collect();
+        let nodes: Vec<f64> = runs.iter().map(|r| r.nodes as f64).collect();
+        let costs: Vec<f64> = runs.iter().map(|r| r.cost).collect();
+        table.push(&[
+            name.to_string(),
+            format!("{:.0}", mean(&eps)),
+            format!("{:.1}", mean(&resolves)),
+            format!("{:.1}", mean(&skipped)),
+            format!("{:.1}", mean(&nodes)),
+            format!("{:.4}", mean(&costs)),
+        ]);
     }
     table
 }
@@ -213,20 +187,18 @@ mod tests {
     #[test]
     fn rows_have_positive_throughput_and_balanced_decisions() {
         let table = run(Scale::Quick);
-        assert_eq!(table.rows().len(), THREADS.len() * configs().len());
+        assert_eq!(table.rows().len(), configs().len());
         for row in table.rows() {
-            let eps: f64 = row[2].parse().unwrap();
+            let eps: f64 = row[1].parse().unwrap();
             assert!(eps > 0.0, "no throughput figure in {row:?}");
         }
-        // Decision identity across the whole grid: every configuration
-        // admits/rejects the same tasks regardless of thread count.
+        // Decision identity: a repeated replay admits/rejects the same
+        // tasks, spends the same nodes and pays the same cost bits.
         let seed = 1;
         let reference = replay_one(Scale::Quick, seed, configs()[2].1);
-        for &threads in &THREADS {
-            let r = with_threads(threads, || replay_one(Scale::Quick, seed, configs()[2].1));
-            assert_eq!(r.decisions, reference.decisions, "threads {threads}");
-            assert_eq!(r.nodes, reference.nodes, "threads {threads}");
-            assert_eq!(r.cost.to_bits(), reference.cost.to_bits());
-        }
+        let again = replay_one(Scale::Quick, seed, configs()[2].1);
+        assert_eq!(again.decisions, reference.decisions);
+        assert_eq!(again.nodes, reference.nodes);
+        assert_eq!(again.cost.to_bits(), reference.cost.to_bits());
     }
 }

@@ -3,8 +3,7 @@
 //!
 //! Replays seed-deterministic, **domain-pinned** sessions through a
 //! `dvs-router` cluster of in-process `dvs_admitd`-equivalent shards at
-//! shard counts {1, 2, 4} × `DVS_THREADS` ∈ {1, 4}, and reports two
-//! throughput figures per cell:
+//! shard counts {1, 2, 4}, and reports two throughput figures per cell:
 //!
 //! * `events_per_sec` — wall-clock single-session throughput at the
 //!   router. One client session is a serialized request/response stream,
@@ -59,9 +58,6 @@ pub const DOMAINS: usize = 4;
 
 /// The shard-count axis.
 pub const SHARDS: [usize; 3] = [1, 2, 4];
-
-/// The worker-thread axis.
-pub const THREADS: [usize; 2] = [1, 4];
 
 /// Tick interval: quick keeps CI fast, full gives each replay enough
 /// fan-out ticks for stable per-event timing.
@@ -291,20 +287,6 @@ pub fn reference_log(scale: Scale, seed: u64) -> String {
     engine.format_decision_log()
 }
 
-/// Runs `f` with `DVS_THREADS` set to `n`, restoring the previous value.
-/// Safe to use mid-suite: the determinism contract guarantees the thread
-/// count never changes any decision, only timing.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var(dvs_exec::THREADS_ENV).ok();
-    std::env::set_var(dvs_exec::THREADS_ENV, n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(dvs_exec::THREADS_ENV, v),
-        None => std::env::remove_var(dvs_exec::THREADS_ENV),
-    }
-    out
-}
-
 /// Runs the experiment.
 ///
 /// # Panics
@@ -316,7 +298,6 @@ pub fn run(scale: Scale) -> Table {
         format!("E9: cluster scatter-gather serving (n = {N}, load = {LOAD}, domains = {DOMAINS})"),
         &[
             "shards",
-            "threads",
             "events_per_sec",
             "capacity_eps",
             "p99_us",
@@ -327,28 +308,23 @@ pub fn run(scale: Scale) -> Table {
         .map(|seed| reference_log(scale, seed))
         .collect();
     for &shards in &SHARDS {
-        for &threads in &THREADS {
-            let runs: Vec<ClusterReplay> = with_threads(threads, || {
-                (0..scale.seeds())
-                    .map(|seed| replay_one(scale, seed, shards))
-                    .collect()
-            });
-            let identical = runs
-                .iter()
-                .zip(&references)
-                .all(|(r, reference)| &r.merged_log == reference);
-            let eps: Vec<f64> = runs.iter().map(|r| r.events_per_sec).collect();
-            let caps: Vec<f64> = runs.iter().map(|r| r.capacity_eps).collect();
-            let p99s: Vec<f64> = runs.iter().map(|r| r.p99_us).collect();
-            table.push(&[
-                shards.to_string(),
-                threads.to_string(),
-                format!("{:.0}", mean(&eps)),
-                format!("{:.0}", mean(&caps)),
-                format!("{:.1}", mean(&p99s)),
-                if identical { "yes" } else { "DIVERGED" }.to_string(),
-            ]);
-        }
+        let runs: Vec<ClusterReplay> = (0..scale.seeds())
+            .map(|seed| replay_one(scale, seed, shards))
+            .collect();
+        let identical = runs
+            .iter()
+            .zip(&references)
+            .all(|(r, reference)| &r.merged_log == reference);
+        let eps: Vec<f64> = runs.iter().map(|r| r.events_per_sec).collect();
+        let caps: Vec<f64> = runs.iter().map(|r| r.capacity_eps).collect();
+        let p99s: Vec<f64> = runs.iter().map(|r| r.p99_us).collect();
+        table.push(&[
+            shards.to_string(),
+            format!("{:.0}", mean(&eps)),
+            format!("{:.0}", mean(&caps)),
+            format!("{:.1}", mean(&p99s)),
+            if identical { "yes" } else { "DIVERGED" }.to_string(),
+        ]);
     }
     table
 }
@@ -391,15 +367,15 @@ mod tests {
     #[test]
     fn rows_have_positive_throughput_and_identical_logs() {
         let table = run(Scale::Quick);
-        assert_eq!(table.rows().len(), SHARDS.len() * THREADS.len());
+        assert_eq!(table.rows().len(), SHARDS.len());
         for row in table.rows() {
-            let eps: f64 = row[2].parse().unwrap();
+            let eps: f64 = row[1].parse().unwrap();
             assert!(eps > 0.0, "no throughput figure in {row:?}");
-            let cap: f64 = row[3].parse().unwrap();
+            let cap: f64 = row[2].parse().unwrap();
             assert!(cap > 0.0, "no capacity figure in {row:?}");
-            let p99: f64 = row[4].parse().unwrap();
+            let p99: f64 = row[3].parse().unwrap();
             assert!(p99 > 0.0, "no latency figure in {row:?}");
-            assert_eq!(row[5], "yes", "merged log diverged in {row:?}");
+            assert_eq!(row[4], "yes", "merged log diverged in {row:?}");
         }
         // The scaling claim: 4 shards sustain well over the 1-shard
         // aggregate capacity (the wall-clock single-session column is
@@ -409,8 +385,8 @@ mod tests {
             table
                 .rows()
                 .iter()
-                .find(|r| r[0] == shards && r[1] == "1")
-                .expect("grid row")[3]
+                .find(|r| r[0] == shards)
+                .expect("grid row")[2]
                 .parse()
                 .unwrap()
         };

@@ -15,7 +15,7 @@
 //!   journal (`snapshot + deterministic replay of the tail`) before
 //!   finishing the session.
 //!
-//! Reported per thread count: events/s for the first three shapes, the
+//! Reported: events/s for the first three shapes, the
 //! journal's throughput overhead, the measured recovery wall time, the
 //! replayed-tail length, and whether the recovered run's decision log is
 //! **bit-identical** to the uninterrupted one (the recovery invariant —
@@ -41,9 +41,6 @@ pub const N: usize = 24;
 
 /// Total utilization demand (overload: rejections and sheds occur).
 pub const LOAD: f64 = 3.0;
-
-/// The worker-thread axis.
-pub const THREADS: [usize; 2] = [1, 4];
 
 /// Journal snapshot cadence: short enough that full-scale sessions cross
 /// several snapshots, so recovery exercises `snapshot + tail`, not just
@@ -188,18 +185,6 @@ pub fn run_one(scale: Scale, seed: u64) -> ChaosRun {
     }
 }
 
-/// Runs `f` with `DVS_THREADS` set to `n`, restoring the previous value.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var(dvs_exec::THREADS_ENV).ok();
-    std::env::set_var(dvs_exec::THREADS_ENV, n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(dvs_exec::THREADS_ENV, v),
-        None => std::env::remove_var(dvs_exec::THREADS_ENV),
-    }
-    out
-}
-
 /// Runs the experiment.
 ///
 /// # Panics
@@ -210,7 +195,6 @@ pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(
         format!("R2: chaos — journal overhead, degraded serving, crash recovery (n = {N}, load = {LOAD})"),
         &[
-            "threads",
             "eps_plain",
             "eps_journal",
             "overhead_pct",
@@ -220,30 +204,25 @@ pub fn run(scale: Scale) -> Table {
             "identical",
         ],
     );
-    for &threads in &THREADS {
-        let runs: Vec<ChaosRun> = with_threads(threads, || {
-            (0..scale.seeds())
-                .map(|seed| run_one(scale, seed))
-                .collect()
-        });
-        let plain: Vec<f64> = runs.iter().map(|r| r.eps_plain).collect();
-        let journal: Vec<f64> = runs.iter().map(|r| r.eps_journal).collect();
-        let degraded: Vec<f64> = runs.iter().map(|r| r.eps_degraded).collect();
-        let recovery: Vec<f64> = runs.iter().map(|r| r.recovery_ms).collect();
-        let replayed: Vec<f64> = runs.iter().map(|r| r.replayed as f64).collect();
-        let overhead = 100.0 * (1.0 - mean(&journal) / mean(&plain));
-        let identical = runs.iter().all(|r| r.identical);
-        table.push(&[
-            threads.to_string(),
-            format!("{:.0}", mean(&plain)),
-            format!("{:.0}", mean(&journal)),
-            format!("{overhead:.1}"),
-            format!("{:.0}", mean(&degraded)),
-            format!("{:.3}", mean(&recovery)),
-            format!("{:.1}", mean(&replayed)),
-            if identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
+    let runs: Vec<ChaosRun> = (0..scale.seeds())
+        .map(|seed| run_one(scale, seed))
+        .collect();
+    let plain: Vec<f64> = runs.iter().map(|r| r.eps_plain).collect();
+    let journal: Vec<f64> = runs.iter().map(|r| r.eps_journal).collect();
+    let degraded: Vec<f64> = runs.iter().map(|r| r.eps_degraded).collect();
+    let recovery: Vec<f64> = runs.iter().map(|r| r.recovery_ms).collect();
+    let replayed: Vec<f64> = runs.iter().map(|r| r.replayed as f64).collect();
+    let overhead = 100.0 * (1.0 - mean(&journal) / mean(&plain));
+    let identical = runs.iter().all(|r| r.identical);
+    table.push(&[
+        format!("{:.0}", mean(&plain)),
+        format!("{:.0}", mean(&journal)),
+        format!("{overhead:.1}"),
+        format!("{:.0}", mean(&degraded)),
+        format!("{:.3}", mean(&recovery)),
+        format!("{:.1}", mean(&replayed)),
+        if identical { "yes" } else { "NO" }.to_string(),
+    ]);
     table
 }
 
@@ -264,10 +243,10 @@ mod tests {
     #[test]
     fn table_has_the_identity_column_green() {
         let table = run(Scale::Quick);
-        assert_eq!(table.rows().len(), THREADS.len());
+        assert_eq!(table.rows().len(), 1);
         for row in table.rows() {
-            assert_eq!(row[7], "yes", "recovery invariant violated: {row:?}");
-            let recovery: f64 = row[5].parse().unwrap();
+            assert_eq!(row[6], "yes", "recovery invariant violated: {row:?}");
+            let recovery: f64 = row[4].parse().unwrap();
             assert!(recovery >= 0.0);
         }
     }

@@ -19,8 +19,8 @@
 //!   resume cursor — the at-least-once client contract. The merged
 //!   decision log must equal the uninterrupted reference bit for bit.
 //!
-//! Reported per thread count: events/s solo and replicated, the standby's
-//! throughput tax on the primary, the mean sync lag, the mean
+//! Reported: events/s solo and replicated, the standby's throughput tax
+//! on the primary, the mean sync lag, the mean
 //! [`promote`] wall time, the mean number of events the "client" had to
 //! resend after promotion (the at-least-once window the mid-stream kill
 //! opens), and the identity verdict. Wall-clock and resend columns are
@@ -49,9 +49,6 @@ pub const N: usize = 24;
 
 /// Total utilization demand (overload: rejections and sheds occur).
 pub const LOAD: f64 = 3.0;
-
-/// The worker-thread axis.
-pub const THREADS: [usize; 2] = [1, 4];
 
 /// Journal snapshot cadence, as in R2: full-scale sessions cross several
 /// snapshots so mirrors carry `S` frames, not just events.
@@ -318,18 +315,6 @@ pub fn run_one(scale: Scale, seed: u64) -> FailoverRun {
     }
 }
 
-/// Runs `f` with `DVS_THREADS` set to `n`, restoring the previous value.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var(dvs_exec::THREADS_ENV).ok();
-    std::env::set_var(dvs_exec::THREADS_ENV, n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(dvs_exec::THREADS_ENV, v),
-        None => std::env::remove_var(dvs_exec::THREADS_ENV),
-    }
-    out
-}
-
 /// Runs the experiment.
 ///
 /// # Panics
@@ -342,7 +327,6 @@ pub fn run(scale: Scale) -> Table {
             "R3: failover — replication tax, sync lag, promotion cost (n = {N}, load = {LOAD})"
         ),
         &[
-            "threads",
             "eps_solo",
             "eps_replicated",
             "tax_pct",
@@ -352,30 +336,25 @@ pub fn run(scale: Scale) -> Table {
             "identical",
         ],
     );
-    for &threads in &THREADS {
-        let runs: Vec<FailoverRun> = with_threads(threads, || {
-            (0..scale.seeds())
-                .map(|seed| run_one(scale, seed))
-                .collect()
-        });
-        let solo: Vec<f64> = runs.iter().map(|r| r.eps_solo).collect();
-        let rep: Vec<f64> = runs.iter().map(|r| r.eps_replicated).collect();
-        let lag: Vec<f64> = runs.iter().map(|r| r.sync_lag_ms).collect();
-        let prom: Vec<f64> = runs.iter().map(|r| r.promote_ms).collect();
-        let resent: Vec<f64> = runs.iter().map(|r| r.resent as f64).collect();
-        let tax = 100.0 * (1.0 - mean(&rep) / mean(&solo));
-        let identical = runs.iter().all(|r| r.identical);
-        table.push(&[
-            threads.to_string(),
-            format!("{:.0}", mean(&solo)),
-            format!("{:.0}", mean(&rep)),
-            format!("{tax:.1}"),
-            format!("{:.3}", mean(&lag)),
-            format!("{:.3}", mean(&prom)),
-            format!("{:.1}", mean(&resent)),
-            if identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
+    let runs: Vec<FailoverRun> = (0..scale.seeds())
+        .map(|seed| run_one(scale, seed))
+        .collect();
+    let solo: Vec<f64> = runs.iter().map(|r| r.eps_solo).collect();
+    let rep: Vec<f64> = runs.iter().map(|r| r.eps_replicated).collect();
+    let lag: Vec<f64> = runs.iter().map(|r| r.sync_lag_ms).collect();
+    let prom: Vec<f64> = runs.iter().map(|r| r.promote_ms).collect();
+    let resent: Vec<f64> = runs.iter().map(|r| r.resent as f64).collect();
+    let tax = 100.0 * (1.0 - mean(&rep) / mean(&solo));
+    let identical = runs.iter().all(|r| r.identical);
+    table.push(&[
+        format!("{:.0}", mean(&solo)),
+        format!("{:.0}", mean(&rep)),
+        format!("{tax:.1}"),
+        format!("{:.3}", mean(&lag)),
+        format!("{:.3}", mean(&prom)),
+        format!("{:.1}", mean(&resent)),
+        if identical { "yes" } else { "NO" }.to_string(),
+    ]);
     table
 }
 
@@ -396,10 +375,10 @@ mod tests {
     #[test]
     fn table_has_the_identity_column_green() {
         let table = run(Scale::Quick);
-        assert_eq!(table.rows().len(), THREADS.len());
+        assert_eq!(table.rows().len(), 1);
         for row in table.rows() {
-            assert_eq!(row[7], "yes", "failover invariant violated: {row:?}");
-            let promote: f64 = row[5].parse().unwrap();
+            assert_eq!(row[6], "yes", "failover invariant violated: {row:?}");
+            let promote: f64 = row[4].parse().unwrap();
             assert!(promote >= 0.0);
         }
     }

@@ -1,6 +1,5 @@
 //! Exact branch & bound with convex-relaxation pruning.
 
-use dvs_exec::AtomicMinF64;
 use rt_model::{Task, TaskId};
 
 use crate::algorithms::{MarginalGreedy, RejectionPolicy};
@@ -68,16 +67,17 @@ impl Default for BranchBound {
     }
 }
 
+/// Solution label of the budgeted entry points.
+const ANYTIME_NAME: &str = "anytime-branch-bound";
+
 struct Search<'a> {
     instance: &'a Instance,
     /// Acceptable tasks in descending penalty-density order.
     tasks: &'a [Task],
     total_penalty: f64,
-    /// Incumbent bound shared by all subtree workers: every worker prunes
-    /// against the best full solution found by *any* worker so far.
-    shared: &'a AtomicMinF64,
-    /// Best leaf found by *this* search (`∞` until one is found).
-    best_cost: f64,
+    /// Cost to beat: the seed's cost until a strictly cheaper leaf is found.
+    incumbent: f64,
+    /// The leaf that set `incumbent` (`None` while the seed still holds it).
     best_accept: Option<Vec<bool>>,
     current: Vec<bool>,
     /// Work budget; unlimited for the plain (non-anytime) solve.
@@ -92,12 +92,6 @@ impl Search<'_> {
             * self.instance.hyper_period() as f64
     }
 
-    /// The effective incumbent: the globally shared bound or this worker's
-    /// own best, whichever is lower.
-    fn incumbent(&self) -> f64 {
-        self.shared.get().min(self.best_cost)
-    }
-
     fn dfs(&mut self, i: usize, u: f64, avoided: f64) -> Result<(), SchedError> {
         if !self.meter.charge(1) {
             // Budget spent: unwind, keeping the incumbent found so far.
@@ -105,10 +99,9 @@ impl Search<'_> {
         }
         if i == self.tasks.len() {
             let cost = self.energy(u) + self.total_penalty - avoided;
-            if cost < self.incumbent() {
-                self.best_cost = cost;
+            if cost < self.incumbent {
+                self.incumbent = cost;
                 self.best_accept = Some(self.current.clone());
-                self.shared.fetch_min(cost);
             }
             return Ok(());
         }
@@ -118,7 +111,7 @@ impl Search<'_> {
         let suffix_penalty: f64 = suffix.iter().map(Task::penalty).sum();
         let fixed_rejected = self.total_penalty - avoided - suffix_penalty;
         let bound = fixed_rejected + relaxed_cost(self.instance, u, suffix.iter())?;
-        if bound >= self.incumbent() - 1e-12 {
+        if bound >= self.incumbent - 1e-12 {
             return Ok(());
         }
         let t = self.tasks[i];
@@ -131,44 +124,6 @@ impl Search<'_> {
     }
 }
 
-/// Enumerates every feasible accept/reject assignment of the first `depth`
-/// tasks, in exactly the order the sequential DFS would first visit them
-/// (accept branch before reject branch). Each entry is the fixed prefix
-/// plus its running `(u, avoided)` sums.
-fn subtree_roots(instance: &Instance, tasks: &[Task], depth: usize) -> Vec<(Vec<bool>, f64, f64)> {
-    struct Gen<'a> {
-        instance: &'a Instance,
-        tasks: &'a [Task],
-        depth: usize,
-        bits: Vec<bool>,
-        out: Vec<(Vec<bool>, f64, f64)>,
-    }
-    impl Gen<'_> {
-        fn walk(&mut self, i: usize, u: f64, avoided: f64) {
-            if i == self.depth {
-                self.out.push((self.bits.clone(), u, avoided));
-                return;
-            }
-            let t = self.tasks[i];
-            if self.instance.processor().is_feasible(u + t.utilization()) {
-                self.bits[i] = true;
-                self.walk(i + 1, u + t.utilization(), avoided + t.penalty());
-                self.bits[i] = false;
-            }
-            self.walk(i + 1, u, avoided);
-        }
-    }
-    let mut g = Gen {
-        instance,
-        tasks,
-        depth,
-        bits: vec![false; tasks.len()],
-        out: Vec::new(),
-    };
-    g.walk(0, 0.0, 0.0);
-    g.out
-}
-
 impl RejectionPolicy for BranchBound {
     fn name(&self) -> &'static str {
         "branch-bound"
@@ -178,72 +133,8 @@ impl RejectionPolicy for BranchBound {
     ///
     /// [`SchedError::TooLarge`] when the instance exceeds the size limit.
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        // Acceptable tasks in descending penalty-density order (cached).
-        let tasks = instance.density_order();
-        if tasks.len() > self.limit {
-            return Err(SchedError::TooLarge {
-                n: tasks.len(),
-                limit: self.limit,
-                algorithm: "branch-bound",
-            });
-        }
-        // Seed the incumbent with the greedy solution.
-        let seed = MarginalGreedy.solve(instance)?;
-        let n = tasks.len();
-        let total_penalty = instance.total_penalty();
-        let shared = AtomicMinF64::new(seed.cost());
-
-        // Fan the top of the tree out across workers: enumerate the feasible
-        // prefixes of the first `depth` levels (in DFS order) and search each
-        // subtree independently, sharing the incumbent bound. With one worker
-        // this degenerates to a single root — the plain sequential DFS.
-        let workers = dvs_exec::num_threads();
-        let depth = if workers <= 1 {
-            0
-        } else {
-            // Smallest depth giving ≥ 4 subtrees per worker, capped so the
-            // root list stays small.
-            let mut d = 0;
-            while (1usize << d) < 4 * workers && d < 10 {
-                d += 1;
-            }
-            d.min(n)
-        };
-        let roots = subtree_roots(instance, tasks, depth);
-        let results = dvs_exec::par_map(&roots, |(bits, u, avoided)| {
-            let mut search = Search {
-                instance,
-                tasks,
-                total_penalty,
-                shared: &shared,
-                best_cost: f64::INFINITY,
-                best_accept: None,
-                current: bits.clone(),
-                meter: BudgetMeter::unlimited(),
-            };
-            search.dfs(depth, *u, *avoided)?;
-            Ok::<_, SchedError>(search.best_accept.map(|acc| (search.best_cost, acc)))
-        });
-        // Deterministic reduction: subtrees are visited in DFS order, and a
-        // later subtree only wins by being strictly better — the same
-        // tie-breaking the sequential search applies.
-        let mut best_cost = seed.cost();
-        let mut best_accept: Vec<bool> = tasks.iter().map(|t| seed.accepts(t.id())).collect();
-        for r in results {
-            if let Some((cost, accept)) = r? {
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_accept = accept;
-                }
-            }
-        }
-        let accepted: Vec<TaskId> = tasks
-            .iter()
-            .zip(&best_accept)
-            .filter(|(_, &take)| take)
-            .map(|(t, _)| t.id())
-            .collect();
-        Solution::for_accepted(instance, self.name(), accepted)
+        let search = self.budgeted_search(instance, &SolveBudget::unlimited(), None, self.name());
+        Ok(search?.solution)
     }
 }
 
@@ -271,22 +162,26 @@ impl BranchBound {
         budget: &SolveBudget,
         warm: &[TaskId],
     ) -> Result<AnytimeSolution, SchedError> {
-        let warm = Solution::for_accepted(instance, "anytime-branch-bound", warm.to_vec())?;
-        self.budgeted_search(instance, budget, Some(warm))
+        let warm = Solution::for_accepted(instance, ANYTIME_NAME, warm.to_vec())?;
+        self.budgeted_search(instance, budget, Some(warm), ANYTIME_NAME)
     }
 
+    /// The one search driver: [`solve`](RejectionPolicy::solve) is its
+    /// unlimited, cold case. `name` labels the solution and a size error.
     fn budgeted_search(
         &self,
         instance: &Instance,
         budget: &SolveBudget,
         warm: Option<Solution>,
+        name: &'static str,
     ) -> Result<AnytimeSolution, SchedError> {
+        // Acceptable tasks in descending penalty-density order (cached).
         let tasks = instance.density_order();
         if tasks.len() > self.limit {
             return Err(SchedError::TooLarge {
                 n: tasks.len(),
                 limit: self.limit,
-                algorithm: "anytime-branch-bound",
+                algorithm: name,
             });
         }
         // Best *known* solution before searching: the greedy seed, tightened
@@ -299,50 +194,44 @@ impl BranchBound {
                 best_known = w;
             }
         }
-        let shared = AtomicMinF64::new(best_known.cost());
         let mut search = Search {
             instance,
             tasks,
             total_penalty: instance.total_penalty(),
-            shared: &shared,
-            best_cost: f64::INFINITY,
+            incumbent: best_known.cost(),
             best_accept: None,
             current: vec![false; tasks.len()],
             meter: BudgetMeter::new(budget),
         };
         search.dfs(0, 0.0, 0.0)?;
-        let expired = search.meter.expired();
-        let nodes_used = search.meter.used();
-        // Best incumbent: the search's best leaf or the best known seed,
-        // whichever is cheaper.
-        let accept: Vec<bool> = match search.best_accept {
-            Some(acc) if search.best_cost < best_known.cost() => acc,
-            _ => tasks.iter().map(|t| best_known.accepts(t.id())).collect(),
-        };
+        // A leaf is recorded only when strictly cheaper than the best known
+        // seed; otherwise the seed stands.
+        let accept = search
+            .best_accept
+            .unwrap_or_else(|| tasks.iter().map(|t| best_known.accepts(t.id())).collect());
         let accepted: Vec<TaskId> = tasks
             .iter()
             .zip(&accept)
             .filter(|(_, &take)| take)
             .map(|(t, _)| t.id())
             .collect();
-        let solution = Solution::for_accepted(instance, "anytime-branch-bound", accepted)?;
         Ok(AnytimeSolution {
-            solution,
-            quality: if expired {
+            solution: Solution::for_accepted(instance, name, accepted)?,
+            quality: if search.meter.expired() {
                 SolveQuality::Degraded
             } else {
                 SolveQuality::Exact
             },
-            nodes_used,
+            nodes_used: search.meter.used(),
         })
     }
 }
 
 impl BudgetedPolicy for BranchBound {
-    /// Budgeted (anytime) branch & bound: a *sequential* DFS charged one
-    /// work unit per visited node, so node budgets are bit-reproducible
-    /// regardless of `DVS_THREADS`. On expiry the search unwinds and the
-    /// best incumbent — seeded with [`MarginalGreedy`] — is returned.
+    /// Budgeted (anytime) branch & bound: the DFS is charged one work unit
+    /// per visited node, so node budgets are bit-reproducible. On expiry
+    /// the search unwinds and the best incumbent — seeded with
+    /// [`MarginalGreedy`] — is returned.
     ///
     /// # Errors
     ///
@@ -352,7 +241,7 @@ impl BudgetedPolicy for BranchBound {
         instance: &Instance,
         budget: &SolveBudget,
     ) -> Result<AnytimeSolution, SchedError> {
-        self.budgeted_search(instance, budget, None)
+        self.budgeted_search(instance, budget, None, ANYTIME_NAME)
     }
 }
 

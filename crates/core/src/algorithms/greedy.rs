@@ -151,28 +151,16 @@ impl RejectionPolicy for BestOfSingle {
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let all: Vec<TaskId> = instance.tasks().iter().map(Task::id).collect();
-        // Candidates in the canonical scan order: the full set, then each
-        // leave-one-out set.
-        let mut candidates: Vec<Vec<TaskId>> = Vec::with_capacity(all.len() + 1);
-        candidates.push(all.clone());
-        for skip in &all {
-            candidates.push(all.iter().copied().filter(|id| id != skip).collect());
-        }
-        let evals = dvs_exec::par_map(&candidates, |ids| {
-            match Solution::for_accepted(instance, self.name(), ids.iter().copied()) {
-                Ok(s) => Ok(Some(s)),
-                // Infeasible candidates are simply skipped.
-                Err(SchedError::Power(_)) => Ok(None),
-                Err(e) => Err(e),
-            }
-        });
-        // Earliest strictly best wins, exactly as a sequential scan would.
+        // Scan order: the full set, then each leave-one-out set; the
+        // earliest strictly best wins.
         let mut best = Solution::for_accepted(instance, self.name(), [])?;
-        for e in evals {
-            if let Some(s) = e? {
-                if s.cost() < best.cost() {
-                    best = s;
-                }
+        for skip in std::iter::once(None).chain(all.iter().map(Some)) {
+            let ids = all.iter().copied().filter(|id| Some(id) != skip);
+            match Solution::for_accepted(instance, self.name(), ids) {
+                Ok(s) if s.cost() < best.cost() => best = s,
+                // Infeasible candidates are simply skipped.
+                Ok(_) | Err(SchedError::Power(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(best)
@@ -213,19 +201,14 @@ impl RejectionPolicy for DensitySweep {
             }
             kmax = k + 1;
         }
-        // Prefix costs are independent given the cached prefix sums —
-        // evaluate them in parallel, then pick the earliest best exactly as
-        // the sequential sweep would.
-        let costs = dvs_exec::par_map_indices(kmax, |k| {
-            instance
-                .energy_rate(pu[k + 1].min(s_max))
-                .map(|rate| rate * l + total_penalty - pv[k + 1])
-        });
         let mut best: (f64, usize) = (total_penalty, 0); // empty prefix
-        for (k, c) in costs.into_iter().enumerate() {
-            let cost = c.map_err(SchedError::Power)?;
+        for k in 1..=kmax {
+            let rate = instance
+                .energy_rate(pu[k].min(s_max))
+                .map_err(SchedError::Power)?;
+            let cost = rate * l + total_penalty - pv[k];
             if cost < best.0 {
-                best = (cost, k + 1);
+                best = (cost, k);
             }
         }
         let accepted: Vec<TaskId> = tasks[..best.1].iter().map(Task::id).collect();

@@ -157,32 +157,24 @@ impl RejectionPolicy for LocalSearch {
                     avoided += t.penalty();
                 }
             }
-            // Enumerate the whole neighborhood in the canonical sequential
-            // order (all toggles, then all out→in swaps)...
-            let mut moves: Vec<Move> = (0..n).map(Move::Toggle).collect();
-            for out in 0..n {
-                if !accepted[out] {
-                    continue;
-                }
-                for (into, &acc) in accepted.iter().enumerate() {
-                    if !acc {
-                        moves.push(Move::Swap(out, into));
-                    }
-                }
-            }
-            // ...evaluate it in parallel (result order matches input order),
-            // and pick the earliest strictly best improvement, exactly as a
-            // sequential scan would.
-            let costs = dvs_exec::par_map(&moves, |&mv| nb.move_cost(&accepted, u, avoided, mv));
-            let mut best: Option<(usize, f64)> = None;
-            for (k, &c) in costs.iter().enumerate() {
+            // Scan the whole neighborhood — all toggles, then all out→in
+            // swaps — keeping the earliest strictly best improvement.
+            let mut best: Option<(Move, f64)> = None;
+            let mut consider = |mv: Move| {
+                let c = nb.move_cost(&accepted, u, avoided, mv);
                 if c < cost - 1e-12 && best.is_none_or(|(_, bc)| c < bc) {
-                    best = Some((k, c));
+                    best = Some((mv, c));
+                }
+            };
+            (0..n).for_each(|i| consider(Move::Toggle(i)));
+            for out in (0..n).filter(|&i| accepted[i]) {
+                for into in (0..n).filter(|&i| !accepted[i]) {
+                    consider(Move::Swap(out, into));
                 }
             }
             match best {
-                Some((k, c)) => {
-                    match moves[k] {
+                Some((mv, c)) => {
+                    match mv {
                         Move::Toggle(i) => accepted[i] = !accepted[i],
                         Move::Swap(out, into) => {
                             accepted[out] = false;

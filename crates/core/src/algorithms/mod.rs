@@ -68,8 +68,8 @@ use crate::{Instance, SchedError, Solution};
 /// ```
 ///
 /// `Send + Sync` are supertraits so boxed rosters can be shared across the
-/// worker threads of [`dvs_exec`]; every policy is a plain value type, so
-/// this costs implementors nothing.
+/// worker threads of the experiment harness's seed sweeps; every policy is
+/// a plain value type, so this costs implementors nothing.
 pub trait RejectionPolicy: Send + Sync {
     /// Short stable identifier of the algorithm (used in reports).
     fn name(&self) -> &'static str;

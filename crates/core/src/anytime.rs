@@ -177,15 +177,6 @@ impl BudgetMeter {
         }
     }
 
-    pub(crate) fn unlimited() -> Self {
-        BudgetMeter {
-            max_nodes: None,
-            deadline: None,
-            used: 0,
-            expired: false,
-        }
-    }
-
     /// Charges `n` work units; returns `false` once the budget is spent
     /// (and keeps returning `false` so recursive searches unwind fast).
     pub(crate) fn charge(&mut self, n: u64) -> bool {
@@ -251,7 +242,7 @@ mod tests {
         assert!(!m.charge(1), "fourth unit exceeds the cap");
         assert!(!m.charge(1), "stays expired");
         assert!(m.expired());
-        assert!(BudgetMeter::unlimited().charge(u64::MAX >> 1));
+        assert!(BudgetMeter::new(&SolveBudget::unlimited()).charge(u64::MAX >> 1));
     }
 
     #[test]

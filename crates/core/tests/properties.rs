@@ -8,12 +8,14 @@
 
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
 use reject_sched::algorithms::{
-    AcceptAllFeasible, BestOfSingle, BranchBound, DensityGreedy, Exhaustive, MarginalGreedy,
-    RejectAll, SafeGreedy, ScaledDp,
+    AcceptAllFeasible, BestOfSingle, BranchBound, DensityGreedy, DensitySweep, Exhaustive,
+    LocalSearch, MarginalGreedy, RejectAll, SafeGreedy, ScaledDp, SimulatedAnnealing,
 };
+use reject_sched::anytime::{BudgetedPolicy, SolveBudget};
 use reject_sched::bounds::fractional_lower_bound;
 use reject_sched::hardness::{Knapsack, KnapsackItem};
 use reject_sched::{Instance, RejectionPolicy};
+use rt_model::generator::{PenaltyModel, WorkloadSpec};
 use rt_model::rng::Rng;
 use rt_model::{Task, TaskSet};
 
@@ -295,5 +297,55 @@ fn faster_processor_never_hurts() {
         let inst2 = Instance::new(inst.tasks().clone(), fast_cpu).unwrap();
         let fast = Exhaustive::default().solve(&inst2).unwrap().cost();
         assert!(fast <= slow + 1e-6 * slow.max(1.0));
+    }
+}
+
+/// Solving is a pure function of the instance: every roster policy and
+/// the exact search return the same accepted set and the same cost bits
+/// when run twice (a `HashSet`-ordered reduction would not), and the plain
+/// branch & bound is exactly the unlimited budgeted one.
+#[test]
+fn repeated_solves_are_bit_identical() {
+    let roster: Vec<Box<dyn RejectionPolicy>> = vec![
+        Box::new(AcceptAllFeasible),
+        Box::new(DensityGreedy),
+        Box::new(DensitySweep),
+        Box::new(BestOfSingle),
+        Box::new(MarginalGreedy),
+        Box::new(SafeGreedy),
+        Box::new(ScaledDp::new(0.1).unwrap()),
+        Box::new(LocalSearch::around(MarginalGreedy)),
+        Box::new(SimulatedAnnealing::new(7).with_iterations(2_000).unwrap()),
+        Box::new(BranchBound::default()),
+    ];
+    for seed in 0..4u64 {
+        for (load, cpu) in [(1.3, cubic_ideal()), (2.2, xscale_ideal())] {
+            let tasks = WorkloadSpec::new(20, load)
+                .penalty_model(PenaltyModel::UtilizationProportional {
+                    scale: 1.6,
+                    jitter: 0.5,
+                })
+                .seed(seed)
+                .generate()
+                .unwrap();
+            let inst = Instance::new(tasks, cpu).unwrap();
+            for policy in &roster {
+                let (a, b) = (policy.solve(&inst).unwrap(), policy.solve(&inst).unwrap());
+                assert_eq!(a.accepted(), b.accepted(), "{} seed {seed}", policy.name());
+                assert_eq!(
+                    a.cost().to_bits(),
+                    b.cost().to_bits(),
+                    "{} seed {seed}",
+                    policy.name()
+                );
+            }
+            let plain = BranchBound::default().solve(&inst).unwrap();
+            let budgeted = BranchBound::default()
+                .solve_within(&inst, &SolveBudget::unlimited())
+                .unwrap()
+                .solution;
+            assert_eq!(plain.accepted(), budgeted.accepted(), "seed {seed}");
+            assert_eq!(plain.cost().to_bits(), budgeted.cost().to_bits());
+        }
     }
 }

@@ -1,33 +1,28 @@
 //! # dvs-exec — dependency-free deterministic parallel execution
 //!
-//! A tiny parallel execution layer for the `dvs-rejection` workspace, built
+//! A tiny parallel execution layer for the experiment harness, built
 //! entirely on `std` (scoped threads, atomics): the offline build
-//! environment cannot fetch crates, and the solvers need bit-reproducible
-//! results, which rules out work-stealing pools with nondeterministic
-//! reduction orders.
+//! environment cannot fetch crates, and the result tables must be
+//! bit-reproducible, which rules out work-stealing pools with
+//! nondeterministic reduction orders. Parallelism lives at the grain of
+//! independent experiments and seeds and nowhere else: the solvers and
+//! servers run on the calling thread and do not depend on this crate.
 //!
 //! The core primitive is [`par_map`]: it evaluates a function over a slice
 //! on a scoped worker pool and returns the results **in input order**, so
 //! the output is exactly what the sequential `iter().map().collect()`
-//! would produce — the determinism guarantee every solver and experiment
-//! in this workspace relies on. Work is handed out in contiguous chunks
-//! through a shared atomic cursor, which keeps scheduling overhead at one
-//! `fetch_add` per chunk while still balancing uneven workloads.
+//! would produce. Work is handed out in contiguous chunks through a shared
+//! atomic cursor, which keeps scheduling overhead at one `fetch_add` per
+//! chunk while still balancing uneven workloads.
 //!
 //! Worker count comes from [`num_threads`]: the `DVS_THREADS` environment
 //! variable when set (≥ 1), otherwise
 //! [`std::thread::available_parallelism`]. `DVS_THREADS=1` forces fully
-//! sequential execution — useful for timing baselines and for the
-//! determinism test suite, which asserts byte-identical results across
-//! thread counts.
+//! sequential execution.
 //!
 //! Nested calls never oversubscribe: a `par_map` issued from inside a
-//! worker (e.g. a parallel solver invoked from a parallel experiment
-//! sweep) runs sequentially on that worker.
-//!
-//! [`AtomicMinF64`] complements the map primitive for branch-and-bound
-//! style searches: workers share a monotonically decreasing incumbent
-//! bound without locks.
+//! worker (a per-seed sweep inside the parallel experiment batch) runs
+//! sequentially on that worker.
 //!
 //! # Examples
 //!
@@ -38,7 +33,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Environment variable overriding the worker count (must parse to ≥ 1).
@@ -137,7 +132,7 @@ where
 /// Maps `f` over the index range `0..len`, returning results in order.
 ///
 /// Convenience wrapper over [`par_map`] for loops that are naturally
-/// indexed rather than slice-driven (e.g. chunked DP layers).
+/// indexed rather than slice-driven (e.g. the per-seed sweeps).
 pub fn par_map_indices<U, F>(len: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -145,66 +140,6 @@ where
 {
     let indices: Vec<usize> = (0..len).collect();
     par_map(&indices, |&i| f(i))
-}
-
-/// Lock-free shared minimum over non-negative `f64` values.
-///
-/// Stores the bit pattern in an [`AtomicU64`] and refines it with
-/// compare-exchange; because the comparison is done on the decoded `f64`,
-/// any finite values (including infinities) order correctly. Used as the
-/// shared incumbent bound in parallel branch-and-bound: every worker
-/// prunes against the best solution found by *any* worker so far.
-///
-/// # Examples
-///
-/// ```
-/// let best = dvs_exec::AtomicMinF64::new(f64::INFINITY);
-/// assert!(best.fetch_min(3.5));
-/// assert!(!best.fetch_min(7.0)); // not an improvement
-/// assert_eq!(best.get(), 3.5);
-/// ```
-#[derive(Debug)]
-pub struct AtomicMinF64 {
-    bits: AtomicU64,
-}
-
-impl AtomicMinF64 {
-    /// Creates the cell holding `value`.
-    #[must_use]
-    pub fn new(value: f64) -> Self {
-        AtomicMinF64 {
-            bits: AtomicU64::new(value.to_bits()),
-        }
-    }
-
-    /// Current minimum.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-
-    /// Lowers the stored value to `value` if it is strictly smaller;
-    /// returns whether the stored minimum changed. `NaN` is ignored.
-    pub fn fetch_min(&self, value: f64) -> bool {
-        if value.is_nan() {
-            return false;
-        }
-        let mut current = self.bits.load(Ordering::Acquire);
-        loop {
-            if value >= f64::from_bits(current) {
-                return false;
-            }
-            match self.bits.compare_exchange_weak(
-                current,
-                value.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -284,24 +219,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn atomic_min_converges_under_contention() {
-        let best = AtomicMinF64::new(f64::INFINITY);
-        thread::scope(|s| {
-            for t in 0..4 {
-                let best = &best;
-                s.spawn(move || {
-                    for k in (0..1000).rev() {
-                        best.fetch_min(f64::from(k) + f64::from(t) * 0.1);
-                    }
-                });
-            }
-        });
-        assert_eq!(best.get(), 0.0);
-        assert!(!best.fetch_min(f64::NAN));
-        assert_eq!(best.get(), 0.0);
     }
 
     #[test]

@@ -104,101 +104,61 @@ pub fn improve(
 
     let l = instance.hyper_period() as f64;
     for _ in 0..max_rounds {
-        // The move scan decomposes into independent units — one per accepted
-        // task (its migrate/swap/reject moves) and one per rejected task (its
-        // admit moves) — evaluated against the immutable round-start state.
-        // Each unit keeps its earliest strictly-best move; reducing the units
-        // in scan order with a strict comparison reproduces the sequential
-        // best-improvement selection exactly.
-        let mut units: Vec<Unit> = Vec::new();
+        // Best-improvement scan against the round-start state: each accepted
+        // task's migrate/swap/reject moves, then each rejected task's admit
+        // moves; the earliest strictly best move wins.
+        let mut best_gain = 1e-12;
+        let mut best_move: Option<Move> = None;
+        let mut consider = |gain: f64, mv: Move| {
+            if gain > best_gain {
+                best_gain = gain;
+                best_move = Some(mv);
+            }
+        };
         for from in 0..state.buckets.len() {
             for ti in 0..state.buckets[from].len() {
-                units.push(Unit::Accepted { from, ti });
+                let id = state.buckets[from][ti];
+                let u = state.task(id).utilization();
+                let from_saving =
+                    l * (state.rate(state.loads[from])? - state.rate(state.loads[from] - u)?);
+                for to in 0..state.buckets.len() {
+                    if to == from {
+                        continue;
+                    }
+                    // Migrate.
+                    if state.fits(to, u) {
+                        let to_cost =
+                            l * (state.rate(state.loads[to] + u)? - state.rate(state.loads[to])?);
+                        consider(from_saving - to_cost, Move::Migrate { from, ti, to });
+                    }
+                    // Swap with each task over there.
+                    for tj in 0..state.buckets[to].len() {
+                        let jd = state.buckets[to][tj];
+                        let w = state.task(jd).utilization();
+                        if !state.fits(from, w - u) || !state.fits(to, u - w) {
+                            continue;
+                        }
+                        let gain = l
+                            * (state.rate(state.loads[from])? + state.rate(state.loads[to])?
+                                - state.rate(state.loads[from] - u + w)?
+                                - state.rate(state.loads[to] - w + u)?);
+                        consider(gain, Move::Swap { from, ti, to, tj });
+                    }
+                }
+                // Reject.
+                let gain = from_saving - state.task(id).penalty();
+                consider(gain, Move::Reject { from, ti });
             }
         }
         for ri in 0..state.rejected.len() {
-            units.push(Unit::Rejected { ri });
-        }
-        let results =
-            dvs_exec::par_map(&units, |unit| -> Result<Option<(f64, Move)>, SchedError> {
-                let mut best_gain = 1e-12;
-                let mut best: Option<Move> = None;
-                match *unit {
-                    Unit::Accepted { from, ti } => {
-                        let id = state.buckets[from][ti];
-                        let u = state.task(id).utilization();
-                        let from_saving = l
-                            * (state.rate(state.loads[from])?
-                                - state.rate(state.loads[from] - u)?);
-                        for to in 0..state.buckets.len() {
-                            if to == from {
-                                continue;
-                            }
-                            // Migrate.
-                            if state.fits(to, u) {
-                                let to_cost = l
-                                    * (state.rate(state.loads[to] + u)?
-                                        - state.rate(state.loads[to])?);
-                                let gain = from_saving - to_cost;
-                                if gain > best_gain {
-                                    best_gain = gain;
-                                    best = Some(Move::Migrate { from, ti, to });
-                                }
-                            }
-                            // Swap with each task over there.
-                            for tj in 0..state.buckets[to].len() {
-                                let jd = state.buckets[to][tj];
-                                let w = state.task(jd).utilization();
-                                if !state.fits(from, w - u) || !state.fits(to, u - w) {
-                                    continue;
-                                }
-                                let gain = l
-                                    * (state.rate(state.loads[from])?
-                                        + state.rate(state.loads[to])?
-                                        - state.rate(state.loads[from] - u + w)?
-                                        - state.rate(state.loads[to] - w + u)?);
-                                if gain > best_gain {
-                                    best_gain = gain;
-                                    best = Some(Move::Swap { from, ti, to, tj });
-                                }
-                            }
-                        }
-                        // Reject.
-                        let gain = from_saving - state.task(id).penalty();
-                        if gain > best_gain {
-                            best_gain = gain;
-                            best = Some(Move::Reject { from, ti });
-                        }
-                    }
-                    Unit::Rejected { ri } => {
-                        let id = state.rejected[ri];
-                        let u = state.task(id).utilization();
-                        for to in 0..state.buckets.len() {
-                            if !state.fits(to, u) {
-                                continue;
-                            }
-                            let cost = l
-                                * (state.rate(state.loads[to] + u)?
-                                    - state.rate(state.loads[to])?);
-                            let gain = state.task(id).penalty() - cost;
-                            if gain > best_gain {
-                                best_gain = gain;
-                                best = Some(Move::Admit { ri, to });
-                            }
-                        }
-                    }
+            let id = state.rejected[ri];
+            let u = state.task(id).utilization();
+            for to in 0..state.buckets.len() {
+                if !state.fits(to, u) {
+                    continue;
                 }
-                Ok(best.map(|mv| (best_gain, mv)))
-            });
-
-        let mut best_gain = 1e-12;
-        let mut best_move: Option<Move> = None;
-        for r in results {
-            if let Some((gain, mv)) = r? {
-                if gain > best_gain {
-                    best_gain = gain;
-                    best_move = Some(mv);
-                }
+                let cost = l * (state.rate(state.loads[to] + u)? - state.rate(state.loads[to])?);
+                consider(state.task(id).penalty() - cost, Move::Admit { ri, to });
             }
         }
         match best_move {
@@ -209,14 +169,6 @@ pub fn improve(
 
     let label = format!("{}+LS", seed.label());
     solution_from_buckets(instance, label, state.buckets)
-}
-
-/// One independent slice of the move scan: all moves touching a single
-/// accepted slot (migrate/swap/reject) or a single rejected task (admit).
-#[derive(Debug, Clone, Copy)]
-enum Unit {
-    Accepted { from: usize, ti: usize },
-    Rejected { ri: usize },
 }
 
 #[derive(Debug, Clone, Copy)]

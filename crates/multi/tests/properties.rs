@@ -3,12 +3,13 @@
 //! Formerly expressed with `proptest`; rewritten on the vendored
 //! [`rt_model::rng::Rng`] so the suite runs fully offline.
 
-use dvs_power::presets::cubic_ideal;
+use dvs_power::presets::{cubic_ideal, xscale_ideal};
 use multi_sched::{
-    fractional_lower_bound_multi, partition_tasks, solve_global_greedy, solve_partitioned,
+    fractional_lower_bound_multi, improve, partition_tasks, solve_global_greedy, solve_partitioned,
     MultiInstance, PartitionStrategy,
 };
 use reject_sched::algorithms::MarginalGreedy;
+use rt_model::generator::WorkloadSpec;
 use rt_model::rng::Rng;
 use rt_model::{Task, TaskId, TaskSet};
 
@@ -116,5 +117,30 @@ fn ltf_imbalance_bounded_by_largest_task() {
             .map(Task::utilization)
             .fold(0.0, f64::max);
         assert!(p.imbalance(sys.tasks()) <= u_max + 1e-9);
+    }
+}
+
+/// Partitioning plus local search is a pure function of the instance:
+/// two runs give the same accepted set and the same cost bits (a
+/// `HashSet`-ordered `MultiSolution` once did not).
+#[test]
+fn partition_local_search_repeats_bit_identically() {
+    for seed in 0..4u64 {
+        for (m, cpu) in [(3, cubic_ideal()), (4, xscale_ideal())] {
+            let tasks = WorkloadSpec::new(22, 4.6).seed(seed).generate().unwrap();
+            let sys = MultiInstance::new(tasks, cpu, m).unwrap();
+            for strat in [
+                PartitionStrategy::LargestTaskFirst,
+                PartitionStrategy::Unsorted,
+            ] {
+                let run = || {
+                    let base = solve_partitioned(&sys, strat, &MarginalGreedy).unwrap();
+                    improve(&sys, &base, 300).unwrap()
+                };
+                let (a, b) = (run(), run());
+                assert_eq!(a.accepted(), b.accepted(), "seed {seed} m {m}");
+                assert_eq!(a.cost().to_bits(), b.cost().to_bits(), "seed {seed} m {m}");
+            }
+        }
     }
 }

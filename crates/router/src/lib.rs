@@ -17,7 +17,7 @@
 //!   balance-invariant check, and maintains a **deterministic merged
 //!   decision log** that is byte-identical to what one unsharded
 //!   multi-domain engine would log for the same event stream, at any
-//!   shard count and any `DVS_THREADS`.
+//!   shard count.
 //!
 //! Determinism rests on the domain-pinned protocol introduced alongside
 //! this crate: tasks carry a power-domain pin end to end (event traces,

@@ -9,7 +9,7 @@
 //!   any non-empty membership (the routing-property suite pins this).
 //! * **Deterministic** — the hash is a fixed FNV-1a over the member name
 //!   and the domain index; the same membership always yields the same
-//!   assignment, on any host, at any `DVS_THREADS`.
+//!   assignment, on any host.
 //! * **Minimal movement** — adding or removing one member only moves the
 //!   domains that member wins or owned; all other assignments are
 //!   untouched.

@@ -24,8 +24,8 @@
 //!   one shard and each shard resolves its owned domains in ascending
 //!   global order, the merge reproduces a single multi-domain engine's
 //!   iteration order exactly — the K-shard cluster log is byte-identical
-//!   to the 1-shard run, at any `DVS_THREADS` (the routing-property
-//!   suite pins this across shards × threads).
+//!   to the 1-shard run (the routing-property suite pins this across
+//!   shard counts).
 //!
 //! Those three are **pipelined** ([`Router::handle_batch`]): every
 //! request of a batch is validated against the state the earlier ones

@@ -1,9 +1,9 @@
 //! The cluster determinism contract, end to end: a K-shard cluster
 //! driven through the router produces a merged decision log that is
 //! byte-identical to one unsharded multi-domain engine replaying the
-//! same pinned trace — across shard counts {1,2,4} × `DVS_THREADS`
-//! {1,2,4,8} — plus the routing properties (unique ownership, validation
-//! mirroring, balance invariant, hedged reads).
+//! same pinned trace — across shard counts {1,2,4} — plus the routing
+//! properties (unique ownership, validation mirroring, balance invariant,
+//! hedged reads).
 
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
@@ -17,18 +17,6 @@ use dvs_power::Processor;
 use dvs_router::{Router, ShardMap, ShardSpec};
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::EventKind;
-
-/// Serialises tests that touch the process-global `DVS_THREADS` variable.
-fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = ENV_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::env::set_var(dvs_exec::THREADS_ENV, n);
-    let out = f();
-    std::env::remove_var(dvs_exec::THREADS_ENV);
-    out
-}
 
 fn config() -> EngineConfig {
     EngineConfig::default()
@@ -164,25 +152,19 @@ fn num(pairs: &[(String, JsonValue)], key: &str) -> u64 {
 }
 
 /// The tentpole invariant: the K-shard merged decision log is
-/// byte-identical to the 1-shard (and unsharded) log at every thread
-/// count.
+/// byte-identical to the 1-shard (and unsharded) log.
 #[test]
-fn merged_log_is_bit_identical_across_shard_counts_and_threads() {
+fn merged_log_is_bit_identical_across_shard_counts() {
     for seed in [3u64, 11] {
         let spec = TraceSpec::new(18, 2.4, seed).domains(4);
-        let reference = with_threads("1", || reference_log(spec));
+        let reference = reference_log(spec);
         assert!(
             reference.contains("accepted"),
             "seed {seed}: reference log has no admissions"
         );
-        for threads in ["1", "2", "4", "8"] {
-            for shards in [1usize, 2, 4] {
-                let (log, _) = with_threads(threads, || cluster_replay(shards, spec));
-                assert_eq!(
-                    log, reference,
-                    "seed {seed}: {shards}-shard log diverged at {threads} threads"
-                );
-            }
+        for shards in [1usize, 2, 4] {
+            let (log, _) = cluster_replay(shards, spec);
+            assert_eq!(log, reference, "seed {seed}: {shards}-shard log diverged");
         }
     }
 }

@@ -3,34 +3,22 @@
 //! export → import → version-fence protocol — produces a merged
 //! decision log byte-identical to one unsharded multi-domain engine
 //! replaying the same pinned trace, across membership transitions
-//! {1→2→4, 4→2} × `DVS_THREADS` {1,4}, with reshards fired between
-//! arrivals in the middle of the event stream.
+//! {1→2→4, 4→2}, with reshards fired between arrivals in the middle of
+//! the event stream.
 
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
+use dvs_admit::AdmitClient;
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, TraceSpec};
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
 use dvs_power::Processor;
-use dvs_admit::AdmitClient;
 use dvs_router::{Router, ShardMap, ShardSpec};
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::{EventKind, EventRecord};
 use rt_model::{Task, TaskId};
-
-/// Serialises tests that touch the process-global `DVS_THREADS` variable.
-fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = ENV_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::env::set_var(dvs_exec::THREADS_ENV, n);
-    let out = f();
-    std::env::remove_var(dvs_exec::THREADS_ENV);
-    out
-}
 
 fn config() -> EngineConfig {
     EngineConfig::default()
@@ -184,40 +172,35 @@ fn num(pairs: &[(String, JsonValue)], key: &str) -> u64 {
 
 /// Scale-out: 1 → 2 → 4 members, reshards fired a third and two thirds
 /// of the way through the session. The merged log must match the
-/// unsharded reference byte for byte at `DVS_THREADS` 1 and 4, and the
-/// balance invariant must hold in the final stats.
+/// unsharded reference byte for byte, and the balance invariant must
+/// hold in the final stats.
 #[test]
 fn scale_out_1_2_4_is_byte_identical_to_unsharded() {
     let spec = TraceSpec::new(18, 2.4, 3).domains(4);
-    let reference = with_threads("1", || reference_log(spec));
+    let reference = reference_log(spec);
     assert!(
         reference.contains("accepted"),
         "reference log has no admissions"
     );
     let n = spec.generate().unwrap().len();
-    for threads in ["1", "4"] {
-        let steps = [
-            (n / 3, Step::Add("shard1")),
-            (2 * n / 3, Step::Add("shard2")),
-        ];
-        let steps2 = [(2 * n / 3 + 1, Step::Add("shard3"))];
-        // Two adds at one point and one later: 1→2→3→4 in total, with
-        // the last fired between different arrivals than the first two.
-        let all: Vec<(usize, Step)> = steps.into_iter().chain(steps2).collect();
-        let (log, stats) = with_threads(threads, || resharded_replay(1, &all, spec));
-        assert_eq!(
-            log, reference,
-            "scale-out log diverged at {threads} threads"
-        );
-        let pairs = json::parse_object(&stats).unwrap();
-        assert_eq!(num(&pairs, "arrivals"), 18);
-        assert_eq!(
-            num(&pairs, "accepted") + num(&pairs, "rejected") + num(&pairs, "shed"),
-            num(&pairs, "arrivals"),
-            "balance invariant broken after scale-out: {stats}"
-        );
-        assert_eq!(num(&pairs, "map_version"), 4, "three reshards from v1");
-    }
+    let steps = [
+        (n / 3, Step::Add("shard1")),
+        (2 * n / 3, Step::Add("shard2")),
+    ];
+    let steps2 = [(2 * n / 3 + 1, Step::Add("shard3"))];
+    // Two adds at one point and one later: 1→2→3→4 in total, with
+    // the last fired between different arrivals than the first two.
+    let all: Vec<(usize, Step)> = steps.into_iter().chain(steps2).collect();
+    let (log, stats) = resharded_replay(1, &all, spec);
+    assert_eq!(log, reference, "scale-out log diverged");
+    let pairs = json::parse_object(&stats).unwrap();
+    assert_eq!(num(&pairs, "arrivals"), 18);
+    assert_eq!(
+        num(&pairs, "accepted") + num(&pairs, "rejected") + num(&pairs, "shed"),
+        num(&pairs, "arrivals"),
+        "balance invariant broken after scale-out: {stats}"
+    );
+    assert_eq!(num(&pairs, "map_version"), 4, "three reshards from v1");
 }
 
 /// Scale-in: 4 → 3 → 2 members, the removed shards' domains migrating
@@ -226,23 +209,21 @@ fn scale_out_1_2_4_is_byte_identical_to_unsharded() {
 #[test]
 fn scale_in_4_2_is_byte_identical_to_unsharded() {
     let spec = TraceSpec::new(18, 2.4, 11).domains(5);
-    let reference = with_threads("1", || reference_log(spec));
+    let reference = reference_log(spec);
     let n = spec.generate().unwrap().len();
-    for threads in ["1", "4"] {
-        let steps = [
-            (n / 3, Step::Remove("shard3")),
-            (2 * n / 3, Step::Remove("shard1")),
-        ];
-        let (log, stats) = with_threads(threads, || resharded_replay(4, &steps, spec));
-        assert_eq!(log, reference, "scale-in log diverged at {threads} threads");
-        let pairs = json::parse_object(&stats).unwrap();
-        assert_eq!(
-            num(&pairs, "accepted") + num(&pairs, "rejected") + num(&pairs, "shed"),
-            num(&pairs, "arrivals"),
-            "balance invariant broken after scale-in: {stats}"
-        );
-        assert_eq!(num(&pairs, "map_version"), 3, "two reshards from v1");
-    }
+    let steps = [
+        (n / 3, Step::Remove("shard3")),
+        (2 * n / 3, Step::Remove("shard1")),
+    ];
+    let (log, stats) = resharded_replay(4, &steps, spec);
+    assert_eq!(log, reference, "scale-in log diverged");
+    let pairs = json::parse_object(&stats).unwrap();
+    assert_eq!(
+        num(&pairs, "accepted") + num(&pairs, "rejected") + num(&pairs, "shed"),
+        num(&pairs, "arrivals"),
+        "balance invariant broken after scale-in: {stats}"
+    );
+    assert_eq!(num(&pairs, "map_version"), 3, "two reshards from v1");
 }
 
 /// A reshard is explicit about its movement: the response reports the
@@ -351,77 +332,74 @@ fn reference_log_for(events: &[EventRecord], domains: usize) -> String {
 fn restarted_router_reconciles_layouts_and_stays_byte_identical() {
     let domains = 4;
     let (events, split) = drained_phase_trace(domains);
-    let reference = with_threads("1", || reference_log_for(&events, domains));
-    with_threads("1", || {
-        let dir = std::env::temp_dir().join(format!(
-            "dvs_router_restart_test_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = dir.join("map.wal");
-        let map = ShardMap::new(vec!["shard0", "shard1"], domains, Some(&journal)).unwrap();
-        let mut endpoints = Vec::new();
-        let mut handles = Vec::new();
-        for s in 0..2 {
-            let (addr, handle) = shard_server(&map.owned(s));
-            endpoints.push(ShardSpec {
-                addr,
-                replica: None,
-            });
-            handles.push(handle);
-        }
-        let mut router = Router::new(map, &endpoints, &client_config()).unwrap();
-        // A completed reshard journals the v2 cutover and leaves fenced
-        // holes on the exporters and imports on the joiner.
-        let (addr2, handle2) = shard_server(&[]);
-        handles.push(handle2);
-        let resp = router
-            .handle_line(&format!("{{\"op\":\"reshard\",\"add\":\"shard2={addr2}\"}}"))
-            .response;
-        assert!(resp.starts_with("{\"ok\":true"), "reshard refused: {resp}");
+    let reference = reference_log_for(&events, domains);
+    let dir = std::env::temp_dir().join(format!("dvs_router_restart_test_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("map.wal");
+    let map = ShardMap::new(vec!["shard0", "shard1"], domains, Some(&journal)).unwrap();
+    let mut endpoints = Vec::new();
+    let mut handles = Vec::new();
+    for s in 0..2 {
+        let (addr, handle) = shard_server(&map.owned(s));
         endpoints.push(ShardSpec {
-            addr: addr2,
+            addr,
             replica: None,
         });
-        let mut merged = String::new();
-        for event in &events[..split] {
-            let handled = router.handle_line(&request_line(event));
-            assert!(
-                handled.response.starts_with("{\"ok\":true"),
-                "pre-restart event {event:?} refused: {}",
-                handled.response
-            );
-        }
-        merged.push_str(router.merged_log());
-        // Restart: drop the router (shard servers keep serving) and
-        // rebuild it from the journal. The reloaded map is v2, which
-        // forces layout reconciliation against the live engines.
-        drop(router);
-        let reloaded = ShardMap::load(&journal).unwrap();
-        assert_eq!(reloaded.version(), 2, "the cutover must have journaled");
-        assert_eq!(reloaded.members().len(), 3);
-        let mut router = Router::new(reloaded, &endpoints, &client_config()).unwrap();
-        for event in &events[split..] {
-            let handled = router.handle_line(&request_line(event));
-            assert!(
-                handled.response.starts_with("{\"ok\":true"),
-                "post-restart event {event:?} refused: {}",
-                handled.response
-            );
-        }
-        merged.push_str(router.merged_log());
-        assert_eq!(
-            merged, reference,
-            "restarted-cluster log diverged from the unsharded reference"
-        );
-        let down = router.handle_line("{\"op\":\"shutdown\"}");
-        assert!(down.shutdown);
-        for h in handles {
-            h.join().unwrap();
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        handles.push(handle);
+    }
+    let mut router = Router::new(map, &endpoints, &client_config()).unwrap();
+    // A completed reshard journals the v2 cutover and leaves fenced
+    // holes on the exporters and imports on the joiner.
+    let (addr2, handle2) = shard_server(&[]);
+    handles.push(handle2);
+    let resp = router
+        .handle_line(&format!(
+            "{{\"op\":\"reshard\",\"add\":\"shard2={addr2}\"}}"
+        ))
+        .response;
+    assert!(resp.starts_with("{\"ok\":true"), "reshard refused: {resp}");
+    endpoints.push(ShardSpec {
+        addr: addr2,
+        replica: None,
     });
+    let mut merged = String::new();
+    for event in &events[..split] {
+        let handled = router.handle_line(&request_line(event));
+        assert!(
+            handled.response.starts_with("{\"ok\":true"),
+            "pre-restart event {event:?} refused: {}",
+            handled.response
+        );
+    }
+    merged.push_str(router.merged_log());
+    // Restart: drop the router (shard servers keep serving) and
+    // rebuild it from the journal. The reloaded map is v2, which
+    // forces layout reconciliation against the live engines.
+    drop(router);
+    let reloaded = ShardMap::load(&journal).unwrap();
+    assert_eq!(reloaded.version(), 2, "the cutover must have journaled");
+    assert_eq!(reloaded.members().len(), 3);
+    let mut router = Router::new(reloaded, &endpoints, &client_config()).unwrap();
+    for event in &events[split..] {
+        let handled = router.handle_line(&request_line(event));
+        assert!(
+            handled.response.starts_with("{\"ok\":true"),
+            "post-restart event {event:?} refused: {}",
+            handled.response
+        );
+    }
+    merged.push_str(router.merged_log());
+    assert_eq!(
+        merged, reference,
+        "restarted-cluster log diverged from the unsharded reference"
+    );
+    let down = router.handle_line("{\"op\":\"shutdown\"}");
+    assert!(down.shutdown);
+    for h in handles {
+        h.join().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Restart with tasks *in flight*: the id→global-domain table that
@@ -461,70 +439,65 @@ fn resumed_router_routes_departures_of_pre_restart_tasks() {
         ));
     }
     events.push(EventRecord::new(17.0, EventKind::Tick));
-    let reference = with_threads("1", || reference_log_for(&events, domains));
-    with_threads("1", || {
-        let dir = std::env::temp_dir().join(format!(
-            "dvs_router_resume_test_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = dir.join("map.wal");
-        let map = ShardMap::new(vec!["shard0", "shard1"], domains, Some(&journal)).unwrap();
-        let mut endpoints = Vec::new();
-        let mut handles = Vec::new();
-        for s in 0..2 {
-            let (addr, handle) = shard_server(&map.owned(s));
-            endpoints.push(ShardSpec {
-                addr,
-                replica: None,
-            });
-            handles.push(handle);
-        }
-        let mut router = Router::new(map, &endpoints, &client_config()).unwrap();
-        for event in &events[..split] {
-            let handled = router.handle_line(&request_line(event));
-            assert!(
-                handled.response.starts_with("{\"ok\":true"),
-                "pre-restart event {event:?} refused: {}",
-                handled.response
-            );
-        }
-        let mut merged = String::from(router.merged_log());
-        drop(router);
-        let reloaded = ShardMap::load(&journal).unwrap();
-        assert_eq!(reloaded.version(), 1, "no reshard happened");
-        let mut router = Router::resume(reloaded, &endpoints, &client_config()).unwrap();
-        for event in &events[split..] {
-            let handled = router.handle_line(&request_line(event));
-            assert!(
-                handled.response.starts_with("{\"ok\":true"),
-                "post-restart event {event:?} refused: {}",
-                handled.response
-            );
-        }
-        merged.push_str(router.merged_log());
-        assert_eq!(
-            merged, reference,
-            "resumed-cluster log diverged from the unsharded reference"
-        );
-        // The burned-id set was reconciled too: a stale duplicate of the
-        // task departed *before* the restart gets the typed refusal a
-        // continuously-running router would give, not unknown-task.
-        let stale = router
-            .handle_line("{\"op\":\"depart\",\"at\":18.0,\"id\":1}")
-            .response;
+    let reference = reference_log_for(&events, domains);
+    let dir = std::env::temp_dir().join(format!("dvs_router_resume_test_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("map.wal");
+    let map = ShardMap::new(vec!["shard0", "shard1"], domains, Some(&journal)).unwrap();
+    let mut endpoints = Vec::new();
+    let mut handles = Vec::new();
+    for s in 0..2 {
+        let (addr, handle) = shard_server(&map.owned(s));
+        endpoints.push(ShardSpec {
+            addr,
+            replica: None,
+        });
+        handles.push(handle);
+    }
+    let mut router = Router::new(map, &endpoints, &client_config()).unwrap();
+    for event in &events[..split] {
+        let handled = router.handle_line(&request_line(event));
         assert!(
-            stale.contains("already-departed"),
-            "stale depart after resume: {stale}"
+            handled.response.starts_with("{\"ok\":true"),
+            "pre-restart event {event:?} refused: {}",
+            handled.response
         );
-        let down = router.handle_line("{\"op\":\"shutdown\"}");
-        assert!(down.shutdown);
-        for h in handles {
-            h.join().unwrap();
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    });
+    }
+    let mut merged = String::from(router.merged_log());
+    drop(router);
+    let reloaded = ShardMap::load(&journal).unwrap();
+    assert_eq!(reloaded.version(), 1, "no reshard happened");
+    let mut router = Router::resume(reloaded, &endpoints, &client_config()).unwrap();
+    for event in &events[split..] {
+        let handled = router.handle_line(&request_line(event));
+        assert!(
+            handled.response.starts_with("{\"ok\":true"),
+            "post-restart event {event:?} refused: {}",
+            handled.response
+        );
+    }
+    merged.push_str(router.merged_log());
+    assert_eq!(
+        merged, reference,
+        "resumed-cluster log diverged from the unsharded reference"
+    );
+    // The burned-id set was reconciled too: a stale duplicate of the
+    // task departed *before* the restart gets the typed refusal a
+    // continuously-running router would give, not unknown-task.
+    let stale = router
+        .handle_line("{\"op\":\"depart\",\"at\":18.0,\"id\":1}")
+        .response;
+    assert!(
+        stale.contains("already-departed"),
+        "stale depart after resume: {stale}"
+    );
+    let down = router.handle_line("{\"op\":\"shutdown\"}");
+    assert!(down.shutdown);
+    for h in handles {
+        h.join().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An abandoned reshard attempt — a domain exported from its owner and
@@ -538,114 +511,115 @@ fn resumed_router_routes_departures_of_pre_restart_tasks() {
 fn abandoned_reshard_is_rolled_forward_by_the_next_reshard() {
     let domains = 6;
     let (events, _) = drained_phase_trace(domains);
-    let reference = with_threads("1", || reference_log_for(&events, domains));
-    with_threads("1", || {
-        let map = ShardMap::new(vec!["shard0", "shard1"], domains, None).unwrap();
-        let owned0 = map.owned(0);
-        let g = owned0[0];
-        let local = 0; // owned() is ascending, so g's engine-local index is 0
-        let mut endpoints = Vec::new();
-        let mut handles = Vec::new();
-        for s in 0..2 {
-            let (addr, handle) = shard_server(&map.owned(s));
-            endpoints.push(ShardSpec {
-                addr,
-                replica: None,
-            });
-            handles.push(handle);
-        }
-        let mut router = Router::new(map, &endpoints, &client_config()).unwrap();
-        // Simulate attempt #1 (add a "shard2" that never cut over):
-        // out-of-band export from the owner + import onto a stray
-        // server the router never learns about. The map stays v1, so
-        // the displaced domain's map owner is unchanged — exactly the
-        // shape a crashed-and-abandoned reshard leaves behind.
-        let (stray_addr, stray_handle) = shard_server(&[]);
-        handles.push(stray_handle);
-        let mut cfg = client_config();
-        cfg.addr = endpoints[0].addr.clone();
-        let mut owner = AdmitClient::new(cfg);
-        let resp = owner
-            .request(&format!("{{\"op\":\"export\",\"domain\":{local}}}"))
-            .unwrap();
-        let pairs = json::parse_object(&resp).unwrap();
-        assert_eq!(json::get(&pairs, "ok"), Some(&JsonValue::Bool(true)));
-        let payload = json::get(&pairs, "payload")
-            .and_then(JsonValue::as_str)
-            .unwrap()
-            .to_string();
-        let mut cfg = client_config();
-        cfg.addr = stray_addr;
-        let mut stray = AdmitClient::new(cfg);
-        let resp = stray
-            .request(&format!(
-                "{{\"op\":\"import\",\"key\":\"2:{g}\",\"payload\":\"{}\"}}",
-                json::escape(&payload)
-            ))
-            .unwrap();
-        assert!(resp.starts_with("{\"ok\":true"), "stray import refused: {resp}");
-        // The displaced domain now refuses arrivals, structurally.
-        let probe = format!(
-            "{{\"op\":\"arrive\",\"at\":0,\"id\":99,\"cycles\":10,\"period\":50,\
-             \"deadline\":50,\"penalty\":1,\"domain\":{g}}}"
+    let reference = reference_log_for(&events, domains);
+    let map = ShardMap::new(vec!["shard0", "shard1"], domains, None).unwrap();
+    let owned0 = map.owned(0);
+    let g = owned0[0];
+    let local = 0; // owned() is ascending, so g's engine-local index is 0
+    let mut endpoints = Vec::new();
+    let mut handles = Vec::new();
+    for s in 0..2 {
+        let (addr, handle) = shard_server(&map.owned(s));
+        endpoints.push(ShardSpec {
+            addr,
+            replica: None,
+        });
+        handles.push(handle);
+    }
+    let mut router = Router::new(map, &endpoints, &client_config()).unwrap();
+    // Simulate attempt #1 (add a "shard2" that never cut over):
+    // out-of-band export from the owner + import onto a stray
+    // server the router never learns about. The map stays v1, so
+    // the displaced domain's map owner is unchanged — exactly the
+    // shape a crashed-and-abandoned reshard leaves behind.
+    let (stray_addr, stray_handle) = shard_server(&[]);
+    handles.push(stray_handle);
+    let mut cfg = client_config();
+    cfg.addr = endpoints[0].addr.clone();
+    let mut owner = AdmitClient::new(cfg);
+    let resp = owner
+        .request(&format!("{{\"op\":\"export\",\"domain\":{local}}}"))
+        .unwrap();
+    let pairs = json::parse_object(&resp).unwrap();
+    assert_eq!(json::get(&pairs, "ok"), Some(&JsonValue::Bool(true)));
+    let payload = json::get(&pairs, "payload")
+        .and_then(JsonValue::as_str)
+        .unwrap()
+        .to_string();
+    let mut cfg = client_config();
+    cfg.addr = stray_addr;
+    let mut stray = AdmitClient::new(cfg);
+    let resp = stray
+        .request(&format!(
+            "{{\"op\":\"import\",\"key\":\"2:{g}\",\"payload\":\"{}\"}}",
+            json::escape(&payload)
+        ))
+        .unwrap();
+    assert!(
+        resp.starts_with("{\"ok\":true"),
+        "stray import refused: {resp}"
+    );
+    // The displaced domain now refuses arrivals, structurally.
+    let probe = format!(
+        "{{\"op\":\"arrive\",\"at\":0,\"id\":99,\"cycles\":10,\"period\":50,\
+         \"deadline\":50,\"penalty\":1,\"domain\":{g}}}"
+    );
+    let refused = router.handle_line(&probe).response;
+    let pairs = json::parse_object(&refused).unwrap();
+    assert_eq!(
+        json::get(&pairs, "kind").and_then(JsonValue::as_str),
+        Some("domain-fenced"),
+        "fenced domain must refuse structurally: {refused}"
+    );
+    // A *different* reshard (drain shard1 — nothing to do with the
+    // abandoned attempt) must notice the fenced-everywhere domain
+    // and re-home it onto its owner.
+    let resp = router
+        .handle_line("{\"op\":\"reshard\",\"remove\":\"shard1\"}")
+        .response;
+    let pairs = json::parse_object(&resp).unwrap();
+    assert_eq!(
+        json::get(&pairs, "ok"),
+        Some(&JsonValue::Bool(true)),
+        "roll-forward reshard refused: {resp}"
+    );
+    let moved = num(&pairs, "moved") as usize;
+    let from_drain = ShardMap::new(vec!["shard0", "shard1"], domains, None)
+        .unwrap()
+        .owned(1)
+        .len();
+    assert_eq!(
+        moved,
+        from_drain + 1,
+        "the displaced domain must ride along with the drain"
+    );
+    // With every domain live again the full trace replays exactly.
+    for event in &events {
+        let handled = router.handle_line(&request_line(event));
+        assert!(
+            handled.response.starts_with("{\"ok\":true"),
+            "post-roll-forward event {event:?} refused: {}",
+            handled.response
         );
-        let refused = router.handle_line(&probe).response;
-        let pairs = json::parse_object(&refused).unwrap();
-        assert_eq!(
-            json::get(&pairs, "kind").and_then(JsonValue::as_str),
-            Some("domain-fenced"),
-            "fenced domain must refuse structurally: {refused}"
-        );
-        // A *different* reshard (drain shard1 — nothing to do with the
-        // abandoned attempt) must notice the fenced-everywhere domain
-        // and re-home it onto its owner.
-        let resp = router
-            .handle_line("{\"op\":\"reshard\",\"remove\":\"shard1\"}")
-            .response;
-        let pairs = json::parse_object(&resp).unwrap();
-        assert_eq!(
-            json::get(&pairs, "ok"),
-            Some(&JsonValue::Bool(true)),
-            "roll-forward reshard refused: {resp}"
-        );
-        let moved = num(&pairs, "moved") as usize;
-        let from_drain = ShardMap::new(vec!["shard0", "shard1"], domains, None)
-            .unwrap()
-            .owned(1)
-            .len();
-        assert_eq!(
-            moved,
-            from_drain + 1,
-            "the displaced domain must ride along with the drain"
-        );
-        // With every domain live again the full trace replays exactly.
-        for event in &events {
-            let handled = router.handle_line(&request_line(event));
-            assert!(
-                handled.response.starts_with("{\"ok\":true"),
-                "post-roll-forward event {event:?} refused: {}",
-                handled.response
-            );
-        }
-        assert_eq!(
-            router.merged_log(),
-            reference,
-            "rolled-forward cluster diverged from the unsharded reference"
-        );
-        let down = router.handle_line("{\"op\":\"shutdown\"}");
-        assert!(down.shutdown);
-        // The stray server is outside the fleet, so the router's
-        // shutdown fan-out never reaches it — and both out-of-band
-        // clients must drop before the join: each server's accept loop
-        // joins its session threads, which only exit when their client
-        // side closes.
-        let _ = stray.request("{\"op\":\"shutdown\"}");
-        drop(owner);
-        drop(stray);
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
+    }
+    assert_eq!(
+        router.merged_log(),
+        reference,
+        "rolled-forward cluster diverged from the unsharded reference"
+    );
+    let down = router.handle_line("{\"op\":\"shutdown\"}");
+    assert!(down.shutdown);
+    // The stray server is outside the fleet, so the router's
+    // shutdown fan-out never reaches it — and both out-of-band
+    // clients must drop before the join: each server's accept loop
+    // joins its session threads, which only exit when their client
+    // side closes.
+    let _ = stray.request("{\"op\":\"shutdown\"}");
+    drop(owner);
+    drop(stray);
+    for h in handles {
+        h.join().unwrap();
+    }
 }
 
 /// A drained member rejoining at a **new address** (a fresh process)
@@ -676,7 +650,9 @@ fn rejoin_at_a_new_address_reconnects_and_migrates_to_the_new_process() {
     let (new_addr, new_handle) = shard_server(&[]);
     handles.push(new_handle);
     let resp = router
-        .handle_line(&format!("{{\"op\":\"reshard\",\"add\":\"shard1={new_addr}\"}}"))
+        .handle_line(&format!(
+            "{{\"op\":\"reshard\",\"add\":\"shard1={new_addr}\"}}"
+        ))
         .response;
     let pairs = json::parse_object(&resp).unwrap();
     assert_eq!(

@@ -7,7 +7,7 @@
 //! [`Simulator`](crate::Simulator) — each fault is drawn *statelessly* from
 //! the vendored SplitMix64 generator keyed on `(seed, fault kind, task, job)`,
 //! so a fixed seed yields bit-identical traces regardless of evaluation
-//! order or the `DVS_THREADS` setting of any surrounding parallel sweep.
+//! order or the worker count of any surrounding parallel sweep.
 //!
 //! A [`RecoveryPolicy`] selects how the runtime degrades when faults push the
 //! workload past feasibility:
@@ -164,8 +164,8 @@ fn mean_of_bins(bins: &[HistBin], total: f64) -> f64 {
 /// represents jobs that did *not* overrun) carries the observed count. A
 /// job's factor is drawn by inverse-CDF over the bin weights, then
 /// uniformly within the selected bin — both draws statelessly keyed on
-/// `(seed, tag, task, job)` exactly like the parametric models, so the
-/// `DVS_THREADS` determinism contract is untouched.
+/// `(seed, tag, task, job)` exactly like the parametric models, so traces
+/// stay independent of evaluation order.
 ///
 /// The trace file format is line-oriented: `lo hi count` per bin,
 /// `#`-comments and blank lines ignored. See

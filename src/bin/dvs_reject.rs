@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dvs-reject <taskset-file> [--alg ALG] [--power MODEL] [--levels K] [--budget N]
-//!            [--threads N] [--replay] [--all]
+//!            [--replay] [--all]
 //!
 //!   ALG:   greedy (default) | sweep | dp | bb | exhaustive | anneal |
 //!          local | accept-all | reject-all
@@ -11,8 +11,6 @@
 //!   --levels K   quantise the speed domain to K even levels
 //!   --budget N   anytime solve: cap bb/dp at N work units (nodes / DP
 //!                cells), returning the flagged best incumbent on expiry
-//!   --threads N  set DVS_THREADS for this process before solving (results
-//!                are identical for any N; this only changes wall-clock)
 //!   --replay     validate the solution on the EDF simulator
 //!   --all        print a comparison table of every algorithm
 //! ```
@@ -109,23 +107,12 @@ fn run() -> Result<(), String> {
                         .map_err(|e| format!("bad --budget: {e}"))?,
                 );
             }
-            "--threads" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                std::env::set_var(dvs_exec::THREADS_ENV, n.to_string());
-            }
             "--replay" => replay = true,
             "--all" => all = true,
             "--help" | "-h" => {
                 eprintln!(
                     "usage: dvs-reject <taskset-file> [--alg ALG] [--power xscale|cubic|xscale-table] \
-                     [--levels K] [--budget N] [--threads N] [--replay] [--all]"
+                     [--levels K] [--budget N] [--replay] [--all]"
                 );
                 return Ok(());
             }

@@ -20,8 +20,8 @@
 //! * [`multi`] (`multi-sched`) — partitioned multiprocessor extension.
 //! * [`admit`] (`dvs-admit`) — stateful online admission-control engine and
 //!   the `dvs_admitd` line-protocol server with periodic re-optimization.
-//! * [`exec`] (`dvs-exec`) — deterministic parallel execution layer
-//!   (`DVS_THREADS`).
+//! * [`router`] (`dvs-router`) — domain-sharded admission cluster behind
+//!   the `dvs_routerd` scatter-gather router.
 //!
 //! # Quickstart
 //!
@@ -48,8 +48,8 @@
 #![forbid(unsafe_code)]
 
 pub use dvs_admit as admit;
-pub use dvs_exec as exec;
 pub use dvs_power as power;
+pub use dvs_router as router;
 pub use edf_sim as sim;
 pub use multi_sched as multi;
 pub use reject_sched as sched;
