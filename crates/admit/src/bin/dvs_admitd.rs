@@ -27,8 +27,9 @@
 //!   --journal FILE   write-ahead journal: every applied event is CRC-framed
 //!                    and flushed before its decision is acknowledged
 //!   --recover        reconstruct engine state from the journal before
-//!                    serving (snapshot + deterministic replay of the tail;
-//!                    a missing journal file starts fresh)
+//!                    serving (last complete snapshot + the deltas after it
+//!                    + deterministic replay of the tail; a missing journal
+//!                    file starts fresh)
 //!   --snapshot-every N  embed an engine snapshot every N journaled events
 //!                    (default 256; 0 = only on drain/shutdown)
 //!   --fsync          snapshot (default): fsync on snapshots and drain only;

@@ -357,6 +357,40 @@ impl std::fmt::Display for Decision {
     }
 }
 
+impl Decision {
+    /// The bit-exact one-line form `<at:bits-hex> <task> <A|R|S|M>
+    /// <domain|->` shared by the journal's `O` records and a snapshot's
+    /// `x` lines.
+    pub(crate) fn coded(&self) -> impl std::fmt::Display + '_ {
+        struct Coded<'a>(&'a Decision);
+        impl std::fmt::Display for Coded<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let (code, domain) = match self.0.verdict {
+                    Verdict::Accepted { domain } => ('A', Some(domain)),
+                    Verdict::Rejected => ('R', None),
+                    Verdict::Shed { domain } => ('S', Some(domain)),
+                    Verdict::Readmitted { domain } => ('M', Some(domain)),
+                };
+                let (at, task) = (self.0.at.to_bits(), self.0.task.index());
+                write!(f, "{at:016x} {task} {code} {}", OrDash(domain))
+            }
+        }
+        Coded(self)
+    }
+}
+
+/// An optional value as a text column: the value, or `-`.
+struct OrDash<T>(Option<T>);
+
+impl<T: std::fmt::Display> std::fmt::Display for OrDash<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("-"),
+        }
+    }
+}
+
 /// One power domain's ledger.
 #[derive(Debug)]
 struct Domain {
@@ -395,6 +429,24 @@ struct Domain {
 }
 
 impl Domain {
+    /// An empty, unfenced domain over `cpu`, priced per `horizon` ticks.
+    fn new(cpu: Processor, horizon: u64) -> Result<Self, AdmitError> {
+        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, horizon)?;
+        let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, cpu.clone())?;
+        Ok(Domain {
+            cpu,
+            oracle,
+            active: Vec::new(),
+            reserved: Vec::new(),
+            committed: 0.0,
+            resolve_cache: None,
+            union_dirty: true,
+            needs_resolve: false,
+            fenced: false,
+            export_payload: None,
+        })
+    }
+
     fn recompute_committed(&mut self) {
         // `Sum<f64>`'s identity is -0.0; `+ 0.0` keeps the empty ledger
         // printing as plain 0 on the wire.
@@ -451,6 +503,21 @@ pub struct AdmissionEngine {
     /// timeout on the first attempt) lands on the same local index
     /// instead of duplicating the domain.
     imported: BTreeMap<String, usize>,
+    /// What the previous `S` record this process wrote already covers;
+    /// `None` until the first one after [`AdmissionEngine::attach_journal`],
+    /// which is therefore complete.
+    snapshot_base: Option<SnapshotBase>,
+}
+
+/// The history an `S` record extends instead of repeating: how much of the
+/// `departed` set and the decision log the previous `S` record covered.
+#[derive(Debug)]
+struct SnapshotBase {
+    departed: usize,
+    decisions: usize,
+    /// Ids departed since that record, in departure order — the one piece
+    /// of a delta that cannot be sliced out of the engine's own state.
+    fresh: Vec<TaskId>,
 }
 
 impl AdmissionEngine {
@@ -486,23 +553,10 @@ impl AdmissionEngine {
         policy: Box<dyn EnginePolicy>,
         config: EngineConfig,
     ) -> Result<Self, AdmitError> {
-        let mut domains = Vec::with_capacity(cpus.len());
-        for cpu in cpus {
-            let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, config.horizon)?;
-            let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, cpu.clone())?;
-            domains.push(Domain {
-                cpu,
-                oracle,
-                active: Vec::new(),
-                reserved: Vec::new(),
-                committed: 0.0,
-                resolve_cache: None,
-                union_dirty: true,
-                needs_resolve: false,
-                fenced: false,
-                export_payload: None,
-            });
-        }
+        let domains = cpus
+            .into_iter()
+            .map(|cpu| Domain::new(cpu, config.horizon))
+            .collect::<Result<_, _>>()?;
         Ok(AdmissionEngine {
             domains,
             policy,
@@ -516,6 +570,7 @@ impl AdmissionEngine {
             journal: None,
             epoch: 1,
             imported: BTreeMap::new(),
+            snapshot_base: None,
         })
     }
 
@@ -768,19 +823,39 @@ impl AdmissionEngine {
         for d in &self.decisions[first_new..] {
             j.append_outcome(d);
         }
+        if let (EventKind::Depart(id), Some(base)) = (&event.kind, &mut self.snapshot_base) {
+            base.fresh.push(*id);
+        }
         let mut res = Ok(());
         if j.want_snapshot() {
-            // Count the snapshot (and its own record) *before* encoding so
-            // the snapshot's counters include it.
-            self.metrics.snapshots_taken += 1;
-            self.metrics.journal_records = j.records() + 1;
-            let snapshot = self.encode_snapshot();
-            res = j.append_snapshot(&snapshot);
+            res = self.write_snapshot(&mut j);
         }
         let res = res.and_then(|()| j.flush());
         self.metrics.journal_records = j.records();
         self.journal = Some(j);
         res.map_err(|e| AdmitError::Journal(JournalError::Io(e)))
+    }
+
+    /// Appends an `S` record: a delta against the previous one this
+    /// process wrote, complete when there is none (or when it failed to
+    /// reach the file, so nothing ever builds on a record that may be torn).
+    fn write_snapshot(&mut self, j: &mut Journal) -> std::io::Result<()> {
+        // Count the snapshot (and its own record) *before* encoding so
+        // the snapshot's counters include it.
+        self.metrics.snapshots_taken += 1;
+        self.metrics.journal_records = j.records() + 1;
+        // A base that lost track of a departure cannot be extended.
+        let base = self
+            .snapshot_base
+            .take()
+            .filter(|b| b.departed + b.fresh.len() == self.departed.len());
+        j.append_snapshot(&self.encode_snapshot_since(base.as_ref()))?;
+        self.snapshot_base = Some(SnapshotBase {
+            departed: self.departed.len(),
+            decisions: self.decisions.len(),
+            fresh: Vec::new(),
+        });
+        Ok(())
     }
 
     fn is_present(&self, id: TaskId) -> bool {
@@ -1145,9 +1220,13 @@ impl AdmissionEngine {
 
     /// Attaches a write-ahead journal: from now on every applied event is
     /// framed and flushed before [`AdmissionEngine::apply_opts`] returns.
+    /// The first `S` record written to it is complete — whatever the file
+    /// already holds and however much history this engine carries — and
+    /// the ones after it are deltas.
     pub fn attach_journal(&mut self, journal: Journal) {
         self.metrics.journal_records = journal.records();
         self.journal = Some(journal);
+        self.snapshot_base = None;
     }
 
     /// The attached journal, if any.
@@ -1250,10 +1329,7 @@ impl AdmissionEngine {
         let Some(mut j) = self.journal.take() else {
             return Ok(());
         };
-        self.metrics.snapshots_taken += 1;
-        self.metrics.journal_records = j.records() + 1;
-        let snapshot = self.encode_snapshot();
-        let res = j.append_snapshot(&snapshot);
+        let res = self.write_snapshot(&mut j);
         self.metrics.journal_records = j.records();
         self.journal = Some(j);
         res.map_err(|e| AdmitError::Journal(JournalError::Io(e)))
@@ -1446,8 +1522,7 @@ impl AdmissionEngine {
         }
         let exported = Self::decode_export(payload)?;
         let local = self.domains.len();
-        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, self.config.horizon)?;
-        let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, exported.cpu.clone())?;
+        let mut domain = Domain::new(exported.cpu, self.config.horizon)?;
         let active: Vec<Task> = exported
             .active
             .iter()
@@ -1472,18 +1547,9 @@ impl AdmissionEngine {
         for &(id, penalty) in &exported.rejected {
             self.unserved.push((id, penalty, Some(local)));
         }
-        let mut domain = Domain {
-            cpu: exported.cpu,
-            oracle,
-            active,
-            reserved,
-            committed: 0.0,
-            resolve_cache: None,
-            union_dirty: true,
-            needs_resolve: exported.needs_resolve,
-            fenced: false,
-            export_payload: None,
-        };
+        domain.active = active;
+        domain.reserved = reserved;
+        domain.needs_resolve = exported.needs_resolve;
         domain.recompute_committed();
         self.domains.push(domain);
         let m = &mut self.metrics;
@@ -1526,11 +1592,7 @@ impl AdmissionEngine {
         for (tag, ledger) in [("active", &d.active), ("reserved", &d.reserved)] {
             let _ = write!(s, " {tag} {}", ledger.len());
             for t in ledger {
-                let deadline = if t.is_implicit_deadline() {
-                    "-".to_string()
-                } else {
-                    t.deadline().to_string()
-                };
+                let deadline = OrDash((!t.is_implicit_deadline()).then(|| t.deadline()));
                 let _ = write!(
                     s,
                     " {} {:016x} {} {deadline} {:016x}",
@@ -1598,27 +1660,21 @@ impl AdmissionEngine {
                 let period = xp_u64(&mut tokens, "period")?;
                 let deadline = xp_next(&mut tokens, "deadline")?;
                 let penalty = Self::export_bits(xp_next(&mut tokens, "penalty bits")?)?;
-                let mut task = Task::new(id, wcec, period)
-                    .map_err(|e| AdmitError::Migration {
-                        reason: format!("task {id}: {e}"),
-                    })?
-                    .with_penalty(penalty);
-                if deadline != "-" {
-                    let deadline: u64 = deadline.parse().map_err(|_| AdmitError::Migration {
-                        reason: format!("unparseable deadline {deadline:?}"),
-                    })?;
-                    task = task
-                        .with_deadline(deadline)
-                        .map_err(|e| AdmitError::Migration {
-                            reason: format!("task {id}: {e}"),
-                        })?;
-                }
+                let task = decoded_task(id, wcec, period, deadline, penalty)
+                    .map_err(|reason| AdmitError::Migration { reason })?;
                 ledger.push(task);
             }
         }
         let [active, reserved] = ledgers;
         xp_expect(&mut tokens, "rej")?;
         let n = xp_usize(&mut tokens, "rejected length")?;
+        // Every entry is two tokens: a length the payload cannot hold is
+        // refused before anything is allocated from it.
+        if n > payload.len() / 4 {
+            return Err(AdmitError::Migration {
+                reason: format!("rejected length {n} exceeds the payload"),
+            });
+        }
         let mut rejected = Vec::with_capacity(n);
         for _ in 0..n {
             let id = xp_usize(&mut tokens, "rejected id")?;
@@ -1650,7 +1706,7 @@ impl AdmissionEngine {
             })
     }
 
-    /// Serializes the engine's complete deterministic state as the `S`
+    /// Serializes the engine's complete deterministic state as an `S`
     /// record payload: a line-oriented text block in which every float is
     /// stored as raw `f64` bits (hex) or via Rust's shortest round-trip
     /// `Display` — both parse back bit-identically, so an engine restored
@@ -1659,10 +1715,31 @@ impl AdmissionEngine {
     /// are deliberately excluded: they are rebuilt on demand and memoized
     /// pricing replays exact naive bits, so rebuilt caches cannot shift a
     /// decision.
+    ///
+    /// This is the *complete* form — `base 0 0`, the whole `departed` set
+    /// and decision log — which restores onto a fresh engine by itself.
+    /// The journal writes it once per attached journal and afterwards the
+    /// same format as a *delta*: the bounded state in full, plus only the
+    /// departed ids and decisions added since the previous `S` record,
+    /// whose counts the `base` line states.
     #[must_use]
     pub fn encode_snapshot(&self) -> String {
+        self.encode_snapshot_since(None)
+    }
+
+    /// The one snapshot encoder: a delta against `base`, or — the delta
+    /// from zero — the complete form.
+    fn encode_snapshot_since(&self, base: Option<&SnapshotBase>) -> String {
         use std::fmt::Write as _;
-        let mut s = String::from("dvs-admit-snapshot v2\n");
+        fn departed<'a>(s: &mut String, ids: impl ExactSizeIterator<Item = &'a TaskId>) {
+            let _ = writeln!(s, "departed {}", ids.len());
+            for id in ids {
+                let _ = writeln!(s, "d {}", id.index());
+            }
+        }
+        let mut s = String::from(SNAPSHOT_HEADER);
+        let (base_departed, base_decisions) = base.map_or((0, 0), |b| (b.departed, b.decisions));
+        let _ = writeln!(s, "\nbase {base_departed} {base_decisions}");
         let _ = writeln!(s, "policy {}", self.policy.name());
         if let Some(state) = self.policy.snapshot_state() {
             let _ = writeln!(s, "pstate {state}");
@@ -1721,7 +1798,7 @@ impl AdmissionEngine {
                 d.reserved.len(),
                 u8::from(d.fenced)
             );
-            // v2 embeds the processor spec, so a restoring engine can
+            // The processor spec is embedded so a restoring engine can
             // rebuild domains beyond the ones it was constructed with
             // (the live-resharding import targets) and cross-check the
             // rest bit-exactly.
@@ -1736,94 +1813,84 @@ impl AdmissionEngine {
             }
             for (tag, ledger) in [('a', &d.active), ('r', &d.reserved)] {
                 for t in ledger {
-                    let deadline = if t.is_implicit_deadline() {
-                        "-".to_string()
-                    } else {
-                        t.deadline().to_string()
-                    };
-                    // The pin column is only present for pinned tasks so
-                    // snapshots of unpinned engines keep their original
-                    // byte format.
-                    match t.domain() {
-                        Some(pin) => {
-                            let _ = writeln!(
-                                s,
-                                "{tag} {} {} {} {deadline} {} {pin}",
-                                t.id().index(),
-                                t.wcec(),
-                                t.period(),
-                                t.penalty()
-                            );
-                        }
-                        None => {
-                            let _ = writeln!(
-                                s,
-                                "{tag} {} {} {} {deadline} {}",
-                                t.id().index(),
-                                t.wcec(),
-                                t.period(),
-                                t.penalty()
-                            );
-                        }
-                    }
+                    let deadline = (!t.is_implicit_deadline()).then(|| t.deadline());
+                    let _ = writeln!(
+                        s,
+                        "{tag} {} {} {} {} {} {}",
+                        t.id().index(),
+                        t.wcec(),
+                        t.period(),
+                        OrDash(deadline),
+                        t.penalty(),
+                        OrDash(t.domain())
+                    );
                 }
             }
         }
         let _ = writeln!(s, "unserved {}", self.unserved.len());
         for (id, penalty, pin) in &self.unserved {
-            match pin {
-                Some(pin) => {
-                    let _ = writeln!(s, "u {} {:016x} {pin}", id.index(), penalty.to_bits());
-                }
-                None => {
-                    let _ = writeln!(s, "u {} {:016x}", id.index(), penalty.to_bits());
-                }
-            }
+            let _ = writeln!(
+                s,
+                "u {} {:016x} {}",
+                id.index(),
+                penalty.to_bits(),
+                OrDash(*pin)
+            );
         }
-        let _ = writeln!(s, "departed {}", self.departed.len());
-        for id in &self.departed {
-            let _ = writeln!(s, "d {}", id.index());
+        match base {
+            Some(b) => departed(&mut s, b.fresh.iter()),
+            None => departed(&mut s, self.departed.iter()),
         }
         let _ = writeln!(s, "imported {}", self.imported.len());
         for (key, local) in &self.imported {
             let _ = writeln!(s, "i {key} {local}");
         }
-        let _ = writeln!(s, "decisions {}", self.decisions.len());
-        for d in &self.decisions {
-            let (code, domain) = match d.verdict {
-                Verdict::Accepted { domain } => ('A', Some(domain)),
-                Verdict::Rejected => ('R', None),
-                Verdict::Shed { domain } => ('S', Some(domain)),
-                Verdict::Readmitted { domain } => ('M', Some(domain)),
-            };
-            let domain = domain.map_or_else(|| "-".to_string(), |x| x.to_string());
-            let _ = writeln!(
-                s,
-                "x {:016x} {} {code} {domain}",
-                d.at.to_bits(),
-                d.task.index()
-            );
+        let decisions = &self.decisions[base_decisions..];
+        let _ = writeln!(s, "decisions {}", decisions.len());
+        for d in decisions {
+            let _ = writeln!(s, "x {}", d.coded());
         }
         s.push_str("end\n");
         s
     }
 
-    /// Restores state captured by [`AdmissionEngine::encode_snapshot`]
-    /// into this (freshly constructed) engine. The engine must have been
-    /// built with the same domains, policy, and configuration as the one
-    /// that wrote the snapshot — mismatches are errors, not silent
-    /// adoption of the snapshot's values.
+    /// Folds one `S` record payload into this engine. The bounded state —
+    /// clock, counters, ledgers, `unserved`, `imported` — is replaced; the
+    /// record's departed ids and decisions *extend* the engine's, and its
+    /// `base` line must state exactly the counts the engine holds. The
+    /// complete form of [`AdmissionEngine::encode_snapshot`] (`base 0 0`)
+    /// therefore restores onto a freshly constructed engine, and a delta
+    /// only onto the state its predecessor left — anything else is an
+    /// error, never a silent splice. The engine must have been built with
+    /// the same policy and configuration as the one that wrote the
+    /// snapshot and with a prefix of its domains — mismatches are errors,
+    /// not silent adoption of the snapshot's values. No allocation is sized
+    /// from a count the remaining input could not hold.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Snapshot`] naming the offending line.
+    /// [`JournalError::Snapshot`] naming the offending line; the engine
+    /// may be left partly updated.
     pub fn restore_snapshot(&mut self, text: &str) -> Result<(), JournalError> {
         let mut cur = SnapCursor::new(text);
-        let v2 = match cur.next()? {
-            "dvs-admit-snapshot v1" => false,
-            "dvs-admit-snapshot v2" => true,
-            other => return Err(cur.err(format!("bad snapshot header {other:?}"))),
-        };
+        let header = cur.next()?;
+        if header != SNAPSHOT_HEADER {
+            return Err(cur.err(format!(
+                "unsupported snapshot version {header:?}, this build reads {SNAPSHOT_HEADER:?}"
+            )));
+        }
+        {
+            let line = cur.next()?;
+            let cols = Self::cols_tagged(&cur, line, "base", 2)?;
+            let base = (cur.parse_u64(cols[0])?, cur.parse_u64(cols[1])?);
+            let held = (self.departed.len() as u64, self.decisions.len() as u64);
+            if base != held {
+                return Err(cur.err(format!(
+                    "snapshot extends {} departed ids and {} decisions, engine holds {} and {}",
+                    base.0, base.1, held.0, held.1
+                )));
+            }
+        }
         let policy = cur.tagged("policy")?;
         if policy != self.policy.name() {
             return Err(cur.err(format!(
@@ -1862,13 +1929,10 @@ impl AdmissionEngine {
         self.clock = cur.parse_bits(clock)?;
         let tsr = cur.one_tagged("tsr")?;
         self.ticks_since_resolve = cur.parse_u64(tsr)?;
+        let epoch = cur.one_tagged("epoch")?;
+        self.epoch = cur.parse_u64(epoch)?;
         {
-            let mut line = cur.next()?;
-            // Optional for compatibility with pre-replication snapshots.
-            if let Some(epoch) = line.strip_prefix("epoch ") {
-                self.epoch = cur.parse_u64(epoch)?;
-                line = cur.next()?;
-            }
+            let line = cur.next()?;
             let cols = Self::cols_tagged(&cur, line, "counters", 17)?;
             let v: Vec<u64> = cols
                 .iter()
@@ -1900,14 +1964,12 @@ impl AdmissionEngine {
             self.metrics.penalty_accrued = cur.parse_bits(cols[1])?;
             self.metrics.penalty_charged = cur.parse_bits(cols[2])?;
         }
-        let n_domains = cur.one_tagged("domains")?;
-        let n_domains = cur.parse_u64(n_domains)? as usize;
-        // v1 snapshots require the exact engine shape. v2 snapshots may
-        // carry *more* domains than the engine was constructed with — the
-        // live-resharding import targets — and embed each domain's
-        // processor spec so the extras can be rebuilt (and the rest
-        // cross-checked) here.
-        if n_domains != self.domains.len() && (!v2 || n_domains < self.domains.len()) {
+        // A snapshot may carry *more* domains than the engine was
+        // constructed with — the live-resharding import targets — and
+        // embeds each domain's processor spec so the extras can be
+        // rebuilt (and the rest cross-checked) here.
+        let n_domains = cur.counted("domains")?;
+        if n_domains < self.domains.len() {
             return Err(cur.err(format!(
                 "snapshot has {n_domains} domains, engine has {}",
                 self.domains.len()
@@ -1915,67 +1977,48 @@ impl AdmissionEngine {
         }
         for i in 0..n_domains {
             let line = cur.next()?;
-            let cols = Self::cols_tagged(&cur, line, "domain", if v2 { 4 } else { 3 })?;
+            let cols = Self::cols_tagged(&cur, line, "domain", 4)?;
             let needs_resolve = cols[0] == "1";
-            let n_active = cur.parse_u64(cols[1])? as usize;
-            let n_reserved = cur.parse_u64(cols[2])? as usize;
-            let fenced = v2 && cols[3] == "1";
+            let n_active = cur.parse_count(cols[1])?;
+            let n_reserved = cur.parse_count(cols[2])?;
+            let fenced = cols[3] == "1";
+            let line = cur.next()?;
+            let rest = line
+                .strip_prefix("cpu ")
+                .ok_or_else(|| cur.err(format!("expected a \"cpu\" line, found {line:?}")))?;
+            let (_count, spec) = rest
+                .split_once(' ')
+                .ok_or_else(|| cur.err("\"cpu\" line missing its spec"))?;
+            let cpu = Processor::decode_spec(spec)
+                .map_err(|e| cur.err(format!("domain {i} cpu spec: {e}")))?;
+            if i < self.domains.len() {
+                if self.domains[i].cpu != cpu {
+                    return Err(cur.err(format!(
+                        "snapshot domain {i} processor differs from this engine's"
+                    )));
+                }
+            } else {
+                let domain =
+                    Domain::new(cpu, self.config.horizon).map_err(|e| cur.err(e.to_string()))?;
+                self.domains.push(domain);
+            }
             let mut export_payload = None;
-            if v2 {
+            if fenced {
                 let line = cur.next()?;
-                let rest = line
-                    .strip_prefix("cpu ")
-                    .ok_or_else(|| cur.err(format!("expected a \"cpu\" line, found {line:?}")))?;
-                let (_count, spec) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| cur.err("\"cpu\" line missing its spec"))?;
-                let cpu = Processor::decode_spec(spec)
-                    .map_err(|e| cur.err(format!("domain {i} cpu spec: {e}")))?;
-                if i < self.domains.len() {
-                    if self.domains[i].cpu != cpu {
-                        return Err(cur.err(format!(
-                            "snapshot domain {i} processor differs from this engine's"
-                        )));
-                    }
-                } else {
-                    let horizon = self.config.horizon;
-                    let domain = (move || -> Result<Domain, AdmitError> {
-                        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, horizon)?;
-                        let oracle =
-                            Instance::new(TaskSet::try_from_tasks([anchor])?, cpu.clone())?;
-                        Ok(Domain {
-                            cpu,
-                            oracle,
-                            active: Vec::new(),
-                            reserved: Vec::new(),
-                            committed: 0.0,
-                            resolve_cache: None,
-                            union_dirty: true,
-                            needs_resolve: false,
-                            fenced: false,
-                            export_payload: None,
-                        })
-                    })()
-                    .map_err(|e| cur.err(e.to_string()))?;
-                    self.domains.push(domain);
-                }
-                if fenced {
-                    let line = cur.next()?;
-                    let payload = line.strip_prefix("xport ").ok_or_else(|| {
-                        cur.err(format!("fenced domain {i} missing its \"xport\" line"))
-                    })?;
-                    export_payload = Some(payload.to_string());
-                }
+                let payload = line.strip_prefix("xport ").ok_or_else(|| {
+                    cur.err(format!("fenced domain {i} missing its \"xport\" line"))
+                })?;
+                export_payload = Some(payload.to_string());
             }
             let mut active = Vec::with_capacity(n_active);
             let mut reserved = Vec::with_capacity(n_reserved);
             for (tag, n, ledger) in [
-                ('a', n_active, &mut active),
-                ('r', n_reserved, &mut reserved),
+                ("a", n_active, &mut active),
+                ("r", n_reserved, &mut reserved),
             ] {
                 for _ in 0..n {
                     let line = cur.next()?;
-                    ledger.push(cur.parse_task(line, tag)?);
+                    ledger.push(cur.parse_task(line, tag, n_domains)?);
                 }
             }
             let d = &mut self.domains[i];
@@ -1990,48 +2033,33 @@ impl AdmissionEngine {
             d.fenced = fenced;
             d.export_payload = export_payload;
         }
-        let n_unserved = cur.one_tagged("unserved")?;
-        let n_unserved = cur.parse_u64(n_unserved)? as usize;
+        let n_unserved = cur.counted("unserved")?;
         self.unserved = Vec::with_capacity(n_unserved);
         for _ in 0..n_unserved {
             let line = cur.next()?;
-            // 2 columns (id, penalty bits) pre-pinning; 3 with a pin.
-            let cols: Vec<&str> = line.split_whitespace().collect();
-            if cols.first() != Some(&"u") || !(cols.len() == 3 || cols.len() == 4) {
-                return Err(cur.err(format!("malformed \"u\" unserved line {line:?}")));
-            }
-            let pin = match cols.get(3) {
-                Some(p) => Some(cur.parse_u64(p)? as usize),
-                None => None,
-            };
+            let cols = Self::cols_tagged(&cur, line, "u", 3)?;
             self.unserved.push((
-                TaskId::new(cur.parse_u64(cols[1])? as usize),
-                cur.parse_bits(cols[2])?,
-                pin,
+                TaskId::new(cur.parse_u64(cols[0])? as usize),
+                cur.parse_bits(cols[1])?,
+                cur.parse_pin(cols[2], n_domains)?,
             ));
         }
-        let n_departed = cur.one_tagged("departed")?;
-        let n_departed = cur.parse_u64(n_departed)? as usize;
-        self.departed = BTreeSet::new();
-        for _ in 0..n_departed {
+        for _ in 0..cur.counted("departed")? {
             let id = cur.one_tagged("d")?;
             let id = cur.parse_u64(id)? as usize;
-            self.departed.insert(TaskId::new(id));
-        }
-        self.imported = BTreeMap::new();
-        if v2 {
-            let n_imported = cur.one_tagged("imported")?;
-            let n_imported = cur.parse_u64(n_imported)? as usize;
-            for _ in 0..n_imported {
-                let line = cur.next()?;
-                let cols = Self::cols_tagged(&cur, line, "i", 2)?;
-                let local = cur.parse_u64(cols[1])? as usize;
-                self.imported.insert(cols[0].to_string(), local);
+            if !self.departed.insert(TaskId::new(id)) {
+                return Err(cur.err(format!("departed id {id} is already recorded")));
             }
         }
-        let n_decisions = cur.one_tagged("decisions")?;
-        let n_decisions = cur.parse_u64(n_decisions)? as usize;
-        self.decisions = Vec::with_capacity(n_decisions);
+        self.imported = BTreeMap::new();
+        for _ in 0..cur.counted("imported")? {
+            let line = cur.next()?;
+            let cols = Self::cols_tagged(&cur, line, "i", 2)?;
+            let local = cur.parse_u64(cols[1])? as usize;
+            self.imported.insert(cols[0].to_string(), local);
+        }
+        let n_decisions = cur.counted("decisions")?;
+        self.decisions.reserve(n_decisions);
         for _ in 0..n_decisions {
             let line = cur.next()?;
             let cols = Self::cols_tagged(&cur, line, "x", 4)?;
@@ -2074,12 +2102,16 @@ impl AdmissionEngine {
     }
 
     /// Reconstructs an engine from the journal at `path`: restore the
-    /// last embedded snapshot (if any), deterministically replay the
-    /// event-record tail after it, truncate any torn bytes, and reopen the
-    /// journal for appending. The result's decision log is bit-identical
-    /// to the engine that wrote the journal, at the point of its last
-    /// flushed record — the crash-recovery invariant the chaos suite
-    /// asserts.
+    /// last *complete* `S` record of the valid prefix (if any), fold the
+    /// delta `S` records after it in file order, deterministically replay
+    /// the `E`/`B`/`X`/`I` tail after the last `S`, truncate any torn
+    /// bytes, and reopen the journal for appending. `O` records are never
+    /// read: decisions come from the snapshots and the replay. The
+    /// result's decision log is bit-identical to the engine that wrote the
+    /// journal, at the point of its last flushed record — the
+    /// crash-recovery invariant the chaos suite asserts. A torn final `S`
+    /// is not part of the valid prefix, so recovery falls back to the one
+    /// before it and a longer replay.
     ///
     /// `cpus`, `policy`, and `config` must match the original serving
     /// configuration (the snapshot cross-checks them). A missing file is
@@ -2116,13 +2148,20 @@ impl AdmissionEngine {
             });
         }
         let scan = journal::scan(path).map_err(JournalError::Io)?;
-        let start = match scan.last_snapshot() {
-            Some(i) => {
-                engine.restore_snapshot(&scan.records[i].payload)?;
-                i + 1
-            }
-            None => 0,
-        };
+        let is_snapshot = |r: &journal::ScannedRecord| r.kind == RecordKind::Snapshot;
+        let start = scan.last_snapshot().map_or(0, |i| i + 1);
+        // The last complete `S` anchors; every `S` after it is a delta
+        // on its predecessor (`restore_snapshot` checks that it is).
+        let anchor = scan.records[..start]
+            .iter()
+            .rposition(|r| is_snapshot(r) && snapshot_is_complete(&r.payload))
+            .unwrap_or(0);
+        for rec in scan.records[anchor..start]
+            .iter()
+            .filter(|r| is_snapshot(r))
+        {
+            engine.restore_snapshot(&rec.payload)?;
+        }
         let mut replayed = 0u64;
         for (idx, rec) in scan.records.iter().enumerate().skip(start) {
             let replay_err = |reason: String| JournalError::Replay {
@@ -2193,8 +2232,7 @@ impl AdmissionEngine {
         engine.metrics.recoveries += 1;
         engine.metrics.records_lost += scan.records_lost;
         let journal = Journal::append_to(path, jconfig, &scan).map_err(JournalError::Io)?;
-        engine.metrics.journal_records = journal.records();
-        engine.journal = Some(journal);
+        engine.attach_journal(journal);
         Ok(Recovered {
             replayed,
             had_snapshot: start > 0,
@@ -2347,27 +2385,65 @@ pub struct Recovered {
     pub bytes_lost: u64,
 }
 
+/// First line of every `S` record payload. The format has one version:
+/// anything else is refused by name, never half-parsed.
+const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v3";
+
+/// Whether an `S` record payload is complete (extends nothing), i.e. can
+/// anchor a recovery by itself.
+fn snapshot_is_complete(payload: &str) -> bool {
+    payload.lines().nth(1) == Some("base 0 0")
+}
+
+/// Builds a ledger task from decoded columns (`deadline` is a number or
+/// `-`), refusing the values `Task`'s builders would panic on.
+fn decoded_task(
+    id: usize,
+    wcec: f64,
+    period: u64,
+    deadline: &str,
+    penalty: f64,
+) -> Result<Task, String> {
+    if !penalty.is_finite() || penalty < 0.0 {
+        return Err(format!("task {id}: invalid penalty {penalty}"));
+    }
+    let mut task = Task::new(id, wcec, period)
+        .map_err(|e| format!("task {id}: {e}"))?
+        .with_penalty(penalty);
+    if deadline != "-" {
+        let deadline: u64 = deadline
+            .parse()
+            .map_err(|_| format!("task {id}: cannot parse deadline {deadline:?}"))?;
+        task = task
+            .with_deadline(deadline)
+            .map_err(|e| format!("task {id}: {e}"))?;
+    }
+    Ok(task)
+}
+
 /// Line cursor over a snapshot payload, tracking the line number for
 /// error reporting.
 struct SnapCursor<'a> {
-    lines: std::str::Lines<'a>,
+    rest: &'a str,
     line_no: usize,
 }
 
 impl<'a> SnapCursor<'a> {
     fn new(text: &'a str) -> Self {
         SnapCursor {
-            lines: text.lines(),
+            rest: text,
             line_no: 0,
         }
     }
 
     fn next(&mut self) -> Result<&'a str, JournalError> {
         self.line_no += 1;
-        self.lines.next().ok_or(JournalError::Snapshot {
-            line: self.line_no,
-            reason: "unexpected end of snapshot".to_string(),
-        })
+        if self.rest.is_empty() {
+            return Err(self.err("unexpected end of snapshot"));
+        }
+        let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+        self.rest = rest;
+        Ok(line)
     }
 
     fn err(&self, reason: impl Into<String>) -> JournalError {
@@ -2395,9 +2471,29 @@ impl<'a> SnapCursor<'a> {
         Ok(rest)
     }
 
+    /// Next line of the form `"<tag> <count>"` — see [`Self::parse_count`].
+    fn counted(&mut self, tag: &str) -> Result<usize, JournalError> {
+        let n = self.one_tagged(tag)?;
+        self.parse_count(n)
+    }
+
     fn parse_u64(&self, s: &str) -> Result<u64, JournalError> {
         s.parse()
             .map_err(|_| self.err(format!("cannot parse integer {s:?}")))
+    }
+
+    /// Parses the number of item lines that follow. Every item is a line
+    /// of at least two bytes, so a count the remaining input cannot hold
+    /// is refused here — callers may allocate from what this returns.
+    fn parse_count(&self, s: &str) -> Result<usize, JournalError> {
+        let n = self.parse_u64(s)?;
+        if n > self.rest.len() as u64 / 2 {
+            return Err(self.err(format!(
+                "count {n} exceeds what the remaining {} bytes can hold",
+                self.rest.len()
+            )));
+        }
+        Ok(n as usize)
     }
 
     fn parse_bits(&self, s: &str) -> Result<f64, JournalError> {
@@ -2406,45 +2502,40 @@ impl<'a> SnapCursor<'a> {
             .map_err(|_| self.err(format!("cannot parse f64 bits {s:?}")))
     }
 
+    /// Parses a pin column: a domain index below `domains`, or `-`.
+    fn parse_pin(&self, s: &str, domains: usize) -> Result<Option<usize>, JournalError> {
+        if s == "-" {
+            return Ok(None);
+        }
+        match s.parse() {
+            Ok(pin) if pin < domains => Ok(Some(pin)),
+            _ => Err(self.err(format!("bad domain pin {s:?} ({domains} domains)"))),
+        }
+    }
+
     /// Parses a ledger task line `"<tag> <id> <wcec> <period> <deadline|->
-    /// <penalty> [domain]"` (the task-set column format; floats round-trip
-    /// bit-exactly through `Display`). The optional trailing column is the
-    /// power-domain pin.
-    fn parse_task(&self, line: &str, tag: char) -> Result<Task, JournalError> {
-        let cols: Vec<&str> = line.split_whitespace().collect();
-        if !(cols.len() == 6 || cols.len() == 7) || cols[0] != tag.to_string() {
-            return Err(self.err(format!("malformed {tag:?} task line {line:?}")));
-        }
-        let id: usize = cols[1]
+    /// <penalty> <pin|->"` (the task-set column format; floats round-trip
+    /// bit-exactly through `Display`).
+    fn parse_task(&self, line: &str, tag: &str, domains: usize) -> Result<Task, JournalError> {
+        let cols = AdmissionEngine::cols_tagged(self, line, tag, 6)?;
+        let id: usize = cols[0]
             .parse()
-            .map_err(|_| self.err(format!("cannot parse task id {:?}", cols[1])))?;
-        let wcec: f64 = cols[2]
+            .map_err(|_| self.err(format!("cannot parse task id {:?}", cols[0])))?;
+        let wcec: f64 = cols[1]
             .parse()
-            .map_err(|_| self.err(format!("cannot parse wcec {:?}", cols[2])))?;
-        let period: u64 = cols[3]
+            .map_err(|_| self.err(format!("cannot parse wcec {:?}", cols[1])))?;
+        let period: u64 = cols[2]
             .parse()
-            .map_err(|_| self.err(format!("cannot parse period {:?}", cols[3])))?;
-        let penalty: f64 = cols[5]
+            .map_err(|_| self.err(format!("cannot parse period {:?}", cols[2])))?;
+        let penalty: f64 = cols[4]
             .parse()
-            .map_err(|_| self.err(format!("cannot parse penalty {:?}", cols[5])))?;
-        let mut task = Task::new(id, wcec, period)
-            .map_err(|e| self.err(e.to_string()))?
-            .with_penalty(penalty);
-        if cols[4] != "-" {
-            let deadline: u64 = cols[4]
-                .parse()
-                .map_err(|_| self.err(format!("cannot parse deadline {:?}", cols[4])))?;
-            task = task
-                .with_deadline(deadline)
-                .map_err(|e| self.err(e.to_string()))?;
-        }
-        if let Some(pin) = cols.get(6) {
-            let pin: usize = pin
-                .parse()
-                .map_err(|_| self.err(format!("cannot parse domain pin {pin:?}")))?;
-            task = task.with_domain(pin);
-        }
-        Ok(task)
+            .map_err(|_| self.err(format!("cannot parse penalty {:?}", cols[4])))?;
+        let task =
+            decoded_task(id, wcec, period, cols[3], penalty).map_err(|reason| self.err(reason))?;
+        Ok(match self.parse_pin(cols[5], domains)? {
+            Some(pin) => task.with_domain(pin),
+            None => task,
+        })
     }
 }
 

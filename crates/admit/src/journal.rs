@@ -3,10 +3,15 @@
 //! The admission engine's durability layer. Every successfully applied
 //! event is appended to the journal — *before* the serving layer
 //! acknowledges the decision — as a CRC-framed record; periodically the
-//! engine embeds a full snapshot of its deterministic state in the same
-//! file. Recovery is then `last snapshot + deterministic replay of the
-//! event tail`, which reproduces the decision log bit-for-bit (the
-//! engine's determinism contract, extended across a crash boundary).
+//! engine embeds a snapshot of its deterministic state in the same file:
+//! a *complete* one the first time a process writes to the file, and from
+//! then on *deltas* that carry the bounded state in full but only the
+//! history (departed ids, decisions) added since the previous snapshot, so
+//! the file grows linearly with the session. Recovery is then `last
+//! complete snapshot + the deltas after it, folded in order +
+//! deterministic replay of the event tail after the last of them`, which
+//! reproduces the decision log bit-for-bit (the engine's determinism
+//! contract, extended across a crash boundary).
 //!
 //! ## Frame format
 //!
@@ -33,6 +38,12 @@
 //!   tooling can audit what was decided without an engine.
 //! * `S` — the engine snapshot text (see
 //!   [`AdmissionEngine::encode_snapshot`](crate::AdmissionEngine::encode_snapshot)).
+//!   Its second line, `base <departed> <decisions>`, states how much
+//!   history the record *extends*: `base 0 0` is complete and anchors a
+//!   recovery by itself; anything else is a delta on the `S` record
+//!   before it and is refused on any other state. The first `S` after a
+//!   journal is attached (fresh file, recovery, promotion) is complete, so
+//!   a writer never has to reconstruct what an earlier process covered.
 //! * `B` — the decimal epoch number under which every following record
 //!   was written. A server stamps one when it begins (or resumes) serving
 //!   as primary; replication followers use it to fence off late writes
@@ -61,9 +72,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use rt_model::io::{format_event, EventRecord};
+use rt_model::io::EventRecord;
 
-use crate::engine::{Decision, Verdict};
+use crate::engine::Decision;
 
 /// First byte of every frame; resynchronisation anchor for loss counting.
 pub const FRAME_MAGIC: u8 = 0xA6;
@@ -118,7 +129,8 @@ pub enum RecordKind {
     Event,
     /// A decision outcome (`O`): audit-only, skipped by recovery.
     Outcome,
-    /// An embedded engine snapshot (`S`): a replay starting point.
+    /// An embedded engine snapshot (`S`), complete or a delta on the one
+    /// before it: together, the replay starting point.
     Snapshot,
     /// An epoch-begin marker (`B`): fencing for replicated failover.
     Epoch,
@@ -316,24 +328,34 @@ impl Journal {
         self.records
     }
 
-    fn frame(&mut self, kind: RecordKind, payload: &[u8]) {
+    /// Frames one record straight into `buf`: header placeholder, the
+    /// payload as `write` produces it, then length and CRC back-patched.
+    fn frame_with(&mut self, kind: RecordKind, write: impl FnOnce(&mut Vec<u8>)) {
         let k = kind.byte();
-        self.buf.push(FRAME_MAGIC);
-        self.buf.push(k);
+        let start = self.buf.len();
         self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf
-            .extend_from_slice(&frame_crc(k, payload).to_le_bytes());
-        self.buf.extend_from_slice(payload);
+            .extend_from_slice(&[FRAME_MAGIC, k, 0, 0, 0, 0, 0, 0, 0, 0]);
+        write(&mut self.buf);
+        let payload = &self.buf[start + HEADER_LEN..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = frame_crc(k, payload).to_le_bytes();
+        self.buf[start + 2..start + 6].copy_from_slice(&len);
+        self.buf[start + 6..start + HEADER_LEN].copy_from_slice(&crc);
         self.records += 1;
+    }
+
+    fn frame(&mut self, kind: RecordKind, payload: &[u8]) {
+        self.frame_with(kind, |buf| buf.extend_from_slice(payload));
     }
 
     /// Appends an applied-event record (`fast` = degraded backpressure
     /// path). Buffered until [`Journal::flush`].
     pub fn append_event(&mut self, event: &EventRecord, fast: bool) {
         let flag = if fast { 'f' } else { 'n' };
-        let payload = format!("{flag} {}", format_event(event));
-        self.frame(RecordKind::Event, payload.as_bytes());
+        // Writing into a `Vec` cannot fail.
+        self.frame_with(RecordKind::Event, |buf| {
+            let _ = write!(buf, "{flag} {event}");
+        });
         self.events_since_snapshot += 1;
     }
 
@@ -341,19 +363,9 @@ impl Journal {
     /// it). The timestamp is stored as raw `f64` bits so audits can be
     /// compared bit-exactly.
     pub fn append_outcome(&mut self, decision: &Decision) {
-        let (code, domain) = match decision.verdict {
-            Verdict::Accepted { domain } => ('A', Some(domain)),
-            Verdict::Rejected => ('R', None),
-            Verdict::Shed { domain } => ('S', Some(domain)),
-            Verdict::Readmitted { domain } => ('M', Some(domain)),
-        };
-        let domain = domain.map_or_else(|| "-".to_string(), |d| d.to_string());
-        let payload = format!(
-            "{:016x} {} {code} {domain}",
-            decision.at.to_bits(),
-            decision.task.index()
-        );
-        self.frame(RecordKind::Outcome, payload.as_bytes());
+        self.frame_with(RecordKind::Outcome, |buf| {
+            let _ = write!(buf, "{}", decision.coded());
+        });
     }
 
     /// Appends an epoch-begin record: every record after it was written
@@ -493,10 +505,15 @@ impl JournalScan {
 /// length, or a CRC mismatch — corruption). The replication stream uses
 /// this to forward only whole frames and to classify torn tails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameCheck {
-    /// A complete, CRC-valid frame ends at `end` (exclusive byte offset).
+pub enum FrameCheck<'a> {
+    /// A complete, CRC-valid frame: everything a reader needs, so no
+    /// caller validates or decodes it a second time.
     Complete {
-        /// Offset just past the frame.
+        /// Record kind.
+        kind: RecordKind,
+        /// The payload, borrowed from the checked bytes.
+        payload: &'a str,
+        /// Offset just past the frame (exclusive).
         end: usize,
     },
     /// The bytes so far are a consistent frame prefix; more are needed.
@@ -507,7 +524,7 @@ pub enum FrameCheck {
 
 /// Classifies the frame starting at `offset` — see [`FrameCheck`].
 #[must_use]
-pub fn check_frame(data: &[u8], offset: usize) -> FrameCheck {
+pub fn check_frame(data: &[u8], offset: usize) -> FrameCheck<'_> {
     let avail = data.len().saturating_sub(offset);
     if avail == 0 {
         return FrameCheck::Incomplete;
@@ -515,9 +532,12 @@ pub fn check_frame(data: &[u8], offset: usize) -> FrameCheck {
     if data[offset] != FRAME_MAGIC {
         return FrameCheck::Invalid;
     }
-    if avail >= 2 && RecordKind::from_byte(data[offset + 1]).is_none() {
+    let Some(&kind_byte) = data.get(offset + 1) else {
+        return FrameCheck::Incomplete;
+    };
+    let Some(kind) = RecordKind::from_byte(kind_byte) else {
         return FrameCheck::Invalid;
-    }
+    };
     let Some(header) = data.get(offset..offset + HEADER_LEN) else {
         return FrameCheck::Incomplete;
     };
@@ -527,27 +547,17 @@ pub fn check_frame(data: &[u8], offset: usize) -> FrameCheck {
     }
     let crc = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
     let start = offset + HEADER_LEN;
-    let Some(payload) = data.get(start..start + len as usize) else {
+    let end = start + len as usize;
+    let Some(payload) = data.get(start..end) else {
         return FrameCheck::Incomplete;
     };
-    if frame_crc(header[1], payload) != crc || std::str::from_utf8(payload).is_err() {
+    if frame_crc(kind_byte, payload) != crc {
         return FrameCheck::Invalid;
     }
-    FrameCheck::Complete {
-        end: start + len as usize,
+    match std::str::from_utf8(payload) {
+        Ok(payload) => FrameCheck::Complete { kind, payload, end },
+        Err(_) => FrameCheck::Invalid,
     }
-}
-
-/// Attempts to decode one frame at `offset`; `None` if anything about it
-/// is invalid (bad magic/kind, insane or short length, CRC mismatch,
-/// non-UTF-8 payload) or incomplete.
-fn try_frame(data: &[u8], offset: usize) -> Option<(RecordKind, String, usize)> {
-    let FrameCheck::Complete { end } = check_frame(data, offset) else {
-        return None;
-    };
-    let kind = RecordKind::from_byte(data[offset + 1])?;
-    let payload = std::str::from_utf8(&data[offset + HEADER_LEN..end]).ok()?;
-    Some((kind, payload.to_string(), end))
 }
 
 /// Scans a journal file, returning the valid record prefix and counting
@@ -570,9 +580,12 @@ pub fn scan<P: AsRef<Path>>(path: P) -> std::io::Result<JournalScan> {
 pub fn scan_bytes(data: &[u8]) -> JournalScan {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    while let Some((kind, payload, next)) = try_frame(data, offset) {
-        records.push(ScannedRecord { kind, payload });
-        offset = next;
+    while let FrameCheck::Complete { kind, payload, end } = check_frame(data, offset) {
+        records.push(ScannedRecord {
+            kind,
+            payload: payload.to_string(),
+        });
+        offset = end;
     }
     let valid_len = offset as u64;
     // Loss accounting: resynchronise on the magic byte and count any
@@ -583,12 +596,12 @@ pub fn scan_bytes(data: &[u8]) -> JournalScan {
     let mut saw_garbage = false;
     let mut i = offset;
     while i < data.len() {
-        match try_frame(data, i) {
-            Some((_, _, next)) => {
+        match check_frame(data, i) {
+            FrameCheck::Complete { end, .. } => {
                 records_lost += 1;
-                i = next;
+                i = end;
             }
-            None => {
+            _ => {
                 saw_garbage = true;
                 i += 1;
             }
@@ -606,6 +619,7 @@ pub fn scan_bytes(data: &[u8]) -> JournalScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Verdict;
     use rt_model::io::EventKind;
     use rt_model::Task;
 

@@ -285,7 +285,7 @@ fn stream_to_follower(
         let mut fwd = 0usize;
         loop {
             match check_frame(&pending, fwd) {
-                FrameCheck::Complete { end } => fwd = end,
+                FrameCheck::Complete { end, .. } => fwd = end,
                 FrameCheck::Incomplete => break,
                 FrameCheck::Invalid => return Ok(()),
             }
@@ -796,7 +796,7 @@ fn stream_session(
         .open(&opts.mirror)
         .map_err(io_err)?;
     // `buf` holds the unconsumed suffix of the stream (always starting at
-    // a frame boundary); `mirrored` of its bytes are already on disk —
+    // a frame boundary); its first `mirrored` bytes are already on disk —
     // partial frames are flushed eagerly so a kill here leaves exactly
     // the torn tail the next resync's scan expects.
     let mut buf: Vec<u8> = Vec::new();
@@ -837,20 +837,24 @@ fn stream_session(
         *last_heard = Instant::now();
         role.note_heard();
         buf.extend_from_slice(&chunk[..n]);
+        // Walk the chunk's frames by offset — each is checked and decoded
+        // exactly once, applied straight from `buf` — and drop the
+        // consumed prefix once at the end.
+        let mut pos = 0usize;
         loop {
-            if mirrored == 0 && buf.first() == Some(&HEARTBEAT_BYTE) {
-                buf.remove(0);
+            if mirrored == pos && buf.get(pos) == Some(&HEARTBEAT_BYTE) {
+                pos += 1;
+                mirrored = pos;
                 continue;
             }
-            match check_frame(&buf, 0) {
-                FrameCheck::Complete { end } => {
+            match check_frame(&buf, pos) {
+                FrameCheck::Complete { kind, payload, end } => {
                     mirror.write_all(&buf[mirrored..end]).map_err(io_err)?;
-                    let (kind, payload) = decode_checked_frame(&buf[..end]);
                     let mut g = engine
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let res = apply_record(&mut g, kind, &payload);
-                    g.metrics_mut().repl_bytes += end as u64;
+                    let res = apply_record(&mut g, kind, payload);
+                    g.metrics_mut().repl_bytes += (end - pos) as u64;
                     let stale = matches!(res, Err(AdmitError::StaleEpoch { .. }));
                     if stale {
                         g.metrics_mut().epoch_rejects += 1;
@@ -859,8 +863,8 @@ fn stream_session(
                     }
                     drop(g);
                     res?;
-                    buf.drain(..end);
-                    mirrored = 0;
+                    pos = end;
+                    mirrored = end;
                 }
                 FrameCheck::Incomplete => {
                     mirror.write_all(&buf[mirrored..]).map_err(io_err)?;
@@ -874,14 +878,9 @@ fn stream_session(
                 }
             }
         }
+        buf.drain(..pos);
+        mirrored -= pos;
     }
-}
-
-/// Decodes a frame already validated by [`check_frame`].
-fn decode_checked_frame(frame: &[u8]) -> (RecordKind, String) {
-    let scan = journal::scan_bytes(frame);
-    let rec = &scan.records[0];
-    (rec.kind, rec.payload.clone())
 }
 
 fn read_reply_line(stream: &mut TcpStream, deadline: Duration) -> Option<String> {

@@ -7,7 +7,8 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::PathBuf;
 
-use dvs_admit::{AdmissionEngine, EngineConfig, Journal, JournalConfig, TraceSpec};
+use dvs_admit::journal::{check_frame, FrameCheck, JournalError, RecordKind};
+use dvs_admit::{AdmissionEngine, AdmitError, EngineConfig, Journal, JournalConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::EventRecord;
@@ -242,4 +243,105 @@ fn recovered_engine_keeps_journaling_after_truncation() {
     .unwrap();
     assert_eq!(again.records_lost, 0, "the continued journal is clean");
     assert_eq!(again.engine.metrics().recoveries, 1);
+}
+
+/// Journals the whole trace and returns the file image with the byte range
+/// and payload of every `S` record in it.
+fn journal_with_snapshots(path: &PathBuf) -> (Vec<u8>, Vec<(usize, usize, String)>) {
+    let _ = std::fs::remove_file(path);
+    let mut engine =
+        AdmissionEngine::new(vec![xscale_ideal()], Box::new(OnlineGreedy), config()).unwrap();
+    engine.attach_journal(Journal::create(path, jconfig()).unwrap());
+    for e in &trace() {
+        engine.apply(e).unwrap();
+    }
+    drop(engine);
+    let bytes = std::fs::read(path).unwrap();
+    let mut snapshots = Vec::new();
+    let mut at = 0;
+    while let FrameCheck::Complete { kind, payload, end } = check_frame(&bytes, at) {
+        if kind == RecordKind::Snapshot {
+            snapshots.push((at, end, payload.to_string()));
+        }
+        at = end;
+    }
+    assert!(snapshots.len() >= 3, "want a complete S and two deltas");
+    (bytes, snapshots)
+}
+
+/// A delta `S` states the `departed` / decision counts it extends. Fed to
+/// an engine that holds anything else — directly, or because the delta
+/// before it went missing from the file — it is a typed error, never a
+/// silent splice of two histories.
+#[test]
+fn delta_on_the_wrong_base_is_an_error_not_a_splice() {
+    let path = tmp("wrongbase.wal");
+    let (bytes, snapshots) = journal_with_snapshots(&path);
+    let fresh =
+        || AdmissionEngine::new(vec![xscale_ideal()], Box::new(OnlineGreedy), config()).unwrap();
+
+    // Directly: the complete record restores onto a fresh engine, the
+    // delta after the next one does not extend it.
+    let mut engine = fresh();
+    engine.restore_snapshot(&snapshots[0].2).unwrap();
+    let err = engine.restore_snapshot(&snapshots[2].2).unwrap_err();
+    assert!(
+        matches!(&err, JournalError::Snapshot { line: 2, reason } if reason.contains("extends")),
+        "unexpected error: {err}"
+    );
+    assert!(fresh().restore_snapshot(&snapshots[1].2).is_err());
+    // In order, the chain folds.
+    let mut engine = fresh();
+    for (_, _, payload) in &snapshots {
+        engine.restore_snapshot(payload).unwrap();
+    }
+
+    // From a file: cut the first delta's frame out; recovery refuses the
+    // second delta instead of folding it onto the complete record.
+    let (start, end, _) = snapshots[1];
+    let mut spliced = bytes[..start].to_vec();
+    spliced.extend_from_slice(&bytes[end..]);
+    std::fs::write(&path, &spliced).unwrap();
+    let err = AdmissionEngine::recover(
+        &path,
+        vec![xscale_ideal()],
+        Box::new(OnlineGreedy),
+        config(),
+        jconfig(),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            AdmitError::Journal(JournalError::Snapshot { line: 2, .. })
+        ),
+        "unexpected error: {err}"
+    );
+}
+
+/// Snapshots have one version. A payload of any other is refused *by
+/// version*, in a message that names it — not half-parsed.
+#[test]
+fn old_snapshot_versions_are_rejected_by_name() {
+    // The shape PR 17's encoder wrote: no `base` line, optional pin columns.
+    let v2 = "dvs-admit-snapshot v2\npolicy online-greedy\nconfig 1000 2 - 5000 1\n\
+              clock 0000000000000000\ntsr 0\nepoch 1\n\
+              counters 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n\
+              costs 0000000000000000 0000000000000000 0000000000000000\n\
+              domains 0\nunserved 1\nu 7 3ff0000000000000\ndeparted 0\nimported 0\n\
+              decisions 0\nend\n";
+    let mut engine =
+        AdmissionEngine::new(vec![xscale_ideal()], Box::new(OnlineGreedy), config()).unwrap();
+    let err = engine.restore_snapshot(v2).unwrap_err();
+    assert!(
+        matches!(&err, JournalError::Snapshot { line: 1, reason }
+            if reason.contains("version") && reason.contains("dvs-admit-snapshot v2")),
+        "unexpected error: {err}"
+    );
+    // What this build writes is v3, and it restores.
+    let (_, snapshots) = journal_with_snapshots(&tmp("version.wal"));
+    assert!(snapshots[0]
+        .2
+        .starts_with("dvs-admit-snapshot v3\nbase 0 0\n"));
+    engine.restore_snapshot(&snapshots[0].2).unwrap();
 }

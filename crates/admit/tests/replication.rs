@@ -452,6 +452,89 @@ fn promoted_follower_resumes_bit_identically() {
     }
 }
 
+/// Promotion and delta snapshots: the mirror holds the primary's `S`
+/// chain (one complete record, then deltas) and, once promoted, the
+/// standby appends its own — whose first record must be complete, because
+/// the standby never decoded the primary's. Promote before the primary's
+/// first snapshot and after several; kill the promoted node before its own
+/// first snapshot and after two; every recovery of its file reproduces the
+/// uninterrupted log.
+#[test]
+fn promoted_journal_recovers_before_and_after_its_own_snapshots() {
+    let trace = TraceSpec::new(24, 2.4, 13).generate().unwrap();
+    assert!(trace.len() > 60, "trace too short: {}", trace.len());
+    let recover = |mirror: &Path| {
+        AdmissionEngine::recover(
+            mirror,
+            vec![xscale_ideal()],
+            Box::new(OnlineGreedy),
+            config(),
+            jconfig(),
+        )
+        .unwrap()
+    };
+    // (cut, snapshots the primary had written by then)
+    for (cut, primary_snapshots) in [(5usize, 0usize), (36, 4)] {
+        let mut f = Fixture::start(&format!("promote_chain_{cut}"));
+        f.apply(&trace[..cut]);
+        f.wait_catchup();
+        f.hub.shutdown();
+        if let Some(t) = f.hub_thread.take() {
+            let _ = t.join();
+        }
+        replication::promote(&f.follower, &f.ctx).unwrap();
+        let _ = f.follower_thread.take().unwrap().join().unwrap().unwrap();
+
+        // The promoted node serves a few events (no snapshot of its own
+        // yet) and dies: recovery anchors on the primary's chain.
+        let mid = cut + 2;
+        let expected = |upto: usize| reference(&trace[..upto]).0;
+        {
+            let mut g = f.follower.lock().unwrap();
+            for e in &trace[cut..mid] {
+                g.apply(e).unwrap();
+            }
+        }
+        let copy = tmp(&format!("promote_chain_{cut}.early"));
+        std::fs::copy(&f.mirror_path, &copy).unwrap();
+        let early = recover(&copy);
+        assert_eq!(early.had_snapshot, primary_snapshots > 0);
+        assert_eq!(early.engine.format_decision_log(), expected(mid));
+        assert_eq!(early.engine.epoch(), 2);
+
+        // It serves past two snapshots of its own and dies again.
+        let late = mid + 2 * jconfig().snapshot_every as usize;
+        {
+            let mut g = f.follower.lock().unwrap();
+            for e in &trace[mid..late] {
+                g.apply(e).unwrap();
+            }
+        }
+        let complete: Vec<bool> = dvs_admit::journal::scan(&f.mirror_path)
+            .unwrap()
+            .records
+            .iter()
+            .filter(|r| r.kind == dvs_admit::journal::RecordKind::Snapshot)
+            .map(|r| r.payload.lines().nth(1) == Some("base 0 0"))
+            .collect();
+        let mut want = vec![false; primary_snapshots + 2];
+        if primary_snapshots > 0 {
+            want[0] = true;
+        }
+        want[primary_snapshots] = true;
+        assert_eq!(
+            complete, want,
+            "cut {cut}: one complete S per writer, deltas after it"
+        );
+        let recovered = recover(&f.mirror_path);
+        assert!(recovered.had_snapshot);
+        assert_eq!(recovered.records_lost, 0);
+        assert_eq!(recovered.engine.format_decision_log(), expected(late));
+        assert_eq!(recovered.engine.epoch(), 2);
+        f.shutdown();
+    }
+}
+
 /// A deposed primary (older epoch) cannot feed a promoted follower: the
 /// handshake is fenced off on both sides.
 #[test]

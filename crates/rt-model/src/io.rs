@@ -634,40 +634,40 @@ pub fn format_event_trace(events: &[EventRecord]) -> String {
 /// write-ahead journal relies on for deterministic replay.
 #[must_use]
 pub fn format_event(e: &EventRecord) -> String {
-    match &e.kind {
-        EventKind::Arrive(t) => {
-            let deadline = if t.is_implicit_deadline() {
-                "-".to_string()
-            } else {
-                t.deadline().to_string()
-            };
-            match t.domain() {
+    e.to_string()
+}
+
+/// The single-line trace format of [`format_event`], for callers that
+/// write into a buffer of their own.
+impl fmt::Display for EventRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.kind {
+            EventKind::Arrive(t) => {
+                write!(
+                    f,
+                    "{} arrive {} {} {} ",
+                    self.at,
+                    t.id().index(),
+                    t.wcec(),
+                    t.period()
+                )?;
+                if t.is_implicit_deadline() {
+                    f.write_str("-")?;
+                } else {
+                    write!(f, "{}", t.deadline())?;
+                }
+                write!(f, " {}", t.penalty())?;
                 // The pin column is only emitted when present so that
                 // unpinned traces (and every journal written before the
                 // column existed) keep their byte-exact format.
-                Some(d) => format!(
-                    "{} arrive {} {} {} {} {} {}",
-                    e.at,
-                    t.id().index(),
-                    t.wcec(),
-                    t.period(),
-                    deadline,
-                    t.penalty(),
-                    d
-                ),
-                None => format!(
-                    "{} arrive {} {} {} {} {}",
-                    e.at,
-                    t.id().index(),
-                    t.wcec(),
-                    t.period(),
-                    deadline,
-                    t.penalty()
-                ),
+                match t.domain() {
+                    Some(d) => write!(f, " {d}"),
+                    None => Ok(()),
+                }
             }
+            EventKind::Depart(id) => write!(f, "{} depart {}", self.at, id.index()),
+            EventKind::Tick => write!(f, "{} tick", self.at),
         }
-        EventKind::Depart(id) => format!("{} depart {}", e.at, id.index()),
-        EventKind::Tick => format!("{} tick", e.at),
     }
 }
 
