@@ -58,8 +58,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Duration;
 
+use dvs_admit::json;
+use dvs_admit::wire::Request;
 use dvs_admit::{AdmitClient, ClientConfig, TraceSpec};
-use rt_model::io::EventKind;
 
 struct Config {
     seed: u64,
@@ -86,30 +87,7 @@ fn mix(state: &mut u64) -> u64 {
 
 fn trace_requests(tasks: usize, load: f64, seed: u64) -> Vec<String> {
     let trace = TraceSpec::new(tasks, load, seed).generate().expect("trace");
-    trace
-        .iter()
-        .map(|e| match &e.kind {
-            EventKind::Arrive(t) => {
-                let deadline = if t.deadline() == t.period() {
-                    String::new()
-                } else {
-                    format!(",\"deadline\":{}", t.deadline())
-                };
-                format!(
-                    "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{}{deadline},\"penalty\":{}}}",
-                    e.at,
-                    t.id().index(),
-                    t.wcec(),
-                    t.period(),
-                    t.penalty()
-                )
-            }
-            EventKind::Depart(id) => {
-                format!("{{\"op\":\"depart\",\"at\":{},\"id\":{}}}", e.at, id.index())
-            }
-            EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", e.at),
-        })
-        .collect()
+    trace.iter().map(|e| Request::from(e).to_string()).collect()
 }
 
 struct Server {
@@ -180,19 +158,13 @@ impl Session {
     }
 }
 
-/// Pull a `"key":N` integer out of a flat JSON response.
+/// A whole-number field of a reply.
 fn json_u64(resp: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\":");
-    let at = resp
-        .find(&pat)
-        .ok_or_else(|| format!("no {key:?} in {resp}"))?;
-    let rest = &resp[at + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|e| format!("bad {key} in {resp}: {e}"))
+    let doc = json::parse_document(resp).map_err(|e| format!("bad reply {resp}: {e}"))?;
+    doc.as_obj()
+        .and_then(|pairs| json::get(pairs, key)?.as_f64())
+        .map(|v| v as u64)
+        .ok_or_else(|| format!("no {key:?} in {resp}"))
 }
 
 /// Feed requests `from..` on a fresh session, returning how many were
@@ -618,34 +590,7 @@ fn router_requests(tasks: usize, load: f64, seed: u64) -> Vec<String> {
         .domains(RESHARD_DOMAINS)
         .generate()
         .expect("trace");
-    trace
-        .iter()
-        .map(|e| match &e.kind {
-            EventKind::Arrive(t) => {
-                let domain = t
-                    .domain()
-                    .map_or_else(String::new, |d| format!(",\"domain\":{d}"));
-                format!(
-                    "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{},\
-                     \"deadline\":{},\"penalty\":{}{domain}}}",
-                    e.at,
-                    t.id().index(),
-                    t.wcec(),
-                    t.period(),
-                    t.deadline(),
-                    t.penalty()
-                )
-            }
-            EventKind::Depart(id) => {
-                format!(
-                    "{{\"op\":\"depart\",\"at\":{},\"id\":{}}}",
-                    e.at,
-                    id.index()
-                )
-            }
-            EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", e.at),
-        })
-        .collect()
+    trace.iter().map(|e| Request::from(e).to_string()).collect()
 }
 
 /// A spawned `dvs_routerd --spawn K` fleet: the router process, its bound

@@ -36,11 +36,13 @@ use std::time::{Duration, Instant};
 
 use dvs_power::Processor;
 use reject_sched::Instance;
+use rt_model::io::EventKind;
 use rt_model::{Task, TaskSet};
 
 use crate::engine::{EnginePolicy, RESERVED_ANCHOR_ID};
 use crate::json::{self, JsonValue};
 use crate::replication::backoff_delay;
+use crate::wire::{Reply, Request};
 use crate::AdmitError;
 
 /// Client tuning knobs.
@@ -473,7 +475,8 @@ impl AdmitClient {
     }
 
     /// Answers locally (arrive requests, fallback installed) or reports
-    /// unavailability.
+    /// unavailability. The line is parsed as a server would parse it, so
+    /// a request the server would refuse is a [`ClientError::Protocol`].
     fn degrade(&mut self, line: &str, last: Option<std::io::Error>) -> Result<String, ClientError> {
         let unavailable = |attempts, last: Option<std::io::Error>| ClientError::Unavailable {
             attempts,
@@ -483,28 +486,18 @@ impl AdmitClient {
             return Err(unavailable(self.config.max_attempts, last));
         };
         let mut scratch = json::Scratch::default();
-        let Ok(pairs) = json::parse_object_into(line, &mut scratch) else {
+        let request = Request::parse(line, &mut scratch)
+            .map_err(|refusal| ClientError::Protocol(refusal.message))?;
+        let Request::Event { event, .. } = request else {
             return Err(unavailable(self.config.max_attempts, last));
         };
-        let op = json::get(pairs, "op").and_then(JsonValue::as_str);
-        match op {
-            Some("arrive") => {
-                let task = parse_arrive_task(pairs).map_err(ClientError::Protocol)?;
-                let admit = fallback.decide(&task).map_err(ClientError::Fallback)?;
-                self.metrics.degraded_decisions += 1;
-                let id = task.id();
-                Ok(if admit {
-                    format!(
-                        "{{\"ok\":true,\"decision\":\"accepted\",\"id\":{id},\"degraded\":true}}"
-                    )
-                } else {
-                    format!(
-                        "{{\"ok\":true,\"decision\":\"rejected\",\"id\":{id},\"degraded\":true}}"
-                    )
-                })
-            }
-            _ => Err(unavailable(self.config.max_attempts, last)),
-        }
+        let EventKind::Arrive(task) = event.kind else {
+            return Err(unavailable(self.config.max_attempts, last));
+        };
+        let accepted = fallback.decide(&task).map_err(ClientError::Fallback)?;
+        self.metrics.degraded_decisions += 1;
+        let id = task.id().index();
+        Ok(Reply::Degraded { id, accepted }.line())
     }
 
     /// The server's event cursor: the engine's `events` counter from
@@ -517,7 +510,7 @@ impl AdmitClient {
     /// Propagates request failures; [`ClientError::Protocol`] when the
     /// stats dump has no `events` field.
     pub fn cursor(&mut self) -> Result<u64, ClientError> {
-        let response = self.request("{\"op\":\"stats\"}")?;
+        let response = self.request(&Request::Stats.to_string())?;
         parse_events(&response)
             .ok_or_else(|| ClientError::Protocol(format!("no events counter in {response}")))
     }
@@ -583,26 +576,6 @@ impl AdmitClient {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
-}
-
-/// Parses an arrive request into a [`Task`] (same fields as the server).
-fn parse_arrive_task(pairs: &[(String, JsonValue)]) -> Result<Task, String> {
-    let num = |key: &str| {
-        json::get(pairs, key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("missing numeric field \"{key}\""))
-    };
-    let id = num("id")? as usize;
-    let cycles = num("cycles")?;
-    let period = num("period")? as u64;
-    let penalty = num("penalty")?;
-    let mut task = Task::new(id, cycles, period)
-        .map_err(|e| e.to_string())?
-        .with_penalty(penalty);
-    if let Some(d) = json::get(pairs, "deadline").and_then(JsonValue::as_f64) {
-        task = task.with_deadline(d as u64).map_err(|e| e.to_string())?;
-    }
-    Ok(task)
 }
 
 /// Extracts the `events` counter from a stats dump.
@@ -687,6 +660,40 @@ mod tests {
             Err(ClientError::Unavailable { .. })
         ));
         assert_eq!(client.metrics().degraded_decisions, 3);
+    }
+
+    #[test]
+    fn the_fallback_refuses_what_a_server_would_refuse_instead_of_panicking() {
+        let config = ClientConfig {
+            addr: "127.0.0.1:1".to_string(),
+            connect_timeout: Duration::from_millis(20),
+            max_attempts: 1,
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(60),
+            ..ClientConfig::default()
+        };
+        let fallback = LocalMyopic::new(cubic_ideal(), Box::new(OnlineGreedy), 1000).unwrap();
+        let mut client = AdmitClient::new(config).with_fallback(fallback);
+        // Once with the server unreachable, once with the breaker open.
+        for _ in 0..2 {
+            let r = client.request(
+                r#"{"op":"arrive","at":0,"id":1,"cycles":30.0,"period":1000,"penalty":-1}"#,
+            );
+            assert!(
+                matches!(&r, Err(ClientError::Protocol(m)) if m == "invalid penalty -1"),
+                "{r:?}"
+            );
+        }
+        assert!(client.breaker_open());
+        assert_eq!(client.metrics().degraded_decisions, 0);
+        // A valid arrival still gets the advisory verdict, as JSON.
+        let r = client
+            .request(r#"{"op":"arrive","at":0,"id":1,"cycles":30.0,"period":1000,"penalty":2.5}"#)
+            .unwrap();
+        assert_eq!(
+            r,
+            r#"{"ok":true,"decision":"accepted","id":1,"degraded":true}"#
+        );
     }
 
     #[test]

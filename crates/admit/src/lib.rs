@@ -51,6 +51,7 @@ pub mod metrics;
 pub mod replication;
 pub mod server;
 pub mod trace;
+pub mod wire;
 
 pub use client::{AdmitClient, ClientConfig, ClientError, ClientMetrics, LocalMyopic};
 pub use engine::{

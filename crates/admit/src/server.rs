@@ -1,29 +1,13 @@
-//! Newline-delimited JSON protocol and the serving loops behind
-//! `dvs_admitd`.
+//! The serving loops behind `dvs_admitd`, and the engine's side of the
+//! newline-delimited JSON protocol.
 //!
-//! One request per line, one response per line. Requests are flat JSON
-//! objects with an `"op"` field:
-//!
-//! ```text
-//! {"op":"arrive","at":0.0,"id":1,"cycles":30.0,"period":100,"penalty":2.5}
-//! {"op":"arrive","at":1.0,"id":2,"cycles":45.0,"period":100,"deadline":60,"penalty":5.0}
-//! {"op":"depart","at":5.0,"id":1}
-//! {"op":"tick","at":10.0}
-//! {"op":"stats"}
-//! {"op":"log"}
-//! {"op":"shutdown"}
-//! ```
-//!
-//! Responses always carry `"ok"`; decisions carry `"decision"`
-//! (`"accepted"` with its `"domain"`, or `"rejected"`), ticks report the
-//! `"shed"` id list, `stats`/`shutdown` return the full metrics registry
-//! (see [`AdmissionEngine::stats_json`]), and `log` dumps the engine's
-//! decision log (the determinism suite's bit-compared artifact). Invalid
-//! lines yield a **structured error** —
-//! `{"ok":false,"kind":"…","error":"…"}`, with `"id"` when the error is
-//! about a task (duplicate arrival, departure of an unknown or
-//! already-departed id) — and never terminate the session: an erroring
-//! request leaves the engine untouched (see
+//! One request per line, one response per line; the requests, replies
+//! and error kinds are the [`wire`](crate::wire) schema (DESIGN §12 has the table).
+//! `stats`/`shutdown` return the full metrics registry (see
+//! [`AdmissionEngine::stats_json`]) and `log` dumps the engine's decision
+//! log (the determinism suite's bit-compared artifact). Invalid lines
+//! yield a structured [`Refusal`] and never terminate the session: an
+//! erroring request leaves the engine untouched (see
 //! [`AdmissionEngine::apply_opts`]) and is safe to retry.
 //!
 //! The same handler serves stdin/stdout ([`serve_lines`]) and TCP
@@ -53,19 +37,19 @@
 //!   [`SessionEnd::Drained`], and the binary then fsyncs and snapshots the
 //!   journal.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-use rt_model::io::{EventKind, EventRecord};
-use rt_model::{Task, TaskId};
+use rt_model::io::EventKind;
 
 use crate::engine::{AdmissionEngine, Decision, Verdict};
-use crate::json::{self, JsonValue};
+use crate::json;
 use crate::replication::{self, RoleContext};
-use crate::AdmitError;
+use crate::wire::{Refusal, Reply, Request};
 
 /// Outcome of handling one request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,68 +60,22 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
-/// A structured request error: machine-readable `kind`, the task id it is
-/// about (when there is one), and the human-readable message.
-#[derive(Debug)]
-struct ReqError {
-    kind: &'static str,
-    id: Option<usize>,
-    msg: String,
-}
-
-impl ReqError {
-    fn protocol(msg: impl Into<String>) -> Self {
-        ReqError {
-            kind: "bad-request",
-            id: None,
-            msg: msg.into(),
+/// The decision-log lines an event produced (one per line, trailing
+/// newline), exactly as [`AdmissionEngine::format_decision_log`] renders
+/// them — the per-event slice a router stitches into its merged cluster
+/// log. `None` unless the request asked for the echo.
+fn echo(dlog: bool, decisions: &[Decision]) -> Option<String> {
+    dlog.then(|| {
+        let mut out = String::new();
+        for d in decisions {
+            let _ = writeln!(out, "{d}");
         }
-    }
-
-    fn admit(e: &AdmitError) -> Self {
-        ReqError {
-            kind: e.kind(),
-            id: e.task_id().map(|t| t.index()),
-            msg: e.to_string(),
-        }
-    }
+        out
+    })
 }
 
-fn err_response(e: &ReqError) -> String {
-    let id = e.id.map_or_else(String::new, |i| format!(",\"id\":{i}"));
-    format!(
-        "{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"{id}}}",
-        e.kind,
-        json::escape(&e.msg)
-    )
-}
-
-fn num_field(pairs: &[(String, JsonValue)], key: &'static str) -> Result<f64, ReqError> {
-    json::get(pairs, key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| ReqError::protocol(format!("missing or non-numeric field {key:?}")))
-}
-
-/// Formats the decisions an event produced as decision-log lines (one per
-/// line, trailing newline), exactly as [`AdmissionEngine::format_decision_log`]
-/// renders them — the per-event slice a router stitches into its merged
-/// cluster log.
-fn dlog_lines(decisions: &[Decision]) -> String {
-    let mut out = String::new();
-    for d in decisions {
-        out.push_str(&d.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Whether the request asked for its decision-log lines to be echoed
-/// (`"dlog":true`).
-fn wants_dlog(pairs: &[(String, JsonValue)]) -> bool {
-    json::get(pairs, "dlog") == Some(&JsonValue::Bool(true))
-}
-
-fn shed_ids(decisions: &[Decision]) -> Vec<usize> {
+/// The ids of the tasks an event shed.
+fn shed(decisions: &[Decision]) -> Vec<usize> {
     decisions
         .iter()
         .filter(|d| matches!(d.verdict, Verdict::Shed { .. }))
@@ -145,9 +83,9 @@ fn shed_ids(decisions: &[Decision]) -> Vec<usize> {
         .collect()
 }
 
-fn ids_json(ids: &[usize]) -> String {
-    let items: Vec<String> = ids.iter().map(usize::to_string).collect();
-    format!("[{}]", items.join(","))
+/// `{"ok":true,"role":…,"epoch":…}`.
+fn role_reply(role: &str, epoch: u64) -> String {
+    format!("{{\"ok\":true,\"role\":\"{role}\",\"epoch\":{epoch}}}")
 }
 
 /// Parses and executes one request line against the engine.
@@ -167,145 +105,75 @@ pub fn handle_line_with(
     line: &str,
     scratch: &mut json::Scratch,
 ) -> Handled {
-    handle_line_opts(engine, line, scratch, false)
+    match Request::parse(line, scratch) {
+        Ok(request) => handle_request(engine, request, false),
+        Err(refusal) => refused(&refusal),
+    }
 }
 
-/// [`handle_line_with`] with an explicit fast-path flag: `fast = true`
-/// applies events on the engine's degraded myopic path (the backpressure
-/// response — see [`AdmissionEngine::apply_opts`]).
-pub fn handle_line_opts(
-    engine: &mut AdmissionEngine,
-    line: &str,
-    scratch: &mut json::Scratch,
-    fast: bool,
-) -> Handled {
-    let mut shutdown = false;
-    let response = match handle_inner(engine, line, scratch, &mut shutdown, fast) {
-        Ok(r) => r,
-        Err(e) => err_response(&e),
-    };
-    Handled { response, shutdown }
+fn refused(refusal: &Refusal) -> Handled {
+    Handled {
+        response: refusal.to_string(),
+        shutdown: false,
+    }
 }
 
-fn handle_inner(
+/// Executes one parsed request against the engine.
+fn handle_request(engine: &mut AdmissionEngine, request: Request<'_>, fast: bool) -> Handled {
+    let shutdown = matches!(request, Request::Shutdown);
+    Handled {
+        response: execute(engine, request, fast).unwrap_or_else(|refusal| refusal.to_string()),
+        shutdown,
+    }
+}
+
+fn execute(
     engine: &mut AdmissionEngine,
-    line: &str,
-    scratch: &mut json::Scratch,
-    shutdown: &mut bool,
+    request: Request<'_>,
     fast: bool,
-) -> Result<String, ReqError> {
-    let pairs = json::parse_object_into(line, scratch)
-        .map_err(|e| ReqError::protocol(format!("bad request: {e}")))?;
-    let op = json::get(pairs, "op")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ReqError::protocol("missing field \"op\""))?;
-    match op {
-        "arrive" => {
-            let at = num_field(pairs, "at")?;
-            let id = num_field(pairs, "id")? as usize;
-            let cycles = num_field(pairs, "cycles")?;
-            let period = num_field(pairs, "period")? as u64;
-            let penalty = num_field(pairs, "penalty")?;
-            if !penalty.is_finite() || penalty < 0.0 {
-                return Err(ReqError::protocol(format!("invalid penalty {penalty}")));
-            }
-            let mut task = Task::new(id, cycles, period)
-                .map_err(|e| ReqError::protocol(e.to_string()))?
-                .with_penalty(penalty);
-            if let Some(d) = json::get(pairs, "deadline").and_then(JsonValue::as_f64) {
-                task = task
-                    .with_deadline(d as u64)
-                    .map_err(|e| ReqError::protocol(e.to_string()))?;
-            }
-            if let Some(d) = json::get(pairs, "domain").and_then(JsonValue::as_f64) {
-                if d < 0.0 || d.fract() != 0.0 {
-                    return Err(ReqError::protocol(format!("invalid domain {d}")));
+) -> Result<String, Refusal> {
+    Ok(match request {
+        Request::Event { event, dlog } => {
+            let decisions = engine.apply_opts(&event, fast)?;
+            let dlog = echo(dlog, &decisions);
+            let dlog = dlog.as_deref();
+            match event.kind {
+                EventKind::Arrive(task) => {
+                    let verdict = decisions
+                        .iter()
+                        .find(|d| d.task == task.id())
+                        .map(|d| d.verdict)
+                        .ok_or_else(|| Refusal::bad_request("engine returned no verdict"))?;
+                    let domain = match verdict {
+                        Verdict::Accepted { domain } => Some(domain),
+                        _ => None,
+                    };
+                    let id = task.id().index();
+                    Reply::Verdict { id, domain, dlog }.line()
                 }
-                task = task.with_domain(d as usize);
+                EventKind::Depart(id) => Reply::Depart {
+                    id: id.index(),
+                    shed: &shed(&decisions),
+                    dlog,
+                }
+                .line(),
+                EventKind::Tick => Reply::Tick {
+                    shed: &shed(&decisions),
+                    resolves: engine.metrics().resolves,
+                    dlog,
+                }
+                .line(),
             }
-            let echo = wants_dlog(pairs);
-            let decisions = engine
-                .apply_opts(&EventRecord::new(at, EventKind::Arrive(task)), fast)
-                .map_err(|e| ReqError::admit(&e))?;
-            let verdict = decisions
-                .iter()
-                .find(|d| d.task == task.id())
-                .map(|d| d.verdict)
-                .ok_or_else(|| ReqError::protocol("engine returned no verdict"))?;
-            let dlog = if echo {
-                format!(",\"dlog\":\"{}\"", json::escape(&dlog_lines(&decisions)))
-            } else {
-                String::new()
-            };
-            Ok(match verdict {
-                Verdict::Accepted { domain } => format!(
-                    "{{\"ok\":true,\"decision\":\"accepted\",\"id\":{id},\"domain\":{domain}{dlog}}}"
-                ),
-                _ => format!("{{\"ok\":true,\"decision\":\"rejected\",\"id\":{id}{dlog}}}"),
-            })
         }
-        "depart" => {
-            let at = num_field(pairs, "at")?;
-            let id = num_field(pairs, "id")? as usize;
-            let echo = wants_dlog(pairs);
-            let decisions = engine
-                .apply_opts(
-                    &EventRecord::new(at, EventKind::Depart(TaskId::new(id))),
-                    fast,
-                )
-                .map_err(|e| ReqError::admit(&e))?;
-            let dlog = if echo {
-                format!(",\"dlog\":\"{}\"", json::escape(&dlog_lines(&decisions)))
-            } else {
-                String::new()
-            };
-            Ok(format!(
-                "{{\"ok\":true,\"id\":{id},\"shed\":{}{dlog}}}",
-                ids_json(&shed_ids(&decisions))
-            ))
-        }
-        "tick" => {
-            let at = num_field(pairs, "at")?;
-            let echo = wants_dlog(pairs);
-            let decisions = engine
-                .apply_opts(&EventRecord::new(at, EventKind::Tick), fast)
-                .map_err(|e| ReqError::admit(&e))?;
-            let dlog = if echo {
-                format!(",\"dlog\":\"{}\"", json::escape(&dlog_lines(&decisions)))
-            } else {
-                String::new()
-            };
-            Ok(format!(
-                "{{\"ok\":true,\"shed\":{},\"resolves\":{}{dlog}}}",
-                ids_json(&shed_ids(&decisions)),
-                engine.metrics().resolves
-            ))
-        }
-        "export" => {
-            let local = num_field(pairs, "domain")? as usize;
-            let payload = engine
-                .export_domain(local)
-                .map_err(|e| ReqError::admit(&e))?;
-            Ok(format!(
-                "{{\"ok\":true,\"op\":\"export\",\"domain\":{local},\"payload\":\"{}\"}}",
-                json::escape(&payload)
-            ))
-        }
-        "import" => {
-            let key = json::get(pairs, "key")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ReqError::protocol("missing or non-string field \"key\""))?;
-            let payload = json::get(pairs, "payload")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ReqError::protocol("missing or non-string field \"payload\""))?;
-            let local = engine
-                .import_domain(key, payload)
-                .map_err(|e| ReqError::admit(&e))?;
-            Ok(format!(
-                "{{\"ok\":true,\"op\":\"import\",\"local\":{local}}}"
-            ))
-        }
-        "layout" => {
+        Request::Export { domain } => format!(
+            "{{\"ok\":true,\"op\":\"export\",\"domain\":{domain},\"payload\":\"{}\"}}",
+            json::escape(&engine.export_domain(domain)?)
+        ),
+        Request::Import { key, payload } => format!(
+            "{{\"ok\":true,\"op\":\"import\",\"local\":{}}}",
+            engine.import_domain(key, payload)?
+        ),
+        Request::Layout => {
             // One token per local domain, in index order: `+` live /
             // `-` fenced, suffixed with the import key for domains that
             // arrived via migration ("+2:5"). Keys are whitespace-free
@@ -321,13 +189,13 @@ fn handle_inner(
                     }
                 })
                 .collect();
-            Ok(format!(
+            format!(
                 "{{\"ok\":true,\"op\":\"layout\",\"domains\":{},\"layout\":\"{}\"}}",
                 engine.domain_count(),
                 json::escape(&tokens.join(" "))
-            ))
+            )
         }
-        "present" => {
+        Request::Present => {
             // Task-presence inventory for router restarts: every present
             // task as `id:domain` (`id:-` for an unpinned standing
             // rejection), plus the departed (burned) id set. Both are
@@ -345,33 +213,31 @@ fn handle_inner(
                 .departed_ids()
                 .map(|id| id.index().to_string())
                 .collect();
-            Ok(format!(
+            format!(
                 "{{\"ok\":true,\"op\":\"present\",\"tasks\":\"{}\",\"departed\":\"{}\"}}",
                 json::escape(&tasks.join(" ")),
                 json::escape(&departed.join(" "))
-            ))
+            )
         }
-        "stats" => Ok(format!("{{\"ok\":true,{}", &engine.stats_json()[1..])),
+        Request::Stats | Request::Shutdown => {
+            format!("{{\"ok\":true,{}", &engine.stats_json()[1..])
+        }
         // Role-less servers are plain primaries; failover deployments
         // intercept these two ops in `handle_line_role` before the lock.
-        "role" | "promote" => Ok(format!(
-            "{{\"ok\":true,\"role\":\"primary\",\"epoch\":{}}}",
-            engine.epoch()
-        )),
-        "log" => Ok(format!(
-            "{{\"ok\":true,\"decisions\":{},\"log\":\"{}\"}}",
-            engine.decision_log().len(),
-            json::escape(&engine.format_decision_log())
-        )),
-        "shutdown" => {
-            *shutdown = true;
-            Ok(format!("{{\"ok\":true,{}", &engine.stats_json()[1..]))
+        Request::Role | Request::Promote => role_reply("primary", engine.epoch()),
+        Request::Log => Reply::Log {
+            decisions: engine.decision_log().len() as u64,
+            log: &engine.format_decision_log(),
         }
-        other => Err(ReqError::protocol(format!("unknown op {other:?}"))),
-    }
+        .line(),
+        Request::Map | Request::ReshardAdd(_) | Request::ReshardRemove(_) => {
+            return Err(request.unknown_op())
+        }
+    })
 }
 
-/// Role-aware request dispatch for failover deployments.
+/// Role-aware request dispatch for failover deployments: the line is
+/// parsed once, and the parsed request decides what happens.
 ///
 /// Two request classes must be decided **before** taking the engine lock:
 ///
@@ -379,16 +245,19 @@ fn handle_inner(
 ///   for the replica loop to park — and the replica loop only checks its
 ///   park flag between lock acquisitions, so promoting from inside the
 ///   lock would deadlock.
-/// * Write ops (`arrive`/`depart`/`tick`) on a **follower** are refused
-///   with the structured kind `not-primary` — a follower's engine state
-///   is owned by the replication stream, and interleaving client writes
-///   would fork it from the primary's history. Reads (`stats`, `log`)
-///   are served from the mirror state, which is exactly what a failover
-///   drill wants to inspect.
+/// * Write ops (`arrive`/`depart`/`tick`/`export`/`import`) on a
+///   **follower** are refused with the structured kind `not-primary` — a
+///   follower's engine state is owned by the replication stream, and
+///   interleaving client writes would fork it from the primary's history.
+///   Reads (`stats`, `log`) are served from the mirror state, which is
+///   exactly what a failover drill wants to inspect.
 ///
 /// `{"op":"role"}` reports `{"role":"follower"|"primary","epoch":N}`.
 /// With `role = None` (a plain primary, no failover deployment) every op
-/// falls through to [`handle_line_opts`] under the lock.
+/// is executed under the lock. A malformed line is refused as such on
+/// every node. `fast = true` applies events on the engine's degraded
+/// myopic path (the backpressure response — see
+/// [`AdmissionEngine::apply_opts`]).
 pub fn handle_line_role(
     engine: &Mutex<AdmissionEngine>,
     line: &str,
@@ -396,78 +265,49 @@ pub fn handle_line_role(
     fast: bool,
     role: Option<&RoleContext>,
 ) -> Handled {
-    if let Some(ctx) = role {
-        let op = json::parse_object_into(line, scratch)
-            .ok()
-            .and_then(|pairs| {
-                json::get(pairs, "op")
-                    .and_then(JsonValue::as_str)
-                    .map(String::from)
-            });
-        match op.as_deref() {
-            Some("promote") => {
-                let response = match replication::promote(engine, ctx) {
-                    Ok(epoch) => {
-                        format!("{{\"ok\":true,\"role\":\"primary\",\"epoch\":{epoch}}}")
-                    }
-                    Err(e) => err_response(&ReqError::admit(&e)),
-                };
-                return Handled {
-                    response,
-                    shutdown: false,
-                };
-            }
-            Some("role") => {
-                let role_name = if ctx.role.is_primary() {
-                    "primary"
-                } else {
-                    "follower"
-                };
-                let epoch = {
-                    let g = engine
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    g.epoch()
-                };
-                return Handled {
-                    response: format!("{{\"ok\":true,\"role\":\"{role_name}\",\"epoch\":{epoch}}}"),
-                    shutdown: false,
-                };
-            }
-            Some("arrive" | "depart" | "tick" | "export" | "import") if !ctx.role.is_primary() => {
-                return Handled {
-                    response: err_response(&ReqError {
-                        kind: "not-primary",
-                        id: None,
-                        msg: "this node is a follower; promote it or address the primary"
-                            .to_string(),
-                    }),
-                    shutdown: false,
-                };
-            }
-            Some("stats" | "log") if !ctx.role.is_primary() => {
-                // Follower read-serving: answer from the mirror state and
-                // stamp how stale the answer may be (milliseconds since
-                // the replica loop last heard from the primary), so a
-                // router hedging reads to this standby can bound the lag.
-                let mut guard = engine
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let mut handled = handle_line_opts(&mut guard, line, scratch, fast);
-                drop(guard);
-                if let Some(stripped) = handled.response.strip_suffix('}') {
-                    handled.response =
-                        format!("{stripped},\"stale_by\":{}}}", ctx.role.stale_by_ms());
-                }
-                return handled;
-            }
-            _ => {}
+    let request = match Request::parse(line, scratch) {
+        Ok(request) => request,
+        Err(refusal) => return refused(&refusal),
+    };
+    let lock = || engine.lock().unwrap_or_else(PoisonError::into_inner);
+    let Some(ctx) = role else {
+        return handle_request(&mut lock(), request, fast);
+    };
+    let primary = ctx.role.is_primary();
+    let response = match request {
+        Request::Promote => match replication::promote(engine, ctx) {
+            Ok(epoch) => role_reply("primary", epoch),
+            Err(e) => Refusal::from(e).to_string(),
+        },
+        Request::Role => {
+            let epoch = lock().epoch();
+            role_reply(if primary { "primary" } else { "follower" }, epoch)
         }
+        Request::Event { .. } | Request::Export { .. } | Request::Import { .. } if !primary => {
+            Refusal::new(
+                "not-primary",
+                None,
+                "this node is a follower; promote it or address the primary",
+            )
+            .to_string()
+        }
+        Request::Stats | Request::Log if !primary => {
+            // Follower read-serving: answer from the mirror state and
+            // stamp how stale the answer may be (milliseconds since the
+            // replica loop last heard from the primary), so a router
+            // hedging reads to this standby can bound the lag.
+            let mut handled = handle_request(&mut lock(), request, fast);
+            if let Some(stripped) = handled.response.strip_suffix('}') {
+                handled.response = format!("{stripped},\"stale_by\":{}}}", ctx.role.stale_by_ms());
+            }
+            return handled;
+        }
+        _ => return handle_request(&mut lock(), request, fast),
+    };
+    Handled {
+        response,
+        shutdown: false,
     }
-    let mut guard = engine
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    handle_line_opts(&mut guard, line, scratch, fast)
 }
 
 /// How a serving session ended.
@@ -846,7 +686,7 @@ pub fn serve_connections(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::json::parse_object;
+    use crate::json::{parse_object, JsonValue};
     use dvs_power::presets::cubic_ideal;
     use reject_sched::online::OnlineGreedy;
 
@@ -957,6 +797,66 @@ mod tests {
         let m = e.metrics();
         assert_eq!(m.arrivals, 1);
         assert_eq!(m.accepted() + m.rejected + m.standing_shed(), m.arrivals);
+    }
+
+    #[test]
+    fn integer_fields_must_be_whole_numbers_that_fit() {
+        let mut e = engine();
+        let arrive = |fields: &str| {
+            format!(r#"{{"op":"arrive","at":0,"cycles":30.0,"penalty":2.5,{fields}}}"#)
+        };
+        for (line, error) in [
+            (arrive(r#""id":-3,"period":1000"#), "invalid id -3"),
+            (arrive(r#""id":1.5,"period":1000"#), "invalid id 1.5"),
+            (
+                arrive(r#""id":1e20,"period":1000"#),
+                "invalid id 100000000000000000000",
+            ),
+            (arrive(r#""id":1,"period":100.7"#), "invalid period 100.7"),
+            (arrive(r#""id":1,"period":-1000"#), "invalid period -1000"),
+            (
+                arrive(r#""id":1,"period":1000,"deadline":2.5"#),
+                "invalid deadline 2.5",
+            ),
+            (
+                arrive(r#""id":1,"period":1000,"deadline":-5"#),
+                "invalid deadline -5",
+            ),
+            (
+                r#"{"op":"depart","at":0,"id":-3}"#.to_string(),
+                "invalid id -3",
+            ),
+            (
+                r#"{"op":"export","domain":-1}"#.to_string(),
+                "invalid domain -1",
+            ),
+            (
+                r#"{"op":"export","domain":0.5}"#.to_string(),
+                "invalid domain 0.5",
+            ),
+        ] {
+            let r = handle_line(&mut e, &line);
+            let kv = parse_object(&r.response).unwrap();
+            assert_eq!(
+                json::get(&kv, "kind").unwrap().as_str(),
+                Some("bad-request"),
+                "{line}"
+            );
+            assert_eq!(
+                json::get(&kv, "error").unwrap().as_str(),
+                Some(error),
+                "{line}"
+            );
+        }
+        // Nothing was admitted and domain 0 was not fenced.
+        assert_eq!(e.metrics().arrivals, 0);
+        assert_eq!(e.domain_layout(), [(false, None)]);
+        let r = handle_line(&mut e, &arrive(r#""id":1,"period":1000,"deadline":500"#));
+        assert!(
+            r.response.contains("\"decision\":\"accepted\""),
+            "{}",
+            r.response
+        );
     }
 
     #[test]

@@ -462,30 +462,7 @@ fn trace_requests(seed: u64) -> Vec<String> {
     let trace = TraceSpec::new(10, 2.0, seed).generate().unwrap();
     trace
         .iter()
-        .map(|e| {
-            use rt_model::io::EventKind;
-            match &e.kind {
-                EventKind::Arrive(t) => {
-                    let deadline = if t.deadline() == t.period() {
-                        String::new()
-                    } else {
-                        format!(",\"deadline\":{}", t.deadline())
-                    };
-                    format!(
-                        "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{}{deadline},\"penalty\":{}}}",
-                        e.at,
-                        t.id().index(),
-                        t.wcec(),
-                        t.period(),
-                        t.penalty()
-                    )
-                }
-                EventKind::Depart(id) => {
-                    format!("{{\"op\":\"depart\",\"at\":{},\"id\":{}}}", e.at, id.index())
-                }
-                EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", e.at),
-            }
-        })
+        .map(|e| dvs_admit::wire::Request::from(e).to_string())
         .collect()
 }
 

@@ -1,15 +1,19 @@
 //! Seeded, time-boxed fuzz loops for the decoders that read bytes from
 //! disk or from another process: `restore_snapshot` (complete and delta
 //! `S` payloads), `journal::scan_bytes` / `check_frame` (journal frames),
-//! and `import_domain`'s migration payload. Each loop mutates, truncates
-//! and splices *valid* inputs under `rt_model::rng::Rng`; no input may
-//! panic or allocate from a count it cannot back, and every input that is
-//! accepted must yield a state whose re-encoding round-trips.
+//! `import_domain`'s migration payload, and the wire request parse behind
+//! `server::handle_line`. Each loop mutates, truncates and splices *valid*
+//! inputs under `rt_model::rng::Rng`; no input may panic or allocate from
+//! a count it cannot back, and every input that is accepted must yield a
+//! state (or request) whose re-encoding round-trips.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dvs_admit::journal::{check_frame, scan_bytes, FrameCheck, RecordKind};
+use dvs_admit::json::{self, JsonValue, Scratch};
+use dvs_admit::server::handle_line;
+use dvs_admit::wire::Request;
 use dvs_admit::{AdmissionEngine, AdmitError, EngineConfig, Journal, JournalConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use reject_sched::online::OnlineGreedy;
@@ -290,4 +294,78 @@ fn oversized_counts_are_refused_not_allocated() {
         fresh(0).import_domain("k", &huge),
         Err(AdmitError::Migration { reason }) if reason.contains("exceeds")
     ));
+}
+
+/// Request lines the wire parse refuses, or that the engine refuses after
+/// it: the malformed arrivals `dvs-router`'s pipeline sessions splice in.
+const MALFORMED: [&str; 8] = [
+    r#"{"op":"arrive","at":5,"id":1,"cycles":40,"period":1000,"penalty":-1}"#,
+    r#"{"op":"arrive","at":5,"id":1,"cycles":-1,"period":1000,"penalty":3}"#,
+    r#"{"op":"arrive","at":5,"id":1,"cycles":40,"period":100,"deadline":200,"penalty":3}"#,
+    r#"{"op":"arrive","at":5,"id":1.5,"cycles":40,"period":100.7,"penalty":3}"#,
+    r#"{"op":"arrive","at":5,"id":-3,"cycles":40,"period":1000,"penalty":3,"domain":9}"#,
+    r#"{"op":"depart","at":5,"id":1e20,"dlog":true}"#,
+    r#"{"op":"export","domain":-1}"#,
+    r#"{"op":"import","key":"1:0","payload":"xp1"}"#,
+];
+
+#[test]
+fn fuzz_wire_requests() {
+    let trace = TraceSpec::new(24, 2.6, 7).domains(2).generate().unwrap();
+    let mut lines: Vec<String> = trace
+        .iter()
+        .map(|e| {
+            let mut request = Request::from(e);
+            if let Request::Event { dlog, .. } = &mut request {
+                *dlog = true;
+            }
+            request.to_string()
+        })
+        .collect();
+    lines.extend(MALFORMED.map(String::from));
+    lines.extend(
+        ["stats", "log", "layout", "present", "role"].map(|op| format!(r#"{{"op":"{op}"}}"#)),
+    );
+    let (mut scratch, mut again) = (Scratch::default(), Scratch::default());
+    let mut engine = fresh(2);
+    let (mut next, mut parsed, mut refused) = (0, 0u64, 0u64);
+    let cases = fuzz(0x5EED_0005, |rng| {
+        let donor = &lines[rng.gen_index(lines.len())];
+        let input = mutate_text(rng, &lines[next], donor);
+        // The one parse: what it accepts renders to a fixed point.
+        if let Ok(request) = Request::parse(&input, &mut scratch) {
+            parsed += 1;
+            let rendered = request.to_string();
+            let reparsed = Request::parse(&rendered, &mut again)
+                .unwrap_or_else(|e| panic!("{input:?} rendered to {rendered:?}: {e}"));
+            assert_eq!(reparsed, request, "{input:?} -> {rendered:?}");
+            assert_eq!(reparsed.to_string(), rendered, "{input:?}");
+        }
+        // The server: one JSON line carrying `ok`, and a refusal is a no-op.
+        let before = (engine.format_decision_log(), engine.stats_json());
+        let reply = handle_line(&mut engine, &input).response;
+        assert!(!reply.contains('\n'), "{input:?} -> {reply:?}");
+        let doc = json::parse_document(&reply).unwrap_or_else(|e| panic!("{reply:?}: {e}"));
+        let pairs = doc.as_obj().unwrap_or_else(|| panic!("{reply:?}"));
+        match json::get(pairs, "ok") {
+            Some(JsonValue::Bool(true)) => {}
+            Some(JsonValue::Bool(false)) => {
+                refused += 1;
+                let after = (engine.format_decision_log(), engine.stats_json());
+                assert_eq!(
+                    after, before,
+                    "{input:?} was refused but changed the engine"
+                );
+            }
+            other => panic!("{input:?} -> {reply:?}: ok is {other:?}"),
+        }
+        // Walk the session on the engine, starting over at its end.
+        let _ = handle_line(&mut engine, &lines[next]);
+        next += 1;
+        if next == lines.len() {
+            next = 0;
+            engine = fresh(2);
+        }
+    });
+    println!("wire requests: {cases} cases, {parsed} parsed, {refused} refused");
 }

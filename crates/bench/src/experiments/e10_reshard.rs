@@ -38,11 +38,11 @@ use std::time::Instant;
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
+use dvs_admit::wire::Request;
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use dvs_router::{Router, ShardMap, ShardSpec};
 use reject_sched::online::OnlineGreedy;
-use rt_model::io::EventKind;
 
 use crate::{mean, Scale, Table};
 
@@ -115,34 +115,6 @@ fn shard_server(
     (addr, handle, engine)
 }
 
-/// Renders a trace event as its protocol request line (tasks carry their
-/// domain pin explicitly).
-fn request_line(event: &rt_model::io::EventRecord) -> String {
-    match &event.kind {
-        EventKind::Arrive(t) => {
-            let domain = t
-                .domain()
-                .map_or_else(String::new, |d| format!(",\"domain\":{d}"));
-            format!(
-                "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{},\
-                 \"deadline\":{},\"penalty\":{}{domain}}}",
-                event.at,
-                t.id().index(),
-                t.wcec(),
-                t.period(),
-                t.deadline(),
-                t.penalty()
-            )
-        }
-        EventKind::Depart(id) => format!(
-            "{{\"op\":\"depart\",\"at\":{},\"id\":{}}}",
-            event.at,
-            id.index()
-        ),
-        EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", event.at),
-    }
-}
-
 /// One resharded session's measurements.
 pub struct ReshardReplay {
     /// Wall-clock milliseconds the router spent inside the reshard op.
@@ -205,7 +177,7 @@ pub fn replay_one(scale: Scale, seed: u64) -> ReshardReplay {
 
     let half = trace.len() / 2;
     for event in &trace[..half] {
-        let handled = router.handle_line(&request_line(event));
+        let handled = router.handle_line(&Request::from(event).to_string());
         assert!(
             handled.response.starts_with("{\"ok\":true"),
             "event {event:?} refused: {}",
@@ -227,7 +199,7 @@ pub fn replay_one(scale: Scale, seed: u64) -> ReshardReplay {
     let moved = stat(&pairs, "moved");
 
     for event in &trace[half..] {
-        let handled = router.handle_line(&request_line(event));
+        let handled = router.handle_line(&Request::from(event).to_string());
         assert!(
             handled.response.starts_with("{\"ok\":true"),
             "post-reshard event {event:?} refused: {}",

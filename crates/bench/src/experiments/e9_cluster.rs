@@ -38,11 +38,11 @@ use std::time::Instant;
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
+use dvs_admit::wire::Request;
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use dvs_router::{Router, ShardMap, ShardSpec};
 use reject_sched::online::OnlineGreedy;
-use rt_model::io::EventKind;
 
 use crate::{mean, Scale, Table};
 
@@ -147,35 +147,6 @@ fn cluster(
     (router, handles, engines)
 }
 
-/// Renders a trace event as its protocol request line (tasks carry their
-/// domain pin explicitly, so every shard count replays one decision
-/// process).
-fn request_line(event: &rt_model::io::EventRecord) -> String {
-    match &event.kind {
-        EventKind::Arrive(t) => {
-            let domain = t
-                .domain()
-                .map_or_else(String::new, |d| format!(",\"domain\":{d}"));
-            format!(
-                "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{},\
-                 \"deadline\":{},\"penalty\":{}{domain}}}",
-                event.at,
-                t.id().index(),
-                t.wcec(),
-                t.period(),
-                t.deadline(),
-                t.penalty()
-            )
-        }
-        EventKind::Depart(id) => format!(
-            "{{\"op\":\"depart\",\"at\":{},\"id\":{}}}",
-            event.at,
-            id.index()
-        ),
-        EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", event.at),
-    }
-}
-
 /// One replayed cluster session's measurements.
 pub struct ClusterReplay {
     /// Events handled per second of routing+serving time (wall-clock,
@@ -219,7 +190,7 @@ pub fn replay_one(scale: Scale, seed: u64, shards: usize) -> ClusterReplay {
     let started = Instant::now();
     for event in &trace {
         let t0 = Instant::now();
-        let handled = router.handle_line(&request_line(event));
+        let handled = router.handle_line(&Request::from(event).to_string());
         latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
         assert!(
             handled.response.starts_with("{\"ok\":true"),

@@ -31,7 +31,7 @@
 //!                   recovered state
 //! ```
 //!
-//! The protocol is the `dvs_admitd` protocol (see `dvs_admit::server`)
+//! The protocol is the `dvs_admit::wire` schema: the `dvs_admitd` ops
 //! plus `{"op":"map"}` for the domain→shard assignment and
 //! `{"op":"reshard",…}` for live membership changes. `stats` responds
 //! with cluster aggregates under the balance invariant, `log` with the
@@ -58,8 +58,9 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 
-use dvs_admit::json::{self, JsonValue};
+use dvs_admit::json::Scratch;
 use dvs_admit::server::{serve_batches, serve_connections, Handled, ServerControl, SessionEnd};
+use dvs_admit::wire::{Refusal, Request};
 use dvs_admit::ClientConfig;
 use dvs_router::{Router, ShardMap, ShardSpec};
 
@@ -196,12 +197,12 @@ fn prepare_reshard(
     children: &mut Vec<SpawnedShard>,
     ctx: &SpawnCtx,
 ) -> Result<String, String> {
-    let Ok(pairs) = json::parse_object(request) else {
-        return Ok(request.to_string()); // let the router report the parse error
+    let mut scratch = Scratch::default();
+    let Ok(parsed @ (Request::ReshardAdd(_) | Request::ReshardRemove(_))) =
+        Request::parse(request, &mut scratch)
+    else {
+        return Ok(request.to_string()); // let the router answer it
     };
-    if json::get(&pairs, "op").and_then(JsonValue::as_str) != Some("reshard") {
-        return Ok(request.to_string());
-    }
     for shard in children.iter_mut() {
         let dead = shard
             .child
@@ -231,8 +232,8 @@ fn prepare_reshard(
             );
         }
     }
-    match json::get(&pairs, "add").and_then(JsonValue::as_str) {
-        Some(name) if !name.contains('=') => {
+    match parsed {
+        Request::ReshardAdd(name) if !name.contains('=') => {
             let addr = match children.iter().find(|c| c.name == name) {
                 Some(existing) => existing.addr.clone(),
                 None => {
@@ -250,11 +251,7 @@ fn prepare_reshard(
                     addr
                 }
             };
-            Ok(format!(
-                "{{\"op\":\"reshard\",\"add\":\"{}={}\"}}",
-                json::escape(name),
-                json::escape(&addr)
-            ))
+            Ok(Request::ReshardAdd(&format!("{name}={addr}")).to_string())
         }
         _ => Ok(request.to_string()),
     }
@@ -288,10 +285,7 @@ fn serve<R: Read, W: Write>(
                 reply(match prepare_reshard(rest[at], children, ctx) {
                     Ok(prepared) => router.handle_line(&prepared),
                     Err(msg) => Handled {
-                        response: format!(
-                            "{{\"ok\":false,\"kind\":\"reshard\",\"error\":\"{}\"}}",
-                            json::escape(&msg)
-                        ),
+                        response: Refusal::new("reshard", None, msg).to_string(),
                         shutdown: false,
                     },
                 });
@@ -558,7 +552,7 @@ fn run() -> Result<(), String> {
     if !shutdown {
         // EOF without a shutdown op: shut the fleet down ourselves so
         // spawned children do not outlive the router.
-        let handled = router.handle_line("{\"op\":\"shutdown\"}");
+        let handled = router.handle_line(&Request::Shutdown.to_string());
         eprintln!("{}", handled.response);
     }
     for mut shard in children {

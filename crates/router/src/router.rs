@@ -1,13 +1,14 @@
 //! The scatter-gather router: one stateful front-end over N admission
 //! shards.
 //!
-//! The router speaks the same newline-delimited JSON protocol as
-//! `dvs_admitd` and fans requests across a shard fleet:
+//! The router speaks `dvs_admitd`'s protocol — the
+//! [`dvs_admit::wire`] schema, plus `map` and `reshard` — parses each
+//! line once into a [`Request`], and fans requests across a shard fleet:
 //!
 //! * **Arrive/Depart** are *routed*: every task carries (or is assigned)
 //!   a global power-domain pin, the [`ShardMap`] names the owning shard,
-//!   and the event goes to that shard alone with the pin translated to
-//!   the shard's local domain index.
+//!   and the typed request goes to that shard alone with the pin
+//!   translated to the shard's local domain index.
 //! * **Tick** is *fanned out*: written to every shard before any reply
 //!   is read, and gathered in shard-index order, so each shard's engine
 //!   clock and billing window advance in lockstep and a cluster tick
@@ -29,7 +30,9 @@
 //!
 //! Those three are **pipelined** ([`Router::handle_batch`]): every
 //! request of a batch is validated against the state the earlier ones
-//! will leave behind, translated, and written to its shard without
+//! will leave behind — by building the [`AdmitError`] the engine would,
+//! in the engine's order, so a refusal reads the same from a router as
+//! from one engine — translated, and written to its shard without
 //! waiting; replies are then gathered in request order, which is when
 //! the merged log grows and the client is answered. Each shard serves
 //! its connection first-in first-out and every domain lives on one
@@ -75,12 +78,12 @@ use std::fmt::Write as _;
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::Handled;
-use dvs_admit::{AdmitClient, ClientConfig, ClientError};
+use dvs_admit::wire::{Refusal, Reply, Request};
+use dvs_admit::{AdmitClient, AdmitError, ClientConfig, ClientError, RESERVED_ANCHOR_ID};
+use rt_model::io::{EventKind, EventRecord};
+use rt_model::{Task, TaskId};
 
 use crate::map::ShardMap;
-
-/// Reserved engine-internal task id (mirrors the engine's anchor id).
-const RESERVED_ANCHOR_ID: usize = usize::MAX;
 
 /// One shard endpoint: the primary address and an optional follower
 /// replica used for hedged reads.
@@ -206,7 +209,7 @@ fn connect_shard(name: &str, spec: &ShardSpec, client: &ClientConfig) -> Shard {
 
 /// The in-band answer when shard `s`'s primary cannot be reached.
 fn unavailable(s: usize, e: &ClientError) -> String {
-    err_response("shard-unavailable", None, &format!("shard {s}: {e}"))
+    Refusal::new("shard-unavailable", None, format!("shard {s}: {e}")).to_string()
 }
 
 /// A request of the batch in hand that has not been answered yet.
@@ -279,20 +282,6 @@ pub struct Router {
     metrics: RouterMetrics,
 }
 
-fn err_response(kind: &str, id: Option<usize>, msg: &str) -> String {
-    let id = id.map_or_else(String::new, |i| format!(",\"id\":{i}"));
-    format!(
-        "{{\"ok\":false,\"kind\":\"{kind}\",\"error\":\"{}\"{id}}}",
-        json::escape(msg)
-    )
-}
-
-fn num_field(pairs: &[(String, JsonValue)], key: &str) -> Result<f64, String> {
-    json::get(pairs, key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
 /// Extracts the task id from a decision-log line (`t=… τ{id} verdict…`).
 fn line_task_id(line: &str) -> Option<usize> {
     let tok = line.split_whitespace().nth(1)?;
@@ -306,11 +295,6 @@ fn line_is_shed(line: &str) -> bool {
         .is_some_and(|v| v.starts_with("shed@"))
 }
 
-fn ids_json(ids: &[usize]) -> String {
-    let items: Vec<String> = ids.iter().map(usize::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
 /// Asks a shard's engine for its `layout` — one `(fenced, import-key)`
 /// pair per local domain, in index order. Errors are plain messages
 /// (callers wrap them into the response shape they need).
@@ -318,7 +302,7 @@ fn probe_layout(shard: &mut Shard) -> Result<Vec<(bool, Option<String>)>, String
     let name = &shard.name;
     let resp = shard
         .primary
-        .request("{\"op\":\"layout\"}")
+        .request(&Request::Layout.to_string())
         .map_err(|e| format!("shard {name:?} layout probe failed: {e}"))?;
     let rp = json::parse_object(&resp)
         .map_err(|e| format!("bad layout response from shard {name:?}: {e}"))?;
@@ -349,7 +333,7 @@ fn probe_present(shard: &mut Shard) -> Result<(Vec<(usize, Option<usize>)>, Vec<
     let name = &shard.name;
     let resp = shard
         .primary
-        .request("{\"op\":\"present\"}")
+        .request(&Request::Present.to_string())
         .map_err(|e| format!("shard {name:?} presence probe failed: {e}"))?;
     let rp = json::parse_object(&resp)
         .map_err(|e| format!("bad presence response from shard {name:?}: {e}"))?;
@@ -688,13 +672,9 @@ impl Router {
         let mut scratch = std::mem::take(&mut self.request_scratch);
         self.careful = false;
         for line in lines {
-            let step = match json::parse_object_into(line, &mut scratch) {
-                Ok(pairs) => self.issue(pairs, &mut out),
-                Err(e) => Err(err_response(
-                    "bad-request",
-                    None,
-                    &format!("bad request: {e}"),
-                )),
+            let step = match Request::parse(line, &mut scratch) {
+                Ok(request) => self.issue(request, &mut out),
+                Err(refusal) => Err(refusal.to_string()),
             }
             .unwrap_or_else(|response| {
                 Pending::Answered(Handled {
@@ -718,24 +698,19 @@ impl Router {
 
     /// Validates one request and, for the pipelined ops, writes it to
     /// its shard(s). `Err` carries a fully-formatted error response.
-    fn issue(
-        &mut self,
-        pairs: &[(String, JsonValue)],
-        out: &mut Vec<Handled>,
-    ) -> Result<Pending, String> {
-        let op = json::get(pairs, "op")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| err_response("bad-request", None, "missing field \"op\""))?;
-        match op {
-            "arrive" => self.issue_arrive(pairs, out),
-            "depart" => self.issue_depart(pairs, out),
-            "tick" => self.issue_tick(pairs, out),
+    fn issue(&mut self, request: Request<'_>, out: &mut Vec<Handled>) -> Result<Pending, String> {
+        match request {
+            Request::Event { event, dlog } => match event.kind {
+                EventKind::Arrive(task) => self.issue_arrive(event.at, task, dlog, out),
+                EventKind::Depart(id) => self.issue_depart(event.at, id, dlog, out),
+                EventKind::Tick => self.issue_tick(event.at, dlog, out),
+            },
             _ => {
                 // Everything else reads or rewires the cluster as a
                 // whole: it sees the pipeline drained.
                 self.gather(out);
-                let mut shutdown = false;
-                let response = match self.control(op, pairs, &mut shutdown) {
+                let shutdown = request == Request::Shutdown;
+                let response = match self.control(request) {
                     Ok(r) | Err(r) => r,
                 };
                 Ok(Pending::Answered(Handled { response, shutdown }))
@@ -744,20 +719,15 @@ impl Router {
     }
 
     /// The ops that are not pipelined.
-    fn control(
-        &mut self,
-        op: &str,
-        pairs: &[(String, JsonValue)],
-        shutdown: &mut bool,
-    ) -> Result<String, String> {
-        match op {
-            "stats" => self.cluster_stats("stats"),
-            "log" => Ok(format!(
-                "{{\"ok\":true,\"decisions\":{},\"log\":\"{}\"}}",
-                self.merged_decisions,
-                json::escape(&self.merged_log)
-            )),
-            "map" => {
+    fn control(&mut self, request: Request<'_>) -> Result<String, String> {
+        match request {
+            Request::Stats | Request::Shutdown => self.cluster_stats(&request),
+            Request::Log => Ok(Reply::Log {
+                decisions: self.merged_decisions,
+                log: &self.merged_log,
+            }
+            .line()),
+            Request::Map => {
                 let assignment: Vec<String> = (0..self.map.domains())
                     .map(|g| self.map.shard_for(g).to_string())
                     .collect();
@@ -769,27 +739,19 @@ impl Router {
                     assignment.join(",")
                 ))
             }
-            "reshard" => {
-                let done = self.reshard(pairs);
+            Request::ReshardAdd(member) | Request::ReshardRemove(member) => {
+                let done = self.reshard(matches!(request, Request::ReshardAdd(_)), member);
                 // Slot tables change as domains land, even when the
                 // reshard stops half-way.
                 self.rebuild_routes();
                 done
             }
-            "role" => Ok(format!(
+            Request::Role => Ok(format!(
                 "{{\"ok\":true,\"role\":\"router\",\"shards\":{},\"map_version\":{}}}",
                 self.shards.len(),
                 self.map.version()
             )),
-            "shutdown" => {
-                *shutdown = true;
-                self.cluster_stats("shutdown")
-            }
-            other => Err(err_response(
-                "bad-request",
-                None,
-                &format!("unknown op {other:?}"),
-            )),
+            _ => Err(request.unknown_op().to_string()),
         }
     }
 
@@ -804,11 +766,12 @@ impl Router {
             .iter()
             .position(|sh| &sh.name == member)
             .ok_or_else(|| {
-                err_response(
+                Refusal::new(
                     "shard-unavailable",
                     None,
-                    &format!("no connected shard for member {member:?}"),
+                    format!("no connected shard for member {member:?}"),
                 )
+                .to_string()
             })
     }
 
@@ -841,20 +804,52 @@ impl Router {
                 format!("shard {s} does not hold domain {g}"),
             )
         };
-        err_response(kind, Some(id), &msg)
+        Refusal::new(kind, Some(id), msg).to_string()
     }
 
-    /// Mirrors the engine's validation order: the clock check comes
-    /// before any id check, so cluster error kinds match a single server.
-    fn check_clock(&self, at: f64) -> Result<(), String> {
+    /// The engine's clock check, against the clock the requests in
+    /// flight will leave behind.
+    fn check_clock(&self, at: f64) -> Result<(), AdmitError> {
         if !at.is_finite() || at < self.issue_clock {
-            return Err(err_response(
-                "time-regression",
-                None,
-                &format!("event at {at} precedes cluster clock {}", self.issue_clock),
-            ));
+            return Err(AdmitError::TimeRegression {
+                at,
+                clock: self.issue_clock,
+            });
         }
         Ok(())
+    }
+
+    /// The engine's arrival checks, in the engine's order, against the
+    /// cluster: clock, reserved id, domain range, departed, present.
+    fn check_arrive(&self, at: f64, id: TaskId, g: usize) -> Result<(), AdmitError> {
+        self.check_clock(at)?;
+        let domains = self.map.domains();
+        if id.index() == RESERVED_ANCHOR_ID {
+            Err(AdmitError::ReservedId(id))
+        } else if g >= domains {
+            Err(AdmitError::InvalidDomain {
+                task: id,
+                domain: g,
+                domains,
+            })
+        } else if self.departed.contains(&id.index()) {
+            Err(AdmitError::AlreadyDeparted(id))
+        } else if self.present.contains_key(&id.index()) {
+            Err(AdmitError::DuplicateTask(id))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The engine's departure checks, in the engine's order: clock, then
+    /// present (else departed or unknown). The task's global domain.
+    fn check_depart(&self, at: f64, id: TaskId) -> Result<usize, AdmitError> {
+        self.check_clock(at)?;
+        match self.present.get(&id.index()) {
+            Some(&g) => Ok(g),
+            None if self.departed.contains(&id.index()) => Err(AdmitError::AlreadyDeparted(id)),
+            None => Err(AdmitError::UnknownTask(id)),
+        }
     }
 
     /// Gathers first when the next pipelined request must not go out
@@ -877,89 +872,38 @@ impl Router {
     /// Validates an arrival and writes it to the owning shard.
     fn issue_arrive(
         &mut self,
-        pairs: &[(String, JsonValue)],
+        at: f64,
+        task: Task,
+        echo: bool,
         out: &mut Vec<Handled>,
     ) -> Result<Pending, String> {
-        let proto = |msg: String| err_response("bad-request", None, &msg);
-        let at = num_field(pairs, "at").map_err(proto)?;
-        let id = num_field(pairs, "id").map_err(proto)? as usize;
-        // Every field the shard needs is validated here first so a
-        // malformed request is refused without touching any shard.
-        num_field(pairs, "cycles").map_err(proto)?;
-        num_field(pairs, "period").map_err(proto)?;
-        num_field(pairs, "penalty").map_err(proto)?;
-        let g = match json::get(pairs, "domain").and_then(JsonValue::as_f64) {
-            Some(d) if d < 0.0 || d.fract() != 0.0 => {
-                return Err(proto(format!("invalid domain {d}")));
-            }
-            Some(d) => d as usize,
-            // Unpinned arrivals get the router's deterministic default
-            // pin — the same `id mod domains` rule `TraceSpec::domains`
-            // uses, so routed and single-engine replays of a generated
-            // trace see identical pins.
-            None => id % self.map.domains(),
-        };
+        let id = task.id().index();
+        // Unpinned arrivals get the router's deterministic default pin —
+        // the same `id mod domains` rule `TraceSpec::domains` uses, so
+        // routed and single-engine replays of a generated trace see
+        // identical pins.
+        let g = task.domain().unwrap_or(id % self.map.domains());
         self.make_room(Some(id), out);
-        self.check_clock(at)?;
-        if id == RESERVED_ANCHOR_ID {
-            return Err(err_response(
-                "reserved-id",
-                Some(id),
-                &format!("task id {id} is reserved"),
-            ));
-        }
-        if g >= self.map.domains() {
-            return Err(err_response(
-                "invalid-domain",
-                Some(id),
-                &format!(
-                    "task \u{3c4}{id} is pinned to domain {g}, cluster has {}",
-                    self.map.domains()
-                ),
-            ));
-        }
-        if self.departed.contains(&id) {
-            return Err(err_response(
-                "already-departed",
-                Some(id),
-                &format!("task \u{3c4}{id} already departed"),
-            ));
-        }
-        if self.present.contains_key(&id) {
-            return Err(err_response(
-                "duplicate-task",
-                Some(id),
-                &format!("task \u{3c4}{id} is already present"),
-            ));
-        }
+        self.check_arrive(at, task.id(), g)
+            .map_err(|e| Refusal::from(e).to_string())?;
         let Some((s, local)) = self.routes[g] else {
             return Err(self.unroutable(g, id));
         };
-        // Forward the original fields verbatim (minus any client pin or
-        // dlog flag), adding the shard-local pin and the dlog echo.
-        let line = &mut self.downstream;
-        line.clear();
-        line.push_str("{\"op\":\"arrive\"");
-        for (key, value) in pairs {
-            if matches!(key.as_str(), "op" | "domain" | "dlog") {
-                continue;
-            }
-            line.push_str(",\"");
-            json::escape_into(line, key);
-            line.push_str("\":");
-            render_value(line, value);
-        }
-        let _ = write!(line, ",\"domain\":{local},\"dlog\":true}}");
-        self.shards[s].primary.send(line);
+        self.forward(
+            s,
+            EventRecord::new(at, EventKind::Arrive(task.with_domain(local))),
+        );
         self.issue_clock = at;
         self.present.insert(id, g);
-        Ok(Pending::Arrive {
-            s,
-            id,
-            g,
-            at,
-            echo: wants_dlog(pairs),
-        })
+        Ok(Pending::Arrive { s, id, g, at, echo })
+    }
+
+    /// Queues `event` on shard `s`'s connection, asking for its
+    /// decision lines.
+    fn forward(&mut self, s: usize, event: EventRecord) {
+        self.downstream.clear();
+        let _ = write!(self.downstream, "{}", Request::Event { event, dlog: true });
+        self.shards[s].primary.send(&self.downstream);
     }
 
     /// Reads shard `s`'s reply to the arrival or departure of task `id`
@@ -979,7 +923,8 @@ impl Router {
             .map_err(|e| unavailable(s, &e))?;
         let (accepted, lines) = {
             let rp = json::parse_object_into(&resp, &mut self.reply_scratch).map_err(|e| {
-                err_response("bad-request", Some(id), &format!("bad shard response: {e}"))
+                Refusal::new("bad-request", Some(id), format!("bad shard response: {e}"))
+                    .to_string()
             })?;
             if json::get(rp, "ok") != Some(&JsonValue::Bool(true)) {
                 // Structured shard refusals (the router pre-validates, so
@@ -1007,60 +952,36 @@ impl Router {
     ) -> Result<String, String> {
         let (accepted, lines) = self.finish_routed(s, id, at)?;
         self.metrics.routed_arrives += 1;
-        let dlog = dlog_suffix(echo, &lines);
-        Ok(if accepted {
-            format!("{{\"ok\":true,\"decision\":\"accepted\",\"id\":{id},\"domain\":{g}{dlog}}}")
-        } else {
-            format!("{{\"ok\":true,\"decision\":\"rejected\",\"id\":{id}{dlog}}}")
-        })
+        Ok(Reply::Verdict {
+            id,
+            domain: accepted.then_some(g),
+            dlog: dlog_text(echo, &lines).as_deref(),
+        }
+        .line())
     }
 
     /// Validates a departure and writes it to the shard holding the task.
     fn issue_depart(
         &mut self,
-        pairs: &[(String, JsonValue)],
+        at: f64,
+        id: TaskId,
+        echo: bool,
         out: &mut Vec<Handled>,
     ) -> Result<Pending, String> {
-        let proto = |msg: String| err_response("bad-request", None, &msg);
-        let at = num_field(pairs, "at").map_err(proto)?;
-        let id = num_field(pairs, "id").map_err(proto)? as usize;
-        self.make_room(Some(id), out);
-        self.check_clock(at)?;
-        if self.departed.contains(&id) {
-            return Err(err_response(
-                "already-departed",
-                Some(id),
-                &format!("task \u{3c4}{id} already departed"),
-            ));
-        }
-        let Some(&g) = self.present.get(&id) else {
-            return Err(err_response(
-                "unknown-task",
-                Some(id),
-                &format!("task \u{3c4}{id} is not present"),
-            ));
-        };
+        self.make_room(Some(id.index()), out);
+        let g = self
+            .check_depart(at, id)
+            .map_err(|e| Refusal::from(e).to_string())?;
         let s = match self.routes[g] {
             Some((s, _)) => s,
             None => self.route(g)?,
         };
-        let line = &mut self.downstream;
-        line.clear();
-        let _ = write!(
-            line,
-            "{{\"op\":\"depart\",\"at\":{at},\"id\":{id},\"dlog\":true}}"
-        );
-        self.shards[s].primary.send(line);
+        self.forward(s, EventRecord::new(at, EventKind::Depart(id)));
+        let id = id.index();
         self.issue_clock = at;
         self.present.remove(&id);
         self.departed.insert(id);
-        Ok(Pending::Depart {
-            s,
-            id,
-            g,
-            at,
-            echo: wants_dlog(pairs),
-        })
+        Ok(Pending::Depart { s, id, g, at, echo })
     }
 
     fn finish_depart(
@@ -1072,11 +993,12 @@ impl Router {
     ) -> Result<String, String> {
         let (_, lines) = self.finish_routed(s, id, at)?;
         self.metrics.routed_departs += 1;
-        Ok(format!(
-            "{{\"ok\":true,\"id\":{id},\"shed\":{}{}}}",
-            ids_json(&shed_ids(&lines)),
-            dlog_suffix(echo, &lines)
-        ))
+        Ok(Reply::Depart {
+            id,
+            shed: &shed_ids(&lines),
+            dlog: dlog_text(echo, &lines).as_deref(),
+        }
+        .line())
     }
 
     /// Validates a tick and writes it to every shard. Nothing is read
@@ -1085,24 +1007,18 @@ impl Router {
     /// costs the slowest shard, not the sum of all shards.
     fn issue_tick(
         &mut self,
-        pairs: &[(String, JsonValue)],
+        at: f64,
+        echo: bool,
         out: &mut Vec<Handled>,
     ) -> Result<Pending, String> {
-        let proto = |msg: String| err_response("bad-request", None, &msg);
-        let at = num_field(pairs, "at").map_err(proto)?;
         self.make_room(None, out);
-        self.check_clock(at)?;
-        let line = &mut self.downstream;
-        line.clear();
-        let _ = write!(line, "{{\"op\":\"tick\",\"at\":{at},\"dlog\":true}}");
-        for shard in &mut self.shards {
-            shard.primary.send(line);
+        self.check_clock(at)
+            .map_err(|e| Refusal::from(e).to_string())?;
+        for s in 0..self.shards.len() {
+            self.forward(s, EventRecord::new(at, EventKind::Tick));
         }
         self.issue_clock = at;
-        Ok(Pending::Tick {
-            at,
-            echo: wants_dlog(pairs),
-        })
+        Ok(Pending::Tick { at, echo })
     }
 
     /// Reads every shard's reply to a tick, in shard-index order, and
@@ -1123,7 +1039,7 @@ impl Router {
         for (s, resp) in responses.into_iter().enumerate() {
             let resp = resp?;
             let rp = json::parse_object_into(&resp, &mut self.reply_scratch).map_err(|e| {
-                err_response("bad-request", None, &format!("bad shard response: {e}"))
+                Refusal::bad_request(format!("bad shard response: {e}")).to_string()
             })?;
             if json::get(rp, "ok") != Some(&JsonValue::Bool(true)) {
                 return Err(resp);
@@ -1141,11 +1057,12 @@ impl Router {
         self.append_merged(merged.iter().map(|(_, l)| l.as_str()));
         self.clock = at;
         self.metrics.fanned_ticks += 1;
-        Ok(format!(
-            "{{\"ok\":true,\"shed\":{},\"resolves\":{resolves}{}}}",
-            ids_json(&shed_ids(&merged)),
-            dlog_suffix(echo, &merged)
-        ))
+        Ok(Reply::Tick {
+            shed: &shed_ids(&merged),
+            resolves,
+            dlog: dlog_text(echo, &merged).as_deref(),
+        }
+        .line())
     }
 
     /// Puts everything issued on the wire, then answers every pending
@@ -1190,10 +1107,10 @@ impl Router {
     }
 
     /// Scatter-gathers per-shard stats into cluster aggregates, enforcing
-    /// the balance invariant. `op` is `"stats"` (hedged reads allowed) or
-    /// `"shutdown"` (forwarded as-is; `dvs_admitd` answers shutdown with
+    /// the balance invariant. `request` is `stats` (hedged reads allowed)
+    /// or `shutdown` (forwarded as-is; `dvs_admitd` answers shutdown with
     /// its final stats dump, which aggregates the same way).
-    fn cluster_stats(&mut self, op: &str) -> Result<String, String> {
+    fn cluster_stats(&mut self, request: &Request<'_>) -> Result<String, String> {
         const SUMMED: [&str; 14] = [
             "arrivals",
             "accepted",
@@ -1212,8 +1129,8 @@ impl Router {
         ];
         const SUMMED_F64: [&str; 4] =
             ["energy", "penalty_accrued", "penalty_charged", "total_cost"];
-        let request = format!("{{\"op\":\"{op}\"}}");
-        let hedge = op == "stats";
+        let hedge = *request == Request::Stats;
+        let request = request.to_string();
         let mut counts = [0u64; 14];
         let mut floats = [0f64; 4];
         let mut stale_by_max: u64 = 0;
@@ -1224,7 +1141,7 @@ impl Router {
                 (self.shard_write(s, &request)?, false)
             };
             let rp = json::parse_object(&resp).map_err(|e| {
-                err_response("bad-request", None, &format!("bad shard response: {e}"))
+                Refusal::bad_request(format!("bad shard response: {e}")).to_string()
             })?;
             if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
                 return Err(resp);
@@ -1247,14 +1164,15 @@ impl Router {
         }
         let (arrivals, accepted, rejected, shed) = (counts[0], counts[1], counts[3], counts[4]);
         if accepted + rejected + shed != arrivals {
-            return Err(err_response(
+            return Err(Refusal::new(
                 "balance-violation",
                 None,
-                &format!(
+                format!(
                     "cluster balance broken: accepted {accepted} + rejected {rejected} \
                      + standing-shed {shed} != arrivals {arrivals}"
                 ),
-            ));
+            )
+            .to_string());
         }
         let m = &self.metrics;
         let per_shard: Vec<String> = m.per_shard_routed.iter().map(u64::to_string).collect();
@@ -1294,47 +1212,31 @@ impl Router {
     /// shard, the slot table dedupes on the router) and finishes the
     /// remainder. See the [module docs](self) for the full protocol.
     #[allow(clippy::too_many_lines)]
-    fn reshard(&mut self, pairs: &[(String, JsonValue)]) -> Result<String, String> {
-        let proto = |msg: String| err_response("bad-request", None, &msg);
-        let rerr = |msg: String| err_response("reshard", None, &msg);
-        let add = json::get(pairs, "add").and_then(JsonValue::as_str);
-        let remove = json::get(pairs, "remove").and_then(JsonValue::as_str);
-        let (probe_members, name, spec, adding) = match (add, remove) {
-            (Some(spec), None) => {
-                let (name, addr) = spec.split_once('=').ok_or_else(|| {
-                    proto(format!(
-                        "reshard add needs NAME=ADDR, got {spec:?} \
-                         (spawn mode resolves bare names to spawned shards)"
-                    ))
-                })?;
-                let mut members: Vec<String> =
-                    self.map.members().iter().map(String::clone).collect();
-                members.push(name.to_string());
-                (
-                    members,
-                    name.to_string(),
-                    Some(ShardSpec::parse(addr)),
-                    true,
-                )
+    fn reshard(&mut self, adding: bool, member: &str) -> Result<String, String> {
+        let rerr = |msg: String| Refusal::new("reshard", None, msg).to_string();
+        let (probe_members, name, spec) = if adding {
+            let (name, addr) = member.split_once('=').ok_or_else(|| {
+                Refusal::bad_request(format!(
+                    "reshard add needs NAME=ADDR, got {member:?} \
+                     (spawn mode resolves bare names to spawned shards)"
+                ))
+                .to_string()
+            })?;
+            let mut members: Vec<String> = self.map.members().to_vec();
+            members.push(name.to_string());
+            (members, name.to_string(), Some(ShardSpec::parse(addr)))
+        } else {
+            let members: Vec<String> = self
+                .map
+                .members()
+                .iter()
+                .filter(|m| m.as_str() != member)
+                .cloned()
+                .collect();
+            if members.len() == self.map.members().len() {
+                return Err(rerr(format!("unknown member {member:?}")));
             }
-            (None, Some(name)) => {
-                let members: Vec<String> = self
-                    .map
-                    .members()
-                    .iter()
-                    .filter(|m| m.as_str() != name)
-                    .map(String::clone)
-                    .collect();
-                if members.len() == self.map.members().len() {
-                    return Err(rerr(format!("unknown member {name:?}")));
-                }
-                (members, name.to_string(), None, false)
-            }
-            _ => {
-                return Err(proto(
-                    "reshard needs exactly one of \"add\" or \"remove\"".to_string(),
-                ));
-            }
+            (members, member.to_string(), None)
         };
         // Probe map: validates the target membership (names, duplicates,
         // emptiness) and answers "who owns g afterwards" without touching
@@ -1448,8 +1350,7 @@ impl Router {
                     .expect("just found above");
                 (src, local)
             };
-            let resp =
-                self.shard_write(src, &format!("{{\"op\":\"export\",\"domain\":{local}}}"))?;
+            let resp = self.shard_write(src, &Request::Export { domain: local }.to_string())?;
             let rp = json::parse_object(&resp)
                 .map_err(|e| rerr(format!("bad export response from shard {src}: {e}")))?;
             if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
@@ -1464,11 +1365,11 @@ impl Router {
             // the table telling the truth and the retry re-exports the
             // stored payload.
             self.shards[src].slots[local] = Slot::Fenced(g);
-            let import = format!(
-                "{{\"op\":\"import\",\"key\":\"{next_version}:{g}\",\"payload\":\"{}\"}}",
-                json::escape(&payload)
-            );
-            let resp = self.shard_write(dst, &import)?;
+            let import = Request::Import {
+                key: &format!("{next_version}:{g}"),
+                payload: &payload,
+            };
+            let resp = self.shard_write(dst, &import.to_string())?;
             let rp = json::parse_object(&resp)
                 .map_err(|e| rerr(format!("bad import response from shard {dst}: {e}")))?;
             if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
@@ -1530,11 +1431,12 @@ impl Router {
                     return Err(primary_err);
                 };
                 let resp = replica.request(line).map_err(|replica_err| {
-                    err_response(
+                    Refusal::new(
                         "shard-unavailable",
                         None,
-                        &format!("shard {s}: primary and replica both failed ({replica_err})"),
+                        format!("shard {s}: primary and replica both failed ({replica_err})"),
                     )
+                    .to_string()
                 })?;
                 self.metrics.hedged_reads += 1;
                 Ok((resp, true))
@@ -1549,11 +1451,6 @@ impl Router {
             self.merged_decisions += 1;
         }
     }
-}
-
-/// Whether the request asked for its decision-log lines to be echoed.
-fn wants_dlog(pairs: &[(String, JsonValue)]) -> bool {
-    json::get(pairs, "dlog") == Some(&JsonValue::Bool(true))
 }
 
 /// Rewrites shard `s`'s echoed decision lines from local to global
@@ -1573,22 +1470,20 @@ fn globalize(
     for line in dlog.lines() {
         if let Some(pos) = line.rfind('@') {
             let local: usize = line[pos + 1..].parse().map_err(|_| {
-                err_response(
-                    "bad-request",
-                    None,
-                    &format!("unparseable decision line from shard {s}: {line:?}"),
-                )
+                Refusal::bad_request(format!(
+                    "unparseable decision line from shard {s}: {line:?}"
+                ))
+                .to_string()
             })?;
             let g = slots
                 .get(local)
                 .copied()
                 .and_then(Slot::live)
                 .ok_or_else(|| {
-                    err_response(
-                        "bad-request",
-                        None,
-                        &format!("shard {s} named unknown or exported local domain {local}"),
-                    )
+                    Refusal::bad_request(format!(
+                        "shard {s} named unknown or exported local domain {local}"
+                    ))
+                    .to_string()
                 })?;
             out.push((g, format!("{}{g}", &line[..=pos])));
         } else {
@@ -1608,56 +1503,8 @@ fn shed_ids(lines: &[(usize, String)]) -> Vec<usize> {
         .collect()
 }
 
-/// The `,"dlog":"…"` suffix when the client asked for the echo.
-fn dlog_suffix(echo: bool, lines: &[(usize, String)]) -> String {
-    if !echo {
-        return String::new();
-    }
-    let mut text = String::new();
-    for (_, line) in lines {
-        text.push_str(line);
-        text.push('\n');
-    }
-    format!(",\"dlog\":\"{}\"", json::escape(&text))
-}
-
-/// Renders a parsed JSON value back to JSON text onto `out` (numbers via
-/// `f64` round-trip formatting, which preserves every value a shard will
-/// parse with `as_f64` anyway).
-fn render_value(out: &mut String, value: &JsonValue) {
-    match value {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => {
-            let _ = write!(out, "{n}");
-        }
-        JsonValue::Str(s) => {
-            out.push('"');
-            json::escape_into(out, s);
-            out.push('"');
-        }
-        JsonValue::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_value(out, item);
-            }
-            out.push(']');
-        }
-        JsonValue::Obj(pairs) => {
-            out.push('{');
-            for (i, (key, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                json::escape_into(out, key);
-                out.push_str("\":");
-                render_value(out, item);
-            }
-            out.push('}');
-        }
-    }
+/// The decision lines' text (one per line) when the client asked for
+/// the echo.
+fn dlog_text(echo: bool, lines: &[(usize, String)]) -> Option<String> {
+    echo.then(|| lines.iter().map(|(_, line)| format!("{line}\n")).collect())
 }

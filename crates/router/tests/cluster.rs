@@ -11,12 +11,12 @@ use std::sync::{Arc, Mutex};
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::replication::RoleContext;
 use dvs_admit::server::{serve_tcp, serve_tcp_role, ServeOptions, ServerControl};
+use dvs_admit::wire::Request;
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, JournalConfig, TraceSpec};
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
 use dvs_power::Processor;
 use dvs_router::{Router, ShardMap, ShardSpec};
 use reject_sched::online::OnlineGreedy;
-use rt_model::io::EventKind;
 
 fn config() -> EngineConfig {
     EngineConfig::default()
@@ -85,29 +85,7 @@ fn cluster(shards: usize, domains: usize) -> (Router, Vec<std::thread::JoinHandl
 /// Renders a trace event as its protocol request line (tasks carry their
 /// domain pin explicitly).
 fn request_line(event: &rt_model::io::EventRecord) -> String {
-    match &event.kind {
-        EventKind::Arrive(t) => {
-            let domain = t
-                .domain()
-                .map_or_else(String::new, |d| format!(",\"domain\":{d}"));
-            format!(
-                "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{},\
-                 \"deadline\":{},\"penalty\":{}{domain}}}",
-                event.at,
-                t.id().index(),
-                t.wcec(),
-                t.period(),
-                t.deadline(),
-                t.penalty()
-            )
-        }
-        EventKind::Depart(id) => format!(
-            "{{\"op\":\"depart\",\"at\":{},\"id\":{}}}",
-            event.at,
-            id.index()
-        ),
-        EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", event.at),
-    }
+    Request::from(event).to_string()
 }
 
 /// Replays a pinned trace through a freshly-built cluster and returns

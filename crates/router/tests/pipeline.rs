@@ -2,11 +2,12 @@
 //! [`Router::handle_batch`] in batches of any size answers every request
 //! exactly as line-by-line [`Router::handle_line`] does — same replies,
 //! same merged log, same router metrics, same final cluster stats — and
-//! decides exactly what one unsharded engine decides. The sessions carry
-//! what a batch must not trip over: malformed lines, typed refusals, a
-//! task arriving and departing back to back, ticks between arrivals, ops
-//! that drain the pipeline, and a shard that dies in the middle of a
-//! batch.
+//! answers exactly what one unsharded engine answers, byte for byte,
+//! every reply but `stats`. The sessions carry what a batch must not trip
+//! over: malformed lines, malformed arrivals behind and at the clock,
+//! typed refusals, a task arriving and departing back to back, ticks
+//! between arrivals, ops that drain the pipeline, and a shard that dies
+//! in the middle of a batch.
 //!
 //! Plus the process-level regression: a request/response round trip
 //! through `dvs_routerd --listen` must cost microseconds, not a delayed
@@ -19,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
+use dvs_admit::wire::Request;
 use dvs_admit::{AdmissionEngine, AdmitClient, ClientConfig, EngineConfig, TraceSpec};
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
 use dvs_power::Processor;
@@ -82,26 +84,24 @@ fn shard_map(shards: usize) -> ShardMap {
 }
 
 fn request_line(event: &EventRecord) -> String {
-    match &event.kind {
-        EventKind::Arrive(t) => format!(
-            "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{},\
-             \"deadline\":{},\"penalty\":{},\"domain\":{}}}",
-            event.at,
-            t.id().index(),
-            t.wcec(),
-            t.period(),
-            t.deadline(),
-            t.penalty(),
-            t.domain().expect("the trace pins every task")
-        ),
-        EventKind::Depart(id) => format!(
-            "{{\"op\":\"depart\",\"at\":{},\"id\":{}}}",
-            event.at,
-            id.index()
-        ),
-        EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", event.at),
-    }
+    Request::from(event).to_string()
 }
+
+/// Arrival fields the parse refuses (or, for the last, the engine's
+/// domain-range check): each is spliced in behind the clock and at it, so
+/// a router that checked the clock first would answer differently.
+const MALFORMED: [&str; 10] = [
+    "\"id\":{id},\"cycles\":40,\"period\":1000,\"penalty\":-1",
+    "\"id\":{id},\"cycles\":-1,\"period\":1000,\"penalty\":3",
+    "\"id\":{id},\"cycles\":40,\"period\":100,\"deadline\":200,\"penalty\":3",
+    "\"id\":{id},\"cycles\":40,\"period\":100.7,\"penalty\":3",
+    "\"id\":{id},\"cycles\":40,\"period\":1000,\"deadline\":2.5,\"penalty\":3",
+    "\"id\":-3,\"cycles\":40,\"period\":1000,\"penalty\":3",
+    "\"id\":1.5,\"cycles\":40,\"period\":1000,\"penalty\":3",
+    "\"id\":1e20,\"cycles\":40,\"period\":1000,\"penalty\":3",
+    "\"id\":{id},\"cycles\":40,\"period\":1000,\"penalty\":3,\"domain\":1.5",
+    "\"id\":{id},\"cycles\":40,\"period\":1000,\"penalty\":3,\"domain\":99",
+];
 
 /// A generated multi-domain session with, spliced in at seeded places,
 /// every kind of line a batch has to get right. Spliced lines carry the
@@ -113,6 +113,8 @@ fn session(seed: u64) -> Vec<String> {
         .generate()
         .unwrap();
     let mut rng = Rng::seed_from_u64(seed ^ 0xBA7C);
+    // A stream of its own, so the splices above it stay where they were.
+    let mut malformed = Rng::seed_from_u64(seed ^ 0xBAD);
     let mut lines = Vec::new();
     let (mut present, mut departed): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
     let mut fresh = 10_000;
@@ -167,6 +169,13 @@ fn session(seed: u64) -> Vec<String> {
             }
             9 => lines.push("{\"op\":\"stats\"}".to_string()),
             _ => {}
+        }
+        if malformed.gen_index(4) == 0 {
+            let fields = MALFORMED[malformed.gen_index(MALFORMED.len())]
+                .replace("{id}", &(30_000 + lines.len()).to_string());
+            for at in [at - 1.0, at] {
+                lines.push(format!("{{\"op\":\"arrive\",\"at\":{at},{fields}}}"));
+            }
         }
     }
     lines
@@ -310,6 +319,37 @@ fn batches_answer_exactly_like_line_by_line_and_like_one_engine() {
                     batched, sequential,
                     "seed {seed}, {shards} shard(s), batches of {batch}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_reply_but_stats_is_byte_identical_to_one_engines() {
+    for seed in [1u64, 2, 3] {
+        let lines = session(seed);
+        let mut engine = engine_over(&(0..DOMAINS).collect::<Vec<_>>());
+        let reference: Vec<String> = lines
+            .iter()
+            .map(|l| dvs_admit::server::handle_line(&mut engine, l).response)
+            .collect();
+        let spliced = reference
+            .iter()
+            .filter(|r| r.contains("invalid penalty") || r.contains("invalid id"))
+            .count();
+        assert!(spliced >= 2, "seed {seed}: {spliced} malformed arrivals");
+        for shards in [1usize, 2, 4] {
+            for batch in [None, Some(1), Some(2), Some(7), Some(64)] {
+                let replies = routed(shards, &lines, batch).replies;
+                for (i, (got, want)) in replies.iter().zip(&reference).enumerate() {
+                    if lines[i] != "{\"op\":\"stats\"}" {
+                        assert_eq!(
+                            got, want,
+                            "seed {seed}, {shards} shard(s), batches {batch:?}, line {i}: {}",
+                            lines[i]
+                        );
+                    }
+                }
             }
         }
     }

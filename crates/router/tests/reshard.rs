@@ -11,6 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
+use dvs_admit::wire::Request;
 use dvs_admit::AdmitClient;
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, TraceSpec};
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
@@ -63,29 +64,7 @@ fn client_config() -> ClientConfig {
 }
 
 fn request_line(event: &rt_model::io::EventRecord) -> String {
-    match &event.kind {
-        EventKind::Arrive(t) => {
-            let domain = t
-                .domain()
-                .map_or_else(String::new, |d| format!(",\"domain\":{d}"));
-            format!(
-                "{{\"op\":\"arrive\",\"at\":{},\"id\":{},\"cycles\":{},\"period\":{},\
-                 \"deadline\":{},\"penalty\":{}{domain}}}",
-                event.at,
-                t.id().index(),
-                t.wcec(),
-                t.period(),
-                t.deadline(),
-                t.penalty()
-            )
-        }
-        EventKind::Depart(id) => format!(
-            "{{\"op\":\"depart\",\"at\":{},\"id\":{}}}",
-            event.at,
-            id.index()
-        ),
-        EventKind::Tick => format!("{{\"op\":\"tick\",\"at\":{}}}", event.at),
-    }
+    Request::from(event).to_string()
 }
 
 /// A membership change to fire immediately before the trace event at
