@@ -58,8 +58,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Duration;
 
-use dvs_admit::json;
-use dvs_admit::wire::Request;
+use dvs_admit::client::{ReplayDisposition, ReplayReport};
+use dvs_admit::json::{self, Scratch};
+use dvs_admit::wire::{Reply, Request};
 use dvs_admit::{AdmitClient, ClientConfig, TraceSpec};
 
 struct Config {
@@ -85,8 +86,12 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn trace_requests(tasks: usize, load: f64, seed: u64) -> Vec<String> {
-    let trace = TraceSpec::new(tasks, load, seed).generate().expect("trace");
+/// A generated trace as request lines. With `domains > 0` every task
+/// carries its domain pin explicitly, so any shard layout of a router
+/// replays one cluster history.
+fn trace_requests(tasks: usize, load: f64, seed: u64, domains: usize) -> Vec<String> {
+    let trace = TraceSpec::new(tasks, load, seed).domains(domains);
+    let trace = trace.generate().expect("trace");
     trace.iter().map(|e| Request::from(e).to_string()).collect()
 }
 
@@ -96,34 +101,14 @@ struct Server {
 }
 
 fn spawn_server(cfg: &Config, wal: &Path, recover: bool) -> Result<Server, String> {
-    let mut cmd = Command::new(&cfg.admitd);
-    cmd.args([
-        "--listen",
-        "127.0.0.1:0",
-        "--journal",
-        wal.to_str().unwrap(),
-        "--read-timeout-ms",
-        "300",
-        "--snapshot-every",
-        "16",
-    ]);
+    let wal = wal.to_str().unwrap();
+    let mut args = vec!["--listen", "127.0.0.1:0", "--journal", wal];
+    args.extend(["--read-timeout-ms", "300", "--snapshot-every", "16"]);
     if recover {
-        cmd.arg("--recover");
+        args.push("--recover");
     }
-    let mut child = cmd
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawn {}: {e}", cfg.admitd.display()))?;
-    let mut line = String::new();
-    BufReader::new(child.stdout.take().unwrap())
-        .read_line(&mut line)
-        .map_err(|e| e.to_string())?;
-    let addr = line
-        .strip_prefix("listening on ")
-        .ok_or_else(|| format!("unexpected banner {line:?}"))?
-        .trim()
-        .to_string();
+    let (child, banners) = spawn_with_banners(&cfg.admitd, &args, 1)?;
+    let addr = banner_suffix(&banners, "listening on ")?.to_string();
     Ok(Server { child, addr })
 }
 
@@ -158,13 +143,22 @@ impl Session {
     }
 }
 
-/// A whole-number field of a reply.
+/// A counter of a `stats` reply.
 fn json_u64(resp: &str, key: &str) -> Result<u64, String> {
     let doc = json::parse_document(resp).map_err(|e| format!("bad reply {resp}: {e}"))?;
     doc.as_obj()
         .and_then(|pairs| json::get(pairs, key)?.as_f64())
         .map(|v| v as u64)
         .ok_or_else(|| format!("no {key:?} in {resp}"))
+}
+
+/// Reads a success reply through the wire schema; a refusal or a line
+/// of no fixed shape is an error quoting it.
+fn reply<'s>(resp: &str, scratch: &'s mut Scratch) -> Result<Reply<'s>, String> {
+    match Reply::parse(resp, scratch) {
+        Ok(Ok(reply)) => Ok(reply),
+        _ => Err(format!("failed: {resp}")),
+    }
 }
 
 /// Feed requests `from..` on a fresh session, returning how many were
@@ -178,9 +172,8 @@ fn feed(
     let mut sent = from;
     while sent < requests.len() && sent < stop_after {
         let resp = session.request(&requests[sent])?;
-        if !resp.contains("\"ok\":true") {
-            return Err(format!("request {} failed: {resp}", requests[sent]));
-        }
+        reply(&resp, &mut Scratch::default())
+            .map_err(|e| format!("request {} {e}", requests[sent]))?;
         sent += 1;
     }
     Ok(sent)
@@ -189,7 +182,7 @@ fn feed(
 fn run(cfg: &Config) -> Result<(), String> {
     let dir = std::env::temp_dir().join(format!("dvs_admit_chaos_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let requests = trace_requests(cfg.tasks, cfg.load, cfg.seed);
+    let requests = trace_requests(cfg.tasks, cfg.load, cfg.seed, 0);
     eprintln!(
         "chaos: seed={} kills={} events={} torn<={}B",
         cfg.seed,
@@ -253,9 +246,7 @@ fn run(cfg: &Config) -> Result<(), String> {
         server = spawn_server(cfg, &wal, true)?;
         // The journal is the ground truth for how much survived; resend
         // from there (at-least-once delivery).
-        let mut session = connect(&server.addr)?;
-        let stats = session.request("{\"op\":\"stats\"}")?;
-        let survived = json_u64(&stats, "events")? as usize;
+        let survived = events(&server.addr)? as usize;
         if survived < done {
             eprintln!(
                 "chaos: kill {kill}: journal lost {} acknowledged event(s); resending",
@@ -263,7 +254,6 @@ fn run(cfg: &Config) -> Result<(), String> {
             );
         }
         done = survived;
-        drop(session);
         // Fresh loris against the restarted server too.
         loris = TcpStream::connect(&server.addr).map_err(|e| e.to_string())?;
         loris
@@ -347,13 +337,12 @@ fn drill_client(addr: &str, seed: u64) -> AdmitClient {
 fn wait_events(addr: &str, target: u64) -> Result<(), String> {
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
-        let mut session = connect(addr)?;
-        let stats = session.request("{\"op\":\"stats\"}")?;
-        if json_u64(&stats, "events")? >= target {
+        let at = events(addr)?;
+        if at >= target {
             return Ok(());
         }
         if std::time::Instant::now() > deadline {
-            return Err(format!("standby stuck below {target} events: {stats}"));
+            return Err(format!("standby stuck at {at} < {target} events"));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -364,15 +353,19 @@ fn wait_events(addr: &str, target: u64) -> Result<(), String> {
 fn settled_events(addr: &str) -> Result<u64, String> {
     let mut last = None;
     loop {
-        let mut session = connect(addr)?;
-        let stats = session.request("{\"op\":\"stats\"}")?;
-        let events = json_u64(&stats, "events")?;
-        if last == Some(events) {
-            return Ok(events);
+        let at = events(addr)?;
+        if last == Some(at) {
+            return Ok(at);
         }
-        last = Some(events);
+        last = Some(at);
         std::thread::sleep(Duration::from_millis(80));
     }
+}
+
+/// A server's `events` counter, read from its `stats` on a fresh session.
+fn events(addr: &str) -> Result<u64, String> {
+    let stats = connect(addr)?.request("{\"op\":\"stats\"}")?;
+    json_u64(&stats, "events")
 }
 
 /// Reads a recorded JSONL session as the drill's request stream.
@@ -401,7 +394,7 @@ fn session_requests(path: &Path) -> Result<Vec<String>, String> {
 fn run_failover_once(cfg: &Config, seed: u64, dir: &Path) -> Result<(), String> {
     let requests = match &cfg.session {
         Some(path) => session_requests(path)?,
-        None => trace_requests(cfg.tasks, cfg.load, seed),
+        None => trace_requests(cfg.tasks, cfg.load, seed, 0),
     };
     let mut rng = seed ^ 0xFA11_0FA1_10FA_110F;
     let n = requests.len();
@@ -477,7 +470,7 @@ fn run_failover_once(cfg: &Config, seed: u64, dir: &Path) -> Result<(), String> 
     let report = client
         .replay(&requests[..cut1], 0)
         .map_err(|e| format!("phase 1: {e}"))?;
-    assert_ok_responses(&report.responses, &requests[..cut1])?;
+    assert_ok_responses(&report, &requests[..cut1])?;
     wait_events(&f0_addr, cut1 as u64)?;
 
     // Partition: SIGKILL the follower, restart it on the same mirror (it
@@ -496,7 +489,7 @@ fn run_failover_once(cfg: &Config, seed: u64, dir: &Path) -> Result<(), String> 
     let report = client
         .replay(&requests[cut1..cut2], cut1 as u64)
         .map_err(|e| format!("phase 2: {e}"))?;
-    assert_ok_responses(&report.responses, &requests[cut1..cut2])?;
+    assert_ok_responses(&report, &requests[cut1..cut2])?;
     primary.kill().map_err(|e| e.to_string())?;
     primary.wait().ok();
     eprintln!("chaos: failover seed={seed}: primary SIGKILLed after {cut2} events");
@@ -505,10 +498,13 @@ fn run_failover_once(cfg: &Config, seed: u64, dir: &Path) -> Result<(), String> 
     let survived = settled_events(&f_addr)?;
     let mut session = connect(&f_addr)?;
     let promoted = session.request("{\"op\":\"promote\"}")?;
-    if !promoted.contains("\"role\":\"primary\"") {
+    let Ok(Reply::Role {
+        primary: true,
+        epoch,
+    }) = reply(&promoted, &mut Scratch::default())
+    else {
         return Err(format!("promotion failed: {promoted}"));
-    }
-    let epoch = json_u64(&promoted, "epoch")?;
+    };
     if survived < cut2 as u64 {
         eprintln!(
             "chaos: failover seed={seed}: {} acknowledged event(s) never reached the \
@@ -526,7 +522,7 @@ fn run_failover_once(cfg: &Config, seed: u64, dir: &Path) -> Result<(), String> 
     let report = client
         .replay(&requests[resume..], resume as u64)
         .map_err(|e| format!("phase 3: {e}"))?;
-    assert_ok_responses(&report.responses, &requests[resume..])?;
+    assert_ok_responses(&report, &requests[resume..])?;
 
     let mut session = connect(&f_addr)?;
     let log = session.request("{\"op\":\"log\"}")?;
@@ -556,14 +552,13 @@ fn run_failover_once(cfg: &Config, seed: u64, dir: &Path) -> Result<(), String> 
     }
 }
 
-fn assert_ok_responses(responses: &[String], requests: &[String]) -> Result<(), String> {
-    for (resp, req) in responses.iter().zip(requests) {
+fn assert_ok_responses(report: &ReplayReport, requests: &[String]) -> Result<(), String> {
+    let answers = report.responses.iter().zip(&report.dispositions);
+    for ((resp, disposition), req) in answers.zip(requests) {
         // Benign duplicate rejections are the idempotency backstop for
         // at-least-once resend; anything else failing is a real error.
-        let benign = resp.contains("\"kind\":\"duplicate-task\"")
-            || resp.contains("\"kind\":\"already-departed\"");
-        if !resp.contains("\"ok\":true") && !benign {
-            return Err(format!("request {req} failed: {resp}"));
+        if *disposition != ReplayDisposition::DuplicateResend {
+            reply(resp, &mut Scratch::default()).map_err(|e| format!("request {req} {e}"))?;
         }
     }
     Ok(())
@@ -581,17 +576,6 @@ fn run_failover(cfg: &Config) -> Result<(), String> {
 /// Global power-domain count for the reshard drill: enough that a 2→3
 /// membership change always moves a handful of domains.
 const RESHARD_DOMAINS: usize = 12;
-
-/// Renders a **domain-pinned** trace as router request lines: tasks
-/// carry their domain explicitly, so any shard layout replays one
-/// cluster history.
-fn router_requests(tasks: usize, load: f64, seed: u64) -> Vec<String> {
-    let trace = TraceSpec::new(tasks, load, seed)
-        .domains(RESHARD_DOMAINS)
-        .generate()
-        .expect("trace");
-    trace.iter().map(|e| Request::from(e).to_string()).collect()
-}
 
 /// A spawned `dvs_routerd --spawn K` fleet: the router process, its bound
 /// address, and the (name, pid) of each shard child parsed from the
@@ -691,7 +675,7 @@ fn run_reshard(cfg: &Config) -> Result<(), String> {
             routerd.display()
         ));
     }
-    let requests = router_requests(cfg.tasks, cfg.load, cfg.seed);
+    let requests = trace_requests(cfg.tasks, cfg.load, cfg.seed, RESHARD_DOMAINS);
     let n = requests.len();
     let mut rng = cfg.seed ^ 0x2E5A_12D0_2E5A_12D0;
     let cut = 1 + (mix(&mut rng) as usize) % (n / 2);
@@ -744,7 +728,10 @@ fn run_reshard(cfg: &Config) -> Result<(), String> {
     // Retry until the router respawns the dead shards from their journals
     // and the migration completes past the domains that already landed.
     let mut attempts = 0u32;
-    while !resp.contains("\"ok\":true") {
+    while !matches!(
+        reply(&resp, &mut Scratch::default()),
+        Ok(Reply::Reshard { .. })
+    ) {
         attempts += 1;
         if attempts > 6 {
             return Err(format!("reshard never completed: {resp}"));
@@ -767,8 +754,10 @@ fn run_reshard(cfg: &Config) -> Result<(), String> {
     drop(session);
     fleet.child.wait().ok();
 
-    let version = json_u64(&map_resp, "version")?;
-    if version != 2 {
+    if !matches!(
+        reply(&map_resp, &mut Scratch::default()),
+        Ok(Reply::Map { version: 2, .. })
+    ) {
         return Err(format!("expected map version 2 after the join: {map_resp}"));
     }
     let arrivals = json_u64(&stats, "arrivals")?;

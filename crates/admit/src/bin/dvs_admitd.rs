@@ -70,8 +70,7 @@ use dvs_admit::{
     AdmissionEngine, EngineConfig, EnginePolicy, FollowerOptions, FsyncPolicy, Journal,
     JournalConfig, ReplicationHub, RoleContext, WatermarkPolicy,
 };
-use dvs_power::presets::{cubic_ideal, xscale_ideal, xscale_measured};
-use dvs_power::Processor;
+use dvs_power::presets;
 use reject_sched::online::{OnlineGreedy, ThresholdPolicy};
 use rt_model::io::load_event_trace;
 
@@ -140,15 +139,6 @@ fn parse_policy(spec: &str) -> Result<Box<dyn EnginePolicy>, String> {
         ));
     }
     Err(format!("unknown policy {spec} (see --help)"))
-}
-
-fn parse_power(model: &str) -> Result<Processor, String> {
-    Ok(match model {
-        "xscale" => xscale_ideal(),
-        "cubic" => cubic_ideal(),
-        "xscale-table" => xscale_measured(),
-        _ => return Err(format!("unknown power model {model} (see --help)")),
-    })
 }
 
 /// Snapshot + fsync the journal on a clean exit path (no-op without one).
@@ -304,9 +294,9 @@ fn run() -> Result<(), String> {
             return Err("--follow requires --listen (the standby serves reads)".to_string());
         }
     }
-    let cpus: Vec<Processor> = (0..domains)
-        .map(|_| parse_power(&model))
-        .collect::<Result<_, _>>()?;
+    let cpu = presets::by_name(&model)
+        .ok_or_else(|| format!("unknown power model {model} (see --help)"))?;
+    let cpus = vec![cpu; domains];
     // A follower's engine is fed by the replication stream; the mirror
     // file is written by the replica loop and only attached as the live
     // journal on promotion — creating a journal here would truncate it.

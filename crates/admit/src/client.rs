@@ -555,9 +555,7 @@ impl AdmitClient {
                     if target > applied {
                         // The in-flight line applied; its response was
                         // lost to the failover. Do not resend.
-                        report
-                            .responses
-                            .push("{\"ok\":true,\"resumed\":true}".to_string());
+                        report.responses.push(Reply::Resumed.line());
                         report.dispositions.push(ReplayDisposition::AlreadyApplied);
                         self.metrics.resend_suppressed += 1;
                         applied += 1;
@@ -589,11 +587,10 @@ fn parse_events(stats: &str) -> Option<u64> {
 
 /// Whether a response is the benign rejection of a resent duplicate.
 fn is_benign_duplicate(response: &str) -> bool {
-    if !response.contains("\"ok\":false") {
-        return false;
-    }
-    response.contains("\"kind\":\"duplicate-task\"")
-        || response.contains("\"kind\":\"already-departed\"")
+    matches!(
+        Reply::parse(response, &mut json::Scratch::default()),
+        Ok(Err(refusal)) if refusal.kind == "duplicate-task" || refusal.kind == "already-departed"
+    )
 }
 
 #[cfg(test)]

@@ -331,6 +331,24 @@ pub enum Verdict {
     },
 }
 
+impl Verdict {
+    /// The domain the verdict names; `None` for a rejection.
+    #[must_use]
+    pub fn domain(mut self) -> Option<usize> {
+        self.domain_mut().copied()
+    }
+
+    /// [`Verdict::domain`], to rewrite in place.
+    pub fn domain_mut(&mut self) -> Option<&mut usize> {
+        match self {
+            Verdict::Accepted { domain }
+            | Verdict::Shed { domain }
+            | Verdict::Readmitted { domain } => Some(domain),
+            Verdict::Rejected => None,
+        }
+    }
+}
+
 /// One entry of the engine's decision log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
@@ -354,6 +372,36 @@ impl std::fmt::Display for Decision {
                 write!(f, "t={:.6} {} readmitted@{domain}", self.at, self.task)
             }
         }
+    }
+}
+
+/// The inverse of `Display`: `t=<at> τ<id> <verdict>[@<domain>]`. The
+/// time prints with six decimals, and parsing that text and printing it
+/// again gives the same bytes, so a reader may rewrite a line (a router
+/// maps its domain) without moving a byte of the rest.
+impl std::str::FromStr for Decision {
+    type Err = String;
+
+    fn from_str(line: &str) -> Result<Self, String> {
+        let parse = || {
+            let (at, rest) = line.strip_prefix("t=")?.split_once(" τ")?;
+            let (task, verdict) = rest.split_once(' ')?;
+            let verdict = match verdict.split_once('@') {
+                None => (verdict == "rejected").then_some(Verdict::Rejected)?,
+                Some((kind, domain)) => {
+                    let domain = domain.parse().ok()?;
+                    match kind {
+                        "accepted" => Verdict::Accepted { domain },
+                        "shed" => Verdict::Shed { domain },
+                        "readmitted" => Verdict::Readmitted { domain },
+                        _ => return None,
+                    }
+                }
+            };
+            let (at, task) = (at.parse().ok()?, TaskId::new(task.parse().ok()?));
+            Some(Decision { at, task, verdict })
+        };
+        parse().ok_or_else(|| format!("unparseable decision line {line:?}"))
     }
 }
 
@@ -580,12 +628,6 @@ impl AdmissionEngine {
         self.clock
     }
 
-    /// Number of power domains.
-    #[must_use]
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
-    }
-
     /// Committed utilization of domain `d`.
     ///
     /// # Panics
@@ -605,16 +647,6 @@ impl AdmissionEngine {
     #[must_use]
     pub fn active_len(&self, d: usize) -> usize {
         self.domains[d].active.len()
-    }
-
-    /// Number of shed-but-present (reserved) tasks on domain `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range.
-    #[must_use]
-    pub fn reserved_len(&self, d: usize) -> usize {
-        self.domains[d].reserved.len()
     }
 
     /// The metrics registry.
@@ -645,12 +677,6 @@ impl AdmissionEngine {
             out.push('\n');
         }
         out
-    }
-
-    /// The configured policy's name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Advances the engine clock to `at`, integrating energy (per domain,
@@ -1235,13 +1261,6 @@ impl AdmissionEngine {
         self.journal.as_ref()
     }
 
-    /// Number of distinct tasks that have departed so far (the stale-id
-    /// rejection set).
-    #[must_use]
-    pub fn departed_count(&self) -> usize {
-        self.departed.len()
-    }
-
     /// The current fencing epoch (starts at 1; see
     /// [`AdmissionEngine::begin_epoch`]).
     #[must_use]
@@ -1333,20 +1352,6 @@ impl AdmissionEngine {
         self.metrics.journal_records = j.records();
         self.journal = Some(j);
         res.map_err(|e| AdmitError::Journal(JournalError::Io(e)))
-    }
-
-    /// Flushes and fsyncs the journal without snapshotting. No-op without
-    /// an attached journal.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmitError::Journal`] on I/O failure.
-    pub fn sync_journal(&mut self) -> Result<(), AdmitError> {
-        if let Some(j) = self.journal.as_mut() {
-            j.sync()
-                .map_err(|e| AdmitError::Journal(JournalError::Io(e)))?;
-        }
-        Ok(())
     }
 
     /// Whether domain `d` has been exported to another shard (live
@@ -2547,5 +2552,55 @@ impl std::fmt::Debug for AdmissionEngine {
             .field("domains", &self.domains.len())
             .field("decisions", &self.decisions.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_decision_line_parses_back_to_its_bytes() {
+        let times = [
+            0.0,
+            -0.0,
+            1e-7,
+            0.5e-6,
+            123.456_789_5,
+            2f64.powi(33) + 0.25,
+            1e15,
+        ];
+        let verdicts = [
+            Verdict::Accepted { domain: 3 },
+            Verdict::Rejected,
+            Verdict::Shed { domain: 0 },
+            Verdict::Readmitted { domain: 17 },
+        ];
+        for at in times {
+            for verdict in verdicts {
+                let line = Decision {
+                    at,
+                    task: TaskId::new(42),
+                    verdict,
+                }
+                .to_string();
+                let parsed: Decision = line.parse().unwrap();
+                assert_eq!(parsed.to_string(), line);
+                assert_eq!((parsed.task, parsed.verdict), (TaskId::new(42), verdict));
+            }
+        }
+        for bad in [
+            "",
+            "t=1.000000 τ1",
+            "t=1.000000 τ1 accepted",
+            "t=1.000000 τ1 rejected@0",
+            "t=1.000000 τ1 kept@0",
+            "t=1.000000 τ1 shed@-1",
+            "1.000000 τ1 rejected",
+            "t=1.000000 t1 rejected",
+            "t=1.000000 τ1 rejected extra",
+        ] {
+            assert!(bad.parse::<Decision>().is_err(), "{bad:?}");
+        }
     }
 }

@@ -433,34 +433,38 @@ pub fn get<'a>(pairs: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonVa
 /// Escapes a string for embedding in a JSON string literal.
 #[must_use]
 pub fn escape(s: &str) -> String {
+    use fmt::Write as _;
     let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
+    let _ = write!(out, "{}", Escaped(s));
     out
 }
 
-/// [`escape`], appending to `out`. Runs of characters that need no
-/// escaping are copied whole.
-pub fn escape_into(out: &mut String, s: &str) {
-    let mut rest = s;
-    while let Some(at) = rest
-        .bytes()
-        .position(|b| b < 0x20 || matches!(b, b'"' | b'\\'))
-    {
-        out.push_str(&rest[..at]);
-        match rest.as_bytes()[at] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            control => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{control:04x}");
-            }
+/// A string written as the contents of a JSON string literal: [`escape`]
+/// without the allocation. Runs of characters that need no escaping are
+/// written whole.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Escaped<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rest = self.0;
+        while let Some(at) = rest
+            .bytes()
+            .position(|b| b < 0x20 || matches!(b, b'"' | b'\\'))
+        {
+            f.write_str(&rest[..at])?;
+            match rest.as_bytes()[at] {
+                b'"' => f.write_str("\\\""),
+                b'\\' => f.write_str("\\\\"),
+                b'\n' => f.write_str("\\n"),
+                b'\r' => f.write_str("\\r"),
+                b'\t' => f.write_str("\\t"),
+                control => write!(f, "\\u{control:04x}"),
+            }?;
+            rest = &rest[at + 1..];
         }
-        rest = &rest[at + 1..];
+        f.write_str(rest)
     }
-    out.push_str(rest);
 }
 
 #[cfg(test)]

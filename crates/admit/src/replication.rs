@@ -124,11 +124,6 @@ impl ReplicationHub {
         hub
     }
 
-    /// Updates the epoch advertised to connecting followers.
-    pub fn set_epoch(&self, epoch: u64) {
-        self.epoch.store(epoch, Ordering::SeqCst);
-    }
-
     /// Asks the hub's loops to stop.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);

@@ -37,7 +37,6 @@
 //!   [`SessionEnd::Drained`], and the binary then fsyncs and snapshots the
 //!   journal.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,10 +45,10 @@ use std::time::Duration;
 
 use rt_model::io::EventKind;
 
-use crate::engine::{AdmissionEngine, Decision, Verdict};
+use crate::engine::{AdmissionEngine, Verdict};
 use crate::json;
 use crate::replication::{self, RoleContext};
-use crate::wire::{Refusal, Reply, Request};
+use crate::wire::{shed_ids, Refusal, Reply, Request};
 
 /// Outcome of handling one request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,34 +57,6 @@ pub struct Handled {
     pub response: String,
     /// Whether the request asked the server to shut down.
     pub shutdown: bool,
-}
-
-/// The decision-log lines an event produced (one per line, trailing
-/// newline), exactly as [`AdmissionEngine::format_decision_log`] renders
-/// them — the per-event slice a router stitches into its merged cluster
-/// log. `None` unless the request asked for the echo.
-fn echo(dlog: bool, decisions: &[Decision]) -> Option<String> {
-    dlog.then(|| {
-        let mut out = String::new();
-        for d in decisions {
-            let _ = writeln!(out, "{d}");
-        }
-        out
-    })
-}
-
-/// The ids of the tasks an event shed.
-fn shed(decisions: &[Decision]) -> Vec<usize> {
-    decisions
-        .iter()
-        .filter(|d| matches!(d.verdict, Verdict::Shed { .. }))
-        .map(|d| d.task.index())
-        .collect()
-}
-
-/// `{"ok":true,"role":…,"epoch":…}`.
-fn role_reply(role: &str, epoch: u64) -> String {
-    format!("{{\"ok\":true,\"role\":\"{role}\",\"epoch\":{epoch}}}")
 }
 
 /// Parses and executes one request line against the engine.
@@ -135,8 +106,6 @@ fn execute(
     Ok(match request {
         Request::Event { event, dlog } => {
             let decisions = engine.apply_opts(&event, fast)?;
-            let dlog = echo(dlog, &decisions);
-            let dlog = dlog.as_deref();
             match event.kind {
                 EventKind::Arrive(task) => {
                     let verdict = decisions
@@ -144,87 +113,57 @@ fn execute(
                         .find(|d| d.task == task.id())
                         .map(|d| d.verdict)
                         .ok_or_else(|| Refusal::bad_request("engine returned no verdict"))?;
-                    let domain = match verdict {
-                        Verdict::Accepted { domain } => Some(domain),
-                        _ => None,
-                    };
-                    let id = task.id().index();
-                    Reply::Verdict { id, domain, dlog }.line()
+                    Reply::Verdict {
+                        id: task.id().index(),
+                        domain: match verdict {
+                            Verdict::Accepted { domain } => Some(domain),
+                            _ => None,
+                        },
+                        dlog: dlog.then_some(decisions),
+                    }
                 }
                 EventKind::Depart(id) => Reply::Depart {
                     id: id.index(),
-                    shed: &shed(&decisions),
-                    dlog,
-                }
-                .line(),
+                    shed: shed_ids(&decisions),
+                    dlog: dlog.then_some(decisions),
+                },
                 EventKind::Tick => Reply::Tick {
-                    shed: &shed(&decisions),
+                    shed: shed_ids(&decisions),
                     resolves: engine.metrics().resolves,
-                    dlog,
-                }
-                .line(),
+                    dlog: dlog.then_some(decisions),
+                },
             }
+            .line()
         }
-        Request::Export { domain } => format!(
-            "{{\"ok\":true,\"op\":\"export\",\"domain\":{domain},\"payload\":\"{}\"}}",
-            json::escape(&engine.export_domain(domain)?)
-        ),
-        Request::Import { key, payload } => format!(
-            "{{\"ok\":true,\"op\":\"import\",\"local\":{}}}",
-            engine.import_domain(key, payload)?
-        ),
-        Request::Layout => {
-            // One token per local domain, in index order: `+` live /
-            // `-` fenced, suffixed with the import key for domains that
-            // arrived via migration ("+2:5"). Keys are whitespace-free
-            // by construction, so space-joining is unambiguous.
-            let tokens: Vec<String> = engine
-                .domain_layout()
-                .into_iter()
-                .map(|(fenced, key)| {
-                    let mark = if fenced { '-' } else { '+' };
-                    match key {
-                        Some(k) => format!("{mark}{k}"),
-                        None => mark.to_string(),
-                    }
-                })
-                .collect();
-            format!(
-                "{{\"ok\":true,\"op\":\"layout\",\"domains\":{},\"layout\":\"{}\"}}",
-                engine.domain_count(),
-                json::escape(&tokens.join(" "))
-            )
+        Request::Export { domain } => Reply::Export {
+            domain,
+            payload: &engine.export_domain(domain)?,
         }
-        Request::Present => {
-            // Task-presence inventory for router restarts: every present
-            // task as `id:domain` (`id:-` for an unpinned standing
-            // rejection), plus the departed (burned) id set. Both are
-            // space-joined; ids and domains are plain integers so the
-            // encoding is unambiguous.
-            let tasks: Vec<String> = engine
+        .line(),
+        Request::Import { key, payload } => Reply::Import {
+            local: engine.import_domain(key, payload)?,
+        }
+        .line(),
+        Request::Layout => Reply::Layout(engine.domain_layout()).line(),
+        Request::Present => Reply::Present {
+            tasks: engine
                 .present_tasks()
                 .into_iter()
-                .map(|(id, pin)| match pin {
-                    Some(d) => format!("{}:{d}", id.index()),
-                    None => format!("{}:-", id.index()),
-                })
-                .collect();
-            let departed: Vec<String> = engine
-                .departed_ids()
-                .map(|id| id.index().to_string())
-                .collect();
-            format!(
-                "{{\"ok\":true,\"op\":\"present\",\"tasks\":\"{}\",\"departed\":\"{}\"}}",
-                json::escape(&tasks.join(" ")),
-                json::escape(&departed.join(" "))
-            )
+                .map(|(id, pin)| (id.index(), pin))
+                .collect(),
+            departed: engine.departed_ids().map(|id| id.index()).collect(),
         }
+        .line(),
         Request::Stats | Request::Shutdown => {
             format!("{{\"ok\":true,{}", &engine.stats_json()[1..])
         }
         // Role-less servers are plain primaries; failover deployments
         // intercept these two ops in `handle_line_role` before the lock.
-        Request::Role | Request::Promote => role_reply("primary", engine.epoch()),
+        Request::Role | Request::Promote => Reply::Role {
+            primary: true,
+            epoch: engine.epoch(),
+        }
+        .line(),
         Request::Log => Reply::Log {
             decisions: engine.decision_log().len() as u64,
             log: &engine.format_decision_log(),
@@ -276,13 +215,18 @@ pub fn handle_line_role(
     let primary = ctx.role.is_primary();
     let response = match request {
         Request::Promote => match replication::promote(engine, ctx) {
-            Ok(epoch) => role_reply("primary", epoch),
+            Ok(epoch) => Reply::Role {
+                primary: true,
+                epoch,
+            }
+            .line(),
             Err(e) => Refusal::from(e).to_string(),
         },
-        Request::Role => {
-            let epoch = lock().epoch();
-            role_reply(if primary { "primary" } else { "follower" }, epoch)
+        Request::Role => Reply::Role {
+            primary,
+            epoch: lock().epoch(),
         }
+        .line(),
         Request::Event { .. } | Request::Export { .. } | Request::Import { .. } if !primary => {
             Refusal::new(
                 "not-primary",

@@ -1,11 +1,12 @@
 //! Seeded, time-boxed fuzz loops for the decoders that read bytes from
 //! disk or from another process: `restore_snapshot` (complete and delta
 //! `S` payloads), `journal::scan_bytes` / `check_frame` (journal frames),
-//! `import_domain`'s migration payload, and the wire request parse behind
-//! `server::handle_line`. Each loop mutates, truncates and splices *valid*
+//! `import_domain`'s migration payload, the wire request parse behind
+//! `server::handle_line`, and the wire reply parse a router and a client
+//! read answers with. Each loop mutates, truncates and splices *valid*
 //! inputs under `rt_model::rng::Rng`; no input may panic or allocate from
 //! a count it cannot back, and every input that is accepted must yield a
-//! state (or request) whose re-encoding round-trips.
+//! state (or request, or reply) whose re-encoding round-trips.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -13,7 +14,7 @@ use std::time::{Duration, Instant};
 use dvs_admit::journal::{check_frame, scan_bytes, FrameCheck, RecordKind};
 use dvs_admit::json::{self, JsonValue, Scratch};
 use dvs_admit::server::handle_line;
-use dvs_admit::wire::Request;
+use dvs_admit::wire::{Refusal, Reply, Request};
 use dvs_admit::{AdmissionEngine, AdmitError, EngineConfig, Journal, JournalConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use reject_sched::online::OnlineGreedy;
@@ -368,4 +369,105 @@ fn fuzz_wire_requests() {
         }
     });
     println!("wire requests: {cases} cases, {parsed} parsed, {refused} refused");
+}
+
+/// The replies one engine gives over a generated session: every event's
+/// verdict with its decisions echoed, the probes and control ops on both
+/// sides of an export and its re-import, and the refusals the malformed
+/// requests draw; then the router's and the client's own shapes.
+fn reply_corpus() -> Vec<String> {
+    let trace = TraceSpec::new(24, 2.6, 7).domains(2).generate().unwrap();
+    let probes = ["layout", "present", "role", "promote", "log", "stats"]
+        .map(|op| format!(r#"{{"op":"{op}"}}"#));
+    let mut engine = fresh(2);
+    let mut replies = Vec::new();
+    for (i, e) in trace.iter().enumerate() {
+        let request = Request::Event {
+            event: e.clone(),
+            dlog: true,
+        };
+        replies.push(handle_line(&mut engine, &request.to_string()).response);
+        if i == trace.len() / 2 {
+            replies.extend(probes.iter().map(|p| handle_line(&mut engine, p).response));
+        }
+    }
+    let export = handle_line(&mut engine, r#"{"op":"export","domain":1}"#).response;
+    let mut scratch = Scratch::default();
+    let Ok(Ok(Reply::Export { payload, .. })) = Reply::parse(&export, &mut scratch) else {
+        panic!("{export}");
+    };
+    let import = Request::Import {
+        key: "9:1",
+        payload,
+    }
+    .to_string();
+    replies.push(handle_line(&mut engine, &import).response);
+    replies.push(export);
+    replies.extend(probes.iter().map(|p| handle_line(&mut engine, p).response));
+    replies.extend(MALFORMED.map(|line| handle_line(&mut engine, line).response));
+    replies.extend([
+        Reply::Degraded {
+            id: 3,
+            accepted: false,
+        }
+        .line(),
+        Reply::Resumed.line(),
+        Reply::RouterRole {
+            shards: 2,
+            map_version: 3,
+        }
+        .line(),
+        Reply::Map {
+            version: 3,
+            shards: 2,
+            assignment: vec![1, 0, 1],
+        }
+        .line(),
+        Reply::Reshard {
+            version: 3,
+            moved: 1,
+        }
+        .line(),
+    ]);
+    replies
+}
+
+fn render(parsed: &Result<Reply<'_>, Refusal>) -> String {
+    match parsed {
+        Ok(reply) => reply.line(),
+        Err(refusal) => refusal.to_string(),
+    }
+}
+
+#[test]
+fn fuzz_wire_replies() {
+    let replies = reply_corpus();
+    let (mut scratch, mut again) = (Scratch::default(), Scratch::default());
+    // Unmutated, every reply but the counter dump reads back to its bytes.
+    for reply in &replies {
+        match Reply::parse(reply, &mut scratch) {
+            Ok(parsed) => assert_eq!(&render(&parsed), reply),
+            Err(e) => assert!(
+                reply.starts_with(r#"{"ok":true,"op":"stats","#),
+                "{reply}: {e}"
+            ),
+        }
+    }
+    let (mut next, mut parsed, mut refusals) = (0, 0u64, 0u64);
+    let cases = fuzz(0x5EED_0006, |rng| {
+        let donor = &replies[rng.gen_index(replies.len())];
+        let input = mutate_text(rng, &replies[next], donor);
+        next = (next + 1) % replies.len();
+        // Never a panic; what parses renders to a fixed point.
+        let Ok(reply) = Reply::parse(&input, &mut scratch) else {
+            return;
+        };
+        parsed += 1;
+        refusals += u64::from(reply.is_err());
+        let rendered = render(&reply);
+        let reparsed = Reply::parse(&rendered, &mut again)
+            .unwrap_or_else(|e| panic!("{input:?} rendered to {rendered:?}: {e}"));
+        assert_eq!(render(&reparsed), rendered, "{input:?}");
+    });
+    println!("wire replies: {cases} cases, {parsed} parsed, {refusals} refusals");
 }

@@ -32,18 +32,14 @@
 //! This experiment times real work over real sockets, so the harness
 //! runs it **alone** (after the parallel batch), like T2, E8, and E9.
 
-use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dvs_admit::json::{self, JsonValue};
-use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
-use dvs_admit::wire::Request;
-use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, TraceSpec};
-use dvs_power::presets::xscale_ideal;
+use dvs_admit::json::{self, Scratch};
+use dvs_admit::wire::{Reply, Request};
+use dvs_admit::TraceSpec;
 use dvs_router::{Router, ShardMap, ShardSpec};
-use reject_sched::online::OnlineGreedy;
 
+use super::e9_cluster::{client_config, p99, shard_server, stat, tick_every, unsharded_log};
 use crate::{mean, Scale, Table};
 
 /// Number of tasks per session.
@@ -55,64 +51,12 @@ pub const LOAD: f64 = 3.0;
 /// Global power domains: enough that the 2→3 join moves a handful.
 pub const DOMAINS: usize = 12;
 
-/// Tick interval, as in E9.
-#[must_use]
-pub fn tick_every(scale: Scale) -> f64 {
-    match scale {
-        Scale::Quick => 50.0,
-        Scale::Full => 10.0,
-    }
-}
-
 /// The pinned session spec for one seed.
 #[must_use]
 pub fn spec(scale: Scale, seed: u64) -> TraceSpec {
     TraceSpec::new(N, LOAD, seed)
         .domains(DOMAINS)
         .tick_every(tick_every(scale))
-}
-
-fn config() -> EngineConfig {
-    EngineConfig::default()
-        .resolve_every(2)
-        .resolve_budget(5_000)
-}
-
-fn client_config() -> ClientConfig {
-    ClientConfig {
-        max_attempts: 2,
-        backoff_base: std::time::Duration::from_millis(1),
-        ..ClientConfig::default()
-    }
-}
-
-/// An in-process shard serving the given global domains over TCP. A
-/// joining shard starts with *zero* domains (mirroring
-/// `dvs_admitd --domains 0`): everything it serves arrives via import.
-fn shard_server(
-    owned: usize,
-) -> (
-    String,
-    std::thread::JoinHandle<()>,
-    Arc<Mutex<AdmissionEngine>>,
-) {
-    let cpus = (0..owned).map(|_| xscale_ideal()).collect();
-    let engine = AdmissionEngine::with_domains(cpus, Box::new(OnlineGreedy), config()).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let engine = Arc::new(Mutex::new(engine));
-    let serve_engine = Arc::clone(&engine);
-    let handle = std::thread::spawn(move || {
-        let ctl = Arc::new(ServerControl::new());
-        let _ = serve_tcp(
-            &listener,
-            &serve_engine,
-            ServeOptions::default(),
-            &ctl,
-            None,
-        );
-    });
-    (addr, handle, engine)
 }
 
 /// One resharded session's measurements.
@@ -128,18 +72,6 @@ pub struct ReshardReplay {
     pub merged_log: String,
     /// Scatter-gathered `(arrivals, accepted, rejected, shed)`.
     pub decisions: (u64, u64, u64, u64),
-}
-
-fn stat(pairs: &[(String, JsonValue)], key: &str) -> u64 {
-    json::get(pairs, key)
-        .and_then(JsonValue::as_f64)
-        .unwrap_or_else(|| panic!("missing numeric field {key:?}")) as u64
-}
-
-fn p99(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let rank = ((samples.len() as f64) * 0.99).ceil() as usize;
-    samples[rank.saturating_sub(1)]
 }
 
 /// What a naive `g % k` rehash would move for the `from → to` shard-count
@@ -176,10 +108,11 @@ pub fn replay_one(scale: Scale, seed: u64) -> ReshardReplay {
     let mut router = Router::new(map, &endpoints, &client_config()).unwrap();
 
     let half = trace.len() / 2;
+    let mut scratch = Scratch::default();
     for event in &trace[..half] {
         let handled = router.handle_line(&Request::from(event).to_string());
         assert!(
-            handled.response.starts_with("{\"ok\":true"),
+            matches!(Reply::parse(&handled.response, &mut scratch), Ok(Ok(_))),
             "event {event:?} refused: {}",
             handled.response
         );
@@ -191,17 +124,17 @@ pub fn replay_one(scale: Scale, seed: u64) -> ReshardReplay {
     engines.push(engine);
     let t0 = Instant::now();
     let resp = router
-        .handle_line(&format!("{{\"op\":\"reshard\",\"add\":\"shard2={addr}\"}}"))
+        .handle_line(&Request::ReshardAdd(&format!("shard2={addr}")).to_string())
         .response;
     let reshard_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(resp.starts_with("{\"ok\":true"), "reshard refused: {resp}");
-    let pairs = json::parse_object(&resp).expect("reshard response parse");
-    let moved = stat(&pairs, "moved");
+    let Ok(Ok(Reply::Reshard { moved, .. })) = Reply::parse(&resp, &mut scratch) else {
+        panic!("reshard refused: {resp}");
+    };
 
     for event in &trace[half..] {
         let handled = router.handle_line(&Request::from(event).to_string());
         assert!(
-            handled.response.starts_with("{\"ok\":true"),
+            matches!(Reply::parse(&handled.response, &mut scratch), Ok(Ok(_))),
             "post-reshard event {event:?} refused: {}",
             handled.response
         );
@@ -238,27 +171,11 @@ pub fn replay_one(scale: Scale, seed: u64) -> ReshardReplay {
     };
     ReshardReplay {
         reshard_ms,
-        moved,
+        moved: moved as u64,
         capacity_eps,
         merged_log,
         decisions,
     }
-}
-
-/// The unsharded reference: one engine over all [`DOMAINS`] domains,
-/// same pinned trace, no reshard anywhere.
-///
-/// # Panics
-///
-/// Panics if trace generation or the engine fails.
-#[must_use]
-pub fn reference_log(scale: Scale, seed: u64) -> String {
-    let trace = spec(scale, seed).generate().expect("trace generation");
-    let cpus = (0..DOMAINS).map(|_| xscale_ideal()).collect();
-    let mut engine =
-        AdmissionEngine::new(cpus, Box::new(OnlineGreedy), config()).expect("at least one domain");
-    dvs_admit::trace::replay(&mut engine, &trace).expect("generated traces are valid");
-    engine.format_decision_log()
 }
 
 /// Runs the experiment.
@@ -280,7 +197,7 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     let references: Vec<String> = (0..scale.seeds())
-        .map(|seed| reference_log(scale, seed))
+        .map(|seed| unsharded_log(&spec(scale, seed)))
         .collect();
     let runs: Vec<ReshardReplay> = (0..scale.seeds())
         .map(|seed| replay_one(scale, seed))
@@ -312,7 +229,7 @@ mod tests {
     #[test]
     fn resharded_replay_is_balanced_and_byte_identical() {
         for seed in 0..2u64 {
-            let reference = reference_log(Scale::Quick, seed);
+            let reference = unsharded_log(&spec(Scale::Quick, seed));
             let r = replay_one(Scale::Quick, seed);
             let (arrivals, accepted, rejected, shed) = r.decisions;
             assert_eq!(arrivals, N as u64, "seed {seed}");

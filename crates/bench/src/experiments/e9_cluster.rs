@@ -36,9 +36,9 @@ use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dvs_admit::json::{self, JsonValue};
+use dvs_admit::json::{self, JsonValue, Scratch};
 use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
-use dvs_admit::wire::Request;
+use dvs_admit::wire::{Reply, Request};
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use dvs_router::{Router, ShardMap, ShardSpec};
@@ -77,13 +77,13 @@ pub fn spec(scale: Scale, seed: u64) -> TraceSpec {
         .tick_every(tick_every(scale))
 }
 
-fn config() -> EngineConfig {
+pub(super) fn config() -> EngineConfig {
     EngineConfig::default()
         .resolve_every(2)
         .resolve_budget(5_000)
 }
 
-fn client_config() -> ClientConfig {
+pub(super) fn client_config() -> ClientConfig {
     ClientConfig {
         max_attempts: 2,
         backoff_base: std::time::Duration::from_millis(1),
@@ -91,18 +91,19 @@ fn client_config() -> ClientConfig {
     }
 }
 
-/// An in-process shard serving the given global domains over TCP. The
-/// engine handle is kept so capacity can be read off its own metrics.
-fn shard_server(
-    owned: &[usize],
+/// An in-process shard with `domains` local domains, served over TCP.
+/// The engine handle is kept so capacity can be read off its own
+/// metrics. A joining shard starts with *zero* domains (mirroring
+/// `dvs_admitd --domains 0`): everything it serves arrives via import.
+pub(super) fn shard_server(
+    domains: usize,
 ) -> (
     String,
     std::thread::JoinHandle<()>,
     Arc<Mutex<AdmissionEngine>>,
 ) {
-    let domains = owned.len().max(1);
     let cpus = (0..domains).map(|_| xscale_ideal()).collect();
-    let engine = AdmissionEngine::new(cpus, Box::new(OnlineGreedy), config()).unwrap();
+    let engine = AdmissionEngine::with_domains(cpus, Box::new(OnlineGreedy), config()).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let engine = Arc::new(Mutex::new(engine));
@@ -135,7 +136,7 @@ fn cluster(
     let mut handles = Vec::new();
     let mut engines = Vec::new();
     for s in 0..shards {
-        let (addr, handle, engine) = shard_server(&map.owned(s));
+        let (addr, handle, engine) = shard_server(map.owned(s).len().max(1));
         endpoints.push(ShardSpec {
             addr,
             replica: None,
@@ -164,13 +165,13 @@ pub struct ClusterReplay {
     pub decisions: (u64, u64, u64, u64),
 }
 
-fn stat(pairs: &[(String, JsonValue)], key: &str) -> u64 {
+pub(super) fn stat(pairs: &[(String, JsonValue)], key: &str) -> u64 {
     json::get(pairs, key)
         .and_then(JsonValue::as_f64)
         .unwrap_or_else(|| panic!("missing numeric field {key:?}")) as u64
 }
 
-fn p99(latencies_us: &mut [f64]) -> f64 {
+pub(super) fn p99(latencies_us: &mut [f64]) -> f64 {
     latencies_us.sort_by(f64::total_cmp);
     let rank = ((latencies_us.len() as f64) * 0.99).ceil() as usize;
     latencies_us[rank.saturating_sub(1)]
@@ -187,13 +188,14 @@ pub fn replay_one(scale: Scale, seed: u64, shards: usize) -> ClusterReplay {
     let trace = spec(scale, seed).generate().expect("trace generation");
     let (mut router, handles, engines) = cluster(shards);
     let mut latencies_us = Vec::with_capacity(trace.len());
+    let mut scratch = Scratch::default();
     let started = Instant::now();
     for event in &trace {
         let t0 = Instant::now();
         let handled = router.handle_line(&Request::from(event).to_string());
         latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
         assert!(
-            handled.response.starts_with("{\"ok\":true"),
+            matches!(Reply::parse(&handled.response, &mut scratch), Ok(Ok(_))),
             "event {event:?} refused: {}",
             handled.response
         );
@@ -242,16 +244,16 @@ pub fn replay_one(scale: Scale, seed: u64, shards: usize) -> ClusterReplay {
     }
 }
 
-/// The unsharded reference: one engine over all [`DOMAINS`] domains,
-/// same pinned trace.
+/// The unsharded reference: one engine over all of `spec`'s domains,
+/// replaying its pinned trace.
 ///
 /// # Panics
 ///
 /// Panics if trace generation or the engine fails.
 #[must_use]
-pub fn reference_log(scale: Scale, seed: u64) -> String {
-    let trace = spec(scale, seed).generate().expect("trace generation");
-    let cpus = (0..DOMAINS).map(|_| xscale_ideal()).collect();
+pub(super) fn unsharded_log(spec: &TraceSpec) -> String {
+    let trace = spec.generate().expect("trace generation");
+    let cpus = (0..spec.domains).map(|_| xscale_ideal()).collect();
     let mut engine =
         AdmissionEngine::new(cpus, Box::new(OnlineGreedy), config()).expect("at least one domain");
     dvs_admit::trace::replay(&mut engine, &trace).expect("generated traces are valid");
@@ -276,7 +278,7 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     let references: Vec<String> = (0..scale.seeds())
-        .map(|seed| reference_log(scale, seed))
+        .map(|seed| unsharded_log(&spec(scale, seed)))
         .collect();
     for &shards in &SHARDS {
         let runs: Vec<ClusterReplay> = (0..scale.seeds())
@@ -310,7 +312,7 @@ mod tests {
         // reproduces the unsharded decision log byte for byte, under the
         // scatter-gathered balance invariant.
         for seed in 0..2u64 {
-            let reference = reference_log(Scale::Quick, seed);
+            let reference = unsharded_log(&spec(Scale::Quick, seed));
             assert!(
                 reference.contains("accepted"),
                 "seed {seed}: reference log has no admissions"

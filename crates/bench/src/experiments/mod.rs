@@ -1,5 +1,5 @@
-//! One module per experiment. Each exposes `run(Scale) -> Table` (some also
-//! expose parameterised helpers used by the Criterion benches).
+//! One module per experiment. Each exposes `run(Scale) -> Table`; the
+//! helpers below build the workloads and rosters they share.
 //!
 //! The experiment ids (T1, T2, F1–F9, E1–E10, R1–R3) are defined in
 //! `EXPERIMENTS.md`; the mapping to the paper's evaluation style is
@@ -57,7 +57,6 @@ where
 }
 
 /// The heuristic roster every comparison experiment evaluates.
-/// Public so the Criterion benches time exactly the same algorithms.
 #[must_use]
 pub fn heuristic_roster() -> Vec<Box<dyn RejectionPolicy>> {
     vec![
@@ -87,7 +86,6 @@ pub fn default_penalties(scale: f64) -> PenaltyModel {
 }
 
 /// A standard synthetic instance on the normalised XScale processor.
-/// Public so the Criterion benches time exactly the experiment workloads.
 #[must_use]
 pub fn standard_instance(n: usize, load: f64, penalty_scale: f64, seed: u64) -> Instance {
     let tasks = WorkloadSpec::new(n, load)

@@ -6,9 +6,7 @@
 //!
 //! Each experiment lives in [`experiments`] as a pure function
 //! `run(Scale) -> Table`; the `experiments` binary prints all of them and
-//! writes CSV files, and the wall-clock benches under `benches/` (built on
-//! the dependency-free [`timing`] harness) time the constituent algorithm
-//! invocations on the same workloads.
+//! writes CSV files.
 //!
 //! ```
 //! use bench_suite::{experiments, Scale};
@@ -24,17 +22,16 @@
 pub mod baseline;
 pub mod experiments;
 mod table;
-pub mod timing;
 
 pub use table::Table;
 
 /// How big an experiment run should be.
 ///
-/// `Quick` keeps unit tests and bench iterations fast;
+/// `Quick` keeps unit tests and CI runs fast;
 /// `Full` reproduces the figures at publication scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced seeds/grids for CI and benches.
+    /// Reduced seeds/grids for CI and tests.
     Quick,
     /// Full grids for the recorded results.
     Full,

@@ -121,6 +121,24 @@ pub fn uniform_levels(k: usize) -> Processor {
     )
 }
 
+/// The processor a command line's `--power NAME` selects: `xscale`
+/// ([`xscale_ideal`]), `cubic` ([`cubic_ideal`]) or `xscale-table`
+/// ([`xscale_measured`]).
+///
+/// ```
+/// assert_eq!(dvs_power::presets::by_name("cubic").unwrap().critical_speed(), 0.0);
+/// assert!(dvs_power::presets::by_name("xscale-levels").is_none());
+/// ```
+#[must_use]
+pub fn by_name(name: &str) -> Option<Processor> {
+    match name {
+        "xscale" => Some(xscale_ideal()),
+        "cubic" => Some(cubic_ideal()),
+        "xscale-table" => Some(xscale_measured()),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,21 +95,6 @@ impl SpawnCtx {
     }
 }
 
-/// The number of domains `member` was constructed with: its dense
-/// version-1 assignment if it is an initial member, zero if it joined
-/// later (joiners grow purely via imports). This is the `--domains`
-/// a recovering respawn must pass so journal replay starts from the
-/// same construction the original process had.
-fn birth_count(map: &ShardMap, member: &str) -> usize {
-    let initial = map.initial_members();
-    initial.iter().position(|m| m == member).map_or(0, |idx| {
-        ShardMap::new(initial.to_vec(), map.domains(), None)
-            .expect("the initial membership was validated when the map was journaled")
-            .owned(idx)
-            .len()
-    })
-}
-
 /// Locates `dvs_admitd` next to the running binary.
 fn admitd_path() -> Result<PathBuf, String> {
     let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -473,7 +458,7 @@ fn run() -> Result<(), String> {
                 // construction: the dense version-1 assignment for
                 // initial members, zero domains for later joiners (their
                 // domains replay from import records).
-                plan.push((name.clone(), birth_count(&map, name), true));
+                plan.push((name.clone(), map.birth_domains(name).len(), true));
             }
             (map, plan)
         } else {

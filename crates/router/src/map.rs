@@ -261,6 +261,19 @@ impl ShardMap {
         &self.initial
     }
 
+    /// The domains `member` was *born* serving, in ascending global
+    /// order: an initial member's dense version-1 assignment, nothing for
+    /// a later joiner.
+    #[must_use]
+    pub fn birth_domains(&self, member: &str) -> Vec<usize> {
+        let Some(idx) = self.initial.iter().position(|m| m == member) else {
+            return Vec::new();
+        };
+        ShardMap::new(self.initial.clone(), self.domains, None)
+            .expect("the initial membership was validated when the map was built")
+            .owned(idx)
+    }
+
     /// Number of global power domains being assigned.
     #[must_use]
     pub fn domains(&self) -> usize {

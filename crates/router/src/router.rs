@@ -78,8 +78,8 @@ use std::fmt::Write as _;
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::Handled;
-use dvs_admit::wire::{Refusal, Reply, Request};
-use dvs_admit::{AdmitClient, AdmitError, ClientConfig, ClientError, RESERVED_ANCHOR_ID};
+use dvs_admit::wire::{shed_ids, Refusal, Reply, Request};
+use dvs_admit::{AdmitClient, AdmitError, ClientConfig, ClientError, Decision, RESERVED_ANCHOR_ID};
 use rt_model::io::{EventKind, EventRecord};
 use rt_model::{Task, TaskId};
 
@@ -282,47 +282,26 @@ pub struct Router {
     metrics: RouterMetrics,
 }
 
-/// Extracts the task id from a decision-log line (`t=… τ{id} verdict…`).
-fn line_task_id(line: &str) -> Option<usize> {
-    let tok = line.split_whitespace().nth(1)?;
-    tok.strip_prefix('τ')?.parse().ok()
+/// The in-band answer when shard `s` replies with something other than
+/// the fixed shape its request asks for.
+fn unexpected(s: usize, resp: &str) -> String {
+    Refusal::bad_request(format!("unexpected response from shard {s}: {resp}")).to_string()
 }
 
-/// Whether a decision-log line records a shed.
-fn line_is_shed(line: &str) -> bool {
-    line.split_whitespace()
-        .nth(2)
-        .is_some_and(|v| v.starts_with("shed@"))
-}
-
-/// Asks a shard's engine for its `layout` — one `(fenced, import-key)`
-/// pair per local domain, in index order. Errors are plain messages
-/// (callers wrap them into the response shape they need).
-fn probe_layout(shard: &mut Shard) -> Result<Vec<(bool, Option<String>)>, String> {
+/// Asks a shard's engine for its `layout` and rebuilds the shard's slot
+/// table from it (see [`slots_from_layout`]).
+fn probe_slots(shard: &mut Shard, births: &[usize]) -> Result<Vec<Slot>, String> {
     let name = &shard.name;
     let resp = shard
         .primary
         .request(&Request::Layout.to_string())
         .map_err(|e| format!("shard {name:?} layout probe failed: {e}"))?;
-    let rp = json::parse_object(&resp)
-        .map_err(|e| format!("bad layout response from shard {name:?}: {e}"))?;
-    if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
-        return Err(format!("shard {name:?} refused the layout probe: {resp}"));
+    match Reply::parse(&resp, &mut json::Scratch::default()) {
+        Ok(Ok(Reply::Layout(layout))) => slots_from_layout(name, &layout, births),
+        _ => Err(format!(
+            "shard {name:?} answered the layout probe with {resp}"
+        )),
     }
-    let text = json::get(&rp, "layout")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("shard {name:?} layout reply lacks a layout field"))?;
-    let mut out = Vec::new();
-    for tok in text.split_whitespace() {
-        let (mark, key) = tok.split_at(1);
-        let fenced = match mark {
-            "+" => false,
-            "-" => true,
-            _ => return Err(format!("shard {name:?}: unparseable layout token {tok:?}")),
-        };
-        out.push((fenced, (!key.is_empty()).then(|| key.to_string())));
-    }
-    Ok(out)
 }
 
 /// Asks a shard for its task-presence inventory: every present task as
@@ -335,56 +314,12 @@ fn probe_present(shard: &mut Shard) -> Result<(Vec<(usize, Option<usize>)>, Vec<
         .primary
         .request(&Request::Present.to_string())
         .map_err(|e| format!("shard {name:?} presence probe failed: {e}"))?;
-    let rp = json::parse_object(&resp)
-        .map_err(|e| format!("bad presence response from shard {name:?}: {e}"))?;
-    if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
-        return Err(format!("shard {name:?} refused the presence probe: {resp}"));
+    match Reply::parse(&resp, &mut json::Scratch::default()) {
+        Ok(Ok(Reply::Present { tasks, departed })) => Ok((tasks, departed)),
+        _ => Err(format!(
+            "shard {name:?} answered the presence probe with {resp}"
+        )),
     }
-    let field = |key: &str| {
-        json::get(&rp, key)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("shard {name:?} presence reply lacks a {key} field"))
-    };
-    let mut tasks = Vec::new();
-    for tok in field("tasks")?.split_whitespace() {
-        let (id, pin) = tok
-            .split_once(':')
-            .ok_or_else(|| format!("shard {name:?}: unparseable presence token {tok:?}"))?;
-        let id = id
-            .parse::<usize>()
-            .map_err(|_| format!("shard {name:?}: unparseable presence token {tok:?}"))?;
-        let pin = match pin {
-            "-" => None,
-            d => Some(
-                d.parse::<usize>()
-                    .map_err(|_| format!("shard {name:?}: unparseable presence token {tok:?}"))?,
-            ),
-        };
-        tasks.push((id, pin));
-    }
-    let mut departed = Vec::new();
-    for tok in field("departed")?.split_whitespace() {
-        departed.push(
-            tok.parse::<usize>()
-                .map_err(|_| format!("shard {name:?}: unparseable departed id {tok:?}"))?,
-        );
-    }
-    Ok((tasks, departed))
-}
-
-/// The domains a member was *born* serving, in ascending global order:
-/// members of the version-1 membership were constructed over the dense
-/// version-1 assignment; every later joiner started with zero domains
-/// and grew purely via imports.
-fn birth_domains(map: &ShardMap, member: &str) -> Vec<usize> {
-    let initial = map.initial_members();
-    let Some(idx) = initial.iter().position(|m| m == member) else {
-        return Vec::new();
-    };
-    ShardMap::new(initial.to_vec(), map.domains(), None)
-        .expect("the initial membership was validated when the map was built")
-        .owned(idx)
 }
 
 /// Rebuilds a shard's slot table from its engine's reported layout.
@@ -396,7 +331,7 @@ fn birth_domains(map: &ShardMap, member: &str) -> Vec<usize> {
 /// of assuming the dense assignment a fresh fleet would have.
 fn slots_from_layout(
     member: &str,
-    layout: &[(bool, Option<String>)],
+    layout: &[(bool, Option<&str>)],
     births: &[usize],
 ) -> Result<Vec<Slot>, String> {
     // Engine slots never disappear (exports fence in place), so a
@@ -541,10 +476,8 @@ impl Router {
         for (s, spec) in endpoints.iter().enumerate() {
             let mut shard = connect_shard(&map.members()[s], spec, client);
             if reconcile {
-                let layout = probe_layout(&mut shard).map_err(RouterError::Config)?;
-                shard.slots =
-                    slots_from_layout(&shard.name, &layout, &birth_domains(&map, &shard.name))
-                        .map_err(RouterError::Config)?;
+                let births = map.birth_domains(&shard.name);
+                shard.slots = probe_slots(&mut shard, &births).map_err(RouterError::Config)?;
             } else {
                 shard.slots = map.owned(s).into_iter().map(Slot::Live).collect();
             }
@@ -727,18 +660,14 @@ impl Router {
                 log: &self.merged_log,
             }
             .line()),
-            Request::Map => {
-                let assignment: Vec<String> = (0..self.map.domains())
-                    .map(|g| self.map.shard_for(g).to_string())
-                    .collect();
-                Ok(format!(
-                    "{{\"ok\":true,\"version\":{},\"domains\":{},\"shards\":{},\"assignment\":[{}]}}",
-                    self.map.version(),
-                    self.map.domains(),
-                    self.shards.len(),
-                    assignment.join(",")
-                ))
+            Request::Map => Ok(Reply::Map {
+                version: self.map.version(),
+                shards: self.shards.len(),
+                assignment: (0..self.map.domains())
+                    .map(|g| self.map.shard_for(g))
+                    .collect(),
             }
+            .line()),
             Request::ReshardAdd(member) | Request::ReshardRemove(member) => {
                 let done = self.reshard(matches!(request, Request::ReshardAdd(_)), member);
                 // Slot tables change as domains land, even when the
@@ -746,11 +675,11 @@ impl Router {
                 self.rebuild_routes();
                 done
             }
-            Request::Role => Ok(format!(
-                "{{\"ok\":true,\"role\":\"router\",\"shards\":{},\"map_version\":{}}}",
-                self.shards.len(),
-                self.map.version()
-            )),
+            Request::Role => Ok(Reply::RouterRole {
+                shards: self.shards.len(),
+                map_version: self.map.version(),
+            }
+            .line()),
             _ => Err(request.unknown_op().to_string()),
         }
     }
@@ -906,40 +835,34 @@ impl Router {
         self.shards[s].primary.send(&self.downstream);
     }
 
-    /// Reads shard `s`'s reply to the arrival or departure of task `id`
-    /// and stitches its decision lines into the merged log; returns them
-    /// with whether the reply says `accepted`. `Err` is the answer to a
-    /// refused or failed request; the caller rolls the optimistic updates
-    /// back.
+    /// Reads shard `s`'s reply to an arrival or departure and stitches
+    /// its decisions into the merged log; returns the shard-local domain
+    /// an arrival was accepted onto, and the decisions. `Err` is the
+    /// answer to a refused or failed request; the caller rolls the
+    /// optimistic updates back.
     fn finish_routed(
         &mut self,
         s: usize,
-        id: usize,
         at: f64,
-    ) -> Result<(bool, Vec<(usize, String)>), String> {
+    ) -> Result<(Option<usize>, Vec<Decision>), String> {
         let resp = self.shards[s]
             .primary
             .recv()
             .map_err(|e| unavailable(s, &e))?;
-        let (accepted, lines) = {
-            let rp = json::parse_object_into(&resp, &mut self.reply_scratch).map_err(|e| {
-                Refusal::new("bad-request", Some(id), format!("bad shard response: {e}"))
-                    .to_string()
-            })?;
-            if json::get(rp, "ok") != Some(&JsonValue::Bool(true)) {
-                // Structured shard refusals (the router pre-validates, so
-                // these indicate state skew) pass through unchanged.
-                return Err(resp);
-            }
-            (
-                json::get(rp, "decision").and_then(JsonValue::as_str) == Some("accepted"),
-                globalize(s, &self.shards[s].slots, rp)?,
-            )
+        let (domain, dlog) = match Reply::parse(&resp, &mut self.reply_scratch) {
+            Ok(Ok(Reply::Verdict { domain, dlog, .. })) => (domain, dlog),
+            Ok(Ok(Reply::Depart { dlog, .. })) => (None, dlog),
+            // Structured shard refusals (the router pre-validates, so
+            // these indicate state skew) pass through unchanged.
+            Ok(Err(_)) => return Err(resp),
+            _ => return Err(unexpected(s, &resp)),
         };
-        self.append_merged(lines.iter().map(|(_, l)| l.as_str()));
+        let mut decisions = dlog.unwrap_or_default();
+        globalize(s, &self.shards[s].slots, &mut decisions)?;
+        self.append_merged(&decisions);
         self.clock = at;
         self.metrics.per_shard_routed[s] += 1;
-        Ok((accepted, lines))
+        Ok((domain, decisions))
     }
 
     fn finish_arrive(
@@ -950,12 +873,12 @@ impl Router {
         at: f64,
         echo: bool,
     ) -> Result<String, String> {
-        let (accepted, lines) = self.finish_routed(s, id, at)?;
+        let (domain, decisions) = self.finish_routed(s, at)?;
         self.metrics.routed_arrives += 1;
         Ok(Reply::Verdict {
             id,
-            domain: accepted.then_some(g),
-            dlog: dlog_text(echo, &lines).as_deref(),
+            domain: domain.map(|_| g),
+            dlog: echo.then_some(decisions),
         }
         .line())
     }
@@ -991,12 +914,12 @@ impl Router {
         at: f64,
         echo: bool,
     ) -> Result<String, String> {
-        let (_, lines) = self.finish_routed(s, id, at)?;
+        let (_, decisions) = self.finish_routed(s, at)?;
         self.metrics.routed_departs += 1;
         Ok(Reply::Depart {
             id,
-            shed: &shed_ids(&lines),
-            dlog: dlog_text(echo, &lines).as_deref(),
+            shed: shed_ids(&decisions),
+            dlog: echo.then_some(decisions),
         }
         .line())
     }
@@ -1034,33 +957,37 @@ impl Router {
             .enumerate()
             .map(|(s, shard)| shard.primary.recv().map_err(|e| unavailable(s, &e)))
             .collect();
-        let mut merged: Vec<(usize, String)> = Vec::new();
+        let mut merged: Vec<Decision> = Vec::new();
         let mut resolves: u64 = 0;
         for (s, resp) in responses.into_iter().enumerate() {
             let resp = resp?;
-            let rp = json::parse_object_into(&resp, &mut self.reply_scratch).map_err(|e| {
-                Refusal::bad_request(format!("bad shard response: {e}")).to_string()
-            })?;
-            if json::get(rp, "ok") != Some(&JsonValue::Bool(true)) {
-                return Err(resp);
+            match Reply::parse(&resp, &mut self.reply_scratch) {
+                Ok(Ok(Reply::Tick {
+                    resolves: shard_resolves,
+                    dlog,
+                    ..
+                })) => {
+                    let mut decisions = dlog.unwrap_or_default();
+                    globalize(s, &self.shards[s].slots, &mut decisions)?;
+                    resolves += shard_resolves;
+                    merged.append(&mut decisions);
+                }
+                Ok(Err(_)) => return Err(resp),
+                _ => return Err(unexpected(s, &resp)),
             }
-            resolves += json::get(rp, "resolves")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0) as u64;
-            merged.extend(globalize(s, &self.shards[s].slots, rp)?);
         }
         // Stable sort by global domain: every domain lives on exactly one
         // shard and each shard emits its owned domains in ascending
         // global order, so this reproduces a single engine's domain
         // iteration exactly (intra-domain order is preserved as emitted).
-        merged.sort_by_key(|(g, _)| *g);
-        self.append_merged(merged.iter().map(|(_, l)| l.as_str()));
+        merged.sort_by_key(|d| d.verdict.domain());
+        self.append_merged(&merged);
         self.clock = at;
         self.metrics.fanned_ticks += 1;
         Ok(Reply::Tick {
-            shed: &shed_ids(&merged),
+            shed: shed_ids(&merged),
             resolves,
-            dlog: dlog_text(echo, &merged).as_deref(),
+            dlog: echo.then_some(merged),
         }
         .line())
     }
@@ -1269,10 +1196,8 @@ impl Router {
         // *different* one issued — and its exports/imports are
         // discovered here and rolled forward rather than stranded.
         for shard in &mut self.shards {
-            let layout = probe_layout(shard).map_err(&rerr)?;
-            shard.slots =
-                slots_from_layout(&shard.name, &layout, &birth_domains(&self.map, &shard.name))
-                    .map_err(&rerr)?;
+            let births = self.map.birth_domains(&shard.name);
+            shard.slots = probe_slots(shard, &births).map_err(&rerr)?;
         }
         // The moved set is computed against the *holders*, not the map:
         // a domain migrates unless the post-reshard owner already serves
@@ -1351,15 +1276,11 @@ impl Router {
                 (src, local)
             };
             let resp = self.shard_write(src, &Request::Export { domain: local }.to_string())?;
-            let rp = json::parse_object(&resp)
-                .map_err(|e| rerr(format!("bad export response from shard {src}: {e}")))?;
-            if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
-                return Err(resp);
-            }
-            let payload = json::get(&rp, "payload")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| rerr(format!("shard {src} export reply lacks a payload")))?
-                .to_string();
+            let payload = match Reply::parse(&resp, &mut self.reply_scratch) {
+                Ok(Ok(Reply::Export { payload, .. })) => payload.to_string(),
+                Ok(Err(_)) => return Err(resp),
+                _ => return Err(rerr(format!("shard {src} answered the export with {resp}"))),
+            };
             // The engine fenced the slot the moment the export journaled;
             // mirror that now, so a failure on the import below leaves
             // the table telling the truth and the retry re-exports the
@@ -1370,15 +1291,11 @@ impl Router {
                 payload: &payload,
             };
             let resp = self.shard_write(dst, &import.to_string())?;
-            let rp = json::parse_object(&resp)
-                .map_err(|e| rerr(format!("bad import response from shard {dst}: {e}")))?;
-            if json::get(&rp, "ok") != Some(&JsonValue::Bool(true)) {
-                return Err(resp);
-            }
-            let new_local = json::get(&rp, "local")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| rerr(format!("shard {dst} import reply lacks a local slot")))?
-                as usize;
+            let new_local = match Reply::parse(&resp, &mut self.reply_scratch) {
+                Ok(Ok(Reply::Import { local })) => local,
+                Ok(Err(_)) => return Err(resp),
+                _ => return Err(rerr(format!("shard {dst} answered the import with {resp}"))),
+            };
             let slots = &mut self.shards[dst].slots;
             match new_local.cmp(&slots.len()) {
                 std::cmp::Ordering::Equal => slots.push(Slot::Live(g)),
@@ -1399,11 +1316,11 @@ impl Router {
             self.map.remove_member(&name)
         };
         bump.map_err(|e| rerr(e.to_string()))?;
-        Ok(format!(
-            "{{\"ok\":true,\"op\":\"reshard\",\"version\":{},\"moved\":{}}}",
-            self.map.version(),
-            moved.len()
-        ))
+        Ok(Reply::Reshard {
+            version: self.map.version(),
+            moved: moved.len(),
+        }
+        .line())
     }
 
     /// Sends a write to shard `s`'s primary and waits for its reply (the
@@ -1444,67 +1361,30 @@ impl Router {
         }
     }
 
-    fn append_merged<'a>(&mut self, lines: impl Iterator<Item = &'a str>) {
-        for line in lines {
-            self.merged_log.push_str(line);
-            self.merged_log.push('\n');
-            self.merged_decisions += 1;
+    fn append_merged(&mut self, decisions: &[Decision]) {
+        for d in decisions {
+            let _ = writeln!(self.merged_log, "{d}");
         }
+        self.merged_decisions += decisions.len() as u64;
     }
 }
 
-/// Rewrites shard `s`'s echoed decision lines from local to global
-/// domain indices, returning `(global_domain, line)` pairs in emitted
-/// order. Lines without a domain suffix (rejected verdicts) keep their
-/// bytes and sort under the shard's first owned domain — they only occur
-/// on single-shard arrive responses, where the sort key is irrelevant.
-fn globalize(
-    s: usize,
-    slots: &[Slot],
-    response_pairs: &[(String, JsonValue)],
-) -> Result<Vec<(usize, String)>, String> {
-    let Some(dlog) = json::get(response_pairs, "dlog").and_then(JsonValue::as_str) else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::new();
-    for line in dlog.lines() {
-        if let Some(pos) = line.rfind('@') {
-            let local: usize = line[pos + 1..].parse().map_err(|_| {
-                Refusal::bad_request(format!(
-                    "unparseable decision line from shard {s}: {line:?}"
-                ))
-                .to_string()
-            })?;
-            let g = slots
-                .get(local)
+/// Rewrites shard `s`'s decisions from local to global domain indices.
+/// A rejection names no domain and is left as it is.
+fn globalize(s: usize, slots: &[Slot], decisions: &mut [Decision]) -> Result<(), String> {
+    for d in decisions {
+        if let Some(domain) = d.verdict.domain_mut() {
+            *domain = slots
+                .get(*domain)
                 .copied()
                 .and_then(Slot::live)
                 .ok_or_else(|| {
                     Refusal::bad_request(format!(
-                        "shard {s} named unknown or exported local domain {local}"
+                        "shard {s} named unknown or exported local domain {domain}"
                     ))
                     .to_string()
                 })?;
-            out.push((g, format!("{}{g}", &line[..=pos])));
-        } else {
-            let first = slots.iter().copied().find_map(Slot::live).unwrap_or(0);
-            out.push((first, line.to_string()));
         }
     }
-    Ok(out)
-}
-
-/// The ids of the tasks the decision lines shed.
-fn shed_ids(lines: &[(usize, String)]) -> Vec<usize> {
-    lines
-        .iter()
-        .filter(|(_, l)| line_is_shed(l))
-        .filter_map(|(_, l)| line_task_id(l))
-        .collect()
-}
-
-/// The decision lines' text (one per line) when the client asked for
-/// the echo.
-fn dlog_text(echo: bool, lines: &[(usize, String)]) -> Option<String> {
-    echo.then(|| lines.iter().map(|(_, line)| format!("{line}\n")).collect())
+    Ok(())
 }

@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use dvs_rejection::model::io::load_task_set;
-use dvs_rejection::power::presets::{cubic_ideal, uniform_levels, xscale_ideal, xscale_measured};
+use dvs_rejection::power::presets::by_name;
 use dvs_rejection::power::{Processor, SpeedDomain};
 use dvs_rejection::sched::algorithms::{
     AcceptAllFeasible, BranchBound, DensitySweep, Exhaustive, LocalSearch, MarginalGreedy,
@@ -56,25 +56,18 @@ fn budgeted(name: &str) -> Result<Box<dyn BudgetedPolicy>, String> {
 }
 
 fn processor(model: &str, levels: Option<usize>) -> Result<Processor, String> {
-    let base = match model {
-        "xscale" => xscale_ideal(),
-        "cubic" => cubic_ideal(),
-        "xscale-table" => xscale_measured(),
-        _ => return Err(format!("unknown power model {model} (see --help)")),
+    let base = by_name(model).ok_or_else(|| format!("unknown power model {model} (see --help)"))?;
+    let Some(k) = levels else {
+        return Ok(base);
     };
-    Ok(match levels {
-        None => base,
-        Some(k) if k > 0 && model != "xscale-table" => {
-            let quantised = uniform_levels(k);
-            let _ = quantised;
-            Processor::new(
-                *base.power(),
-                SpeedDomain::discrete((1..=k).map(|i| i as f64 / k as f64).collect::<Vec<_>>())
-                    .map_err(|e| format!("--levels {k}: {e}"))?,
-            )
-        }
-        Some(_) => base,
-    })
+    if base.domain().levels().is_some() {
+        return Err(format!(
+            "--levels quantises a continuous-speed model; {model} already has fixed levels"
+        ));
+    }
+    let levels: Vec<f64> = (1..=k).map(|i| i as f64 / k as f64).collect();
+    let domain = SpeedDomain::discrete(levels).map_err(|e| format!("--levels {k}: {e}"))?;
+    Ok(Processor::new(*base.power(), domain))
 }
 
 fn run() -> Result<(), String> {
