@@ -1161,11 +1161,10 @@ impl AdmissionEngine {
                 let instance = d.resolve_cache.as_ref().expect("rebuilt above");
                 let mut served_ids: Vec<TaskId> = d.active.iter().map(Task::id).collect();
                 served_ids.push(TaskId::new(RESERVED_ANCHOR_ID));
-                let current =
-                    Solution::for_accepted(instance, "engine-active", served_ids.clone())?;
+                let current = Solution::for_accepted(instance, "engine-active", served_ids)?;
                 let budget = SolveBudget::nodes(self.config.resolve_budget);
                 let solved = if self.config.warm_start {
-                    BranchBound::default().solve_within_seeded(instance, &budget, &served_ids)
+                    BranchBound::default().solve_within_seeded(instance, &budget, &current)
                 } else {
                     BranchBound::default().solve_within(instance, &budget)
                 };

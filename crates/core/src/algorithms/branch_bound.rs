@@ -4,7 +4,7 @@ use rt_model::{Task, TaskId};
 
 use crate::algorithms::{MarginalGreedy, RejectionPolicy};
 use crate::anytime::{AnytimeSolution, BudgetMeter, BudgetedPolicy, SolveBudget, SolveQuality};
-use crate::bounds::relaxed_cost;
+use crate::bounds::relaxed_cost_reaches;
 use crate::{Instance, SchedError, Solution};
 
 /// Exact solver: depth-first branch & bound over accept/reject decisions,
@@ -110,8 +110,13 @@ impl Search<'_> {
         let suffix = &self.tasks[i..];
         let suffix_penalty: f64 = suffix.iter().map(Task::penalty).sum();
         let fixed_rejected = self.total_penalty - avoided - suffix_penalty;
-        let bound = fixed_rejected + relaxed_cost(self.instance, u, suffix.iter())?;
-        if bound >= self.incumbent - 1e-12 {
+        if relaxed_cost_reaches(
+            self.instance,
+            u,
+            suffix.iter(),
+            fixed_rejected,
+            self.incumbent - 1e-12,
+        )? {
             return Ok(());
         }
         let t = self.tasks[i];
@@ -152,17 +157,19 @@ impl BranchBound {
     /// kept — callers that act solely on strict cost improvements, like
     /// `AdmissionEngine`, therefore observe identical decisions).
     ///
+    /// `warm` must be a solution of `instance` (built with
+    /// [`Solution::for_accepted`] on it); only its cost and accepted set
+    /// are read.
+    ///
     /// # Errors
     ///
-    /// [`SchedError::TooLarge`] when the instance exceeds the size limit,
-    /// or any error evaluating `warm` (unknown ids, infeasible set).
+    /// [`SchedError::TooLarge`] when the instance exceeds the size limit.
     pub fn solve_within_seeded(
         &self,
         instance: &Instance,
         budget: &SolveBudget,
-        warm: &[TaskId],
+        warm: &Solution,
     ) -> Result<AnytimeSolution, SchedError> {
-        let warm = Solution::for_accepted(instance, ANYTIME_NAME, warm.to_vec())?;
         self.budgeted_search(instance, budget, Some(warm), ANYTIME_NAME)
     }
 
@@ -172,7 +179,7 @@ impl BranchBound {
         &self,
         instance: &Instance,
         budget: &SolveBudget,
-        warm: Option<Solution>,
+        warm: Option<&Solution>,
         name: &'static str,
     ) -> Result<AnytimeSolution, SchedError> {
         // Acceptable tasks in descending penalty-density order (cached).
@@ -188,12 +195,11 @@ impl BranchBound {
         // by the warm incumbent only when the latter is strictly cheaper —
         // on ties the cold path's choice (greedy) is kept, so warm and cold
         // runs that finish within budget return the same solution.
-        let mut best_known = MarginalGreedy.solve(instance)?;
-        if let Some(w) = warm {
-            if w.cost() < best_known.cost() {
-                best_known = w;
-            }
-        }
+        let greedy = MarginalGreedy.solve(instance)?;
+        let best_known = match warm {
+            Some(w) if w.cost() < greedy.cost() => w,
+            _ => &greedy,
+        };
         let mut search = Search {
             instance,
             tasks,
@@ -298,14 +304,8 @@ mod tests {
             let cold = BranchBound::default().solve_within(&inst, &budget).unwrap();
             // Warm-start with the optimum itself: the result must be the
             // same solution (bitwise cost) with no more nodes visited.
-            let warm_ids: Vec<TaskId> = inst
-                .density_order()
-                .iter()
-                .filter(|t| cold.solution.accepts(t.id()))
-                .map(Task::id)
-                .collect();
             let warm = BranchBound::default()
-                .solve_within_seeded(&inst, &budget, &warm_ids)
+                .solve_within_seeded(&inst, &budget, &cold.solution)
                 .unwrap();
             assert_eq!(
                 warm.solution.cost().to_bits(),
@@ -314,8 +314,9 @@ mod tests {
             );
             assert!(warm.nodes_used <= cold.nodes_used, "seed {seed}");
             // An empty warm seed degenerates to the cold search exactly.
+            let empty = Solution::for_accepted(&inst, "empty", Vec::new()).unwrap();
             let none = BranchBound::default()
-                .solve_within_seeded(&inst, &budget, &[])
+                .solve_within_seeded(&inst, &budget, &empty)
                 .unwrap();
             assert_eq!(none, cold);
         }
@@ -323,15 +324,12 @@ mod tests {
 
     #[test]
     fn warm_start_with_unknown_id_errors() {
-        use crate::anytime::SolveBudget;
+        // A warm seed naming a task the instance lacks is refused when it
+        // is built, before any search.
         let tasks = WorkloadSpec::new(8, 1.5).seed(0).generate().unwrap();
         let inst = Instance::new(tasks, cubic_ideal()).unwrap();
-        let err = BranchBound::default().solve_within_seeded(
-            &inst,
-            &SolveBudget::nodes(100),
-            &[TaskId::new(999)],
-        );
-        assert!(err.is_err());
+        let warm = Solution::for_accepted(&inst, "warm", vec![TaskId::new(999)]);
+        assert!(warm.is_err());
     }
 
     #[test]

@@ -154,38 +154,212 @@ pub fn relaxed_cost<'a>(
     base_u: f64,
     undecided: impl IntoIterator<Item = &'a Task>,
 ) -> Result<f64, SchedError> {
-    let ks = FractionalKnapsack::new(undecided);
-    let cap = (instance.processor().max_speed() - base_u)
-        .max(0.0)
-        .min(ks.total_utilization());
-    let l = instance.hyper_period() as f64;
-    let energy = |t: f64| -> Result<f64, SchedError> {
-        Ok(instance.energy_rate((base_u + t).min(instance.processor().max_speed()))? * l)
-    };
-    let f = |t: f64| -> Result<f64, SchedError> {
-        Ok(energy(t)? + ks.total_penalty() - ks.sheltered(t))
-    };
+    let relaxation = Relaxation::new(instance, base_u, undecided);
+    let kink_min = min_value(&relaxation.kink_samples()?);
+    Ok(kink_min.min(relaxation.ternary()?))
+}
 
-    // Evaluate the kinks of W within budget, then ternary-search the convex
-    // objective to catch minimisers interior to a linear piece of W.
-    let mut best = f(0.0)?.min(f(cap)?);
-    for &k in ks.kinks() {
-        if k > 0.0 && k < cap {
-            best = best.min(f(k)?);
+/// Slack of a prune decision, relative to the numbers it is computed
+/// from: `δ = PRUNE_SLACK · (1 + |threshold| + |offset + m| + V)`, with
+/// `m` the golden-section estimate and `V` the undecided penalty.
+///
+/// Error argument. [`relaxed_cost`] is `min(kink_min, T)` with `T` the
+/// objective at the point its ternary search converges to; the
+/// golden-section estimate `m` and its spread `S` (see
+/// [`relaxed_cost_reaches`]) bracket the true minimum `f*` as
+/// `m − φ·S ≤ f* ≤ m` (convexity). `T` and that bracket differ from the
+/// exact `f*` by (a) float noise: `f = E·L + V − W` is rounded at the
+/// scale of its terms, `E·L ≤ f + V` and `W ≤ V`, so a few ulps of
+/// `f + V` (≈ 1e-13 at 10³), and even a ternary search misled at every
+/// one of its 120 steps loses under 1e-12 of `f + V`; and (b) on
+/// discrete speed sets, the sliver where `Processor::energy_rate` accepts
+/// a level up to 1e-9 below the demand, which moves `f` by at most
+/// `1e-9 · L · E′` — under 1e-8 of `f` for every preset (`E′/E ≤ 10` on
+/// the XScale and uniform-level hulls). Both stay an order of magnitude
+/// below δ, so a margin beyond δ decides the comparison exactly; anything
+/// closer is decided by running the ternary search itself.
+const PRUNE_SLACK: f64 = 1e-7;
+
+/// Whether `offset + relaxed_cost(instance, base_u, undecided) >=
+/// threshold` — exactly that comparison, including its rounding — but
+/// computed only as far as the answer needs.
+///
+/// This is branch & bound's prune test. The kink scan of
+/// [`relaxed_cost`] runs first (same evaluations, same order); if its
+/// minimum already falls below the threshold the answer is `false`,
+/// because rounding of `+` is monotone. Otherwise a golden-section search
+/// in the bracket around the best kink narrows the interior minimum until
+/// it is certainly above or below the threshold by more than a slack δ
+/// of 1e-7 of the magnitudes involved (`PRUNE_SLACK`, whose error argument
+/// is docs/THEORY.md §6); a near tie runs [`relaxed_cost`]'s ternary
+/// search and compares exactly.
+///
+/// # Errors
+///
+/// As [`relaxed_cost`].
+pub fn relaxed_cost_reaches<'a>(
+    instance: &Instance,
+    base_u: f64,
+    undecided: impl IntoIterator<Item = &'a Task>,
+    offset: f64,
+    threshold: f64,
+) -> Result<bool, SchedError> {
+    let relaxation = Relaxation::new(instance, base_u, undecided);
+    let samples = relaxation.kink_samples()?;
+    let kink_min = min_value(&samples);
+    if offset + kink_min < threshold {
+        return Ok(false);
+    }
+    // For convex f the minimiser lies between the neighbours of the best
+    // sample (the first one, on ties).
+    let best = samples.iter().position(|&(_, v)| v == kink_min);
+    if let Some(best) = best.filter(|_| relaxation.cap > 0.0) {
+        let lo = samples[best.saturating_sub(1)];
+        let hi = samples[(best + 1).min(samples.len() - 1)];
+        if let Some(answer) = relaxation.golden_decides(lo, hi, offset, threshold)? {
+            return Ok(answer);
         }
     }
-    let (mut lo, mut hi) = (0.0f64, cap);
-    for _ in 0..TERNARY_ITERS {
-        let m1 = lo + (hi - lo) / 3.0;
-        let m2 = hi - (hi - lo) / 3.0;
-        if f(m1)? <= f(m2)? {
-            hi = m2;
-        } else {
-            lo = m1;
+    // A near tie, `cap = 0` (the ternary search is the single point t = 0)
+    // or no finite sample: the comparison itself.
+    Ok(offset + kink_min.min(relaxation.ternary()?) >= threshold)
+}
+
+/// Smallest value among `(t, f(t))` samples.
+fn min_value(samples: &[(f64, f64)]) -> f64 {
+    samples
+        .iter()
+        .fold(f64::INFINITY, |best, &(_, v)| best.min(v))
+}
+
+/// The relaxed subproblem `f(t) = E*(base_u + t) + Σ v(undecided) − W(t)`
+/// over `t ∈ [0, cap]`, convex in `t`.
+struct Relaxation<'i> {
+    instance: &'i Instance,
+    ks: FractionalKnapsack,
+    base_u: f64,
+    cap: f64,
+    hyper_period: f64,
+}
+
+impl<'i> Relaxation<'i> {
+    fn new<'a>(
+        instance: &'i Instance,
+        base_u: f64,
+        undecided: impl IntoIterator<Item = &'a Task>,
+    ) -> Self {
+        let ks = FractionalKnapsack::new(undecided);
+        let cap = (instance.processor().max_speed() - base_u)
+            .max(0.0)
+            .min(ks.total_utilization());
+        Relaxation {
+            instance,
+            ks,
+            base_u,
+            cap,
+            hyper_period: instance.hyper_period() as f64,
         }
     }
-    best = best.min(f(0.5 * (lo + hi))?);
-    Ok(best)
+
+    fn at(&self, t: f64) -> Result<f64, SchedError> {
+        let max_speed = self.instance.processor().max_speed();
+        let energy = self
+            .instance
+            .energy_rate((self.base_u + t).min(max_speed))?
+            * self.hyper_period;
+        Ok(energy + self.ks.total_penalty() - self.ks.sheltered(t))
+    }
+
+    /// `f` at 0, at `cap` and at every kink of `W` strictly between them
+    /// (evaluated in that order), returned in ascending `t`.
+    fn kink_samples(&self) -> Result<Vec<(f64, f64)>, SchedError> {
+        let mut samples = vec![(0.0, self.at(0.0)?)];
+        let last = (self.cap, self.at(self.cap)?);
+        for &k in self.ks.kinks() {
+            if k > 0.0 && k < self.cap {
+                samples.push((k, self.at(k)?));
+            }
+        }
+        samples.push(last);
+        Ok(samples)
+    }
+
+    /// `f` at the point a ternary search over `[0, cap]` converges to, to
+    /// catch minimisers interior to a linear piece of `W`. Each step is a
+    /// pure function of `(lo, hi)`, so once a step leaves both unchanged
+    /// every later one would too, and stopping there is bit-identical to
+    /// running all [`TERNARY_ITERS`].
+    fn ternary(&self) -> Result<f64, SchedError> {
+        let (mut lo, mut hi) = (0.0f64, self.cap);
+        for _ in 0..TERNARY_ITERS {
+            let m1 = lo + (hi - lo) / 3.0;
+            let m2 = hi - (hi - lo) / 3.0;
+            let next = if self.at(m1)? <= self.at(m2)? {
+                (lo, m2)
+            } else {
+                (m1, hi)
+            };
+            if next == (lo, hi) {
+                break;
+            }
+            (lo, hi) = next;
+        }
+        self.at(0.5 * (lo + hi))
+    }
+
+    /// Golden-section search for `min f` on the bracket `[lo, hi]` (points
+    /// with their values), stopped as soon as `offset + min f` is certainly
+    /// on one side of `threshold`: `Some(answer)`, or `None` for a near
+    /// tie the caller settles exactly.
+    ///
+    /// With bracket points `a < c < d < b` in golden proportion, values in
+    /// `[m, m + S]` and `f` convex, every `f` on `[a, b]` is at least
+    /// `m − φ·S` (extend the chord through the two nearest points), so
+    /// the minimum lies in `[m − φ·S, m]`.
+    fn golden_decides(
+        &self,
+        (mut a, mut fa): (f64, f64),
+        (mut b, mut fb): (f64, f64),
+        offset: f64,
+        threshold: f64,
+    ) -> Result<Option<bool>, SchedError> {
+        let inv_phi = (5f64.sqrt() - 1.0) / 2.0;
+        let phi = 1.0 + inv_phi;
+        let mut c = b - inv_phi * (b - a);
+        let mut d = a + inv_phi * (b - a);
+        let (mut fc, mut fd) = (self.at(c)?, self.at(d)?);
+        loop {
+            let m = fa.min(fb).min(fc).min(fd);
+            let spread = fa.max(fb).max(fc).max(fd) - m;
+            let reach = offset + m;
+            let delta =
+                PRUNE_SLACK * (1.0 + threshold.abs() + reach.abs() + self.ks.total_penalty());
+            if reach - phi * spread - threshold > delta {
+                return Ok(Some(true));
+            }
+            if reach - threshold < -delta {
+                return Ok(Some(false));
+            }
+            if spread <= delta / 4.0 {
+                return Ok(None);
+            }
+            let bracket = (a, b);
+            if fc <= fd {
+                (b, fb) = (d, fd);
+                (d, fd) = (c, fc);
+                c = b - inv_phi * (b - a);
+                fc = self.at(c)?;
+            } else {
+                (a, fa) = (c, fc);
+                (c, fc) = (d, fd);
+                d = a + inv_phi * (b - a);
+                fd = self.at(d)?;
+            }
+            if (a, b) == bracket {
+                return Ok(None);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +477,27 @@ mod tests {
         let bound = relaxed_cost(&inst, 0.5, undecided).unwrap();
         // Accepting τ1 fully: E(1.0) = 10·1 = 10; rejecting: E(0.5)+1 = 2.25.
         assert!((bound - 2.25).abs() < 1e-6);
+    }
+
+    #[test]
+    fn reaches_is_exact_when_penalties_overflow() {
+        // Σv = ∞ makes f infinite, and ∞ − ∞ = NaN where W saturates:
+        // the prune test must still be exactly the comparison.
+        let inst = instance(&[
+            (0.0, 10, f64::MAX),
+            (3.0, 10, f64::MAX),
+            (4.0, 10, f64::MAX),
+        ]);
+        for base_u in [0.0, 0.2] {
+            let undecided: Vec<&Task> = inst.tasks().iter().collect();
+            let bound = relaxed_cost(&inst, base_u, undecided.iter().copied()).unwrap();
+            for threshold in [0.0, 1e300, f64::INFINITY, f64::NAN] {
+                let fast =
+                    relaxed_cost_reaches(&inst, base_u, undecided.iter().copied(), 1.0, threshold)
+                        .unwrap();
+                assert_eq!(fast, 1.0 + bound >= threshold, "{base_u} {threshold}");
+            }
+        }
     }
 
     #[test]

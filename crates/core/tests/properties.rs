@@ -107,6 +107,104 @@ fn fractional_bound_below_optimum() {
     }
 }
 
+/// Branch & bound's early-stopping prune test is exactly the comparison
+/// it replaces: `relaxed_cost_reaches(..) ≡ offset + relaxed_cost(..) ≥
+/// threshold`, on every processor preset, at thresholds on the bound, a
+/// few ulps and tiny relative margins either side of it, and at the edges
+/// (`cap = 0`, `base_u` at `s_max`, zero-utilization tasks).
+#[test]
+fn relaxed_cost_reaches_is_the_exact_comparison() {
+    use dvs_power::presets::{xscale_levels, xscale_measured};
+    use dvs_power::IdleMode;
+    use reject_sched::bounds::{relaxed_cost, relaxed_cost_reaches};
+
+    fn ulps(x: f64, n: i64) -> f64 {
+        let mut y = x;
+        for _ in 0..n.abs() {
+            y = if n > 0 { y.next_up() } else { y.next_down() };
+        }
+        y
+    }
+    let presets = [
+        cubic_ideal(),
+        xscale_ideal(),
+        xscale_levels(),
+        xscale_measured(),
+        xscale_ideal().with_idle_mode(IdleMode::AlwaysOn),
+        xscale_levels().with_idle_mode(IdleMode::AlwaysOn),
+    ];
+    let mut rng = Rng::seed_from_u64(0xC0DE_0010);
+    let mut checked = 0u32;
+    for case in 0..CASES {
+        for cpu in &presets {
+            let n = 1 + rng.gen_index(14);
+            let tasks = TaskSet::try_from_tasks((0..n).map(|i| {
+                // Every fifth task has zero utilization.
+                let u = if rng.gen_index(5) == 0 {
+                    0.0
+                } else {
+                    rng.gen_f64(0.005, 0.6)
+                };
+                let period = [10u64, 20, 40][rng.gen_index(3)];
+                Task::new(i, u * period as f64, period)
+                    .unwrap()
+                    .with_penalty(rng.gen_f64(0.0, 40.0))
+            }))
+            .unwrap();
+            let inst = Instance::new(tasks, cpu.clone()).unwrap();
+            let s_max = inst.processor().max_speed();
+            let order: Vec<Task> = inst.tasks().iter().copied().collect();
+            let split = rng.gen_index(n + 1);
+            let (decided, undecided) = order.split_at(split);
+            // A branch & bound node: some decided tasks accepted, or the
+            // committed utilization pinned at the edge of the domain.
+            let base_u = match case % 4 {
+                0 => s_max,
+                1 => 0.0,
+                _ => decided
+                    .iter()
+                    .filter(|_| rng.gen_index(2) == 0)
+                    .map(Task::utilization)
+                    .sum::<f64>()
+                    .min(s_max),
+            };
+            let offset = if case % 3 == 0 {
+                0.0
+            } else {
+                rng.gen_f64(0.0, 50.0)
+            };
+            let bound = relaxed_cost(&inst, base_u, undecided.iter()).unwrap();
+            let at = offset + bound;
+            let thresholds = [
+                at,
+                ulps(at, 1),
+                ulps(at, -1),
+                ulps(at, 16),
+                ulps(at, -16),
+                at + 1e-12,
+                at - 1e-12,
+                at * (1.0 + 1e-9),
+                at * (1.0 - 1e-9),
+                at * (1.0 + 1e-6),
+                at * (1.0 - 1e-6),
+                at + 1.0,
+                at - 1.0,
+            ];
+            for threshold in thresholds {
+                let fast = relaxed_cost_reaches(&inst, base_u, undecided.iter(), offset, threshold)
+                    .unwrap();
+                assert_eq!(
+                    fast,
+                    offset + bound >= threshold,
+                    "case {case} {cpu:?} base_u {base_u} offset {offset} threshold {threshold}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 3_000);
+}
+
 /// ScaledDp's additive guarantee `cost ≤ OPT + ε·v_max` holds.
 #[test]
 fn scaled_dp_guarantee() {

@@ -337,11 +337,10 @@ fn primary_served_reads_never_surface_stale_by() {
 /// aggregate and the hedge is counted.
 #[test]
 fn stats_reads_hedge_to_follower_replicas() {
-    // A port with nothing listening: bind, record, drop.
-    let dead = {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().to_string()
-    };
+    // A port with nothing listening that no parallel test can be handed:
+    // every test binds port 0, which the kernel fills from the ephemeral
+    // range (32768 and up on Linux), never with a port below 1024.
+    let dead = "127.0.0.1:1".to_string();
     // The replica is a *follower-role* server: reads work and carry
     // stale_by, writes would be refused with not-primary.
     let mirror =
