@@ -521,6 +521,97 @@ impl Domain {
     fn mark_split_changed(&mut self) {
         self.needs_resolve = true;
     }
+
+    /// Writes the domain's block of an `S` record: the `domain` and `cpu`
+    /// lines, a fenced domain's export payload as a counted `xport` block,
+    /// then one `a`/`r` line per served/reserved task. A migration payload
+    /// is this same block (see [`AdmissionEngine::export_domain`]).
+    fn encode(&self, s: &mut String) {
+        use std::fmt::Write as _;
+        let _ = writeln!(
+            s,
+            "domain {} {} {} {}",
+            u8::from(self.needs_resolve),
+            self.active.len(),
+            self.reserved.len(),
+            u8::from(self.fenced)
+        );
+        // The processor spec is embedded so a restoring engine can
+        // rebuild domains beyond the ones it was constructed with (the
+        // live-resharding import targets) and cross-check the rest
+        // bit-exactly.
+        let cpu_spec = self.cpu.encode_spec();
+        let _ = writeln!(
+            s,
+            "cpu {} {cpu_spec}",
+            cpu_spec.split_ascii_whitespace().count()
+        );
+        if let Some(payload) = &self.export_payload {
+            let _ = writeln!(s, "xport {}", payload.lines().count());
+            s.push_str(payload);
+        }
+        for (tag, ledger) in [('a', &self.active), ('r', &self.reserved)] {
+            for t in ledger {
+                let deadline = (!t.is_implicit_deadline()).then(|| t.deadline());
+                let _ = writeln!(
+                    s,
+                    "{tag} {} {} {} {} {} {}",
+                    t.id().index(),
+                    t.wcec(),
+                    t.period(),
+                    OrDash(deadline),
+                    t.penalty(),
+                    OrDash(t.domain())
+                );
+            }
+        }
+    }
+
+    /// Reads a block [`Domain::encode`] wrote, priced per `horizon` ticks;
+    /// task pins must be below `domains`. Caches start empty: they are
+    /// rebuilt lazily, and memoized pricing replays exact naive bits, so
+    /// this cannot shift a decision.
+    fn decode(
+        cur: &mut SnapCursor<'_>,
+        horizon: u64,
+        domains: usize,
+    ) -> Result<Self, JournalError> {
+        let line = cur.next()?;
+        let cols = AdmissionEngine::cols_tagged(cur, line, "domain", 4)?;
+        let n_active = cur.parse_count(cols[1])?;
+        let n_reserved = cur.parse_count(cols[2])?;
+        let line = cur.next()?;
+        let rest = line
+            .strip_prefix("cpu ")
+            .ok_or_else(|| cur.err(format!("expected a \"cpu\" line, found {line:?}")))?;
+        let (_count, spec) = rest
+            .split_once(' ')
+            .ok_or_else(|| cur.err("\"cpu\" line missing its spec"))?;
+        let cpu = Processor::decode_spec(spec).map_err(|e| cur.err(format!("cpu spec: {e}")))?;
+        let mut d = Domain::new(cpu, horizon).map_err(|e| cur.err(e.to_string()))?;
+        d.needs_resolve = cols[0] == "1";
+        d.fenced = cols[3] == "1";
+        if d.fenced {
+            let mut payload = String::new();
+            for _ in 0..cur.counted("xport")? {
+                payload.push_str(cur.next()?);
+                payload.push('\n');
+            }
+            d.export_payload = Some(payload);
+        }
+        for (tag, n, ledger) in [
+            ("a", n_active, &mut d.active),
+            ("r", n_reserved, &mut d.reserved),
+        ] {
+            ledger.reserve_exact(n);
+            for _ in 0..n {
+                let line = cur.next()?;
+                ledger.push(cur.parse_task(line, tag, domains)?);
+            }
+        }
+        d.recompute_committed();
+        Ok(d)
+    }
 }
 
 /// The event-driven admission-control engine. See the [module
@@ -1424,9 +1515,11 @@ impl AdmissionEngine {
     }
 
     /// Exports domain `local` for migration to another shard: encodes its
-    /// complete deterministic state (processor spec, ledgers, pinned
-    /// unserved tasks, clock, re-solve cadence) as a single-line payload,
-    /// clears the ledgers, fences the domain against further work, and
+    /// complete deterministic state as a payload — the engine's `clock`
+    /// and `tsr` lines, the domain's block of an `S` record (processor
+    /// spec, ledgers), its pinned standing rejections as `unserved` / `u`
+    /// lines, and `end` — clears the ledgers, fences the domain against
+    /// further work, and
     /// moves the domain's shares of the arrival/admission/rejection/shed
     /// counters out of this engine's balance (the importer adds them
     /// back, so cluster-wide sums are invariant). When a journal is
@@ -1458,16 +1551,24 @@ impl AdmissionEngine {
                     reason: format!("domain {local} is fenced but holds no export payload"),
                 });
         }
-        let payload = self.encode_export(local);
-        let d = &self.domains[local];
-        let n_active = d.active.len() as u64;
-        let n_reserved = d.reserved.len() as u64;
         let reserved_ids: BTreeSet<TaskId> = d.reserved.iter().map(Task::id).collect();
-        let n_rejected = self
+        let rejected: Vec<_> = self
             .unserved
             .iter()
             .filter(|(id, _, pin)| *pin == Some(local) && !reserved_ids.contains(id))
-            .count() as u64;
+            .copied()
+            .collect();
+        let mut payload = format!(
+            "clock {:016x}\ntsr {}\n",
+            self.clock.to_bits(),
+            self.ticks_since_resolve
+        );
+        d.encode(&mut payload);
+        write_unserved(&mut payload, &rejected);
+        payload.push_str("end\n");
+        let n_active = d.active.len() as u64;
+        let n_reserved = d.reserved.len() as u64;
+        let n_rejected = rejected.len() as u64;
         // Move the domain's counter shares out: one arrival per present
         // task, one admission per served-or-reserved task, one standing
         // shed unit per reserved task, one rejection per standing-rejected
@@ -1524,45 +1625,53 @@ impl AdmissionEngine {
         if let Some(&local) = self.imported.get(key) {
             return Ok(local);
         }
-        let exported = Self::decode_export(payload)?;
+        let horizon = self.config.horizon;
+        let mut cur = SnapCursor::new(payload);
+        let mut decode = || {
+            let clock = cur.one_tagged("clock")?;
+            let clock = cur.parse_bits(clock)?;
+            let tsr = cur.one_tagged("tsr")?;
+            let tsr = cur.parse_u64(tsr)?;
+            // Task pins are the source's local index: any will do, the
+            // tasks are re-pinned below.
+            let domain = Domain::decode(&mut cur, horizon, usize::MAX)?;
+            if domain.fenced {
+                return Err(cur.err("a migration payload cannot carry a fenced domain"));
+            }
+            let rejected = cur.unserved(usize::MAX)?;
+            cur.end()?;
+            Ok((clock, tsr, domain, rejected))
+        };
+        let (clock, tsr, mut domain, rejected) =
+            decode().map_err(|e: JournalError| AdmitError::Migration {
+                reason: e.to_string(),
+            })?;
         let local = self.domains.len();
-        let mut domain = Domain::new(exported.cpu, self.config.horizon)?;
-        let active: Vec<Task> = exported
-            .active
-            .iter()
-            .map(|t| t.with_domain(local))
-            .collect();
-        let reserved: Vec<Task> = exported
-            .reserved
-            .iter()
-            .map(|t| t.with_domain(local))
-            .collect();
-        let n_active = active.len() as u64;
-        let n_reserved = reserved.len() as u64;
-        let n_rejected = exported.rejected.len() as u64;
+        for t in domain.active.iter_mut().chain(&mut domain.reserved) {
+            *t = t.with_domain(local);
+        }
+        let n_active = domain.active.len() as u64;
+        let n_reserved = domain.reserved.len() as u64;
+        let n_rejected = rejected.len() as u64;
         // Reserved tasks re-enter the unserved ledger (they accrue penalty
         // and hold their reservation), then the standing-rejected ones.
         // The source's chronological interleaving is not preserved — the
         // order only affects float summation of penalty accrual, never a
         // decision.
-        for t in &reserved {
+        for t in &domain.reserved {
             self.unserved.push((t.id(), t.penalty(), Some(local)));
         }
-        for &(id, penalty) in &exported.rejected {
+        for (id, penalty, _) in rejected {
             self.unserved.push((id, penalty, Some(local)));
         }
-        domain.active = active;
-        domain.reserved = reserved;
-        domain.needs_resolve = exported.needs_resolve;
-        domain.recompute_committed();
         self.domains.push(domain);
         let m = &mut self.metrics;
         m.arrivals += n_active + n_reserved + n_rejected;
         m.admitted += n_active + n_reserved;
         m.shed += n_reserved;
         m.rejected += n_rejected;
-        self.clock = self.clock.max(exported.clock);
-        self.ticks_since_resolve = self.ticks_since_resolve.max(exported.ticks_since_resolve);
+        self.clock = self.clock.max(clock);
+        self.ticks_since_resolve = self.ticks_since_resolve.max(tsr);
         self.imported.insert(key.to_string(), local);
         if let Some(j) = self.journal.as_mut() {
             j.append_import(key, payload);
@@ -1571,143 +1680,6 @@ impl AdmissionEngine {
             self.metrics.journal_records = j.records();
         }
         Ok(local)
-    }
-
-    /// Encodes domain `local`'s migration payload: one line of
-    /// space-separated tokens, floats as raw `f64` bits (hex), so the
-    /// importing engine reconstructs bit-identical pricing state.
-    fn encode_export(&self, local: usize) -> String {
-        use std::fmt::Write as _;
-        let d = &self.domains[local];
-        let mut s = String::from("xp1");
-        let cpu_spec = d.cpu.encode_spec();
-        let _ = write!(
-            s,
-            " cpu {} {cpu_spec}",
-            cpu_spec.split_ascii_whitespace().count()
-        );
-        let _ = write!(
-            s,
-            " clock {:016x} tsr {} needs {}",
-            self.clock.to_bits(),
-            self.ticks_since_resolve,
-            u8::from(d.needs_resolve)
-        );
-        for (tag, ledger) in [("active", &d.active), ("reserved", &d.reserved)] {
-            let _ = write!(s, " {tag} {}", ledger.len());
-            for t in ledger {
-                let deadline = OrDash((!t.is_implicit_deadline()).then(|| t.deadline()));
-                let _ = write!(
-                    s,
-                    " {} {:016x} {} {deadline} {:016x}",
-                    t.id().index(),
-                    t.wcec().to_bits(),
-                    t.period(),
-                    t.penalty().to_bits()
-                );
-            }
-        }
-        let reserved_ids: BTreeSet<TaskId> = d.reserved.iter().map(Task::id).collect();
-        let rejected: Vec<(TaskId, f64)> = self
-            .unserved
-            .iter()
-            .filter(|(id, _, pin)| *pin == Some(local) && !reserved_ids.contains(id))
-            .map(|&(id, penalty, _)| (id, penalty))
-            .collect();
-        let _ = write!(s, " rej {}", rejected.len());
-        for (id, penalty) in rejected {
-            let _ = write!(s, " {} {:016x}", id.index(), penalty.to_bits());
-        }
-        s.push_str(" end");
-        s
-    }
-
-    /// Decodes a migration payload produced by
-    /// [`AdmissionEngine::encode_export`]. Tasks come back *unpinned*;
-    /// the importer re-pins them to the new local index.
-    fn decode_export(payload: &str) -> Result<ExportedDomain, AdmitError> {
-        let mut tokens = payload.split_ascii_whitespace();
-        xp_expect(&mut tokens, "xp1")?;
-        xp_expect(&mut tokens, "cpu")?;
-        let k = xp_usize(&mut tokens, "cpu token count")?;
-        let mut spec = String::new();
-        for i in 0..k {
-            if i > 0 {
-                spec.push(' ');
-            }
-            spec.push_str(xp_next(&mut tokens, "cpu spec token")?);
-        }
-        let cpu = Processor::decode_spec(&spec).map_err(|e| AdmitError::Migration {
-            reason: format!("cpu spec: {e}"),
-        })?;
-        xp_expect(&mut tokens, "clock")?;
-        let clock = Self::export_bits(xp_next(&mut tokens, "clock bits")?)?;
-        xp_expect(&mut tokens, "tsr")?;
-        let ticks_since_resolve = xp_u64(&mut tokens, "tsr")?;
-        xp_expect(&mut tokens, "needs")?;
-        let needs_resolve = match xp_next(&mut tokens, "needs flag")? {
-            "0" => false,
-            "1" => true,
-            other => {
-                return Err(AdmitError::Migration {
-                    reason: format!("bad needs flag {other:?}"),
-                })
-            }
-        };
-        let mut ledgers: [Vec<Task>; 2] = [Vec::new(), Vec::new()];
-        for (tag, ledger) in ["active", "reserved"].into_iter().zip(&mut ledgers) {
-            xp_expect(&mut tokens, tag)?;
-            let n = xp_usize(&mut tokens, "ledger length")?;
-            for _ in 0..n {
-                let id = xp_usize(&mut tokens, "task id")?;
-                let wcec = Self::export_bits(xp_next(&mut tokens, "wcec bits")?)?;
-                let period = xp_u64(&mut tokens, "period")?;
-                let deadline = xp_next(&mut tokens, "deadline")?;
-                let penalty = Self::export_bits(xp_next(&mut tokens, "penalty bits")?)?;
-                let task = decoded_task(id, wcec, period, deadline, penalty)
-                    .map_err(|reason| AdmitError::Migration { reason })?;
-                ledger.push(task);
-            }
-        }
-        let [active, reserved] = ledgers;
-        xp_expect(&mut tokens, "rej")?;
-        let n = xp_usize(&mut tokens, "rejected length")?;
-        // Every entry is two tokens: a length the payload cannot hold is
-        // refused before anything is allocated from it.
-        if n > payload.len() / 4 {
-            return Err(AdmitError::Migration {
-                reason: format!("rejected length {n} exceeds the payload"),
-            });
-        }
-        let mut rejected = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = xp_usize(&mut tokens, "rejected id")?;
-            let penalty = Self::export_bits(xp_next(&mut tokens, "rejected penalty bits")?)?;
-            rejected.push((TaskId::new(id), penalty));
-        }
-        xp_expect(&mut tokens, "end")?;
-        if let Some(extra) = tokens.next() {
-            return Err(AdmitError::Migration {
-                reason: format!("trailing token {extra:?} after payload"),
-            });
-        }
-        Ok(ExportedDomain {
-            cpu,
-            clock,
-            ticks_since_resolve,
-            needs_resolve,
-            active,
-            reserved,
-            rejected,
-        })
-    }
-
-    fn export_bits(tok: &str) -> Result<f64, AdmitError> {
-        u64::from_str_radix(tok, 16)
-            .map(f64::from_bits)
-            .map_err(|_| AdmitError::Migration {
-                reason: format!("unparseable f64 bits {tok:?}"),
-            })
     }
 
     /// Serializes the engine's complete deterministic state as an `S`
@@ -1794,53 +1766,9 @@ impl AdmissionEngine {
         );
         let _ = writeln!(s, "domains {}", self.domains.len());
         for d in &self.domains {
-            let _ = writeln!(
-                s,
-                "domain {} {} {} {}",
-                u8::from(d.needs_resolve),
-                d.active.len(),
-                d.reserved.len(),
-                u8::from(d.fenced)
-            );
-            // The processor spec is embedded so a restoring engine can
-            // rebuild domains beyond the ones it was constructed with
-            // (the live-resharding import targets) and cross-check the
-            // rest bit-exactly.
-            let cpu_spec = d.cpu.encode_spec();
-            let _ = writeln!(
-                s,
-                "cpu {} {cpu_spec}",
-                cpu_spec.split_ascii_whitespace().count()
-            );
-            if let Some(payload) = &d.export_payload {
-                let _ = writeln!(s, "xport {payload}");
-            }
-            for (tag, ledger) in [('a', &d.active), ('r', &d.reserved)] {
-                for t in ledger {
-                    let deadline = (!t.is_implicit_deadline()).then(|| t.deadline());
-                    let _ = writeln!(
-                        s,
-                        "{tag} {} {} {} {} {} {}",
-                        t.id().index(),
-                        t.wcec(),
-                        t.period(),
-                        OrDash(deadline),
-                        t.penalty(),
-                        OrDash(t.domain())
-                    );
-                }
-            }
+            d.encode(&mut s);
         }
-        let _ = writeln!(s, "unserved {}", self.unserved.len());
-        for (id, penalty, pin) in &self.unserved {
-            let _ = writeln!(
-                s,
-                "u {} {:016x} {}",
-                id.index(),
-                penalty.to_bits(),
-                OrDash(*pin)
-            );
-        }
+        write_unserved(&mut s, &self.unserved);
         match base {
             Some(b) => departed(&mut s, b.fresh.iter()),
             None => departed(&mut s, self.departed.iter()),
@@ -1980,74 +1908,18 @@ impl AdmissionEngine {
             )));
         }
         for i in 0..n_domains {
-            let line = cur.next()?;
-            let cols = Self::cols_tagged(&cur, line, "domain", 4)?;
-            let needs_resolve = cols[0] == "1";
-            let n_active = cur.parse_count(cols[1])?;
-            let n_reserved = cur.parse_count(cols[2])?;
-            let fenced = cols[3] == "1";
-            let line = cur.next()?;
-            let rest = line
-                .strip_prefix("cpu ")
-                .ok_or_else(|| cur.err(format!("expected a \"cpu\" line, found {line:?}")))?;
-            let (_count, spec) = rest
-                .split_once(' ')
-                .ok_or_else(|| cur.err("\"cpu\" line missing its spec"))?;
-            let cpu = Processor::decode_spec(spec)
-                .map_err(|e| cur.err(format!("domain {i} cpu spec: {e}")))?;
-            if i < self.domains.len() {
-                if self.domains[i].cpu != cpu {
+            let domain = Domain::decode(&mut cur, self.config.horizon, n_domains)?;
+            match self.domains.get_mut(i) {
+                Some(d) if d.cpu != domain.cpu => {
                     return Err(cur.err(format!(
                         "snapshot domain {i} processor differs from this engine's"
-                    )));
+                    )))
                 }
-            } else {
-                let domain =
-                    Domain::new(cpu, self.config.horizon).map_err(|e| cur.err(e.to_string()))?;
-                self.domains.push(domain);
+                Some(d) => *d = domain,
+                None => self.domains.push(domain),
             }
-            let mut export_payload = None;
-            if fenced {
-                let line = cur.next()?;
-                let payload = line.strip_prefix("xport ").ok_or_else(|| {
-                    cur.err(format!("fenced domain {i} missing its \"xport\" line"))
-                })?;
-                export_payload = Some(payload.to_string());
-            }
-            let mut active = Vec::with_capacity(n_active);
-            let mut reserved = Vec::with_capacity(n_reserved);
-            for (tag, n, ledger) in [
-                ("a", n_active, &mut active),
-                ("r", n_reserved, &mut reserved),
-            ] {
-                for _ in 0..n {
-                    let line = cur.next()?;
-                    ledger.push(cur.parse_task(line, tag, n_domains)?);
-                }
-            }
-            let d = &mut self.domains[i];
-            d.active = active;
-            d.reserved = reserved;
-            d.recompute_committed();
-            // Caches are rebuilt lazily; memoized pricing replays exact
-            // naive bits, so this cannot shift a decision.
-            d.resolve_cache = None;
-            d.union_dirty = true;
-            d.needs_resolve = needs_resolve;
-            d.fenced = fenced;
-            d.export_payload = export_payload;
         }
-        let n_unserved = cur.counted("unserved")?;
-        self.unserved = Vec::with_capacity(n_unserved);
-        for _ in 0..n_unserved {
-            let line = cur.next()?;
-            let cols = Self::cols_tagged(&cur, line, "u", 3)?;
-            self.unserved.push((
-                TaskId::new(cur.parse_u64(cols[0])? as usize),
-                cur.parse_bits(cols[1])?,
-                cur.parse_pin(cols[2], n_domains)?,
-            ));
-        }
+        self.unserved = cur.unserved(n_domains)?;
         for _ in 0..cur.counted("departed")? {
             let id = cur.one_tagged("d")?;
             let id = cur.parse_u64(id)? as usize;
@@ -2079,10 +1951,7 @@ impl AdmissionEngine {
             };
             self.decisions.push(Decision { at, task, verdict });
         }
-        if cur.next()? != "end" {
-            return Err(cur.err("missing snapshot terminator"));
-        }
-        Ok(())
+        cur.end()
     }
 
     fn cols_tagged<'a>(
@@ -2108,7 +1977,8 @@ impl AdmissionEngine {
     /// Reconstructs an engine from the journal at `path`: restore the
     /// last *complete* `S` record of the valid prefix (if any), fold the
     /// delta `S` records after it in file order, deterministically replay
-    /// the `E`/`B`/`X`/`I` tail after the last `S`, truncate any torn
+    /// the `E`/`B`/`X`/`I` tail after the last `S` (record by record, as a
+    /// replication follower does), truncate any torn
     /// bytes, and reopen the journal for appending. `O` records are never
     /// read: decisions come from the snapshots and the replay. The
     /// result's decision log is bit-identical to the engine that wrote the
@@ -2127,7 +1997,9 @@ impl AdmissionEngine {
     /// * Engine-construction errors ([`AdmitError::NoDomains`], oracle
     ///   errors).
     /// * [`AdmitError::Journal`] for I/O failures, snapshot/configuration
-    ///   mismatches, or a tail event that fails to re-apply.
+    ///   mismatches, or a tail record that fails to replay
+    ///   ([`JournalError::Replay`] names its index).
+    /// * [`AdmitError::StaleEpoch`] for a tail `B` record behind the fence.
     pub fn recover<P: AsRef<Path>>(
         path: P,
         cpus: Vec<Processor>,
@@ -2168,70 +2040,8 @@ impl AdmissionEngine {
         }
         let mut replayed = 0u64;
         for (idx, rec) in scan.records.iter().enumerate().skip(start) {
-            let replay_err = |reason: String| JournalError::Replay {
-                record: idx,
-                reason,
-            };
-            if rec.kind == RecordKind::Epoch {
-                let epoch = rec
-                    .payload
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|e| replay_err(format!("bad epoch payload: {e}")))?;
-                engine
-                    .observe_epoch(epoch)
-                    .map_err(|e| replay_err(e.to_string()))?;
-                continue;
-            }
-            if rec.kind == RecordKind::Export {
-                let (local, payload) = rec
-                    .payload
-                    .split_once(' ')
-                    .ok_or_else(|| replay_err("malformed export record".to_string()))?;
-                let local: usize = local
-                    .parse()
-                    .map_err(|_| replay_err(format!("bad export index {local:?}")))?;
-                // Re-exporting from the replayed state must reproduce the
-                // recorded payload byte-for-byte — a mismatch means the
-                // replay diverged from the run that wrote the journal.
-                let replayed_payload = engine
-                    .export_domain(local)
-                    .map_err(|e| replay_err(e.to_string()))?;
-                if replayed_payload != payload {
-                    return Err(replay_err(format!(
-                        "export replay of domain {local} diverged from the journaled payload"
-                    ))
-                    .into());
-                }
-                continue;
-            }
-            if rec.kind == RecordKind::Import {
-                let (key, payload) = rec
-                    .payload
-                    .split_once(' ')
-                    .ok_or_else(|| replay_err("malformed import record".to_string()))?;
-                engine
-                    .import_domain(key, payload)
-                    .map_err(|e| replay_err(e.to_string()))?;
-                continue;
-            }
-            if rec.kind != RecordKind::Event {
-                continue;
-            }
-            let (flag, line) = rec
-                .payload
-                .split_once(' ')
-                .ok_or_else(|| replay_err("missing fast-path flag".to_string()))?;
-            let fast = match flag {
-                "n" => false,
-                "f" => true,
-                other => return Err(replay_err(format!("bad fast-path flag {other:?}")).into()),
-            };
-            let event = parse_event_line(line).map_err(|e| replay_err(e.to_string()))?;
-            engine
-                .apply_opts(&event, fast)
-                .map_err(|e| replay_err(e.to_string()))?;
-            replayed += 1;
+            engine.replay_record(idx, rec.kind, &rec.payload)?;
+            replayed += u64::from(rec.kind == RecordKind::Event);
         }
         engine.metrics.recoveries += 1;
         engine.metrics.records_lost += scan.records_lost;
@@ -2244,6 +2054,77 @@ impl AdmissionEngine {
             bytes_lost: scan.bytes_lost(),
             engine,
         })
+    }
+
+    /// Applies one journal record: the one place a scanned or streamed
+    /// record becomes engine state, for [`AdmissionEngine::recover`], a
+    /// replication follower and promotion alike. `E` re-applies its event
+    /// on the path its flag names (`n` normal, `f` fast); `B` adopts its
+    /// epoch; `X` re-exports its domain, which must reproduce the
+    /// journaled payload byte for byte (anything else means the replay
+    /// diverged from the run that wrote the journal); `I` re-imports its
+    /// payload under its key; `O` and `S` change nothing — outcomes are
+    /// audit-only, and snapshots are folded by
+    /// [`AdmissionEngine::restore_snapshot`], never replayed.
+    ///
+    /// # Errors
+    ///
+    /// * [`AdmitError::StaleEpoch`], as the engine raised it, for a `B`
+    ///   record behind the fence: a follower tells a deposed primary's
+    ///   stream apart by it.
+    /// * [`JournalError::Replay`] naming `record` — the record's index in
+    ///   its journal — for anything else: a payload that does not parse, a
+    ///   record the engine refuses, an export that replays to other bytes.
+    pub(crate) fn replay_record(
+        &mut self,
+        record: usize,
+        kind: RecordKind,
+        payload: &str,
+    ) -> Result<(), AdmitError> {
+        let fail = |reason: String| AdmitError::Journal(JournalError::Replay { record, reason });
+        let split = || {
+            payload
+                .split_once(' ')
+                .ok_or_else(|| fail(format!("{kind:?} record without a payload")))
+        };
+        match kind {
+            RecordKind::Event => {
+                let (flag, line) = split()?;
+                let fast = match flag {
+                    "n" => false,
+                    "f" => true,
+                    other => return Err(fail(format!("bad fast-path flag {other:?}"))),
+                };
+                let event = parse_event_line(line).map_err(|e| fail(e.to_string()))?;
+                self.apply_opts(&event, fast)
+                    .map_err(|e| fail(e.to_string()))?;
+            }
+            RecordKind::Epoch => {
+                let epoch = payload
+                    .trim()
+                    .parse::<u64>()
+                    .map_err(|e| fail(format!("bad epoch payload: {e}")))?;
+                self.observe_epoch(epoch)?;
+            }
+            RecordKind::Export => {
+                let (local, journaled) = split()?;
+                let local: usize = local
+                    .parse()
+                    .map_err(|_| fail(format!("bad export index {local:?}")))?;
+                if self.export_domain(local).map_err(|e| fail(e.to_string()))? != journaled {
+                    return Err(fail(format!(
+                        "export replay of domain {local} diverged from the journaled payload"
+                    )));
+                }
+            }
+            RecordKind::Import => {
+                let (key, body) = split()?;
+                self.import_domain(key, body)
+                    .map_err(|e| fail(e.to_string()))?;
+            }
+            RecordKind::Outcome | RecordKind::Snapshot => {}
+        }
+        Ok(())
     }
 
     /// The metrics registry plus engine gauges as one flat JSON object —
@@ -2319,61 +2200,6 @@ impl AdmissionEngine {
     }
 }
 
-/// A domain decoded from a migration payload, tasks still unpinned (the
-/// importer re-pins them to the new local index).
-struct ExportedDomain {
-    cpu: Processor,
-    clock: f64,
-    ticks_since_resolve: u64,
-    needs_resolve: bool,
-    active: Vec<Task>,
-    reserved: Vec<Task>,
-    rejected: Vec<(TaskId, f64)>,
-}
-
-fn xp_next<'a, I>(tokens: &mut I, what: &str) -> Result<&'a str, AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    tokens.next().ok_or_else(|| AdmitError::Migration {
-        reason: format!("payload ends before {what}"),
-    })
-}
-
-fn xp_expect<'a, I>(tokens: &mut I, tag: &str) -> Result<(), AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    let t = xp_next(tokens, tag)?;
-    if t == tag {
-        Ok(())
-    } else {
-        Err(AdmitError::Migration {
-            reason: format!("expected {tag:?}, found {t:?}"),
-        })
-    }
-}
-
-fn xp_u64<'a, I>(tokens: &mut I, what: &str) -> Result<u64, AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    let t = xp_next(tokens, what)?;
-    t.parse().map_err(|_| AdmitError::Migration {
-        reason: format!("unparseable {what} {t:?}"),
-    })
-}
-
-fn xp_usize<'a, I>(tokens: &mut I, what: &str) -> Result<usize, AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    let t = xp_next(tokens, what)?;
-    t.parse().map_err(|_| AdmitError::Migration {
-        reason: format!("unparseable {what} {t:?}"),
-    })
-}
-
 /// The result of [`AdmissionEngine::recover`].
 #[derive(Debug)]
 pub struct Recovered {
@@ -2391,38 +2217,29 @@ pub struct Recovered {
 
 /// First line of every `S` record payload. The format has one version:
 /// anything else is refused by name, never half-parsed.
-const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v3";
+const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v4";
+
+/// Writes `unserved <n>` and one `u <id> <penalty bits> <pin|->` line per
+/// entry: an `S` record's present-but-unserved tasks, and a migration
+/// payload's standing rejections.
+fn write_unserved(s: &mut String, entries: &[(TaskId, f64, Option<usize>)]) {
+    use std::fmt::Write as _;
+    let _ = writeln!(s, "unserved {}", entries.len());
+    for (id, penalty, pin) in entries {
+        let _ = writeln!(
+            s,
+            "u {} {:016x} {}",
+            id.index(),
+            penalty.to_bits(),
+            OrDash(*pin)
+        );
+    }
+}
 
 /// Whether an `S` record payload is complete (extends nothing), i.e. can
 /// anchor a recovery by itself.
 fn snapshot_is_complete(payload: &str) -> bool {
     payload.lines().nth(1) == Some("base 0 0")
-}
-
-/// Builds a ledger task from decoded columns (`deadline` is a number or
-/// `-`), refusing the values `Task`'s builders would panic on.
-fn decoded_task(
-    id: usize,
-    wcec: f64,
-    period: u64,
-    deadline: &str,
-    penalty: f64,
-) -> Result<Task, String> {
-    if !penalty.is_finite() || penalty < 0.0 {
-        return Err(format!("task {id}: invalid penalty {penalty}"));
-    }
-    let mut task = Task::new(id, wcec, period)
-        .map_err(|e| format!("task {id}: {e}"))?
-        .with_penalty(penalty);
-    if deadline != "-" {
-        let deadline: u64 = deadline
-            .parse()
-            .map_err(|_| format!("task {id}: cannot parse deadline {deadline:?}"))?;
-        task = task
-            .with_deadline(deadline)
-            .map_err(|e| format!("task {id}: {e}"))?;
-    }
-    Ok(task)
 }
 
 /// Line cursor over a snapshot payload, tracking the line number for
@@ -2481,6 +2298,36 @@ impl<'a> SnapCursor<'a> {
         self.parse_count(n)
     }
 
+    /// Reads what [`write_unserved`] wrote; pins must be below `domains`.
+    fn unserved(
+        &mut self,
+        domains: usize,
+    ) -> Result<Vec<(TaskId, f64, Option<usize>)>, JournalError> {
+        let n = self.counted("unserved")?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let line = self.next()?;
+            let cols = AdmissionEngine::cols_tagged(self, line, "u", 3)?;
+            out.push((
+                TaskId::new(self.parse_u64(cols[0])? as usize),
+                self.parse_bits(cols[1])?,
+                self.parse_pin(cols[2], domains)?,
+            ));
+        }
+        Ok(out)
+    }
+
+    /// The closing `end` line, with nothing after it.
+    fn end(&mut self) -> Result<(), JournalError> {
+        if self.next()? != "end" {
+            return Err(self.err("missing terminator"));
+        }
+        if !self.rest.is_empty() {
+            return Err(self.err("bytes after the terminator"));
+        }
+        Ok(())
+    }
+
     fn parse_u64(&self, s: &str) -> Result<u64, JournalError> {
         s.parse()
             .map_err(|_| self.err(format!("cannot parse integer {s:?}")))
@@ -2534,8 +2381,20 @@ impl<'a> SnapCursor<'a> {
         let penalty: f64 = cols[4]
             .parse()
             .map_err(|_| self.err(format!("cannot parse penalty {:?}", cols[4])))?;
-        let task =
-            decoded_task(id, wcec, period, cols[3], penalty).map_err(|reason| self.err(reason))?;
+        // Refuse what `Task`'s builders would panic on.
+        if !penalty.is_finite() || penalty < 0.0 {
+            return Err(self.err(format!("task {id}: invalid penalty {penalty}")));
+        }
+        let task_err = |e: rt_model::ModelError| self.err(format!("task {id}: {e}"));
+        let mut task = Task::new(id, wcec, period)
+            .map_err(task_err)?
+            .with_penalty(penalty);
+        if cols[3] != "-" {
+            let deadline: u64 = cols[3]
+                .parse()
+                .map_err(|_| self.err(format!("task {id}: cannot parse deadline {:?}", cols[3])))?;
+            task = task.with_deadline(deadline).map_err(task_err)?;
+        }
         Ok(match self.parse_pin(cols[5], domains)? {
             Some(pin) => task.with_domain(pin),
             None => task,

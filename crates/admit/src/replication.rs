@@ -17,8 +17,9 @@
 //! ```
 //!
 //! The follower appends every received byte to a local **mirror** file —
-//! byte-identical to the primary's journal prefix — and applies each
-//! complete `E` frame to its own engine. Because the engine is
+//! byte-identical to the primary's journal prefix — and replays each
+//! complete frame into its own engine through the method recovery
+//! replays a journal's tail with. Because the engine is
 //! deterministic, replaying the same event bytes reproduces the primary's
 //! decision log bit-for-bit: the standby *is* a recovery, streamed
 //! continuously instead of run after a crash.
@@ -66,13 +67,11 @@ use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use rt_model::io::parse_event_line;
-
 use crate::engine::AdmissionEngine;
-use crate::journal::{self, check_frame, FrameCheck, JournalConfig, JournalError, RecordKind};
+use crate::journal::{self, check_frame, FrameCheck, JournalConfig, JournalError, JournalScan};
 use crate::{AdmitError, Journal};
 
 /// Liveness byte the primary sends between frames when the journal is
@@ -532,101 +531,46 @@ pub fn backoff_delay(base: Duration, cap: Duration, attempt: u32, rng: &mut u64)
     capped + Duration::from_nanos(jitter_nanos)
 }
 
-/// Applies one scanned/streamed journal record to a follower engine.
-/// `E` frames replay the event, `B` frames advance the fence (stale ones
-/// are the fenced-off late writes), `X`/`I` frames replay live-resharding
-/// domain moves, `O`/`S` frames are mirror-only.
-fn apply_record(
-    engine: &mut AdmissionEngine,
-    kind: RecordKind,
-    payload: &str,
-) -> Result<(), AdmitError> {
-    match kind {
-        RecordKind::Event => {
-            let (flag, line) = payload.split_once(' ').ok_or_else(|| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: "missing fast-path flag".to_string(),
-                })
-            })?;
-            let fast = flag == "f";
-            let event = parse_event_line(line).map_err(|e| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: e.to_string(),
-                })
-            })?;
-            engine.apply_opts(&event, fast)?;
-        }
-        RecordKind::Epoch => {
-            let epoch = payload.trim().parse::<u64>().map_err(|e| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: format!("bad epoch payload: {e}"),
-                })
-            })?;
-            engine.observe_epoch(epoch)?;
-        }
-        RecordKind::Export => {
-            let (local, _) = payload.split_once(' ').ok_or_else(|| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: "malformed export record".to_string(),
-                })
-            })?;
-            let local: usize = local.parse().map_err(|_| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: format!("bad export index {local:?}"),
-                })
-            })?;
-            engine.export_domain(local)?;
-        }
-        RecordKind::Import => {
-            let (key, body) = payload.split_once(' ').ok_or_else(|| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: "malformed import record".to_string(),
-                })
-            })?;
-            engine.import_domain(key, body)?;
-        }
-        RecordKind::Outcome | RecordKind::Snapshot => {}
-    }
-    engine.metrics_mut().repl_records += 1;
-    Ok(())
-}
-
-/// Resynchronises the follower engine with its mirror file: torn-tail
-/// scan, replay of any records past the engine's applied cursor, torn
-/// tail truncated and counted. Returns the byte cursor to resume the
-/// stream from. Creates the mirror if it does not exist.
-fn resync_mirror(engine: &Mutex<AdmissionEngine>, mirror: &Path) -> Result<u64, AdmitError> {
+/// Replays the mirror into the follower engine: reads and scans it
+/// (creating it empty when missing), applies every record past the
+/// engine's applied count (`repl_records`), counts a torn tail, and
+/// returns the engine, still locked, with the scan — shared by the
+/// reconnect resync and [`promote`].
+fn drain_mirror<'a>(
+    engine: &'a Mutex<AdmissionEngine>,
+    mirror: &Path,
+) -> Result<(MutexGuard<'a, AdmissionEngine>, JournalScan), AdmitError> {
     if !mirror.exists() {
         File::create(mirror).map_err(io_err)?;
-        return Ok(0);
     }
-    let mut data = Vec::new();
-    File::open(mirror)
-        .and_then(|mut f| f.read_to_end(&mut data))
-        .map_err(io_err)?;
-    let scan = journal::scan_bytes(&data);
+    let scan = journal::scan(mirror).map_err(io_err)?;
     let mut g = engine
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let applied = g.metrics().repl_records as usize;
-    for rec in scan.records.iter().skip(applied) {
-        apply_record(&mut g, rec.kind, &rec.payload)?;
+    for (idx, rec) in scan.records.iter().enumerate().skip(applied) {
+        g.replay_record(idx, rec.kind, &rec.payload)?;
+        g.metrics_mut().repl_records += 1;
     }
     if scan.bytes_lost() > 0 {
         g.metrics_mut().repl_torn_tails += 1;
+    }
+    g.metrics_mut().repl_bytes = scan.valid_len;
+    Ok((g, scan))
+}
+
+/// Resynchronises the follower engine with its mirror file
+/// ([`drain_mirror`]) and truncates the torn tail. Returns the byte
+/// cursor to resume the stream from.
+fn resync_mirror(engine: &Mutex<AdmissionEngine>, mirror: &Path) -> Result<u64, AdmitError> {
+    let (_g, scan) = drain_mirror(engine, mirror)?;
+    if scan.bytes_lost() > 0 {
         OpenOptions::new()
             .write(true)
             .open(mirror)
             .and_then(|f| f.set_len(scan.valid_len))
             .map_err(io_err)?;
     }
-    g.metrics_mut().repl_bytes = scan.valid_len;
     Ok(scan.valid_len)
 }
 
@@ -761,10 +705,10 @@ fn stream_session(
     };
     if let Some(epoch) = reply.strip_prefix("OK ") {
         let epoch: u64 = epoch.trim().parse().map_err(|_| {
-            AdmitError::Journal(JournalError::Replay {
-                record: 0,
-                reason: format!("bad handshake reply {reply:?}"),
-            })
+            io_err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("bad handshake reply {reply:?}"),
+            ))
         })?;
         let mut g = engine
             .lock()
@@ -848,16 +792,20 @@ fn stream_session(
                     let mut g = engine
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let res = apply_record(&mut g, kind, payload);
+                    // Every record before this one is applied: the count
+                    // is this record's index in the mirror.
+                    let record = g.metrics().repl_records as usize;
+                    let res = g.replay_record(record, kind, payload);
                     g.metrics_mut().repl_bytes += (end - pos) as u64;
-                    let stale = matches!(res, Err(AdmitError::StaleEpoch { .. }));
-                    if stale {
-                        g.metrics_mut().epoch_rejects += 1;
-                        drop(g);
-                        return Ok(SessionOutcome::End(FollowEnd::StaleSource));
+                    match res {
+                        Ok(()) => g.metrics_mut().repl_records += 1,
+                        Err(AdmitError::StaleEpoch { .. }) => {
+                            g.metrics_mut().epoch_rejects += 1;
+                            return Ok(SessionOutcome::End(FollowEnd::StaleSource));
+                        }
+                        Err(e) => return Err(e),
                     }
                     drop(g);
-                    res?;
                     pos = end;
                     mirrored = end;
                 }
@@ -943,25 +891,7 @@ pub fn promote(engine: &Mutex<AdmissionEngine>, ctx: &RoleContext) -> Result<u64
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    if !ctx.mirror.exists() {
-        File::create(&ctx.mirror).map_err(io_err)?;
-    }
-    let mut data = Vec::new();
-    File::open(&ctx.mirror)
-        .and_then(|mut f| f.read_to_end(&mut data))
-        .map_err(io_err)?;
-    let scan = journal::scan_bytes(&data);
-    let mut g = engine
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let applied = g.metrics().repl_records as usize;
-    for rec in scan.records.iter().skip(applied) {
-        apply_record(&mut g, rec.kind, &rec.payload)?;
-    }
-    if scan.bytes_lost() > 0 {
-        g.metrics_mut().repl_torn_tails += 1;
-    }
-    g.metrics_mut().repl_bytes = scan.valid_len;
+    let (mut g, scan) = drain_mirror(engine, &ctx.mirror)?;
     let journal = Journal::append_to(&ctx.mirror, ctx.jconfig, &scan).map_err(io_err)?;
     g.attach_journal(journal);
     let new_epoch = g.epoch() + 1;

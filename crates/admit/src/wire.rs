@@ -898,9 +898,9 @@ mod tests {
             (
                 Reply::Export {
                     domain: 0,
-                    payload: "xp1 \"q\"",
+                    payload: "clock 0\n\"q\"\nend\n",
                 },
-                r#"{"ok":true,"op":"export","domain":0,"payload":"xp1 \"q\""}"#,
+                r#"{"ok":true,"op":"export","domain":0,"payload":"clock 0\n\"q\"\nend\n"}"#,
             ),
             (
                 Reply::Import { local: 2 },

@@ -289,7 +289,7 @@ fn oversized_counts_are_refused_not_allocated() {
         let mut source = fresh(1);
         source.export_domain(0).unwrap()
     };
-    let huge = payload.replace(" rej 0 ", " rej 99999999999999 ");
+    let huge = payload.replace("\nunserved 0\n", "\nunserved 99999999999999\n");
     assert_ne!(huge, payload);
     assert!(matches!(
         fresh(0).import_domain("k", &huge),
@@ -307,7 +307,7 @@ const MALFORMED: [&str; 8] = [
     r#"{"op":"arrive","at":5,"id":-3,"cycles":40,"period":1000,"penalty":3,"domain":9}"#,
     r#"{"op":"depart","at":5,"id":1e20,"dlog":true}"#,
     r#"{"op":"export","domain":-1}"#,
-    r#"{"op":"import","key":"1:0","payload":"xp1"}"#,
+    r#"{"op":"import","key":"1:0","payload":"clock 0\nend\n"}"#,
 ];
 
 #[test]

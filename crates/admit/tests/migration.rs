@@ -78,7 +78,7 @@ fn export_fences_the_domain_and_moves_its_ledger_share() {
     balance(&engine);
     let payload = engine.export_domain(1).unwrap();
     assert!(
-        payload.starts_with("xp1 "),
+        payload.starts_with("clock "),
         "unexpected payload {payload:?}"
     );
     assert!(engine.domain_is_fenced(1));

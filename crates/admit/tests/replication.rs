@@ -9,14 +9,17 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dvs_admit::journal::JournalConfig;
+use dvs_admit::journal::{
+    self, frame_crc, JournalConfig, JournalError, RecordKind, ScannedRecord, FRAME_MAGIC,
+};
 use dvs_admit::replication::{
     self, serve_hub, FollowEnd, FollowerOptions, HubOptions, ReplicationHub, RoleContext,
 };
-use dvs_admit::{AdmissionEngine, EngineConfig, TraceSpec};
+use dvs_admit::{AdmissionEngine, AdmitError, EngineConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use reject_sched::online::OnlineGreedy;
-use rt_model::io::EventRecord;
+use rt_model::io::{EventKind, EventRecord};
+use rt_model::Task;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dvs_admit_repl_{}", std::process::id()));
@@ -532,6 +535,215 @@ fn promoted_journal_recovers_before_and_after_its_own_snapshots() {
         assert_eq!(recovered.engine.format_decision_log(), expected(late));
         assert_eq!(recovered.engine.epoch(), 2);
         f.shutdown();
+    }
+}
+
+/// The primary's pinned trace, then three arrivals that stay present — so
+/// the exported domain carries live ledger state.
+fn migration_primary_events(trace: &[EventRecord]) -> Vec<EventRecord> {
+    let at = trace.last().map_or(0.0, |e| e.at) + 1.0;
+    let mut events = trace.to_vec();
+    for (id, domain) in [(901usize, 0usize), (902, 1), (903, 1)] {
+        let task = Task::new(id, 60.0, 40)
+            .unwrap()
+            .with_penalty(2.0)
+            .with_domain(domain);
+        events.push(EventRecord::new(at, EventKind::Arrive(task)));
+    }
+    events
+}
+
+/// What a router reconciles against, as one comparable string: the
+/// decision log, the domain layout and the present tasks.
+fn view(e: &AdmissionEngine) -> String {
+    format!(
+        "{}{:?}{:?}",
+        e.format_decision_log(),
+        e.domain_layout(),
+        e.present_tasks()
+    )
+}
+
+/// Live-resharding records replicate like any other: a standby mirroring
+/// a primary that exports domain 1 and imports a payload under `"2:5"`,
+/// once promoted, re-exports the primary's payload byte for byte, answers
+/// the import key with the same slot, and holds the primary's log, layout
+/// and presence — and so does a recovery of its journal, both replaying
+/// the `X`/`I` records and restoring them from its own snapshot.
+#[test]
+fn migration_records_replicate_through_failover() {
+    const DOMAINS: usize = 2;
+    let trace = TraceSpec::new(14, 2.4, 6)
+        .domains(DOMAINS)
+        .generate()
+        .unwrap();
+    let incoming = {
+        let mut e = engine();
+        let at = trace.last().unwrap().at;
+        for (id, penalty) in [(951usize, 9.0), (952, 0.01)] {
+            let task = Task::new(id, 80.0, 50)
+                .unwrap()
+                .with_penalty(penalty)
+                .with_domain(0);
+            e.apply(&EventRecord::new(at, EventKind::Arrive(task)))
+                .unwrap();
+        }
+        e.export_domain(0).unwrap()
+    };
+    let mut f = Fixture::start_with_domains("migrate", DOMAINS);
+    f.apply(&migration_primary_events(&trace));
+    let (exported, local, want, records) = {
+        let mut g = f.primary.lock().unwrap();
+        let exported = g.export_domain(1).unwrap();
+        let local = g.import_domain("2:5", &incoming).unwrap();
+        (exported, local, view(&g), g.metrics().journal_records)
+    };
+    assert_eq!(local, DOMAINS, "the import appends a slot");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while f.follower.lock().unwrap().metrics().repl_records < records {
+        assert!(
+            Instant::now() < deadline,
+            "standby never applied the migration records"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    f.hub.shutdown();
+    if let Some(t) = f.hub_thread.take() {
+        let _ = t.join();
+    }
+    replication::promote(&f.follower, &f.ctx).unwrap();
+    let _ = f.follower_thread.take().unwrap().join().unwrap().unwrap();
+
+    let check = |e: &mut AdmissionEngine, what: &str| {
+        assert_eq!(e.export_domain(1).unwrap(), exported, "{what}: re-export");
+        assert_eq!(
+            e.import_domain("2:5", &incoming).unwrap(),
+            local,
+            "{what}: re-import"
+        );
+        assert_eq!(view(e), want, "{what}: log, layout or presence");
+    };
+    let recover = |mirror: &Path| {
+        AdmissionEngine::recover(
+            mirror,
+            (0..DOMAINS).map(|_| xscale_ideal()).collect(),
+            Box::new(OnlineGreedy),
+            config(),
+            jconfig(),
+        )
+        .unwrap()
+        .engine
+    };
+    check(&mut f.follower.lock().unwrap(), "promoted");
+    // Recovery replays the `X` / `I` tail ...
+    let copy = tmp("migrate.replayed");
+    std::fs::copy(&f.mirror_path, &copy).unwrap();
+    check(&mut recover(&copy), "replayed");
+    // ... or restores the fenced payload and the import from an `S`.
+    f.follower.lock().unwrap().snapshot_now().unwrap();
+    check(&mut recover(&f.mirror_path), "restored");
+    f.shutdown();
+}
+
+/// Frames `records` as a journal image.
+fn journal_image(records: &[ScannedRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in records {
+        let kind = match r.kind {
+            RecordKind::Event => b'E',
+            RecordKind::Outcome => b'O',
+            RecordKind::Snapshot => b'S',
+            RecordKind::Epoch => b'B',
+            RecordKind::Export => b'X',
+            RecordKind::Import => b'I',
+        };
+        out.extend_from_slice(&[FRAME_MAGIC, kind]);
+        out.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&frame_crc(kind, r.payload.as_bytes()).to_le_bytes());
+        out.extend_from_slice(r.payload.as_bytes());
+    }
+    out
+}
+
+/// `recover` and a follower replay records through the same code, so they
+/// refuse the same journals: an `E` record whose fast-path flag is neither
+/// `n` nor `f`, and an `X` record whose payload is not what replaying its
+/// export produces. Each is a replay error naming the record's index.
+#[test]
+fn recovery_and_follower_refuse_the_same_diverging_records() {
+    let path = tmp("diverge.wal");
+    let _ = std::fs::remove_file(&path);
+    let jconfig = JournalConfig {
+        snapshot_every: 0,
+        ..JournalConfig::default()
+    };
+    {
+        let mut e = engine_with_domains(2);
+        e.attach_journal(dvs_admit::Journal::create(&path, jconfig).unwrap());
+        e.stamp_epoch().unwrap();
+        let trace = TraceSpec::new(10, 2.2, 4).domains(2).generate().unwrap();
+        for ev in &migration_primary_events(&trace) {
+            e.apply(ev).unwrap();
+        }
+        e.export_domain(1).unwrap();
+    }
+    let records = journal::scan(&path).unwrap().records;
+    let first_event = records
+        .iter()
+        .position(|r| r.kind == RecordKind::Event)
+        .unwrap();
+    let export = records
+        .iter()
+        .position(|r| r.kind == RecordKind::Export)
+        .unwrap();
+    let tampered = |at: usize, payload: String| {
+        let mut records = records.clone();
+        records[at].payload = payload;
+        (at, journal_image(&records))
+    };
+    let flagged_x = tampered(
+        first_event,
+        format!("x{}", &records[first_event].payload[1..]),
+    );
+    let diverged = tampered(
+        export,
+        records[export].payload.replacen("\ntsr ", "\ntsr 9", 1),
+    );
+    // A port nobody listens on: the follower's first step, the mirror
+    // resync, is all that runs.
+    let nobody = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    for (what, (at, image)) in [("flag x", flagged_x), ("diverged export", diverged)] {
+        std::fs::write(&path, &image).unwrap();
+        let err = AdmissionEngine::recover(
+            &path,
+            vec![xscale_ideal(), xscale_ideal()],
+            Box::new(OnlineGreedy),
+            config(),
+            jconfig,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, AdmitError::Journal(JournalError::Replay { record, .. }) if record == at),
+            "{what}: recover answered {err}"
+        );
+
+        let mirror = tmp("diverge.mirror");
+        std::fs::write(&mirror, &image).unwrap();
+        let follower = Mutex::new(engine_with_domains(2));
+        let opts = FollowerOptions {
+            heartbeat_timeout: Duration::from_millis(50),
+            exit_on_lease_expiry: true,
+            ..follower_options(&nobody, &mirror)
+        };
+        let end = replication::run_follower(&follower, &replication::Role::follower(), &opts);
+        assert!(
+            matches!(end, Err(AdmitError::Journal(JournalError::Replay { record, .. })) if record == at),
+            "{what}: the follower answered {end:?}"
+        );
     }
 }
 

@@ -57,7 +57,9 @@
 //!
 //! 1. the source shard **exports** the domain — its engine fences the
 //!    slot (no further arrivals), journals the export, and hands back a
-//!    payload carrying the CPU spec, clock, and every resident task;
+//!    payload carrying the CPU spec, clock, and every resident task —
+//!    the domain's block of the engine's `S` snapshot record, so one
+//!    codec serves both;
 //! 2. the target shard **imports** the payload under an idempotency key
 //!    `"{version}:{global}"` (the post-reshard map version), journals
 //!    it, and answers with the new local slot;
