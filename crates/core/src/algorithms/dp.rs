@@ -6,9 +6,11 @@ use crate::algorithms::{acceptable_tasks, MarginalGreedy, RejectionPolicy};
 use crate::anytime::{AnytimeSolution, BudgetMeter, BudgetedPolicy, SolveBudget, SolveQuality};
 use crate::{Instance, SchedError, Solution};
 
-/// Hard cap on the DP table, in bits of reconstruction storage
-/// (`n · (V̂+1)`), to bound memory: 2³¹ bits = 256 MiB.
+/// Hard caps on the DP table, to bound memory at 256 MiB per array: the
+/// reconstruction bits `n · (V̂+1)` at 2³¹ and the `f64` level array
+/// `V̂+1` at 2²⁵ entries.
 const MAX_TABLE_BITS: u128 = 1 << 31;
+const MAX_LEVELS: usize = 1 << 25;
 
 /// Scaled dynamic program over penalty values.
 ///
@@ -80,18 +82,122 @@ impl TakeBits {
         }
     }
 
-    fn set(&mut self, row: usize, col: usize) {
-        self.words[row * self.stride + col / 64] |= 1 << (col % 64);
-    }
-
     fn get(&self, row: usize, col: usize) -> bool {
         self.words[row * self.stride + col / 64] & (1 << (col % 64)) != 0
     }
 }
 
+/// The 0/1 knapsack table over scaled values that [`ScaledDp`] and
+/// [`crate::budget::solve_budget_dp`] share: `d[v]` is the least total
+/// utilization of a subset whose weights sum to exactly `v` and that fits
+/// `limit`, `+∞` if none does.
+pub(crate) struct LevelTable {
+    d: Vec<f64>,
+    take: TakeBits,
+}
+
+impl LevelTable {
+    /// Fills the table layer by layer in task order. Charges `meter` the
+    /// full width `V̂+1−wᵢ` before layer `i` and stops at the first layer
+    /// it refuses (the table then covers the completed layers only).
+    ///
+    /// Layer `i` visits only the levels `v ∈ [wᵢ, min(V̂, hi + wᵢ)]`, with
+    /// `hi` the highest level written so far: above that `d[v−wᵢ] = +∞`,
+    /// so `cand < d[v]` is false and the full-width sweep would write
+    /// nothing there either. The levels are updated 64 at a time, one
+    /// `take` word per block: the block's `d[v−wᵢ]` are read before any of
+    /// its levels is written, so every read sees the previous layer, as in
+    /// a descending in-place sweep, for any `wᵢ ≥ 1`.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::TooLarge`] (naming `algorithm`) if the table would
+    /// exceed either memory cap.
+    pub(crate) fn build(
+        tasks: &[Task],
+        weights: &[usize],
+        limit: f64,
+        meter: &mut BudgetMeter,
+        algorithm: &'static str,
+    ) -> Result<Self, SchedError> {
+        let n = tasks.len();
+        let v_hat = weights.iter().fold(0usize, |sum, &w| sum.saturating_add(w));
+        if v_hat >= MAX_LEVELS || (n as u128) * (v_hat as u128 + 1) > MAX_TABLE_BITS {
+            return Err(SchedError::TooLarge {
+                n,
+                limit: 0,
+                algorithm,
+            });
+        }
+        let limit = limit * (1.0 + 1e-9);
+        let mut d = vec![f64::INFINITY; v_hat + 1];
+        d[0] = 0.0;
+        let mut take = TakeBits::new(n, v_hat + 1);
+        let mut hi = 0;
+        for (i, t) in tasks.iter().enumerate() {
+            let w = weights[i];
+            if w == 0 {
+                // Value rounds to zero: within the ε·v_max budget we may
+                // ignore it (accepting would only add energy).
+                continue;
+            }
+            if !meter.charge((v_hat + 1 - w) as u64) {
+                break;
+            }
+            let u = t.utilization();
+            let top = v_hat.min(hi + w);
+            let row = &mut take.words[i * take.stride..(i + 1) * take.stride];
+            for k in (w / 64..=top / 64).rev() {
+                let lo = w.max(64 * k);
+                let len = top.min(64 * k + 63) + 1 - lo;
+                let mut src = [0.0; 64];
+                src[..len].copy_from_slice(&d[lo - w..lo - w + len]);
+                let mut mask = 0u64;
+                for (j, (slot, &below)) in d[lo..lo + len].iter_mut().zip(&src).enumerate() {
+                    let cand = below + u;
+                    let better = cand < *slot && cand <= limit;
+                    *slot = if better { cand } else { *slot };
+                    mask |= u64::from(better) << j;
+                }
+                if mask != 0 {
+                    let mask = mask << (lo % 64);
+                    row[k] |= mask;
+                    hi = hi.max(64 * k + 63 - mask.leading_zeros() as usize);
+                }
+            }
+        }
+        Ok(LevelTable { d, take })
+    }
+
+    /// `d[v]` per value level `v ∈ [0, V̂]`.
+    pub(crate) fn levels(&self) -> &[f64] {
+        &self.d
+    }
+
+    /// Appends to `out` the identifiers of the subset that realises level
+    /// `v` (walking the layers backwards), which must be finite.
+    pub(crate) fn reconstruct(
+        &self,
+        tasks: &[Task],
+        weights: &[usize],
+        mut v: usize,
+        out: &mut Vec<TaskId>,
+    ) {
+        for i in (0..tasks.len()).rev() {
+            if v > 0 && weights[i] > 0 && weights[i] <= v && self.take.get(i, v) {
+                out.push(tasks[i].id());
+                v -= weights[i];
+            }
+        }
+        debug_assert_eq!(v, 0, "reconstruction must land on the zero level");
+    }
+}
+
 impl ScaledDp {
     /// The DP core, shared by the plain and budgeted solves. Charges the
-    /// meter one unit per DP cell update; when the budget expires, the
+    /// meter one unit per cell of the full-width table (cells the sweep
+    /// skips included, so the charge does not depend on the trimming);
+    /// when the budget expires, the
     /// remaining task layers are skipped and the best level of the *partial*
     /// table is reconstructed (still a valid solution — just without the
     /// `ε` guarantee).
@@ -115,45 +221,8 @@ impl ScaledDp {
         let n = tasks.len();
         let mu = self.epsilon * v_max / n as f64;
         let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
-        let v_hat: usize = weights.iter().sum();
-        if (n as u128) * (v_hat as u128 + 1) > MAX_TABLE_BITS {
-            return Err(SchedError::TooLarge {
-                n,
-                limit: 0,
-                algorithm: "scaled-dp",
-            });
-        }
-
         let s_max = instance.processor().max_speed();
-        let mut d = vec![f64::INFINITY; v_hat + 1];
-        d[0] = 0.0;
-        let mut take = TakeBits::new(n, v_hat + 1);
-        for (i, t) in tasks.iter().enumerate() {
-            let w = weights[i];
-            if w == 0 {
-                // Value rounds to zero: within the ε·v_max budget we may
-                // ignore it (accepting would only add energy).
-                continue;
-            }
-            // One work unit per cell update in this layer; on expiry the
-            // partial table (complete layers only) is reconstructed below.
-            if !meter.charge((v_hat + 1 - w) as u64) {
-                break;
-            }
-            let u = t.utilization();
-            // Descending in place: every read (`d[v-w]`) is of a slot this
-            // layer has not written yet, i.e. the previous layer's state.
-            // (`w..v_hat + 1`, not `w..=v_hat`: reversing the inclusive
-            // range compiles to a longer loop-carried chain, measured 1.4×
-            // slower on this loop.)
-            for v in (w..v_hat + 1).rev() {
-                let cand = d[v - w] + u;
-                if cand < d[v] && cand <= s_max * (1.0 + 1e-9) {
-                    d[v] = cand;
-                    take.set(i, v);
-                }
-            }
-        }
+        let table = LevelTable::build(&tasks, &weights, s_max, meter, "scaled-dp")?;
 
         // Pick the scaled level with the best (slightly pessimistic but
         // consistent) cost estimate, then reconstruct that level exactly.
@@ -162,7 +231,7 @@ impl ScaledDp {
         let free_penalty: f64 = free.iter().map(Task::penalty).sum();
         let mut best_v = 0usize;
         let mut best_est = f64::INFINITY;
-        for (v, &u) in d.iter().enumerate() {
+        for (v, &u) in table.levels().iter().enumerate() {
             if !u.is_finite() {
                 continue;
             }
@@ -175,14 +244,7 @@ impl ScaledDp {
                 best_v = v;
             }
         }
-        let mut v = best_v;
-        for i in (0..n).rev() {
-            if v > 0 && weights[i] > 0 && weights[i] <= v && take.get(i, v) {
-                accepted.push(tasks[i].id());
-                v -= weights[i];
-            }
-        }
-        debug_assert_eq!(v, 0, "reconstruction must land on the zero level");
+        table.reconstruct(&tasks, &weights, best_v, &mut accepted);
         Solution::for_accepted(instance, name, accepted)
     }
 }
@@ -203,7 +265,8 @@ impl RejectionPolicy for ScaledDp {
 }
 
 impl BudgetedPolicy for ScaledDp {
-    /// Budgeted (anytime) scaled DP: one work unit per DP cell update. On
+    /// Budgeted (anytime) scaled DP: one work unit per cell of the
+    /// full-width table. On
     /// expiry the partial table's best level is reconstructed and compared
     /// against the [`MarginalGreedy`] seed — the cheaper of the two is
     /// returned, flagged [`SolveQuality::Degraded`]. An instance whose

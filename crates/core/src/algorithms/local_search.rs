@@ -3,6 +3,7 @@
 use rt_model::Task;
 
 use crate::algorithms::RejectionPolicy;
+use crate::bounds::PRUNE_SLACK;
 use crate::{Instance, SchedError, Solution};
 
 /// One neighborhood move over the acceptable-task list.
@@ -50,6 +51,94 @@ impl Neighborhood<'_> {
         match self.instance.energy_rate(nu.max(0.0)) {
             Ok(rate) => rate * self.horizon + (self.total_penalty - navoided),
             Err(_) => f64::INFINITY, // infeasible move
+        }
+    }
+}
+
+/// A lower bound on every swap's cost from one round's convexity data,
+/// so that a scan can skip the swaps it proves cannot be picked.
+///
+/// `E*` is convex and nondecreasing in `u` on every processor (the power
+/// function's convexity is checked at construction; docs/THEORY.md §7), so
+/// with `r = Instance::energy_rate` and secant slopes `s_L ≤ r′(u⁻)`,
+/// `s_R ≥ r′(u⁺)` taken a step `h` either side of the current `u`,
+/// `r(x) ≥ r(u) + s_L·(x−u)` for `x > u` and `r(x) ≥ r(u) + s_R·(x−u)` for
+/// `x < u`. A swap `(o, i)` therefore costs at least
+/// `C_u − [(vᵢ−v_o) − L·s·(uᵢ−u_o)] = C_u − (aᵢ − a_o)`, with
+/// `a_k = v_k − L·s·u_k` and `C_u` the current cost.
+struct SwapBound {
+    /// `C_u = L·r(u) + V − avoided`, priced as [`Neighborhood::move_cost`]
+    /// prices a move.
+    current: f64,
+    /// `a_k` with `s_L`, for swaps that do not lower `u`.
+    raise: Vec<f64>,
+    /// `a_k` with `s_R`, for swaps that lower `u`; `None` when the right
+    /// secant is unavailable, and such swaps are then never skipped.
+    lower: Option<Vec<f64>>,
+    /// `V`, the instance's total penalty (a scale of the slack).
+    total_penalty: f64,
+    /// `C_u − θ − δ` for the current threshold `θ`: a swap with
+    /// `aᵢ − a_o` below it costs more than `θ`.
+    cut: f64,
+}
+
+impl SwapBound {
+    /// The bound around utilization `u` with sheltered penalty `avoided`,
+    /// secants `h` wide, against threshold `theta`; `None` if `r(u)`
+    /// cannot be priced.
+    fn new(nb: &Neighborhood<'_>, h: f64, u: f64, avoided: f64, theta: f64) -> Option<Self> {
+        let instance = nb.instance;
+        let cpu = instance.processor();
+        let r_u = instance.energy_rate(u).ok()?;
+        // A secant end must be feasible and not beyond `s_max` (where
+        // `energy_rate` is flat over the demand tolerance), nor within
+        // `PRUNE_SLACK` above a discrete level (where it accepts a level up
+        // to 1e-9 below the demand and reads below the convex hull): `1/h`
+        // would amplify either.
+        let rate = |p: f64| {
+            let on_hull = p <= cpu.max_speed()
+                && cpu
+                    .domain()
+                    .levels()
+                    .is_none_or(|levels| !levels.iter().any(|&s| s < p && p <= s + PRUNE_SLACK));
+            instance.energy_rate(p).ok().filter(|_| on_hull)
+        };
+        // `E*` is nondecreasing, so `0` is a valid left slope where the
+        // secant is unavailable (`u < h`).
+        let s_l = rate(u - h).map_or(0.0, |r| (r_u - r) / h);
+        let s_r = rate(u + h).map(|r| (r - r_u) / h);
+        let slopes = |s: f64| -> Vec<f64> {
+            nb.tasks
+                .iter()
+                .map(|t| t.penalty() - nb.horizon * s * t.utilization())
+                .collect()
+        };
+        let mut bound = SwapBound {
+            current: r_u * nb.horizon + (nb.total_penalty - avoided),
+            raise: slopes(s_l),
+            lower: s_r.map(slopes),
+            total_penalty: nb.total_penalty,
+            cut: f64::NEG_INFINITY,
+        };
+        bound.set_threshold(theta);
+        Some(bound)
+    }
+
+    /// Sets `θ`, with `δ = PRUNE_SLACK·(1 + |θ| + |C_u| + V)` absorbing
+    /// the rounding and secant error (docs/THEORY.md §7).
+    fn set_threshold(&mut self, theta: f64) {
+        let slack = PRUNE_SLACK * (1.0 + theta.abs() + self.current.abs() + self.total_penalty);
+        self.cut = self.current - theta - slack;
+    }
+
+    /// Whether the bound proves swap `(out, into)` costs more than `θ`.
+    fn rules_out(&self, out: usize, into: usize, utils: &[f64]) -> bool {
+        if utils[into] >= utils[out] {
+            self.raise[into] - self.raise[out] < self.cut
+        } else {
+            self.lower
+                .as_ref()
+                .is_some_and(|a| a[into] - a[out] < self.cut)
         }
     }
 }
@@ -147,6 +236,19 @@ impl RejectionPolicy for LocalSearch {
             total_penalty: instance.total_penalty(),
         };
 
+        // The secant step: the smallest positive task utilization, the
+        // finest step in `u` a move can take, kept within
+        // `[√PRUNE_SLACK, 1]·s_max` so that the secants' rounding error,
+        // which grows as `1/h`, stays far below the prune slack.
+        let utils: Vec<f64> = tasks.iter().map(Task::utilization).collect();
+        let s_max = instance.processor().max_speed();
+        let h = utils
+            .iter()
+            .copied()
+            .filter(|&u| u > 0.0)
+            .fold(s_max, f64::min)
+            .max(PRUNE_SLACK.sqrt() * s_max);
+
         for _ in 0..self.max_rounds {
             // Re-derive the exact sums once per round so delta errors never
             // accumulate across moves.
@@ -158,18 +260,40 @@ impl RejectionPolicy for LocalSearch {
                 }
             }
             // Scan the whole neighborhood — all toggles, then all out→in
-            // swaps — keeping the earliest strictly best improvement.
+            // swaps — keeping the earliest strictly best improvement. A
+            // swap the bound proves costs more than `θ = min(cost − 1e-12,
+            // best so far)` could not pass `consider`, so skipping it
+            // leaves the pick unchanged.
             let mut best: Option<(Move, f64)> = None;
-            let mut consider = |mv: Move| {
+            // Whether `mv` became the best move so far.
+            let consider = |best: &mut Option<(Move, f64)>, mv: Move| {
                 let c = nb.move_cost(&accepted, u, avoided, mv);
-                if c < cost - 1e-12 && best.is_none_or(|(_, bc)| c < bc) {
-                    best = Some((mv, c));
+                let better = c < cost - 1e-12 && best.is_none_or(|(_, bc)| c < bc);
+                if better {
+                    *best = Some((mv, c));
                 }
+                better
             };
-            (0..n).for_each(|i| consider(Move::Toggle(i)));
+            for i in 0..n {
+                consider(&mut best, Move::Toggle(i));
+            }
+            // A best move already beats `cost − 1e-12`, so it is `θ`.
+            let theta = |best: Option<(Move, f64)>| best.map_or(cost - 1e-12, |(_, bc)| bc);
+            let mut bound = SwapBound::new(&nb, h, u, avoided, theta(best));
+            let rejected: Vec<usize> = (0..n).filter(|&i| !accepted[i]).collect();
             for out in (0..n).filter(|&i| accepted[i]) {
-                for into in (0..n).filter(|&i| !accepted[i]) {
-                    consider(Move::Swap(out, into));
+                for &into in &rejected {
+                    if bound
+                        .as_ref()
+                        .is_some_and(|b| b.rules_out(out, into, &utils))
+                    {
+                        continue;
+                    }
+                    if consider(&mut best, Move::Swap(out, into)) {
+                        if let Some(b) = &mut bound {
+                            b.set_threshold(theta(best));
+                        }
+                    }
                 }
             }
             match best {

@@ -30,6 +30,7 @@ mod local_search;
 
 pub use anneal::SimulatedAnnealing;
 pub use branch_bound::BranchBound;
+pub(crate) use dp::LevelTable;
 pub use dp::ScaledDp;
 pub use exhaustive::Exhaustive;
 pub use greedy::{

@@ -178,7 +178,7 @@ pub fn relaxed_cost<'a>(
 /// the XScale and uniform-level hulls). Both stay an order of magnitude
 /// below δ, so a margin beyond δ decides the comparison exactly; anything
 /// closer is decided by running the ternary search itself.
-const PRUNE_SLACK: f64 = 1e-7;
+pub(crate) const PRUNE_SLACK: f64 = 1e-7;
 
 /// Whether `offset + relaxed_cost(instance, base_u, undecided) >=
 /// threshold` — exactly that comparison, including its rounding — but

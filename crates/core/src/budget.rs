@@ -23,6 +23,8 @@
 
 use rt_model::{Task, TaskId};
 
+use crate::algorithms::LevelTable;
+use crate::anytime::{BudgetMeter, SolveBudget};
 use crate::{Instance, SchedError};
 
 /// Iterations of bisection for the budget → utilization-cap inversion.
@@ -248,47 +250,17 @@ pub fn solve_budget_dp(
         // Zero-value tasks: admitting them is pointless (value 0 anyway).
         return build(instance, budget, Vec::new());
     }
-    let n = tasks.len();
-    let mu = epsilon * v_max / n as f64;
+    let mu = epsilon * v_max / tasks.len() as f64;
     let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
-    let v_hat: usize = weights.iter().sum();
-    if (n as u128) * (v_hat as u128 + 1) > (1u128 << 31) {
-        return Err(SchedError::TooLarge {
-            n,
-            limit: 0,
-            algorithm: "budget-dp",
-        });
-    }
-    let mut d = vec![f64::INFINITY; v_hat + 1];
-    d[0] = 0.0;
-    let mut take = vec![false; n * (v_hat + 1)];
-    for (i, t) in tasks.iter().enumerate() {
-        let w = weights[i];
-        if w == 0 {
-            continue;
-        }
-        let u = t.utilization();
-        for v in (w..=v_hat).rev() {
-            let cand = d[v - w] + u;
-            if cand < d[v] && cand <= cap * (1.0 + 1e-9) {
-                d[v] = cand;
-                take[i * (v_hat + 1) + v] = true;
-            }
-        }
-    }
-    let best_v = (0..=v_hat)
-        .rev()
-        .find(|&v| d[v].is_finite())
+    let mut meter = BudgetMeter::new(&SolveBudget::unlimited());
+    let table = LevelTable::build(&tasks, &weights, cap, &mut meter, "budget-dp")?;
+    let best_v = table
+        .levels()
+        .iter()
+        .rposition(|d| d.is_finite())
         .expect("level 0 is always reachable");
-    let mut v = best_v;
     let mut accepted = Vec::new();
-    for i in (0..n).rev() {
-        if v > 0 && weights[i] > 0 && weights[i] <= v && take[i * (v_hat + 1) + v] {
-            accepted.push(tasks[i].id());
-            v -= weights[i];
-        }
-    }
-    debug_assert_eq!(v, 0);
+    table.reconstruct(&tasks, &weights, best_v, &mut accepted);
     build(instance, budget, accepted)
 }
 

@@ -1,0 +1,364 @@
+//! Differential pins for the two offline solvers that skip provably idle
+//! work: `LocalSearch` (swaps ruled out by a convexity bound are never
+//! priced) and `ScaledDp` (each layer visits only reachable value levels).
+//!
+//! Each is compared against a naive reference written out here — the full
+//! neighborhood scan and the full-width table — on accepted ids and cost
+//! bits, over every processor preset (each also dormant-disable) and a CMOS
+//! power model, three penalty models, several sizes and loads, and three
+//! seed policies. `ScaledDp::solve_within` is pinned on its work counter,
+//! quality and cost bits at budgets that expire mid-table.
+
+use dvs_power::presets::{
+    cubic_ideal, leaky_with_overhead, uniform_levels, xscale_ideal, xscale_levels, xscale_measured,
+};
+use dvs_power::{IdleMode, PowerFunction, Processor, SpeedDomain};
+use reject_sched::algorithms::{
+    AcceptAllFeasible, LocalSearch, MarginalGreedy, RejectAll, ScaledDp,
+};
+use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
+use reject_sched::{Instance, RejectionPolicy, Solution};
+use rt_model::generator::{PenaltyModel, WorkloadSpec};
+use rt_model::{Task, TaskId};
+
+/// Every preset, each also with a dormant-disable idle mode, plus a CMOS
+/// power model (golden-section critical speed).
+fn processors() -> Vec<(String, Processor)> {
+    let cmos = Processor::new(
+        PowerFunction::cmos(1.0, 0.4, 1.0, 0.05).unwrap(),
+        SpeedDomain::continuous(0.0, 1.0).unwrap(),
+    );
+    let base = [
+        ("xscale_ideal", xscale_ideal()),
+        ("cubic_ideal", cubic_ideal()),
+        ("xscale_measured", xscale_measured()),
+        ("xscale_levels", xscale_levels()),
+        ("uniform_levels_5", uniform_levels(5)),
+        ("leaky_with_overhead", leaky_with_overhead(0.4, 4.0)),
+        ("cmos", cmos),
+    ];
+    base.into_iter()
+        .flat_map(|(name, cpu)| {
+            let on = cpu.clone().with_idle_mode(IdleMode::AlwaysOn);
+            [(name.to_string(), cpu), (format!("{name}+always_on"), on)]
+        })
+        .collect()
+}
+
+const PENALTIES: [PenaltyModel; 3] = [
+    PenaltyModel::Uniform { lo: 0.05, hi: 0.8 },
+    PenaltyModel::UtilizationProportional {
+        scale: 1.6,
+        jitter: 0.5,
+    },
+    PenaltyModel::InverseUtilization {
+        scale: 1.0,
+        jitter: 0.3,
+    },
+];
+
+fn instance(cpu: &Processor, penalty: PenaltyModel, n: usize, load: f64, seed: u64) -> Instance {
+    let tasks = WorkloadSpec::new(n, load)
+        .penalty_model(penalty)
+        .seed(seed)
+        .generate()
+        .unwrap();
+    Instance::new(tasks, cpu.clone()).unwrap()
+}
+
+fn acceptable(inst: &Instance) -> Vec<Task> {
+    inst.tasks()
+        .iter()
+        .filter(|t| inst.is_acceptable(t))
+        .copied()
+        .collect()
+}
+
+/// The local search as a full scan: every toggle, then every out→in swap,
+/// priced with one `energy_rate` call each; the earliest strictly best
+/// improvement is applied until none is left.
+fn reference_local_search(inst: &Instance, seed: &Solution) -> Solution {
+    let tasks = acceptable(inst);
+    let n = tasks.len();
+    let horizon = inst.hyper_period() as f64;
+    let total = inst.total_penalty();
+    let price = |nu: f64, navoided: f64| match inst.energy_rate(nu.max(0.0)) {
+        Ok(rate) => rate * horizon + (total - navoided),
+        Err(_) => f64::INFINITY,
+    };
+    let mut accepted: Vec<bool> = tasks.iter().map(|t| seed.accepts(t.id())).collect();
+    let mut cost = seed.cost();
+    for _ in 0..LocalSearch::DEFAULT_MAX_ROUNDS {
+        let (mut u, mut avoided) = (0.0, 0.0);
+        for (i, t) in tasks.iter().enumerate() {
+            if accepted[i] {
+                u += t.utilization();
+                avoided += t.penalty();
+            }
+        }
+        // `(out, into)`: a toggle of `i` is `(i, None)`.
+        let mut best: Option<(usize, Option<usize>, f64)> = None;
+        let mut consider = |mv: (usize, Option<usize>), c: f64| {
+            if c < cost - 1e-12 && best.is_none_or(|(_, _, bc)| c < bc) {
+                best = Some((mv.0, mv.1, c));
+            }
+        };
+        for (i, t) in tasks.iter().enumerate() {
+            let c = if accepted[i] {
+                price(u - t.utilization(), avoided - t.penalty())
+            } else {
+                price(u + t.utilization(), avoided + t.penalty())
+            };
+            consider((i, None), c);
+        }
+        for out in (0..n).filter(|&i| accepted[i]) {
+            for into in (0..n).filter(|&i| !accepted[i]) {
+                let (o, i) = (&tasks[out], &tasks[into]);
+                let c = price(
+                    u - o.utilization() + i.utilization(),
+                    avoided - o.penalty() + i.penalty(),
+                );
+                consider((out, Some(into)), c);
+            }
+        }
+        match best {
+            Some((i, None, c)) => {
+                accepted[i] = !accepted[i];
+                cost = c;
+            }
+            Some((out, Some(into), c)) => {
+                accepted[out] = false;
+                accepted[into] = true;
+                cost = c;
+            }
+            None => break,
+        }
+    }
+    let ids = tasks
+        .iter()
+        .zip(&accepted)
+        .filter(|(_, &a)| a)
+        .map(|(t, _)| t.id());
+    Solution::for_accepted(inst, "local-search", ids).unwrap()
+}
+
+/// The scaled DP with a full-width table: every layer sweeps every value
+/// level `v ∈ [wᵢ, V̂]` in descending order.
+fn reference_scaled_dp(inst: &Instance, epsilon: f64) -> Solution {
+    let (free, tasks): (Vec<Task>, Vec<Task>) = acceptable(inst)
+        .into_iter()
+        .partition(|t| t.utilization() <= 0.0);
+    let mut accepted: Vec<TaskId> = free.iter().map(Task::id).collect();
+    let v_max = tasks.iter().map(Task::penalty).fold(0.0, f64::max);
+    if tasks.is_empty() || v_max <= 0.0 {
+        return Solution::for_accepted(inst, "scaled-dp", accepted).unwrap();
+    }
+    let n = tasks.len();
+    let mu = epsilon * v_max / n as f64;
+    let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
+    let v_hat: usize = weights.iter().sum();
+    let s_max = inst.processor().max_speed();
+    let mut d = vec![f64::INFINITY; v_hat + 1];
+    d[0] = 0.0;
+    let mut take = vec![vec![false; v_hat + 1]; n];
+    for (i, t) in tasks.iter().enumerate() {
+        let w = weights[i];
+        if w == 0 {
+            continue;
+        }
+        for v in (w..=v_hat).rev() {
+            let cand = d[v - w] + t.utilization();
+            if cand < d[v] && cand <= s_max * (1.0 + 1e-9) {
+                d[v] = cand;
+                take[i][v] = true;
+            }
+        }
+    }
+    let l = inst.hyper_period() as f64;
+    let free_penalty: f64 = free.iter().map(Task::penalty).sum();
+    let mut best_v = 0;
+    let mut best_est = f64::INFINITY;
+    for (v, &u) in d.iter().enumerate() {
+        if !u.is_finite() {
+            continue;
+        }
+        let Ok(rate) = inst.energy_rate(u.min(s_max)) else {
+            continue;
+        };
+        let est = rate * l + (inst.total_penalty() - free_penalty - v as f64 * mu);
+        if est < best_est {
+            best_est = est;
+            best_v = v;
+        }
+    }
+    let mut v = best_v;
+    for i in (0..n).rev() {
+        if v > 0 && weights[i] > 0 && weights[i] <= v && take[i][v] {
+            accepted.push(tasks[i].id());
+            v -= weights[i];
+        }
+    }
+    assert_eq!(v, 0);
+    Solution::for_accepted(inst, "scaled-dp", accepted).unwrap()
+}
+
+fn assert_same(what: &str, library: &Solution, reference: &Solution) {
+    assert_eq!(
+        library.accepted(),
+        reference.accepted(),
+        "{what}: accepted ids"
+    );
+    assert_eq!(
+        library.cost().to_bits(),
+        reference.cost().to_bits(),
+        "{what}: cost bits"
+    );
+}
+
+#[test]
+fn local_search_matches_the_full_scan() {
+    /// A seed policy's solution and the local search around it.
+    fn seeded(name: &str, inst: &Instance) -> (Solution, LocalSearch) {
+        fn pair(
+            policy: impl RejectionPolicy + Copy + 'static,
+            inst: &Instance,
+        ) -> (Solution, LocalSearch) {
+            (policy.solve(inst).unwrap(), LocalSearch::around(policy))
+        }
+        match name {
+            "greedy" => pair(MarginalGreedy, inst),
+            "reject-all" => pair(RejectAll, inst),
+            _ => pair(AcceptAllFeasible, inst),
+        }
+    }
+    let mut solves = 0;
+    for (name, cpu) in processors() {
+        for (p, &penalty) in PENALTIES.iter().enumerate() {
+            for (n, load) in [(8, 1.4), (20, 2.0), (40, 1.2), (40, 3.0), (60, 1.6)] {
+                for workload_seed in 0..3 {
+                    let inst = instance(&cpu, penalty, n, load, workload_seed);
+                    for seed_name in ["greedy", "reject-all", "accept-all"] {
+                        let (seed, local) = seeded(seed_name, &inst);
+                        let reference = reference_local_search(&inst, &seed);
+                        let library = local.solve(&inst).unwrap();
+                        let what =
+                            format!("{name} penalty#{p} n={n} load={load} seed={workload_seed} from {seed_name}");
+                        assert_same(&what, &library, &reference);
+                        solves += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(solves, 14 * 3 * 5 * 3 * 3);
+}
+
+#[test]
+fn scaled_dp_matches_the_full_width_table() {
+    let mut solves = 0;
+    for (name, cpu) in processors() {
+        for (p, &penalty) in PENALTIES.iter().enumerate() {
+            for (n, load, epsilon) in [
+                (10, 1.5, 0.01),
+                (30, 1.2, 0.1),
+                (30, 3.0, 0.05),
+                (60, 2.0, 0.2),
+            ] {
+                for workload_seed in 0..3 {
+                    let inst = instance(&cpu, penalty, n, load, workload_seed);
+                    let reference = reference_scaled_dp(&inst, epsilon);
+                    let library = ScaledDp::new(epsilon).unwrap().solve(&inst).unwrap();
+                    let what = format!(
+                        "{name} penalty#{p} n={n} load={load} ε={epsilon} seed={workload_seed}"
+                    );
+                    assert_same(&what, &library, &reference);
+                    solves += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(solves, 14 * 3 * 4 * 3);
+}
+
+/// `(workload seed, load, node budget, nodes used, degraded, cost bits)`
+/// for `ScaledDp(0.05)` on 40 XScale tasks with utilization-proportional
+/// penalties: budgets that expire before the first layer, mid-table and
+/// one short of the whole table, and the whole table (the meter charges a
+/// layer's full width `V̂+1−wᵢ` before running it, so `nodes used` may pass
+/// the budget by one layer). Recorded from the full-width table; an
+/// expired table loses to the greedy seed on all but the last budgets.
+#[rustfmt::skip]
+const BUDGET_PINS: &[(u64, f64, u64, u64, bool, u64)] = &[
+    (0, 1.2, 1, 6851, true, 0x409236049fb66b52),
+    (0, 1.2, 66044, 68056, true, 0x409236049fb66b52),
+    (0, 1.2, 132088, 135120, true, 0x409236049fb66b52),
+    (0, 1.2, 198132, 203587, true, 0x409236049fb66b52),
+    (0, 1.2, 264176, 264177, true, 0x409236049fb66b52),
+    (0, 1.2, 264177, 264177, false, 0x409236049fb66b52),
+    (0, 3.0, 1, 6851, true, 0x40af752f2e113c80),
+    (0, 3.0, 66044, 68056, true, 0x40af752f2e113c80),
+    (0, 3.0, 132088, 135120, true, 0x40af752f2e113c80),
+    (0, 3.0, 198132, 203587, true, 0x40af752f2e113c80),
+    (0, 3.0, 264176, 264177, true, 0x40af752f2e113c80),
+    (0, 3.0, 264177, 264177, false, 0x40af752f2e113c80),
+    (1, 1.2, 1, 8370, true, 0x4092efff09fba612),
+    (1, 1.2, 82339, 82460, true, 0x4092efff09fba612),
+    (1, 1.2, 164678, 172409, true, 0x4092efff09fba612),
+    (1, 1.2, 247017, 247191, true, 0x4092efff09fba612),
+    (1, 1.2, 329355, 329356, true, 0x4092efff09fba612),
+    (1, 1.2, 329356, 329356, false, 0x4092efff09fba612),
+    (1, 3.0, 1, 8369, true, 0x40b027a47feadf17),
+    (1, 3.0, 82329, 82450, true, 0x40b027a47feadf17),
+    (1, 3.0, 164658, 172389, true, 0x40b027a47feadf17),
+    (1, 3.0, 246987, 247162, true, 0x40b027a47feadf17),
+    (1, 3.0, 329316, 329317, true, 0x40b027a47feadf17),
+    (1, 3.0, 329317, 329317, false, 0x40b027a47feadf17),
+    (2, 1.2, 1, 7176, true, 0x4090f998ce0d645b),
+    (2, 1.2, 70376, 72500, true, 0x4090f998ce0d645b),
+    (2, 1.2, 140752, 144299, true, 0x4090f998ce0d645b),
+    (2, 1.2, 211128, 216341, true, 0x4090f998ce0d645b),
+    (2, 1.2, 281504, 281505, true, 0x4090f2006e649d56),
+    (2, 1.2, 281505, 281505, false, 0x4090f2006e649d56),
+    (2, 3.0, 1, 7177, true, 0x40ad2c5d6f22b0be),
+    (2, 3.0, 70385, 72510, true, 0x40ad2c5d6f22b0be),
+    (2, 3.0, 140771, 144318, true, 0x40ad2c5d6f22b0be),
+    (2, 3.0, 211157, 216370, true, 0x40ad2c5d6f22b0be),
+    (2, 3.0, 281542, 281543, true, 0x40ad2c5d6f22b0be),
+    (2, 3.0, 281543, 281543, false, 0x40ad2c5d6f22b0be),
+];
+
+#[test]
+fn scaled_dp_budgeted_work_and_costs_are_pinned() {
+    for &(seed, load, nodes, used, degraded, bits) in BUDGET_PINS {
+        let inst = instance(&xscale_ideal(), PENALTIES[1], 40, load, seed);
+        let out = ScaledDp::new(0.05)
+            .unwrap()
+            .solve_within(&inst, &SolveBudget::nodes(nodes))
+            .unwrap();
+        assert_eq!(
+            out.nodes_used, used,
+            "seed {seed} load {load} budget {nodes}"
+        );
+        assert_eq!(out.quality == SolveQuality::Degraded, degraded);
+        assert_eq!(out.solution.cost().to_bits(), bits);
+    }
+}
+
+#[test]
+fn scaled_dp_level_array_is_capped() {
+    // One task at ε = 1e-9 scales to 10⁹ value levels: a 256 MiB bit table
+    // but an 8 GB level array.
+    let tasks =
+        rt_model::TaskSet::try_from_tasks(vec![Task::new(0, 3.0, 10).unwrap().with_penalty(5.0)])
+            .unwrap();
+    let inst = Instance::new(tasks, xscale_ideal()).unwrap();
+    let dp = ScaledDp::new(1e-9).unwrap();
+    assert!(matches!(
+        dp.solve(&inst),
+        Err(reject_sched::SchedError::TooLarge { .. })
+    ));
+    let out = dp.solve_within(&inst, &SolveBudget::unlimited()).unwrap();
+    let greedy = MarginalGreedy.solve(&inst).unwrap();
+    assert_eq!(out.quality, SolveQuality::Degraded);
+    assert_eq!(out.solution.accepted(), greedy.accepted());
+}
