@@ -4,7 +4,7 @@ use rt_model::{Task, TaskId};
 
 use crate::algorithms::{MarginalGreedy, RejectionPolicy};
 use crate::anytime::{AnytimeSolution, BudgetMeter, BudgetedPolicy, SolveBudget, SolveQuality};
-use crate::bounds::relaxed_cost_reaches;
+use crate::bounds::relaxed_cost;
 use crate::{Instance, SchedError, Solution};
 
 /// Exact solver: depth-first branch & bound over accept/reject decisions,
@@ -107,16 +107,9 @@ impl Search<'_> {
         }
         // Relaxation over the undecided suffix; decided rejections cost
         // (total − avoided − suffix) on top.
-        let suffix = &self.tasks[i..];
-        let suffix_penalty: f64 = suffix.iter().map(Task::penalty).sum();
-        let fixed_rejected = self.total_penalty - avoided - suffix_penalty;
-        if relaxed_cost_reaches(
-            self.instance,
-            u,
-            suffix.iter(),
-            fixed_rejected,
-            self.incumbent - 1e-12,
-        )? {
+        let relaxed = relaxed_cost(self.instance, u, i)?;
+        let fixed_rejected = self.total_penalty - avoided - relaxed.penalty;
+        if fixed_rejected + relaxed.cost >= self.incumbent - 1e-12 {
             return Ok(());
         }
         let t = self.tasks[i];

@@ -3,8 +3,17 @@
 use rt_model::Task;
 
 use crate::algorithms::RejectionPolicy;
-use crate::bounds::PRUNE_SLACK;
 use crate::{Instance, SchedError, Solution};
+
+/// Relative slack of a swap prune: `δ = PRUNE_SLACK · (1 + |θ| + |C_u| +
+/// V)` (docs/THEORY.md §7). It absorbs (a) float noise: the costs compared
+/// are rounded at the scale of their terms, a few ulps of `C_u + V`; and
+/// (b) on discrete speed sets, the sliver where `Processor::energy_rate`
+/// accepts a level up to 1e-9 below the demand, which moves a cost by at
+/// most `1e-9 · L · E′` — under 1e-8 of it for every preset (`E′/E ≤ 10`
+/// on the XScale and uniform-level hulls). Both stay an order of magnitude
+/// below δ.
+const PRUNE_SLACK: f64 = 1e-7;
 
 /// One neighborhood move over the acceptable-task list.
 #[derive(Debug, Clone, Copy)]

@@ -6,112 +6,109 @@
 //! (concave, piecewise linear), and the relaxed cost
 //!
 //! ```text
-//! f(t) = E*(t) + V_total − W(t)
+//! f(t) = E*(b + t) + V − W(t)
 //! ```
 //!
-//! is convex in `t` (convex `E*` plus convex `−W`). Its minimum over
-//! `t ∈ [0, min(s_max, U_total)]` is a valid lower bound on the integral
-//! optimum — used by the experiments to normalise heuristic costs when the
-//! exact optimum is out of reach, and by
+//! is convex in `t` (convex `E*` plus convex `−W`), with `b` the utilization
+//! already committed. Its minimum over `t ∈ [0, s_max − b]` is a valid lower
+//! bound on the integral optimum — used by the experiments to normalise
+//! heuristic costs when the exact optimum is out of reach, and by
 //! [`BranchBound`](crate::algorithms::BranchBound) for pruning.
+//!
+//! `W` is linear between its kinks, with the density `ρₖ` of the marginal
+//! task as its slope, so the minimum lies where the marginal energy
+//! `E*′(b + t)` meets `ρₖ`: at each task's break-even utilization
+//! ([`Instance::break_even`]), or at a kink. [`stationary_point`] finds it in
+//! one pass in density order and `f` is evaluated once (docs/THEORY.md §6).
+//! Branch & bound reads the break-evens cached on the instance;
+//! [`fractional_lower_bound`] sorts its own copy and computes only the ones
+//! it walks past.
 
-use rt_model::Task;
+use rt_model::TaskSet;
 
 use crate::{Instance, SchedError};
 
-/// Iterations of ternary search over the convex relaxed cost; combined with
-/// the kink-point scan this brackets the minimiser far below cost tolerance.
-const TERNARY_ITERS: usize = 120;
-
-/// Sorted fractional-knapsack view of a set of tasks: supports `W(t)`,
-/// the maximum penalty shelterable within utilization budget `t`.
-#[derive(Debug, Clone)]
-pub struct FractionalKnapsack {
-    /// `(utilization, penalty)` sorted by density (v/u) descending,
-    /// zero-utilization tasks folded into `base_penalty`.
-    items: Vec<(f64, f64)>,
-    prefix_u: Vec<f64>,
-    prefix_v: Vec<f64>,
-    base_penalty: f64,
-    total_penalty: f64,
+/// Where a relaxation over a density-ordered task slice attains its
+/// minimum, and what the slice contributes there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stationary {
+    /// Fractionally accepted utilization `t` at the minimum.
+    pub t: f64,
+    /// `W(t)`: the penalty sheltered at `t`, zero-utilization tasks included.
+    pub sheltered: f64,
+    /// `Σ vᵢ` over the slice, summed left to right.
+    pub penalty: f64,
 }
 
-impl FractionalKnapsack {
-    /// Builds the relaxation view over the given tasks.
-    #[must_use]
-    pub fn new<'a>(tasks: impl IntoIterator<Item = &'a Task>) -> Self {
-        let mut base_penalty = 0.0;
-        let mut items: Vec<(f64, f64)> = Vec::new();
-        let mut total_penalty = 0.0;
-        for t in tasks {
-            total_penalty += t.penalty();
-            if t.utilization() <= 0.0 {
-                base_penalty += t.penalty();
-            } else {
-                items.push((t.utilization(), t.penalty()));
-            }
+/// Minimises `g(t) + Σv − W(t)` over `t ∈ [0, cap]` for a convex energy
+/// term `g`, without evaluating `g`.
+///
+/// `pieces` are the tasks' `(uₖ, vₖ)` in descending penalty density.
+/// `break_even(k)` is the load `base + t` at which `g′` reaches the density
+/// of piece `k` (non-increasing in `k`). On the piece of `W` where task `k`
+/// is the marginal one, `f` falls until `base + t` reaches `break_even(k)`
+/// and rises after it; the pieces before the first one that reaches its
+/// break-even (or `cap`) only fall. So the minimiser is that break-even,
+/// clamped to the piece and to `cap`. Zero-utilization tasks are sheltered
+/// for free.
+pub fn stationary_point(
+    pieces: impl IntoIterator<Item = (f64, f64)>,
+    base: f64,
+    cap: f64,
+    break_even: impl Fn(usize) -> f64,
+) -> Stationary {
+    // Σv of zero-utilization tasks, Σv and Σu of the whole pieces before
+    // the marginal one.
+    let (mut free, mut whole, mut below) = (0.0, 0.0, 0.0);
+    let mut at = None;
+    let mut penalty = 0.0;
+    for (k, (u, v)) in pieces.into_iter().enumerate() {
+        penalty += v;
+        if u <= 0.0 {
+            free += v;
+            continue;
         }
-        items.sort_by(|a, b| {
-            let da = a.1 / a.0;
-            let db = b.1 / b.0;
-            db.partial_cmp(&da).expect("finite densities")
-        });
-        let mut prefix_u = Vec::with_capacity(items.len() + 1);
-        let mut prefix_v = Vec::with_capacity(items.len() + 1);
-        prefix_u.push(0.0);
-        prefix_v.push(0.0);
-        for &(u, v) in &items {
-            prefix_u.push(prefix_u.last().unwrap() + u);
-            prefix_v.push(prefix_v.last().unwrap() + v);
+        if at.is_some() {
+            continue;
         }
-        FractionalKnapsack {
-            items,
-            prefix_u,
-            prefix_v,
-            base_penalty,
-            total_penalty,
+        let above = below + u;
+        let target = break_even(k);
+        if base + above >= target || above >= cap {
+            let t = (target - base).max(below).min(above.min(cap));
+            at = Some((t, whole + v * ((t - below) / u).min(1.0)));
+        } else {
+            below = above;
+            whole += v;
         }
     }
-
-    /// Maximum penalty shelterable within utilization budget `t`
-    /// (fractional acceptance allowed).
-    #[must_use]
-    pub fn sheltered(&self, t: f64) -> f64 {
-        if t <= 0.0 {
-            return self.base_penalty;
-        }
-        // Find how many whole items fit.
-        let k = self.prefix_u.partition_point(|&u| u <= t) - 1;
-        let mut value = self.prefix_v[k];
-        if k < self.items.len() {
-            let (u, v) = self.items[k];
-            let room = t - self.prefix_u[k];
-            value += v * (room / u).min(1.0);
-        }
-        self.base_penalty + value
-    }
-
-    /// Total penalty of all tasks in the view.
-    #[must_use]
-    pub fn total_penalty(&self) -> f64 {
-        self.total_penalty
-    }
-
-    /// Total utilization of all (positive-utilization) items.
-    #[must_use]
-    pub fn total_utilization(&self) -> f64 {
-        *self.prefix_u.last().unwrap()
-    }
-
-    /// The kink points of `W` (prefix utilizations), for exact minimisation
-    /// of piecewise objectives.
-    #[must_use]
-    pub fn kinks(&self) -> &[f64] {
-        &self.prefix_u
+    let (t, partial) = at.unwrap_or((below, whole));
+    Stationary {
+        t,
+        sheltered: free + partial,
+        penalty,
     }
 }
 
-/// Lower bound on the optimal cost of `instance` by convex relaxation.
+/// [`stationary_point`] over a whole task set, sorted into density order
+/// here, for an energy term whose break-even load at penalty density `ρ`
+/// is `break_even(ρ)`; only the pieces walked evaluate it.
+pub fn task_set_stationary_point(
+    tasks: &TaskSet,
+    cap: f64,
+    break_even: impl Fn(f64) -> f64,
+) -> Stationary {
+    let mut order: Vec<(f64, f64, f64)> = tasks
+        .iter()
+        .map(|t| (t.penalty_density(), t.utilization(), t.penalty()))
+        .collect();
+    order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("densities are not NaN"));
+    stationary_point(order.iter().map(|&(_, u, v)| (u, v)), 0.0, cap, |k| {
+        break_even(order[k].0)
+    })
+}
+
+/// Lower bound on the optimal cost of `instance` by convex relaxation:
+/// `min_t E*(t) + V − W(t)` over `t ∈ [0, s_max]`, with `W` over every task.
 ///
 /// # Errors
 ///
@@ -136,237 +133,67 @@ impl FractionalKnapsack {
 /// # }
 /// ```
 pub fn fractional_lower_bound(instance: &Instance) -> Result<f64, SchedError> {
-    relaxed_cost(instance, 0.0, instance.tasks().iter())
+    let cpu = instance.processor();
+    let l = instance.hyper_period() as f64;
+    let at = task_set_stationary_point(instance.tasks(), cpu.max_speed(), |rho| {
+        cpu.utilization_at_marginal(rho / l)
+    });
+    let energy = instance.energy_rate(at.t.min(cpu.max_speed()))? * l;
+    Ok(energy + instance.total_penalty() - at.sheltered)
+}
+
+/// A relaxed subproblem's minimum, and the penalty of its undecided tasks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Relaxation {
+    /// `min_t E*(base_u + t) + Σ v(undecided) − W(t)`.
+    pub cost: f64,
+    /// `Σ v(undecided)`, summed in density order.
+    pub penalty: f64,
 }
 
 /// Relaxed cost of the *subproblem* where utilization `base_u` is already
-/// committed (decided-accepted tasks) and `undecided` tasks may be accepted
-/// fractionally: `min_t E*(base_u + t) + Σ v(undecided) − W(t)`.
+/// committed (decided-accepted tasks) and the tasks of
+/// `instance.density_order()[from..]` are undecided and may be accepted
+/// fractionally.
 ///
 /// Decided-rejected penalties are **not** included; branch & bound adds them
 /// on top.
 ///
 /// # Errors
 ///
-/// [`SchedError::Power`] if `base_u` alone is already infeasible.
-pub fn relaxed_cost<'a>(
+/// [`SchedError::Power`] only on internal oracle failures.
+///
+/// # Panics
+///
+/// If `from` exceeds the number of acceptable tasks.
+pub fn relaxed_cost(
     instance: &Instance,
     base_u: f64,
-    undecided: impl IntoIterator<Item = &'a Task>,
-) -> Result<f64, SchedError> {
-    let relaxation = Relaxation::new(instance, base_u, undecided);
-    let kink_min = min_value(&relaxation.kink_samples()?);
-    Ok(kink_min.min(relaxation.ternary()?))
-}
-
-/// Slack of a prune decision, relative to the numbers it is computed
-/// from: `δ = PRUNE_SLACK · (1 + |threshold| + |offset + m| + V)`, with
-/// `m` the golden-section estimate and `V` the undecided penalty.
-///
-/// Error argument. [`relaxed_cost`] is `min(kink_min, T)` with `T` the
-/// objective at the point its ternary search converges to; the
-/// golden-section estimate `m` and its spread `S` (see
-/// [`relaxed_cost_reaches`]) bracket the true minimum `f*` as
-/// `m − φ·S ≤ f* ≤ m` (convexity). `T` and that bracket differ from the
-/// exact `f*` by (a) float noise: `f = E·L + V − W` is rounded at the
-/// scale of its terms, `E·L ≤ f + V` and `W ≤ V`, so a few ulps of
-/// `f + V` (≈ 1e-13 at 10³), and even a ternary search misled at every
-/// one of its 120 steps loses under 1e-12 of `f + V`; and (b) on
-/// discrete speed sets, the sliver where `Processor::energy_rate` accepts
-/// a level up to 1e-9 below the demand, which moves `f` by at most
-/// `1e-9 · L · E′` — under 1e-8 of `f` for every preset (`E′/E ≤ 10` on
-/// the XScale and uniform-level hulls). Both stay an order of magnitude
-/// below δ, so a margin beyond δ decides the comparison exactly; anything
-/// closer is decided by running the ternary search itself.
-pub(crate) const PRUNE_SLACK: f64 = 1e-7;
-
-/// Whether `offset + relaxed_cost(instance, base_u, undecided) >=
-/// threshold` — exactly that comparison, including its rounding — but
-/// computed only as far as the answer needs.
-///
-/// This is branch & bound's prune test. The kink scan of
-/// [`relaxed_cost`] runs first (same evaluations, same order); if its
-/// minimum already falls below the threshold the answer is `false`,
-/// because rounding of `+` is monotone. Otherwise a golden-section search
-/// in the bracket around the best kink narrows the interior minimum until
-/// it is certainly above or below the threshold by more than a slack δ
-/// of 1e-7 of the magnitudes involved (`PRUNE_SLACK`, whose error argument
-/// is docs/THEORY.md §6); a near tie runs [`relaxed_cost`]'s ternary
-/// search and compares exactly.
-///
-/// # Errors
-///
-/// As [`relaxed_cost`].
-pub fn relaxed_cost_reaches<'a>(
-    instance: &Instance,
-    base_u: f64,
-    undecided: impl IntoIterator<Item = &'a Task>,
-    offset: f64,
-    threshold: f64,
-) -> Result<bool, SchedError> {
-    let relaxation = Relaxation::new(instance, base_u, undecided);
-    let samples = relaxation.kink_samples()?;
-    let kink_min = min_value(&samples);
-    if offset + kink_min < threshold {
-        return Ok(false);
-    }
-    // For convex f the minimiser lies between the neighbours of the best
-    // sample (the first one, on ties).
-    let best = samples.iter().position(|&(_, v)| v == kink_min);
-    if let Some(best) = best.filter(|_| relaxation.cap > 0.0) {
-        let lo = samples[best.saturating_sub(1)];
-        let hi = samples[(best + 1).min(samples.len() - 1)];
-        if let Some(answer) = relaxation.golden_decides(lo, hi, offset, threshold)? {
-            return Ok(answer);
-        }
-    }
-    // A near tie, `cap = 0` (the ternary search is the single point t = 0)
-    // or no finite sample: the comparison itself.
-    Ok(offset + kink_min.min(relaxation.ternary()?) >= threshold)
-}
-
-/// Smallest value among `(t, f(t))` samples.
-fn min_value(samples: &[(f64, f64)]) -> f64 {
-    samples
-        .iter()
-        .fold(f64::INFINITY, |best, &(_, v)| best.min(v))
-}
-
-/// The relaxed subproblem `f(t) = E*(base_u + t) + Σ v(undecided) − W(t)`
-/// over `t ∈ [0, cap]`, convex in `t`.
-struct Relaxation<'i> {
-    instance: &'i Instance,
-    ks: FractionalKnapsack,
-    base_u: f64,
-    cap: f64,
-    hyper_period: f64,
-}
-
-impl<'i> Relaxation<'i> {
-    fn new<'a>(
-        instance: &'i Instance,
-        base_u: f64,
-        undecided: impl IntoIterator<Item = &'a Task>,
-    ) -> Self {
-        let ks = FractionalKnapsack::new(undecided);
-        let cap = (instance.processor().max_speed() - base_u)
-            .max(0.0)
-            .min(ks.total_utilization());
-        Relaxation {
-            instance,
-            ks,
-            base_u,
-            cap,
-            hyper_period: instance.hyper_period() as f64,
-        }
-    }
-
-    fn at(&self, t: f64) -> Result<f64, SchedError> {
-        let max_speed = self.instance.processor().max_speed();
-        let energy = self
-            .instance
-            .energy_rate((self.base_u + t).min(max_speed))?
-            * self.hyper_period;
-        Ok(energy + self.ks.total_penalty() - self.ks.sheltered(t))
-    }
-
-    /// `f` at 0, at `cap` and at every kink of `W` strictly between them
-    /// (evaluated in that order), returned in ascending `t`.
-    fn kink_samples(&self) -> Result<Vec<(f64, f64)>, SchedError> {
-        let mut samples = vec![(0.0, self.at(0.0)?)];
-        let last = (self.cap, self.at(self.cap)?);
-        for &k in self.ks.kinks() {
-            if k > 0.0 && k < self.cap {
-                samples.push((k, self.at(k)?));
-            }
-        }
-        samples.push(last);
-        Ok(samples)
-    }
-
-    /// `f` at the point a ternary search over `[0, cap]` converges to, to
-    /// catch minimisers interior to a linear piece of `W`. Each step is a
-    /// pure function of `(lo, hi)`, so once a step leaves both unchanged
-    /// every later one would too, and stopping there is bit-identical to
-    /// running all [`TERNARY_ITERS`].
-    fn ternary(&self) -> Result<f64, SchedError> {
-        let (mut lo, mut hi) = (0.0f64, self.cap);
-        for _ in 0..TERNARY_ITERS {
-            let m1 = lo + (hi - lo) / 3.0;
-            let m2 = hi - (hi - lo) / 3.0;
-            let next = if self.at(m1)? <= self.at(m2)? {
-                (lo, m2)
-            } else {
-                (m1, hi)
-            };
-            if next == (lo, hi) {
-                break;
-            }
-            (lo, hi) = next;
-        }
-        self.at(0.5 * (lo + hi))
-    }
-
-    /// Golden-section search for `min f` on the bracket `[lo, hi]` (points
-    /// with their values), stopped as soon as `offset + min f` is certainly
-    /// on one side of `threshold`: `Some(answer)`, or `None` for a near
-    /// tie the caller settles exactly.
-    ///
-    /// With bracket points `a < c < d < b` in golden proportion, values in
-    /// `[m, m + S]` and `f` convex, every `f` on `[a, b]` is at least
-    /// `m − φ·S` (extend the chord through the two nearest points), so
-    /// the minimum lies in `[m − φ·S, m]`.
-    fn golden_decides(
-        &self,
-        (mut a, mut fa): (f64, f64),
-        (mut b, mut fb): (f64, f64),
-        offset: f64,
-        threshold: f64,
-    ) -> Result<Option<bool>, SchedError> {
-        let inv_phi = (5f64.sqrt() - 1.0) / 2.0;
-        let phi = 1.0 + inv_phi;
-        let mut c = b - inv_phi * (b - a);
-        let mut d = a + inv_phi * (b - a);
-        let (mut fc, mut fd) = (self.at(c)?, self.at(d)?);
-        loop {
-            let m = fa.min(fb).min(fc).min(fd);
-            let spread = fa.max(fb).max(fc).max(fd) - m;
-            let reach = offset + m;
-            let delta =
-                PRUNE_SLACK * (1.0 + threshold.abs() + reach.abs() + self.ks.total_penalty());
-            if reach - phi * spread - threshold > delta {
-                return Ok(Some(true));
-            }
-            if reach - threshold < -delta {
-                return Ok(Some(false));
-            }
-            if spread <= delta / 4.0 {
-                return Ok(None);
-            }
-            let bracket = (a, b);
-            if fc <= fd {
-                (b, fb) = (d, fd);
-                (d, fd) = (c, fc);
-                c = b - inv_phi * (b - a);
-                fc = self.at(c)?;
-            } else {
-                (a, fa) = (c, fc);
-                (c, fc) = (d, fd);
-                d = a + inv_phi * (b - a);
-                fd = self.at(d)?;
-            }
-            if (a, b) == bracket {
-                return Ok(None);
-            }
-        }
-    }
+    from: usize,
+) -> Result<Relaxation, SchedError> {
+    let s_max = instance.processor().max_speed();
+    let break_even = &instance.break_even()[from..];
+    let undecided = instance.density_order()[from..].iter();
+    let at = stationary_point(
+        undecided.map(|t| (t.utilization(), t.penalty())),
+        base_u,
+        (s_max - base_u).max(0.0),
+        |k| break_even[k],
+    );
+    let energy = instance.energy_rate((base_u + at.t).min(s_max))? * instance.hyper_period() as f64;
+    Ok(Relaxation {
+        cost: energy + at.penalty - at.sheltered,
+        penalty: at.penalty,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::BranchBound;
+    use crate::anytime::{BudgetedPolicy, SolveBudget};
     use dvs_power::presets::{cubic_ideal, xscale_ideal};
-    use rt_model::{generator::WorkloadSpec, TaskSet};
+    use rt_model::{generator::WorkloadSpec, Task};
 
     fn instance(parts: &[(f64, u64, f64)]) -> Instance {
         let tasks = TaskSet::try_from_tasks(
@@ -379,17 +206,32 @@ mod tests {
         Instance::new(tasks, cubic_ideal()).unwrap()
     }
 
+    fn pieces(tasks: &[Task]) -> impl Iterator<Item = (f64, f64)> + '_ {
+        tasks.iter().map(|t| (t.utilization(), t.penalty()))
+    }
+
+    /// `W(t)` of a density-ordered slice: a break-even of `t` everywhere
+    /// puts the stationary point at `t` itself.
+    fn sheltered(tasks: &[Task], t: f64) -> f64 {
+        let at = stationary_point(pieces(tasks), 0.0, f64::INFINITY, |_| t);
+        assert_eq!(at.t, t.min(tasks.iter().map(Task::utilization).sum()));
+        at.sheltered
+    }
+
     #[test]
     fn knapsack_shelters_by_density() {
         let tasks = [
             Task::new(0, 1.0, 10).unwrap().with_penalty(10.0), // u=0.1, density 100
             Task::new(1, 5.0, 10).unwrap().with_penalty(5.0),  // u=0.5, density 10
         ];
-        let ks = FractionalKnapsack::new(tasks.iter());
-        assert!((ks.sheltered(0.1) - 10.0).abs() < 1e-12);
-        assert!((ks.sheltered(0.35) - 12.5).abs() < 1e-12); // half of τ1
-        assert!((ks.sheltered(1.0) - 15.0).abs() < 1e-12);
-        assert_eq!(ks.sheltered(0.0), 0.0);
+        assert!((sheltered(&tasks, 0.1) - 10.0).abs() < 1e-12);
+        assert!((sheltered(&tasks, 0.35) - 12.5).abs() < 1e-12); // half of τ1
+        assert!((sheltered(&tasks, 1.0) - 15.0).abs() < 1e-12);
+        assert_eq!(sheltered(&tasks, 0.0), 0.0);
+        // The cap binds before a later break-even does.
+        let at = stationary_point(pieces(&tasks), 0.0, 0.35, |_| 1.0);
+        assert_eq!((at.t, at.penalty), (0.35, 15.0));
+        assert!((at.sheltered - 12.5).abs() < 1e-12);
     }
 
     #[test]
@@ -397,20 +239,23 @@ mod tests {
         let tasks = [
             Task::new(0, 0.0, 10).unwrap().with_penalty(7.0),
             Task::new(1, 5.0, 10).unwrap().with_penalty(5.0),
+            Task::new(2, 0.0, 10).unwrap().with_penalty(1.0),
         ];
-        let ks = FractionalKnapsack::new(tasks.iter());
-        assert!((ks.sheltered(0.0) - 7.0).abs() < 1e-12);
+        // No room at all, and a zero-utilization task past the stop.
+        let at = stationary_point(pieces(&tasks), 0.0, 0.0, |_| 1.0);
+        assert_eq!((at.t, at.sheltered, at.penalty), (0.0, 8.0, 13.0));
     }
 
     #[test]
     fn sheltered_is_monotone_and_concave() {
         let ts = WorkloadSpec::new(20, 2.0).seed(9).generate().unwrap();
-        let ks = FractionalKnapsack::new(ts.iter());
+        let inst = Instance::new(ts, cubic_ideal()).unwrap();
+        let tasks = inst.density_order();
         let mut last = -1.0;
         let mut last_delta = f64::INFINITY;
         for k in 0..=100 {
             let t = 2.0 * k as f64 / 100.0;
-            let w = ks.sheltered(t);
+            let w = sheltered(tasks, t);
             assert!(w + 1e-12 >= last, "not monotone at {t}");
             if k > 0 {
                 let delta = w - last;
@@ -472,32 +317,36 @@ mod tests {
     #[test]
     fn relaxed_cost_respects_committed_utilization() {
         let inst = instance(&[(5.0, 10, 1.0), (5.0, 10, 1.0)]);
-        let undecided: Vec<&Task> = inst.tasks().iter().skip(1).collect();
         // With τ0 committed at u=0.5, only 0.5 capacity remains for τ1.
-        let bound = relaxed_cost(&inst, 0.5, undecided).unwrap();
+        let bound = relaxed_cost(&inst, 0.5, 1).unwrap();
         // Accepting τ1 fully: E(1.0) = 10·1 = 10; rejecting: E(0.5)+1 = 2.25.
-        assert!((bound - 2.25).abs() < 1e-6);
+        assert!((bound.cost - 2.25).abs() < 1e-6);
+        assert_eq!(bound.penalty, 1.0);
     }
 
     #[test]
     fn reaches_is_exact_when_penalties_overflow() {
-        // Σv = ∞ makes f infinite, and ∞ − ∞ = NaN where W saturates:
-        // the prune test must still be exactly the comparison.
+        // Σv = ∞ makes f infinite, and ∞ − ∞ = NaN where W saturates: a NaN
+        // bound must never prune.
         let inst = instance(&[
             (0.0, 10, f64::MAX),
             (3.0, 10, f64::MAX),
             (4.0, 10, f64::MAX),
         ]);
         for base_u in [0.0, 0.2] {
-            let undecided: Vec<&Task> = inst.tasks().iter().collect();
-            let bound = relaxed_cost(&inst, base_u, undecided.iter().copied()).unwrap();
+            let bound = relaxed_cost(&inst, base_u, 0).unwrap();
+            assert_eq!(bound.penalty, f64::INFINITY);
+            assert!(bound.cost.is_nan(), "{base_u}: {}", bound.cost);
             for threshold in [0.0, 1e300, f64::INFINITY, f64::NAN] {
-                let fast =
-                    relaxed_cost_reaches(&inst, base_u, undecided.iter().copied(), 1.0, threshold)
-                        .unwrap();
-                assert_eq!(fast, 1.0 + bound >= threshold, "{base_u} {threshold}");
+                let prunes = 1.0 + bound.cost >= threshold;
+                assert!(!prunes, "{base_u} {threshold}");
             }
         }
+        // Every node's bound is NaN, so the search visits the whole tree.
+        let full = BranchBound::default()
+            .solve_within(&inst, &SolveBudget::unlimited())
+            .unwrap();
+        assert_eq!(full.nodes_used, 15);
     }
 
     #[test]

@@ -24,6 +24,9 @@ struct InstanceCache {
     total_penalty: OnceLock<f64>,
     /// Acceptable tasks sorted by penalty density descending (ties by id).
     density_order: OnceLock<Vec<Task>>,
+    /// Break-even utilization of each task of
+    /// [`InstanceCache::density_order`] (see [`Instance::break_even`]).
+    break_even: OnceLock<Vec<f64>>,
     /// Running `(Σ uᵢ, Σ vᵢ)` over [`InstanceCache::density_order`]:
     /// entry `k` covers the first `k` tasks (entry 0 is `(0, 0)`).
     density_prefix: OnceLock<(Vec<f64>, Vec<f64>)>,
@@ -46,6 +49,7 @@ impl Clone for InstanceCache {
             index_of: self.index_of.clone(),
             total_penalty: self.total_penalty.clone(),
             density_order: self.density_order.clone(),
+            break_even: self.break_even.clone(),
             density_prefix: self.density_prefix.clone(),
             hyper_period: self.hyper_period.clone(),
             energy_memo: RwLock::new(
@@ -212,6 +216,21 @@ impl Instance {
                     .then(a.id().index().cmp(&b.id().index()))
             });
             tasks
+        })
+    }
+
+    /// Break-even utilization of each task of [`Instance::density_order`]:
+    /// `u*ₖ = utilization_at_marginal(ρₖ / L)`, the total load up to which
+    /// the task's penalty density `ρₖ` still outweighs the marginal energy
+    /// `L·E*′`. Non-increasing along the order; computed once per instance.
+    #[must_use]
+    pub fn break_even(&self) -> &[f64] {
+        self.cache.break_even.get_or_init(|| {
+            let l = self.hyper_period() as f64;
+            self.density_order()
+                .iter()
+                .map(|t| self.cpu.utilization_at_marginal(t.penalty_density() / l))
+                .collect()
         })
     }
 

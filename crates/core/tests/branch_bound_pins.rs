@@ -1,17 +1,18 @@
 //! Pinned branch & bound outputs: node counts and solution cost bits on
-//! seeded instances per processor preset, for the cold search, the warm
+//! seeded instances per processor model, for the cold search, the warm
 //! (seeded) search and a node-budgeted one.
 //!
 //! The literals were recorded before the prune test learned to stop early
-//! (`bounds::relaxed_cost_reaches`). Any change to how the bound is
-//! computed or compared must keep them: a moved node count here is a moved
+//! and before the relaxation took its closed form (docs/THEORY.md §6). A
+//! change to how the bound is computed or compared must keep the cost bits;
+//! a node count may move only where a prune decision flips at a near tie
+//! (within the slack THEORY §6 argues for), and each such move is a moved
 //! `engine.resolve_nodes` / `core.bb_nodes_n20` in the benchmark. A
-//! dormant-disable XScale (`IdleMode::AlwaysOn`) gives the same rows as
-//! `xscale_levels` at these loads, so it is covered by the
-//! `relaxed_cost_reaches` property in `properties.rs` instead.
+//! dormant-disable XScale (`IdleMode::AlwaysOn`) and a CMOS processor each
+//! have their own rows.
 
 use dvs_power::presets::{cubic_ideal, xscale_ideal, xscale_levels, xscale_measured};
-use dvs_power::Processor;
+use dvs_power::{IdleMode, PowerFunction, Processor, SpeedDomain};
 use reject_sched::algorithms::BranchBound;
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget};
 use reject_sched::{Instance, RejectionPolicy};
@@ -54,6 +55,22 @@ const PINS: &[(&str, u64, u64, u64, u64, u64, u64)] = &[
     ("xscale_table", 5, 57, 0x409e1dc47f132118, 53, 0x409e1dc47f132118, 0x409e1dd2eab4f888),
     ("xscale_table", 6, 127, 0x40a5e5d4f55b55b6, 48, 0x40a5e5d4f55b55b6, 0x40a60cc24cdc18d7),
     ("xscale_table", 7, 70, 0x40b26e6e94896b91, 59, 0x40b26e6e94896b91, 0x40b28171876640d8),
+    ("xscale_ideal_on", 0, 37, 0x4090204e97ce4204, 37, 0x4090204e97ce4204, 0x4090204e97ce4204),
+    ("xscale_ideal_on", 1, 49, 0x409e96e0ed41b6d9, 33, 0x409e96e0ed41b6d9, 0x409e9a73d76931b6),
+    ("xscale_ideal_on", 2, 196, 0x40a52af880a9245c, 49, 0x40a52af880a9245c, 0x40a5565b583a5770),
+    ("xscale_ideal_on", 3, 14, 0x40aff09aa0738f64, 14, 0x40aff09aa0738f64, 0x40aff09aa0738f64),
+    ("xscale_ideal_on", 4, 83, 0x40945dbea4dce397, 59, 0x40945dbea4dce397, 0x409470f7d44bd532),
+    ("xscale_ideal_on", 5, 23, 0x409e1e9f27d1f680, 23, 0x409e1e9f27d1f680, 0x409e1e9f27d1f680),
+    ("xscale_ideal_on", 6, 72, 0x40a5e232e9640e3a, 17, 0x40a5e232e9640e3a, 0x40a5f079e9498078),
+    ("xscale_ideal_on", 7, 53, 0x40b24b0eeffd282d, 11, 0x40b24b0eeffd282d, 0x40b24c61b0aa84fd),
+    ("cmos", 0, 19, 0x4096424c79398d95, 19, 0x4096424c79398d95, 0x4096424c79398d95),
+    ("cmos", 1, 1, 0x40a24302ef271936, 1, 0x40a24302ef271936, 0x40a24302ef271936),
+    ("cmos", 2, 25, 0x40a84fc6279b5514, 25, 0x40a84fc6279b5514, 0x40a84fc6279b5514),
+    ("cmos", 3, 7, 0x40b1a59e337bab9f, 7, 0x40b1a59e337bab9f, 0x40b1a59e337bab9f),
+    ("cmos", 4, 21, 0x409a317e64506e42, 21, 0x409a317e64506e42, 0x409a317e64506e42),
+    ("cmos", 5, 1, 0x40a22672dfb45d78, 1, 0x40a22672dfb45d78, 0x40a22672dfb45d78),
+    ("cmos", 6, 109, 0x40a91fa53a3fc9dc, 9, 0x40a91fa53a3fc9dc, 0x40a955b5119b50ca),
+    ("cmos", 7, 119, 0x40b47a15de9910d0, 39, 0x40b47a15de9910d0, 0x40b4969185c9ba79),
 ];
 
 fn preset(name: &str) -> Processor {
@@ -62,6 +79,11 @@ fn preset(name: &str) -> Processor {
         "xscale_ideal" => xscale_ideal(),
         "xscale_levels" => xscale_levels(),
         "xscale_table" => xscale_measured(),
+        "xscale_ideal_on" => xscale_ideal().with_idle_mode(IdleMode::AlwaysOn),
+        "cmos" => Processor::new(
+            PowerFunction::cmos(1.0, 0.4, 1.0, 0.05).unwrap(),
+            SpeedDomain::continuous(0.0, 1.0).unwrap(),
+        ),
         _ => unreachable!("unknown preset {name}"),
     }
 }

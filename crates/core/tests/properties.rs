@@ -107,36 +107,93 @@ fn fractional_bound_below_optimum() {
     }
 }
 
-/// Branch & bound's early-stopping prune test is exactly the comparison
-/// it replaces: `relaxed_cost_reaches(..) ≡ offset + relaxed_cost(..) ≥
-/// threshold`, on every processor preset, at thresholds on the bound, a
-/// few ulps and tiny relative margins either side of it, and at the edges
-/// (`cap = 0`, `base_u` at `s_max`, zero-utilization tasks).
-#[test]
-fn relaxed_cost_reaches_is_the_exact_comparison() {
-    use dvs_power::presets::{xscale_levels, xscale_measured};
-    use dvs_power::IdleMode;
-    use reject_sched::bounds::{relaxed_cost, relaxed_cost_reaches};
-
-    fn ulps(x: f64, n: i64) -> f64 {
-        let mut y = x;
-        for _ in 0..n.abs() {
-            y = if n > 0 { y.next_up() } else { y.next_down() };
-        }
-        y
+/// The relaxation `min_t E*(base_u + t) + V − W(t)` as branch & bound
+/// priced it before the closed form: `f` at `0`, at `cap` and at every
+/// kink of `W` between them, and at the point a ternary search over
+/// `[0, cap]` converges to; the least of those.
+fn kink_and_ternary_reference(inst: &Instance, base_u: f64, undecided: &[Task]) -> f64 {
+    let free: f64 = undecided
+        .iter()
+        .filter(|t| t.utilization() <= 0.0)
+        .map(Task::penalty)
+        .sum();
+    let mut items: Vec<(f64, f64)> = undecided
+        .iter()
+        .filter(|t| t.utilization() > 0.0)
+        .map(|t| (t.utilization(), t.penalty()))
+        .collect();
+    items.sort_by(|a, b| (b.1 / b.0).partial_cmp(&(a.1 / a.0)).unwrap());
+    let mut kinks = vec![0.0];
+    let mut prefix_v = vec![0.0];
+    for &(u, v) in &items {
+        kinks.push(kinks.last().unwrap() + u);
+        prefix_v.push(prefix_v.last().unwrap() + v);
     }
-    let presets = [
+    let total: f64 = undecided.iter().map(Task::penalty).sum();
+    let s_max = inst.processor().max_speed();
+    let cap = (s_max - base_u).max(0.0).min(*kinks.last().unwrap());
+    let f = |t: f64| {
+        let k = kinks.partition_point(|&u| u <= t) - 1;
+        let mut w = prefix_v[k];
+        if k < items.len() {
+            let (u, v) = items[k];
+            w += v * ((t - kinks[k]) / u).min(1.0);
+        }
+        let energy = inst.energy_rate((base_u + t).min(s_max)).unwrap();
+        energy * inst.hyper_period() as f64 + total - (free + w)
+    };
+    let mut best = f(0.0).min(f(cap));
+    for &k in &kinks {
+        if k > 0.0 && k < cap {
+            best = best.min(f(k));
+        }
+    }
+    let (mut lo, mut hi) = (0.0f64, cap);
+    for _ in 0..120 {
+        let m1 = lo + (hi - lo) / 3.0;
+        let m2 = hi - (hi - lo) / 3.0;
+        let next = if f(m1) <= f(m2) { (lo, m2) } else { (m1, hi) };
+        if next == (lo, hi) {
+            break;
+        }
+        (lo, hi) = next;
+    }
+    best.min(f(0.5 * (lo + hi)))
+}
+
+/// Branch & bound's one-pass relaxation agrees with the kink scan and
+/// ternary search it replaced, to `1e-12·(1 + |ref| + V)` (plus, on
+/// discrete speed sets, the demand sliver the reference can read below the
+/// hull), on density-ordered suffixes of random nodes (zero-utilization
+/// tasks, `base_u` at `s_max`, `cap = 0`), on the six presets, a CMOS
+/// processor and a continuous domain with a positive minimum speed; and no
+/// completion of the node costs less than its bound.
+#[test]
+fn relaxed_cost_matches_the_kink_and_ternary_reference() {
+    use dvs_power::presets::{xscale_levels, xscale_measured};
+    use dvs_power::{IdleMode, PowerFunction, Processor, SpeedDomain};
+    use reject_sched::bounds::relaxed_cost;
+
+    let cpus = [
         cubic_ideal(),
         xscale_ideal(),
         xscale_levels(),
         xscale_measured(),
         xscale_ideal().with_idle_mode(IdleMode::AlwaysOn),
         xscale_levels().with_idle_mode(IdleMode::AlwaysOn),
+        Processor::new(
+            PowerFunction::cmos(1.0, 0.4, 1.0, 0.05).unwrap(),
+            SpeedDomain::continuous(0.0, 1.0).unwrap(),
+        ),
+        Processor::new(
+            PowerFunction::polynomial(0.08, 1.52, 3.0).unwrap(),
+            SpeedDomain::continuous(0.3, 1.0).unwrap(),
+        ),
     ];
     let mut rng = Rng::seed_from_u64(0xC0DE_0010);
     let mut checked = 0u32;
     for case in 0..CASES {
-        for cpu in &presets {
+        for cpu in &cpus {
             let n = 1 + rng.gen_index(14);
             let tasks = TaskSet::try_from_tasks((0..n).map(|i| {
                 // Every fifth task has zero utilization.
@@ -153,8 +210,8 @@ fn relaxed_cost_reaches_is_the_exact_comparison() {
             .unwrap();
             let inst = Instance::new(tasks, cpu.clone()).unwrap();
             let s_max = inst.processor().max_speed();
-            let order: Vec<Task> = inst.tasks().iter().copied().collect();
-            let split = rng.gen_index(n + 1);
+            let order = inst.density_order();
+            let split = rng.gen_index(order.len() + 1);
             let (decided, undecided) = order.split_at(split);
             // A branch & bound node: some decided tasks accepted, or the
             // committed utilization pinned at the edge of the domain.
@@ -168,41 +225,44 @@ fn relaxed_cost_reaches_is_the_exact_comparison() {
                     .sum::<f64>()
                     .min(s_max),
             };
-            let offset = if case % 3 == 0 {
-                0.0
-            } else {
-                rng.gen_f64(0.0, 50.0)
-            };
-            let bound = relaxed_cost(&inst, base_u, undecided.iter()).unwrap();
-            let at = offset + bound;
-            let thresholds = [
-                at,
-                ulps(at, 1),
-                ulps(at, -1),
-                ulps(at, 16),
-                ulps(at, -16),
-                at + 1e-12,
-                at - 1e-12,
-                at * (1.0 + 1e-9),
-                at * (1.0 - 1e-9),
-                at * (1.0 + 1e-6),
-                at * (1.0 - 1e-6),
-                at + 1.0,
-                at - 1.0,
-            ];
-            for threshold in thresholds {
-                let fast = relaxed_cost_reaches(&inst, base_u, undecided.iter(), offset, threshold)
-                    .unwrap();
-                assert_eq!(
-                    fast,
-                    offset + bound >= threshold,
-                    "case {case} {cpu:?} base_u {base_u} offset {offset} threshold {threshold}"
-                );
-                checked += 1;
+            let got = relaxed_cost(&inst, base_u, split).unwrap();
+            let want = kink_and_ternary_reference(&inst, base_u, undecided);
+            let v: f64 = undecided.iter().map(Task::penalty).sum();
+            assert_eq!(got.penalty, v);
+            // On a discrete domain `energy_rate` accepts a level up to 1e-9
+            // below the demand, so the reference's samples can read up to
+            // `1e-9·L·(steepest hull slope)` below the hull it bounds.
+            let rate = |u: f64| inst.energy_rate(u).unwrap();
+            let sliver = inst.processor().domain().levels().map_or(0.0, |levels| {
+                let top = levels.len() - 1;
+                let below = if top == 0 { 0.0 } else { levels[top - 1] };
+                1e-9 * inst.hyper_period() as f64 * (rate(s_max) - rate(below)) / (s_max - below)
+            });
+            let tol = 1e-12 * (1.0 + want.abs() + v);
+            assert!(
+                want - tol <= got.cost && got.cost <= want + tol + sliver,
+                "case {case} {cpu:?} base_u {base_u}: {} vs {want}",
+                got.cost
+            );
+            // No completion of the node costs less than its bound.
+            for mask in 0u32..1 << undecided.len().min(10) {
+                let (mut u, mut kept) = (base_u, 0.0);
+                for (i, t) in undecided.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        u += t.utilization();
+                        kept += t.penalty();
+                    }
+                }
+                if inst.processor().is_feasible(u) {
+                    let energy = inst.energy_rate(u.min(s_max)).unwrap();
+                    let cost = energy * inst.hyper_period() as f64 + v - kept;
+                    assert!(got.cost <= cost + 1e-9 * (1.0 + cost.abs()), "case {case}");
+                }
             }
+            checked += 1;
         }
     }
-    assert!(checked > 3_000);
+    assert!(checked > 300);
 }
 
 /// ScaledDp's additive guarantee `cost ≤ OPT + ε·v_max` holds.

@@ -1,12 +1,9 @@
 //! Fluid lower bound for the multiprocessor rejection problem.
 
-use reject_sched::bounds::FractionalKnapsack;
+use reject_sched::bounds::task_set_stationary_point;
 use reject_sched::SchedError;
 
 use crate::MultiInstance;
-
-/// Iterations of ternary search over the convex fluid cost.
-const TERNARY_ITERS: usize = 120;
 
 /// Lower bound on the optimal multiprocessor cost by **fluid relaxation**:
 /// tasks may be accepted fractionally, and an accepted utilization `t` may
@@ -20,7 +17,10 @@ const TERNARY_ITERS: usize = 120;
 ///
 /// with `W` the fractional-knapsack shelter function. `f` is convex; its
 /// minimum is a valid lower bound on any partitioned (or even global)
-/// schedule's cost, and is the normaliser used by experiment F7.
+/// schedule's cost, and is the normaliser used by experiment F7. Its slope
+/// is `L·rate′(t/m) − ρ`, so each task's break-even load is `m` times its
+/// single-processor one, and the one pass of
+/// [`task_set_stationary_point`] finds the minimum.
 ///
 /// # Errors
 ///
@@ -42,33 +42,14 @@ const TERNARY_ITERS: usize = 120;
 /// # }
 /// ```
 pub fn fractional_lower_bound_multi(instance: &MultiInstance) -> Result<f64, SchedError> {
-    let ks = FractionalKnapsack::new(instance.tasks().iter());
+    let cpu = instance.processor();
     let m = instance.processors() as f64;
-    let cap = instance.capacity().min(ks.total_utilization());
     let l = instance.hyper_period() as f64;
-    let f = |t: f64| -> Result<f64, SchedError> {
-        let per_cpu = (t / m).min(instance.processor().max_speed());
-        let rate = instance.processor().energy_rate(per_cpu)?;
-        Ok(m * l * rate + ks.total_penalty() - ks.sheltered(t))
-    };
-    let mut best = f(0.0)?.min(f(cap)?);
-    for &k in ks.kinks() {
-        if k > 0.0 && k < cap {
-            best = best.min(f(k)?);
-        }
-    }
-    let (mut lo, mut hi) = (0.0f64, cap);
-    for _ in 0..TERNARY_ITERS {
-        let m1 = lo + (hi - lo) / 3.0;
-        let m2 = hi - (hi - lo) / 3.0;
-        if f(m1)? <= f(m2)? {
-            hi = m2;
-        } else {
-            lo = m1;
-        }
-    }
-    best = best.min(f(0.5 * (lo + hi))?);
-    Ok(best)
+    let at = task_set_stationary_point(instance.tasks(), instance.capacity(), |rho| {
+        m * cpu.utilization_at_marginal(rho / l)
+    });
+    let rate = cpu.energy_rate((at.t / m).min(cpu.max_speed()))?;
+    Ok(m * l * rate + instance.total_penalty() - at.sheltered)
 }
 
 #[cfg(test)]

@@ -426,6 +426,69 @@ impl PowerFunction {
         }
     }
 
+    /// The smallest speed `s ∈ [lo, hi]` at which the marginal power
+    /// `P′(s)` (right derivative) reaches `λ`, or `hi` if it never does —
+    /// the inverse of `P′`, clamped.
+    ///
+    /// * Polynomial: the closed form `(λ/(α·β₂))^{1/(α−1)}`, clamped.
+    /// * Table: the first table speed from which the segment slope is at
+    ///   least `λ` (`P` is linear between them).
+    /// * CMOS: `P′(s) = C_ef·V²·(3V − V_t)/(V + V_t)` with `V = V(s)`,
+    ///   bisected on its sign against `λ` until the midpoint stops moving.
+    pub(crate) fn speed_at_slope(&self, lambda: f64, lo: f64, hi: f64) -> f64 {
+        match self.kind {
+            Kind::Polynomial { beta2, alpha, .. } => (lambda / (alpha * beta2))
+                .powf(1.0 / (alpha - 1.0))
+                .max(lo)
+                .min(hi),
+            Kind::Cmos { cef, vt, kappa, .. } => {
+                let slope = |s: f64| {
+                    let v = Self::voltage_for_speed(s, vt, kappa);
+                    cef * v * v * (3.0 * v - vt) / (v + vt)
+                };
+                if slope(lo) >= lambda {
+                    return lo;
+                }
+                if slope(hi) < lambda {
+                    return hi;
+                }
+                // Invariant: slope(a) < λ ≤ slope(b).
+                let (mut a, mut b) = (lo, hi);
+                loop {
+                    let mid = 0.5 * (a + b);
+                    if mid <= a || mid >= b {
+                        return b;
+                    }
+                    if slope(mid) >= lambda {
+                        b = mid;
+                    } else {
+                        a = mid;
+                    }
+                }
+            }
+            Kind::Table { points, len } => {
+                let pts = &points[..len];
+                // Segment `i` joins points `i` and `i + 1`; the boundary
+                // segments extend past the table.
+                let mut s = lo;
+                for (i, w) in pts.windows(2).enumerate() {
+                    let ((s0, p0), (s1, p1)) = (w[0], w[1]);
+                    if s >= s1 && i + 2 < len {
+                        continue;
+                    }
+                    if (p1 - p0) / (s1 - s0) >= lambda {
+                        return s;
+                    }
+                    if s1 >= hi || i + 2 == len {
+                        break;
+                    }
+                    s = s1;
+                }
+                hi
+            }
+        }
+    }
+
     /// Scales the whole function by `rho ≥ 0` — used for per-task power
     /// characteristics `ρᵢ·P(s)` in the heterogeneous model.
     ///

@@ -242,6 +242,50 @@ impl Processor {
         }
     }
 
+    /// The inverse of the marginal energy rate: the smallest utilization
+    /// `u ∈ [0, s_max]` that minimises `energy_rate(u) − λ·u`.
+    ///
+    /// `energy_rate` is convex, so this is where its slope first reaches
+    /// `λ` — the utilization at which one more unit of demand costs `λ`.
+    /// With `λ = v/(u·L)`, a task's penalty density per hyper-period, it is
+    /// the break-even load up to which accepting that task pays
+    /// (docs/THEORY.md §6).
+    ///
+    /// * Ideal (continuous) domains: below `s_lo` = [critical
+    ///   speed](Processor::critical_speed) the plan runs at `s_lo` and
+    ///   idles, a straight segment of slope `(rate(s_lo) − rate(0))/s_lo`;
+    ///   at or below that slope the answer is 0. Above it the rate is
+    ///   `P(u)`, so the answer is `P′⁻¹(λ)` clamped to `[s_lo, s_max]`: a
+    ///   closed form for polynomials, a table vertex for measured tables,
+    ///   a bisection for CMOS.
+    /// * Discrete domains: the rate is piecewise linear between `0` and the
+    ///   levels, so the answer is the first of those vertices from which
+    ///   the chord slope is at least `λ`.
+    #[must_use]
+    pub fn utilization_at_marginal(&self, lambda: f64) -> f64 {
+        let rate = |u: f64| self.energy_rate(u).expect("vertices lie in [0, s_max]");
+        match &self.domain {
+            SpeedDomain::Continuous { max, .. } => {
+                let lo = self.critical_speed();
+                if lo > 0.0 && lambda <= (rate(lo) - rate(0.0)) / lo {
+                    return 0.0;
+                }
+                self.power.speed_at_slope(lambda, lo, *max)
+            }
+            SpeedDomain::Discrete { levels } => {
+                let (mut u, mut r) = (0.0, rate(0.0));
+                for &s in levels {
+                    let next = rate(s);
+                    if (next - r) / (s - u) >= lambda {
+                        return u;
+                    }
+                    (u, r) = (s, next);
+                }
+                u
+            }
+        }
+    }
+
     /// Energy rate of running a demand `u` at one fixed speed `s ≥ u` and
     /// idling the rest of the time. Exposed for analysis and testing.
     #[must_use]

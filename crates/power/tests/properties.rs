@@ -87,6 +87,112 @@ fn uplifted_critical_speed_is_monotone_in_lambda() {
     }
 }
 
+/// Marginal prices from 0 past the steepest slope any model here reaches
+/// (`P′(1) ≤ 14`), ascending.
+fn marginal_prices(rng: &mut Rng) -> Vec<f64> {
+    let mut prices: Vec<f64> = (0..40).map(|_| rng.gen_f64(0.0, 20.0)).collect();
+    prices.extend([0.0, 1e-9, 0.5, 1.0, 3.0, 1e3, f64::INFINITY]);
+    prices.sort_by(f64::total_cmp);
+    prices
+}
+
+/// `utilization_at_marginal(λ)` lies in `[0, s_max]`, is non-decreasing in
+/// `λ`, and minimises `energy_rate(u) − λ·u` over a 1e-3 grid of `u` — on
+/// every preset, both idle modes, CMOS (also with a positive minimum speed)
+/// and a measured table on a continuous domain.
+#[test]
+fn utilization_at_marginal_minimises_rate_minus_price() {
+    use dvs_power::presets::{
+        cubic_ideal, leaky_with_overhead, uniform_levels, xscale_ideal, xscale_levels,
+        xscale_measured,
+    };
+    let cmos = PowerFunction::cmos(1.0, 0.4, 1.0, 0.05).unwrap();
+    let table = *xscale_measured().power();
+    let mut cpus = vec![
+        cubic_ideal(),
+        xscale_ideal(),
+        xscale_levels(),
+        xscale_measured(),
+        leaky_with_overhead(0.4, 4.0),
+        uniform_levels(1),
+        uniform_levels(4),
+        uniform_levels(16),
+        Processor::new(cmos, SpeedDomain::continuous(0.0, 1.0).unwrap()),
+        Processor::new(cmos, SpeedDomain::continuous(0.3, 1.0).unwrap()),
+        Processor::new(table, SpeedDomain::continuous(0.0, 1.0).unwrap()),
+        Processor::new(table, SpeedDomain::continuous(0.5, 1.0).unwrap()),
+    ];
+    let on: Vec<Processor> = cpus
+        .iter()
+        .map(|c| c.clone().with_idle_mode(IdleMode::AlwaysOn))
+        .collect();
+    cpus.extend(on);
+    let mut rng = Rng::seed_from_u64(0x2010);
+    for cpu in &cpus {
+        let s_max = cpu.max_speed();
+        let mut last = 0.0;
+        for lambda in marginal_prices(&mut rng) {
+            let u = cpu.utilization_at_marginal(lambda);
+            assert!((0.0..=s_max).contains(&u), "{cpu}: {u} at {lambda}");
+            assert!(u >= last, "{cpu}: not monotone at {lambda}");
+            last = u;
+            if !lambda.is_finite() {
+                assert_eq!(u, s_max);
+                continue;
+            }
+            let g = |x: f64| cpu.energy_rate(x).unwrap() - lambda * x;
+            let best = g(u);
+            for k in 0..=1000 {
+                let x = s_max * f64::from(k) / 1000.0;
+                let r = cpu.energy_rate(x).unwrap();
+                assert!(
+                    best <= g(x) + 1e-12 * (1.0 + r.abs()),
+                    "{cpu}: λ {lambda} u* {u} beaten at {x}"
+                );
+            }
+        }
+    }
+}
+
+/// On a polynomial processor with a continuous domain the inverse is the
+/// closed form `(λ/(α·β₂))^{1/(α−1)}` clamped to `[s_lo, s_max]`, or 0 at
+/// or below the run-and-sleep slope under `s_lo`, bit for bit.
+#[test]
+fn utilization_at_marginal_is_the_polynomial_closed_form() {
+    let mut rng = Rng::seed_from_u64(0x2011);
+    for case in 0..CASES {
+        let (beta1, beta2, alpha) = (
+            rng.gen_f64(0.0, 0.8),
+            rng.gen_f64(0.1, 4.0),
+            rng.gen_f64(1.2, 3.5),
+        );
+        let min = if case % 2 == 0 {
+            0.0
+        } else {
+            rng.gen_f64(0.0, 0.6)
+        };
+        let p = PowerFunction::polynomial(beta1, beta2, alpha).unwrap();
+        let mut cpu = Processor::new(p, SpeedDomain::continuous(min, 1.0).unwrap());
+        if case % 3 == 0 {
+            cpu = cpu.with_idle_mode(IdleMode::AlwaysOn);
+        }
+        let lo = cpu.critical_speed();
+        let idle = cpu.idle_power();
+        for lambda in marginal_prices(&mut rng) {
+            let want = if lo > 0.0 && lambda <= (p.power(lo) - idle) / lo {
+                0.0
+            } else {
+                (lambda / (alpha * beta2))
+                    .powf(1.0 / (alpha - 1.0))
+                    .max(lo)
+                    .min(1.0)
+            };
+            let got = cpu.utilization_at_marginal(lambda);
+            assert_eq!(got.to_bits(), want.to_bits(), "{cpu} at {lambda}");
+        }
+    }
+}
+
 #[test]
 fn continuous_energy_rate_is_monotone_and_feasible() {
     let mut rng = Rng::seed_from_u64(0x2005);
