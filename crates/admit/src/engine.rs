@@ -457,7 +457,7 @@ struct Domain {
     /// rebuilt only when that union changes — guard readmissions and
     /// re-solve sheds move tasks *between* the two ledgers without
     /// touching the union, so the instance (and its density order, prefix
-    /// sums, and pricing memo) is reused across ticks.
+    /// sums, break-evens and identifier table) is reused across ticks.
     resolve_cache: Option<Instance>,
     /// The task union changed since `resolve_cache` was built.
     union_dirty: bool,
@@ -569,7 +569,7 @@ impl Domain {
 
     /// Reads a block [`Domain::encode`] wrote, priced per `horizon` ticks;
     /// task pins must be below `domains`. Caches start empty: they are
-    /// rebuilt lazily, and memoized pricing replays exact naive bits, so
+    /// rebuilt lazily from the same tasks, and pricing reads no cache, so
     /// this cannot shift a decision.
     fn decode(
         cur: &mut SnapCursor<'_>,
@@ -613,6 +613,13 @@ impl Domain {
         Ok(d)
     }
 }
+
+/// Servers and the benchmark move an engine into a worker thread behind
+/// `Arc<Mutex<_>>`, so it must stay `Send`; its caches need not be `Sync`.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<AdmissionEngine>();
+};
 
 /// The event-driven admission-control engine. See the [module
 /// docs](self) for the model and the determinism contract.
@@ -1687,10 +1694,9 @@ impl AdmissionEngine {
     /// stored as raw `f64` bits (hex) or via Rust's shortest round-trip
     /// `Display` — both parse back bit-identically, so an engine restored
     /// from a snapshot continues producing the exact decision log of the
-    /// engine that wrote it. Caches (pricing memos, the re-solve instance)
-    /// are deliberately excluded: they are rebuilt on demand and memoized
-    /// pricing replays exact naive bits, so rebuilt caches cannot shift a
-    /// decision.
+    /// engine that wrote it. The re-solve instance and its derived tables
+    /// are deliberately excluded: they are pure functions of the ledgers,
+    /// rebuilt on demand, so rebuilt caches cannot shift a decision.
     ///
     /// This is the *complete* form — `base 0 0`, the whole `departed` set
     /// and decision log — which restores onto a fresh engine by itself.

@@ -85,11 +85,12 @@ fn replayed_warm(spec: TraceSpec, warm: bool) -> (String, String) {
     (engine.format_decision_log(), decisions)
 }
 
-/// The hot-path optimizations of this crate — memoized pricing (always
-/// on), the clean-domain re-solve short circuit (always on) and the
-/// warm-started incremental re-solve (toggleable) — must never change a
-/// decision: across ≥10 seeds, warm-started replays produce the same
-/// decision log and cost bits as the naive cold-start path.
+/// The hot-path optimizations of this crate — the cached re-solve
+/// instance (always on), the clean-domain re-solve short circuit (always
+/// on) and the warm-started incremental re-solve (toggleable) — must
+/// never change a decision: across ≥10 seeds, warm-started replays
+/// produce the same decision log and cost bits as the naive cold-start
+/// path.
 #[test]
 fn warm_start_decision_logs_match_cold_across_seeds() {
     for seed in 0..10u64 {

@@ -101,12 +101,13 @@ pub fn run(scale: Scale) -> Table {
             "avg_late_rejections",
         ],
     );
-    let cpu = cubic_ideal();
     let roster = policies();
     for &x in &intensities(scale) {
         // Per seed: (energy, charged penalty, total cost, misses, sheds)
         // for each policy, merged in seed order.
         let per_seed = par_seed_sweep(scale, |seed| {
+            // One processor per seed: its critical-speed cell is not `Sync`.
+            let cpu = cubic_ideal();
             let tasks = WorkloadSpec::new(N, LOAD)
                 .penalty_model(default_penalties(1.0))
                 .seed(seed)

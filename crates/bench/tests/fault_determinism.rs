@@ -29,8 +29,8 @@ fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
 /// Renders one fault-injected trace per seed (via `par_map`, so the worker
 /// count is actually exercised) and concatenates the CSV bytes.
 fn traces() -> Vec<u8> {
-    let cpu = cubic_ideal();
     let per_seed = dvs_exec::par_map_indices(6, |seed| {
+        let cpu = cubic_ideal();
         let tasks = WorkloadSpec::new(8, 0.9)
             .seed(seed as u64)
             .generate()

@@ -1,6 +1,6 @@
 //! Exact branch & bound with convex-relaxation pruning.
 
-use rt_model::{Task, TaskId};
+use rt_model::Task;
 
 use crate::algorithms::{MarginalGreedy, RejectionPolicy};
 use crate::anytime::{AnytimeSolution, BudgetMeter, BudgetedPolicy, SolveBudget, SolveQuality};
@@ -189,33 +189,34 @@ impl BranchBound {
         // on ties the cold path's choice (greedy) is kept, so warm and cold
         // runs that finish within budget return the same solution.
         let greedy = MarginalGreedy.solve(instance)?;
-        let best_known = match warm {
-            Some(w) if w.cost() < greedy.cost() => w,
-            _ => &greedy,
-        };
+        let warm = warm.filter(|w| w.cost() < greedy.cost());
         let mut search = Search {
             instance,
             tasks,
             total_penalty: instance.total_penalty(),
-            incumbent: best_known.cost(),
+            incumbent: warm.unwrap_or(&greedy).cost(),
             best_accept: None,
             current: vec![false; tasks.len()],
             meter: BudgetMeter::new(budget),
         };
         search.dfs(0, 0.0, 0.0)?;
         // A leaf is recorded only when strictly cheaper than the best known
-        // seed; otherwise the seed stands.
-        let accept = search
-            .best_accept
-            .unwrap_or_else(|| tasks.iter().map(|t| best_known.accepts(t.id())).collect());
-        let accepted: Vec<TaskId> = tasks
-            .iter()
-            .zip(&accept)
-            .filter(|(_, &take)| take)
-            .map(|(t, _)| t.id())
-            .collect();
+        // seed; otherwise the seed stands as it was priced: the same
+        // accepted set on the same instance.
+        let solution = match (search.best_accept, warm) {
+            (Some(accept), _) => {
+                let accepted = tasks
+                    .iter()
+                    .zip(&accept)
+                    .filter(|(_, &take)| take)
+                    .map(|(t, _)| t.id());
+                Solution::for_accepted(instance, name, accepted)?
+            }
+            (None, Some(w)) => w.clone().relabelled(name),
+            (None, None) => greedy.relabelled(name),
+        };
         Ok(AnytimeSolution {
-            solution: Solution::for_accepted(instance, name, accepted)?,
+            solution,
             quality: if search.meter.expired() {
                 SolveQuality::Degraded
             } else {
@@ -250,6 +251,7 @@ mod tests {
     use crate::algorithms::Exhaustive;
     use dvs_power::presets::{cubic_ideal, xscale_ideal};
     use rt_model::generator::{PenaltyModel, WorkloadSpec};
+    use rt_model::TaskId;
 
     #[test]
     fn agrees_with_exhaustive_across_models() {

@@ -119,15 +119,20 @@ impl RejectionPolicy for MarginalGreedy {
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let tasks = instance.density_order();
+        // `e_u = E*(u)` rides along with `u`: both move only on an accept,
+        // to the point `e_next` was priced at, so `e_next − e_u` has the
+        // bits of `marginal_energy(u, uᵢ)` with one evaluation per task.
         let mut u = 0.0;
+        let mut e_u = instance.energy_for(u)?;
         let mut accepted = Vec::with_capacity(tasks.len());
         for t in tasks {
             if !instance.processor().is_feasible(u + t.utilization()) {
                 continue;
             }
-            let delta = instance.marginal_energy(u, t.utilization())?;
-            if t.penalty() >= delta {
+            let e_next = instance.energy_for(u + t.utilization())?;
+            if t.penalty() >= e_next - e_u {
                 u += t.utilization();
+                e_u = e_next;
                 accepted.push(t.id());
             }
         }

@@ -135,8 +135,9 @@ pub fn task_set_stationary_point(
 pub fn fractional_lower_bound(instance: &Instance) -> Result<f64, SchedError> {
     let cpu = instance.processor();
     let l = instance.hyper_period() as f64;
+    let at_marginal = cpu.utilization_at_marginal_fn();
     let at = task_set_stationary_point(instance.tasks(), cpu.max_speed(), |rho| {
-        cpu.utilization_at_marginal(rho / l)
+        at_marginal(rho / l)
     });
     let energy = instance.energy_rate(at.t.min(cpu.max_speed()))? * l;
     Ok(energy + instance.total_penalty() - at.sheltered)

@@ -1,6 +1,5 @@
-use std::collections::HashMap;
+use std::cell::OnceCell;
 use std::fmt;
-use std::sync::{OnceLock, PoisonError, RwLock};
 
 use dvs_power::{PowerError, Processor};
 use rt_model::{ModelError, Task, TaskId, TaskSet};
@@ -10,62 +9,30 @@ use crate::SchedError;
 /// Lazily computed, immutable derived data about an [`Instance`].
 ///
 /// Every field is a pure function of the task set, so the cache is filled on
-/// first use and shared for the lifetime of the instance ([`OnceLock`] makes
-/// the fills thread-safe, which the parallel solvers rely on). Cached values
-/// are *bit-identical* to what the uncached code paths computed: sums are
+/// first use and kept for the lifetime of the instance. Solvers run on the
+/// calling thread, so plain [`OnceCell`]s suffice. Cached values are
+/// *bit-identical* to what the uncached code paths computed: sums are
 /// accumulated in task-position order, and the density order uses the same
 /// comparator as the greedy algorithms.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct InstanceCache {
-    /// Task identifier → position in the task set (replaces the `O(n)`
-    /// linear scan of [`TaskSet::get`] on the cost-evaluation hot path).
-    index_of: OnceLock<HashMap<TaskId, usize>>,
+    /// `(identifier, position)` of every task, sorted by identifier: one
+    /// merge with a sorted identifier list finds all their positions.
+    ids: OnceCell<Vec<(TaskId, usize)>>,
     /// `Σ vᵢ` over all tasks.
-    total_penalty: OnceLock<f64>,
+    total_penalty: OnceCell<f64>,
     /// Acceptable tasks sorted by penalty density descending (ties by id).
-    density_order: OnceLock<Vec<Task>>,
+    density_order: OnceCell<Vec<Task>>,
     /// Break-even utilization of each task of
     /// [`InstanceCache::density_order`] (see [`Instance::break_even`]).
-    break_even: OnceLock<Vec<f64>>,
+    break_even: OnceCell<Vec<f64>>,
     /// Running `(Σ uᵢ, Σ vᵢ)` over [`InstanceCache::density_order`]:
     /// entry `k` covers the first `k` tasks (entry 0 is `(0, 0)`).
-    density_prefix: OnceLock<(Vec<f64>, Vec<f64>)>,
+    density_prefix: OnceCell<(Vec<f64>, Vec<f64>)>,
     /// Hyper-period of the full set (the LCM walk is `O(n)` with a gcd per
     /// task, and `energy_for` needs it on every pricing call).
-    hyper_period: OnceLock<u64>,
-    /// Memoized `E*(u)` keyed by the bit pattern of `u`. Branch & bound and
-    /// the admission engine evaluate the same utilization sums over and
-    /// over (subset sums collide massively); each entry stores exactly the
-    /// value the uncached expression produced on first evaluation, so
-    /// replays are bit-identical and insertion order cannot matter.
-    energy_memo: RwLock<HashMap<u64, f64>>,
+    hyper_period: OnceCell<u64>,
 }
-
-/// Cloning snapshots the memo tables; the clone shares no state with the
-/// original (plain `HashMap` copies behind fresh locks).
-impl Clone for InstanceCache {
-    fn clone(&self) -> Self {
-        InstanceCache {
-            index_of: self.index_of.clone(),
-            total_penalty: self.total_penalty.clone(),
-            density_order: self.density_order.clone(),
-            break_even: self.break_even.clone(),
-            density_prefix: self.density_prefix.clone(),
-            hyper_period: self.hyper_period.clone(),
-            energy_memo: RwLock::new(
-                self.energy_memo
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-        }
-    }
-}
-
-/// Hard cap on the pricing memo: admission sessions run indefinitely, so the
-/// table must not grow without bound. 2¹⁶ entries (~1 MiB) covers every
-/// realistic working set; on overflow new values are computed but not stored.
-const ENERGY_MEMO_CAP: usize = 1 << 16;
 
 /// One instance of the rejection-scheduling problem: a periodic task set
 /// (with per-task rejection penalties) plus a DVS processor.
@@ -180,21 +147,18 @@ impl Instance {
             .get_or_init(|| self.tasks.total_penalty())
     }
 
-    /// Task identifier → position map, built once on first use.
-    fn index_map(&self) -> &HashMap<TaskId, usize> {
-        self.cache.index_of.get_or_init(|| {
-            self.tasks
+    /// `(identifier, position)` of every task, sorted by identifier.
+    fn id_table(&self) -> &[(TaskId, usize)] {
+        self.cache.ids.get_or_init(|| {
+            let mut ids: Vec<(TaskId, usize)> = self
+                .tasks
                 .iter()
                 .enumerate()
                 .map(|(i, t)| (t.id(), i))
-                .collect()
+                .collect();
+            ids.sort_unstable();
+            ids
         })
-    }
-
-    /// Position of a task in the set, if present (`O(1)` after warm-up).
-    #[must_use]
-    pub fn index_of(&self, id: TaskId) -> Option<usize> {
-        self.index_map().get(&id).copied()
     }
 
     /// Acceptable tasks (`uᵢ ≤ s_max`) in descending penalty-density order,
@@ -227,9 +191,10 @@ impl Instance {
     pub fn break_even(&self) -> &[f64] {
         self.cache.break_even.get_or_init(|| {
             let l = self.hyper_period() as f64;
+            let at_marginal = self.cpu.utilization_at_marginal_fn();
             self.density_order()
                 .iter()
-                .map(|t| self.cpu.utilization_at_marginal(t.penalty_density() / l))
+                .map(|t| at_marginal(t.penalty_density() / l))
                 .collect()
         })
     }
@@ -258,40 +223,48 @@ impl Instance {
         (u, v)
     }
 
-    /// Marks the positions of `accepted` in the task set (duplicates
-    /// collapse, like the old [`TaskSet::subset`]-based path).
+    /// `(U(A), Σ_{i ∉ A} vᵢ)` for the tasks named by `accepted`
+    /// (duplicates collapse). One merge of the sorted identifiers with the
+    /// identifier table marks their positions; the accepted sums then run
+    /// in task-position order, the order (and so the bits) of summing over
+    /// [`TaskSet::subset`].
     ///
     /// # Errors
     ///
-    /// [`SchedError::Model`] if an identifier is unknown.
-    fn accept_marks(&self, accepted: &[TaskId]) -> Result<Vec<bool>, SchedError> {
-        let index = self.index_map();
-        let mut marks = vec![false; self.tasks.len()];
-        for id in accepted {
-            match index.get(id) {
-                Some(&i) => marks[i] = true,
-                None => {
-                    return Err(SchedError::Model(ModelError::UnknownTask {
-                        task: id.index(),
-                    }))
+    /// The first identifier of `accepted`, in input order, that names no
+    /// task.
+    pub(crate) fn accepted_sums(&self, accepted: &[TaskId]) -> Result<(f64, f64), TaskId> {
+        let mut sorted = Vec::new();
+        let ids = if accepted.is_sorted() {
+            accepted
+        } else {
+            sorted.extend_from_slice(accepted);
+            sorted.sort_unstable();
+            &sorted
+        };
+        let table = self.id_table();
+        let mut marks = vec![false; table.len()];
+        let mut row = 0;
+        for &id in ids {
+            while row < table.len() && table[row].0 < id {
+                row += 1;
+            }
+            match table.get(row) {
+                Some(&(known, pos)) if known == id => marks[pos] = true,
+                _ => {
+                    return Err(*accepted
+                        .iter()
+                        .find(|&&id| table.binary_search_by_key(&id, |&(t, _)| t).is_err())
+                        .expect("the merge met an unknown identifier"))
                 }
             }
         }
-        Ok(marks)
-    }
-
-    /// Sums `(Σ uᵢ, Σ vᵢ)` over the marked tasks in task-position order —
-    /// the same order (and therefore the same floating-point result) as
-    /// summing over [`TaskSet::subset`].
-    fn marked_sums(&self, marks: &[bool]) -> (f64, f64) {
         let (mut u, mut v) = (0.0, 0.0);
-        for (t, &m) in self.tasks.iter().zip(marks) {
-            if m {
-                u += t.utilization();
-                v += t.penalty();
-            }
+        for (t, _) in self.tasks.iter().zip(&marks).filter(|(_, &m)| m) {
+            u += t.utilization();
+            v += t.penalty();
         }
-        (u, v)
+        Ok((u, self.total_penalty() - v))
     }
 
     /// Whether the full set exceeds the processor capacity (`U(T) > s_max`),
@@ -307,50 +280,15 @@ impl Instance {
         self.cpu.is_feasible(task.utilization())
     }
 
-    /// Uncached `E*(u)` — the expression the memo table stores verbatim.
-    /// Kept as a named public path so tests can pin the memoized result to
-    /// it bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`PowerError`] via [`SchedError::Power`] when `u` is infeasible or
-    /// invalid.
-    pub fn energy_for_uncached(&self, utilization: f64) -> Result<f64, SchedError> {
-        Ok(self.cpu.energy_rate(utilization)? * self.hyper_period() as f64)
-    }
-
     /// Minimum energy per hyper-period to serve utilization `u`:
-    /// `E*(u) = L · rate(u)`, memoized on the bit pattern of `u`.
+    /// `E*(u) = L · rate(u)`.
     ///
     /// # Errors
     ///
     /// [`PowerError`] via [`SchedError::Power`] when `u` is infeasible or
     /// invalid.
     pub fn energy_for(&self, utilization: f64) -> Result<f64, SchedError> {
-        let key = utilization.to_bits();
-        if let Some(&e) = self
-            .cache
-            .energy_memo
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            return Ok(e);
-        }
-        let e = self.energy_for_uncached(utilization)?;
-        // `E*` is a pure function of `u`, so concurrent fills insert the
-        // same bits — last-writer-wins is harmless and the table stays
-        // deterministic regardless of thread interleaving. Errors are not
-        // cached (they carry no value and are off the hot path).
-        let mut memo = self
-            .cache
-            .energy_memo
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if memo.len() < ENERGY_MEMO_CAP {
-            memo.insert(key, e);
-        }
-        Ok(e)
+        Ok(self.cpu.energy_rate(utilization)? * self.hyper_period() as f64)
     }
 
     /// Marginal energy of raising the served utilization from `u` to
@@ -363,14 +301,19 @@ impl Instance {
         Ok(self.energy_for(u + du)? - self.energy_for(u)?)
     }
 
+    /// `accepted_sums` with an unknown identifier as a model error.
+    pub(crate) fn sums_of(&self, accepted: &[TaskId]) -> Result<(f64, f64), SchedError> {
+        self.accepted_sums(accepted)
+            .map_err(|id| SchedError::Model(ModelError::UnknownTask { task: id.index() }))
+    }
+
     /// Utilization of an accepted set given by task identifiers.
     ///
     /// # Errors
     ///
     /// [`SchedError::Model`] if an identifier is unknown.
     pub fn utilization_of(&self, accepted: &[TaskId]) -> Result<f64, SchedError> {
-        let marks = self.accept_marks(accepted)?;
-        Ok(self.marked_sums(&marks).0)
+        Ok(self.sums_of(accepted)?.0)
     }
 
     /// Total penalty of the tasks *not* in `accepted`.
@@ -379,8 +322,7 @@ impl Instance {
     ///
     /// [`SchedError::Model`] if an identifier is unknown.
     pub fn rejected_penalty_of(&self, accepted: &[TaskId]) -> Result<f64, SchedError> {
-        let marks = self.accept_marks(accepted)?;
-        Ok(self.total_penalty() - self.marked_sums(&marks).1)
+        Ok(self.sums_of(accepted)?.1)
     }
 
     /// Full cost of an accepted set: `E*(U(A)) + Σ_{i ∉ A} vᵢ`.
@@ -390,9 +332,8 @@ impl Instance {
     /// * [`SchedError::Model`] for unknown identifiers.
     /// * [`SchedError::Power`] if the set is infeasible (`U(A) > s_max`).
     pub fn cost_of(&self, accepted: &[TaskId]) -> Result<f64, SchedError> {
-        let marks = self.accept_marks(accepted)?;
-        let (u, accepted_penalty) = self.marked_sums(&marks);
-        Ok(self.energy_for(u)? + (self.total_penalty() - accepted_penalty))
+        let (u, rejected_penalty) = self.sums_of(accepted)?;
+        Ok(self.energy_for(u)? + rejected_penalty)
     }
 
     /// The energy rate function exposed for bounds: `rate(u)` per tick.
@@ -503,9 +444,16 @@ mod tests {
     #[test]
     fn index_map_resolves_every_task() {
         let inst = instance();
-        assert_eq!(inst.index_of(TaskId::new(0)), Some(0));
-        assert_eq!(inst.index_of(TaskId::new(1)), Some(1));
-        assert_eq!(inst.index_of(TaskId::new(9)), None);
+        let (t0, t1, t9) = (TaskId::new(0), TaskId::new(1), TaskId::new(9));
+        assert_eq!(inst.accepted_sums(&[t0]).unwrap().0, 0.3);
+        assert_eq!(inst.accepted_sums(&[t1]).unwrap().0, 0.8);
+        // The first unknown identifier in input order is reported, sorted
+        // or not.
+        assert_eq!(inst.accepted_sums(&[t1, t9]), Err(t9));
+        assert_eq!(
+            inst.accepted_sums(&[TaskId::new(12), t0, t9]),
+            Err(TaskId::new(12))
+        );
     }
 
     #[test]
@@ -546,37 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_energy_replays_uncached_bits() {
-        let tasks = TaskSet::try_from_tasks(vec![Task::new(0, 1.0, 10).unwrap()]).unwrap();
-        for cpu in [cubic_ideal(), xscale_ideal()] {
-            let inst = Instance::new(tasks.clone(), cpu).unwrap();
-            for k in 0..=100 {
-                let u = k as f64 / 100.0;
-                let memo1 = inst.energy_for(u).unwrap();
-                let memo2 = inst.energy_for(u).unwrap(); // replay from table
-                let naive = inst.energy_for_uncached(u).unwrap();
-                assert_eq!(memo1.to_bits(), naive.to_bits(), "first fill at u={u}");
-                assert_eq!(memo2.to_bits(), naive.to_bits(), "replay at u={u}");
-            }
-            // Infeasible demand still errors after warm-up.
-            assert!(inst.energy_for(2.0).is_err());
-        }
-    }
-
-    #[test]
-    fn memoized_marginal_energy_matches_uncached() {
-        let tasks = TaskSet::try_from_tasks(vec![Task::new(0, 1.0, 10).unwrap()]).unwrap();
-        let inst = Instance::new(tasks, xscale_ideal()).unwrap();
-        for k in 0..90 {
-            let u = k as f64 / 100.0;
-            let m = inst.marginal_energy(u, 0.07).unwrap();
-            let naive =
-                inst.energy_for_uncached(u + 0.07).unwrap() - inst.energy_for_uncached(u).unwrap();
-            assert_eq!(m.to_bits(), naive.to_bits(), "at u={u}");
-        }
-    }
-
-    #[test]
     fn hyper_period_cache_matches_task_set() {
         let inst = instance();
         assert_eq!(inst.hyper_period(), inst.tasks().hyper_period());
@@ -587,7 +504,7 @@ mod tests {
     fn equality_and_clone_ignore_cache_state() {
         let a = instance();
         let _ = a.density_order(); // warm the cache on one side only
-        let _ = a.index_of(TaskId::new(0));
+        let _ = a.utilization_of(&[TaskId::new(0)]);
         let b = instance();
         assert_eq!(a, b);
         let c = a.clone();

@@ -1,4 +1,3 @@
-use std::collections::HashSet;
 use std::fmt;
 
 use dvs_power::ExecutionPlan;
@@ -55,14 +54,13 @@ impl Solution {
         let mut accepted: Vec<TaskId> = accepted.into_iter().collect();
         accepted.sort();
         accepted.dedup();
-        let u = instance.utilization_of(&accepted)?;
+        let (u, penalty) = instance.sums_of(&accepted)?;
         let plan = if accepted.is_empty() {
             None
         } else {
             Some(instance.processor().plan(u)?)
         };
         let energy = instance.energy_for(u)?;
-        let penalty = instance.rejected_penalty_of(&accepted)?;
         Ok(Solution {
             algorithm,
             accepted,
@@ -70,6 +68,12 @@ impl Solution {
             energy,
             penalty,
         })
+    }
+
+    /// The same solution under another algorithm's name.
+    pub(crate) fn relabelled(mut self, algorithm: &'static str) -> Self {
+        self.algorithm = algorithm;
+        self
     }
 
     /// Name of the producing algorithm.
@@ -183,22 +187,16 @@ impl Solution {
     /// property: duplicate/unknown identifiers, infeasible utilization, or a
     /// cost component that disagrees with the instance's oracles.
     pub fn verify(&self, instance: &Instance) -> Result<(), SchedError> {
-        let unique: HashSet<TaskId> = self.accepted.iter().copied().collect();
-        if unique.len() != self.accepted.len() {
+        let mut ids = self.accepted.clone();
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
             return Err(SchedError::VerificationFailed {
                 reason: "accepted set contains duplicates".into(),
             });
         }
-        for id in &self.accepted {
-            if instance.tasks().get(*id).is_none() {
-                return Err(SchedError::VerificationFailed {
-                    reason: format!("accepted task {id} is not in the instance"),
-                });
-            }
-        }
-        let u = instance.utilization_of(&self.accepted).map_err(|e| {
+        let (u, penalty) = instance.accepted_sums(&self.accepted).map_err(|id| {
             SchedError::VerificationFailed {
-                reason: e.to_string(),
+                reason: format!("accepted task {id} is not in the instance"),
             }
         })?;
         if !instance.processor().is_feasible(u) {
@@ -219,11 +217,6 @@ impl Solution {
                 reason: format!("stored energy {} but oracle says {energy}", self.energy),
             });
         }
-        let penalty = instance.rejected_penalty_of(&self.accepted).map_err(|e| {
-            SchedError::VerificationFailed {
-                reason: e.to_string(),
-            }
-        })?;
         if (penalty - self.penalty).abs() > VERIFY_TOLERANCE * penalty.abs().max(1.0) {
             return Err(SchedError::VerificationFailed {
                 reason: format!("stored penalty {} but oracle says {penalty}", self.penalty),
@@ -387,6 +380,25 @@ mod tests {
             s.verify(&inst),
             Err(SchedError::VerificationFailed { .. })
         ));
+    }
+
+    #[test]
+    fn verify_catches_tampered_identifiers() {
+        let inst = instance();
+        let reason = |accepted: &[usize]| {
+            let mut s = Solution::for_accepted(&inst, "test", [TaskId::new(0)]).unwrap();
+            s.accepted = accepted.iter().map(|&i| TaskId::new(i)).collect();
+            match s.verify(&inst) {
+                Err(SchedError::VerificationFailed { reason }) => reason,
+                other => panic!("{accepted:?}: {other:?}"),
+            }
+        };
+        assert_eq!(reason(&[1, 0, 1]), "accepted set contains duplicates");
+        // The first unknown identifier in stored order is named.
+        assert_eq!(
+            reason(&[0, 9, 7]),
+            "accepted task τ9 is not in the instance"
+        );
     }
 
     #[test]

@@ -14,10 +14,11 @@ use reject_sched::algorithms::{
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget};
 use reject_sched::bounds::fractional_lower_bound;
 use reject_sched::hardness::{Knapsack, KnapsackItem};
-use reject_sched::{Instance, RejectionPolicy};
+use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
 use rt_model::generator::{PenaltyModel, WorkloadSpec};
 use rt_model::rng::Rng;
-use rt_model::{Task, TaskSet};
+use rt_model::{ModelError, Task, TaskId, TaskSet};
+use std::collections::HashMap;
 
 const CASES: u64 = 48;
 
@@ -504,6 +505,326 @@ fn repeated_solves_are_bit_identical() {
                 .solution;
             assert_eq!(plain.accepted(), budgeted.accepted(), "seed {seed}");
             assert_eq!(plain.cost().to_bits(), budgeted.cost().to_bits());
+        }
+    }
+}
+
+/// The processors the pricing differential suite runs on: every preset, a
+/// CMOS processor and a hand-made discrete one, both idle modes.
+fn pricing_processors() -> Vec<dvs_power::Processor> {
+    use dvs_power::presets::{leaky_with_overhead, uniform_levels, xscale_levels, xscale_measured};
+    use dvs_power::{IdleMode, PowerFunction, Processor, SpeedDomain};
+    let base = [
+        cubic_ideal(),
+        xscale_ideal(),
+        xscale_levels(),
+        xscale_measured(),
+        leaky_with_overhead(0.5, 0.2),
+        uniform_levels(5),
+        Processor::new(
+            PowerFunction::cmos(1.0, 0.4, 1.0, 0.05).unwrap(),
+            SpeedDomain::continuous(0.0, 1.0).unwrap(),
+        ),
+        Processor::new(
+            PowerFunction::polynomial(0.08, 1.52, 3.0).unwrap(),
+            SpeedDomain::discrete(vec![0.15, 0.4, 0.6, 0.8, 1.0]).unwrap(),
+        ),
+    ];
+    base.iter()
+        .flat_map(|cpu| [cpu.clone(), cpu.clone().with_idle_mode(IdleMode::AlwaysOn)])
+        .collect()
+}
+
+/// A random overloaded instance on `cpu` for the pricing suite. The
+/// identifiers (`≡ 1 mod 3`) are shuffled, so position order is not
+/// identifier order.
+fn pricing_instance(rng: &mut Rng, cpu: &dvs_power::Processor, max_n: usize) -> Instance {
+    let n = 1 + rng.gen_index(max_n);
+    let mut ids: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_index(i + 1));
+    }
+    let tasks = TaskSet::try_from_tasks(ids.into_iter().map(|id| {
+        let period = [10u64, 20, 40][rng.gen_index(3)];
+        Task::new(id, rng.gen_f64(0.01, 0.5) * period as f64, period)
+            .unwrap()
+            .with_penalty(rng.gen_f64(0.0, 30.0))
+    }))
+    .unwrap();
+    Instance::new(tasks, cpu.clone()).unwrap()
+}
+
+/// `(U(A), Σ_{i ∉ A} vᵢ)` as `Instance` priced an accepted set before the
+/// sorted identifier table: an identifier → position hash map, a mark per
+/// position, and the sums in position order.
+fn hash_marked_sums(inst: &Instance, accepted: &[TaskId]) -> Result<(f64, f64), SchedError> {
+    let index: HashMap<TaskId, usize> = inst
+        .tasks()
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (t.id(), i))
+        .collect();
+    let mut marks = vec![false; inst.len()];
+    for id in accepted {
+        match index.get(id) {
+            Some(&i) => marks[i] = true,
+            None => {
+                return Err(SchedError::Model(ModelError::UnknownTask {
+                    task: id.index(),
+                }))
+            }
+        }
+    }
+    let (mut u, mut v) = (0.0, 0.0);
+    for (t, &m) in inst.tasks().iter().zip(&marks) {
+        if m {
+            u += t.utilization();
+            v += t.penalty();
+        }
+    }
+    Ok((u, inst.total_penalty() - v))
+}
+
+/// `E*(u)` as the memo-free expression: `L · rate(u)`.
+fn energy_reference(inst: &Instance, u: f64) -> Result<f64, SchedError> {
+    Ok(inst.energy_rate(u)? * inst.hyper_period() as f64)
+}
+
+/// `utilization_of`, `rejected_penalty_of`, `cost_of` and
+/// `Solution::for_accepted` give the bits and errors of the hash-marked
+/// reference on random identifier lists with repeats, in random order,
+/// some naming no task.
+#[test]
+fn pricing_matches_the_hash_marked_reference() {
+    let mut rng = Rng::seed_from_u64(0xC0DE_0020);
+    let mut unknown = 0u32;
+    let mut priced = 0u32;
+    for cpu in pricing_processors() {
+        for _ in 0..CASES {
+            let inst = pricing_instance(&mut rng, &cpu, 16);
+            let top = 3 * inst.len() + 2;
+            let k = rng.gen_index(inst.len() + 3);
+            let ids: Vec<TaskId> = (0..k)
+                .map(|_| {
+                    // Mostly real identifiers (≡ 1 mod 3), some unknown.
+                    let i = rng.gen_index(top);
+                    TaskId::new(if rng.gen_index(4) == 0 {
+                        i
+                    } else {
+                        i - i % 3 + 1
+                    })
+                })
+                .collect();
+            let want = hash_marked_sums(&inst, &ids);
+            let bits = |r: Result<f64, SchedError>| r.map(f64::to_bits);
+            assert_eq!(
+                bits(inst.utilization_of(&ids)),
+                bits(want.clone().map(|s| s.0)),
+                "{ids:?}"
+            );
+            assert_eq!(
+                bits(inst.rejected_penalty_of(&ids)),
+                bits(want.clone().map(|s| s.1))
+            );
+            let cost = want
+                .clone()
+                .and_then(|(u, v)| Ok(energy_reference(&inst, u)? + v));
+            assert_eq!(bits(inst.cost_of(&ids)), bits(cost));
+
+            let mut sorted = ids.clone();
+            sorted.sort();
+            sorted.dedup();
+            let reference = hash_marked_sums(&inst, &sorted).and_then(|(u, penalty)| {
+                let plan = if sorted.is_empty() {
+                    None
+                } else {
+                    Some(inst.processor().plan(u)?)
+                };
+                Ok((
+                    plan,
+                    energy_reference(&inst, u)?.to_bits(),
+                    penalty.to_bits(),
+                ))
+            });
+            match (Solution::for_accepted(&inst, "ref", ids.clone()), reference) {
+                (Ok(s), Ok((plan, energy, penalty))) => {
+                    assert_eq!(s.accepted(), &sorted[..]);
+                    assert_eq!(s.plan(), plan.as_ref());
+                    assert_eq!(
+                        (s.energy().to_bits(), s.penalty().to_bits()),
+                        (energy, penalty)
+                    );
+                    s.verify(&inst).unwrap();
+                    priced += 1;
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(got, want, "{ids:?}");
+                    unknown += u32::from(matches!(got, SchedError::Model(_)));
+                }
+                (got, want) => panic!("{ids:?}: {got:?} vs {want:?}"),
+            }
+        }
+    }
+    assert!(
+        unknown > 50 && priced > 100,
+        "{unknown} unknown, {priced} priced"
+    );
+}
+
+/// `MarginalGreedy` prices each candidate once and carries `E*(u)`; its
+/// accepted set and cost bits equal the two-evaluation reference that
+/// called `marginal_energy(u, uᵢ)` per candidate.
+#[test]
+fn marginal_greedy_matches_the_two_evaluation_reference() {
+    let mut rng = Rng::seed_from_u64(0xC0DE_0021);
+    for cpu in pricing_processors() {
+        for _ in 0..CASES {
+            let inst = pricing_instance(&mut rng, &cpu, 40);
+            let mut u = 0.0;
+            let mut accepted = Vec::new();
+            for t in inst.density_order() {
+                if !inst.processor().is_feasible(u + t.utilization()) {
+                    continue;
+                }
+                if t.penalty() >= inst.marginal_energy(u, t.utilization()).unwrap() {
+                    u += t.utilization();
+                    accepted.push(t.id());
+                }
+            }
+            let want = Solution::for_accepted(&inst, "marginal-greedy", accepted).unwrap();
+            let got = MarginalGreedy.solve(&inst).unwrap();
+            assert_eq!(got, want);
+            assert_eq!(got.cost().to_bits(), want.cost().to_bits());
+        }
+    }
+}
+
+/// `utilization_at_marginal(λ)` as it was written before its constants
+/// were hoisted: the run-and-sleep slope (continuous) or every chord
+/// (discrete) evaluated again for each `λ`. Beyond the run-and-sleep
+/// segment the continuous answer is the unchanged closed form, read back
+/// through the scalar call.
+fn marginal_reference(cpu: &dvs_power::Processor, lambda: f64) -> f64 {
+    let rate = |u: f64| cpu.energy_rate(u).unwrap();
+    match cpu.domain().levels() {
+        None => {
+            let lo = cpu.critical_speed();
+            if lo > 0.0 && lambda <= (rate(lo) - rate(0.0)) / lo {
+                0.0
+            } else {
+                cpu.utilization_at_marginal(lambda)
+            }
+        }
+        Some(levels) => {
+            let (mut u, mut r) = (0.0, rate(0.0));
+            for &s in levels {
+                let next = rate(s);
+                if (next - r) / (s - u) >= lambda {
+                    return u;
+                }
+                (u, r) = (s, next);
+            }
+            u
+        }
+    }
+}
+
+/// `Instance::break_even` (one `utilization_at_marginal_fn` per fill)
+/// equals the per-task reference bit for bit, dormant-disable included,
+/// and so does the scalar call; so does the batch form on every
+/// breakpoint of the rate curve, one ulp either side of it, and a grid.
+#[test]
+fn break_even_matches_the_per_task_reference() {
+    let mut rng = Rng::seed_from_u64(0xC0DE_0022);
+    let mut at_zero = 0u32;
+    for cpu in pricing_processors() {
+        let rate = |u: f64| cpu.energy_rate(u).unwrap();
+        let mut lambdas: Vec<f64> = (0..200).map(|k| f64::from(k) * 0.05).collect();
+        let lo = cpu.critical_speed();
+        if lo > 0.0 {
+            lambdas.push((rate(lo) - rate(0.0)) / lo);
+        }
+        let (mut u, mut r) = (0.0, rate(0.0));
+        for &s in cpu.domain().levels().unwrap_or(&[]) {
+            lambdas.push((rate(s) - r) / (s - u));
+            (u, r) = (s, rate(s));
+        }
+        let at_marginal = cpu.utilization_at_marginal_fn();
+        for lambda in lambdas
+            .into_iter()
+            .flat_map(|l| [l.next_down(), l, l.next_up()])
+        {
+            let want = marginal_reference(&cpu, lambda);
+            assert_eq!(
+                at_marginal(lambda).to_bits(),
+                want.to_bits(),
+                "{cpu:?} λ {lambda}"
+            );
+        }
+        for _ in 0..CASES {
+            let inst = pricing_instance(&mut rng, &cpu, 24);
+            let l = inst.hyper_period() as f64;
+            for (t, &got) in inst.density_order().iter().zip(inst.break_even()) {
+                let lambda = t.penalty_density() / l;
+                let want = marginal_reference(&cpu, lambda);
+                assert_eq!(got.to_bits(), want.to_bits(), "{cpu:?} λ {lambda}");
+                assert_eq!(
+                    cpu.utilization_at_marginal(lambda).to_bits(),
+                    want.to_bits()
+                );
+                at_zero += u32::from(got == 0.0);
+            }
+        }
+    }
+    assert!(at_zero > 0, "no price fell on the run-and-sleep segment");
+}
+
+/// Branch & bound returns an unbeaten seed as it was priced: every result,
+/// cold, budgeted and warm-started (from the optimum, the greedy, an
+/// empty set and a random feasible set), equals `Solution::for_accepted`
+/// of its own accepted set under its own name.
+#[test]
+fn branch_bound_results_equal_their_repriced_sets() {
+    let mut rng = Rng::seed_from_u64(0xC0DE_0023);
+    let reprice = |inst: &Instance, s: &Solution| {
+        Solution::for_accepted(inst, s.algorithm(), s.accepted().iter().copied()).unwrap()
+    };
+    for cpu in pricing_processors() {
+        for _ in 0..CASES / 4 {
+            let inst = pricing_instance(&mut rng, &cpu, 14);
+            let bb = BranchBound::default();
+            let cold = bb.solve(&inst).unwrap();
+            assert_eq!(cold.algorithm(), "branch-bound");
+            assert_eq!(cold, reprice(&inst, &cold));
+            let budget = SolveBudget::nodes(1 + rng.gen_index(40) as u64);
+            let tight = bb.solve_within(&inst, &budget).unwrap().solution;
+            assert_eq!(tight.algorithm(), "anytime-branch-bound");
+            assert_eq!(tight, reprice(&inst, &tight));
+            let mut random = Vec::new();
+            let mut u = 0.0;
+            for t in inst.tasks().iter() {
+                if rng.gen_index(2) == 0 && inst.processor().is_feasible(u + t.utilization()) {
+                    u += t.utilization();
+                    random.push(t.id());
+                }
+            }
+            let seeds = [
+                cold.clone(),
+                MarginalGreedy.solve(&inst).unwrap(),
+                Solution::for_accepted(&inst, "empty", []).unwrap(),
+                Solution::for_accepted(&inst, "random", random).unwrap(),
+            ];
+            for warm in &seeds {
+                for budget in [SolveBudget::unlimited(), budget] {
+                    let got = bb
+                        .solve_within_seeded(&inst, &budget, warm)
+                        .unwrap()
+                        .solution;
+                    assert_eq!(got.algorithm(), "anytime-branch-bound");
+                    assert_eq!(got, reprice(&inst, &got));
+                    assert!(got.cost() <= warm.cost());
+                }
+            }
         }
     }
 }

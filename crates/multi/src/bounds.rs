@@ -45,8 +45,9 @@ pub fn fractional_lower_bound_multi(instance: &MultiInstance) -> Result<f64, Sch
     let cpu = instance.processor();
     let m = instance.processors() as f64;
     let l = instance.hyper_period() as f64;
+    let at_marginal = cpu.utilization_at_marginal_fn();
     let at = task_set_stationary_point(instance.tasks(), instance.capacity(), |rho| {
-        m * cpu.utilization_at_marginal(rho / l)
+        m * at_marginal(rho / l)
     });
     let rate = cpu.energy_rate((at.t / m).min(cpu.max_speed()))?;
     Ok(m * l * rate + instance.total_penalty() - at.sheltered)

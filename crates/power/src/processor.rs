@@ -1,5 +1,5 @@
+use std::cell::OnceCell;
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::function;
 use crate::plan::{ExecutionPlan, SpeedSegment};
@@ -70,8 +70,8 @@ pub struct Processor {
     /// search, and `energy_rate` — the admission hot path — needs `s*` on
     /// every call. The cell is filled once with exactly the value the
     /// uncached path computes and replayed thereafter, so results are
-    /// bit-identical and thread-safe (`OnceLock`).
-    crit_cache: OnceLock<f64>,
+    /// bit-identical.
+    crit_cache: OnceCell<f64>,
 }
 
 /// Equality ignores the lazily filled critical-speed cache — two processors
@@ -90,7 +90,7 @@ impl Processor {
             power,
             domain,
             idle: IdleMode::Sleep(DormantMode::free()),
-            crit_cache: OnceLock::new(),
+            crit_cache: OnceCell::new(),
         }
     }
 
@@ -99,7 +99,7 @@ impl Processor {
     pub fn with_idle_mode(mut self, idle: IdleMode) -> Self {
         self.idle = idle;
         // The critical speed depends on the idle mode; drop any cached value.
-        self.crit_cache = OnceLock::new();
+        self.crit_cache = OnceCell::new();
         self
     }
 
@@ -263,25 +263,43 @@ impl Processor {
     ///   the chord slope is at least `λ`.
     #[must_use]
     pub fn utilization_at_marginal(&self, lambda: f64) -> f64 {
+        self.utilization_at_marginal_fn()(lambda)
+    }
+
+    /// [`Processor::utilization_at_marginal`] for many prices: the
+    /// run-and-sleep slope below `s_lo` (continuous domains) or the chord
+    /// slope from each vertex to the next (discrete domains) is computed
+    /// once, and the returned function answers each `λ` with the bits of
+    /// the scalar call.
+    #[must_use]
+    pub fn utilization_at_marginal_fn(&self) -> Box<dyn Fn(f64) -> f64 + '_> {
         let rate = |u: f64| self.energy_rate(u).expect("vertices lie in [0, s_max]");
         match &self.domain {
             SpeedDomain::Continuous { max, .. } => {
                 let lo = self.critical_speed();
-                if lo > 0.0 && lambda <= (rate(lo) - rate(0.0)) / lo {
-                    return 0.0;
-                }
-                self.power.speed_at_slope(lambda, lo, *max)
+                let flat = (lo > 0.0).then(|| (rate(lo) - rate(0.0)) / lo);
+                Box::new(move |lambda| {
+                    if flat.is_some_and(|slope| lambda <= slope) {
+                        0.0
+                    } else {
+                        self.power.speed_at_slope(lambda, lo, *max)
+                    }
+                })
             }
             SpeedDomain::Discrete { levels } => {
                 let (mut u, mut r) = (0.0, rate(0.0));
+                let mut chords = Vec::with_capacity(levels.len());
                 for &s in levels {
                     let next = rate(s);
-                    if (next - r) / (s - u) >= lambda {
-                        return u;
-                    }
+                    chords.push((u, (next - r) / (s - u)));
                     (u, r) = (s, next);
                 }
-                u
+                Box::new(move |lambda| {
+                    chords
+                        .iter()
+                        .find(|&&(_, slope)| slope >= lambda)
+                        .map_or(u, |&(vertex, _)| vertex)
+                })
             }
         }
     }

@@ -46,13 +46,18 @@ impl TaskSet {
     /// [`ModelError::DuplicateTaskId`] if two tasks share an identifier.
     pub fn try_from_tasks(tasks: impl IntoIterator<Item = Task>) -> Result<Self, ModelError> {
         let tasks: Vec<Task> = tasks.into_iter().collect();
-        let mut seen = HashSet::with_capacity(tasks.len());
-        for t in &tasks {
-            if !seen.insert(t.id()) {
-                return Err(ModelError::DuplicateTaskId {
-                    task: t.id().index(),
-                });
-            }
+        let mut ids: Vec<TaskId> = tasks.iter().map(Task::id).collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
+            // Name the identifier whose second occurrence comes first.
+            let mut seen = HashSet::with_capacity(tasks.len());
+            let repeat = tasks
+                .iter()
+                .find(|t| !seen.insert(t.id()))
+                .expect("a sorted scan found a repeat");
+            return Err(ModelError::DuplicateTaskId {
+                task: repeat.id().index(),
+            });
         }
         Ok(TaskSet { tasks })
     }
@@ -283,6 +288,21 @@ mod tests {
         ])
         .unwrap_err();
         assert_eq!(err, ModelError::DuplicateTaskId { task: 7 });
+    }
+
+    #[test]
+    fn duplicate_error_names_the_first_repeat() {
+        // The first repeat sits at the start, in the middle and at the end;
+        // a second, smaller duplicate must not be named instead.
+        for (ids, named) in [
+            (vec![5, 5, 1, 2, 3, 1], 5),
+            (vec![3, 8, 1, 8, 3, 6], 8),
+            (vec![2, 0, 9, 4, 6, 0], 0),
+        ] {
+            let tasks = ids.iter().map(|&i| Task::new(i, 1.0, 4).unwrap());
+            let err = TaskSet::try_from_tasks(tasks).unwrap_err();
+            assert_eq!(err, ModelError::DuplicateTaskId { task: named }, "{ids:?}");
+        }
     }
 
     #[test]
