@@ -57,7 +57,10 @@ fn decision_log_is_bit_identical_across_replays() {
     }
 }
 
-fn replayed_warm(spec: TraceSpec, warm: bool) -> (String, String) {
+/// Replays `spec` with re-solves every tick, warm- or cold-started, and
+/// returns the decision log, the decision counters with cost bits, and the
+/// search nodes the re-solves spent.
+fn replayed_warm(spec: TraceSpec, warm: bool) -> (String, String, u64) {
     let trace = spec.generate().unwrap();
     let mut engine = AdmissionEngine::new(
         vec![xscale_ideal()],
@@ -82,7 +85,7 @@ fn replayed_warm(spec: TraceSpec, warm: bool) -> (String, String) {
         m.penalty_accrued.to_bits(),
         m.penalty_charged.to_bits()
     );
-    (engine.format_decision_log(), decisions)
+    (engine.format_decision_log(), decisions, m.resolve_nodes)
 }
 
 /// The hot-path optimizations of this crate — the cached re-solve
@@ -90,24 +93,40 @@ fn replayed_warm(spec: TraceSpec, warm: bool) -> (String, String) {
 /// on) and the warm-started incremental re-solve (toggleable) — must
 /// never change a decision: across ≥10 seeds, warm-started replays
 /// produce the same decision log and cost bits as the naive cold-start
-/// path.
+/// path. Warm-starting must also pay for itself: per trace it never
+/// spends more search nodes than the cold start, and over all traces
+/// strictly fewer. The second shape (32 tasks, load 3.0, a tick every 50)
+/// is a sustained overload whose marginal-greedy incumbents are sometimes
+/// suboptimal, which is where the standing accepted set prunes nodes.
 #[test]
 fn warm_start_decision_logs_match_cold_across_seeds() {
-    for seed in 0..10u64 {
-        let spec = TraceSpec::new(14, 2.2, seed);
-        let (ref_log, ref_decisions) = replayed_warm(spec, false);
+    let specs = (0..10u64)
+        .map(|seed| TraceSpec::new(14, 2.2, seed))
+        .chain((0..4u64).map(|seed| TraceSpec::new(32, 3.0, seed).tick_every(50.0)));
+    let (mut cold_total, mut warm_total) = (0u64, 0u64);
+    for spec in specs {
+        let (ref_log, ref_decisions, cold_nodes) = replayed_warm(spec, false);
         for warm in [false, true] {
-            let (log, decisions) = replayed_warm(spec, warm);
-            assert_eq!(
-                log, ref_log,
-                "seed {seed} warm {warm}: decision log diverged"
-            );
+            let (log, decisions, nodes) = replayed_warm(spec, warm);
+            assert_eq!(log, ref_log, "{spec:?} warm {warm}: decision log diverged");
             assert_eq!(
                 decisions, ref_decisions,
-                "seed {seed} warm {warm}: decision counters diverged"
+                "{spec:?} warm {warm}: decision counters diverged"
             );
+            assert!(
+                nodes <= cold_nodes,
+                "{spec:?} warm {warm}: {nodes} > cold {cold_nodes} nodes"
+            );
+            if warm {
+                warm_total += nodes;
+            }
         }
+        cold_total += cold_nodes;
     }
+    assert!(
+        warm_total < cold_total,
+        "warm start saved no nodes: warm {warm_total} vs cold {cold_total}"
+    );
 }
 
 #[test]

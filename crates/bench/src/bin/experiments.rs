@@ -5,79 +5,26 @@
 //! cargo run --release -p bench-suite --bin experiments -- --full  # full grids
 //! cargo run --release -p bench-suite --bin experiments -- --exp f1 --full
 //! cargo run --release -p bench-suite --bin experiments -- --out results/
-//! cargo run --release -p bench-suite --bin experiments -- --baseline  # + JSON snapshot
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench_suite::{baseline, experiments, Scale, Table};
+use bench_suite::experiments::{one, REGISTRY};
+use bench_suite::{Scale, Table};
 
-/// Experiment ids in presentation order. `t2`, `e8`, `e9`, `e10`, `r2`
-/// and `r3` are wall-clock timing and always run alone (after the
-/// parallel batch) so concurrent experiments don't inflate their numbers.
-const IDS: [&str; 24] = [
-    "t1", "t2", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "e1", "e2", "e3", "e4", "e5",
-    "e6", "e7", "e8", "e9", "e10", "r1", "r2", "r3",
-];
-
-/// Wall-clock-timing experiments excluded from the parallel batch.
-const TIMING_IDS: [&str; 6] = ["t2", "e8", "e9", "e10", "r2", "r3"];
-
+/// Every experiment in presentation order. T2 is wall-clock timing: it runs
+/// alone, after the parallel batch, so concurrent experiments don't
+/// inflate its numbers.
 fn all(scale: Scale) -> Vec<(&'static str, Table)> {
-    let analytical: Vec<&'static str> = IDS
+    let batch: Vec<_> = REGISTRY.iter().filter(|(id, _)| *id != "t2").collect();
+    let mut out = dvs_exec::par_map(&batch, |(id, run)| (*id, run(scale)));
+    let slot = REGISTRY
         .iter()
-        .copied()
-        .filter(|id| !TIMING_IDS.contains(id))
-        .collect();
-    let tables = dvs_exec::par_map(&analytical, |id| one(id, scale).expect("known id"));
-    let mut out: Vec<(&'static str, Table)> = analytical.into_iter().zip(tables).collect();
-    // Timing experiments after the batch, on a quiet machine, re-inserted
-    // at their presentation slots.
-    out.insert(1, ("t2", experiments::t2_runtime::run(scale)));
-    let e8 = ("e8", experiments::e8_hotpath::run(scale));
-    let e9 = ("e9", experiments::e9_cluster::run(scale));
-    let e10 = ("e10", experiments::e10_reshard::run(scale));
-    let slot = out
-        .iter()
-        .position(|(id, _)| *id == "r1")
-        .unwrap_or(out.len());
-    out.insert(slot, e10);
-    out.insert(slot, e9);
-    out.insert(slot, e8);
-    out.push(("r2", experiments::r2_chaos::run(scale)));
-    out.push(("r3", experiments::r3_failover::run(scale)));
+        .position(|(id, _)| *id == "t2")
+        .expect("registered");
+    out.insert(slot, ("t2", one("t2", scale).expect("registered")));
     out
-}
-
-fn one(id: &str, scale: Scale) -> Option<Table> {
-    Some(match id {
-        "t1" => experiments::t1_normalized_cost::run(scale),
-        "t2" => experiments::t2_runtime::run(scale),
-        "f1" => experiments::f1_load_sweep::run(scale),
-        "f2" => experiments::f2_penalty_scale::run(scale),
-        "f3" => experiments::f3_acceptance::run(scale),
-        "f4" => experiments::f4_fptas_tradeoff::run(scale),
-        "f5" => experiments::f5_discrete_speeds::run(scale),
-        "f6" => experiments::f6_leakage::run(scale),
-        "f7" => experiments::f7_multiproc::run(scale),
-        "f8" => experiments::f8_consolidation::run(scale),
-        "f9" => experiments::f9_switch_ablation::run(scale),
-        "e1" => experiments::e1_online::run(scale),
-        "e2" => experiments::e2_hetero::run(scale),
-        "e3" => experiments::e3_slack_reclaim::run(scale),
-        "e4" => experiments::e4_constrained::run(scale),
-        "e5" => experiments::e5_budget::run(scale),
-        "e6" => experiments::e6_synthesis::run(scale),
-        "e7" => experiments::e7_admission_replay::run(scale),
-        "e8" => experiments::e8_hotpath::run(scale),
-        "e9" => experiments::e9_cluster::run(scale),
-        "e10" => experiments::e10_reshard::run(scale),
-        "r1" => experiments::r1_fault_sweep::run(scale),
-        "r2" => experiments::r2_chaos::run(scale),
-        "r3" => experiments::r3_failover::run(scale),
-        _ => return None,
-    })
 }
 
 fn main() -> ExitCode {
@@ -85,7 +32,6 @@ fn main() -> ExitCode {
     let mut scale = Scale::Quick;
     let mut exp: Option<String> = None;
     let mut out: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -104,15 +50,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--baseline" => write_baseline = true,
             "--help" | "-h" => {
+                let ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
                 eprintln!(
-                    "usage: experiments [--full] [--exp t1|t2|f1..f9|e1..e10|r1..r3] [--out DIR] \
-                     [--baseline]"
-                );
-                eprintln!(
-                    "  --baseline  also write <out|results>/bench_baseline.json \
-                     (T1 + T2 + R1 + E7 + E8 + E9 + E10 + R2 + R3)"
+                    "usage: experiments [--full] [--exp {}] [--out DIR]",
+                    ids.join("|")
                 );
                 return ExitCode::SUCCESS;
             }
@@ -145,31 +87,6 @@ fn main() -> ExitCode {
             }
             eprintln!("wrote {}", path.display());
         }
-    }
-    if write_baseline {
-        // Reuse the tables just computed; fill in whichever of T1/T2 the
-        // `--exp` filter skipped.
-        let find = |id: &str| tables.iter().find(|(i, _)| i == id).map(|(_, t)| t.clone());
-        let t1 = find("t1").unwrap_or_else(|| experiments::t1_normalized_cost::run(scale));
-        let t2 = find("t2").unwrap_or_else(|| experiments::t2_runtime::run(scale));
-        let r1 = find("r1").unwrap_or_else(|| experiments::r1_fault_sweep::run(scale));
-        let e7 = find("e7").unwrap_or_else(|| experiments::e7_admission_replay::run(scale));
-        let e8 = find("e8").unwrap_or_else(|| experiments::e8_hotpath::run(scale));
-        let e9 = find("e9").unwrap_or_else(|| experiments::e9_cluster::run(scale));
-        let e10 = find("e10").unwrap_or_else(|| experiments::e10_reshard::run(scale));
-        let r2 = find("r2").unwrap_or_else(|| experiments::r2_chaos::run(scale));
-        let r3 = find("r3").unwrap_or_else(|| experiments::r3_failover::run(scale));
-        let path = out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results"))
-            .join("bench_baseline.json");
-        if let Err(e) =
-            baseline::write_baseline(&path, scale, &t1, &t2, &r1, &e7, &e8, &e9, &e10, &r2, &r3)
-        {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }

@@ -1,11 +1,10 @@
 //! One module per experiment. Each exposes `run(Scale) -> Table`; the
 //! helpers below build the workloads and rosters they share.
 //!
-//! The experiment ids (T1, T2, F1–F9, E1–E10, R1–R3) are defined in
+//! The experiment ids (T1, T2, F1–F9, E1–E7, R1) are defined in
 //! `EXPERIMENTS.md`; the mapping to the paper's evaluation style is
-//! documented there.
+//! documented there. [`REGISTRY`] lists them in presentation order.
 
-pub mod e10_reshard;
 pub mod e1_online;
 pub mod e2_hetero;
 pub mod e3_slack_reclaim;
@@ -13,8 +12,6 @@ pub mod e4_constrained;
 pub mod e5_budget;
 pub mod e6_synthesis;
 pub mod e7_admission_replay;
-pub mod e8_hotpath;
-pub mod e9_cluster;
 pub mod f1_load_sweep;
 pub mod f2_penalty_scale;
 pub mod f3_acceptance;
@@ -25,8 +22,6 @@ pub mod f7_multiproc;
 pub mod f8_consolidation;
 pub mod f9_switch_ablation;
 pub mod r1_fault_sweep;
-pub mod r2_chaos;
-pub mod r3_failover;
 pub mod t1_normalized_cost;
 pub mod t2_runtime;
 
@@ -38,7 +33,43 @@ use reject_sched::algorithms::{
 use reject_sched::{Instance, RejectionPolicy};
 use rt_model::generator::{PenaltyModel, WorkloadSpec};
 
-use crate::Scale;
+use crate::{Scale, Table};
+
+/// An experiment: builds its table at the given scale.
+pub type Run = fn(Scale) -> Table;
+
+/// Every experiment as `(id, run)`, in presentation order. The id names
+/// the CSV file (`<id>.csv`) and, upper-cased, prefixes the table title.
+pub const REGISTRY: [(&str, Run); 19] = [
+    ("t1", t1_normalized_cost::run),
+    ("t2", t2_runtime::run),
+    ("f1", f1_load_sweep::run),
+    ("f2", f2_penalty_scale::run),
+    ("f3", f3_acceptance::run),
+    ("f4", f4_fptas_tradeoff::run),
+    ("f5", f5_discrete_speeds::run),
+    ("f6", f6_leakage::run),
+    ("f7", f7_multiproc::run),
+    ("f8", f8_consolidation::run),
+    ("f9", f9_switch_ablation::run),
+    ("e1", e1_online::run),
+    ("e2", e2_hetero::run),
+    ("e3", e3_slack_reclaim::run),
+    ("e4", e4_constrained::run),
+    ("e5", e5_budget::run),
+    ("e6", e6_synthesis::run),
+    ("e7", e7_admission_replay::run),
+    ("r1", r1_fault_sweep::run),
+];
+
+/// Runs the experiment registered under `id`, or `None` for an unknown id.
+#[must_use]
+pub fn one(id: &str, scale: Scale) -> Option<Table> {
+    REGISTRY
+        .iter()
+        .find(|(known, _)| *known == id)
+        .map(|(_, run)| run(scale))
+}
 
 /// Evaluates `f` once per seed of `scale`, in parallel, returning the
 /// results in seed order.
@@ -129,58 +160,42 @@ mod tests {
         assert!((normalized(3.0, 2.0) - 1.5).abs() < 1e-12);
     }
 
-    /// Smoke test: every experiment runs at quick scale and yields rows.
+    /// Every registered experiment runs through [`one`] at quick scale,
+    /// yields rows and titles its table with its own id. T2 times
+    /// wall-clock work; it has its own test below.
     #[test]
     fn all_experiments_produce_rows() {
-        let tables = [
-            t1_normalized_cost::run(Scale::Quick),
-            f1_load_sweep::run(Scale::Quick),
-            f2_penalty_scale::run(Scale::Quick),
-            f3_acceptance::run(Scale::Quick),
-            f4_fptas_tradeoff::run(Scale::Quick),
-            f5_discrete_speeds::run(Scale::Quick),
-            f6_leakage::run(Scale::Quick),
-            f7_multiproc::run(Scale::Quick),
-            f8_consolidation::run(Scale::Quick),
-            f9_switch_ablation::run(Scale::Quick),
-            e1_online::run(Scale::Quick),
-            e2_hetero::run(Scale::Quick),
-            e3_slack_reclaim::run(Scale::Quick),
-            e4_constrained::run(Scale::Quick),
-            e5_budget::run(Scale::Quick),
-            e6_synthesis::run(Scale::Quick),
-            r1_fault_sweep::run(Scale::Quick),
-        ];
-        for t in &tables {
+        for (id, _) in REGISTRY.iter().filter(|(id, _)| *id != "t2") {
+            let t = one(id, Scale::Quick).expect("registered id");
             assert!(!t.rows().is_empty(), "{} has no rows", t.title());
+            assert!(
+                t.title().starts_with(&format!("{}:", id.to_uppercase())),
+                "{id} runs {:?}",
+                t.title()
+            );
         }
     }
 
-    /// T2 exercises wall-clock timing; keep it separate (slower).
     #[test]
     fn runtime_experiment_runs() {
-        let t = t2_runtime::run(Scale::Quick);
+        let t = one("t2", Scale::Quick).expect("registered id");
         assert!(!t.rows().is_empty());
+        assert!(t.title().starts_with("T2:"));
     }
 
-    /// E8 also times wall-clock work; keep it out of the parallel batch.
+    /// Ids are unique, so `one` reaches each entry by its own id, and `one`
+    /// refuses every id that is not registered.
     #[test]
-    fn hotpath_experiment_runs() {
-        let t = e8_hotpath::run(Scale::Quick);
-        assert!(!t.rows().is_empty());
-    }
-
-    /// E9 times real sockets; keep it out of the parallel batch too.
-    #[test]
-    fn cluster_experiment_runs() {
-        let t = e9_cluster::run(Scale::Quick);
-        assert!(!t.rows().is_empty());
-    }
-
-    /// E10 times real sockets too; same treatment.
-    #[test]
-    fn reshard_experiment_runs() {
-        let t = e10_reshard::run(Scale::Quick);
-        assert!(!t.rows().is_empty());
+    fn registry_ids_are_unique_and_unknown_ids_are_refused() {
+        for (k, (id, _)) in REGISTRY.iter().enumerate() {
+            assert_eq!(
+                REGISTRY.iter().position(|(known, _)| known == id),
+                Some(k),
+                "{id} is registered twice"
+            );
+        }
+        for unknown in ["", "T1", "f10", "e8", "r3", "baseline"] {
+            assert!(one(unknown, Scale::Quick).is_none(), "{unknown:?}");
+        }
     }
 }

@@ -5,15 +5,19 @@ use rt_model::{Task, TaskId};
 use crate::algorithms::RejectionPolicy;
 use crate::{Instance, SchedError, Solution};
 
-/// Sorts tasks by penalty density `vᵢ/uᵢ` descending (most valuable per unit
-/// of capacity first); ties broken by identifier for determinism.
-fn by_density_desc(tasks: &mut [Task]) {
-    tasks.sort_by(|a, b| {
-        b.penalty_density()
-            .partial_cmp(&a.penalty_density())
-            .expect("densities are not NaN")
-            .then(a.id().index().cmp(&b.id().index()))
-    });
+/// The densest tasks that fit: walks [`Instance::density_order`] and keeps
+/// each task the processor can still serve, in that (descending-density)
+/// order.
+fn feasible_by_density(instance: &Instance) -> Vec<&Task> {
+    let mut u = 0.0;
+    let mut accepted = Vec::with_capacity(instance.density_order().len());
+    for t in instance.density_order() {
+        if instance.processor().is_feasible(u + t.utilization()) {
+            u += t.utilization();
+            accepted.push(t);
+        }
+    }
+    accepted
 }
 
 /// Baseline that rejects every task: cost = `Σ vᵢ`, zero energy.
@@ -46,17 +50,8 @@ impl RejectionPolicy for AcceptAllFeasible {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        // Keep the densest prefix that fits (cached canonical order).
-        let tasks = instance.density_order();
-        let mut u = 0.0;
-        let mut accepted = Vec::with_capacity(tasks.len());
-        for t in tasks {
-            if instance.processor().is_feasible(u + t.utilization()) {
-                u += t.utilization();
-                accepted.push(t.id());
-            }
-        }
-        Solution::for_accepted(instance, self.name(), accepted)
+        let accepted = feasible_by_density(instance);
+        Solution::for_accepted(instance, self.name(), accepted.iter().map(|t| t.id()))
     }
 }
 
@@ -78,17 +73,11 @@ impl RejectionPolicy for DensityGreedy {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        let seed = AcceptAllFeasible.solve(instance)?;
-        let mut accepted: Vec<Task> = seed
-            .accepted()
-            .iter()
-            .map(|id| *instance.tasks().get(*id).expect("seed ids are valid"))
-            .collect();
-        by_density_desc(&mut accepted);
-        accepted.reverse(); // ascending density: cheapest-to-reject first
-        let mut u: f64 = accepted.iter().map(Task::utilization).sum();
+        let accepted = feasible_by_density(instance);
+        // Ascending density: cheapest-to-reject first.
+        let mut u: f64 = accepted.iter().rev().map(|t| t.utilization()).sum();
         let mut keep: Vec<TaskId> = Vec::with_capacity(accepted.len());
-        for t in &accepted {
+        for t in accepted.iter().rev() {
             // Energy saved by rejecting t from the current acceptance.
             // (Clamp: float cancellation can leave a tiny negative rest.)
             let rest = (u - t.utilization()).max(0.0);
