@@ -65,10 +65,10 @@ use std::path::Path;
 use std::time::Instant;
 
 use dvs_power::Processor;
-use reject_sched::algorithms::{BranchBound, MarginalGreedy};
+use reject_sched::algorithms::BranchBound;
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
 use reject_sched::online::AdmissionPolicy;
-use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
+use reject_sched::{Instance, SchedError, Solution};
 use rt_model::io::{parse_event_line, EventKind, EventRecord};
 use rt_model::{Task, TaskId, TaskSet};
 
@@ -1217,14 +1217,14 @@ impl AdmissionEngine {
     /// back up. Returns the shed/readmit decisions.
     ///
     /// The solver is the anytime branch & bound under the configured node
-    /// budget (bit-deterministic); instances above its size limit fall
-    /// back to the deterministic marginal-greedy heuristic. A domain is
-    /// only touched when the re-solve strictly improves on its current
-    /// serving choice.
+    /// budget (bit-deterministic) at any domain size; a re-solve whose
+    /// budget expires counts as degraded and still yields a valid
+    /// incumbent. A domain is only touched when the re-solve strictly
+    /// improves on its current serving choice.
     ///
     /// # Errors
     ///
-    /// Solver errors (other than the size fallback) propagate.
+    /// Solver errors propagate.
     pub fn resolve_now(&mut self) -> Result<Vec<Decision>, AdmitError> {
         self.ticks_since_resolve = 0;
         let mut out = Vec::new();
@@ -1262,22 +1262,15 @@ impl AdmissionEngine {
                 let current = Solution::for_accepted(instance, "engine-active", served_ids)?;
                 let budget = SolveBudget::nodes(self.config.resolve_budget);
                 let solved = if self.config.warm_start {
-                    BranchBound::default().solve_within_seeded(instance, &budget, &current)
+                    BranchBound.solve_within_seeded(instance, &budget, &current)?
                 } else {
-                    BranchBound::default().solve_within(instance, &budget)
+                    BranchBound.solve_within(instance, &budget)?
                 };
-                let (resolved, degraded, nodes) = match solved {
-                    Ok(any) => (
-                        any.solution,
-                        any.quality == SolveQuality::Degraded,
-                        any.nodes_used,
-                    ),
-                    Err(SchedError::TooLarge { .. }) => (MarginalGreedy.solve(instance)?, true, 0),
-                    Err(e) => return Err(AdmitError::Sched(e)),
-                };
+                let resolved = solved.solution;
                 self.metrics.resolves += 1;
-                self.metrics.resolves_degraded += u64::from(degraded);
-                self.metrics.resolve_nodes += nodes;
+                self.metrics.resolves_degraded +=
+                    u64::from(solved.quality == SolveQuality::Degraded);
+                self.metrics.resolve_nodes += solved.nodes_used;
                 if resolved.cost() + RESOLVE_EPSILON >= current.cost() {
                     // Keeping the current serving choice is best; until the
                     // ledger changes, re-solving again cannot conclude

@@ -99,6 +99,24 @@ fn resolve_keeps_profitable_commitments_untouched() {
 }
 
 #[test]
+fn domains_beyond_sixty_four_tasks_resolve_by_branch_and_bound() {
+    // 80 standing tasks (81 with the anchor): branch & bound re-solves the
+    // domain at any size, within the default node budget.
+    let mut e = engine();
+    for id in 0..80 {
+        let penalty = 3.0 + (id % 7) as f64;
+        e.apply(&arrive(0.0, cheap(id, 0.005, penalty))).unwrap();
+    }
+    assert_eq!(e.active_len(0), 80);
+    e.apply(&EventRecord::new(1.0, EventKind::Tick)).unwrap();
+    let m = e.metrics();
+    assert_eq!(m.resolves, 1);
+    assert_eq!(m.resolves_degraded, 0);
+    assert!(m.resolve_nodes > 0, "{} nodes", m.resolve_nodes);
+    assert_eq!(m.accepted() + m.rejected + m.standing_shed(), m.arrivals);
+}
+
+#[test]
 fn regret_trigger_fires_without_periodic_resolves() {
     let mut e = AdmissionEngine::new(
         vec![cubic_ideal()],

@@ -44,10 +44,7 @@ pub fn run(scale: Scale) -> Table {
         for seed in 0..scale.seeds() {
             let inst = standard_instance(N, load, 1.0, seed);
             let order: Vec<_> = inst.tasks().iter().map(Task::id).collect();
-            let offline = BranchBound::default()
-                .solve(&inst)
-                .expect("n within limits")
-                .cost();
+            let offline = BranchBound.solve(&inst).expect("n within limits").cost();
             let c = run_online(&inst, &order, &OnlineGreedy)
                 .expect("policy is total")
                 .cost();

@@ -42,10 +42,7 @@ pub fn run(scale: Scale) -> Table {
     let mut cases = Vec::new();
     for seed in 0..scale.seeds() {
         let inst = standard_instance(N, LOAD, 1.0, seed);
-        let opt = BranchBound::default()
-            .solve(&inst)
-            .expect("n within limits")
-            .cost();
+        let opt = BranchBound.solve(&inst).expect("n within limits").cost();
         cases.push((inst, opt));
     }
     for &eps in &epsilons(scale) {

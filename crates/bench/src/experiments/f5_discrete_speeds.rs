@@ -49,7 +49,7 @@ pub fn run(scale: Scale) -> Table {
         format!("F5: discrete speed levels vs continuous (n = {N}, load {LOAD}, branch-bound)"),
         &["domain", "avg_norm_cost"],
     );
-    let solver = BranchBound::default();
+    let solver = BranchBound;
     // Continuous reference per seed.
     let mut reference = Vec::new();
     for seed in 0..scale.seeds() {

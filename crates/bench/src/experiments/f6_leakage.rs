@@ -91,9 +91,7 @@ pub fn run(scale: Scale) -> Table {
                     .generate()
                     .expect("valid spec");
                 let inst = Instance::new(tasks, cpu.clone()).expect("valid instance");
-                let sol = BranchBound::default()
-                    .solve(&inst)
-                    .expect("n within limits");
+                let sol = BranchBound.solve(&inst).expect("n within limits");
                 let subset = inst.tasks().subset(sol.accepted()).expect("valid ids");
                 if subset.is_empty() {
                     continue;

@@ -1,9 +1,11 @@
 //! **T2 — running time vs number of tasks.**
 //!
-//! Wall-clock scaling of the polynomial algorithms (greedy family, scaled
-//! DP) against the exact solvers (exhaustive ≤ 20 tasks, branch & bound
-//! ≤ 40). Demonstrates the approximation/heuristic algorithms are the only
-//! practical option at scale — the reason the paper proposes them.
+//! Wall-clock scaling of the polynomial algorithms (greedy, scaled DP)
+//! against the exact solvers: branch & bound at every n, exhaustive only up
+//! to 18 tasks (its 2ⁿ enumeration). Branch & bound has no size limit; its
+//! time is the nodes an instance needs (1 to ~10⁵ across the n = 2000
+//! seeds) times an `O(n)` relaxation per node, so hard instances, not n,
+//! bound exact search. The scaled DP's table guard refuses n = 2000.
 
 use std::time::Instant;
 
@@ -44,6 +46,7 @@ pub fn run(scale: Scale) -> Table {
                 let t0 = Instant::now();
                 match p.solve(&inst) {
                     Ok(_) => Some(t0.elapsed().as_secs_f64() * 1e3),
+                    // The scaled DP's table guard.
                     Err(reject_sched::SchedError::TooLarge { .. }) => None,
                     Err(e) => panic!("{} failed: {e}", p.name()),
                 }
@@ -54,10 +57,8 @@ pub fn run(scale: Scale) -> Table {
             if let Some(ms) = timed(&ScaledDp::new(0.1).expect("valid ε")) {
                 cells[1].1.push(ms);
             }
-            if n <= 40 {
-                if let Some(ms) = timed(&BranchBound::default()) {
-                    cells[2].1.push(ms);
-                }
+            if let Some(ms) = timed(&BranchBound) {
+                cells[2].1.push(ms);
             }
             if n <= 18 {
                 if let Some(ms) = timed(&Exhaustive::default()) {
@@ -97,5 +98,9 @@ mod tests {
             greedy_at_200 < 1_000.0,
             "greedy too slow: {greedy_at_200} ms"
         );
+        // Branch & bound is timed at every n: it has no size limit.
+        let bb_rows: Vec<_> = t.rows().iter().filter(|r| r[1] == "branch-bound").collect();
+        assert_eq!(bb_rows.len(), 3);
+        assert!(bb_rows.iter().all(|r| r[2] != "-"), "{bb_rows:?}");
     }
 }

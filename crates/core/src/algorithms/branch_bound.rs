@@ -14,10 +14,13 @@ use crate::{Instance, SchedError, Solution};
 ///
 /// Tasks are branched in descending penalty-density order with the *accept*
 /// branch explored first, so the greedy solution is rediscovered on the
-/// leftmost path and the relaxation prunes aggressively. Practical reach is
-/// an order of magnitude beyond [`Exhaustive`](crate::algorithms::Exhaustive)
-/// (the default limit is 64 tasks), though worst-case complexity remains
-/// exponential — the problem is NP-hard ([`hardness`](crate::hardness)).
+/// leftmost path and the relaxation prunes aggressively. There is no size
+/// limit: on generated workloads thousands of tasks solve exactly in
+/// milliseconds, but worst-case complexity remains exponential — the
+/// problem is NP-hard ([`hardness`](crate::hardness)). A
+/// [`SolveBudget`] node cap is the guard against hard instances
+/// ([`BudgetedPolicy::solve_within`]). The search keeps its pending
+/// branches on the heap, so its thread stack use does not grow with `n`.
 ///
 /// # Examples
 ///
@@ -29,43 +32,13 @@ use crate::{Instance, SchedError, Solution};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let inst = Instance::new(WorkloadSpec::new(40, 1.8).seed(4).generate()?, cubic_ideal())?;
-/// let opt = BranchBound::default().solve(&inst)?;
+/// let opt = BranchBound.solve(&inst)?;
 /// opt.verify(&inst)?;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchBound {
-    limit: usize,
-}
-
-impl BranchBound {
-    /// Default instance-size limit.
-    pub const DEFAULT_LIMIT: usize = 64;
-
-    /// Creates a solver with a custom instance-size limit.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::InvalidParameter`] if `limit == 0`.
-    pub fn with_limit(limit: usize) -> Result<Self, SchedError> {
-        if limit == 0 {
-            return Err(SchedError::InvalidParameter {
-                name: "limit",
-                value: 0.0,
-            });
-        }
-        Ok(BranchBound { limit })
-    }
-}
-
-impl Default for BranchBound {
-    fn default() -> Self {
-        BranchBound {
-            limit: Self::DEFAULT_LIMIT,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BranchBound;
 
 /// Solution label of the budgeted entry points.
 const ANYTIME_NAME: &str = "anytime-branch-bound";
@@ -92,33 +65,48 @@ impl Search<'_> {
             * self.instance.hyper_period() as f64
     }
 
-    fn dfs(&mut self, i: usize, u: f64, avoided: f64) -> Result<(), SchedError> {
-        if !self.meter.charge(1) {
-            // Budget spent: unwind, keeping the incumbent found so far.
-            return Ok(());
-        }
-        if i == self.tasks.len() {
-            let cost = self.energy(u) + self.total_penalty - avoided;
-            if cost < self.incumbent {
-                self.incumbent = cost;
-                self.best_accept = Some(self.current.clone());
+    /// Depth-first search from the root. The accept branch is descended
+    /// in place; each node's reject branch waits on `pending` as
+    /// `(depth, u, avoided)`, so nodes are visited (and charged) in the
+    /// order of the recursive accept-first search.
+    fn dfs(&mut self) -> Result<(), SchedError> {
+        let mut pending = vec![(0, 0.0, 0.0)];
+        while let Some((mut i, mut u, mut avoided)) = pending.pop() {
+            if i > 0 {
+                self.current[i - 1] = false;
             }
-            return Ok(());
+            loop {
+                if !self.meter.charge(1) {
+                    // Budget spent: stop, keeping the incumbent found so far.
+                    return Ok(());
+                }
+                if i == self.tasks.len() {
+                    let cost = self.energy(u) + self.total_penalty - avoided;
+                    if cost < self.incumbent {
+                        self.incumbent = cost;
+                        self.best_accept = Some(self.current.clone());
+                    }
+                    break;
+                }
+                // Relaxation over the undecided suffix; decided rejections
+                // cost (total − avoided − suffix) on top.
+                let relaxed = relaxed_cost(self.instance, u, i)?;
+                let fixed_rejected = self.total_penalty - avoided - relaxed.penalty;
+                if fixed_rejected + relaxed.cost >= self.incumbent - 1e-12 {
+                    break;
+                }
+                let t = self.tasks[i];
+                pending.push((i + 1, u, avoided));
+                if !self.instance.processor().is_feasible(u + t.utilization()) {
+                    break;
+                }
+                self.current[i] = true;
+                u += t.utilization();
+                avoided += t.penalty();
+                i += 1;
+            }
         }
-        // Relaxation over the undecided suffix; decided rejections cost
-        // (total − avoided − suffix) on top.
-        let relaxed = relaxed_cost(self.instance, u, i)?;
-        let fixed_rejected = self.total_penalty - avoided - relaxed.penalty;
-        if fixed_rejected + relaxed.cost >= self.incumbent - 1e-12 {
-            return Ok(());
-        }
-        let t = self.tasks[i];
-        if self.instance.processor().is_feasible(u + t.utilization()) {
-            self.current[i] = true;
-            self.dfs(i + 1, u + t.utilization(), avoided + t.penalty())?;
-            self.current[i] = false;
-        }
-        self.dfs(i + 1, u, avoided)
+        Ok(())
     }
 }
 
@@ -129,7 +117,7 @@ impl RejectionPolicy for BranchBound {
 
     /// # Errors
     ///
-    /// [`SchedError::TooLarge`] when the instance exceeds the size limit.
+    /// Pricing errors from the instance's power model ([`SchedError`]).
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let search = self.budgeted_search(instance, &SolveBudget::unlimited(), None, self.name());
         Ok(search?.solution)
@@ -156,7 +144,7 @@ impl BranchBound {
     ///
     /// # Errors
     ///
-    /// [`SchedError::TooLarge`] when the instance exceeds the size limit.
+    /// Pricing errors from the instance's power model ([`SchedError`]).
     pub fn solve_within_seeded(
         &self,
         instance: &Instance,
@@ -167,7 +155,7 @@ impl BranchBound {
     }
 
     /// The one search driver: [`solve`](RejectionPolicy::solve) is its
-    /// unlimited, cold case. `name` labels the solution and a size error.
+    /// unlimited, cold case. `name` labels the solution.
     fn budgeted_search(
         &self,
         instance: &Instance,
@@ -177,13 +165,6 @@ impl BranchBound {
     ) -> Result<AnytimeSolution, SchedError> {
         // Acceptable tasks in descending penalty-density order (cached).
         let tasks = instance.density_order();
-        if tasks.len() > self.limit {
-            return Err(SchedError::TooLarge {
-                n: tasks.len(),
-                limit: self.limit,
-                algorithm: name,
-            });
-        }
         // Best *known* solution before searching: the greedy seed, tightened
         // by the warm incumbent only when the latter is strictly cheaper —
         // on ties the cold path's choice (greedy) is kept, so warm and cold
@@ -199,7 +180,7 @@ impl BranchBound {
             current: vec![false; tasks.len()],
             meter: BudgetMeter::new(budget),
         };
-        search.dfs(0, 0.0, 0.0)?;
+        search.dfs()?;
         // A leaf is recorded only when strictly cheaper than the best known
         // seed; otherwise the seed stands as it was priced: the same
         // accepted set on the same instance.
@@ -230,12 +211,12 @@ impl BranchBound {
 impl BudgetedPolicy for BranchBound {
     /// Budgeted (anytime) branch & bound: the DFS is charged one work unit
     /// per visited node, so node budgets are bit-reproducible. On expiry
-    /// the search unwinds and the best incumbent — seeded with
+    /// the search stops and the best incumbent — seeded with
     /// [`MarginalGreedy`] — is returned.
     ///
     /// # Errors
     ///
-    /// [`SchedError::TooLarge`] when the instance exceeds the size limit.
+    /// Pricing errors from the instance's power model ([`SchedError`]).
     fn solve_within(
         &self,
         instance: &Instance,
@@ -264,7 +245,7 @@ mod tests {
                     .unwrap();
                 let inst = Instance::new(tasks, cpu).unwrap();
                 let a = Exhaustive::default().solve(&inst).unwrap().cost();
-                let b = BranchBound::default().solve(&inst).unwrap().cost();
+                let b = BranchBound.solve(&inst).unwrap().cost();
                 assert!((a - b).abs() < 1e-6 * a.max(1.0), "seed {seed}: {a} vs {b}");
             }
         }
@@ -276,7 +257,7 @@ mod tests {
             let tasks = WorkloadSpec::new(30, 2.4).seed(seed).generate().unwrap();
             let inst = Instance::new(tasks, cubic_ideal()).unwrap();
             let greedy = MarginalGreedy.solve(&inst).unwrap().cost();
-            let bb = BranchBound::default().solve(&inst).unwrap().cost();
+            let bb = BranchBound.solve(&inst).unwrap().cost();
             assert!(bb <= greedy + 1e-9);
         }
     }
@@ -285,7 +266,7 @@ mod tests {
     fn solves_forty_tasks() {
         let tasks = WorkloadSpec::new(40, 2.0).seed(11).generate().unwrap();
         let inst = Instance::new(tasks, cubic_ideal()).unwrap();
-        let s = BranchBound::default().solve(&inst).unwrap();
+        let s = BranchBound.solve(&inst).unwrap();
         s.verify(&inst).unwrap();
     }
 
@@ -296,10 +277,10 @@ mod tests {
             let tasks = WorkloadSpec::new(18, 2.2).seed(seed).generate().unwrap();
             let inst = Instance::new(tasks, cubic_ideal()).unwrap();
             let budget = SolveBudget::nodes(1_000_000);
-            let cold = BranchBound::default().solve_within(&inst, &budget).unwrap();
+            let cold = BranchBound.solve_within(&inst, &budget).unwrap();
             // Warm-start with the optimum itself: the result must be the
             // same solution (bitwise cost) with no more nodes visited.
-            let warm = BranchBound::default()
+            let warm = BranchBound
                 .solve_within_seeded(&inst, &budget, &cold.solution)
                 .unwrap();
             assert_eq!(
@@ -310,7 +291,7 @@ mod tests {
             assert!(warm.nodes_used <= cold.nodes_used, "seed {seed}");
             // An empty warm seed degenerates to the cold search exactly.
             let empty = Solution::for_accepted(&inst, "empty", Vec::new()).unwrap();
-            let none = BranchBound::default()
+            let none = BranchBound
                 .solve_within_seeded(&inst, &budget, &empty)
                 .unwrap();
             assert_eq!(none, cold);
@@ -328,14 +309,23 @@ mod tests {
     }
 
     #[test]
-    fn size_limit_enforced() {
-        let tasks = WorkloadSpec::new(10, 1.0).seed(0).generate().unwrap();
-        let inst = Instance::new(tasks, cubic_ideal()).unwrap();
-        let err = BranchBound::with_limit(5)
-            .unwrap()
-            .solve(&inst)
-            .unwrap_err();
-        assert!(matches!(err, SchedError::TooLarge { .. }));
-        assert!(BranchBound::with_limit(0).is_err());
+    fn two_thousand_tasks_solve_exactly_on_a_small_stack() {
+        // Recursion one frame per task would overflow this 128 KiB stack;
+        // the search keeps its pending branches on the heap.
+        let solve = std::thread::Builder::new()
+            .stack_size(128 * 1024)
+            .spawn(|| {
+                let tasks = WorkloadSpec::new(2_000, 0.8).seed(1).generate().unwrap();
+                let inst = Instance::new(tasks, xscale_ideal()).unwrap();
+                let out = BranchBound
+                    .solve_within(&inst, &SolveBudget::unlimited())
+                    .unwrap();
+                out.solution.verify(&inst).unwrap();
+                out
+            })
+            .unwrap();
+        let out = solve.join().expect("search thread");
+        assert_eq!(out.quality, SolveQuality::Exact);
+        assert!(out.nodes_used > 2_000, "{} nodes", out.nodes_used);
     }
 }

@@ -144,7 +144,7 @@ mod tests {
     fn all_policies_verify_everywhere() {
         let policies: Vec<Box<dyn RejectionPolicy>> = vec![
             Box::new(Exhaustive::default()),
-            Box::new(BranchBound::default()),
+            Box::new(BranchBound),
             Box::new(ScaledDp::new(0.1).unwrap()),
             Box::new(MarginalGreedy),
             Box::new(DensityGreedy),
@@ -170,7 +170,7 @@ mod tests {
     fn exact_solvers_agree() {
         for inst in standard_instances() {
             let a = Exhaustive::default().solve(&inst).unwrap();
-            let b = BranchBound::default().solve(&inst).unwrap();
+            let b = BranchBound.solve(&inst).unwrap();
             assert!(
                 (a.cost() - b.cost()).abs() < 1e-6 * a.cost().max(1.0),
                 "exhaustive {} vs branch-bound {} on {inst}",

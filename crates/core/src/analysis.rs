@@ -84,7 +84,7 @@ pub fn acceptance_price(
     if !instance.is_acceptable(&task) {
         return Ok(None);
     }
-    let solver = BranchBound::default();
+    let solver = BranchBound;
     let accepted_at = |v: f64| -> Result<bool, SchedError> {
         let probe = with_penalty(instance, id, v)?;
         Ok(solver.solve(&probe)?.accepts(id))
@@ -136,7 +136,7 @@ pub fn capacity_value(instance: &Instance, delta: f64) -> Result<f64, SchedError
             value: delta,
         });
     }
-    let solver = BranchBound::default();
+    let solver = BranchBound;
     let base = solver.solve(instance)?.cost();
     let s_max = instance.processor().max_speed();
     let faster = Processor::new(
@@ -179,7 +179,7 @@ mod tests {
         let price = acceptance_price(&inst, 0.into(), 1e-6).unwrap().unwrap();
         let below = with_penalty(&inst, 0.into(), price - 1e-3).unwrap();
         let above = with_penalty(&inst, 0.into(), price + 1e-3).unwrap();
-        let solver = BranchBound::default();
+        let solver = BranchBound;
         assert!(!solver.solve(&below).unwrap().accepts(0.into()));
         assert!(solver.solve(&above).unwrap().accepts(0.into()));
     }

@@ -3,16 +3,18 @@
 //! [`BranchBound`](crate::algorithms::BranchBound) and
 //! [`ScaledDp`](crate::algorithms::ScaledDp) normally run to completion —
 //! worst-case exponential and `O(n²·(n/ε))` respectively. A real admission
-//! controller cannot block on them: it needs the best answer available *by a
-//! deadline*. A [`SolveBudget`] caps the work (search nodes / DP cell
-//! updates, and optionally wall-clock time); on expiry
-//! [`BudgetedPolicy::solve_within`] returns the best incumbent found so far
+//! controller cannot block on them: it needs the best answer available
+//! within a bounded amount of work. A [`SolveBudget`] caps the work (search
+//! nodes / DP cell updates); on expiry [`BudgetedPolicy::solve_within`]
+//! returns the best incumbent found so far
 //! — never worse than the [`MarginalGreedy`](crate::algorithms::MarginalGreedy)
 //! seed — flagged [`SolveQuality::Degraded`] instead of running unbounded.
 //!
-//! Node budgets are deterministic: the same instance and budget always
-//! return the same solution. Wall-clock budgets necessarily are not — use
-//! them for latency control, not for reproducible experiments.
+//! The budget counts work, never time, so every budgeted solve is
+//! deterministic: the same instance and budget always return the same
+//! solution and the same work count. The node budget is also the only guard
+//! on exact search — [`BranchBound`](crate::algorithms::BranchBound) takes
+//! instances of any size.
 //!
 //! # Examples
 //!
@@ -26,7 +28,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let inst = Instance::new(WorkloadSpec::new(30, 2.0).seed(7).generate()?, cubic_ideal())?;
 //! let greedy = MarginalGreedy.solve(&inst)?;
-//! let out = BranchBound::default().solve_within(&inst, &SolveBudget::nodes(50))?;
+//! let out = BranchBound.solve_within(&inst, &SolveBudget::nodes(50))?;
 //! // Whether or not 50 nodes suffice to finish the search, the incumbent
 //! // is a valid solution no worse than the greedy seed (`out.quality`
 //! // reports `Degraded` when the budget expired mid-search).
@@ -36,79 +38,31 @@
 //! # }
 //! ```
 
-use std::time::{Duration, Instant};
-
 use crate::{Instance, SchedError, Solution};
 
-/// A work/time allowance for a budgeted solve.
+/// A work allowance for a budgeted solve.
 ///
-/// The unit of `max_nodes` is solver-specific but monotone in real work:
-/// search-tree nodes for branch & bound, DP cell updates for the scaled
-/// dynamic program.
+/// The unit is solver-specific but monotone in real work: search-tree
+/// nodes for branch & bound, DP cell updates for the scaled dynamic
+/// program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveBudget {
     max_nodes: Option<u64>,
-    max_time: Option<Duration>,
 }
 
 impl SolveBudget {
-    /// No limits: the budgeted solve behaves like the plain solver.
+    /// No limit: the budgeted solve behaves like the plain solver.
     #[must_use]
     pub const fn unlimited() -> Self {
-        SolveBudget {
-            max_nodes: None,
-            max_time: None,
-        }
+        SolveBudget { max_nodes: None }
     }
 
-    /// A pure node budget (deterministic).
+    /// A cap of `max_nodes` work units.
     #[must_use]
     pub const fn nodes(max_nodes: u64) -> Self {
         SolveBudget {
             max_nodes: Some(max_nodes),
-            max_time: None,
         }
-    }
-
-    /// A pure wall-clock budget.
-    #[must_use]
-    pub const fn time(max_time: Duration) -> Self {
-        SolveBudget {
-            max_nodes: None,
-            max_time: Some(max_time),
-        }
-    }
-
-    /// Adds a node cap to this budget.
-    #[must_use]
-    pub const fn with_nodes(mut self, max_nodes: u64) -> Self {
-        self.max_nodes = Some(max_nodes);
-        self
-    }
-
-    /// Adds a wall-clock cap to this budget.
-    #[must_use]
-    pub const fn with_time(mut self, max_time: Duration) -> Self {
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// The node cap, if any.
-    #[must_use]
-    pub const fn max_nodes(&self) -> Option<u64> {
-        self.max_nodes
-    }
-
-    /// The wall-clock cap, if any.
-    #[must_use]
-    pub const fn max_time(&self) -> Option<Duration> {
-        self.max_time
-    }
-
-    /// Whether no limit is configured.
-    #[must_use]
-    pub const fn is_unlimited(&self) -> bool {
-        self.max_nodes.is_none() && self.max_time.is_none()
     }
 }
 
@@ -154,15 +108,10 @@ pub trait BudgetedPolicy {
     ) -> Result<AnytimeSolution, SchedError>;
 }
 
-/// How many work units to charge between wall-clock checks (`Instant::now`
-/// costs more than a DP cell update).
-const CLOCK_CHECK_MASK: u64 = 0x3FF;
-
 /// Internal work meter threaded through the budgeted solvers.
 #[derive(Debug, Clone)]
 pub(crate) struct BudgetMeter {
     max_nodes: Option<u64>,
-    deadline: Option<Instant>,
     used: u64,
     expired: bool,
 }
@@ -171,14 +120,13 @@ impl BudgetMeter {
     pub(crate) fn new(budget: &SolveBudget) -> Self {
         BudgetMeter {
             max_nodes: budget.max_nodes,
-            deadline: budget.max_time.map(|d| Instant::now() + d),
             used: 0,
             expired: false,
         }
     }
 
     /// Charges `n` work units; returns `false` once the budget is spent
-    /// (and keeps returning `false` so recursive searches unwind fast).
+    /// (and keeps returning `false`, charging nothing more).
     pub(crate) fn charge(&mut self, n: u64) -> bool {
         if self.expired {
             return false;
@@ -186,12 +134,6 @@ impl BudgetMeter {
         self.used = self.used.saturating_add(n);
         if let Some(m) = self.max_nodes {
             if self.used > m {
-                self.expired = true;
-                return false;
-            }
-        }
-        if let Some(d) = self.deadline {
-            if (self.used & CLOCK_CHECK_MASK) < n && Instant::now() >= d {
                 self.expired = true;
                 return false;
             }
@@ -222,19 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_constructors() {
-        assert!(SolveBudget::unlimited().is_unlimited());
-        assert_eq!(SolveBudget::nodes(5).max_nodes(), Some(5));
-        assert_eq!(
-            SolveBudget::time(Duration::from_millis(1)).max_time(),
-            Some(Duration::from_millis(1))
-        );
-        let both = SolveBudget::nodes(5).with_time(Duration::from_secs(1));
-        assert!(!both.is_unlimited());
-        assert_eq!(both.max_nodes(), Some(5));
-    }
-
-    #[test]
     fn meter_charges_and_expires() {
         let mut m = BudgetMeter::new(&SolveBudget::nodes(3));
         assert!(m.charge(1));
@@ -246,25 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_expires_immediately() {
-        let mut m = BudgetMeter::new(&SolveBudget::time(Duration::ZERO));
-        // The first clock check happens within the first CLOCK_CHECK_MASK+1
-        // units of work.
-        let mut ok = true;
-        for _ in 0..=CLOCK_CHECK_MASK {
-            ok = m.charge(1);
-            if !ok {
-                break;
-            }
-        }
-        assert!(!ok, "an already-expired deadline must trip the meter");
-    }
-
-    #[test]
     fn branch_bound_exact_within_generous_budget() {
         let inst = instance(12, 3);
-        let full = BranchBound::default().solve(&inst).unwrap();
-        let out = BranchBound::default()
+        let full = BranchBound.solve(&inst).unwrap();
+        let out = BranchBound
             .solve_within(&inst, &SolveBudget::nodes(1_000_000))
             .unwrap();
         assert_eq!(out.quality, SolveQuality::Exact);
@@ -278,7 +192,7 @@ mod tests {
             let inst = instance(30, seed);
             let greedy = MarginalGreedy.solve(&inst).unwrap().cost();
             for budget in [0, 1, 10, 100] {
-                let out = BranchBound::default()
+                let out = BranchBound
                     .solve_within(&inst, &SolveBudget::nodes(budget))
                     .unwrap();
                 out.solution.verify(&inst).unwrap();
@@ -294,10 +208,10 @@ mod tests {
     #[test]
     fn branch_bound_node_budget_is_deterministic() {
         let inst = instance(25, 9);
-        let a = BranchBound::default()
+        let a = BranchBound
             .solve_within(&inst, &SolveBudget::nodes(500))
             .unwrap();
-        let b = BranchBound::default()
+        let b = BranchBound
             .solve_within(&inst, &SolveBudget::nodes(500))
             .unwrap();
         assert_eq!(a, b);

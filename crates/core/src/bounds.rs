@@ -344,7 +344,7 @@ mod tests {
             }
         }
         // Every node's bound is NaN, so the search visits the whole tree.
-        let full = BranchBound::default()
+        let full = BranchBound
             .solve_within(&inst, &SolveBudget::unlimited())
             .unwrap();
         assert_eq!(full.nodes_used, 15);

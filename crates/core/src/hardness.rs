@@ -231,7 +231,7 @@ mod tests {
             let ks = random_knapsack(seed, 18);
             let opt_profit = ks.solve_exact();
             let inst = ks.to_rejection_instance().unwrap();
-            let sched = BranchBound::default().solve(&inst).unwrap();
+            let sched = BranchBound.solve(&inst).unwrap();
             let recovered = ks.profit_from_cost(sched.cost());
             assert!(
                 (recovered - opt_profit).abs() < 1e-3,

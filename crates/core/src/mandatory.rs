@@ -141,10 +141,7 @@ mod tests {
                 .take(2)
                 .map(Task::id)
                 .collect();
-            for policy in [
-                &MarginalGreedy as &dyn RejectionPolicy,
-                &BranchBound::default(),
-            ] {
+            for policy in [&MarginalGreedy as &dyn RejectionPolicy, &BranchBound] {
                 let sol = solve_with_mandatory(&instance, &mandatory, policy).unwrap();
                 sol.verify(&instance).unwrap();
                 for id in &mandatory {
@@ -158,7 +155,7 @@ mod tests {
     fn costs_are_reported_with_original_penalties() {
         let instance = inst(1, 8, 1.2);
         let mandatory = vec![instance.tasks()[0].id()];
-        let sol = solve_with_mandatory(&instance, &mandatory, &BranchBound::default()).unwrap();
+        let sol = solve_with_mandatory(&instance, &mandatory, &BranchBound).unwrap();
         // The reported cost must equal the instance oracle's view.
         let direct = instance.cost_of(sol.accepted()).unwrap();
         assert!((sol.cost() - direct).abs() < 1e-9);
@@ -214,8 +211,8 @@ mod tests {
     #[test]
     fn empty_mandatory_set_matches_plain_solving() {
         let instance = inst(3, 8, 1.5);
-        let plain = BranchBound::default().solve(&instance).unwrap();
-        let layered = solve_with_mandatory(&instance, &[], &BranchBound::default()).unwrap();
+        let plain = BranchBound.solve(&instance).unwrap();
+        let layered = solve_with_mandatory(&instance, &[], &BranchBound).unwrap();
         assert_eq!(plain.accepted(), layered.accepted());
     }
 }

@@ -9,8 +9,9 @@ use crate::{Instance, SchedError};
 /// Tolerance used when re-checking stored costs during verification.
 const VERIFY_TOLERANCE: f64 = 1e-6;
 
-/// A solution of the rejection-scheduling problem: an accepted set, its
-/// optimal execution plan, and the cost breakdown.
+/// A solution of the rejection-scheduling problem: an accepted set and its
+/// cost breakdown. The optimal execution plan is built on demand
+/// ([`Solution::plan`]).
 ///
 /// Solutions are produced by [`RejectionPolicy::solve`](crate::RejectionPolicy::solve)
 /// implementations and are self-describing (they carry the producing
@@ -31,14 +32,13 @@ const VERIFY_TOLERANCE: f64 = 1e-6;
 pub struct Solution {
     algorithm: &'static str,
     accepted: Vec<TaskId>,
-    plan: Option<ExecutionPlan>,
     energy: f64,
     penalty: f64,
 }
 
 impl Solution {
     /// Assembles a solution for `accepted` on `instance`, computing the
-    /// optimal plan and the cost breakdown. This is the single constructor
+    /// cost breakdown. This is the single constructor
     /// all algorithms funnel through, so costs are always derived from the
     /// instance's oracles, never from algorithm-internal bookkeeping.
     ///
@@ -55,16 +55,10 @@ impl Solution {
         accepted.sort();
         accepted.dedup();
         let (u, penalty) = instance.sums_of(&accepted)?;
-        let plan = if accepted.is_empty() {
-            None
-        } else {
-            Some(instance.processor().plan(u)?)
-        };
         let energy = instance.energy_for(u)?;
         Ok(Solution {
             algorithm,
             accepted,
-            plan,
             energy,
             penalty,
         })
@@ -105,11 +99,20 @@ impl Solution {
             .collect()
     }
 
-    /// The optimal execution plan for the accepted set (`None` when
-    /// everything was rejected).
-    #[must_use]
-    pub fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_ref()
+    /// The optimal execution plan for the accepted set on `instance`
+    /// (`None` when everything was rejected).
+    ///
+    /// # Errors
+    ///
+    /// * [`SchedError::Model`] if an accepted identifier is not in
+    ///   `instance`.
+    /// * [`SchedError::Power`] if the accepted set is infeasible on it.
+    pub fn plan(&self, instance: &Instance) -> Result<Option<ExecutionPlan>, SchedError> {
+        if self.accepted.is_empty() {
+            return Ok(None);
+        }
+        let (u, _) = instance.sums_of(&self.accepted)?;
+        Ok(Some(instance.processor().plan(u)?))
     }
 
     /// Energy component `E*(U(A))` per hyper-period.
@@ -238,22 +241,16 @@ impl Solution {
     pub fn replay(&self, instance: &Instance) -> Result<SimReport, SchedError> {
         let subset = instance.tasks().subset(&self.accepted)?;
         if subset.is_empty() {
-            // Nothing to execute; an empty report over one tick.
-            let sim = Simulator::new(instance.tasks(), instance.processor());
-            let _ = &sim; // an all-rejected solution has nothing to replay
             return Err(SchedError::VerificationFailed {
                 reason: "cannot replay a solution that rejects every task".into(),
             });
         }
-        let plan = self
-            .plan
-            .as_ref()
-            .expect("non-empty accepted set has a plan");
+        let plan = self.plan(instance)?.expect("non-empty accepted set");
         // Simulate over the *instance's* hyper-period (every accepted period
         // divides it), so the measured energy is directly comparable to
         // [`Solution::energy`].
         let report = Simulator::new(&subset, instance.processor())
-            .with_profile(SpeedProfile::from_plan(plan))
+            .with_profile(SpeedProfile::from_plan(&plan))
             .run(instance.hyper_period())?;
         if let Some(miss) = report.misses().first() {
             return Err(SchedError::VerificationFailed {

@@ -94,7 +94,7 @@ fn branch_bound_nodes_and_costs_are_pinned() {
         let load = [1.3, 1.8, 2.4, 3.2][seed as usize % 4];
         let tasks = WorkloadSpec::new(16, load).seed(seed).generate().unwrap();
         let inst = Instance::new(tasks, preset(name)).unwrap();
-        let bb = BranchBound::default();
+        let bb = BranchBound;
         let cold = bb.solve_within(&inst, &SolveBudget::unlimited()).unwrap();
         let warm = bb
             .solve_within_seeded(&inst, &SolveBudget::unlimited(), &cold.solution)

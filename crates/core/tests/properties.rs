@@ -11,7 +11,7 @@ use reject_sched::algorithms::{
     AcceptAllFeasible, BestOfSingle, BranchBound, DensityGreedy, DensitySweep, Exhaustive,
     LocalSearch, MarginalGreedy, RejectAll, SafeGreedy, ScaledDp, SimulatedAnnealing,
 };
-use reject_sched::anytime::{BudgetedPolicy, SolveBudget};
+use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
 use reject_sched::bounds::fractional_lower_bound;
 use reject_sched::hardness::{Knapsack, KnapsackItem};
 use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
@@ -48,7 +48,7 @@ fn all_policies_produce_valid_solutions() {
         let inst = random_instance(&mut rng, 10);
         let policies: Vec<Box<dyn RejectionPolicy>> = vec![
             Box::new(Exhaustive::default()),
-            Box::new(BranchBound::default()),
+            Box::new(BranchBound),
             Box::new(ScaledDp::new(0.1).unwrap()),
             Box::new(MarginalGreedy),
             Box::new(DensityGreedy),
@@ -73,7 +73,7 @@ fn exhaustive_is_a_true_lower_envelope() {
     for _ in 0..CASES {
         let inst = random_instance(&mut rng, 9);
         let opt = Exhaustive::default().solve(&inst).unwrap().cost();
-        let bb = BranchBound::default().solve(&inst).unwrap().cost();
+        let bb = BranchBound.solve(&inst).unwrap().cost();
         assert!(
             (opt - bb).abs() < 1e-6 * opt.max(1.0),
             "exhaustive {opt} vs bb {bb}"
@@ -475,7 +475,7 @@ fn repeated_solves_are_bit_identical() {
         Box::new(ScaledDp::new(0.1).unwrap()),
         Box::new(LocalSearch::around(MarginalGreedy)),
         Box::new(SimulatedAnnealing::new(7).with_iterations(2_000).unwrap()),
-        Box::new(BranchBound::default()),
+        Box::new(BranchBound),
     ];
     for seed in 0..4u64 {
         for (load, cpu) in [(1.3, cubic_ideal()), (2.2, xscale_ideal())] {
@@ -498,8 +498,8 @@ fn repeated_solves_are_bit_identical() {
                     policy.name()
                 );
             }
-            let plain = BranchBound::default().solve(&inst).unwrap();
-            let budgeted = BranchBound::default()
+            let plain = BranchBound.solve(&inst).unwrap();
+            let budgeted = BranchBound
                 .solve_within(&inst, &SolveBudget::unlimited())
                 .unwrap()
                 .solution;
@@ -649,7 +649,7 @@ fn pricing_matches_the_hash_marked_reference() {
             match (Solution::for_accepted(&inst, "ref", ids.clone()), reference) {
                 (Ok(s), Ok((plan, energy, penalty))) => {
                     assert_eq!(s.accepted(), &sorted[..]);
-                    assert_eq!(s.plan(), plan.as_ref());
+                    assert_eq!(s.plan(&inst).unwrap(), plan);
                     assert_eq!(
                         (s.energy().to_bits(), s.penalty().to_bits()),
                         (energy, penalty)
@@ -792,7 +792,7 @@ fn branch_bound_results_equal_their_repriced_sets() {
     for cpu in pricing_processors() {
         for _ in 0..CASES / 4 {
             let inst = pricing_instance(&mut rng, &cpu, 14);
-            let bb = BranchBound::default();
+            let bb = BranchBound;
             let cold = bb.solve(&inst).unwrap();
             assert_eq!(cold.algorithm(), "branch-bound");
             assert_eq!(cold, reprice(&inst, &cold));
@@ -827,4 +827,123 @@ fn branch_bound_results_equal_their_repriced_sets() {
             }
         }
     }
+}
+
+/// The recursive branch & bound that the heap-stack search replaced: the
+/// same seed, leaf test, relaxation and prune, one work unit per call.
+/// Returns the leaf that beat the seed (if any), the units used and
+/// whether the budget expired.
+fn recursive_branch_bound(
+    inst: &Instance,
+    max_nodes: Option<u64>,
+    warm: Option<&Solution>,
+) -> (Option<Vec<TaskId>>, u64, bool) {
+    struct Search<'a> {
+        inst: &'a Instance,
+        tasks: &'a [Task],
+        incumbent: f64,
+        best: Option<Vec<bool>>,
+        current: Vec<bool>,
+        max_nodes: Option<u64>,
+        used: u64,
+        expired: bool,
+    }
+    impl Search<'_> {
+        fn dfs(&mut self, i: usize, u: f64, avoided: f64) {
+            if self.expired {
+                return;
+            }
+            self.used += 1;
+            if self.max_nodes.is_some_and(|m| self.used > m) {
+                self.expired = true;
+                return;
+            }
+            let total = self.inst.total_penalty();
+            if i == self.tasks.len() {
+                let energy = self.inst.energy_rate(u).unwrap() * self.inst.hyper_period() as f64;
+                let cost = energy + total - avoided;
+                if cost < self.incumbent {
+                    self.incumbent = cost;
+                    self.best = Some(self.current.clone());
+                }
+                return;
+            }
+            let relaxed = reject_sched::bounds::relaxed_cost(self.inst, u, i).unwrap();
+            if total - avoided - relaxed.penalty + relaxed.cost >= self.incumbent - 1e-12 {
+                return;
+            }
+            let t = self.tasks[i];
+            if self.inst.processor().is_feasible(u + t.utilization()) {
+                self.current[i] = true;
+                self.dfs(i + 1, u + t.utilization(), avoided + t.penalty());
+                self.current[i] = false;
+            }
+            self.dfs(i + 1, u, avoided);
+        }
+    }
+    let greedy = MarginalGreedy.solve(inst).unwrap().cost();
+    let tasks = inst.density_order();
+    let mut search = Search {
+        inst,
+        tasks,
+        incumbent: warm.map_or(greedy, |w| w.cost().min(greedy)),
+        best: None,
+        current: vec![false; tasks.len()],
+        max_nodes,
+        used: 0,
+        expired: false,
+    };
+    search.dfs(0, 0.0, 0.0);
+    let best = search.best.map(|accept| {
+        let mut ids: Vec<TaskId> = tasks
+            .iter()
+            .zip(accept)
+            .filter(|(_, take)| *take)
+            .map(|(t, _)| t.id())
+            .collect();
+        ids.sort();
+        ids
+    });
+    (best, search.used, search.expired)
+}
+
+/// The heap-stack search visits the recursive search's nodes in its
+/// order: under every budget, cold and warm-started, it spends the same
+/// units, expires at the same node and returns the same leaf — or, when
+/// no leaf beat the seed, the seed itself.
+#[test]
+fn branch_bound_matches_the_recursive_reference() {
+    let mut rng = Rng::seed_from_u64(0xC0DE_0026);
+    let mut degraded = 0u32;
+    let mut improved = 0u32;
+    for cpu in pricing_processors() {
+        for _ in 0..CASES / 4 {
+            let inst = pricing_instance(&mut rng, &cpu, 18);
+            let greedy = MarginalGreedy.solve(&inst).unwrap();
+            let cold = BranchBound.solve(&inst).unwrap();
+            let budgets = [None, Some(0), Some(1), Some(rng.gen_index(60) as u64)];
+            for warm in [None, Some(&cold), Some(&greedy)] {
+                for max_nodes in budgets {
+                    let budget = max_nodes.map_or(SolveBudget::unlimited(), SolveBudget::nodes);
+                    let got = match warm {
+                        Some(w) => BranchBound.solve_within_seeded(&inst, &budget, w),
+                        None => BranchBound.solve_within(&inst, &budget),
+                    }
+                    .unwrap();
+                    let (leaf, used, expired) = recursive_branch_bound(&inst, max_nodes, warm);
+                    assert_eq!(got.nodes_used, used, "{max_nodes:?}");
+                    assert_eq!(got.quality == SolveQuality::Degraded, expired);
+                    let seed = warm.filter(|w| w.cost() < greedy.cost()).unwrap_or(&greedy);
+                    let want = leaf.as_deref().unwrap_or(seed.accepted());
+                    assert_eq!(got.solution.accepted(), want, "{max_nodes:?}");
+                    degraded += u32::from(expired);
+                    improved += u32::from(leaf.is_some());
+                }
+            }
+        }
+    }
+    assert!(
+        degraded > 50 && improved > 50,
+        "{degraded} degraded, {improved} improved"
+    );
 }

@@ -186,12 +186,9 @@ mod tests {
         let mut last = f64::INFINITY;
         for m in 1..=4 {
             let instance = MultiInstance::new(tasks.clone(), cubic_ideal(), m).unwrap();
-            let sol = solve_partitioned(
-                &instance,
-                PartitionStrategy::LargestTaskFirst,
-                &BranchBound::default(),
-            )
-            .unwrap();
+            let sol =
+                solve_partitioned(&instance, PartitionStrategy::LargestTaskFirst, &BranchBound)
+                    .unwrap();
             assert!(
                 sol.cost() <= last + 1e-6,
                 "m={m} cost {} > previous {last}",

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let order: Vec<_> = instance.tasks().iter().map(Task::id).collect();
     println!("{instance}\narrival order = generation order; demand 2.0× capacity\n");
 
-    let offline = BranchBound::default().solve(&instance)?;
+    let offline = BranchBound.solve(&instance)?;
     println!(
         "{:<22} {:>9} {:>10} {:>9}",
         "policy", "accepted", "cost", "vs OPT"

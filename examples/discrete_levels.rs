@@ -34,10 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (name, cpu) in cpus {
         let instance = Instance::new(tasks.clone(), cpu)?;
-        let sol = BranchBound::default().solve(&instance)?;
+        let sol = BranchBound.solve(&instance)?;
         sol.verify(&instance)?;
-        let plan_desc = sol
-            .plan()
+        let plan = sol.plan(&instance)?;
+        let plan_desc = plan
+            .as_ref()
             .map(|p| {
                 p.segments()
                     .iter()
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plan_desc
         );
         // Replay the two-level plan on the simulator to show it is real.
-        if let Some(plan) = sol.plan() {
+        if let Some(plan) = &plan {
             let subset = instance.tasks().subset(sol.accepted())?;
             let report = dvs_rejection::sim::Simulator::new(&subset, instance.processor())
                 .with_profile(SpeedProfile::from_plan(plan))

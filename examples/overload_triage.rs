@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let greedy = MarginalGreedy.solve(&instance)?;
-    let exact = BranchBound::default().solve(&instance)?;
+    let exact = BranchBound.solve(&instance)?;
     let bound = fractional_lower_bound(&instance)?;
 
     println!(

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(AcceptAllFeasible),
         Box::new(MarginalGreedy),
         Box::new(ScaledDp::new(0.05)?),
-        Box::new(BranchBound::default()),
+        Box::new(BranchBound),
     ];
     println!(
         "{:<22} {:>9} {:>10} {:>10} {:>10}",

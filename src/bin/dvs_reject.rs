@@ -36,7 +36,7 @@ fn policy(name: &str) -> Result<Box<dyn RejectionPolicy>, String> {
         "greedy" => Box::new(MarginalGreedy),
         "sweep" => Box::new(DensitySweep),
         "dp" => Box::new(ScaledDp::new(0.05).map_err(|e| e.to_string())?),
-        "bb" => Box::new(BranchBound::default()),
+        "bb" => Box::new(BranchBound),
         "exhaustive" => Box::new(Exhaustive::default()),
         "anneal" => Box::new(SimulatedAnnealing::new(0)),
         "local" => Box::new(LocalSearch::around(MarginalGreedy)),
@@ -50,7 +50,7 @@ fn policy(name: &str) -> Result<Box<dyn RejectionPolicy>, String> {
 fn budgeted(name: &str) -> Result<Box<dyn BudgetedPolicy>, String> {
     Ok(match name {
         "dp" => Box::new(ScaledDp::new(0.05).map_err(|e| e.to_string())?),
-        "bb" => Box::new(BranchBound::default()),
+        "bb" => Box::new(BranchBound),
         _ => return Err(format!("--budget applies only to bb and dp, not {name}")),
     })
 }

@@ -20,7 +20,7 @@ fn budget_frontier_brackets_the_primal_optimum() {
     for seed in 0..4 {
         let tasks = WorkloadSpec::new(12, 1.8).seed(seed).generate().unwrap();
         let inst = Instance::new(tasks, xscale_ideal()).unwrap();
-        let primal = BranchBound::default().solve(&inst).unwrap();
+        let primal = BranchBound.solve(&inst).unwrap();
         // Pose the dual at the primal's own energy: it must shelter at
         // least as much value as the primal does.
         let dual = solve_budget_dp(&inst, primal.energy() * (1.0 + 1e-9), 0.01).unwrap();
@@ -49,7 +49,7 @@ fn acceptance_prices_predict_the_optimal_decisions() {
         .generate()
         .unwrap();
     let inst = Instance::new(tasks, cubic_ideal()).unwrap();
-    let opt = BranchBound::default().solve(&inst).unwrap();
+    let opt = BranchBound.solve(&inst).unwrap();
     for t in inst.tasks().iter() {
         let Some(price) = acceptance_price(&inst, t.id(), 1e-4).unwrap() else {
             assert!(!opt.accepts(t.id()));
@@ -94,8 +94,8 @@ fn capacity_value_consistent_with_load_scaling() {
     // the boosted processor differs only through the speed range).
     let shrunk = transform::scale_load(&tasks, 1.0 / 1.05).unwrap();
     let inst2 = Instance::new(shrunk, xscale_ideal()).unwrap();
-    let c1 = BranchBound::default().solve(&inst).unwrap().cost();
-    let c2 = BranchBound::default().solve(&inst2).unwrap().cost();
+    let c1 = BranchBound.solve(&inst).unwrap().cost();
+    let c2 = BranchBound.solve(&inst2).unwrap().cost();
     assert!(c2 < c1, "shrinking demand must reduce the optimal cost");
 }
 

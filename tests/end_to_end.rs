@@ -57,7 +57,7 @@ fn pipeline_across_processor_models() {
                 &MarginalGreedy as &dyn RejectionPolicy,
                 &SafeGreedy,
                 &ScaledDp::new(0.05).unwrap(),
-                &BranchBound::default(),
+                &BranchBound,
             ] {
                 let s = policy.solve(&instance).unwrap();
                 s.verify(&instance).unwrap();
@@ -110,7 +110,7 @@ fn frame_embedding_end_to_end() {
         ],
     )
     .unwrap();
-    let (instance, sol) = solve_frame(&frame, xscale_ideal(), &BranchBound::default()).unwrap();
+    let (instance, sol) = solve_frame(&frame, xscale_ideal(), &BranchBound).unwrap();
     sol.verify(&instance).unwrap();
     // 1250 cycles demanded in 1000 ticks: overload → τ2 (cheap) is dropped.
     assert!(sol.accepts(0.into()) && sol.accepts(1.into()));
@@ -151,7 +151,7 @@ fn hardness_reduction_end_to_end() {
     .unwrap();
     let dp_opt = ks.solve_exact();
     let instance = ks.to_rejection_instance().unwrap();
-    let sched = BranchBound::default().solve(&instance).unwrap();
+    let sched = BranchBound.solve(&instance).unwrap();
     assert!((ks.profit_from_cost(sched.cost()) - dp_opt).abs() < 1e-3);
     // The accepted tasks form a feasible packing.
     let weight: u64 = sched
@@ -235,7 +235,7 @@ fn dormant_procrastination_end_to_end() {
         .generate()
         .unwrap();
     let instance = Instance::new(tasks, cpu.clone()).unwrap();
-    let sol = BranchBound::default().solve(&instance).unwrap();
+    let sol = BranchBound.solve(&instance).unwrap();
     let subset = instance.tasks().subset(sol.accepted()).unwrap();
     assert!(!subset.is_empty());
     let speed = cpu.critical_speed().max(subset.utilization());

@@ -17,7 +17,7 @@ fn media_server_workload_round_trips_and_solves() {
 
     let instance = Instance::new(tasks, xscale_ideal()).unwrap();
     assert!(instance.is_overloaded());
-    let sol = BranchBound::default().solve(&instance).unwrap();
+    let sol = BranchBound.solve(&instance).unwrap();
     sol.verify(&instance).unwrap();
     assert!(!sol.accepted().is_empty());
     let report = sol.replay(&instance).unwrap();
