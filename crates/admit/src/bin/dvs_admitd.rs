@@ -198,12 +198,17 @@ fn run() -> Result<(), String> {
                 );
             }
             "--regret" => {
-                config = config.regret_threshold(
-                    it.next()
-                        .ok_or("--regret needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --regret: {e}"))?,
-                );
+                let regret: f64 = it
+                    .next()
+                    .ok_or("--regret needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad --regret: {e}"))?;
+                // NaN would compare false and switch regret re-solves off,
+                // and a snapshot could not match its own engine again.
+                if !regret.is_finite() {
+                    return Err(format!("bad --regret: {regret} is not finite"));
+                }
+                config = config.regret_threshold(regret);
             }
             "--budget" => {
                 config = config.resolve_budget(

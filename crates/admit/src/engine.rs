@@ -56,9 +56,13 @@
 //! Given the same event stream and configuration, the decision log is
 //! **bit-identical from run to run**: admission decisions are pure
 //! arithmetic, and the re-solve uses the node-budgeted branch & bound
-//! (`solve_within`), whose incumbent is reproducible by construction.
-//! Only the wall-clock decision-latency histogram in the metrics registry
-//! varies between runs.
+//! seeded with the standing accepted set (`solve_within_seeded`), whose
+//! incumbent is reproducible by construction. Only the wall-clock
+//! decision-latency histogram in the metrics registry varies between
+//! runs. What the log must *be* is fixed by a naive reference engine
+//! (`tests/reference/mod.rs`: plain `E*` pricing, an exhaustive re-solve
+//! of every domain every time), which `tests/differential.rs` drives in
+//! lockstep with this one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -66,7 +70,7 @@ use std::time::Instant;
 
 use dvs_power::Processor;
 use reject_sched::algorithms::BranchBound;
-use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
+use reject_sched::anytime::{SolveBudget, SolveQuality};
 use reject_sched::online::AdmissionPolicy;
 use reject_sched::{Instance, SchedError, Solution};
 use rt_model::io::{parse_event_line, EventKind, EventRecord};
@@ -102,13 +106,6 @@ pub struct EngineConfig {
     /// Node budget per re-solve pass, handed to the sequential anytime
     /// branch & bound. Deterministic by construction.
     pub resolve_budget: u64,
-    /// Seed each re-solve's incumbent with the domain's standing accepted
-    /// set (warm start). The tighter initial bound prunes more of the
-    /// search under the same node budget; when the search completes within
-    /// budget the decisions are identical to a cold start (the engine acts
-    /// only on strict cost improvements, and warm start can only change
-    /// the result on ties or budget expiry — in its favour).
-    pub warm_start: bool,
 }
 
 impl Default for EngineConfig {
@@ -118,7 +115,6 @@ impl Default for EngineConfig {
             resolve_every: Some(1),
             regret_threshold: None,
             resolve_budget: 20_000,
-            warm_start: true,
         }
     }
 }
@@ -149,13 +145,6 @@ impl EngineConfig {
     #[must_use]
     pub fn resolve_budget(mut self, nodes: u64) -> Self {
         self.resolve_budget = nodes.max(1);
-        self
-    }
-
-    /// Enables or disables warm-started re-solves.
-    #[must_use]
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
         self
     }
 }
@@ -1217,10 +1206,11 @@ impl AdmissionEngine {
     /// back up. Returns the shed/readmit decisions.
     ///
     /// The solver is the anytime branch & bound under the configured node
-    /// budget (bit-deterministic) at any domain size; a re-solve whose
-    /// budget expires counts as degraded and still yields a valid
-    /// incumbent. A domain is only touched when the re-solve strictly
-    /// improves on its current serving choice.
+    /// budget (bit-deterministic) at any domain size, its incumbent seeded
+    /// with the domain's standing accepted set; a re-solve whose budget
+    /// expires counts as degraded and still yields a valid incumbent. A
+    /// domain is only touched when the re-solve strictly improves on its
+    /// current serving choice.
     ///
     /// # Errors
     ///
@@ -1261,11 +1251,7 @@ impl AdmissionEngine {
                 served_ids.push(TaskId::new(RESERVED_ANCHOR_ID));
                 let current = Solution::for_accepted(instance, "engine-active", served_ids)?;
                 let budget = SolveBudget::nodes(self.config.resolve_budget);
-                let solved = if self.config.warm_start {
-                    BranchBound.solve_within_seeded(instance, &budget, &current)?
-                } else {
-                    BranchBound.solve_within(instance, &budget)?
-                };
+                let solved = BranchBound.solve_within_seeded(instance, &budget, &current)?;
                 let resolved = solved.solution;
                 self.metrics.resolves += 1;
                 self.metrics.resolves_degraded +=
@@ -1725,11 +1711,10 @@ impl AdmissionEngine {
             .map_or_else(|| "-".to_string(), |r| format!("{:016x}", r.to_bits()));
         let _ = writeln!(
             s,
-            "config {} {} {regret} {} {}",
+            "config {} {} {regret} {}",
             self.config.horizon,
             self.config.resolve_every.unwrap_or(0),
-            self.config.resolve_budget,
-            u8::from(self.config.warm_start)
+            self.config.resolve_budget
         );
         let _ = writeln!(s, "clock {:016x}", self.clock.to_bits());
         let _ = writeln!(s, "tsr {}", self.ticks_since_resolve);
@@ -1837,7 +1822,7 @@ impl AdmissionEngine {
             line = cur.next()?;
         }
         let config = {
-            let cols = Self::cols_tagged(&cur, line, "config", 5)?;
+            let cols = Self::cols_tagged(&cur, line, "config", 4)?;
             EngineConfig {
                 horizon: cur.parse_u64(cols[0])?,
                 resolve_every: match cur.parse_u64(cols[1])? {
@@ -1850,7 +1835,6 @@ impl AdmissionEngine {
                     Some(cur.parse_bits(cols[2])?)
                 },
                 resolve_budget: cur.parse_u64(cols[3])?,
-                warm_start: cols[4] == "1",
             }
         };
         if config != self.config {
@@ -2216,7 +2200,7 @@ pub struct Recovered {
 
 /// First line of every `S` record payload. The format has one version:
 /// anything else is refused by name, never half-parsed.
-const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v4";
+const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v5";
 
 /// Writes `unserved <n>` and one `u <id> <penalty bits> <pin|->` line per
 /// entry: an `S` record's present-but-unserved tasks, and a migration

@@ -338,19 +338,23 @@ fn old_snapshot_versions_are_rejected_by_name() {
             if reason.contains("version") && reason.contains("dvs-admit-snapshot v2")),
         "unexpected error: {err}"
     );
-    // What this build writes is v4, and it restores. The same text under
-    // v3 — whose fenced domains carried a one-line `xport` payload, not a
-    // counted block — is refused by version too.
+    // What this build writes is v5, and it restores. The same text under
+    // v3 (whose fenced domains carried a one-line `xport` payload, not a
+    // counted block) or v4 (whose `config` line carried a fifth,
+    // warm-start column) is refused by version too.
     let (_, snapshots) = journal_with_snapshots(&tmp("version.wal"));
     assert!(snapshots[0]
         .2
-        .starts_with("dvs-admit-snapshot v4\nbase 0 0\n"));
-    let v3 = snapshots[0].2.replacen("v4", "v3", 1);
-    let err = engine.restore_snapshot(&v3).unwrap_err();
-    assert!(
-        matches!(&err, JournalError::Snapshot { line: 1, reason }
-            if reason.contains("version") && reason.contains("dvs-admit-snapshot v3")),
-        "unexpected error: {err}"
-    );
+        .starts_with("dvs-admit-snapshot v5\nbase 0 0\n"));
+    for old in ["v3", "v4"] {
+        let text = snapshots[0].2.replacen("v5", old, 1);
+        let err = engine.restore_snapshot(&text).unwrap_err();
+        assert!(
+            matches!(&err, JournalError::Snapshot { line: 1, reason }
+                if reason.contains("version")
+                    && reason.contains(&format!("dvs-admit-snapshot {old}"))),
+            "unexpected error: {err}"
+        );
+    }
     engine.restore_snapshot(&snapshots[0].2).unwrap();
 }

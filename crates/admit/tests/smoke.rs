@@ -178,12 +178,18 @@ fn replay_mode_round_trips_a_saved_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Each bad flag exits non-zero with a message that names it. A
+/// non-finite `--regret` is one: NaN compares false, so it would switch
+/// regret re-solves off without a word, and a journal's snapshot would
+/// then fail to match the engine that wrote it.
 #[test]
 fn bad_flags_fail_with_a_message() {
-    for args in [
-        &["--listen"][..],
-        &["--policy", "nope"][..],
-        &["--frobnicate"][..],
+    for (args, named) in [
+        (&["--listen"][..], "--listen"),
+        (&["--policy", "nope"][..], "nope"),
+        (&["--frobnicate"][..], "--frobnicate"),
+        (&["--regret", "nan"][..], "--regret"),
+        (&["--regret", "inf"][..], "--regret"),
     ] {
         let mut child = spawn(args);
         child.stdin.take();
@@ -192,9 +198,10 @@ fn bad_flags_fail_with_a_message() {
             !out.status.success(),
             "args {args:?} unexpectedly succeeded"
         );
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("error:"),
-            "args {args:?}"
+            stderr.contains("error:") && stderr.contains(named),
+            "args {args:?}: {stderr}"
         );
     }
 }
