@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use dvs_admit::replication::{self, serve_hub, FollowEnd, HubOptions};
-use dvs_admit::server::{serve_lines, serve_tcp_role, ServeOptions, ServerControl};
+use dvs_admit::server::{serve_session, serve_tcp, ServeOptions, ServerControl, SessionEnd};
 use dvs_admit::{
     AdmissionEngine, EngineConfig, EnginePolicy, FollowerOptions, FsyncPolicy, Journal,
     JournalConfig, ReplicationHub, RoleContext, WatermarkPolicy,
@@ -348,15 +348,21 @@ fn run() -> Result<(), String> {
             let engine = Mutex::new(engine);
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            let shutdown =
-                serve_lines(&engine, stdin.lock(), stdout.lock()).map_err(|e| e.to_string())?;
+            let end = serve_session(
+                &engine,
+                stdin.lock(),
+                stdout.lock(),
+                &ServeOptions::default(),
+                &ServerControl::new(),
+            )
+            .map_err(|e| e.to_string())?;
             let mut guard = engine
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             drain_journal(&mut guard)?;
             // On plain EOF the shutdown dump has not been written yet. A
             // closed pipe (e.g. `| head`) is not an error at this point.
-            if !shutdown {
+            if end != SessionEnd::Shutdown {
                 let _ = writeln!(std::io::stdout(), "{}", guard.stats_json());
             }
         }
@@ -375,10 +381,6 @@ fn run() -> Result<(), String> {
             let engine = Arc::new(Mutex::new(engine));
             let ctl = Arc::new(ServerControl::new());
             let _ = CONTROL.set(Arc::clone(&ctl));
-            let opts = ServeOptions {
-                read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
-                overload_threshold: overload,
-            };
             let mut hub: Option<Arc<ReplicationHub>> = None;
             let mut hub_thread = None;
             let mut role_ctx: Option<Arc<RoleContext>> = None;
@@ -437,15 +439,12 @@ fn run() -> Result<(), String> {
                 }));
                 hub = Some(h);
             }
-            serve_tcp_role(
-                &listener,
-                &engine,
-                opts,
-                &ctl,
-                Some(&DRAIN),
-                role_ctx.as_ref(),
-            )
-            .map_err(|e| e.to_string())?;
+            let opts = ServeOptions {
+                read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
+                overload_threshold: overload,
+                role: role_ctx.clone(),
+            };
+            serve_tcp(&listener, &engine, opts, &ctl, Some(&DRAIN)).map_err(|e| e.to_string())?;
             if let Some(ctx) = &role_ctx {
                 ctx.role.request_stop();
             }

@@ -4,20 +4,17 @@
 //! server with the retry machinery a failover deployment needs:
 //!
 //! * **Reconnect with exponential backoff and deterministic jitter**
-//!   ([`replication::backoff_delay`]) — transient connect failures and
-//!   dropped connections are retried up to
-//!   [`ClientConfig::max_attempts`] times per request.
+//!   ([`backoff_delay`]) — transient connect failures and dropped
+//!   connections are retried up to [`ClientConfig::max_attempts`] times
+//!   per request.
 //! * **Request timeouts** — a server that accepts the connection but
 //!   never answers is abandoned, not waited on forever.
 //! * **A circuit breaker** — after
 //!   [`ClientConfig::breaker_threshold`] consecutive request failures
-//!   the breaker *trips*: for [`ClientConfig::breaker_cooldown`] the
-//!   client stops hammering the dead server and, if a [`LocalMyopic`]
-//!   fallback is installed, answers arrive requests **degraded-locally**
-//!   with the same myopic pricing rule the engine itself uses (responses
-//!   carry `"degraded":true` so callers can tell). After the cooldown
-//!   one probe request is allowed through (half-open); success closes
-//!   the breaker.
+//!   the breaker *trips*: for [`ClientConfig::breaker_cooldown`] requests
+//!   fail fast with [`ClientError::Unavailable`] instead of hammering the
+//!   dead server. After the cooldown one probe request is allowed through
+//!   (half-open); success closes the breaker.
 //! * **Exactly-once replay across failover** ([`AdmitClient::replay`]).
 //!   The engine's `events` counter — returned by `{"op":"stats"}` and
 //!   preserved across failover because the follower replays the
@@ -34,16 +31,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use dvs_power::Processor;
-use reject_sched::Instance;
-use rt_model::io::EventKind;
-use rt_model::{Task, TaskSet};
-
-use crate::engine::{EnginePolicy, RESERVED_ANCHOR_ID};
 use crate::json::{self, JsonValue};
 use crate::replication::backoff_delay;
 use crate::wire::{Reply, Request};
-use crate::AdmitError;
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -95,8 +85,6 @@ pub struct ClientMetrics {
     pub connects: u64,
     /// Times the circuit breaker tripped open.
     pub breaker_trips: u64,
-    /// Requests answered by the local degraded fallback.
-    pub degraded_decisions: u64,
     /// Replay resends suppressed because the server cursor showed the
     /// event had already applied (response lost in the failover).
     pub resend_suppressed: u64,
@@ -107,7 +95,7 @@ pub struct ClientMetrics {
 /// Client-side failure.
 #[derive(Debug)]
 pub enum ClientError {
-    /// All attempts failed and no fallback could answer.
+    /// All attempts failed, or the breaker is open.
     Unavailable {
         /// Attempts made.
         attempts: u32,
@@ -116,8 +104,6 @@ pub enum ClientError {
     },
     /// The server answered with something the client cannot parse.
     Protocol(String),
-    /// A local fallback decision failed (oracle error).
-    Fallback(AdmitError),
 }
 
 impl std::fmt::Display for ClientError {
@@ -127,73 +113,11 @@ impl std::fmt::Display for ClientError {
                 write!(f, "server unavailable after {attempts} attempts: {last}")
             }
             ClientError::Protocol(msg) => write!(f, "protocol error: {msg}"),
-            ClientError::Fallback(e) => write!(f, "fallback error: {e}"),
         }
     }
 }
 
 impl std::error::Error for ClientError {}
-
-/// The degraded local decision-maker: a single-domain myopic admission
-/// rule priced by the same billing-horizon oracle the engine uses.
-/// Decisions made here are **advisory** — they are not journaled and not
-/// replicated — but they let a latency-critical caller keep answering
-/// while the servers fail over.
-pub struct LocalMyopic {
-    oracle: Instance,
-    policy: Box<dyn EnginePolicy>,
-    committed: f64,
-}
-
-impl std::fmt::Debug for LocalMyopic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalMyopic")
-            .field("policy", &self.policy.name())
-            .field("committed", &self.committed)
-            .finish()
-    }
-}
-
-impl LocalMyopic {
-    /// Builds a fallback over one power domain, pricing against `horizon`
-    /// (use the server's `EngineConfig::horizon` for matching economics).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model/oracle construction errors.
-    pub fn new(
-        cpu: Processor,
-        policy: Box<dyn EnginePolicy>,
-        horizon: u64,
-    ) -> Result<Self, AdmitError> {
-        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, horizon)?;
-        let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, cpu)?;
-        Ok(LocalMyopic {
-            oracle,
-            policy,
-            committed: 0.0,
-        })
-    }
-
-    /// Decides an arrival locally, committing its utilization on accept
-    /// (mirroring the engine's single-domain arrive accounting).
-    ///
-    /// # Errors
-    ///
-    /// Propagates oracle errors.
-    pub fn decide(&mut self, task: &Task) -> Result<bool, AdmitError> {
-        let admit = self.policy.decide(&self.oracle, self.committed, task)?;
-        if admit {
-            self.committed += task.utilization();
-        }
-        Ok(admit)
-    }
-
-    /// Releases a previously committed task's utilization (departure).
-    pub fn release(&mut self, task_utilization: f64) {
-        self.committed = (self.committed - task_utilization).max(0.0);
-    }
-}
 
 /// Breaker state.
 #[derive(Debug)]
@@ -240,7 +164,6 @@ pub struct AdmitClient {
     metrics: ClientMetrics,
     consecutive_failures: u32,
     breaker: Breaker,
-    fallback: Option<LocalMyopic>,
     rng: u64,
 }
 
@@ -259,17 +182,8 @@ impl AdmitClient {
             metrics: ClientMetrics::default(),
             consecutive_failures: 0,
             breaker: Breaker::Closed,
-            fallback: None,
             rng,
         }
-    }
-
-    /// Installs a degraded-mode local decision-maker used while the
-    /// breaker is open.
-    #[must_use]
-    pub fn with_fallback(mut self, fallback: LocalMyopic) -> Self {
-        self.fallback = Some(fallback);
-        self
     }
 
     /// The retry/breaker counters.
@@ -452,52 +366,18 @@ impl AdmitClient {
 
     /// Sends one request line and returns the server's response line,
     /// retrying with backoff across connection failures. While the
-    /// breaker is open, arrive requests are answered by the local
-    /// fallback (if installed) and everything else fails fast.
+    /// breaker is open it fails fast, without touching the network.
     ///
     /// Must not be interleaved with unanswered [`send`](Self::send)s: the
     /// reply read is the oldest outstanding one.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Unavailable`] when every attempt failed and no
-    /// fallback could answer; [`ClientError::Fallback`] when the local
-    /// decision itself errored.
+    /// [`ClientError::Unavailable`] when every attempt failed or the
+    /// breaker is open.
     pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
-        if self.breaker_open() {
-            return self.degrade(line, None);
-        }
         self.send(line);
-        match self.recv() {
-            Err(ClientError::Unavailable { last, .. }) => self.degrade(line, Some(last)),
-            answered => answered,
-        }
-    }
-
-    /// Answers locally (arrive requests, fallback installed) or reports
-    /// unavailability. The line is parsed as a server would parse it, so
-    /// a request the server would refuse is a [`ClientError::Protocol`].
-    fn degrade(&mut self, line: &str, last: Option<std::io::Error>) -> Result<String, ClientError> {
-        let unavailable = |attempts, last: Option<std::io::Error>| ClientError::Unavailable {
-            attempts,
-            last: last.unwrap_or_else(|| std::io::Error::other("breaker open")),
-        };
-        let Some(fallback) = self.fallback.as_mut() else {
-            return Err(unavailable(self.config.max_attempts, last));
-        };
-        let mut scratch = json::Scratch::default();
-        let request = Request::parse(line, &mut scratch)
-            .map_err(|refusal| ClientError::Protocol(refusal.message))?;
-        let Request::Event { event, .. } = request else {
-            return Err(unavailable(self.config.max_attempts, last));
-        };
-        let EventKind::Arrive(task) = event.kind else {
-            return Err(unavailable(self.config.max_attempts, last));
-        };
-        let accepted = fallback.decide(&task).map_err(ClientError::Fallback)?;
-        self.metrics.degraded_decisions += 1;
-        let id = task.id().index();
-        Ok(Reply::Degraded { id, accepted }.line())
+        self.recv()
     }
 
     /// The server's event cursor: the engine's `events` counter from
@@ -596,27 +476,9 @@ fn is_benign_duplicate(response: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvs_power::presets::cubic_ideal;
-    use reject_sched::online::OnlineGreedy;
 
     #[test]
-    fn local_myopic_admits_until_capacity_prices_out() {
-        let mut local = LocalMyopic::new(cubic_ideal(), Box::new(OnlineGreedy), 1000).unwrap();
-        // Cheap, high-penalty task: admitted.
-        let t = Task::new(1, 10.0, 1000).unwrap().with_penalty(100.0);
-        assert!(local.decide(&t).unwrap());
-        // Utilization was committed.
-        assert!(local.committed > 0.0);
-        // A worthless expensive task at committed load: rejected.
-        let t = Task::new(2, 900.0, 1000).unwrap().with_penalty(1e-9);
-        assert!(!local.decide(&t).unwrap());
-        let before = local.committed;
-        local.release(0.005);
-        assert!(local.committed < before);
-    }
-
-    #[test]
-    fn breaker_trips_after_threshold_and_degrades_arrivals() {
+    fn breaker_trips_after_threshold_and_fails_fast() {
         // Point the client at a port nothing listens on.
         let config = ClientConfig {
             addr: "127.0.0.1:1".to_string(),
@@ -629,68 +491,36 @@ mod tests {
             breaker_cooldown: Duration::from_secs(60),
             ..ClientConfig::default()
         };
-        let fallback = LocalMyopic::new(cubic_ideal(), Box::new(OnlineGreedy), 1000).unwrap();
-        let mut client = AdmitClient::new(config).with_fallback(fallback);
+        let mut client = AdmitClient::new(config);
         let arrive = r#"{"op":"arrive","at":0,"id":1,"cycles":30.0,"period":1000,"penalty":2.5}"#;
-        // First failure: fallback answers (degraded), breaker still closed.
-        let r = client.request(arrive).unwrap();
-        assert!(r.contains("\"degraded\":true"), "{r}");
-        assert!(!client.breaker_open());
-        // Second failure trips the breaker.
-        let arrive2 = r#"{"op":"arrive","at":1,"id":2,"cycles":30.0,"period":1000,"penalty":2.5}"#;
-        let r = client.request(arrive2).unwrap();
-        assert!(r.contains("\"degraded\":true"), "{r}");
-        assert!(client.breaker_open());
-        assert_eq!(client.metrics().breaker_trips, 1);
-        // While open, arrivals answer instantly from the fallback…
-        let arrive3 = r#"{"op":"arrive","at":2,"id":3,"cycles":30.0,"period":1000,"penalty":2.5}"#;
-        let started = Instant::now();
-        let r = client.request(arrive3).unwrap();
-        assert!(r.contains("\"degraded\":true"), "{r}");
-        assert!(
-            started.elapsed() < Duration::from_millis(40),
-            "no dial while open"
-        );
-        // …and non-arrive requests fail fast.
+        // First failure: unavailable, breaker still closed.
         assert!(matches!(
-            client.request("{\"op\":\"stats\"}"),
+            client.request(arrive),
             Err(ClientError::Unavailable { .. })
         ));
-        assert_eq!(client.metrics().degraded_decisions, 3);
-    }
-
-    #[test]
-    fn the_fallback_refuses_what_a_server_would_refuse_instead_of_panicking() {
-        let config = ClientConfig {
-            addr: "127.0.0.1:1".to_string(),
-            connect_timeout: Duration::from_millis(20),
-            max_attempts: 1,
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(60),
-            ..ClientConfig::default()
-        };
-        let fallback = LocalMyopic::new(cubic_ideal(), Box::new(OnlineGreedy), 1000).unwrap();
-        let mut client = AdmitClient::new(config).with_fallback(fallback);
-        // Once with the server unreachable, once with the breaker open.
-        for _ in 0..2 {
-            let r = client.request(
-                r#"{"op":"arrive","at":0,"id":1,"cycles":30.0,"period":1000,"penalty":-1}"#,
-            );
+        assert!(!client.breaker_open());
+        // Second failure trips the breaker.
+        assert!(matches!(
+            client.request(arrive),
+            Err(ClientError::Unavailable { .. })
+        ));
+        assert!(client.breaker_open());
+        assert_eq!(client.metrics().breaker_trips, 1);
+        // While open, every request fails fast, without a dial.
+        for line in [arrive, "{\"op\":\"stats\"}"] {
+            let started = Instant::now();
+            let r = client.request(line);
             assert!(
-                matches!(&r, Err(ClientError::Protocol(m)) if m == "invalid penalty -1"),
+                matches!(&r, Err(ClientError::Unavailable { last, .. }) if last.to_string() == "breaker open"),
                 "{r:?}"
             );
+            assert!(
+                started.elapsed() < Duration::from_millis(40),
+                "no dial while open"
+            );
         }
-        assert!(client.breaker_open());
-        assert_eq!(client.metrics().degraded_decisions, 0);
-        // A valid arrival still gets the advisory verdict, as JSON.
-        let r = client
-            .request(r#"{"op":"arrive","at":0,"id":1,"cycles":30.0,"period":1000,"penalty":2.5}"#)
-            .unwrap();
-        assert_eq!(
-            r,
-            r#"{"ok":true,"decision":"accepted","id":1,"degraded":true}"#
-        );
+        assert_eq!(client.metrics().breaker_trips, 1);
+        assert_eq!(client.unanswered_bytes(), 0);
     }
 
     #[test]

@@ -73,7 +73,9 @@ use reject_sched::algorithms::BranchBound;
 use reject_sched::anytime::{SolveBudget, SolveQuality};
 use reject_sched::online::AdmissionPolicy;
 use reject_sched::{Instance, SchedError, Solution};
-use rt_model::io::{parse_event_line, EventKind, EventRecord};
+use rt_model::io::{
+    parse_event_line, parse_task_columns, write_task_columns, EventKind, EventRecord,
+};
 use rt_model::{Task, TaskId, TaskSet};
 
 use crate::journal::{self, Journal, JournalConfig, JournalError, RecordKind};
@@ -529,29 +531,19 @@ impl Domain {
         // rebuild domains beyond the ones it was constructed with (the
         // live-resharding import targets) and cross-check the rest
         // bit-exactly.
-        let cpu_spec = self.cpu.encode_spec();
-        let _ = writeln!(
-            s,
-            "cpu {} {cpu_spec}",
-            cpu_spec.split_ascii_whitespace().count()
-        );
+        let _ = writeln!(s, "cpu {}", self.cpu.encode_spec());
         if let Some(payload) = &self.export_payload {
             let _ = writeln!(s, "xport {}", payload.lines().count());
             s.push_str(payload);
         }
-        for (tag, ledger) in [('a', &self.active), ('r', &self.reserved)] {
+        for (tag, ledger) in [("a ", &self.active), ("r ", &self.reserved)] {
             for t in ledger {
-                let deadline = (!t.is_implicit_deadline()).then(|| t.deadline());
-                let _ = writeln!(
-                    s,
-                    "{tag} {} {} {} {} {} {}",
-                    t.id().index(),
-                    t.wcec(),
-                    t.period(),
-                    OrDash(deadline),
-                    t.penalty(),
-                    OrDash(t.domain())
-                );
+                s.push_str(tag);
+                let _ = write_task_columns(s, t);
+                if let Some(pin) = t.domain() {
+                    let _ = write!(s, " {pin}");
+                }
+                s.push('\n');
             }
         }
     }
@@ -569,13 +561,7 @@ impl Domain {
         let cols = AdmissionEngine::cols_tagged(cur, line, "domain", 4)?;
         let n_active = cur.parse_count(cols[1])?;
         let n_reserved = cur.parse_count(cols[2])?;
-        let line = cur.next()?;
-        let rest = line
-            .strip_prefix("cpu ")
-            .ok_or_else(|| cur.err(format!("expected a \"cpu\" line, found {line:?}")))?;
-        let (_count, spec) = rest
-            .split_once(' ')
-            .ok_or_else(|| cur.err("\"cpu\" line missing its spec"))?;
+        let spec = cur.tagged("cpu")?;
         let cpu = Processor::decode_spec(spec).map_err(|e| cur.err(format!("cpu spec: {e}")))?;
         let mut d = Domain::new(cpu, horizon).map_err(|e| cur.err(e.to_string()))?;
         d.needs_resolve = cols[0] == "1";
@@ -594,8 +580,22 @@ impl Domain {
         ] {
             ledger.reserve_exact(n);
             for _ in 0..n {
-                let line = cur.next()?;
-                ledger.push(cur.parse_task(line, tag, domains)?);
+                let cols: Vec<&str> = cur.tagged(tag)?.split_whitespace().collect();
+                let (columns, pin) = match cols[..] {
+                    [id, c, p, dl, v] => ([id, c, p, dl, v], None),
+                    [id, c, p, dl, v, pin] => ([id, c, p, dl, v], Some(pin)),
+                    _ => {
+                        return Err(cur.err(format!(
+                            "{tag:?} line has {} columns, expected 5 or 6",
+                            cols.len()
+                        )))
+                    }
+                };
+                let task = parse_task_columns(columns).map_err(|e| cur.err(e.to_string()))?;
+                ledger.push(match pin {
+                    Some(pin) => task.with_domain(cur.parse_pin(pin, domains)?),
+                    None => task,
+                });
             }
         }
         d.recompute_committed();
@@ -1705,42 +1705,16 @@ impl AdmissionEngine {
         if let Some(state) = self.policy.snapshot_state() {
             let _ = writeln!(s, "pstate {state}");
         }
-        let regret = self
-            .config
-            .regret_threshold
-            .map_or_else(|| "-".to_string(), |r| format!("{:016x}", r.to_bits()));
-        let _ = writeln!(
-            s,
-            "config {} {} {regret} {}",
-            self.config.horizon,
-            self.config.resolve_every.unwrap_or(0),
-            self.config.resolve_budget
-        );
+        let _ = writeln!(s, "{}", self.config_line());
         let _ = writeln!(s, "clock {:016x}", self.clock.to_bits());
         let _ = writeln!(s, "tsr {}", self.ticks_since_resolve);
         let _ = writeln!(s, "epoch {}", self.epoch);
         let m = &self.metrics;
-        let _ = writeln!(
-            s,
-            "counters {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            m.arrivals,
-            m.admitted,
-            m.rejected,
-            m.shed,
-            m.readmitted,
-            m.departures,
-            m.ticks,
-            m.resolves,
-            m.resolves_degraded,
-            m.resolves_skipped,
-            m.resolve_nodes,
-            m.events,
-            m.journal_records,
-            m.snapshots_taken,
-            m.recoveries,
-            m.records_lost,
-            m.backpressure_sheds
-        );
+        s.push_str("counters");
+        for count in counters!(m) {
+            let _ = write!(s, " {count}");
+        }
+        s.push('\n');
         let _ = writeln!(
             s,
             "costs {:016x} {:016x} {:016x}",
@@ -1821,23 +1795,7 @@ impl AdmissionEngine {
                 .map_err(|reason| cur.err(reason))?;
             line = cur.next()?;
         }
-        let config = {
-            let cols = Self::cols_tagged(&cur, line, "config", 4)?;
-            EngineConfig {
-                horizon: cur.parse_u64(cols[0])?,
-                resolve_every: match cur.parse_u64(cols[1])? {
-                    0 => None,
-                    k => Some(k),
-                },
-                regret_threshold: if cols[2] == "-" {
-                    None
-                } else {
-                    Some(cur.parse_bits(cols[2])?)
-                },
-                resolve_budget: cur.parse_u64(cols[3])?,
-            }
-        };
-        if config != self.config {
+        if line != self.config_line() {
             return Err(cur.err("snapshot engine configuration differs from this engine's"));
         }
         let clock = cur.one_tagged("clock")?;
@@ -1849,28 +1807,9 @@ impl AdmissionEngine {
         {
             let line = cur.next()?;
             let cols = Self::cols_tagged(&cur, line, "counters", 17)?;
-            let v: Vec<u64> = cols
-                .iter()
-                .map(|c| cur.parse_u64(c))
-                .collect::<Result<_, _>>()?;
-            let m = &mut self.metrics;
-            m.arrivals = v[0];
-            m.admitted = v[1];
-            m.rejected = v[2];
-            m.shed = v[3];
-            m.readmitted = v[4];
-            m.departures = v[5];
-            m.ticks = v[6];
-            m.resolves = v[7];
-            m.resolves_degraded = v[8];
-            m.resolves_skipped = v[9];
-            m.resolve_nodes = v[10];
-            m.events = v[11];
-            m.journal_records = v[12];
-            m.snapshots_taken = v[13];
-            m.recoveries = v[14];
-            m.records_lost = v[15];
-            m.backpressure_sheds = v[16];
+            for (count, col) in counters!(&mut self.metrics).into_iter().zip(cols) {
+                *count = cur.parse_u64(col)?;
+            }
         }
         {
             let line = cur.next()?;
@@ -1935,6 +1874,21 @@ impl AdmissionEngine {
             self.decisions.push(Decision { at, task, verdict });
         }
         cur.end()
+    }
+
+    /// The snapshot's `config` line: the encoder writes it, and a restore
+    /// requires the snapshot's to equal it byte for byte, so the
+    /// configuration is never parsed back (a NaN threshold's bits compare
+    /// equal where the NaN itself would not).
+    fn config_line(&self) -> String {
+        let c = &self.config;
+        let regret = OrDash(c.regret_threshold.map(|r| format!("{:016x}", r.to_bits())));
+        format!(
+            "config {} {} {regret} {}",
+            c.horizon,
+            c.resolve_every.unwrap_or(0),
+            c.resolve_budget
+        )
     }
 
     fn cols_tagged<'a>(
@@ -2198,9 +2152,38 @@ pub struct Recovered {
     pub bytes_lost: u64,
 }
 
+/// The `counters` line's 17 columns, in order: the one list the snapshot
+/// encoder and [`AdmissionEngine::restore_snapshot`] both walk.
+/// `counters!(m)` reads the counters of `m: &Metrics`; `counters!(&mut m)`
+/// lends them out for writing.
+macro_rules! counters {
+    ($($m:tt)+) => {
+        [
+            $($m)+.arrivals,
+            $($m)+.admitted,
+            $($m)+.rejected,
+            $($m)+.shed,
+            $($m)+.readmitted,
+            $($m)+.departures,
+            $($m)+.ticks,
+            $($m)+.resolves,
+            $($m)+.resolves_degraded,
+            $($m)+.resolves_skipped,
+            $($m)+.resolve_nodes,
+            $($m)+.events,
+            $($m)+.journal_records,
+            $($m)+.snapshots_taken,
+            $($m)+.recoveries,
+            $($m)+.records_lost,
+            $($m)+.backpressure_sheds,
+        ]
+    };
+}
+use counters;
+
 /// First line of every `S` record payload. The format has one version:
 /// anything else is refused by name, never half-parsed.
-const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v5";
+const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v6";
 
 /// Writes `unserved <n>` and one `u <id> <penalty bits> <pin|->` line per
 /// entry: an `S` record's present-but-unserved tasks, and a migration
@@ -2294,7 +2277,9 @@ impl<'a> SnapCursor<'a> {
             out.push((
                 TaskId::new(self.parse_u64(cols[0])? as usize),
                 self.parse_bits(cols[1])?,
-                self.parse_pin(cols[2], domains)?,
+                (cols[2] != "-")
+                    .then(|| self.parse_pin(cols[2], domains))
+                    .transpose()?,
             ));
         }
         Ok(out)
@@ -2336,52 +2321,12 @@ impl<'a> SnapCursor<'a> {
             .map_err(|_| self.err(format!("cannot parse f64 bits {s:?}")))
     }
 
-    /// Parses a pin column: a domain index below `domains`, or `-`.
-    fn parse_pin(&self, s: &str, domains: usize) -> Result<Option<usize>, JournalError> {
-        if s == "-" {
-            return Ok(None);
-        }
+    /// Parses a pin column: a domain index below `domains`.
+    fn parse_pin(&self, s: &str, domains: usize) -> Result<usize, JournalError> {
         match s.parse() {
-            Ok(pin) if pin < domains => Ok(Some(pin)),
+            Ok(pin) if pin < domains => Ok(pin),
             _ => Err(self.err(format!("bad domain pin {s:?} ({domains} domains)"))),
         }
-    }
-
-    /// Parses a ledger task line `"<tag> <id> <wcec> <period> <deadline|->
-    /// <penalty> <pin|->"` (the task-set column format; floats round-trip
-    /// bit-exactly through `Display`).
-    fn parse_task(&self, line: &str, tag: &str, domains: usize) -> Result<Task, JournalError> {
-        let cols = AdmissionEngine::cols_tagged(self, line, tag, 6)?;
-        let id: usize = cols[0]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse task id {:?}", cols[0])))?;
-        let wcec: f64 = cols[1]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse wcec {:?}", cols[1])))?;
-        let period: u64 = cols[2]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse period {:?}", cols[2])))?;
-        let penalty: f64 = cols[4]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse penalty {:?}", cols[4])))?;
-        // Refuse what `Task`'s builders would panic on.
-        if !penalty.is_finite() || penalty < 0.0 {
-            return Err(self.err(format!("task {id}: invalid penalty {penalty}")));
-        }
-        let task_err = |e: rt_model::ModelError| self.err(format!("task {id}: {e}"));
-        let mut task = Task::new(id, wcec, period)
-            .map_err(task_err)?
-            .with_penalty(penalty);
-        if cols[3] != "-" {
-            let deadline: u64 = cols[3]
-                .parse()
-                .map_err(|_| self.err(format!("task {id}: cannot parse deadline {:?}", cols[3])))?;
-            task = task.with_deadline(deadline).map_err(task_err)?;
-        }
-        Ok(match self.parse_pin(cols[5], domains)? {
-            Some(pin) => task.with_domain(pin),
-            None => task,
-        })
     }
 }
 

@@ -53,7 +53,7 @@ pub mod server;
 pub mod trace;
 pub mod wire;
 
-pub use client::{AdmitClient, ClientConfig, ClientError, ClientMetrics, LocalMyopic};
+pub use client::{AdmitClient, ClientConfig, ClientError, ClientMetrics};
 pub use engine::{
     AdmissionEngine, Decision, EngineConfig, EnginePolicy, Recovered, Verdict, WatermarkPolicy,
     RESERVED_ANCHOR_ID,

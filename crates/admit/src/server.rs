@@ -10,7 +10,7 @@
 //! erroring request leaves the engine untouched (see
 //! [`AdmissionEngine::apply_opts`]) and is safe to retry.
 //!
-//! The same handler serves stdin/stdout ([`serve_lines`]) and TCP
+//! The same handler serves stdin/stdout ([`serve_session`]) and TCP
 //! connections ([`serve_tcp`], one thread per connection over a shared
 //! engine). The engine core itself stays deterministic — concurrency only
 //! affects the interleaving of *independent sessions'* requests, never the
@@ -197,7 +197,7 @@ fn execute(
 /// every node. `fast = true` applies events on the engine's degraded
 /// myopic path (the backpressure response — see
 /// [`AdmissionEngine::apply_opts`]).
-pub fn handle_line_role(
+fn handle_line_role(
     engine: &Mutex<AdmissionEngine>,
     line: &str,
     scratch: &mut json::Scratch,
@@ -269,7 +269,7 @@ pub enum SessionEnd {
 }
 
 /// Per-session serving knobs.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Socket read timeout applied to TCP connections by [`serve_tcp`]
     /// (`None` = block forever, the right choice for stdin).
@@ -277,6 +277,11 @@ pub struct ServeOptions {
     /// Degrade to the myopic fast path when more than this many requests
     /// are in flight across sessions (`None` disables backpressure).
     pub overload_threshold: Option<usize>,
+    /// The failover role shared by every session of a failover
+    /// deployment, so any connection may promote and follower
+    /// write-gating is uniform (see `handle_line_role`). `None` serves
+    /// a plain primary.
+    pub role: Option<Arc<RoleContext>>,
 }
 
 /// Shared control/observability block for the serving loops: drain
@@ -443,10 +448,12 @@ pub fn serve_batches<R: Read, W: Write>(
 
 /// Serves a newline-delimited session from `reader` to `writer` under the
 /// given options and control block: [`serve_batches`] with the engine as
-/// the handler, one request at a time under its lock. (The engine's
-/// write-ahead journal, when attached, is flushed per *event* inside
-/// `apply` — a decision is journaled before its response is even
-/// formatted, regardless of response batching.)
+/// the handler, one request at a time under its lock, dispatched through
+/// `handle_line_role` with the options' role. (The engine's write-ahead
+/// journal, when attached, is flushed per *event* inside `apply` — a
+/// decision is journaled before its response is even formatted,
+/// regardless of response batching.) The stdin/stdout serving path is
+/// this with default options.
 ///
 /// # Errors
 ///
@@ -459,25 +466,8 @@ pub fn serve_session<R: Read, W: Write>(
     opts: &ServeOptions,
     ctl: &ServerControl,
 ) -> std::io::Result<SessionEnd> {
-    serve_session_role(engine, reader, writer, opts, ctl, None)
-}
-
-/// [`serve_session`] with a failover [`RoleContext`]: control ops and
-/// follower write-gating are dispatched through [`handle_line_role`].
-///
-/// # Errors
-///
-/// Propagates I/O errors on the transport (protocol errors are reported
-/// in-band).
-pub fn serve_session_role<R: Read, W: Write>(
-    engine: &Mutex<AdmissionEngine>,
-    reader: R,
-    writer: W,
-    opts: &ServeOptions,
-    ctl: &ServerControl,
-    role: Option<&RoleContext>,
-) -> std::io::Result<SessionEnd> {
     let mut scratch = json::Scratch::default();
+    let role = opts.role.as_deref();
     serve_batches(reader, writer, ctl, |requests, reply| {
         for request in requests {
             ctl.pending.fetch_add(1, Ordering::SeqCst);
@@ -495,31 +485,9 @@ pub fn serve_session_role<R: Read, W: Write>(
     })
 }
 
-/// [`serve_session`] with default options and a throwaway control block,
-/// returning `true` if the session ended with a `shutdown` request
-/// (rather than EOF). The stdin/stdout serving path.
-///
-/// # Errors
-///
-/// Propagates I/O errors on the transport.
-pub fn serve_lines<R: Read, W: Write>(
-    engine: &Mutex<AdmissionEngine>,
-    reader: R,
-    writer: W,
-) -> std::io::Result<bool> {
-    let end = serve_session(
-        engine,
-        reader,
-        writer,
-        &ServeOptions::default(),
-        &ServerControl::new(),
-    )?;
-    Ok(end == SessionEnd::Shutdown)
-}
-
 /// Accept loop: serves every connection on `listener` (one thread per
-/// connection) over the shared engine until a session requests shutdown
-/// or a drain is signalled.
+/// connection, each a [`serve_session`] under `opts`) over the shared
+/// engine until a session requests shutdown or a drain is signalled.
 ///
 /// The loop blocks in `accept`; [`ServerControl::request_drain`] — called
 /// by whoever wants the server gone, and by the session that saw a
@@ -542,36 +510,16 @@ pub fn serve_tcp(
     ctl: &Arc<ServerControl>,
     drain_signal: Option<&AtomicBool>,
 ) -> std::io::Result<()> {
-    serve_tcp_role(listener, engine, opts, ctl, drain_signal, None)
-}
-
-/// [`serve_tcp`] with a failover [`RoleContext`] shared by every session
-/// (so any connection may promote, and follower write-gating is uniform).
-///
-/// # Errors
-///
-/// Propagates listener errors (per-connection I/O errors only end that
-/// connection).
-pub fn serve_tcp_role(
-    listener: &TcpListener,
-    engine: &Arc<Mutex<AdmissionEngine>>,
-    opts: ServeOptions,
-    ctl: &Arc<ServerControl>,
-    drain_signal: Option<&AtomicBool>,
-    role: Option<&Arc<RoleContext>>,
-) -> std::io::Result<()> {
     serve_connections(listener, ctl, drain_signal, |stream| {
         let engine = Arc::clone(engine);
         let ctl = Arc::clone(ctl);
-        let role = role.map(Arc::clone);
+        let opts = opts.clone();
         Some(std::thread::spawn(move || {
             if let Some(t) = opts.read_timeout {
                 let _ = stream.set_read_timeout(Some(t));
             }
             let reader = stream.try_clone().expect("clone stream");
-            if let Ok(SessionEnd::Shutdown) =
-                serve_session_role(&engine, reader, stream, &opts, &ctl, role.as_deref())
-            {
+            if let Ok(SessionEnd::Shutdown) = serve_session(&engine, reader, stream, &opts, &ctl) {
                 ctl.request_drain();
             }
         }))
@@ -843,8 +791,9 @@ mod tests {
         let e = Mutex::new(engine());
         let input = b"{\"op\":\"arrive\",\"at\":0,\"id\":7,\"cycles\":10.0,\"period\":100,\"penalty\":9.0}\n\n{\"op\":\"shutdown\"}\n".to_vec();
         let mut out = Vec::new();
-        let ended = serve_lines(&e, &input[..], &mut out).unwrap();
-        assert!(ended);
+        let (opts, ctl) = (ServeOptions::default(), ServerControl::new());
+        let end = serve_session(&e, &input[..], &mut out, &opts, &ctl).unwrap();
+        assert_eq!(end, SessionEnd::Shutdown);
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -982,10 +931,10 @@ mod tests {
         let e = Mutex::new(engine());
         let ctl = ServerControl::new();
         let opts = ServeOptions {
-            read_timeout: None,
             // pending is 1 while each request is handled, so every event
             // exceeds the threshold: permanent overload.
             overload_threshold: Some(0),
+            ..ServeOptions::default()
         };
         let input = b"{\"op\":\"arrive\",\"at\":0,\"id\":1,\"cycles\":30.0,\"period\":1000,\"penalty\":2.5}\n{\"op\":\"tick\",\"at\":10}\n{\"op\":\"tick\",\"at\":20}\n".to_vec();
         let mut out = Vec::new();

@@ -381,13 +381,6 @@ pub enum Reply<'a> {
         /// Echoed decisions.
         dlog: Option<Vec<Decision>>,
     },
-    /// The client fallback's advisory verdict (`"degraded":true`).
-    Degraded {
-        /// The arriving task.
-        id: usize,
-        /// Whether the local rule admitted it.
-        accepted: bool,
-    },
     /// A departure and the tasks its re-solve shed.
     Depart {
         /// The departed task.
@@ -502,13 +495,6 @@ impl<'a> Reply<'a> {
                 Some(d) => write!(out, "\"decision\":\"accepted\",\"id\":{id},\"domain\":{d}"),
                 None => write!(out, "\"decision\":\"rejected\",\"id\":{id}"),
             },
-            Reply::Degraded { id, accepted } => {
-                let decision = if *accepted { "accepted" } else { "rejected" };
-                write!(
-                    out,
-                    "\"decision\":\"{decision}\",\"id\":{id},\"degraded\":true"
-                )
-            }
             Reply::Depart { id, shed, .. } => {
                 write!(out, "\"id\":{id},\"shed\":[{}]", List(shed, ","))
             }
@@ -690,18 +676,13 @@ impl<'a> Reply<'a> {
                 epoch: f.whole("epoch")?,
             },
             (None, Some(role), _) => return Err(format!("unknown role {role:?}")),
-            (None, None, Some(Some(decision @ ("accepted" | "rejected")))) => {
-                let (id, accepted) = (f.whole("id")?, decision == "accepted");
-                if f.is_true("degraded") {
-                    Reply::Degraded { id, accepted }
-                } else {
-                    Reply::Verdict {
-                        id,
-                        domain: accepted.then(|| f.whole("domain")).transpose()?,
-                        dlog: f.dlog()?,
-                    }
-                }
-            }
+            (None, None, Some(Some(decision @ ("accepted" | "rejected")))) => Reply::Verdict {
+                id: f.whole("id")?,
+                domain: (decision == "accepted")
+                    .then(|| f.whole("domain"))
+                    .transpose()?,
+                dlog: f.dlog()?,
+            },
             (None, None, Some(decision)) => {
                 return Err(format!("unknown decision {decision:?}"));
             }
@@ -864,13 +845,6 @@ mod tests {
                     dlog: None,
                 },
                 r#"{"ok":true,"decision":"rejected","id":3}"#,
-            ),
-            (
-                Reply::Degraded {
-                    id: 3,
-                    accepted: true,
-                },
-                r#"{"ok":true,"decision":"accepted","id":3,"degraded":true}"#,
             ),
             (
                 Reply::Depart {

@@ -188,6 +188,38 @@ fn drain_snapshot_recovers_without_replay() {
     assert_eq!(recovered.engine.format_decision_log(), ref_log);
 }
 
+/// An engine recovers its own journal whatever its configuration holds.
+/// A NaN regret threshold never equals itself, so a restore that parsed
+/// the snapshot's `config` line back and compared configurations refused
+/// it ("snapshot engine configuration differs from this engine's").
+#[test]
+fn nan_regret_threshold_engine_recovers_its_own_journal() {
+    let config = config().regret_threshold(f64::NAN);
+    let trace = TraceSpec::new(12, 2.0, 7).generate().unwrap();
+    let path = tmp("nan_regret.wal");
+    let _ = std::fs::remove_file(&path);
+    let mut engine =
+        AdmissionEngine::new(vec![xscale_ideal()], Box::new(OnlineGreedy), config).unwrap();
+    engine.attach_journal(dvs_admit::Journal::create(&path, jconfig()).unwrap());
+    for e in &trace {
+        engine.apply(e).unwrap();
+    }
+    let ref_log = engine.format_decision_log();
+    engine.snapshot_now().unwrap();
+    drop(engine);
+
+    let recovered = AdmissionEngine::recover(
+        &path,
+        vec![xscale_ideal()],
+        Box::new(OnlineGreedy),
+        config,
+        jconfig(),
+    )
+    .unwrap_or_else(|e| panic!("NaN-regret engine refused its own journal: {e}"));
+    assert!(recovered.had_snapshot);
+    assert_eq!(recovered.engine.format_decision_log(), ref_log);
+}
+
 /// Recovering a journal path that does not exist yet starts fresh: no
 /// recovery counted, engine empty, journal attached and usable.
 #[test]

@@ -295,11 +295,45 @@ fn snapshots_round_trip_domain_pins() {
     ))
     .unwrap();
     a.apply(&arrive(2.0, cheap(3, 0.2, 900.0))).unwrap();
+    // A pinned constrained-deadline task, admitted on domain 1.
+    let constrained = Task::new(6, 100.0, 1000)
+        .unwrap()
+        .with_deadline(500)
+        .unwrap()
+        .with_penalty(900.0)
+        .with_domain(1);
+    let d = a.apply(&arrive(2.0, constrained)).unwrap();
+    assert!(matches!(d[0].verdict, Verdict::Accepted { domain: 1 }));
+    // Domain 0 then fills to u = 1.0 with an unpinned low-penalty task and
+    // a pinned high-penalty one; the tick's re-solve sheds the unpinned
+    // one, which stays present as a reserved task.
+    let d = a.apply(&arrive(2.0, cheap(4, 0.4, 210.0))).unwrap();
+    assert!(matches!(d[0].verdict, Verdict::Accepted { domain: 0 }));
+    let d = a
+        .apply(&arrive(2.0, cheap(5, 0.4, 900.0).with_domain(0)))
+        .unwrap();
+    assert!(matches!(d[0].verdict, Verdict::Accepted { domain: 0 }));
+    let sheds = a.apply(&EventRecord::new(2.5, EventKind::Tick)).unwrap();
+    assert_eq!(sheds.len(), 1, "{sheds:?}");
+    assert_eq!(sheds[0].task, TaskId::new(4));
+    assert!(matches!(sheds[0].verdict, Verdict::Shed { domain: 0 }));
     let snap = a.encode_snapshot();
     assert!(
-        snap.contains("dvs-admit-snapshot"),
+        snap.starts_with("dvs-admit-snapshot v6\n"),
         "unexpected header: {snap}"
     );
+    // Ledger lines are a trace's task columns, with the pin column only
+    // for a pinned task.
+    for line in [
+        "a 6 100 1000 500 900 1",
+        "a 5 400 1000 - 900 0",
+        "r 4 400 1000 - 210",
+    ] {
+        assert!(
+            snap.contains(&format!("\n{line}\n")),
+            "no {line:?} in {snap}"
+        );
+    }
 
     let mut b = AdmissionEngine::new(
         vec![cubic_ideal(), cubic_ideal()],

@@ -406,11 +406,6 @@ fn reply_corpus() -> Vec<String> {
     replies.extend(probes.iter().map(|p| handle_line(&mut engine, p).response));
     replies.extend(MALFORMED.map(|line| handle_line(&mut engine, line).response));
     replies.extend([
-        Reply::Degraded {
-            id: 3,
-            accepted: false,
-        }
-        .line(),
         Reply::Resumed.line(),
         Reply::RouterRole {
             shards: 2,

@@ -338,16 +338,17 @@ fn old_snapshot_versions_are_rejected_by_name() {
             if reason.contains("version") && reason.contains("dvs-admit-snapshot v2")),
         "unexpected error: {err}"
     );
-    // What this build writes is v5, and it restores. The same text under
+    // What this build writes is v6, and it restores. The same text under
     // v3 (whose fenced domains carried a one-line `xport` payload, not a
-    // counted block) or v4 (whose `config` line carried a fifth,
-    // warm-start column) is refused by version too.
+    // counted block), v4 (whose `config` line carried a fifth, warm-start
+    // column) or v5 (whose ledger lines always carried a pin column and
+    // whose `cpu` line counted its tokens) is refused by version too.
     let (_, snapshots) = journal_with_snapshots(&tmp("version.wal"));
     assert!(snapshots[0]
         .2
-        .starts_with("dvs-admit-snapshot v5\nbase 0 0\n"));
-    for old in ["v3", "v4"] {
-        let text = snapshots[0].2.replacen("v5", old, 1);
+        .starts_with("dvs-admit-snapshot v6\nbase 0 0\n"));
+    for old in ["v3", "v4", "v5"] {
+        let text = snapshots[0].2.replacen("v6", old, 1);
         let err = engine.restore_snapshot(&text).unwrap_err();
         assert!(
             matches!(&err, JournalError::Snapshot { line: 1, reason }

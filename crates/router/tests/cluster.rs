@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::replication::RoleContext;
-use dvs_admit::server::{serve_tcp, serve_tcp_role, ServeOptions, ServerControl};
+use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
 use dvs_admit::wire::Request;
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, JournalConfig, TraceSpec};
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
@@ -352,18 +352,14 @@ fn stats_reads_hedge_to_follower_replicas() {
     let ctx = Arc::new(RoleContext::follower(&mirror, JournalConfig::default()));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let replica_addr = listener.local_addr().unwrap().to_string();
-    let serve_ctx = Arc::clone(&ctx);
+    let opts = ServeOptions {
+        role: Some(Arc::clone(&ctx)),
+        ..ServeOptions::default()
+    };
     let serve_engine = Arc::clone(&engine);
     let handle = std::thread::spawn(move || {
         let ctl = Arc::new(ServerControl::new());
-        let _ = serve_tcp_role(
-            &listener,
-            &serve_engine,
-            ServeOptions::default(),
-            &ctl,
-            None,
-            Some(&serve_ctx),
-        );
+        let _ = serve_tcp(&listener, &serve_engine, opts, &ctl, None);
     });
     std::thread::sleep(std::time::Duration::from_millis(10));
 
@@ -385,7 +381,7 @@ fn stats_reads_hedge_to_follower_replicas() {
     );
     assert_eq!(router.metrics().hedged_reads, 1);
     // Close the router's replica connection so its server session ends;
-    // otherwise serve_tcp_role blocks joining a session stuck in read.
+    // otherwise serve_tcp blocks joining a session stuck in read.
     drop(router);
 
     // Shut the replica server down directly (the router never writes to

@@ -27,6 +27,10 @@
 //! to one power domain ([`Task::with_domain`]); it is omitted (not `-`)
 //! for unpinned tasks so pre-existing traces remain byte-identical.
 //!
+//! Both formats — and the admission engine's snapshot ledgers — read and
+//! write a task through one codec, [`parse_task_columns`] and
+//! [`write_task_columns`].
+//!
 //! See [`EventRecord`], [`parse_event_trace`], and [`load_event_trace`].
 //!
 //! # Examples
@@ -197,52 +201,22 @@ pub fn parse_task_set(text: &str) -> Result<TaskSet, ParseTaskSetError> {
             continue;
         }
         let cols: Vec<&str> = line.split_whitespace().collect();
-        if cols.len() != 5 {
+        let Ok(cols) = <[&str; 5]>::try_from(cols.as_slice()) else {
             return Err(ParseTaskSetError::BadColumnCount {
                 line: line_no,
                 found: cols.len(),
             });
-        }
-        let id: usize = cols[0].parse().map_err(|_| ParseTaskSetError::BadField {
-            line: line_no,
-            column: "id",
-        })?;
-        let cycles: f64 = cols[1].parse().map_err(|_| ParseTaskSetError::BadField {
-            line: line_no,
-            column: "cycles",
-        })?;
-        let period: u64 = cols[2].parse().map_err(|_| ParseTaskSetError::BadField {
-            line: line_no,
-            column: "period",
-        })?;
-        let penalty: f64 = cols[4].parse().map_err(|_| ParseTaskSetError::BadField {
-            line: line_no,
-            column: "penalty",
-        })?;
-        if !penalty.is_finite() || penalty < 0.0 {
-            return Err(ParseTaskSetError::Model {
+        };
+        let task = parse_task_columns(cols).map_err(|e| match e {
+            TaskColumnsError::BadField(column) => ParseTaskSetError::BadField {
                 line: line_no,
-                source: ModelError::InvalidPenalty { task: id, penalty },
-            });
-        }
-        let mut task = Task::new(id, cycles, period)
-            .map_err(|source| ParseTaskSetError::Model {
+                column,
+            },
+            TaskColumnsError::Model(source) => ParseTaskSetError::Model {
                 line: line_no,
                 source,
-            })?
-            .with_penalty(penalty);
-        if cols[3] != "-" {
-            let deadline: u64 = cols[3].parse().map_err(|_| ParseTaskSetError::BadField {
-                line: line_no,
-                column: "deadline",
-            })?;
-            task = task
-                .with_deadline(deadline)
-                .map_err(|source| ParseTaskSetError::Model {
-                    line: line_no,
-                    source,
-                })?;
-        }
+            },
+        })?;
         tasks.push(task);
     }
     TaskSet::try_from_tasks(tasks).map_err(|source| ParseTaskSetError::Model { line: 0, source })
@@ -254,21 +228,88 @@ pub fn parse_task_set(text: &str) -> Result<TaskSet, ParseTaskSetError> {
 pub fn format_task_set(tasks: &TaskSet) -> String {
     let mut out = String::from("# id cycles period deadline penalty\n");
     for t in tasks.iter() {
-        let deadline = if t.is_implicit_deadline() {
-            "-".to_string()
-        } else {
-            t.deadline().to_string()
-        };
-        out.push_str(&format!(
-            "{} {} {} {} {}\n",
-            t.id().index(),
-            t.wcec(),
-            t.period(),
-            deadline,
-            t.penalty()
-        ));
+        let _ = write_task_columns(&mut out, t);
+        out.push('\n');
     }
     out
+}
+
+/// Why [`parse_task_columns`] refused its columns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TaskColumnsError {
+    /// The named column does not parse.
+    BadField(&'static str),
+    /// The parsed values violate a model invariant.
+    Model(ModelError),
+}
+
+impl fmt::Display for TaskColumnsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TaskColumnsError::BadField(column) => write!(f, "cannot parse column {column}"),
+            TaskColumnsError::Model(source) => source.fmt(f),
+        }
+    }
+}
+
+impl Error for TaskColumnsError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            TaskColumnsError::Model(source) => Some(source),
+            TaskColumnsError::BadField(_) => None,
+        }
+    }
+}
+
+/// Reads the task columns `id cycles period deadline|- penalty` (`-` is
+/// the implicit deadline `d = p`): the one reader behind task-set files,
+/// trace `arrive` lines and the admission engine's snapshot ledgers. A
+/// pin is not a task column; the formats that carry one read it
+/// themselves.
+///
+/// # Errors
+///
+/// [`TaskColumnsError`] naming the first column that does not parse, or
+/// the model invariant the values break (columns are checked in the order
+/// id, cycles, period, penalty, deadline).
+pub fn parse_task_columns(
+    [id, cycles, period, deadline, penalty]: [&str; 5],
+) -> Result<Task, TaskColumnsError> {
+    use TaskColumnsError::{BadField, Model};
+    let id: usize = id.parse().map_err(|_| BadField("id"))?;
+    let cycles: f64 = cycles.parse().map_err(|_| BadField("cycles"))?;
+    let period: u64 = period.parse().map_err(|_| BadField("period"))?;
+    let penalty: f64 = penalty.parse().map_err(|_| BadField("penalty"))?;
+    // Refuse what `Task::with_penalty` would panic on.
+    if !penalty.is_finite() || penalty < 0.0 {
+        return Err(Model(ModelError::InvalidPenalty { task: id, penalty }));
+    }
+    let task = Task::new(id, cycles, period)
+        .map_err(Model)?
+        .with_penalty(penalty);
+    if deadline == "-" {
+        return Ok(task);
+    }
+    let deadline: u64 = deadline.parse().map_err(|_| BadField("deadline"))?;
+    task.with_deadline(deadline).map_err(Model)
+}
+
+/// Writes `t`'s task columns `id cycles period deadline|- penalty`, the
+/// inverse of [`parse_task_columns`]: floats use Rust's shortest
+/// round-trip `Display`, so the task reads back bit-identically. The pin
+/// is left to the formats that carry one.
+///
+/// # Errors
+///
+/// Only what `out` raises.
+pub fn write_task_columns<W: fmt::Write + ?Sized>(out: &mut W, t: &Task) -> fmt::Result {
+    write!(out, "{} {} {} ", t.id().index(), t.wcec(), t.period())?;
+    if t.is_implicit_deadline() {
+        out.write_str("-")?;
+    } else {
+        write!(out, "{}", t.deadline())?;
+    }
+    write!(out, " {}", t.penalty())
 }
 
 /// One event of a timestamped arrival stream.
@@ -519,66 +560,31 @@ fn parse_event_cols(line: usize, trimmed: &str) -> Result<EventRecord, ParseEven
         .ok_or(ParseEventTraceError::BadField { line, column: "at" })?;
     let kind = match cols[1] {
         "arrive" => {
-            // 7 columns for an unpinned arrival; an optional 8th column
-            // pins the task to a power domain (see `Task::with_domain`).
-            if cols.len() != 7 && cols.len() != 8 {
-                return Err(ParseEventTraceError::BadColumnCount {
-                    line,
-                    found: cols.len(),
-                    expected: 7,
-                });
-            }
-            let id: usize = cols[2]
-                .parse()
-                .map_err(|_| ParseEventTraceError::BadField { line, column: "id" })?;
-            let cycles: f64 = cols[3]
-                .parse()
-                .map_err(|_| ParseEventTraceError::BadField {
-                    line,
-                    column: "cycles",
-                })?;
-            let period: u64 = cols[4]
-                .parse()
-                .map_err(|_| ParseEventTraceError::BadField {
-                    line,
-                    column: "period",
-                })?;
-            let penalty: f64 = cols[6]
-                .parse()
-                .map_err(|_| ParseEventTraceError::BadField {
-                    line,
-                    column: "penalty",
-                })?;
-            if !penalty.is_finite() || penalty < 0.0 {
-                return Err(ParseEventTraceError::Model {
-                    line,
-                    source: ModelError::InvalidPenalty { task: id, penalty },
-                });
-            }
-            let mut task = Task::new(id, cycles, period)
-                .map_err(|source| ParseEventTraceError::Model { line, source })?
-                .with_penalty(penalty);
-            if cols[5] != "-" {
-                let deadline: u64 =
-                    cols[5]
-                        .parse()
-                        .map_err(|_| ParseEventTraceError::BadField {
-                            line,
-                            column: "deadline",
-                        })?;
-                task = task
-                    .with_deadline(deadline)
-                    .map_err(|source| ParseEventTraceError::Model { line, source })?;
-            }
-            if let Some(&col) = cols.get(7) {
-                if col != "-" {
-                    let domain: usize =
-                        col.parse().map_err(|_| ParseEventTraceError::BadField {
-                            line,
-                            column: "domain",
-                        })?;
-                    task = task.with_domain(domain);
+            // The task columns, then an optional pin to a power domain
+            // (see `Task::with_domain`); `-` there reads as unpinned.
+            let (columns, pin) = match cols[2..] {
+                [id, c, p, dl, v] => ([id, c, p, dl, v], None),
+                [id, c, p, dl, v, pin] => ([id, c, p, dl, v], Some(pin)),
+                _ => {
+                    return Err(ParseEventTraceError::BadColumnCount {
+                        line,
+                        found: cols.len(),
+                        expected: 7,
+                    })
                 }
+            };
+            let mut task = parse_task_columns(columns).map_err(|e| match e {
+                TaskColumnsError::BadField(column) => {
+                    ParseEventTraceError::BadField { line, column }
+                }
+                TaskColumnsError::Model(source) => ParseEventTraceError::Model { line, source },
+            })?;
+            if let Some(pin) = pin.filter(|&pin| pin != "-") {
+                let domain: usize = pin.parse().map_err(|_| ParseEventTraceError::BadField {
+                    line,
+                    column: "domain",
+                })?;
+                task = task.with_domain(domain);
             }
             EventKind::Arrive(task)
         }
@@ -643,20 +649,8 @@ impl fmt::Display for EventRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
             EventKind::Arrive(t) => {
-                write!(
-                    f,
-                    "{} arrive {} {} {} ",
-                    self.at,
-                    t.id().index(),
-                    t.wcec(),
-                    t.period()
-                )?;
-                if t.is_implicit_deadline() {
-                    f.write_str("-")?;
-                } else {
-                    write!(f, "{}", t.deadline())?;
-                }
-                write!(f, " {}", t.penalty())?;
+                write!(f, "{} arrive ", self.at)?;
+                write_task_columns(f, t)?;
                 // The pin column is only emitted when present so that
                 // unpinned traces (and every journal written before the
                 // column existed) keep their byte-exact format.

@@ -5,6 +5,9 @@
 //! checked over a deterministic batch of randomized cases.
 
 use rt_model::generator::{uunifast, uunifast_discard};
+use rt_model::io::{
+    format_event, format_task_set, parse_event_line, parse_task_set, EventKind, EventRecord,
+};
 use rt_model::rng::Rng;
 use rt_model::{feasibility, gcd, lcm, Task, TaskSet};
 
@@ -22,6 +25,58 @@ fn random_task_set(rng: &mut Rng) -> TaskSet {
         Task::new(i, c, p).unwrap().with_penalty(v)
     }))
     .unwrap()
+}
+
+/// The task-set file, the trace `arrive` line and the admission engine's
+/// snapshot ledgers share one task-column codec; every task must come back
+/// from it bit for bit — implicit and constrained deadlines, zero and
+/// arbitrary penalties, pinned (traces only) and unpinned.
+#[test]
+fn task_columns_round_trip_bit_identically_through_task_sets_and_traces() {
+    let mut rng = Rng::seed_from_u64(10);
+    let same = |a: &Task, b: &Task| {
+        assert_eq!(a, b);
+        assert_eq!(a.wcec().to_bits(), b.wcec().to_bits());
+        assert_eq!(a.penalty().to_bits(), b.penalty().to_bits());
+        assert_eq!(a.is_implicit_deadline(), b.is_implicit_deadline());
+    };
+    for _ in 0..CASES {
+        let ts = random_task_set(&mut rng);
+        let variants: Vec<Task> = ts
+            .iter()
+            .map(|t| {
+                let t = match rng.gen_index(3) {
+                    0 => *t,
+                    1 => t.with_penalty(0.0),
+                    _ => t.with_penalty(rng.gen_f64(0.0, 1.0) / 3.0),
+                };
+                if rng.gen_index(2) == 0 {
+                    t
+                } else {
+                    t.with_deadline(rng.gen_u64(1, t.period())).unwrap()
+                }
+            })
+            .collect();
+        let set = TaskSet::try_from_tasks(variants.iter().copied()).unwrap();
+        let back = parse_task_set(&format_task_set(&set)).unwrap();
+        assert_eq!(back.len(), set.len());
+        for (a, b) in set.iter().zip(back.iter()) {
+            same(a, b);
+        }
+        for t in variants {
+            let at = rng.gen_f64(0.0, 1e4);
+            for task in [t, t.with_domain(rng.gen_index(8))] {
+                let event = EventRecord::new(at, EventKind::Arrive(task));
+                let again = parse_event_line(&format_event(&event)).unwrap();
+                assert_eq!(again.at.to_bits(), at.to_bits());
+                let EventKind::Arrive(back) = again.kind else {
+                    panic!("arrive came back as {:?}", again.kind)
+                };
+                same(&task, &back);
+                assert_eq!(back.domain(), task.domain());
+            }
+        }
+    }
 }
 
 #[test]

@@ -37,10 +37,11 @@ pub enum SimError {
         /// Description of the violation.
         reason: &'static str,
     },
-    /// An empirical overrun-histogram trace could not be read or parsed
-    /// (see [`OverrunHistogram`](crate::OverrunHistogram)).
+    /// An empirical histogram trace could not be read, parsed or used
+    /// (see [`FactorHistogram`](crate::FactorHistogram)).
     HistogramTrace {
-        /// 1-based line of the offending entry (0 = whole-file I/O error).
+        /// 1-based line of the offending entry (0 = not tied to one line:
+        /// an I/O error, or a refusal that names its bin).
         line: usize,
         /// Description of the violation.
         reason: String,
@@ -63,10 +64,10 @@ impl fmt::Display for SimError {
             SimError::EmptyHorizon => write!(f, "simulation horizon must be positive"),
             SimError::InvalidFault { reason } => write!(f, "invalid fault model: {reason}"),
             SimError::HistogramTrace { line: 0, reason } => {
-                write!(f, "overrun histogram trace: {reason}")
+                write!(f, "histogram trace: {reason}")
             }
             SimError::HistogramTrace { line, reason } => {
-                write!(f, "overrun histogram trace, line {line}: {reason}")
+                write!(f, "histogram trace, line {line}: {reason}")
             }
         }
     }

@@ -36,7 +36,7 @@ const TAG_OVERRUN_BIN: u64 = 0x06;
 const TAG_ACTUATOR_BIN: u64 = 0x07;
 const TAG_THROTTLE_CAP: u64 = 0x08;
 
-/// Maximum number of bins an [`OverrunHistogram`] can hold. The bins live
+/// Maximum number of bins a [`FactorHistogram`] can hold. The bins live
 /// in a fixed inline array so the histogram — and any [`FaultScenario`]
 /// embedding it — stays `Copy`, like every other fault model.
 pub const MAX_HISTOGRAM_BINS: usize = 32;
@@ -49,12 +49,9 @@ struct HistBin {
     weight: f64,
 }
 
-/// Validation core shared by [`OverrunHistogram`] and [`FactorHistogram`]:
-/// the two differ only in the lower bound a bin's `lo` must satisfy.
+/// Validates `(lo, hi, weight)` bins into the inline array.
 fn build_bins(
     bins: &[(f64, f64, f64)],
-    lo_ok: fn(f64) -> bool,
-    bound_reason: &'static str,
 ) -> Result<([HistBin; MAX_HISTOGRAM_BINS], usize, f64), SimError> {
     let err = |line: usize, reason: &str| SimError::HistogramTrace {
         line,
@@ -72,8 +69,8 @@ fn build_bins(
     let mut out = [HistBin::default(); MAX_HISTOGRAM_BINS];
     let mut total = 0.0;
     for (i, &(lo, hi, weight)) in bins.iter().enumerate() {
-        if !lo.is_finite() || !hi.is_finite() || !lo_ok(lo) || hi < lo {
-            return Err(err(i + 1, bound_reason));
+        if !lo.is_finite() || !hi.is_finite() || lo <= 0.0 || hi < lo {
+            return Err(err(i + 1, "bin bounds must satisfy 0 < lo <= hi, finite"));
         }
         if !weight.is_finite() || weight < 0.0 {
             return Err(err(i + 1, "bin weight must be finite and non-negative"));
@@ -134,130 +131,30 @@ fn remap_bin_error(e: SimError, lines: &[usize]) -> SimError {
     }
 }
 
-/// Inverse-CDF draw shared by the histogram types: `u_bin` selects the bin
-/// by weight, `u_mag` the position within it (both in `[0, 1)`).
-fn sample_bins(bins: &[HistBin], total: f64, u_bin: f64, u_mag: f64) -> f64 {
-    let target = u_bin * total;
-    let mut acc = 0.0;
-    let mut chosen = bins[bins.len() - 1];
-    for b in bins {
-        acc += b.weight;
-        if target < acc {
-            chosen = *b;
-            break;
-        }
-    }
-    chosen.lo + (chosen.hi - chosen.lo) * u_mag
-}
-
-/// Weight-averaged mean of the bin midpoints.
-fn mean_of_bins(bins: &[HistBin], total: f64) -> f64 {
-    let sum: f64 = bins.iter().map(|b| b.weight * (b.lo + b.hi) / 2.0).sum();
-    sum / total
-}
-
-/// An empirical WCET-overrun distribution, loaded from a measured trace.
-///
-/// Where [`WcetOverrun`] draws inflation factors from a parametric
-/// `Bernoulli × Uniform` model, a histogram replays what a platform
-/// actually measured: each bin `[lo, hi)` (factors `≥ 1`; a `[1, 1]` bin
-/// represents jobs that did *not* overrun) carries the observed count. A
-/// job's factor is drawn by inverse-CDF over the bin weights, then
-/// uniformly within the selected bin — both draws statelessly keyed on
-/// `(seed, tag, task, job)` exactly like the parametric models, so traces
-/// stay independent of evaluation order.
-///
-/// The trace file format is line-oriented: `lo hi count` per bin,
-/// `#`-comments and blank lines ignored. See
-/// `examples/wcet_overrun_histogram.txt` for a worked sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverrunHistogram {
-    bins: [HistBin; MAX_HISTOGRAM_BINS],
-    len: usize,
-    total: f64,
-}
-
-impl OverrunHistogram {
-    /// Builds a histogram from `(lo, hi, weight)` bins.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::HistogramTrace`] if there are no bins, more than
-    /// [`MAX_HISTOGRAM_BINS`], any bin has `lo < 1`, `hi < lo`, a
-    /// non-finite bound, or a negative/non-finite weight, or the total
-    /// weight is zero.
-    pub fn from_bins(bins: &[(f64, f64, f64)]) -> Result<Self, SimError> {
-        let (bins, len, total) = build_bins(
-            bins,
-            |lo| lo >= 1.0,
-            "bin bounds must satisfy 1 <= lo <= hi, finite",
-        )?;
-        Ok(OverrunHistogram { bins, len, total })
-    }
-
-    /// Parses the `lo hi count` trace format (see the type docs).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::HistogramTrace`] pinpointing the offending line.
-    pub fn parse(text: &str) -> Result<Self, SimError> {
-        let (bins, lines) = parse_bin_lines(text)?;
-        Self::from_bins(&bins).map_err(|e| remap_bin_error(e, &lines))
-    }
-
-    /// Reads and parses a histogram trace file.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::HistogramTrace`] on I/O failure (`line: 0`) or any
-    /// parse/validation error.
-    pub fn load<P: AsRef<std::path::Path>>(path: P) -> Result<Self, SimError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| SimError::HistogramTrace {
-            line: 0,
-            reason: format!("cannot read {}: {e}", path.display()),
-        })?;
-        Self::parse(&text)
-    }
-
-    /// Number of bins.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the histogram holds no bins (never true for a constructed
-    /// histogram — `from_bins` rejects empty input).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The weight-averaged mean overrun factor (bin midpoints).
-    #[must_use]
-    pub fn mean_factor(&self) -> f64 {
-        mean_of_bins(&self.bins[..self.len], self.total)
-    }
-
-    /// Inverse-CDF draw: `u_bin` selects the bin, `u_mag` the position
-    /// within it (both in `[0, 1)`).
-    fn sample(&self, u_bin: f64, u_mag: f64) -> f64 {
-        sample_bins(&self.bins[..self.len], self.total, u_bin, u_mag)
-    }
-}
-
 /// An empirical multiplicative-factor distribution, loaded from a measured
 /// trace.
 ///
-/// The general-purpose sibling of [`OverrunHistogram`]: the same
-/// line-oriented `lo hi count` format and inverse-CDF sampling, but bins
-/// only need *positive* bounds (`lo > 0`) rather than `lo ≥ 1`, so it can
-/// describe quantities that straddle 1 — a DVS actuator's delivered-speed
-/// multiplier ([`FaultScenario::actuator_from_histogram`], sample trace
-/// `examples/actuator_error_histogram.txt`) or the per-window speed cap a
-/// thermal governor enforces
-/// ([`FaultScenario::throttle_cap_from_histogram`], sample trace
-/// `examples/thermal_throttle_histogram.txt`).
+/// Where the parametric models draw from closed-form distributions, a
+/// histogram replays what a platform actually measured: each bin
+/// `[lo, hi)` (positive bounds, `lo > 0`) carries the observed count. A
+/// factor is drawn by inverse-CDF over the bin weights, then uniformly
+/// within the selected bin — both draws statelessly keyed on
+/// `(seed, tag, task, job)` exactly like the parametric models, so traces
+/// stay independent of evaluation order. One histogram describes
+///
+/// * a job's WCET-overrun factor
+///   ([`FaultScenario::overrun_from_histogram`], which requires `lo ≥ 1`;
+///   a `[1, 1]` bin represents jobs that did *not* overrun; sample trace
+///   `examples/wcet_overrun_histogram.txt`),
+/// * a DVS actuator's delivered-speed multiplier, which may straddle 1
+///   ([`FaultScenario::actuator_from_histogram`], sample trace
+///   `examples/actuator_error_histogram.txt`), or
+/// * the per-window speed cap a thermal governor enforces
+///   ([`FaultScenario::throttle_cap_from_histogram`], sample trace
+///   `examples/thermal_throttle_histogram.txt`).
+///
+/// The trace file format is line-oriented: `lo hi count` per bin,
+/// `#`-comments and blank lines ignored.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorHistogram {
     bins: [HistBin; MAX_HISTOGRAM_BINS],
@@ -275,11 +172,7 @@ impl FactorHistogram {
     /// non-finite bound, or a negative/non-finite weight, or the total
     /// weight is zero.
     pub fn from_bins(bins: &[(f64, f64, f64)]) -> Result<Self, SimError> {
-        let (bins, len, total) = build_bins(
-            bins,
-            |lo| lo > 0.0,
-            "bin bounds must satisfy 0 < lo <= hi, finite",
-        )?;
+        let (bins, len, total) = build_bins(bins)?;
         Ok(FactorHistogram { bins, len, total })
     }
 
@@ -324,13 +217,28 @@ impl FactorHistogram {
     /// The weight-averaged mean factor (bin midpoints).
     #[must_use]
     pub fn mean_factor(&self) -> f64 {
-        mean_of_bins(&self.bins[..self.len], self.total)
+        let bins = &self.bins[..self.len];
+        bins.iter()
+            .map(|b| b.weight * (b.lo + b.hi) / 2.0)
+            .sum::<f64>()
+            / self.total
     }
 
-    /// Inverse-CDF draw: `u_bin` selects the bin, `u_mag` the position
-    /// within it (both in `[0, 1)`).
+    /// Inverse-CDF draw: `u_bin` selects the bin by weight, `u_mag` the
+    /// position within it (both in `[0, 1)`).
     fn sample(&self, u_bin: f64, u_mag: f64) -> f64 {
-        sample_bins(&self.bins[..self.len], self.total, u_bin, u_mag)
+        let bins = &self.bins[..self.len];
+        let target = u_bin * self.total;
+        let mut acc = 0.0;
+        let mut chosen = bins[bins.len() - 1];
+        for b in bins {
+            acc += b.weight;
+            if target < acc {
+                chosen = *b;
+                break;
+            }
+        }
+        chosen.lo + (chosen.hi - chosen.lo) * u_mag
     }
 }
 
@@ -401,7 +309,7 @@ pub struct ReleaseJitter {
 pub struct FaultScenario {
     seed: u64,
     overrun: Option<WcetOverrun>,
-    overrun_hist: Option<OverrunHistogram>,
+    overrun_hist: Option<FactorHistogram>,
     actuator: Option<ActuatorError>,
     actuator_hist: Option<FactorHistogram>,
     throttle: Option<ThermalThrottle>,
@@ -459,28 +367,44 @@ impl FaultScenario {
     /// Enables WCET overruns drawn from an empirical histogram instead of
     /// the parametric [`WcetOverrun`] model (replacing any configured one —
     /// the two are mutually exclusive). Build the histogram with
-    /// [`OverrunHistogram::load`]/[`OverrunHistogram::parse`]; a sample
+    /// [`FactorHistogram::load`]/[`FactorHistogram::parse`]; a sample
     /// trace ships in `examples/wcet_overrun_histogram.txt`.
     ///
     /// ```
-    /// use edf_sim::{FaultScenario, OverrunHistogram};
+    /// use edf_sim::{FactorHistogram, FaultScenario};
     ///
     /// # fn main() -> Result<(), edf_sim::SimError> {
-    /// let hist = OverrunHistogram::parse(
+    /// let hist = FactorHistogram::parse(
     ///     "1.0 1.0 917   # jobs at or under their WCET\n\
     ///      1.0 1.2 61\n\
     ///      1.2 1.8 22",
     /// )?;
-    /// let faults = FaultScenario::new(42).overrun_from_histogram(hist);
+    /// let faults = FaultScenario::new(42).overrun_from_histogram(hist)?;
     /// # let _ = faults;
     /// # Ok(())
     /// # }
     /// ```
-    #[must_use]
-    pub fn overrun_from_histogram(mut self, histogram: OverrunHistogram) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::HistogramTrace`] naming the first bin with `lo < 1`:
+    /// an overrun factor never shrinks a job.
+    pub fn overrun_from_histogram(mut self, histogram: FactorHistogram) -> Result<Self, SimError> {
+        let bins = &histogram.bins[..histogram.len];
+        if let Some((i, b)) = bins.iter().enumerate().find(|(_, b)| b.lo < 1.0) {
+            return Err(SimError::HistogramTrace {
+                line: 0,
+                reason: format!(
+                    "overrun bin {} [{}, {}) has lo < 1; overrun factors must be at least 1",
+                    i + 1,
+                    b.lo,
+                    b.hi
+                ),
+            });
+        }
         self.overrun = None;
         self.overrun_hist = Some(histogram);
-        self
+        Ok(self)
     }
 
     /// Enables DVS actuator error/quantisation.
@@ -624,7 +548,7 @@ impl FaultScenario {
 
     /// The configured empirical overrun histogram, if any.
     #[must_use]
-    pub fn overrun_histogram(&self) -> Option<&OverrunHistogram> {
+    pub fn overrun_histogram(&self) -> Option<&FactorHistogram> {
         self.overrun_hist.as_ref()
     }
 
@@ -975,40 +899,36 @@ mod tests {
         assert_eq!(f.next_throttle_boundary(3.0), None);
     }
 
+    /// An overrun histogram: built, then installed as the overrun model.
+    fn overrun_histogram(bins: &[(f64, f64, f64)]) -> Result<FaultScenario, SimError> {
+        FaultScenario::new(1).overrun_from_histogram(FactorHistogram::from_bins(bins)?)
+    }
+
     #[test]
     fn histogram_rejects_malformed_traces() {
-        assert!(OverrunHistogram::from_bins(&[]).is_err());
+        assert!(overrun_histogram(&[]).is_err());
+        assert!(overrun_histogram(&[(0.5, 1.0, 3.0)]).is_err(), "lo < 1");
+        assert!(overrun_histogram(&[(1.5, 1.2, 3.0)]).is_err(), "hi < lo");
         assert!(
-            OverrunHistogram::from_bins(&[(0.5, 1.0, 3.0)]).is_err(),
-            "lo < 1"
-        );
-        assert!(
-            OverrunHistogram::from_bins(&[(1.5, 1.2, 3.0)]).is_err(),
-            "hi < lo"
-        );
-        assert!(
-            OverrunHistogram::from_bins(&[(1.0, 1.5, -1.0)]).is_err(),
+            overrun_histogram(&[(1.0, 1.5, -1.0)]).is_err(),
             "negative weight"
         );
+        assert!(overrun_histogram(&[(1.0, 1.5, 0.0)]).is_err(), "zero total");
         assert!(
-            OverrunHistogram::from_bins(&[(1.0, 1.5, 0.0)]).is_err(),
-            "zero total"
-        );
-        assert!(
-            OverrunHistogram::from_bins(&vec![(1.0, 1.1, 1.0); 33]).is_err(),
+            overrun_histogram(&vec![(1.0, 1.1, 1.0); 33]).is_err(),
             "too many bins"
         );
 
-        let e = OverrunHistogram::parse("1.0 1.2 5\nnot a line").unwrap_err();
+        let e = FactorHistogram::parse("1.0 1.2 5\nnot a line").unwrap_err();
         assert!(e.to_string().contains("line 2"), "{e}");
-        let e = OverrunHistogram::parse("# only comments\n\n  1.0 0.5 3").unwrap_err();
+        let e = FactorHistogram::parse("# only comments\n\n  1.0 0.5 3").unwrap_err();
         assert!(e.to_string().contains("line 3"), "{e}");
     }
 
     #[test]
     fn histogram_draws_are_deterministic_bounded_and_distributed() {
         // ~80% no overrun, 15% mild, 5% heavy — a realistic measured shape.
-        let hist = OverrunHistogram::parse(
+        let hist = FactorHistogram::parse(
             "# factor_lo factor_hi count\n\
              1.0 1.0 800\n\
              1.0 1.3 150\n\
@@ -1016,7 +936,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(hist.len(), 3);
-        let f = FaultScenario::new(9).overrun_from_histogram(hist);
+        let f = FaultScenario::new(9).overrun_from_histogram(hist).unwrap();
         assert!(
             f.overrun().is_none(),
             "histogram replaces the parametric model"
@@ -1051,10 +971,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("hist.txt");
         std::fs::write(&path, "1.0 1.0 9\n1.0 1.5 1\n").unwrap();
-        let hist = OverrunHistogram::load(&path).unwrap();
+        let hist = FactorHistogram::load(&path).unwrap();
         assert_eq!(hist.len(), 2);
         assert!(hist.mean_factor() > 1.0 && hist.mean_factor() < 1.05);
-        let missing = OverrunHistogram::load(dir.join("nope.txt")).unwrap_err();
+        let missing = FactorHistogram::load(dir.join("nope.txt")).unwrap_err();
         assert!(missing.to_string().contains("cannot read"), "{missing}");
 
         // The shipped sample trace stays loadable.
@@ -1062,16 +982,21 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../examples/wcet_overrun_histogram.txt"
         );
-        let shipped = OverrunHistogram::load(sample).unwrap();
+        let shipped = FactorHistogram::load(sample).unwrap();
         assert!(shipped.len() >= 4);
         assert!(shipped.mean_factor() >= 1.0);
+        assert!(FaultScenario::new(1)
+            .overrun_from_histogram(shipped)
+            .is_ok());
     }
 
     #[test]
     fn factor_histogram_allows_sub_unit_bins_but_not_nonpositive() {
-        // A factor histogram may straddle 1 — the overrun histogram may not.
+        // A factor histogram may straddle 1 — an overrun histogram may not,
+        // and the refusal names the offending bin.
         assert!(FactorHistogram::from_bins(&[(0.5, 0.9, 2.0)]).is_ok());
-        assert!(OverrunHistogram::from_bins(&[(0.5, 0.9, 2.0)]).is_err());
+        let e = overrun_histogram(&[(1.0, 1.2, 2.0), (0.5, 0.9, 2.0)]).unwrap_err();
+        assert!(e.to_string().contains("overrun bin 2 [0.5, 0.9)"), "{e}");
         assert!(
             FactorHistogram::from_bins(&[(0.0, 0.9, 2.0)]).is_err(),
             "lo = 0"
@@ -1181,9 +1106,10 @@ mod tests {
 
     #[test]
     fn parametric_and_histogram_overruns_are_mutually_exclusive() {
-        let hist = OverrunHistogram::from_bins(&[(1.0, 1.5, 1.0)]).unwrap();
+        let hist = FactorHistogram::from_bins(&[(1.0, 1.5, 1.0)]).unwrap();
         let f = FaultScenario::new(1)
             .overrun_from_histogram(hist)
+            .unwrap()
             .with_overrun(0.5, 2.0)
             .unwrap();
         assert!(f.overrun_histogram().is_none());

@@ -68,8 +68,8 @@ pub mod yds;
 pub use error::SimError;
 pub use execution::ExecutionModel;
 pub use fault::{
-    ActuatorError, FactorHistogram, FaultScenario, OverrunHistogram, RecoveryPolicy, ReleaseJitter,
-    ThermalThrottle, WcetOverrun, MAX_HISTOGRAM_BINS,
+    ActuatorError, FactorHistogram, FaultScenario, RecoveryPolicy, ReleaseJitter, ThermalThrottle,
+    WcetOverrun, MAX_HISTOGRAM_BINS,
 };
 pub use procrastination::procrastination_budget;
 pub use profile::SpeedProfile;
