@@ -21,10 +21,12 @@
 //! `vᵢ ≥ θ·H·(rate(u+uᵢ) − rate(u))`. Internally this is implemented by
 //! consulting the *oracle instance* — a one-task instance whose anchor
 //! task (reserved id, zero cycles) pins the hyper-period to `H` — so the
-//! existing [`AdmissionPolicy`] implementations work unmodified. Re-solve
-//! instances embed the same anchor; when all task periods divide `H` (true
-//! for the default generator period set with `H = 1000`) the re-solve
-//! economics coincide exactly with the engine's own accounting.
+//! existing [`AdmissionPolicy`] implementations work unmodified. A
+//! domain's re-solve ledger holds the same anchor; when all task periods
+//! divide `H` (true for the default generator period set with `H = 1000`)
+//! the re-solve economics coincide exactly with the engine's own
+//! accounting. Otherwise the re-solve prices per hyper-period of the
+//! standing set, which moves as tasks come and go.
 //!
 //! ## Reservation-consistent shedding and the dominance theorem
 //!
@@ -55,9 +57,9 @@
 //!
 //! Given the same event stream and configuration, the decision log is
 //! **bit-identical from run to run**: admission decisions are pure
-//! arithmetic, and the re-solve uses the node-budgeted branch & bound
-//! seeded with the standing accepted set (`solve_within_seeded`), whose
-//! incumbent is reproducible by construction. Only the wall-clock
+//! arithmetic, and the re-solve runs the node-budgeted branch & bound
+//! ([`BranchBound::search`]) on the domain's ledger, seeded with the
+//! standing accepted set, whose incumbent is reproducible by construction. Only the wall-clock
 //! decision-latency histogram in the metrics registry varies between
 //! runs. What the log must *be* is fixed by a naive reference engine
 //! (`tests/reference/mod.rs`: plain `E*` pricing, an exhaustive re-solve
@@ -71,8 +73,9 @@ use std::time::Instant;
 use dvs_power::Processor;
 use reject_sched::algorithms::BranchBound;
 use reject_sched::anytime::{SolveBudget, SolveQuality};
+use reject_sched::bounds::break_even_fn;
 use reject_sched::online::AdmissionPolicy;
-use reject_sched::{Instance, SchedError, Solution};
+use reject_sched::{Instance, SchedError, View};
 use rt_model::io::{
     parse_event_line, parse_task_columns, write_task_columns, EventKind, EventRecord,
 };
@@ -103,7 +106,8 @@ pub struct EngineConfig {
     /// re-solves; regret-triggered ones still run if configured).
     pub resolve_every: Option<u64>,
     /// Re-solve as soon as the estimated shedding profit (regret) exceeds
-    /// this, checked on ticks *and* departures. `None` disables.
+    /// this, checked on ticks *and* departures. `None` disables; an engine
+    /// refuses a threshold that is not finite.
     pub regret_threshold: Option<f64>,
     /// Node budget per re-solve pass, handed to the sequential anytime
     /// branch & bound. Deterministic by construction.
@@ -444,14 +448,10 @@ struct Domain {
     reserved: Vec<Task>,
     /// Cached `Σ uᵢ` over `active` (recomputed on every mutation).
     committed: f64,
-    /// Cached re-solve instance over `active ∪ reserved ∪ {anchor}`,
-    /// rebuilt only when that union changes — guard readmissions and
-    /// re-solve sheds move tasks *between* the two ledgers without
-    /// touching the union, so the instance (and its density order, prefix
-    /// sums, break-evens and identifier table) is reused across ticks.
-    resolve_cache: Option<Instance>,
-    /// The task union changed since `resolve_cache` was built.
-    union_dirty: bool,
+    /// The re-solve union in density order, built by the domain's first
+    /// re-solve and kept in step with `active` and `reserved` from then
+    /// on; a domain that is never re-solved never builds it.
+    ledger: Option<Ledger>,
     /// An arrive/depart/shed/readmit occurred since the last re-solve
     /// concluded for this domain. While false, a re-solve is guaranteed to
     /// reach the same conclusion it just reached ("keep the current
@@ -478,8 +478,7 @@ impl Domain {
             active: Vec::new(),
             reserved: Vec::new(),
             committed: 0.0,
-            resolve_cache: None,
-            union_dirty: true,
+            ledger: None,
             needs_resolve: false,
             fenced: false,
             export_payload: None,
@@ -498,19 +497,65 @@ impl Domain {
         self.committed + self.reserved.iter().map(Task::utilization).sum::<f64>()
     }
 
-    /// Marks a change to the `active ∪ reserved` union (arrival accepted,
-    /// task departed): the cached instance is stale and the next re-solve
-    /// must run.
-    fn mark_union_changed(&mut self) {
-        self.union_dirty = true;
+    /// Serves an admitted task.
+    fn admit(&mut self, task: Task) {
+        self.active.push(task);
+        if let Some(ledger) = &mut self.ledger {
+            ledger.insert(self.active.len() - 1, task, &self.cpu);
+        }
+        self.recompute_committed();
         self.needs_resolve = true;
     }
 
-    /// Marks a change to the served/reserved *split* only (guard
-    /// readmission): the cached instance stays valid but the next
-    /// re-solve must run.
-    fn mark_split_changed(&mut self) {
+    /// Drops the departing task at `slot` of `active ++ reserved`.
+    fn depart(&mut self, slot: usize) {
+        if slot < self.active.len() {
+            self.active.remove(slot);
+            self.recompute_committed();
+        } else {
+            self.reserved.remove(slot - self.active.len());
+        }
+        if let Some(ledger) = &mut self.ledger {
+            ledger.remove(slot, &self.cpu);
+        }
         self.needs_resolve = true;
+    }
+
+    /// Sheds the served task at `pos` of `active` to the end of `reserved`.
+    fn shed(&mut self, pos: usize) -> Task {
+        let task = self.active.remove(pos);
+        self.reserved.push(task);
+        if let Some(ledger) = &mut self.ledger {
+            ledger.move_slot(pos, self.active.len() + self.reserved.len() - 1);
+        }
+        self.recompute_committed();
+        task
+    }
+
+    /// Readmits the reserved task at `pos` of `reserved` to the end of
+    /// `active`.
+    fn readmit(&mut self, pos: usize) -> Task {
+        let from = self.active.len() + pos;
+        let task = self.reserved.remove(pos);
+        self.active.push(task);
+        if let Some(ledger) = &mut self.ledger {
+            ledger.move_slot(from, self.active.len() - 1);
+        }
+        self.recompute_committed();
+        task
+    }
+
+    /// Builds the ledger if the domain has none yet.
+    fn build_ledger(&mut self) {
+        if self.ledger.is_none() {
+            let anchor = self.oracle.tasks()[0];
+            self.ledger = Some(Ledger::build(
+                &self.active,
+                &self.reserved,
+                anchor,
+                &self.cpu,
+            ));
+        }
     }
 
     /// Writes the domain's block of an `S` record: the `domain` and `cpu`
@@ -603,6 +648,164 @@ impl Domain {
     }
 }
 
+/// A domain's re-solve union `active ∪ reserved ∪ {anchor}` as branch &
+/// bound reads it: in density order (density descending, ties by id),
+/// each task with its break-even, and the total penalty and hyper-period
+/// beside them. Accepts, departures, sheds and readmissions update it in
+/// place; a break-even is computed once per task and recomputed only when
+/// the hyper-period changes. Costs are summed in `active ++ reserved ++
+/// [anchor]` order, the order an instance over that union sums them in,
+/// which `slots` records.
+#[derive(Debug)]
+struct Ledger {
+    /// The union in descending penalty density, ties by identifier.
+    order: Vec<Task>,
+    /// Break-even utilization of each task of `order` at `hyper_period`.
+    break_even: Vec<f64>,
+    /// Index into `order` of each task of `active ++ reserved ++ [anchor]`.
+    slots: Vec<usize>,
+    /// `Σ vᵢ` over `slots`, in slot order.
+    total_penalty: f64,
+    /// LCM of the union's periods, the anchor's (the horizon) included.
+    hyper_period: u64,
+    /// The anchor's period.
+    horizon: u64,
+}
+
+impl Ledger {
+    fn build(active: &[Task], reserved: &[Task], anchor: Task, cpu: &Processor) -> Self {
+        let tasks: Vec<Task> = active
+            .iter()
+            .chain(reserved)
+            .copied()
+            .chain([anchor])
+            .collect();
+        let mut by_density: Vec<usize> = (0..tasks.len()).collect();
+        by_density.sort_unstable_by(|&a, &b| View::order_cmp(&tasks[a], &tasks[b]));
+        let mut slots = vec![0; tasks.len()];
+        for (k, &slot) in by_density.iter().enumerate() {
+            slots[slot] = k;
+        }
+        let mut ledger = Ledger {
+            order: by_density.iter().map(|&slot| tasks[slot]).collect(),
+            break_even: Vec::new(),
+            slots,
+            total_penalty: 0.0,
+            hyper_period: 0,
+            horizon: anchor.period(),
+        };
+        ledger.hyper_period = ledger.fold_hyper_period();
+        ledger.reprice(cpu);
+        ledger.total_penalty = ledger.sum_penalties();
+        ledger
+    }
+
+    /// `TaskSet::hyper_period` over the slots, in slot order.
+    fn fold_hyper_period(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|&k| self.order[k].period())
+            .fold(0, |l, p| if l == 0 { p } else { rt_model::lcm(l, p) })
+    }
+
+    fn sum_penalties(&self) -> f64 {
+        self.slots.iter().map(|&k| self.order[k].penalty()).sum()
+    }
+
+    /// Recomputes every break-even at the current hyper-period.
+    fn reprice(&mut self, cpu: &Processor) {
+        let break_even = break_even_fn(cpu, self.hyper_period);
+        self.break_even.clear();
+        self.break_even.extend(self.order.iter().map(break_even));
+    }
+
+    /// Adds `task` at `slot` of the summation order.
+    fn insert(&mut self, slot: usize, task: Task, cpu: &Processor) {
+        let k = self
+            .order
+            .partition_point(|t| View::order_cmp(t, &task).is_lt());
+        self.order.insert(k, task);
+        for s in &mut self.slots {
+            *s += usize::from(*s >= k);
+        }
+        self.slots.insert(slot, k);
+        // A period that divides `L` leaves it where it is.
+        let hyper_period = if self.hyper_period.is_multiple_of(task.period()) {
+            self.hyper_period
+        } else {
+            self.fold_hyper_period()
+        };
+        if hyper_period == self.hyper_period {
+            let break_even = break_even_fn(cpu, self.hyper_period)(&task);
+            self.break_even.insert(k, break_even);
+        } else {
+            self.hyper_period = hyper_period;
+            self.reprice(cpu);
+        }
+        self.total_penalty = self.sum_penalties();
+    }
+
+    /// Drops the task at `slot` of the summation order.
+    fn remove(&mut self, slot: usize, cpu: &Processor) {
+        let k = self.slots.remove(slot);
+        let task = self.order.remove(k);
+        self.break_even.remove(k);
+        for s in &mut self.slots {
+            *s -= usize::from(*s > k);
+        }
+        // The horizon stays in the union, so a period that divides it
+        // cannot have raised `L`.
+        if !self.horizon.is_multiple_of(task.period()) {
+            let hyper_period = self.fold_hyper_period();
+            if hyper_period != self.hyper_period {
+                self.hyper_period = hyper_period;
+                self.reprice(cpu);
+            }
+        }
+        self.total_penalty = self.sum_penalties();
+    }
+
+    /// Moves the task at `from` of the summation order to `to` (an index
+    /// once it is out).
+    fn move_slot(&mut self, from: usize, to: usize) {
+        let k = self.slots.remove(from);
+        self.slots.insert(to, k);
+        self.total_penalty = self.sum_penalties();
+    }
+
+    fn view<'a>(&'a self, cpu: &'a Processor) -> View<'a> {
+        View {
+            order: &self.order,
+            break_even: &self.break_even,
+            total_penalty: self.total_penalty,
+            hyper_period: self.hyper_period,
+            cpu,
+        }
+    }
+
+    /// The served set as a mask over `order`: the first `served` slots
+    /// (`active`) and the anchor.
+    fn served(&self, served: usize) -> Vec<bool> {
+        let mut accept = vec![false; self.order.len()];
+        for &k in self.slots[..served].iter().chain(self.slots.last()) {
+            accept[k] = true;
+        }
+        accept
+    }
+
+    /// `E*(U(A)) + Σ_{i ∉ A} vᵢ` for the mask `accept` over `order`, with
+    /// both sums taken in slot order — the bits `Solution::for_accepted`
+    /// gives on an instance over `active ++ reserved ++ [anchor]`.
+    fn cost(&self, view: &View<'_>, accept: &[bool]) -> Result<f64, SchedError> {
+        let (mut u, mut v) = (0.0, 0.0);
+        for &k in self.slots.iter().filter(|&&k| accept[k]) {
+            u += self.order[k].utilization();
+            v += self.order[k].penalty();
+        }
+        Ok(view.energy(u)? + (self.total_penalty - v))
+    }
+}
+
 /// Servers and the benchmark move an engine into a worker thread behind
 /// `Arc<Mutex<_>>`, so it must stay `Send`; its caches need not be `Sync`.
 const _: fn() = || {
@@ -661,6 +864,8 @@ impl AdmissionEngine {
     /// # Errors
     ///
     /// * [`AdmitError::NoDomains`] for an empty domain list.
+    /// * [`AdmitError::InvalidParameter`] for a regret threshold that is
+    ///   not finite.
     /// * Oracle-construction errors propagate.
     pub fn new(
         cpus: Vec<Processor>,
@@ -682,12 +887,22 @@ impl AdmissionEngine {
     ///
     /// # Errors
     ///
-    /// Oracle-construction errors propagate.
+    /// * [`AdmitError::InvalidParameter`] for a regret threshold that is
+    ///   not finite: a NaN or `+∞` threshold would never fire and `−∞`
+    ///   would fire on every check, so computing the regret to compare
+    ///   with it would be wasted work.
+    /// * Oracle-construction errors propagate.
     pub fn with_domains(
         cpus: Vec<Processor>,
         policy: Box<dyn EnginePolicy>,
         config: EngineConfig,
     ) -> Result<Self, AdmitError> {
+        if let Some(threshold) = config.regret_threshold.filter(|r| !r.is_finite()) {
+            return Err(AdmitError::InvalidParameter {
+                name: "regret_threshold",
+                value: threshold,
+            });
+        }
         let domains = cpus
             .into_iter()
             .map(|cpu| Domain::new(cpu, config.horizon))
@@ -1022,9 +1237,7 @@ impl AdmissionEngine {
                 let d = &mut self.domains[i];
                 let priced = d.priced();
                 if self.policy.decide(&d.oracle, priced, &task)? {
-                    d.active.push(task);
-                    d.recompute_committed();
-                    d.mark_union_changed();
+                    d.admit(task);
                     Verdict::Accepted { domain: i }
                 } else {
                     Verdict::Rejected
@@ -1103,9 +1316,9 @@ impl AdmissionEngine {
                 out.push(decision);
             }
             d.recompute_committed();
-            // Readmission shuffles the served/reserved split, not the
-            // union: the cached re-solve instance stays valid.
-            d.mark_split_changed();
+            // `active ++ reserved` reads the same before and after, so the
+            // ledger's summation order stands.
+            d.needs_resolve = true;
         }
         Ok(out)
     }
@@ -1116,8 +1329,7 @@ impl AdmissionEngine {
             // A shed task departing also releases its reservation.
             for d in &mut self.domains {
                 if let Some(pos) = d.reserved.iter().position(|t| t.id() == id) {
-                    d.reserved.remove(pos);
-                    d.mark_union_changed();
+                    d.depart(d.active.len() + pos);
                 }
             }
             self.metrics.departures += 1;
@@ -1128,9 +1340,7 @@ impl AdmissionEngine {
             let d = &mut self.domains[i];
             if let Some(pos) = d.active.iter().position(|t| t.id() == id) {
                 let pin = d.active[pos].domain();
-                d.active.remove(pos);
-                d.recompute_committed();
-                d.mark_union_changed();
+                d.depart(pos);
                 self.metrics.departures += 1;
                 self.departed.insert(id);
                 // Departures shift the load downward: first re-check the
@@ -1203,119 +1413,104 @@ impl AdmissionEngine {
     /// Runs a budgeted offline re-solve over each domain's served *and*
     /// reserved tasks, shedding the tasks the solver drops (charging
     /// their rejection penalties) and readmitting reserved tasks it picks
-    /// back up. Returns the shed/readmit decisions.
+    /// back up. Returns the shed/readmit decisions: per domain the
+    /// readmissions, then the sheds, each in ascending id.
     ///
     /// The solver is the anytime branch & bound under the configured node
-    /// budget (bit-deterministic) at any domain size, its incumbent seeded
-    /// with the domain's standing accepted set; a re-solve whose budget
-    /// expires counts as degraded and still yields a valid incumbent. A
-    /// domain is only touched when the re-solve strictly improves on its
-    /// current serving choice.
+    /// budget (bit-deterministic) at any domain size, run on the domain's
+    /// ledger and its incumbent seeded with the domain's standing accepted
+    /// set; a re-solve whose budget expires counts as degraded and still
+    /// yields a valid incumbent. A domain is only touched when the
+    /// re-solve strictly improves on its current serving choice.
     ///
     /// # Errors
     ///
     /// Solver errors propagate.
     pub fn resolve_now(&mut self) -> Result<Vec<Decision>, AdmitError> {
         self.ticks_since_resolve = 0;
+        let budget = SolveBudget::nodes(self.config.resolve_budget);
         let mut out = Vec::new();
         for i in 0..self.domains.len() {
-            let (to_shed, to_readmit) = {
-                {
-                    let d = &mut self.domains[i];
-                    if d.active.is_empty() && d.reserved.is_empty() {
-                        continue;
-                    }
-                    // Short-circuit: nothing arrived, departed, shed, or
-                    // was readmitted since the last re-solve concluded, so
-                    // running it again is guaranteed to reach the same
-                    // "keep the current serving choice" conclusion.
-                    if !d.needs_resolve {
-                        self.metrics.resolves_skipped += 1;
-                        continue;
-                    }
-                    if d.union_dirty || d.resolve_cache.is_none() {
-                        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, self.config.horizon)?;
-                        let mut tasks = d.active.clone();
-                        tasks.extend(d.reserved.iter().copied());
-                        tasks.push(anchor);
-                        d.resolve_cache = Some(Instance::new(
-                            TaskSet::try_from_tasks(tasks)?,
-                            d.cpu.clone(),
-                        )?);
-                        d.union_dirty = false;
-                    }
-                }
-                let d = &self.domains[i];
-                let instance = d.resolve_cache.as_ref().expect("rebuilt above");
-                let mut served_ids: Vec<TaskId> = d.active.iter().map(Task::id).collect();
-                served_ids.push(TaskId::new(RESERVED_ANCHOR_ID));
-                let current = Solution::for_accepted(instance, "engine-active", served_ids)?;
-                let budget = SolveBudget::nodes(self.config.resolve_budget);
-                let solved = BranchBound.solve_within_seeded(instance, &budget, &current)?;
-                let resolved = solved.solution;
-                self.metrics.resolves += 1;
-                self.metrics.resolves_degraded +=
-                    u64::from(solved.quality == SolveQuality::Degraded);
-                self.metrics.resolve_nodes += solved.nodes_used;
-                if resolved.cost() + RESOLVE_EPSILON >= current.cost() {
-                    // Keeping the current serving choice is best; until the
-                    // ledger changes, re-solving again cannot conclude
-                    // otherwise.
-                    self.domains[i].needs_resolve = false;
-                    continue;
-                }
-                let diff = current.diff(&resolved);
-                let shed: Vec<TaskId> = diff
-                    .removed
-                    .into_iter()
-                    .filter(|id| id.index() != RESERVED_ANCHOR_ID)
-                    .collect();
-                (shed, diff.added)
-            };
-            if to_shed.is_empty() && to_readmit.is_empty() {
-                self.domains[i].needs_resolve = false;
+            let d = &mut self.domains[i];
+            if d.active.is_empty() && d.reserved.is_empty() {
                 continue;
             }
-            let d = &mut self.domains[i];
-            for id in &to_readmit {
-                if let Some(pos) = d.reserved.iter().position(|t| t.id() == *id) {
-                    let task = d.reserved.remove(pos);
-                    if let Some(upos) = self.unserved.iter().position(|(u, ..)| *u == *id) {
-                        self.unserved.remove(upos);
-                    }
-                    d.active.push(task);
-                    self.metrics.readmitted += 1;
-                    let decision = Decision {
-                        at: self.clock,
-                        task: *id,
-                        verdict: Verdict::Readmitted { domain: i },
-                    };
-                    self.decisions.push(decision.clone());
-                    out.push(decision);
-                }
+            // Short-circuit: nothing arrived, departed, shed, or was
+            // readmitted since the last re-solve concluded, so running it
+            // again is guaranteed to reach the same "keep the current
+            // serving choice" conclusion.
+            if !d.needs_resolve {
+                self.metrics.resolves_skipped += 1;
+                continue;
             }
-            for id in &to_shed {
-                if let Some(pos) = d.active.iter().position(|t| t.id() == *id) {
-                    let task = d.active.remove(pos);
-                    self.unserved
-                        .push((task.id(), task.penalty(), task.domain()));
-                    d.reserved.push(task);
-                    self.metrics.shed += 1;
-                    self.metrics.penalty_charged += task.penalty();
-                    let decision = Decision {
-                        at: self.clock,
-                        task: *id,
-                        verdict: Verdict::Shed { domain: i },
-                    };
-                    self.decisions.push(decision.clone());
-                    out.push(decision);
-                }
-            }
-            d.recompute_committed();
-            // The sheds/readmits applied above ARE the re-solve's
-            // conclusion: re-solving the (unchanged) union again would
-            // find the serving choice it just installed.
+            d.build_ledger();
+            // The re-solve's conclusion, whatever it is, holds until the
+            // ledger next changes.
             d.needs_resolve = false;
+            let ledger = d.ledger.as_ref().expect("built above");
+            let view = ledger.view(&d.cpu);
+            let served = ledger.served(d.active.len());
+            let current = ledger.cost(&view, &served)?;
+            // The served set is the warm seed, standing in as `None`.
+            let solved = BranchBound.search(
+                &view,
+                &budget,
+                Some((None, current)),
+                |&(_, cost)| cost,
+                |accept| {
+                    let cost = ledger.cost(&view, &accept)?;
+                    Ok((Some(accept), cost))
+                },
+            )?;
+            self.metrics.resolves += 1;
+            self.metrics.resolves_degraded += u64::from(solved.quality == SolveQuality::Degraded);
+            self.metrics.resolve_nodes += solved.nodes_used;
+            let (Some(accept), cost) = solved.solution else {
+                continue;
+            };
+            if cost + RESOLVE_EPSILON >= current {
+                continue;
+            }
+            let (mut to_readmit, mut to_shed) = (Vec::new(), Vec::new());
+            for ((t, &was), &now) in view.order.iter().zip(&served).zip(&accept) {
+                match (was, now) {
+                    (false, true) => to_readmit.push(t.id()),
+                    (true, false) if t.id().index() != RESERVED_ANCHOR_ID => to_shed.push(t.id()),
+                    _ => {}
+                }
+            }
+            to_readmit.sort_unstable();
+            to_shed.sort_unstable();
+            for id in to_readmit {
+                let pos = d.reserved.iter().position(|t| t.id() == id);
+                let task = d.readmit(pos.expect("a readmitted task is reserved"));
+                if let Some(upos) = self.unserved.iter().position(|(u, ..)| *u == id) {
+                    self.unserved.remove(upos);
+                }
+                self.metrics.readmitted += 1;
+                let decision = Decision {
+                    at: self.clock,
+                    task: task.id(),
+                    verdict: Verdict::Readmitted { domain: i },
+                };
+                self.decisions.push(decision.clone());
+                out.push(decision);
+            }
+            for id in to_shed {
+                let pos = d.active.iter().position(|t| t.id() == id);
+                let task = d.shed(pos.expect("a shed task is served"));
+                self.unserved
+                    .push((task.id(), task.penalty(), task.domain()));
+                self.metrics.shed += 1;
+                self.metrics.penalty_charged += task.penalty();
+                let decision = Decision {
+                    at: self.clock,
+                    task: task.id(),
+                    verdict: Verdict::Shed { domain: i },
+                };
+                self.decisions.push(decision.clone());
+                out.push(decision);
+            }
         }
         Ok(out)
     }
@@ -1571,8 +1766,7 @@ impl AdmissionEngine {
         d.active.clear();
         d.reserved.clear();
         d.recompute_committed();
-        d.resolve_cache = None;
-        d.union_dirty = true;
+        d.ledger = None;
         d.needs_resolve = false;
         d.fenced = true;
         d.export_payload = Some(payload.clone());
@@ -1878,8 +2072,8 @@ impl AdmissionEngine {
 
     /// The snapshot's `config` line: the encoder writes it, and a restore
     /// requires the snapshot's to equal it byte for byte, so the
-    /// configuration is never parsed back (a NaN threshold's bits compare
-    /// equal where the NaN itself would not).
+    /// configuration is never parsed back: the regret threshold compares
+    /// by its bits.
     fn config_line(&self) -> String {
         let c = &self.config;
         let regret = OrDash(c.regret_threshold.map(|r| format!("{:016x}", r.to_bits())));
@@ -2344,6 +2538,109 @@ impl std::fmt::Debug for AdmissionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceSpec;
+    use reject_sched::Solution;
+
+    /// `trace` with each arrival's period replaced by one of four that do
+    /// not all divide the 1000-tick horizon, so the hyper-period moves.
+    fn with_odd_periods(trace: Vec<EventRecord>) -> Vec<EventRecord> {
+        const ODD_PERIODS: [u64; 4] = [300, 700, 1000, 1500];
+        trace
+            .into_iter()
+            .map(|event| match event.kind {
+                EventKind::Arrive(t) => {
+                    let period = ODD_PERIODS[t.id().index() % ODD_PERIODS.len()];
+                    let task = Task::new(t.id(), t.utilization() * period as f64, period)
+                        .unwrap()
+                        .with_penalty(t.penalty());
+                    let task = t.domain().map_or(task, |d| task.with_domain(d));
+                    EventRecord::new(event.at, EventKind::Arrive(task))
+                }
+                _ => event,
+            })
+            .collect()
+    }
+
+    /// Checks every domain's ledger against an instance built from
+    /// scratch over `active ++ reserved ++ [anchor]`, building the ledger
+    /// first where no re-solve has yet.
+    fn assert_ledgers_match_fresh_instances(engine: &mut AdmissionEngine, label: &str) {
+        for (i, d) in engine.domains.iter_mut().enumerate() {
+            d.build_ledger();
+            let anchor = d.oracle.tasks()[0];
+            let tasks = d.active.iter().chain(&d.reserved).copied().chain([anchor]);
+            let instance =
+                Instance::new(TaskSet::try_from_tasks(tasks).unwrap(), d.cpu.clone()).unwrap();
+            let (want, ledger) = (instance.view(), d.ledger.as_ref().unwrap());
+            let got = ledger.view(&d.cpu);
+            let ids = |v: &View<'_>| v.order.iter().map(Task::id).collect::<Vec<_>>();
+            let bits = |v: &View<'_>| v.break_even.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            assert_eq!(ids(&got), ids(&want), "{label} domain {i}: order");
+            assert_eq!(bits(&got), bits(&want), "{label} domain {i}: break-evens");
+            assert_eq!(
+                got.total_penalty.to_bits(),
+                want.total_penalty.to_bits(),
+                "{label} domain {i}: total penalty"
+            );
+            assert_eq!(got.hyper_period, want.hyper_period, "{label} domain {i}: L");
+            let served = d.active.iter().map(Task::id).chain([anchor.id()]);
+            let current = Solution::for_accepted(&instance, "served", served).unwrap();
+            let served = ledger.served(d.active.len());
+            let cost = ledger.cost(&got, &served).unwrap();
+            assert_eq!(
+                cost.to_bits(),
+                current.cost().to_bits(),
+                "{label} domain {i}: cost"
+            );
+        }
+    }
+
+    /// The ledger is kept in place across every kind of event, never
+    /// rebuilt: after each event of the differential grid's traces, on
+    /// generated periods and on periods that move the hyper-period, it
+    /// must read exactly what a fresh instance reads.
+    #[test]
+    fn ledger_view_matches_a_fresh_instance_after_every_event() {
+        let mut hyper_periods = BTreeSet::new();
+        for preset in ["xscale", "cubic", "xscale-table"] {
+            let cpu = dvs_power::presets::by_name(preset).unwrap();
+            for config in [
+                EngineConfig::default().resolve_every(0),
+                EngineConfig::default().resolve_every(1),
+                EngineConfig::default()
+                    .resolve_every(0)
+                    .regret_threshold(0.5),
+            ] {
+                for (domains, pinned) in [(1, 0), (3, 0), (3, 3)] {
+                    for seed in 0..5 {
+                        for odd_periods in [false, true] {
+                            let spec = TraceSpec::new(14 * domains, 2.2 * domains as f64, seed)
+                                .domains(pinned);
+                            let mut trace = spec.generate().unwrap();
+                            if odd_periods {
+                                trace = with_odd_periods(trace);
+                            }
+                            let label = format!("{preset} {config:?} {spec:?} {odd_periods}");
+                            let policy = Box::new(reject_sched::online::OnlineGreedy);
+                            let mut engine =
+                                AdmissionEngine::new(vec![cpu.clone(); domains], policy, config)
+                                    .unwrap();
+                            for (k, event) in trace.iter().enumerate() {
+                                engine.apply(event).unwrap();
+                                let label = format!("{label} event {k}");
+                                assert_ledgers_match_fresh_instances(&mut engine, &label);
+                                for d in &engine.domains {
+                                    hyper_periods.insert(d.ledger.as_ref().unwrap().hyper_period);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The odd periods do move it.
+        assert!(hyper_periods.len() > 2, "{hyper_periods:?}");
+    }
 
     #[test]
     fn every_decision_line_parses_back_to_its_bytes() {

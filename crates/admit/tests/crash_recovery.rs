@@ -188,15 +188,14 @@ fn drain_snapshot_recovers_without_replay() {
     assert_eq!(recovered.engine.format_decision_log(), ref_log);
 }
 
-/// An engine recovers its own journal whatever its configuration holds.
-/// A NaN regret threshold never equals itself, so a restore that parsed
-/// the snapshot's `config` line back and compared configurations refused
-/// it ("snapshot engine configuration differs from this engine's").
+/// An engine recovers its own journal whatever its configuration holds,
+/// and only its own: the snapshot's `config` line, the regret threshold's
+/// bits included, must equal the recovering engine's byte for byte.
 #[test]
-fn nan_regret_threshold_engine_recovers_its_own_journal() {
-    let config = config().regret_threshold(f64::NAN);
+fn regret_threshold_engine_recovers_its_own_journal() {
+    let config = config().resolve_every(0).regret_threshold(0.3);
     let trace = TraceSpec::new(12, 2.0, 7).generate().unwrap();
-    let path = tmp("nan_regret.wal");
+    let path = tmp("regret_threshold.wal");
     let _ = std::fs::remove_file(&path);
     let mut engine =
         AdmissionEngine::new(vec![xscale_ideal()], Box::new(OnlineGreedy), config).unwrap();
@@ -204,20 +203,27 @@ fn nan_regret_threshold_engine_recovers_its_own_journal() {
     for e in &trace {
         engine.apply(e).unwrap();
     }
+    assert!(engine.metrics().resolves > 0, "the threshold never fired");
     let ref_log = engine.format_decision_log();
     engine.snapshot_now().unwrap();
     drop(engine);
 
-    let recovered = AdmissionEngine::recover(
-        &path,
-        vec![xscale_ideal()],
-        Box::new(OnlineGreedy),
-        config,
-        jconfig(),
-    )
-    .unwrap_or_else(|e| panic!("NaN-regret engine refused its own journal: {e}"));
+    let recover = |config| {
+        AdmissionEngine::recover(
+            &path,
+            vec![xscale_ideal()],
+            Box::new(OnlineGreedy),
+            config,
+            jconfig(),
+        )
+    };
+    let recovered =
+        recover(config).unwrap_or_else(|e| panic!("the engine refused its own journal: {e}"));
     assert!(recovered.had_snapshot);
     assert_eq!(recovered.engine.format_decision_log(), ref_log);
+    let other = config.regret_threshold(0.3 + f64::EPSILON);
+    let err = recover(other).expect_err("another threshold's journal is refused");
+    assert!(err.to_string().contains("configuration differs"), "{err}");
 }
 
 /// Recovering a journal path that does not exist yet starts fresh: no

@@ -11,6 +11,8 @@ mod reference;
 use dvs_admit::{AdmissionEngine, EngineConfig, EnginePolicy, TraceSpec, WatermarkPolicy};
 use dvs_power::presets;
 use reject_sched::online::OnlineGreedy;
+use rt_model::io::{EventKind, EventRecord};
+use rt_model::Task;
 
 use reference::{Reference, Rule, MAX_STANDING};
 
@@ -83,15 +85,52 @@ struct Tally {
     adopted: u64,
 }
 
+/// Periods that do not divide the engine's 1000-tick horizon. Every
+/// generated period divides it, so a domain's hyper-period `L` stays 1000;
+/// with these it moves between 1000, 3000, 7000 and 21000 as tasks come
+/// and go.
+const ODD_PERIODS: [u64; 4] = [300, 700, 1000, 1500];
+
+/// `trace` with each arrival's period replaced by
+/// `ODD_PERIODS[id mod 4]`, at the same utilization, penalty and pin.
+fn with_odd_periods(trace: Vec<EventRecord>) -> Vec<EventRecord> {
+    trace
+        .into_iter()
+        .map(|event| match event.kind {
+            EventKind::Arrive(t) => {
+                let period = ODD_PERIODS[t.id().index() % ODD_PERIODS.len()];
+                let task = Task::new(t.id(), t.utilization() * period as f64, period)
+                    .unwrap()
+                    .with_penalty(t.penalty());
+                let task = t.domain().map_or(task, |d| task.with_domain(d));
+                EventRecord::new(event.at, EventKind::Arrive(task))
+            }
+            _ => event,
+        })
+        .collect()
+}
+
 /// Replays `spec` through the engine and the reference on `domains`
-/// copies of `preset` and checks that they agree.
-fn differential(preset: &str, policy: Policy, domains: usize, spec: TraceSpec, tally: &mut Tally) {
-    let label = format!("{preset} {policy:?} domains={domains} {spec:?}");
+/// copies of `preset` and checks that they agree; `odd_periods` rewrites
+/// the trace [`with_odd_periods`] first.
+fn differential(
+    preset: &str,
+    policy: Policy,
+    domains: usize,
+    spec: TraceSpec,
+    odd_periods: bool,
+    tally: &mut Tally,
+) {
+    let label = format!("{preset} {policy:?} domains={domains} {spec:?} odd_periods={odd_periods}");
     let cpus = vec![presets::by_name(preset).unwrap(); domains];
     let config = policy.config();
     let mut engine = AdmissionEngine::new(cpus.clone(), policy.engine_policy(), config).unwrap();
     let mut reference = Reference::new(cpus, policy.rule(), config);
-    for (k, event) in spec.generate().unwrap().iter().enumerate() {
+    let mut trace = spec.generate().unwrap();
+    if odd_periods {
+        trace = with_odd_periods(trace);
+    }
+    for (k, event) in trace.iter().enumerate() {
         let theirs = engine
             .apply(event)
             .unwrap_or_else(|e| panic!("{label}: event {k} ({event:?}): engine error {e}"));
@@ -158,7 +197,7 @@ fn engine_matches_the_reference_engine_across_the_grid() {
                         let n = MAX_STANDING * domains;
                         let spec = TraceSpec::new(n, 2.2 * domains as f64, seed)
                             .domains(if pinned { domains } else { 0 });
-                        differential(preset, policy, domains, spec, &mut tally);
+                        differential(preset, policy, domains, spec, false, &mut tally);
                     }
                 }
             }
@@ -171,6 +210,32 @@ fn engine_matches_the_reference_engine_across_the_grid() {
     assert!(tally.shed > 0 && tally.readmitted > 0, "{tally:?}");
 }
 
+/// The same grid on periods that do not divide the horizon
+/// ([`ODD_PERIODS`]): the hyper-period of a domain's re-solve moves as
+/// tasks arrive and depart, and every break-even priced at the old one
+/// must be priced again.
+#[test]
+fn engine_matches_the_reference_engine_when_the_hyper_period_moves() {
+    let mut tally = Tally::default();
+    for preset in ["xscale", "cubic", "xscale-table"] {
+        for policy in POLICIES {
+            for domains in [1, 3] {
+                for pinned in [false, true] {
+                    for seed in 0..5 {
+                        let n = MAX_STANDING * domains;
+                        let spec = TraceSpec::new(n, 2.2 * domains as f64, seed)
+                            .domains(if pinned { domains } else { 0 });
+                        differential(preset, policy, domains, spec, true, &mut tally);
+                    }
+                }
+            }
+        }
+    }
+    println!("{tally:?}");
+    assert_eq!(tally.traces, 240);
+    assert!(tally.shed > 0 && tally.readmitted > 0, "{tally:?}");
+}
+
 /// The ten 14-task seeds the engine's optimisations were first checked
 /// on, warm start against cold start: one xscale domain, greedy
 /// admission, a re-solve every tick.
@@ -179,7 +244,7 @@ fn engine_matches_the_reference_engine_on_the_ten_determinism_seeds() {
     let mut tally = Tally::default();
     for seed in 0..10 {
         let spec = TraceSpec::new(14, 2.2, seed);
-        differential("xscale", Policy::GreedyResolve, 1, spec, &mut tally);
+        differential("xscale", Policy::GreedyResolve, 1, spec, false, &mut tally);
     }
     println!("{tally:?}");
     assert!(tally.shed > 0, "{tally:?}");

@@ -138,6 +138,30 @@ fn regret_trigger_fires_without_periodic_resolves() {
     );
 }
 
+/// A regret threshold that is not finite never means what it says (NaN
+/// and `+∞` never fire, `−∞` fires on every check), so both constructors
+/// refuse it.
+#[test]
+fn non_finite_regret_threshold_is_refused() {
+    for threshold in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let config = EngineConfig::default().regret_threshold(threshold);
+        for cpus in [vec![cubic_ideal()], Vec::new()] {
+            let err = AdmissionEngine::with_domains(cpus, Box::new(OnlineGreedy), config)
+                .expect_err("a non-finite threshold is refused");
+            assert!(
+                matches!(
+                    err,
+                    AdmitError::InvalidParameter { name: "regret_threshold", value }
+                        if value.to_bits() == threshold.to_bits()
+                ),
+                "{threshold}: {err}"
+            );
+        }
+        let err = AdmissionEngine::new(vec![cubic_ideal()], Box::new(OnlineGreedy), config);
+        assert!(matches!(err, Err(AdmitError::InvalidParameter { .. })));
+    }
+}
+
 #[test]
 fn watermark_policy_engages_and_disengages_with_hysteresis() {
     let mut policy = WatermarkPolicy::new(0.6, 0.3, 4.0).unwrap();

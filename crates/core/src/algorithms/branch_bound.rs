@@ -1,16 +1,15 @@
 //! Exact branch & bound with convex-relaxation pruning.
 
-use rt_model::Task;
-
-use crate::algorithms::{MarginalGreedy, RejectionPolicy};
+use crate::algorithms::greedy::marginal_walk;
+use crate::algorithms::RejectionPolicy;
 use crate::anytime::{AnytimeSolution, BudgetMeter, BudgetedPolicy, SolveBudget, SolveQuality};
 use crate::bounds::relaxed_cost;
-use crate::{Instance, SchedError, Solution};
+use crate::{Instance, SchedError, Solution, View};
 
 /// Exact solver: depth-first branch & bound over accept/reject decisions,
 /// pruned by the fractional (convex-relaxation) lower bound of
 /// [`bounds`](crate::bounds) and seeded with the
-/// [`MarginalGreedy`] incumbent.
+/// [`MarginalGreedy`](crate::algorithms::MarginalGreedy) incumbent.
 ///
 /// Tasks are branched in descending penalty-density order with the *accept*
 /// branch explored first, so the greedy solution is rediscovered on the
@@ -21,6 +20,10 @@ use crate::{Instance, SchedError, Solution};
 /// [`SolveBudget`] node cap is the guard against hard instances
 /// ([`BudgetedPolicy::solve_within`]). The search keeps its pending
 /// branches on the heap, so its thread stack use does not grow with `n`.
+///
+/// Every entry point runs [`BranchBound::search`] on a [`View`]: the
+/// offline ones on [`Instance::view`], an online engine on the standing
+/// set it keeps in density order.
 ///
 /// # Examples
 ///
@@ -44,10 +47,7 @@ pub struct BranchBound;
 const ANYTIME_NAME: &str = "anytime-branch-bound";
 
 struct Search<'a> {
-    instance: &'a Instance,
-    /// Acceptable tasks in descending penalty-density order.
-    tasks: &'a [Task],
-    total_penalty: f64,
+    view: &'a View<'a>,
     /// Cost to beat: the seed's cost until a strictly cheaper leaf is found.
     incumbent: f64,
     /// The leaf that set `incumbent` (`None` while the seed still holds it).
@@ -58,11 +58,18 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
+    fn quality(&self) -> SolveQuality {
+        if self.meter.expired() {
+            SolveQuality::Degraded
+        } else {
+            SolveQuality::Exact
+        }
+    }
+
     fn energy(&self, u: f64) -> f64 {
-        self.instance
-            .energy_rate(u)
+        self.view
+            .energy(u)
             .expect("search only visits feasible utilizations")
-            * self.instance.hyper_period() as f64
     }
 
     /// Depth-first search from the root. The accept branch is descended
@@ -70,6 +77,8 @@ impl Search<'_> {
     /// `(depth, u, avoided)`, so nodes are visited (and charged) in the
     /// order of the recursive accept-first search.
     fn dfs(&mut self) -> Result<(), SchedError> {
+        let tasks = self.view.order;
+        let total_penalty = self.view.total_penalty;
         let mut pending = vec![(0, 0.0, 0.0)];
         while let Some((mut i, mut u, mut avoided)) = pending.pop() {
             if i > 0 {
@@ -80,8 +89,8 @@ impl Search<'_> {
                     // Budget spent: stop, keeping the incumbent found so far.
                     return Ok(());
                 }
-                if i == self.tasks.len() {
-                    let cost = self.energy(u) + self.total_penalty - avoided;
+                if i == tasks.len() {
+                    let cost = self.energy(u) + total_penalty - avoided;
                     if cost < self.incumbent {
                         self.incumbent = cost;
                         self.best_accept = Some(self.current.clone());
@@ -90,14 +99,14 @@ impl Search<'_> {
                 }
                 // Relaxation over the undecided suffix; decided rejections
                 // cost (total − avoided − suffix) on top.
-                let relaxed = relaxed_cost(self.instance, u, i)?;
-                let fixed_rejected = self.total_penalty - avoided - relaxed.penalty;
+                let relaxed = relaxed_cost(self.view, u, i)?;
+                let fixed_rejected = total_penalty - avoided - relaxed.penalty;
                 if fixed_rejected + relaxed.cost >= self.incumbent - 1e-12 {
                     break;
                 }
-                let t = self.tasks[i];
+                let t = tasks[i];
                 pending.push((i + 1, u, avoided));
-                if !self.instance.processor().is_feasible(u + t.utilization()) {
+                if !self.view.cpu.is_feasible(u + t.utilization()) {
                     break;
                 }
                 self.current[i] = true;
@@ -127,16 +136,13 @@ impl RejectionPolicy for BranchBound {
 impl BranchBound {
     /// Warm-started budgeted solve: like
     /// [`solve_within`](BudgetedPolicy::solve_within), but the incumbent is
-    /// additionally seeded with a *known* solution — typically the standing
-    /// accepted set of an admission engine from the previous re-solve. A
-    /// tighter initial bound prunes more subtrees under the same node
-    /// budget, so the warm search never visits more nodes than the cold
-    /// one.
+    /// additionally seeded with a *known* solution. A tighter initial bound
+    /// prunes more subtrees under the same node budget, so the warm search
+    /// never visits more nodes than the cold one.
     ///
     /// When the search completes within budget the returned solution is
     /// optimal either way; the warm seed only matters on ties (where it is
-    /// kept — callers that act solely on strict cost improvements, like
-    /// `AdmissionEngine`, therefore observe identical decisions).
+    /// kept).
     ///
     /// `warm` must be a solution of `instance` (built with
     /// [`Solution::for_accepted`] on it); only its cost and accepted set
@@ -154,8 +160,10 @@ impl BranchBound {
         self.budgeted_search(instance, budget, Some(warm), ANYTIME_NAME)
     }
 
-    /// The one search driver: [`solve`](RejectionPolicy::solve) is its
-    /// unlimited, cold case. `name` labels the solution.
+    /// The instance entry points' driver: [`BranchBound::search`] on
+    /// [`Instance::view`], pricing accepted sets as [`Solution`]s of
+    /// `instance` named `name`. [`solve`](RejectionPolicy::solve) is its
+    /// unlimited, cold case.
     fn budgeted_search(
         &self,
         instance: &Instance,
@@ -163,47 +171,62 @@ impl BranchBound {
         warm: Option<&Solution>,
         name: &'static str,
     ) -> Result<AnytimeSolution, SchedError> {
-        // Acceptable tasks in descending penalty-density order (cached).
-        let tasks = instance.density_order();
-        // Best *known* solution before searching: the greedy seed, tightened
-        // by the warm incumbent only when the latter is strictly cheaper —
-        // on ties the cold path's choice (greedy) is kept, so warm and cold
-        // runs that finish within budget return the same solution.
-        let greedy = MarginalGreedy.solve(instance)?;
-        let warm = warm.filter(|w| w.cost() < greedy.cost());
+        let view = instance.view();
+        let out = self.search(&view, budget, warm.cloned(), Solution::cost, |accept| {
+            let accepted = view.order.iter().zip(accept).filter(|(_, a)| *a);
+            Solution::for_accepted(instance, name, accepted.map(|(t, _)| t.id()))
+        })?;
+        Ok(AnytimeSolution {
+            solution: out.solution.relabelled(name),
+            ..out
+        })
+    }
+
+    /// The one search: budgeted branch & bound over `view`.
+    ///
+    /// An accepted set is a mask over `view.order`. `price` prices one the
+    /// way the view's owner sums its costs (an [`Instance`] in
+    /// task-position order), as an `S` whose cost `cost` reads. The best
+    /// known solution before searching is the marginal greedy's set,
+    /// tightened by `warm` only when that is strictly cheaper — on ties the
+    /// greedy is kept, so warm and cold runs that finish within budget
+    /// return the same set. A leaf replaces it only when strictly cheaper,
+    /// and is priced once, at the end; otherwise the seed is returned as it
+    /// was priced.
+    ///
+    /// # Errors
+    ///
+    /// Pricing errors from the view's power model or from `price`.
+    pub fn search<S>(
+        &self,
+        view: &View<'_>,
+        budget: &SolveBudget,
+        warm: Option<S>,
+        cost: impl Fn(&S) -> f64,
+        mut price: impl FnMut(Vec<bool>) -> Result<S, SchedError>,
+    ) -> Result<AnytimeSolution<S>, SchedError> {
+        let greedy = price(marginal_walk(view.order, view.cpu, |u| view.energy(u))?)?;
+        let seed = match warm {
+            Some(w) if cost(&w) < cost(&greedy) => w,
+            _ => greedy,
+        };
         let mut search = Search {
-            instance,
-            tasks,
-            total_penalty: instance.total_penalty(),
-            incumbent: warm.unwrap_or(&greedy).cost(),
+            view,
+            incumbent: cost(&seed),
             best_accept: None,
-            current: vec![false; tasks.len()],
+            current: vec![false; view.order.len()],
             meter: BudgetMeter::new(budget),
         };
         search.dfs()?;
-        // A leaf is recorded only when strictly cheaper than the best known
-        // seed; otherwise the seed stands as it was priced: the same
-        // accepted set on the same instance.
-        let solution = match (search.best_accept, warm) {
-            (Some(accept), _) => {
-                let accepted = tasks
-                    .iter()
-                    .zip(&accept)
-                    .filter(|(_, &take)| take)
-                    .map(|(t, _)| t.id());
-                Solution::for_accepted(instance, name, accepted)?
-            }
-            (None, Some(w)) => w.clone().relabelled(name),
-            (None, None) => greedy.relabelled(name),
+        let (quality, nodes_used) = (search.quality(), search.meter.used());
+        let solution = match search.best_accept {
+            Some(accept) => price(accept)?,
+            None => seed,
         };
         Ok(AnytimeSolution {
             solution,
-            quality: if search.meter.expired() {
-                SolveQuality::Degraded
-            } else {
-                SolveQuality::Exact
-            },
-            nodes_used: search.meter.used(),
+            quality,
+            nodes_used,
         })
     }
 }
@@ -212,7 +235,7 @@ impl BudgetedPolicy for BranchBound {
     /// Budgeted (anytime) branch & bound: the DFS is charged one work unit
     /// per visited node, so node budgets are bit-reproducible. On expiry
     /// the search stops and the best incumbent — seeded with
-    /// [`MarginalGreedy`] — is returned.
+    /// [`MarginalGreedy`](crate::algorithms::MarginalGreedy) — is returned.
     ///
     /// # Errors
     ///
@@ -229,7 +252,7 @@ impl BudgetedPolicy for BranchBound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::Exhaustive;
+    use crate::algorithms::{Exhaustive, MarginalGreedy};
     use dvs_power::presets::{cubic_ideal, xscale_ideal};
     use rt_model::generator::{PenaltyModel, WorkloadSpec};
     use rt_model::TaskId;

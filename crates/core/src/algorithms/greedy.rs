@@ -1,5 +1,6 @@
 //! Greedy heuristics and baselines.
 
+use dvs_power::Processor;
 use rt_model::{Task, TaskId};
 
 use crate::algorithms::RejectionPolicy;
@@ -107,26 +108,40 @@ impl RejectionPolicy for MarginalGreedy {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        let tasks = instance.density_order();
-        // `e_u = E*(u)` rides along with `u`: both move only on an accept,
-        // to the point `e_next` was priced at, so `e_next − e_u` has the
-        // bits of `marginal_energy(u, uᵢ)` with one evaluation per task.
-        let mut u = 0.0;
-        let mut e_u = instance.energy_for(u)?;
-        let mut accepted = Vec::with_capacity(tasks.len());
-        for t in tasks {
-            if !instance.processor().is_feasible(u + t.utilization()) {
-                continue;
-            }
-            let e_next = instance.energy_for(u + t.utilization())?;
-            if t.penalty() >= e_next - e_u {
-                u += t.utilization();
-                e_u = e_next;
-                accepted.push(t.id());
-            }
-        }
-        Solution::for_accepted(instance, self.name(), accepted)
+        let order = instance.density_order();
+        let accept = marginal_walk(order, instance.processor(), |u| instance.energy_for(u))?;
+        let accepted = order.iter().zip(accept).filter(|(_, a)| *a);
+        Solution::for_accepted(instance, self.name(), accepted.map(|(t, _)| t.id()))
     }
+}
+
+/// [`MarginalGreedy`]'s walk over a density `order` on `cpu` with
+/// `energy(u) = E*(u)`: whether each task is accepted. Branch & bound
+/// walks a [`View`](crate::View)'s fields; the plain solve walks the
+/// instance's and so never computes the break-evens a view carries.
+pub(crate) fn marginal_walk(
+    order: &[Task],
+    cpu: &Processor,
+    energy: impl Fn(f64) -> Result<f64, SchedError>,
+) -> Result<Vec<bool>, SchedError> {
+    // `e_u = E*(u)` rides along with `u`: both move only on an accept, to
+    // the point `e_next` was priced at, so `e_next − e_u` has the bits of
+    // `marginal_energy(u, uᵢ)` with one evaluation per task.
+    let mut u = 0.0;
+    let mut e_u = energy(u)?;
+    let mut accept = vec![false; order.len()];
+    for (t, take) in order.iter().zip(&mut accept) {
+        if !cpu.is_feasible(u + t.utilization()) {
+            continue;
+        }
+        let e_next = energy(u + t.utilization())?;
+        if t.penalty() >= e_next - e_u {
+            u += t.utilization();
+            e_u = e_next;
+            *take = true;
+        }
+    }
+    Ok(accept)
 }
 
 /// Exact optimum over the restricted space "reject at most one task"

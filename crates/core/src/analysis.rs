@@ -46,7 +46,8 @@ fn with_penalty(instance: &Instance, id: TaskId, penalty: f64) -> Result<Instanc
 ///
 /// * [`SchedError::Model`] for an unknown identifier.
 /// * [`SchedError::InvalidParameter`] for a non-positive tolerance.
-/// * Propagates solver errors (e.g. [`SchedError::TooLarge`]).
+/// * Pricing errors from the instance's power model, propagated from the
+///   solver ([`SchedError::Power`]).
 ///
 /// # Examples
 ///

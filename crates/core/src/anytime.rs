@@ -78,11 +78,14 @@ pub enum SolveQuality {
     Degraded,
 }
 
-/// Result of a budgeted solve.
+/// Result of a budgeted solve. `S` is what the solve returns: a
+/// [`Solution`], or whatever a caller of
+/// [`BranchBound::search`](crate::algorithms::BranchBound::search) prices
+/// its accepted sets as.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnytimeSolution {
+pub struct AnytimeSolution<S = Solution> {
     /// The (always valid, verified-compatible) solution.
-    pub solution: Solution,
+    pub solution: S,
     /// Whether the solver completed within the budget.
     pub quality: SolveQuality,
     /// Work units actually spent (search nodes / DP cell updates).

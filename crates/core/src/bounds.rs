@@ -18,15 +18,27 @@
 //! `W` is linear between its kinks, with the density `ρₖ` of the marginal
 //! task as its slope, so the minimum lies where the marginal energy
 //! `E*′(b + t)` meets `ρₖ`: at each task's break-even utilization
-//! ([`Instance::break_even`]), or at a kink. [`stationary_point`] finds it in
+//! ([`break_even_fn`]), or at a kink. [`stationary_point`] finds it in
 //! one pass in density order and `f` is evaluated once (docs/THEORY.md §6).
-//! Branch & bound reads the break-evens cached on the instance;
+//! Branch & bound reads the break-evens its [`View`] carries;
 //! [`fractional_lower_bound`] sorts its own copy and computes only the ones
 //! it walks past.
 
-use rt_model::TaskSet;
+use dvs_power::Processor;
+use rt_model::{Task, TaskSet};
 
-use crate::{Instance, SchedError};
+use crate::{Instance, SchedError, View};
+
+/// A task's break-even utilization on `cpu` at hyper-period `L`:
+/// `utilization_at_marginal(ρᵢ / L)`, the total load up to which its
+/// penalty density `ρᵢ` still outweighs the marginal energy `L·E*′`. The
+/// one formula behind [`Instance::break_even`] and every other
+/// [`View`]'s break-evens.
+pub fn break_even_fn(cpu: &Processor, hyper_period: u64) -> impl Fn(&Task) -> f64 + '_ {
+    let l = hyper_period as f64;
+    let at_marginal = cpu.utilization_at_marginal_fn();
+    move |t| at_marginal(t.penalty_density() / l)
+}
 
 /// Where a relaxation over a density-ordered task slice attains its
 /// minimum, and what the slice contributes there.
@@ -153,9 +165,8 @@ pub struct Relaxation {
 }
 
 /// Relaxed cost of the *subproblem* where utilization `base_u` is already
-/// committed (decided-accepted tasks) and the tasks of
-/// `instance.density_order()[from..]` are undecided and may be accepted
-/// fractionally.
+/// committed (decided-accepted tasks) and the tasks of `view.order[from..]`
+/// are undecided and may be accepted fractionally.
 ///
 /// Decided-rejected penalties are **not** included; branch & bound adds them
 /// on top.
@@ -166,22 +177,18 @@ pub struct Relaxation {
 ///
 /// # Panics
 ///
-/// If `from` exceeds the number of acceptable tasks.
-pub fn relaxed_cost(
-    instance: &Instance,
-    base_u: f64,
-    from: usize,
-) -> Result<Relaxation, SchedError> {
-    let s_max = instance.processor().max_speed();
-    let break_even = &instance.break_even()[from..];
-    let undecided = instance.density_order()[from..].iter();
+/// If `from` exceeds the length of the view's order.
+pub fn relaxed_cost(view: &View<'_>, base_u: f64, from: usize) -> Result<Relaxation, SchedError> {
+    let s_max = view.cpu.max_speed();
+    let break_even = &view.break_even[from..];
+    let undecided = view.order[from..].iter();
     let at = stationary_point(
         undecided.map(|t| (t.utilization(), t.penalty())),
         base_u,
         (s_max - base_u).max(0.0),
         |k| break_even[k],
     );
-    let energy = instance.energy_rate((base_u + at.t).min(s_max))? * instance.hyper_period() as f64;
+    let energy = view.energy((base_u + at.t).min(s_max))?;
     Ok(Relaxation {
         cost: energy + at.penalty - at.sheltered,
         penalty: at.penalty,
@@ -319,7 +326,7 @@ mod tests {
     fn relaxed_cost_respects_committed_utilization() {
         let inst = instance(&[(5.0, 10, 1.0), (5.0, 10, 1.0)]);
         // With τ0 committed at u=0.5, only 0.5 capacity remains for τ1.
-        let bound = relaxed_cost(&inst, 0.5, 1).unwrap();
+        let bound = relaxed_cost(&inst.view(), 0.5, 1).unwrap();
         // Accepting τ1 fully: E(1.0) = 10·1 = 10; rejecting: E(0.5)+1 = 2.25.
         assert!((bound.cost - 2.25).abs() < 1e-6);
         assert_eq!(bound.penalty, 1.0);
@@ -335,7 +342,7 @@ mod tests {
             (4.0, 10, f64::MAX),
         ]);
         for base_u in [0.0, 0.2] {
-            let bound = relaxed_cost(&inst, base_u, 0).unwrap();
+            let bound = relaxed_cost(&inst.view(), base_u, 0).unwrap();
             assert_eq!(bound.penalty, f64::INFINITY);
             assert!(bound.cost.is_nan(), "{base_u}: {}", bound.cost);
             for threshold in [0.0, 1e300, f64::INFINITY, f64::NAN] {

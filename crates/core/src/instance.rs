@@ -1,9 +1,11 @@
 use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::fmt;
 
 use dvs_power::{PowerError, Processor};
 use rt_model::{ModelError, Task, TaskId, TaskSet};
 
+use crate::bounds::break_even_fn;
 use crate::SchedError;
 
 /// Lazily computed, immutable derived data about an [`Instance`].
@@ -173,12 +175,7 @@ impl Instance {
                 .filter(|t| self.is_acceptable(t))
                 .copied()
                 .collect();
-            tasks.sort_by(|a, b| {
-                b.penalty_density()
-                    .partial_cmp(&a.penalty_density())
-                    .expect("densities are not NaN")
-                    .then(a.id().index().cmp(&b.id().index()))
-            });
+            tasks.sort_by(View::order_cmp);
             tasks
         })
     }
@@ -190,13 +187,24 @@ impl Instance {
     #[must_use]
     pub fn break_even(&self) -> &[f64] {
         self.cache.break_even.get_or_init(|| {
-            let l = self.hyper_period() as f64;
-            let at_marginal = self.cpu.utilization_at_marginal_fn();
-            self.density_order()
-                .iter()
-                .map(|t| at_marginal(t.penalty_density() / l))
-                .collect()
+            let break_even = break_even_fn(&self.cpu, self.hyper_period());
+            self.density_order().iter().map(break_even).collect()
         })
+    }
+
+    /// The instance as branch & bound, its relaxation and its
+    /// marginal-greedy seed read it, lent from the caches: [`Instance::density_order`],
+    /// [`Instance::break_even`], [`Instance::total_penalty`] (summed in
+    /// task-position order), [`Instance::hyper_period`] and the processor.
+    #[must_use]
+    pub fn view(&self) -> View<'_> {
+        View {
+            order: self.density_order(),
+            break_even: self.break_even(),
+            total_penalty: self.total_penalty(),
+            hyper_period: self.hyper_period(),
+            cpu: &self.cpu,
+        }
     }
 
     /// Prefix sums over [`Instance::density_order`]: `(Σu, Σv)` where entry
@@ -343,6 +351,57 @@ impl Instance {
     /// [`SchedError::Power`] when `u` is infeasible or invalid.
     pub fn energy_rate(&self, u: f64) -> Result<f64, PowerError> {
         self.cpu.energy_rate(u)
+    }
+}
+
+/// A borrowed, density-ordered rejection instance: everything
+/// [`BranchBound`](crate::algorithms::BranchBound)'s search, its
+/// relaxation ([`relaxed_cost`](crate::bounds::relaxed_cost)) and its
+/// [`MarginalGreedy`](crate::algorithms::MarginalGreedy) seed read.
+///
+/// [`Instance::view`] lends one from an instance's caches. An owner that
+/// keeps a standing task set in this order itself — an online admission
+/// engine re-solving its served set on every tick — builds one from its
+/// own fields, and so runs the same search without building an
+/// [`Instance`].
+#[derive(Debug, Clone, Copy)]
+pub struct View<'a> {
+    /// Acceptable tasks (`uᵢ ≤ s_max`) in descending penalty density, ties
+    /// by identifier.
+    pub order: &'a [Task],
+    /// Break-even utilization of each task of `order` at `hyper_period`
+    /// ([`break_even_fn`]).
+    pub break_even: &'a [f64],
+    /// `Σ vᵢ` over every task, summed in the owner's task order.
+    pub total_penalty: f64,
+    /// Hyper-period `L`: costs are per `L` ticks.
+    pub hyper_period: u64,
+    /// The processor.
+    pub cpu: &'a Processor,
+}
+
+impl View<'_> {
+    /// The order of [`View::order`]: penalty density descending, ties by
+    /// identifier.
+    ///
+    /// # Panics
+    ///
+    /// If a density is NaN (task validation rules that out).
+    #[must_use]
+    pub fn order_cmp(a: &Task, b: &Task) -> Ordering {
+        b.penalty_density()
+            .partial_cmp(&a.penalty_density())
+            .expect("densities are not NaN")
+            .then(a.id().index().cmp(&b.id().index()))
+    }
+
+    /// `E*(u) = L·rate(u)`, the bits of [`Instance::energy_for`].
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Power`] when `u` is infeasible or invalid.
+    pub fn energy(&self, u: f64) -> Result<f64, SchedError> {
+        Ok(self.cpu.energy_rate(u)? * self.hyper_period as f64)
     }
 }
 

@@ -91,5 +91,5 @@ pub mod precedence;
 
 pub use algorithms::RejectionPolicy;
 pub use error::SchedError;
-pub use instance::Instance;
-pub use solution::{Solution, SolutionDiff};
+pub use instance::{Instance, View};
+pub use solution::Solution;

@@ -143,45 +143,6 @@ impl Solution {
         }
     }
 
-    /// Compares this solution's accepted set against `other`'s.
-    ///
-    /// The admission engine uses this to turn a re-solve result into an
-    /// action list: tasks in `other` but not in `self` were *added*
-    /// (newly accepted), tasks in `self` but not in `other` were
-    /// *removed* (to be shed). Both identifier lists come out sorted.
-    #[must_use]
-    pub fn diff(&self, other: &Solution) -> SolutionDiff {
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.accepted.len() || j < other.accepted.len() {
-            match (self.accepted.get(i), other.accepted.get(j)) {
-                (Some(a), Some(b)) if a == b => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(a), Some(b)) if a < b => {
-                    removed.push(*a);
-                    i += 1;
-                }
-                (Some(_), Some(b)) => {
-                    added.push(*b);
-                    j += 1;
-                }
-                (Some(a), None) => {
-                    removed.push(*a);
-                    i += 1;
-                }
-                (None, Some(b)) => {
-                    added.push(*b);
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        SolutionDiff { added, removed }
-    }
-
     /// Analytic verification against the instance.
     ///
     /// # Errors
@@ -275,23 +236,6 @@ impl fmt::Display for Solution {
     }
 }
 
-/// Difference between two solutions' accepted sets — see [`Solution::diff`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SolutionDiff {
-    /// Identifiers accepted by the other solution but not this one.
-    pub added: Vec<TaskId>,
-    /// Identifiers accepted by this solution but not the other one.
-    pub removed: Vec<TaskId>,
-}
-
-impl SolutionDiff {
-    /// Whether the two accepted sets were identical.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,29 +261,6 @@ mod tests {
         assert!(s.accepts(TaskId::new(0)));
         assert!(!s.accepts(TaskId::new(1)));
         assert_eq!(s.rejected(&inst), vec![TaskId::new(1)]);
-    }
-
-    #[test]
-    fn diff_reports_added_and_removed() {
-        let tasks = TaskSet::try_from_tasks(
-            (0..5)
-                .map(|i| Task::new(i, 1.0, 10).unwrap().with_penalty(1.0))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let inst = Instance::new(tasks, cubic_ideal()).unwrap();
-        let ids = |v: &[usize]| v.iter().map(|&i| TaskId::new(i)).collect::<Vec<_>>();
-        let a = Solution::for_accepted(&inst, "a", ids(&[0, 1, 3])).unwrap();
-        let b = Solution::for_accepted(&inst, "b", ids(&[1, 2, 4])).unwrap();
-        let d = a.diff(&b);
-        assert_eq!(d.added, ids(&[2, 4]));
-        assert_eq!(d.removed, ids(&[0, 3]));
-        assert!(!d.is_empty());
-        assert!(a.diff(&a).is_empty());
-        // Diff is antisymmetric: swapping the operands swaps the roles.
-        let back = b.diff(&a);
-        assert_eq!(back.added, d.removed);
-        assert_eq!(back.removed, d.added);
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn relaxed_cost_matches_the_kink_and_ternary_reference() {
                     .sum::<f64>()
                     .min(s_max),
             };
-            let got = relaxed_cost(&inst, base_u, split).unwrap();
+            let got = relaxed_cost(&inst.view(), base_u, split).unwrap();
             let want = kink_and_ternary_reference(&inst, base_u, undecided);
             let v: f64 = undecided.iter().map(Task::penalty).sum();
             assert_eq!(got.penalty, v);
@@ -868,7 +868,7 @@ fn recursive_branch_bound(
                 }
                 return;
             }
-            let relaxed = reject_sched::bounds::relaxed_cost(self.inst, u, i).unwrap();
+            let relaxed = reject_sched::bounds::relaxed_cost(&self.inst.view(), u, i).unwrap();
             if total - avoided - relaxed.penalty + relaxed.cost >= self.incumbent - 1e-12 {
                 return;
             }

@@ -29,7 +29,9 @@ use crate::rng::Rng;
 use crate::{FrameInstance, FrameTask, ModelError, Task, TaskSet};
 
 /// Periods are drawn from this harmonic-friendly set by default; its LCM is
-/// 6000 ticks, so hyper-periods remain exact and job counts stay small.
+/// 1000 ticks, so hyper-periods remain exact and job counts stay small. It
+/// is also the admission engine's default billing horizon: every generated
+/// period divides it, so a re-solve's hyper-period never moves.
 pub const DEFAULT_PERIOD_SET: &[u64] = &[10, 20, 25, 40, 50, 100, 125, 200, 250, 500, 1000];
 
 /// How rejection penalties `vᵢ` are assigned to generated tasks.
