@@ -70,22 +70,6 @@ impl SimulatedAnnealing {
         self.iterations = iterations;
         Ok(self)
     }
-
-    /// Replaces the cooling factor (per step), in `(0, 1)`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::InvalidParameter`] outside `(0, 1)`.
-    pub fn with_cooling(mut self, cooling: f64) -> Result<Self, SchedError> {
-        if !cooling.is_finite() || cooling <= 0.0 || cooling >= 1.0 {
-            return Err(SchedError::InvalidParameter {
-                name: "cooling",
-                value: cooling,
-            });
-        }
-        self.cooling = cooling;
-        Ok(self)
-    }
 }
 
 impl RejectionPolicy for SimulatedAnnealing {
@@ -191,9 +175,6 @@ mod tests {
     #[test]
     fn parameter_validation() {
         assert!(SimulatedAnnealing::new(0).with_iterations(0).is_err());
-        assert!(SimulatedAnnealing::new(0).with_cooling(1.0).is_err());
-        assert!(SimulatedAnnealing::new(0).with_cooling(0.0).is_err());
-        assert!(SimulatedAnnealing::new(0).with_cooling(0.99).is_ok());
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl std::fmt::Debug for LocalSearch {
 }
 
 impl LocalSearch {
-    /// Default cap on improvement rounds.
+    /// Cap on improvement rounds.
     pub const DEFAULT_MAX_ROUNDS: usize = 1_000;
 
     /// Creates a local search seeded by `seed`.
@@ -203,22 +203,6 @@ impl LocalSearch {
             seed: Box::new(seed),
             max_rounds: Self::DEFAULT_MAX_ROUNDS,
         }
-    }
-
-    /// Replaces the round cap.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::InvalidParameter`] if `rounds == 0`.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Result<Self, SchedError> {
-        if rounds == 0 {
-            return Err(SchedError::InvalidParameter {
-                name: "max_rounds",
-                value: 0.0,
-            });
-        }
-        self.max_rounds = rounds;
-        Ok(self)
     }
 }
 
@@ -384,12 +368,6 @@ mod tests {
                 "seed {seed}: local search {ls} far from optimum {opt}"
             );
         }
-    }
-
-    #[test]
-    fn round_cap_validated() {
-        assert!(LocalSearch::around(RejectAll).with_max_rounds(0).is_err());
-        assert!(LocalSearch::around(RejectAll).with_max_rounds(3).is_ok());
     }
 
     /// Regression guard for the incremental evaluator: every toggle/swap

@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn conversions_work() {
-        let e: SchedError = ModelError::InvalidDeadline.into();
+        let e: SchedError = ModelError::InvalidPeriod { task: 0 }.into();
         assert!(matches!(e, SchedError::Model(_)));
         let e: SchedError = PowerError::InvalidDemand { utilization: -1.0 }.into();
         assert!(matches!(e, SchedError::Power(_)));
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn source_chains() {
-        let e: SchedError = ModelError::InvalidDeadline.into();
+        let e: SchedError = ModelError::InvalidPeriod { task: 0 }.into();
         assert!(e.source().is_some());
         let e = SchedError::InvalidParameter {
             name: "ε",

@@ -37,16 +37,14 @@
 //!   used both for normalisation in the experiments and for pruning in
 //!   branch & bound.
 //!
-//! Extensions: [`hetero`] (per-task power characteristics), [`frame`]
-//! (frame-based task sets), [`constrained`] (constrained deadlines with a
-//! YDS-based energy oracle), [`online`] (irrevocable arrival-order
-//! admission), [`budget`] (the energy-budget dual: maximise served value
-//! within an energy allowance), [`anytime`] (time/node-budgeted solves that
-//! degrade gracefully to a flagged best incumbent), [`mandatory`]
-//! (must-serve subsets),
-//! [`precedence`] (ancestor-closed rejection over task DAGs — the paper's
-//! stated future-work item), [`analysis`] (sensitivity: acceptance prices
-//! and the marginal value of capacity).
+//! Extensions: [`hetero`] (per-task power characteristics),
+//! [`constrained`] (constrained deadlines with a YDS-based energy oracle),
+//! [`online`] (irrevocable arrival-order admission), [`budget`] (the
+//! energy-budget dual: maximise served value within an energy allowance),
+//! [`anytime`] (work-budgeted solves that degrade gracefully to a
+//! flagged best incumbent), [`mandatory`] (must-serve subsets),
+//! [`analysis`] (sensitivity: acceptance prices and the marginal value of
+//! capacity).
 //!
 //! ## Quickstart
 //!
@@ -82,12 +80,10 @@ pub mod anytime;
 pub mod bounds;
 pub mod budget;
 pub mod constrained;
-pub mod frame;
 pub mod hardness;
 pub mod hetero;
 pub mod mandatory;
 pub mod online;
-pub mod precedence;
 
 pub use algorithms::RejectionPolicy;
 pub use error::SchedError;

@@ -347,12 +347,6 @@ impl PowerFunction {
         self.power(0.0)
     }
 
-    /// Speed-dependent part `P_d(s) = P(s) − P_ind`.
-    #[must_use]
-    pub fn dynamic_power(&self, s: f64) -> f64 {
-        self.power(s) - self.idle_power()
-    }
-
     /// Energy consumed per cycle at speed `s`: `P(s)/s`.
     ///
     /// Returns `f64::INFINITY` at `s = 0` when `P(0) > 0`, and `0` when both

@@ -42,8 +42,22 @@ pub enum ModelError {
         /// The duplicated identifier.
         task: usize,
     },
-    /// The frame deadline was zero.
-    InvalidDeadline,
+    /// A task's relative deadline was zero or past its period.
+    InvalidDeadline {
+        /// Identifier of the offending task.
+        task: usize,
+        /// The rejected deadline.
+        deadline: u64,
+        /// The task's period, the largest deadline allowed.
+        period: u64,
+    },
+    /// A [`transform`](crate::transform) factor was outside its range.
+    InvalidFactor {
+        /// The rejected factor.
+        factor: f64,
+        /// The admissible range, as printed in the message.
+        range: &'static str,
+    },
     /// A referenced task identifier does not exist in the set.
     UnknownTask {
         /// The missing identifier.
@@ -72,7 +86,17 @@ impl fmt::Display for ModelError {
             ModelError::DuplicateTaskId { task } => {
                 write!(f, "duplicate task identifier {task} in task set")
             }
-            ModelError::InvalidDeadline => write!(f, "frame deadline must be positive"),
+            ModelError::InvalidDeadline {
+                task,
+                deadline,
+                period,
+            } => write!(
+                f,
+                "task {task}: relative deadline {deadline} must be between 1 and the period {period}"
+            ),
+            ModelError::InvalidFactor { factor, range } => {
+                write!(f, "transform factor {factor} is not in {range}")
+            }
             ModelError::UnknownTask { task } => write!(f, "unknown task identifier {task}"),
         }
     }

@@ -26,7 +26,7 @@
 //! ```
 
 use crate::rng::Rng;
-use crate::{FrameInstance, FrameTask, ModelError, Task, TaskSet};
+use crate::{ModelError, Task, TaskSet};
 
 /// Periods are drawn from this harmonic-friendly set by default; its LCM is
 /// 1000 ticks, so hyper-periods remain exact and job counts stay small. It
@@ -212,39 +212,6 @@ impl WorkloadSpec {
             .collect();
         TaskSet::try_from_tasks(tasks).expect("identifiers unchanged")
     }
-
-    /// Generates a frame-based instance with the same machinery: tasks get a
-    /// common deadline `deadline` and cycles `uᵢ · deadline`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from construction.
-    pub fn generate_frame(&self, deadline: u64) -> Result<FrameInstance, ModelError> {
-        let mut rng = Rng::seed_from_u64(self.seed);
-        let utils = uunifast_discard(
-            &mut rng,
-            self.n,
-            self.total_utilization,
-            self.max_task_utilization,
-        );
-        let d = deadline as f64;
-        let u_min = utils.iter().copied().fold(f64::INFINITY, f64::min);
-        let u_max = utils.iter().copied().fold(0.0, f64::max);
-        let mut tasks = Vec::with_capacity(self.n);
-        for (i, &u) in utils.iter().enumerate() {
-            let v = match self.penalty_model {
-                PenaltyModel::Uniform { lo, hi } => rng.gen_f64(lo, hi) * d,
-                PenaltyModel::UtilizationProportional { scale, jitter } => {
-                    scale * u * d * jitter_factor(&mut rng, jitter)
-                }
-                PenaltyModel::InverseUtilization { scale, jitter } => {
-                    scale * (u_max - u + u_min).max(0.0) * d * jitter_factor(&mut rng, jitter)
-                }
-            };
-            tasks.push(FrameTask::new(i, u * d)?.with_penalty(v.max(0.0)));
-        }
-        FrameInstance::new(deadline, tasks)
-    }
 }
 
 fn jitter_factor(rng: &mut Rng, jitter: f64) -> f64 {
@@ -412,16 +379,6 @@ mod tests {
         for w in tasks.windows(2) {
             assert!(w[0].penalty() >= w[1].penalty() - 1e-9);
         }
-    }
-
-    #[test]
-    fn frame_generation_matches_spec() {
-        let f = WorkloadSpec::new(5, 0.9)
-            .seed(4)
-            .generate_frame(200)
-            .unwrap();
-        assert_eq!(f.len(), 5);
-        assert!((f.required_speed() - 0.9).abs() < 1e-9);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * A **periodic task** `τᵢ` is an infinite sequence of jobs characterised by
 //!   its worst-case execution cycles `cᵢ` and period `pᵢ`; the relative
-//!   deadline equals the period, and all tasks arrive at time 0.
+//!   deadline `dᵢ` equals the period unless [`Task::with_deadline`]
+//!   constrains it to `dᵢ ≤ pᵢ`, and all tasks arrive at time 0.
 //! * Workload is measured in **cycles**; the number of cycles executed in an
 //!   interval is linear in processor speed, so execution *time* is
 //!   `cᵢ / s` at speed `s`.
@@ -42,7 +43,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod frame;
 mod job;
 mod task;
 mod task_set;
@@ -54,7 +54,6 @@ pub mod rng;
 pub mod transform;
 
 pub use error::ModelError;
-pub use frame::{FrameInstance, FrameTask};
 pub use job::{Job, JobIter};
 pub use task::{Task, TaskId};
 pub use task_set::TaskSet;

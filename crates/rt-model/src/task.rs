@@ -149,7 +149,11 @@ impl Task {
     /// `deadline > period`.
     pub fn with_deadline(mut self, deadline: u64) -> Result<Self, ModelError> {
         if deadline == 0 || deadline > self.period {
-            return Err(ModelError::InvalidDeadline);
+            return Err(ModelError::InvalidDeadline {
+                task: self.id.index(),
+                deadline,
+                period: self.period,
+            });
         }
         self.deadline = deadline;
         Ok(self)

@@ -191,14 +191,6 @@ impl TaskSet {
         (TaskSet { tasks: a }, TaskSet { tasks: b })
     }
 
-    /// Returns the tasks sorted by a key, leaving the set untouched.
-    #[must_use]
-    pub fn sorted_by(&self, compare: impl FnMut(&Task, &Task) -> std::cmp::Ordering) -> Vec<Task> {
-        let mut v = self.tasks.clone();
-        v.sort_by(compare);
-        v
-    }
-
     /// Enumerates every job released in `[0, horizon)` in release order
     /// (ties broken by task order).
     ///

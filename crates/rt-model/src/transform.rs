@@ -12,7 +12,7 @@ use crate::{ModelError, Task, TaskSet};
 ///
 /// # Errors
 ///
-/// [`ModelError::InvalidCycles`] if `factor` is negative or not finite.
+/// [`ModelError::InvalidFactor`] if `factor` is negative or not finite.
 ///
 /// # Examples
 ///
@@ -28,9 +28,9 @@ use crate::{ModelError, Task, TaskSet};
 /// ```
 pub fn scale_load(tasks: &TaskSet, factor: f64) -> Result<TaskSet, ModelError> {
     if !factor.is_finite() || factor < 0.0 {
-        return Err(ModelError::InvalidCycles {
-            task: usize::MAX,
-            cycles: factor,
+        return Err(ModelError::InvalidFactor {
+            factor,
+            range: "[0, ∞)",
         });
     }
     rebuild(tasks, |t| {
@@ -44,12 +44,12 @@ pub fn scale_load(tasks: &TaskSet, factor: f64) -> Result<TaskSet, ModelError> {
 ///
 /// # Errors
 ///
-/// [`ModelError::InvalidPenalty`] if `factor` is negative or not finite.
+/// [`ModelError::InvalidFactor`] if `factor` is negative or not finite.
 pub fn scale_penalties(tasks: &TaskSet, factor: f64) -> Result<TaskSet, ModelError> {
     if !factor.is_finite() || factor < 0.0 {
-        return Err(ModelError::InvalidPenalty {
-            task: usize::MAX,
-            penalty: factor,
+        return Err(ModelError::InvalidFactor {
+            factor,
+            range: "[0, ∞)",
         });
     }
     rebuild(tasks, |t| {
@@ -64,10 +64,13 @@ pub fn scale_penalties(tasks: &TaskSet, factor: f64) -> Result<TaskSet, ModelErr
 ///
 /// # Errors
 ///
-/// [`ModelError::InvalidDeadline`] if `δ` is not in `(0, 1]`.
+/// [`ModelError::InvalidFactor`] if `δ` is not in `(0, 1]`.
 pub fn shrink_deadlines(tasks: &TaskSet, delta: f64) -> Result<TaskSet, ModelError> {
     if !delta.is_finite() || delta <= 0.0 || delta > 1.0 {
-        return Err(ModelError::InvalidDeadline);
+        return Err(ModelError::InvalidFactor {
+            factor: delta,
+            range: "(0, 1]",
+        });
     }
     rebuild(tasks, |t| {
         let d = ((t.deadline() as f64 * delta).round() as u64).clamp(1, t.period());
@@ -126,7 +129,13 @@ mod tests {
         let tiny = shrink_deadlines(&base(), 0.01).unwrap();
         assert_eq!(tiny[0].deadline(), 1); // clamped to ≥ 1
         assert!(shrink_deadlines(&base(), 0.0).is_err());
-        assert!(shrink_deadlines(&base(), 1.5).is_err());
+        assert!(matches!(
+            shrink_deadlines(&base(), 1.5),
+            Err(ModelError::InvalidFactor {
+                range: "(0, 1]",
+                ..
+            })
+        ));
         // δ = 1 is the identity.
         assert_eq!(shrink_deadlines(&base(), 1.0).unwrap(), base());
     }

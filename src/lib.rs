@@ -8,8 +8,7 @@
 //! The workspace crates are usable individually; this crate bundles them for
 //! the examples and integration tests:
 //!
-//! * [`model`] (`rt-model`) — periodic/frame-based task model and workload
-//!   generators.
+//! * [`model`] (`rt-model`) — periodic task model and workload generators.
 //! * [`power`] (`dvs-power`) — convex power functions, speed domains,
 //!   critical speed, dormant-mode parameters.
 //! * [`sim`] (`edf-sim`) — discrete-event EDF/DVS simulator with energy

@@ -2,7 +2,7 @@
 //! rejection solving → analytic verification → cycle-accurate replay.
 
 use dvs_rejection::model::generator::{PenaltyModel, WorkloadSpec};
-use dvs_rejection::model::{FrameInstance, FrameTask, Task, TaskSet};
+use dvs_rejection::model::{Task, TaskSet};
 use dvs_rejection::multi::{
     fractional_lower_bound_multi, solve_partitioned, MultiInstance, PartitionStrategy,
 };
@@ -12,7 +12,6 @@ use dvs_rejection::sched::algorithms::{
     BranchBound, Exhaustive, LocalSearch, MarginalGreedy, SafeGreedy, ScaledDp,
 };
 use dvs_rejection::sched::bounds::fractional_lower_bound;
-use dvs_rejection::sched::frame::solve_frame;
 use dvs_rejection::sched::hardness::{Knapsack, KnapsackItem};
 use dvs_rejection::sched::{Instance, RejectionPolicy};
 use dvs_rejection::sim::{Simulator, SleepPolicy, SpeedProfile};
@@ -98,21 +97,20 @@ fn analytic_energy_is_simulator_accurate() {
     }
 }
 
-/// Frame-based workloads round-trip through the periodic embedding.
+/// Three tasks sharing the period 1000 (a common deadline): 1250 cycles
+/// demanded per period overload the processor, so branch & bound drops the
+/// cheap task and the replay of the rest misses no deadline.
 #[test]
-fn frame_embedding_end_to_end() {
-    let frame = FrameInstance::new(
-        1000,
-        vec![
-            FrameTask::new(0, 400.0).unwrap().with_penalty(1500.0),
-            FrameTask::new(1, 500.0).unwrap().with_penalty(1800.0),
-            FrameTask::new(2, 350.0).unwrap().with_penalty(20.0),
-        ],
-    )
+fn equal_period_overload_drops_the_cheap_task_end_to_end() {
+    let tasks = TaskSet::try_from_tasks(vec![
+        Task::new(0, 400.0, 1000).unwrap().with_penalty(1500.0),
+        Task::new(1, 500.0, 1000).unwrap().with_penalty(1800.0),
+        Task::new(2, 350.0, 1000).unwrap().with_penalty(20.0),
+    ])
     .unwrap();
-    let (instance, sol) = solve_frame(&frame, xscale_ideal(), &BranchBound).unwrap();
+    let instance = Instance::new(tasks, xscale_ideal()).unwrap();
+    let sol = BranchBound.solve(&instance).unwrap();
     sol.verify(&instance).unwrap();
-    // 1250 cycles demanded in 1000 ticks: overload → τ2 (cheap) is dropped.
     assert!(sol.accepts(0.into()) && sol.accepts(1.into()));
     assert!(!sol.accepts(2.into()));
     let report = sol.replay(&instance).unwrap();

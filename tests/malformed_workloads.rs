@@ -20,8 +20,16 @@ const CORPUS: &[(&str, &str, &str)] = &[
     ("negative penalty", "0 30.0 100 - -2.5\n", "line 1"),
     ("zero period", "0 30.0 0 - 2.5\n", "line 1"),
     ("period not integer", "0 30.0 1.5 - 2.5\n", "period"),
-    ("deadline past period", "0 30.0 100 120 2.5\n", "line 1"),
-    ("zero deadline", "0 30.0 100 0 2.5\n", "line 1"),
+    (
+        "deadline past period",
+        "0 30.0 100 120 2.5\n",
+        "line 1: task 0: relative deadline 120 must be between 1 and the period 100",
+    ),
+    (
+        "zero deadline",
+        "0 30.0 100 0 2.5\n",
+        "line 1: task 0: relative deadline 0 must be between 1 and the period 100",
+    ),
     ("garbage id", "x 30.0 100 - 2.5\n", "id"),
     ("second line broken", "0 30.0 100 - 2.5\n1 45.0\n", "line 2"),
     (
