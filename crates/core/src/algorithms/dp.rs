@@ -96,18 +96,44 @@ pub(crate) struct LevelTable {
     take: TakeBits,
 }
 
+/// Relaxes one 64-level block against the previous layer's levels `src`:
+/// `dst[j] = src[j] + u` wherever that is strictly smaller. Returns the
+/// written levels as a bit mask (bit `j` for `dst[j]`). Branch-free, so
+/// the compare-and-select vectorises on baseline x86-64; the eight
+/// `better` bytes of a chunk are packed into mask bits by one multiply
+/// (byte `j` lands on bit `56 + j`).
+fn relax_block(dst: &mut [f64; 64], src: &[f64; 64], u: f64) -> u64 {
+    let mut mask = 0u64;
+    for (k, (dst, src)) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)).enumerate() {
+        let mut better = [0u8; 8];
+        for ((slot, &below), flag) in dst.iter_mut().zip(src).zip(&mut better) {
+            let cand = below + u;
+            let b = cand < *slot;
+            *slot = if b { cand } else { *slot };
+            *flag = u8::from(b);
+        }
+        let bits = u64::from_le_bytes(better).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        mask |= bits << (8 * k);
+    }
+    mask
+}
+
 impl LevelTable {
     /// Fills the table layer by layer in task order. Charges `meter` the
     /// full width `V̂+1−wᵢ` before layer `i` and stops at the first layer
     /// it refuses (the table then covers the completed layers only).
     ///
     /// Layer `i` visits only the levels `v ∈ [wᵢ, min(V̂, hi + wᵢ)]`, with
-    /// `hi` the highest level written so far: above that `d[v−wᵢ] = +∞`,
-    /// so `cand < d[v]` is false and the full-width sweep would write
-    /// nothing there either. The levels are updated 64 at a time, one
-    /// `take` word per block: the block's `d[v−wᵢ]` are read before any of
-    /// its levels is written, so every read sees the previous layer, as in
-    /// a descending in-place sweep, for any `wᵢ ≥ 1`.
+    /// `hi` the highest level written so far: above that `d[v−wᵢ]` is
+    /// unreached, so the full-width sweep would write nothing there either.
+    /// During the sweep an unreached level holds the sentinel
+    /// `limit.next_up()` rather than `+∞`, so one compare `cand < d[v]`
+    /// also enforces `cand ≤ limit` (docs/THEORY.md §7); the sentinels
+    /// become `+∞` once the layers are done. The levels are updated in
+    /// aligned blocks of 64, one `take` word per block, from the top down,
+    /// and a block's `d[v−wᵢ]` are read before any of its levels is
+    /// written, so every read sees the previous layer, as in a descending
+    /// in-place sweep, for any `wᵢ ≥ 1`.
     ///
     /// # Errors
     ///
@@ -130,7 +156,8 @@ impl LevelTable {
             });
         }
         let limit = limit * (1.0 + 1e-9);
-        let mut d = vec![f64::INFINITY; v_hat + 1];
+        let unreached = limit.next_up();
+        let mut d = vec![unreached; v_hat + 1];
         d[0] = 0.0;
         let mut take = TakeBits::new(n, v_hat + 1);
         let mut hi = 0;
@@ -148,22 +175,39 @@ impl LevelTable {
             let top = v_hat.min(hi + w);
             let row = &mut take.words[i * take.stride..(i + 1) * take.stride];
             for k in (w / 64..=top / 64).rev() {
-                let lo = w.max(64 * k);
-                let len = top.min(64 * k + 63) + 1 - lo;
-                let mut src = [0.0; 64];
-                src[..len].copy_from_slice(&d[lo - w..lo - w + len]);
-                let mut mask = 0u64;
-                for (j, (slot, &below)) in d[lo..lo + len].iter_mut().zip(&src).enumerate() {
-                    let cand = below + u;
-                    let better = cand < *slot && cand <= limit;
-                    *slot = if better { cand } else { *slot };
-                    mask |= u64::from(better) << j;
-                }
+                let base = 64 * k;
+                let lo = w.max(base);
+                let len = top.min(base + 63) + 1 - lo;
+                let mask = if len == 64 && w >= 64 {
+                    // The sources lie wholly below the block: borrow both.
+                    let (below, block) = d.split_at_mut(base);
+                    let dst = (&mut block[..64]).try_into().expect("a full block");
+                    let src = below[base - w..][..64].try_into().expect("a full block");
+                    relax_block(dst, src, u)
+                } else {
+                    // A partial block, or sources that overlap it: copy
+                    // both in at their block offsets, padded with the
+                    // sentinel (which never relaxes), and copy back.
+                    let off = lo - base;
+                    let mut dst = [unreached; 64];
+                    let mut src = [unreached; 64];
+                    dst[off..off + len].copy_from_slice(&d[lo..lo + len]);
+                    src[off..off + len].copy_from_slice(&d[lo - w..lo - w + len]);
+                    let mask = relax_block(&mut dst, &src, u);
+                    d[lo..lo + len].copy_from_slice(&dst[off..off + len]);
+                    mask
+                };
                 if mask != 0 {
-                    let mask = mask << (lo % 64);
                     row[k] |= mask;
-                    hi = hi.max(64 * k + 63 - mask.leading_zeros() as usize);
+                    hi = hi.max(base + 63 - mask.leading_zeros() as usize);
                 }
+            }
+        }
+        // Level 0 is never written; every other level above `limit` was
+        // never reached and still holds the sentinel.
+        for level in &mut d[1..] {
+            if *level > limit {
+                *level = f64::INFINITY;
             }
         }
         Ok(LevelTable { d, take })
@@ -326,6 +370,160 @@ mod tests {
         )
         .unwrap();
         Instance::new(tasks, cubic_ideal()).unwrap()
+    }
+
+    /// `LevelTable::build` as the plain full-width sweep: unreached levels
+    /// are `+∞`, every layer visits every level `v ∈ [wᵢ, V̂]` in
+    /// descending order with two compares, and the meter is charged as in
+    /// `build`. Returns the levels and one `take` row per task.
+    fn reference_table(
+        tasks: &[Task],
+        weights: &[usize],
+        limit: f64,
+        meter: &mut BudgetMeter,
+    ) -> (Vec<f64>, Vec<Vec<bool>>) {
+        let v_hat: usize = weights.iter().sum();
+        let limit = limit * (1.0 + 1e-9);
+        let mut d = vec![f64::INFINITY; v_hat + 1];
+        d[0] = 0.0;
+        let mut take = vec![vec![false; v_hat + 1]; tasks.len()];
+        for (i, t) in tasks.iter().enumerate() {
+            let w = weights[i];
+            if w == 0 {
+                continue;
+            }
+            if !meter.charge((v_hat + 1 - w) as u64) {
+                break;
+            }
+            for v in (w..=v_hat).rev() {
+                let cand = d[v - w] + t.utilization();
+                if cand < d[v] && cand <= limit {
+                    d[v] = cand;
+                    take[i][v] = true;
+                }
+            }
+        }
+        (d, take)
+    }
+
+    /// Builds the table both ways under `budget` and compares every level
+    /// bit, every `take` bit and the meter; returns the library's table and
+    /// whether the meter expired.
+    fn assert_table_matches(
+        what: &str,
+        tasks: &[Task],
+        weights: &[usize],
+        limit: f64,
+        budget: &SolveBudget,
+    ) -> (LevelTable, bool) {
+        let mut meter = BudgetMeter::new(budget);
+        let table = LevelTable::build(tasks, weights, limit, &mut meter, "test").unwrap();
+        let mut ref_meter = BudgetMeter::new(budget);
+        let (d, take) = reference_table(tasks, weights, limit, &mut ref_meter);
+        let bits = |levels: &[f64]| levels.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(table.levels()), bits(&d), "{what}: levels");
+        for (i, row) in take.iter().enumerate() {
+            for (v, &bit) in row.iter().enumerate() {
+                assert_eq!(table.take.get(i, v), bit, "{what}: take[{i}][{v}]");
+            }
+        }
+        assert_eq!(meter.used(), ref_meter.used(), "{what}: work");
+        assert_eq!(meter.expired(), ref_meter.expired(), "{what}: expiry");
+        (table, meter.expired())
+    }
+
+    /// Tasks with utilizations `us` (period 1000).
+    fn tasks_with(us: &[f64]) -> Vec<Task> {
+        us.iter()
+            .enumerate()
+            .map(|(i, &u)| Task::new(i, u * 1000.0, 1000).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn level_table_matches_the_full_width_sweep() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut tables = 0;
+        for w in [1, 63, 64, 65, 128, 300] {
+            for seed in 0..4 {
+                // Weight `w` alternates with weights drawn from `[0, 2w]`,
+                // so the tops and block starts land anywhere in a block
+                // (and at small `w` some weights are zero).
+                let n = 6 + 3 * seed;
+                let weights: Vec<usize> = (0..n)
+                    .map(|i| {
+                        if i % 2 == 0 {
+                            w
+                        } else {
+                            next(2 * w as u64 + 1) as usize
+                        }
+                    })
+                    .collect();
+                let us: Vec<f64> = (0..n).map(|_| (1 + next(400)) as f64 / 1000.0).collect();
+                let tasks = tasks_with(&us);
+                let total: f64 = us.iter().sum();
+                // Non-binding, binding mid-table, and tight limits.
+                for limit in [total + 1.0, total / 2.0, total / 7.0] {
+                    let what = format!("w={w} seed={seed} limit={limit}");
+                    let unlimited = SolveBudget::unlimited();
+                    assert_table_matches(&what, &tasks, &weights, limit, &unlimited);
+                    tables += 1;
+                }
+            }
+        }
+        assert_eq!(tables, 6 * 4 * 3);
+    }
+
+    #[test]
+    fn level_table_limit_binds_inside_a_partial_block() {
+        // 100 unit weights of u = 0.01 under a limit of 0.7: levels up to
+        // 70 are reachable, and level 70 lies in the partial block 64..=100.
+        let tasks = tasks_with(&[0.01; 100]);
+        let weights = [1; 100];
+        let unlimited = SolveBudget::unlimited();
+        let (table, _) = assert_table_matches("unit weights", &tasks, &weights, 0.7, &unlimited);
+        let last = table.levels().iter().rposition(|d| d.is_finite()).unwrap();
+        assert!((65..100).contains(&last), "highest reachable level {last}");
+    }
+
+    #[test]
+    fn level_table_stops_where_the_meter_refuses() {
+        let tasks = tasks_with(&[0.3, 0.05, 0.2, 0.01, 0.4, 0.1, 0.25, 0.15]);
+        let weights = [70, 3, 0, 64, 130, 1, 65, 40];
+        let v_hat: u64 = weights.iter().sum::<usize>() as u64;
+        let full: u64 = weights
+            .iter()
+            .filter(|&&w| w > 0)
+            .map(|&w| v_hat + 1 - w as u64)
+            .sum();
+        for nodes in [0, 1, full / 3, full / 2, full - 1, full] {
+            let (_, expired) = assert_table_matches(
+                &format!("budget {nodes}"),
+                &tasks,
+                &weights,
+                0.6,
+                &SolveBudget::nodes(nodes),
+            );
+            assert_eq!(expired, nodes < full, "budget {nodes}");
+        }
+    }
+
+    #[test]
+    fn level_table_admits_free_tasks_under_a_zero_cap() {
+        // `solve_budget_dp`'s degenerate case: a cap of 0 admits only
+        // subsets of zero-utilization tasks.
+        let tasks = tasks_with(&[0.0, 0.2, 0.0, 0.0, 0.1, 0.0]);
+        let weights = [5, 64, 70, 1, 3, 0];
+        let unlimited = SolveBudget::unlimited();
+        let (table, _) = assert_table_matches("zero cap", &tasks, &weights, 0.0, &unlimited);
+        assert_eq!(table.levels()[76], 0.0, "tasks 0, 2 and 3 together");
+        assert_eq!(table.levels()[64], f64::INFINITY);
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Differential pins for the two offline solvers that skip provably idle
+//! Differential pins for the offline solvers that skip provably idle
 //! work: `LocalSearch` (swaps ruled out by a convexity bound are never
-//! priced) and `ScaledDp` (each layer visits only reachable value levels).
+//! priced) and the two users of the scaled DP table, `ScaledDp` and
+//! `budget::solve_budget_dp` (each layer visits only reachable value
+//! levels, 64 at a time).
 //!
 //! Each is compared against a naive reference written out here — the full
 //! neighborhood scan and the full-width table — on accepted ids and cost
 //! bits, over every processor preset (each also dormant-disable) and a CMOS
 //! power model, three penalty models, several sizes and loads, and three
-//! seed policies. `ScaledDp::solve_within` is pinned on its work counter,
-//! quality and cost bits at budgets that expire mid-table.
+//! seed policies. `ScaledDp` is also compared on instances shaped like the
+//! benchmark's (n = 200, a 20 000-level table), and `solve_budget_dp` at
+//! energy budgets whose utilization cap binds below `s_max`.
+//! `ScaledDp::solve_within` is pinned on its work counter, quality and cost
+//! bits at budgets that expire mid-table.
 
 use dvs_power::presets::{
     cubic_ideal, leaky_with_overhead, uniform_levels, xscale_ideal, xscale_levels, xscale_measured,
@@ -17,6 +22,7 @@ use reject_sched::algorithms::{
     AcceptAllFeasible, LocalSearch, MarginalGreedy, RejectAll, ScaledDp,
 };
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
+use reject_sched::budget::{solve_budget_dp, utilization_cap_for_budget};
 use reject_sched::{Instance, RejectionPolicy, Solution};
 use rt_model::generator::{PenaltyModel, WorkloadSpec};
 use rt_model::{Task, TaskId};
@@ -142,8 +148,48 @@ fn reference_local_search(inst: &Instance, seed: &Solution) -> Solution {
     Solution::for_accepted(inst, "local-search", ids).unwrap()
 }
 
-/// The scaled DP with a full-width table: every layer sweeps every value
-/// level `v ∈ [wᵢ, V̂]` in descending order.
+/// The full-width scaled-DP table: every layer sweeps every value level
+/// `v ∈ [wᵢ, V̂]` in descending order, unreached levels are `+∞`. Returns
+/// the levels and one `take` row per task.
+fn full_width_table(tasks: &[Task], weights: &[usize], limit: f64) -> (Vec<f64>, Vec<Vec<bool>>) {
+    let v_hat: usize = weights.iter().sum();
+    let mut d = vec![f64::INFINITY; v_hat + 1];
+    d[0] = 0.0;
+    let mut take = vec![vec![false; v_hat + 1]; tasks.len()];
+    for (i, t) in tasks.iter().enumerate() {
+        let w = weights[i];
+        if w == 0 {
+            continue;
+        }
+        for v in (w..=v_hat).rev() {
+            let cand = d[v - w] + t.utilization();
+            if cand < d[v] && cand <= limit * (1.0 + 1e-9) {
+                d[v] = cand;
+                take[i][v] = true;
+            }
+        }
+    }
+    (d, take)
+}
+
+/// Appends the tasks that realise level `v` of a full-width table.
+fn reconstruct(
+    tasks: &[Task],
+    weights: &[usize],
+    take: &[Vec<bool>],
+    mut v: usize,
+    out: &mut Vec<TaskId>,
+) {
+    for i in (0..tasks.len()).rev() {
+        if v > 0 && weights[i] > 0 && weights[i] <= v && take[i][v] {
+            out.push(tasks[i].id());
+            v -= weights[i];
+        }
+    }
+    assert_eq!(v, 0);
+}
+
+/// The scaled DP with a full-width table.
 fn reference_scaled_dp(inst: &Instance, epsilon: f64) -> Solution {
     let (free, tasks): (Vec<Task>, Vec<Task>) = acceptable(inst)
         .into_iter()
@@ -156,24 +202,8 @@ fn reference_scaled_dp(inst: &Instance, epsilon: f64) -> Solution {
     let n = tasks.len();
     let mu = epsilon * v_max / n as f64;
     let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
-    let v_hat: usize = weights.iter().sum();
     let s_max = inst.processor().max_speed();
-    let mut d = vec![f64::INFINITY; v_hat + 1];
-    d[0] = 0.0;
-    let mut take = vec![vec![false; v_hat + 1]; n];
-    for (i, t) in tasks.iter().enumerate() {
-        let w = weights[i];
-        if w == 0 {
-            continue;
-        }
-        for v in (w..=v_hat).rev() {
-            let cand = d[v - w] + t.utilization();
-            if cand < d[v] && cand <= s_max * (1.0 + 1e-9) {
-                d[v] = cand;
-                take[i][v] = true;
-            }
-        }
-    }
+    let (d, take) = full_width_table(&tasks, &weights, s_max);
     let l = inst.hyper_period() as f64;
     let free_penalty: f64 = free.iter().map(Task::penalty).sum();
     let mut best_v = 0;
@@ -191,15 +221,33 @@ fn reference_scaled_dp(inst: &Instance, epsilon: f64) -> Solution {
             best_v = v;
         }
     }
-    let mut v = best_v;
-    for i in (0..n).rev() {
-        if v > 0 && weights[i] > 0 && weights[i] <= v && take[i][v] {
-            accepted.push(tasks[i].id());
-            v -= weights[i];
-        }
-    }
-    assert_eq!(v, 0);
+    reconstruct(&tasks, &weights, &take, best_v, &mut accepted);
     Solution::for_accepted(inst, "scaled-dp", accepted).unwrap()
+}
+
+/// `solve_budget_dp`'s ids from a full-width table: the highest level
+/// reachable within the utilization cap of `budget`.
+fn reference_budget_dp(inst: &Instance, budget: f64, epsilon: f64) -> Vec<TaskId> {
+    let cap = utilization_cap_for_budget(inst, budget).unwrap();
+    let tasks: Vec<Task> = inst
+        .tasks()
+        .iter()
+        .filter(|t| t.utilization() <= cap * (1.0 + 1e-9))
+        .copied()
+        .collect();
+    let v_max = tasks.iter().map(Task::penalty).fold(0.0, f64::max);
+    if tasks.is_empty() || v_max <= 0.0 {
+        return Vec::new();
+    }
+    let mu = epsilon * v_max / tasks.len() as f64;
+    let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
+    let (d, take) = full_width_table(&tasks, &weights, cap);
+    let best_v = d.iter().rposition(|u| u.is_finite()).unwrap();
+    let mut accepted = Vec::new();
+    reconstruct(&tasks, &weights, &take, best_v, &mut accepted);
+    accepted.sort();
+    accepted.dedup();
+    accepted
 }
 
 fn assert_same(what: &str, library: &Solution, reference: &Solution) {
@@ -278,6 +326,61 @@ fn scaled_dp_matches_the_full_width_table() {
         }
     }
     assert_eq!(solves, 14 * 3 * 4 * 3);
+}
+
+/// The benchmark's `ScaledDp` entries: n = 200 XScale tasks with
+/// utilization-proportional penalties, `ε` chosen so the table has about
+/// 20 000 value levels, at loads 1.2 and 3.0.
+#[test]
+fn scaled_dp_matches_the_full_width_table_on_basket_shaped_instances() {
+    for load in [1.2, 3.0] {
+        for workload_seed in 0..3 {
+            let inst = instance(&xscale_ideal(), PENALTIES[1], 200, load, workload_seed);
+            let largest = inst.tasks().iter().map(Task::penalty).fold(0.0, f64::max);
+            let epsilon = 200.0 * inst.total_penalty() / (largest * 20_000.0);
+            let reference = reference_scaled_dp(&inst, epsilon);
+            let library = ScaledDp::new(epsilon).unwrap().solve(&inst).unwrap();
+            let what = format!("basket n=200 load={load} seed={workload_seed}");
+            assert_same(&what, &library, &reference);
+        }
+    }
+}
+
+#[test]
+fn budget_dp_matches_the_full_width_table() {
+    let mut solves = 0;
+    let mut binding = 0;
+    for (name, cpu) in processors() {
+        for (p, &penalty) in PENALTIES.iter().enumerate() {
+            for (n, load, epsilon) in [(10, 1.5, 0.01), (30, 2.0, 0.1), (40, 3.0, 0.2)] {
+                for workload_seed in 0..2 {
+                    let inst = instance(&cpu, penalty, n, load, workload_seed);
+                    let s_max = inst.processor().max_speed();
+                    let full = inst.energy_for(s_max).unwrap();
+                    for share in [0.0, 0.1, 0.4, 0.9] {
+                        let budget = share * full;
+                        if utilization_cap_for_budget(&inst, budget).unwrap() < s_max {
+                            binding += 1;
+                        }
+                        let library = solve_budget_dp(&inst, budget, epsilon).unwrap();
+                        let reference = reference_budget_dp(&inst, budget, epsilon);
+                        assert_eq!(
+                            library.accepted(),
+                            reference,
+                            "{name} penalty#{p} n={n} load={load} ε={epsilon} \
+                             seed={workload_seed} budget={share}·E*(s_max)"
+                        );
+                        solves += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(solves, 14 * 3 * 3 * 2 * 4);
+    assert!(
+        binding * 10 >= solves * 9,
+        "{binding} of {solves} caps bind"
+    );
 }
 
 /// `(workload seed, load, node budget, nodes used, degraded, cost bits)`
