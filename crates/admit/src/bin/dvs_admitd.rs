@@ -20,7 +20,9 @@
 //!   --power          power model per domain (default xscale)
 //!   --domains N      number of identical power domains (default 1; 0 starts
 //!                    an empty reshard target that grows via `import` ops)
-//!   --horizon H      billing horizon in ticks (default 1000)
+//!   --horizon H      billing horizon in ticks (default 1000; 0 is refused):
+//!                    admission, re-solves and penalty accrual all price
+//!                    per H, whatever the task periods
 //!   --resolve-every K  re-solve every K-th tick (0 disables; default 1)
 //!   --regret R       also re-solve when shedding profit exceeds R
 //!   --budget N       re-solve node budget (default 20000)
@@ -182,12 +184,15 @@ fn run() -> Result<(), String> {
                     .map_err(|e| format!("bad --domains: {e}"))?;
             }
             "--horizon" => {
-                config = config.horizon(
-                    it.next()
-                        .ok_or("--horizon needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --horizon: {e}"))?,
-                );
+                let horizon: u64 = it
+                    .next()
+                    .ok_or("--horizon needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad --horizon: {e}"))?;
+                if horizon == 0 {
+                    return Err("bad --horizon: 0 is not a positive tick count".to_string());
+                }
+                config = config.horizon(horizon);
             }
             "--resolve-every" => {
                 config = config.resolve_every(

@@ -22,11 +22,9 @@
 //! consulting the *oracle instance* — a one-task instance whose anchor
 //! task (reserved id, zero cycles) pins the hyper-period to `H` — so the
 //! existing [`AdmissionPolicy`] implementations work unmodified. A
-//! domain's re-solve ledger holds the same anchor; when all task periods
-//! divide `H` (true for the default generator period set with `H = 1000`)
-//! the re-solve economics coincide exactly with the engine's own
-//! accounting. Otherwise the re-solve prices per hyper-period of the
-//! standing set, which moves as tasks come and go.
+//! domain's re-solve ledger holds the same anchor and prices per `H` too,
+//! so admission, the serve-all guard, re-solves and the cost integral
+//! (`vᵢ/H` per unserved task) share one objective whatever the periods.
 //!
 //! ## Reservation-consistent shedding and the dominance theorem
 //!
@@ -97,10 +95,8 @@ const RESOLVE_EPSILON: f64 = 1e-9;
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Billing horizon `H` in ticks: penalties are per `H`, energy is
-    /// priced as `H·rate(u)`. Should be a common multiple of expected task
-    /// periods for exact re-solve consistency (see the [module
-    /// docs](self)).
+    /// Billing horizon `H` in ticks, at least 1: penalties are per `H`,
+    /// energy is priced as `H·rate(u)` (see the [module docs](self)).
     pub horizon: u64,
     /// Run a re-solve every `k`-th `Tick` (`None` disables periodic
     /// re-solves; regret-triggered ones still run if configured).
@@ -126,10 +122,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Sets the billing horizon.
+    /// Sets the billing horizon; an engine refuses 0.
     #[must_use]
     pub fn horizon(mut self, ticks: u64) -> Self {
-        self.horizon = ticks.max(1);
+        self.horizon = ticks;
         self
     }
 
@@ -516,7 +512,7 @@ impl Domain {
             self.reserved.remove(slot - self.active.len());
         }
         if let Some(ledger) = &mut self.ledger {
-            ledger.remove(slot, &self.cpu);
+            ledger.remove(slot);
         }
         self.needs_resolve = true;
     }
@@ -650,25 +646,23 @@ impl Domain {
 
 /// A domain's re-solve union `active ∪ reserved ∪ {anchor}` as branch &
 /// bound reads it: in density order (density descending, ties by id),
-/// each task with its break-even, and the total penalty and hyper-period
-/// beside them. Accepts, departures, sheds and readmissions update it in
-/// place; a break-even is computed once per task and recomputed only when
-/// the hyper-period changes. Costs are summed in `active ++ reserved ++
-/// [anchor]` order, the order an instance over that union sums them in,
-/// which `slots` records.
+/// each task with its break-even at the billing horizon, and the total
+/// penalty beside them. Accepts, departures, sheds and readmissions update
+/// it in place; a break-even is computed once, when its task enters.
+/// Costs are summed in `active ++ reserved ++ [anchor]` order, the order
+/// an instance over that union sums them in, which `slots` records.
 #[derive(Debug)]
 struct Ledger {
     /// The union in descending penalty density, ties by identifier.
     order: Vec<Task>,
-    /// Break-even utilization of each task of `order` at `hyper_period`.
+    /// Break-even utilization of each task of `order` at `horizon`.
     break_even: Vec<f64>,
     /// Index into `order` of each task of `active ++ reserved ++ [anchor]`.
     slots: Vec<usize>,
     /// `Σ vᵢ` over `slots`, in slot order.
     total_penalty: f64,
-    /// LCM of the union's periods, the anchor's (the horizon) included.
-    hyper_period: u64,
-    /// The anchor's period.
+    /// The billing horizon `H`, the anchor's period: a re-solve prices per
+    /// `H` like admission and the serve-all guard, whatever the periods.
     horizon: u64,
 }
 
@@ -686,37 +680,21 @@ impl Ledger {
         for (k, &slot) in by_density.iter().enumerate() {
             slots[slot] = k;
         }
+        let order: Vec<Task> = by_density.iter().map(|&slot| tasks[slot]).collect();
+        let horizon = anchor.period();
         let mut ledger = Ledger {
-            order: by_density.iter().map(|&slot| tasks[slot]).collect(),
-            break_even: Vec::new(),
+            break_even: order.iter().map(break_even_fn(cpu, horizon)).collect(),
+            order,
             slots,
             total_penalty: 0.0,
-            hyper_period: 0,
-            horizon: anchor.period(),
+            horizon,
         };
-        ledger.hyper_period = ledger.fold_hyper_period();
-        ledger.reprice(cpu);
         ledger.total_penalty = ledger.sum_penalties();
         ledger
     }
 
-    /// `TaskSet::hyper_period` over the slots, in slot order.
-    fn fold_hyper_period(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|&k| self.order[k].period())
-            .fold(0, |l, p| if l == 0 { p } else { rt_model::lcm(l, p) })
-    }
-
     fn sum_penalties(&self) -> f64 {
         self.slots.iter().map(|&k| self.order[k].penalty()).sum()
-    }
-
-    /// Recomputes every break-even at the current hyper-period.
-    fn reprice(&mut self, cpu: &Processor) {
-        let break_even = break_even_fn(cpu, self.hyper_period);
-        self.break_even.clear();
-        self.break_even.extend(self.order.iter().map(break_even));
     }
 
     /// Adds `task` at `slot` of the summation order.
@@ -725,42 +703,22 @@ impl Ledger {
             .order
             .partition_point(|t| View::order_cmp(t, &task).is_lt());
         self.order.insert(k, task);
+        self.break_even
+            .insert(k, break_even_fn(cpu, self.horizon)(&task));
         for s in &mut self.slots {
             *s += usize::from(*s >= k);
         }
         self.slots.insert(slot, k);
-        // A period that divides `L` leaves it where it is.
-        let hyper_period = if self.hyper_period.is_multiple_of(task.period()) {
-            self.hyper_period
-        } else {
-            self.fold_hyper_period()
-        };
-        if hyper_period == self.hyper_period {
-            let break_even = break_even_fn(cpu, self.hyper_period)(&task);
-            self.break_even.insert(k, break_even);
-        } else {
-            self.hyper_period = hyper_period;
-            self.reprice(cpu);
-        }
         self.total_penalty = self.sum_penalties();
     }
 
     /// Drops the task at `slot` of the summation order.
-    fn remove(&mut self, slot: usize, cpu: &Processor) {
+    fn remove(&mut self, slot: usize) {
         let k = self.slots.remove(slot);
-        let task = self.order.remove(k);
+        self.order.remove(k);
         self.break_even.remove(k);
         for s in &mut self.slots {
             *s -= usize::from(*s > k);
-        }
-        // The horizon stays in the union, so a period that divides it
-        // cannot have raised `L`.
-        if !self.horizon.is_multiple_of(task.period()) {
-            let hyper_period = self.fold_hyper_period();
-            if hyper_period != self.hyper_period {
-                self.hyper_period = hyper_period;
-                self.reprice(cpu);
-            }
         }
         self.total_penalty = self.sum_penalties();
     }
@@ -778,7 +736,7 @@ impl Ledger {
             order: &self.order,
             break_even: &self.break_even,
             total_penalty: self.total_penalty,
-            hyper_period: self.hyper_period,
+            hyper_period: self.horizon,
             cpu,
         }
     }
@@ -864,8 +822,8 @@ impl AdmissionEngine {
     /// # Errors
     ///
     /// * [`AdmitError::NoDomains`] for an empty domain list.
-    /// * [`AdmitError::InvalidParameter`] for a regret threshold that is
-    ///   not finite.
+    /// * [`AdmitError::InvalidParameter`] for a zero horizon or a regret
+    ///   threshold that is not finite.
     /// * Oracle-construction errors propagate.
     pub fn new(
         cpus: Vec<Processor>,
@@ -887,16 +845,23 @@ impl AdmissionEngine {
     ///
     /// # Errors
     ///
-    /// * [`AdmitError::InvalidParameter`] for a regret threshold that is
-    ///   not finite: a NaN or `+∞` threshold would never fire and `−∞`
-    ///   would fire on every check, so computing the regret to compare
-    ///   with it would be wasted work.
+    /// * [`AdmitError::InvalidParameter`] for a zero horizon, which prices
+    ///   nothing and divides the unserved penalties by 0, or for a regret
+    ///   threshold that is not finite: a NaN or `+∞` threshold would never
+    ///   fire and `−∞` would fire on every check, so computing the regret
+    ///   to compare with it would be wasted work.
     /// * Oracle-construction errors propagate.
     pub fn with_domains(
         cpus: Vec<Processor>,
         policy: Box<dyn EnginePolicy>,
         config: EngineConfig,
     ) -> Result<Self, AdmitError> {
+        if config.horizon == 0 {
+            return Err(AdmitError::InvalidParameter {
+                name: "horizon",
+                value: 0.0,
+            });
+        }
         if let Some(threshold) = config.regret_threshold.filter(|r| !r.is_finite()) {
             return Err(AdmitError::InvalidParameter {
                 name: "regret_threshold",
@@ -2541,26 +2506,6 @@ mod tests {
     use crate::TraceSpec;
     use reject_sched::Solution;
 
-    /// `trace` with each arrival's period replaced by one of four that do
-    /// not all divide the 1000-tick horizon, so the hyper-period moves.
-    fn with_odd_periods(trace: Vec<EventRecord>) -> Vec<EventRecord> {
-        const ODD_PERIODS: [u64; 4] = [300, 700, 1000, 1500];
-        trace
-            .into_iter()
-            .map(|event| match event.kind {
-                EventKind::Arrive(t) => {
-                    let period = ODD_PERIODS[t.id().index() % ODD_PERIODS.len()];
-                    let task = Task::new(t.id(), t.utilization() * period as f64, period)
-                        .unwrap()
-                        .with_penalty(t.penalty());
-                    let task = t.domain().map_or(task, |d| task.with_domain(d));
-                    EventRecord::new(event.at, EventKind::Arrive(task))
-                }
-                _ => event,
-            })
-            .collect()
-    }
-
     /// Checks every domain's ledger against an instance built from
     /// scratch over `active ++ reserved ++ [anchor]`, building the ledger
     /// first where no re-solve has yet.
@@ -2596,12 +2541,11 @@ mod tests {
     }
 
     /// The ledger is kept in place across every kind of event, never
-    /// rebuilt: after each event of the differential grid's traces, on
-    /// generated periods and on periods that move the hyper-period, it
-    /// must read exactly what a fresh instance reads.
+    /// rebuilt: after each event of the differential grid's traces it must
+    /// read exactly what a fresh instance reads. Generated periods divide
+    /// the horizon, so the instance's hyper-period is the ledger's `H`.
     #[test]
     fn ledger_view_matches_a_fresh_instance_after_every_event() {
-        let mut hyper_periods = BTreeSet::new();
         for preset in ["xscale", "cubic", "xscale-table"] {
             let cpu = dvs_power::presets::by_name(preset).unwrap();
             for config in [
@@ -2613,33 +2557,23 @@ mod tests {
             ] {
                 for (domains, pinned) in [(1, 0), (3, 0), (3, 3)] {
                     for seed in 0..5 {
-                        for odd_periods in [false, true] {
-                            let spec = TraceSpec::new(14 * domains, 2.2 * domains as f64, seed)
-                                .domains(pinned);
-                            let mut trace = spec.generate().unwrap();
-                            if odd_periods {
-                                trace = with_odd_periods(trace);
-                            }
-                            let label = format!("{preset} {config:?} {spec:?} {odd_periods}");
-                            let policy = Box::new(reject_sched::online::OnlineGreedy);
-                            let mut engine =
-                                AdmissionEngine::new(vec![cpu.clone(); domains], policy, config)
-                                    .unwrap();
-                            for (k, event) in trace.iter().enumerate() {
-                                engine.apply(event).unwrap();
-                                let label = format!("{label} event {k}");
-                                assert_ledgers_match_fresh_instances(&mut engine, &label);
-                                for d in &engine.domains {
-                                    hyper_periods.insert(d.ledger.as_ref().unwrap().hyper_period);
-                                }
-                            }
+                        let spec = TraceSpec::new(14 * domains, 2.2 * domains as f64, seed)
+                            .domains(pinned);
+                        let trace = spec.generate().unwrap();
+                        let label = format!("{preset} {config:?} {spec:?}");
+                        let policy = Box::new(reject_sched::online::OnlineGreedy);
+                        let mut engine =
+                            AdmissionEngine::new(vec![cpu.clone(); domains], policy, config)
+                                .unwrap();
+                        for (k, event) in trace.iter().enumerate() {
+                            engine.apply(event).unwrap();
+                            let label = format!("{label} event {k}");
+                            assert_ledgers_match_fresh_instances(&mut engine, &label);
                         }
                     }
                 }
             }
         }
-        // The odd periods do move it.
-        assert!(hyper_periods.len() > 2, "{hyper_periods:?}");
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! decision counters must be equal and the integrated energy and
 //! penalties equal to 1e-9 relative. Every re-solve must complete within
 //! its node budget, so the engine's answer is exact and any difference
-//! from the exhaustive optimum is a bug.
+//! from the enumerated optimum is a bug.
 
+mod periods;
 mod reference;
 
 use dvs_admit::{AdmissionEngine, EngineConfig, EnginePolicy, TraceSpec, WatermarkPolicy};
 use dvs_power::presets;
 use reject_sched::online::OnlineGreedy;
-use rt_model::io::{EventKind, EventRecord};
-use rt_model::Task;
 
+use periods::with_odd_periods;
 use reference::{Reference, Rule, MAX_STANDING};
 
 #[derive(Debug, Clone, Copy)]
@@ -83,31 +83,6 @@ struct Tally {
     readmitted: u64,
     resolves: u64,
     adopted: u64,
-}
-
-/// Periods that do not divide the engine's 1000-tick horizon. Every
-/// generated period divides it, so a domain's hyper-period `L` stays 1000;
-/// with these it moves between 1000, 3000, 7000 and 21000 as tasks come
-/// and go.
-const ODD_PERIODS: [u64; 4] = [300, 700, 1000, 1500];
-
-/// `trace` with each arrival's period replaced by
-/// `ODD_PERIODS[id mod 4]`, at the same utilization, penalty and pin.
-fn with_odd_periods(trace: Vec<EventRecord>) -> Vec<EventRecord> {
-    trace
-        .into_iter()
-        .map(|event| match event.kind {
-            EventKind::Arrive(t) => {
-                let period = ODD_PERIODS[t.id().index() % ODD_PERIODS.len()];
-                let task = Task::new(t.id(), t.utilization() * period as f64, period)
-                    .unwrap()
-                    .with_penalty(t.penalty());
-                let task = t.domain().map_or(task, |d| task.with_domain(d));
-                EventRecord::new(event.at, EventKind::Arrive(task))
-            }
-            _ => event,
-        })
-        .collect()
 }
 
 /// Replays `spec` through the engine and the reference on `domains`
@@ -210,12 +185,12 @@ fn engine_matches_the_reference_engine_across_the_grid() {
     assert!(tally.shed > 0 && tally.readmitted > 0, "{tally:?}");
 }
 
-/// The same grid on periods that do not divide the horizon
-/// ([`ODD_PERIODS`]): the hyper-period of a domain's re-solve moves as
-/// tasks arrive and depart, and every break-even priced at the old one
-/// must be priced again.
+/// The same grid on periods that do not all divide the horizon
+/// ([`periods::ODD_PERIODS`]): admission, the serve-all guard and every
+/// re-solve still price per the 1000-tick horizon, so the engine sheds
+/// about as often as on generated periods.
 #[test]
-fn engine_matches_the_reference_engine_when_the_hyper_period_moves() {
+fn engine_matches_the_reference_engine_on_periods_that_do_not_divide_the_horizon() {
     let mut tally = Tally::default();
     for preset in ["xscale", "cubic", "xscale-table"] {
         for policy in POLICIES {

@@ -2,14 +2,18 @@
 //! shedding economics of the re-solve pass, watermark hysteresis, and the
 //! metrics balance invariant.
 
+mod periods;
+
 use dvs_admit::{
     AdmissionEngine, AdmitError, EngineConfig, TraceSpec, Verdict, WatermarkPolicy,
     RESERVED_ANCHOR_ID,
 };
-use dvs_power::presets::cubic_ideal;
+use dvs_power::presets::{by_name, cubic_ideal};
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::{EventKind, EventRecord};
 use rt_model::{Task, TaskId};
+
+use periods::with_odd_periods;
 
 fn engine() -> AdmissionEngine {
     AdmissionEngine::new(
@@ -188,8 +192,6 @@ fn watermark_policy_engages_and_disengages_with_hysteresis() {
 
     // Mirror the latch on a standalone policy to observe the flag.
     use dvs_admit::EnginePolicy;
-    let oracle_engine = engine(); // for an oracle instance shape
-    let _ = oracle_engine;
     let oracle = reject_sched::Instance::new(
         rt_model::TaskSet::try_from_tasks([Task::new(0, 0.0, 1000).unwrap()]).unwrap(),
         cubic_ideal(),
@@ -204,33 +206,69 @@ fn watermark_policy_engages_and_disengages_with_hysteresis() {
     assert!(!policy.is_engaged(), "reaching low disengages");
 }
 
+/// The acceptance criterion behind experiment E7, checked here on a
+/// small grid so regressions surface in the unit suite first: every
+/// preset, both admission rules, generated periods and periods that do
+/// not all divide the horizon.
 #[test]
 fn resolve_policy_never_costs_more_than_myopic_greedy() {
-    // The acceptance criterion behind experiment E7, checked here on a
-    // small grid so regressions surface in the unit suite first.
-    for seed in [3u64, 11] {
-        for load in [1.2, 2.2] {
-            let trace = TraceSpec::new(16, load, seed).generate().unwrap();
-            let run = |resolve: bool| {
-                let config = if resolve {
-                    EngineConfig::default().resolve_every(1)
-                } else {
-                    EngineConfig::default().resolve_every(0)
-                };
-                let mut e =
-                    AdmissionEngine::new(vec![cubic_ideal()], Box::new(OnlineGreedy), config)
-                        .unwrap();
-                dvs_admit::trace::replay(&mut e, &trace).unwrap();
-                e.metrics().total_cost()
-            };
-            let myopic = run(false);
-            let resolving = run(true);
-            assert!(
-                resolving <= myopic + 1e-9,
-                "seed {seed} load {load}: re-solve {resolving} > myopic {myopic}"
-            );
+    for preset in ["xscale", "cubic", "xscale-table"] {
+        let cpu = by_name(preset).unwrap();
+        for watermark in [false, true] {
+            for seed in [3u64, 11] {
+                for load in [1.2, 2.2] {
+                    for odd_periods in [false, true] {
+                        let mut trace = TraceSpec::new(16, load, seed).generate().unwrap();
+                        if odd_periods {
+                            trace = with_odd_periods(trace);
+                        }
+                        let run = |resolve_every: u64| {
+                            let policy: Box<dyn dvs_admit::EnginePolicy> = if watermark {
+                                Box::new(WatermarkPolicy::new(0.7, 0.4, 2.0).unwrap())
+                            } else {
+                                Box::new(OnlineGreedy)
+                            };
+                            let config = EngineConfig::default().resolve_every(resolve_every);
+                            let mut e =
+                                AdmissionEngine::new(vec![cpu.clone()], policy, config).unwrap();
+                            dvs_admit::trace::replay(&mut e, &trace).unwrap();
+                            e.metrics().total_cost()
+                        };
+                        let (myopic, resolving) = (run(0), run(1));
+                        assert!(
+                            resolving <= myopic + 1e-9,
+                            "{preset} watermark={watermark} seed {seed} load {load} \
+                             odd_periods={odd_periods}: re-solve {resolving} > myopic {myopic}"
+                        );
+                    }
+                }
+            }
         }
     }
+}
+
+/// A zero horizon prices nothing and would divide the unserved
+/// penalties by 0, so the builder keeps it and both constructors refuse it.
+#[test]
+fn zero_horizon_is_refused() {
+    let config = EngineConfig::default().horizon(0);
+    assert_eq!(config.horizon, 0);
+    for cpus in [vec![cubic_ideal()], Vec::new()] {
+        let err = AdmissionEngine::with_domains(cpus, Box::new(OnlineGreedy), config)
+            .expect_err("a zero horizon is refused");
+        assert!(
+            matches!(err, AdmitError::InvalidParameter { name: "horizon", value } if value == 0.0),
+            "{err}"
+        );
+    }
+    let err = AdmissionEngine::new(vec![cubic_ideal()], Box::new(OnlineGreedy), config);
+    assert!(matches!(
+        err,
+        Err(AdmitError::InvalidParameter {
+            name: "horizon",
+            ..
+        })
+    ));
 }
 
 #[test]

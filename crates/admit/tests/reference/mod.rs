@@ -5,29 +5,27 @@
 //! order) and its shed-but-present tasks (`reserved`, in shed order) in
 //! two vectors, and every quantity is recomputed from them when it is
 //! needed. Energy is `E*(u) = H·rate(u)` and a marginal is
-//! `E*(u + du) − E*(u)`. A re-solve builds a fresh instance over
-//! `active ∪ reserved ∪ {anchor}` for every domain, every time, and
-//! solves it with `Exhaustive`. There is no warm start, no clean-domain
-//! skip, no cached instance, no prefix sum and no running total.
+//! `E*(u + du) − E*(u)`. A re-solve prices every feasible subset `S` of
+//! `active ∪ reserved` at `H·rate(U(S)) + Σ_{i∉S} vᵢ`, for every domain,
+//! every time, and takes the cheapest. There is no warm start, no
+//! clean-domain skip, no pruning, no prefix sum and no running total.
 //!
 //! Where two serving choices tie within `EPSILON`, the engine and the
 //! reference may pick different optima. [`Reference::apply`] is handed
 //! the engine's decisions for the same event: if the engine's choice is
-//! not the reference's, it must cost the exhaustive optimum within
-//! `EPSILON`, and the reference then adopts it, so the two stay in step.
+//! not the reference's, it must cost the optimum within `EPSILON`, and
+//! the reference then adopts it, so the two stay in step.
 
-use dvs_admit::{Decision, EngineConfig, Metrics, Verdict, RESERVED_ANCHOR_ID};
+use dvs_admit::{Decision, EngineConfig, Metrics, Verdict};
 use dvs_power::Processor;
-use reject_sched::algorithms::Exhaustive;
-use reject_sched::{Instance, RejectionPolicy, Solution};
 use rt_model::io::{EventKind, EventRecord};
-use rt_model::{Task, TaskId, TaskSet};
+use rt_model::{Task, TaskId};
 
 /// A re-solve acts only on an improvement beyond this, and an engine
 /// choice that differs from the reference's must cost the optimum within it.
 pub const EPSILON: f64 = 1e-9;
 
-/// The most standing tasks a domain may hold: `Exhaustive` enumerates
+/// The most standing tasks a domain may hold: a re-solve enumerates
 /// their subsets.
 pub const MAX_STANDING: usize = 14;
 
@@ -319,59 +317,88 @@ impl Reference {
         regret > threshold
     }
 
-    /// Re-solves every domain exhaustively and moves it to the optimum when
-    /// that beats its current serving choice by more than `EPSILON`.
+    /// `H·rate(U(S)) + Σ_{i∉S} vᵢ` for the subset `S` of `standing` that
+    /// `mask` selects, or `None` when `S` is infeasible on domain `d`.
+    fn cost(&self, d: usize, standing: &[Task], mask: u32) -> Option<f64> {
+        let (mut u, mut v) = (0.0, 0.0);
+        for (i, t) in standing.iter().enumerate() {
+            if mask >> i & 1 == 1 {
+                u += t.utilization();
+            } else {
+                v += t.penalty();
+            }
+        }
+        let feasible = self.domains[d].cpu.is_feasible(u);
+        feasible.then(|| self.energy(d, u) + v)
+    }
+
+    /// Re-solves every domain by pricing every subset of its standing
+    /// tasks and moves it to the cheapest when that beats its current
+    /// serving choice by more than `EPSILON`.
     fn resolve(&mut self, engine: &[Decision], out: &mut Vec<Decision>) -> Result<(), String> {
         self.ticks_since_resolve = 0;
-        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, self.config.horizon).unwrap();
         for d in 0..self.domains.len() {
             let dom = &self.domains[d];
             if dom.active.is_empty() && dom.reserved.is_empty() {
                 continue;
             }
-            let standing = dom.active.len() + dom.reserved.len();
+            let standing: Vec<Task> = dom.active.iter().chain(&dom.reserved).copied().collect();
             assert!(
-                standing <= MAX_STANDING,
-                "domain {d} holds {standing} tasks"
+                standing.len() <= MAX_STANDING,
+                "domain {d} holds {} tasks",
+                standing.len()
             );
-            let tasks = dom.active.iter().chain(&dom.reserved).copied();
-            let tasks = TaskSet::try_from_tasks(tasks.chain([anchor])).unwrap();
-            let instance = Instance::new(tasks, dom.cpu.clone()).unwrap();
-            let served = dom.active.iter().map(Task::id).chain([anchor.id()]);
-            let current = Solution::for_accepted(&instance, "reference", served).unwrap();
-            let best = Exhaustive::default().solve(&instance).unwrap();
+            // The served set is `active`, the front of `standing`.
+            let served = (1u32 << dom.active.len()) - 1;
+            let current = self
+                .cost(d, &standing, served)
+                .expect("the served set is feasible");
+            let (mut best, mut best_cost) = (served, current);
+            for mask in 0..1u32 << standing.len() {
+                if let Some(cost) = self.cost(d, &standing, mask) {
+                    if cost < best_cost {
+                        (best, best_cost) = (mask, cost);
+                    }
+                }
+            }
             self.metrics.resolves += 1;
-            let ours = if best.cost() + EPSILON < current.cost() {
-                &best
-            } else {
-                &current
+            let ids = |mask: u32| -> Vec<TaskId> {
+                let mut ids: Vec<TaskId> = (0..standing.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| standing[i].id())
+                    .collect();
+                ids.sort();
+                ids
             };
-            let mut target = without_anchor(ours.accepted());
-            let theirs = self.engine_choice(d, current.accepted(), &engine[out.len()..]);
+            let current_ids = ids(served);
+            let mut target = ids(if best_cost + EPSILON < current {
+                best
+            } else {
+                served
+            });
+            let theirs = self.engine_choice(d, &current_ids, &engine[out.len()..]);
             if theirs != target {
-                let mut priced = theirs.clone();
-                priced.push(anchor.id());
-                let cost = instance.cost_of(&priced).unwrap();
-                if (cost - best.cost()).abs() > EPSILON {
+                let mask = (0..standing.len())
+                    .filter(|&i| theirs.contains(&standing[i].id()))
+                    .fold(0, |mask, i| mask | 1 << i);
+                let cost = self.cost(d, &standing, mask);
+                if cost.is_none_or(|cost| (cost - best_cost).abs() > EPSILON) {
                     return Err(format!(
-                        "t={} domain {d}: the engine serves {theirs:?} at cost {cost}, \
-                         the exhaustive optimum {target:?} costs {} (current {})",
+                        "t={} domain {d}: the engine serves {theirs:?} at cost {cost:?}, \
+                         the optimum {target:?} costs {best_cost} (current {current})",
                         self.clock,
-                        best.cost(),
-                        current.cost()
                     ));
                 }
                 self.adopted += 1;
                 target = theirs;
             }
-            let current = without_anchor(current.accepted());
-            for id in target.iter().filter(|id| !current.contains(id)) {
+            for id in target.iter().filter(|id| !current_ids.contains(id)) {
                 let dom = &mut self.domains[d];
                 let pos = dom.reserved.iter().position(|t| t.id() == *id).unwrap();
                 let task = dom.reserved.remove(pos);
                 self.readmit(d, task, out);
             }
-            for id in current.iter().filter(|id| !target.contains(id)) {
+            for id in current_ids.iter().filter(|id| !target.contains(id)) {
                 let dom = &mut self.domains[d];
                 let pos = dom.active.iter().position(|t| t.id() == *id).unwrap();
                 let task = dom.active.remove(pos);
@@ -389,7 +416,7 @@ impl Reference {
     /// current set plus what it readmitted, less what it shed, read from
     /// the run of domain-`d` decisions at the front of `pending`.
     fn engine_choice(&self, d: usize, current: &[TaskId], pending: &[Decision]) -> Vec<TaskId> {
-        let mut set = without_anchor(current);
+        let mut set = current.to_vec();
         for decision in pending {
             match decision.verdict {
                 Verdict::Readmitted { domain } if domain == d => set.push(decision.task),
@@ -415,15 +442,4 @@ impl Reference {
             verdict,
         });
     }
-}
-
-/// A sorted accepted set without the anchor.
-fn without_anchor(accepted: &[TaskId]) -> Vec<TaskId> {
-    let mut ids: Vec<TaskId> = accepted
-        .iter()
-        .copied()
-        .filter(|id| id.index() != RESERVED_ANCHOR_ID)
-        .collect();
-    ids.sort();
-    ids
 }

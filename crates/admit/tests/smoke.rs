@@ -190,6 +190,7 @@ fn bad_flags_fail_with_a_message() {
         (&["--frobnicate"][..], "--frobnicate"),
         (&["--regret", "nan"][..], "--regret"),
         (&["--regret", "inf"][..], "--regret"),
+        (&["--horizon", "0"][..], "--horizon"),
     ] {
         let mut child = spawn(args);
         child.stdin.take();
