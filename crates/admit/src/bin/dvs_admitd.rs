@@ -25,7 +25,7 @@
 //!                    per H, whatever the task periods
 //!   --resolve-every K  re-solve every K-th tick (0 disables; default 1)
 //!   --regret R       also re-solve when shedding profit exceeds R
-//!   --budget N       re-solve node budget (default 20000)
+//!   --budget N       re-solve node budget (default 20000; 0 is refused)
 //!   --journal FILE   write-ahead journal: every applied event is CRC-framed
 //!                    and flushed before its decision is acknowledged
 //!   --recover        reconstruct engine state from the journal before
@@ -216,12 +216,15 @@ fn run() -> Result<(), String> {
                 config = config.regret_threshold(regret);
             }
             "--budget" => {
-                config = config.resolve_budget(
-                    it.next()
-                        .ok_or("--budget needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --budget: {e}"))?,
-                );
+                let budget: u64 = it
+                    .next()
+                    .ok_or("--budget needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad --budget: {e}"))?;
+                if budget == 0 {
+                    return Err("bad --budget: 0 is not a positive node count".to_string());
+                }
+                config = config.resolve_budget(budget);
             }
             "--journal" => {
                 journal_path = Some(it.next().ok_or("--journal needs a file")?.clone());

@@ -17,14 +17,20 @@
 //! The offline objective is *per hyper-period*: `E*(u) = L·rate(u)` versus
 //! penalties `vᵢ`. An online engine sees no fixed task set, so it fixes a
 //! **billing horizon** `H` ([`EngineConfig::horizon`]) and prices every
-//! decision per `H` ticks: a task is worth admitting when
-//! `vᵢ ≥ θ·H·(rate(u+uᵢ) − rate(u))`. Internally this is implemented by
-//! consulting the *oracle instance* — a one-task instance whose anchor
-//! task (reserved id, zero cycles) pins the hyper-period to `H` — so the
-//! existing [`AdmissionPolicy`] implementations work unmodified. A
-//! domain's re-solve ledger holds the same anchor and prices per `H` too,
-//! so admission, the serve-all guard, re-solves and the cost integral
-//! (`vᵢ/H` per unserved task) share one objective whatever the periods.
+//! decision per `H` ticks from the domain's processor alone: a task is
+//! worth admitting when `vᵢ ≥ θ·H·(rate(u+uᵢ) − rate(u))`, which is
+//! [`marginal_energy`]`(cpu, H, u, uᵢ)`. Policies take `(cpu, H)` where
+//! offline they take an instance's `(cpu, L)`, so the existing
+//! [`AdmissionPolicy`] implementations plug in unmodified. A domain's
+//! re-solve ledger prices its standing set `S` per `H` too, at
+//! `H·rate(U(S)) + Σ_{i∉S} vᵢ`, so admission, the serve-all guard,
+//! re-solves and the cost integral (`vᵢ/H` per unserved task) share one
+//! objective whatever the periods.
+//!
+//! The engine serves the paper's model, implicit deadlines (`dᵢ = pᵢ`):
+//! only there is `U(A) ≤ s_max` the EDF test and `H·rate(U)` the energy,
+//! so an arrival with `dᵢ < pᵢ` is refused
+//! ([`AdmitError::ConstrainedDeadline`]).
 //!
 //! ## Reservation-consistent shedding and the dominance theorem
 //!
@@ -71,22 +77,17 @@ use std::time::Instant;
 use dvs_power::Processor;
 use reject_sched::algorithms::BranchBound;
 use reject_sched::anytime::{SolveBudget, SolveQuality};
-use reject_sched::bounds::break_even_fn;
+use reject_sched::bounds::{break_even_fn, marginal_energy};
 use reject_sched::online::AdmissionPolicy;
-use reject_sched::{Instance, SchedError, View};
+use reject_sched::{SchedError, View};
 use rt_model::io::{
     parse_event_line, parse_task_columns, write_task_columns, EventKind, EventRecord,
 };
-use rt_model::{Task, TaskId, TaskSet};
+use rt_model::{Task, TaskId};
 
 use crate::journal::{self, Journal, JournalConfig, JournalError, RecordKind};
 use crate::metrics::Metrics;
 use crate::AdmitError;
-
-/// Task identifier reserved for the engine's billing-horizon anchor task
-/// (a zero-cycle, zero-penalty task that pins oracle and re-solve
-/// instances to the configured horizon). Arrivals may not use it.
-pub const RESERVED_ANCHOR_ID: usize = usize::MAX;
 
 /// Tolerance below which a re-solve improvement is treated as a tie (no
 /// shedding on numerical noise).
@@ -105,8 +106,8 @@ pub struct EngineConfig {
     /// this, checked on ticks *and* departures. `None` disables; an engine
     /// refuses a threshold that is not finite.
     pub regret_threshold: Option<f64>,
-    /// Node budget per re-solve pass, handed to the sequential anytime
-    /// branch & bound. Deterministic by construction.
+    /// Node budget per re-solve pass, at least 1, handed to the
+    /// sequential anytime branch & bound. Deterministic by construction.
     pub resolve_budget: u64,
 }
 
@@ -143,10 +144,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the re-solve node budget.
+    /// Sets the re-solve node budget; an engine refuses 0.
     #[must_use]
     pub fn resolve_budget(mut self, nodes: u64) -> Self {
-        self.resolve_budget = nodes.max(1);
+        self.resolve_budget = nodes;
         self
     }
 }
@@ -162,16 +163,14 @@ pub trait EnginePolicy: Send {
     /// Short stable identifier (used in reports and logs).
     fn name(&self) -> &'static str;
 
-    /// Whether to admit `task` on a domain with committed utilization `u`.
-    ///
-    /// `oracle` is the domain's billing-horizon instance: use
-    /// `oracle.marginal_energy(u, du)` and `oracle.processor()` — its task
-    /// list is the anchor only and carries no information.
+    /// Whether to admit `task` on a domain over `cpu` with committed
+    /// utilization `u`, energy priced per `l` ticks (the billing horizon
+    /// `H`): weigh `vᵢ` against [`marginal_energy`]`(cpu, l, u, uᵢ)`.
     ///
     /// # Errors
     ///
-    /// Oracle errors propagate.
-    fn decide(&mut self, oracle: &Instance, u: f64, task: &Task) -> Result<bool, SchedError>;
+    /// Power-model errors propagate.
+    fn decide(&mut self, cpu: &Processor, l: u64, u: f64, task: &Task) -> Result<bool, SchedError>;
 
     /// Serializes the policy's mutable decision state for an engine
     /// snapshot. `None` (the default, correct for stateless policies)
@@ -201,8 +200,8 @@ impl<P: AdmissionPolicy + Send> EnginePolicy for P {
         AdmissionPolicy::name(self)
     }
 
-    fn decide(&mut self, oracle: &Instance, u: f64, task: &Task) -> Result<bool, SchedError> {
-        self.admit(oracle, u, task)
+    fn decide(&mut self, cpu: &Processor, l: u64, u: f64, task: &Task) -> Result<bool, SchedError> {
+        self.admit(cpu, l, u, task)
     }
 }
 
@@ -270,19 +269,18 @@ impl EnginePolicy for WatermarkPolicy {
         "watermark"
     }
 
-    fn decide(&mut self, oracle: &Instance, u: f64, task: &Task) -> Result<bool, SchedError> {
-        let s_max = oracle.processor().max_speed();
-        let fill = u / s_max;
+    fn decide(&mut self, cpu: &Processor, l: u64, u: f64, task: &Task) -> Result<bool, SchedError> {
+        let fill = u / cpu.max_speed();
         if fill >= self.high {
             self.engaged = true;
         } else if fill <= self.low {
             self.engaged = false;
         }
-        if !oracle.processor().is_feasible(u + task.utilization()) {
+        if !cpu.is_feasible(u + task.utilization()) {
             return Ok(false);
         }
         let hedge = if self.engaged { self.theta } else { 1.0 };
-        Ok(task.penalty() >= hedge * oracle.marginal_energy(u, task.utilization())?)
+        Ok(task.penalty() >= hedge * marginal_energy(cpu, l, u, task.utilization())?)
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -434,9 +432,6 @@ impl<T: std::fmt::Display> std::fmt::Display for OrDash<T> {
 #[derive(Debug)]
 struct Domain {
     cpu: Processor,
-    /// One-task instance (the anchor) pinning the hyper-period to the
-    /// billing horizon: the pricing oracle for this domain.
-    oracle: Instance,
     /// Served tasks, in admission order.
     active: Vec<Task>,
     /// Shed-but-present tasks, in shed order: they accrue penalty, hold
@@ -464,13 +459,10 @@ struct Domain {
 }
 
 impl Domain {
-    /// An empty, unfenced domain over `cpu`, priced per `horizon` ticks.
-    fn new(cpu: Processor, horizon: u64) -> Result<Self, AdmitError> {
-        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, horizon)?;
-        let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, cpu.clone())?;
-        Ok(Domain {
+    /// An empty, unfenced domain over `cpu`.
+    fn new(cpu: Processor) -> Self {
+        Domain {
             cpu,
-            oracle,
             active: Vec::new(),
             reserved: Vec::new(),
             committed: 0.0,
@@ -478,7 +470,7 @@ impl Domain {
             needs_resolve: false,
             fenced: false,
             export_payload: None,
-        })
+        }
     }
 
     fn recompute_committed(&mut self) {
@@ -541,14 +533,14 @@ impl Domain {
         task
     }
 
-    /// Builds the ledger if the domain has none yet.
-    fn build_ledger(&mut self) {
+    /// Builds the ledger, priced per `horizon` ticks, if the domain has
+    /// none yet.
+    fn build_ledger(&mut self, horizon: u64) {
         if self.ledger.is_none() {
-            let anchor = self.oracle.tasks()[0];
             self.ledger = Some(Ledger::build(
                 &self.active,
                 &self.reserved,
-                anchor,
+                horizon,
                 &self.cpu,
             ));
         }
@@ -589,22 +581,17 @@ impl Domain {
         }
     }
 
-    /// Reads a block [`Domain::encode`] wrote, priced per `horizon` ticks;
-    /// task pins must be below `domains`. Caches start empty: they are
-    /// rebuilt lazily from the same tasks, and pricing reads no cache, so
-    /// this cannot shift a decision.
-    fn decode(
-        cur: &mut SnapCursor<'_>,
-        horizon: u64,
-        domains: usize,
-    ) -> Result<Self, JournalError> {
+    /// Reads a block [`Domain::encode`] wrote; task pins must be below
+    /// `domains`. Caches start empty: they are rebuilt lazily from the same
+    /// tasks, and pricing reads no cache, so this cannot shift a decision.
+    fn decode(cur: &mut SnapCursor<'_>, domains: usize) -> Result<Self, JournalError> {
         let line = cur.next()?;
         let cols = AdmissionEngine::cols_tagged(cur, line, "domain", 4)?;
         let n_active = cur.parse_count(cols[1])?;
         let n_reserved = cur.parse_count(cols[2])?;
         let spec = cur.tagged("cpu")?;
         let cpu = Processor::decode_spec(spec).map_err(|e| cur.err(format!("cpu spec: {e}")))?;
-        let mut d = Domain::new(cpu, horizon).map_err(|e| cur.err(e.to_string()))?;
+        let mut d = Domain::new(cpu);
         d.needs_resolve = cols[0] == "1";
         d.fenced = cols[3] == "1";
         if d.fenced {
@@ -644,36 +631,30 @@ impl Domain {
     }
 }
 
-/// A domain's re-solve union `active ∪ reserved ∪ {anchor}` as branch &
-/// bound reads it: in density order (density descending, ties by id),
-/// each task with its break-even at the billing horizon, and the total
-/// penalty beside them. Accepts, departures, sheds and readmissions update
-/// it in place; a break-even is computed once, when its task enters.
-/// Costs are summed in `active ++ reserved ++ [anchor]` order, the order
-/// an instance over that union sums them in, which `slots` records.
+/// A domain's re-solve union `active ∪ reserved` as branch & bound reads
+/// it: in density order (density descending, ties by id), each task with
+/// its break-even at the billing horizon, and the total penalty beside
+/// them. Accepts, departures, sheds and readmissions update it in place; a
+/// break-even is computed once, when its task enters. Costs are summed in
+/// `active ++ reserved` order, which `slots` records.
 #[derive(Debug)]
 struct Ledger {
     /// The union in descending penalty density, ties by identifier.
     order: Vec<Task>,
     /// Break-even utilization of each task of `order` at `horizon`.
     break_even: Vec<f64>,
-    /// Index into `order` of each task of `active ++ reserved ++ [anchor]`.
+    /// Index into `order` of each task of `active ++ reserved`.
     slots: Vec<usize>,
     /// `Σ vᵢ` over `slots`, in slot order.
     total_penalty: f64,
-    /// The billing horizon `H`, the anchor's period: a re-solve prices per
-    /// `H` like admission and the serve-all guard, whatever the periods.
+    /// The billing horizon `H`: a re-solve prices per `H` like admission
+    /// and the serve-all guard, whatever the periods.
     horizon: u64,
 }
 
 impl Ledger {
-    fn build(active: &[Task], reserved: &[Task], anchor: Task, cpu: &Processor) -> Self {
-        let tasks: Vec<Task> = active
-            .iter()
-            .chain(reserved)
-            .copied()
-            .chain([anchor])
-            .collect();
+    fn build(active: &[Task], reserved: &[Task], horizon: u64, cpu: &Processor) -> Self {
+        let tasks: Vec<Task> = active.iter().chain(reserved).copied().collect();
         let mut by_density: Vec<usize> = (0..tasks.len()).collect();
         by_density.sort_unstable_by(|&a, &b| View::order_cmp(&tasks[a], &tasks[b]));
         let mut slots = vec![0; tasks.len()];
@@ -681,7 +662,6 @@ impl Ledger {
             slots[slot] = k;
         }
         let order: Vec<Task> = by_density.iter().map(|&slot| tasks[slot]).collect();
-        let horizon = anchor.period();
         let mut ledger = Ledger {
             break_even: order.iter().map(break_even_fn(cpu, horizon)).collect(),
             order,
@@ -742,18 +722,17 @@ impl Ledger {
     }
 
     /// The served set as a mask over `order`: the first `served` slots
-    /// (`active`) and the anchor.
+    /// (`active`).
     fn served(&self, served: usize) -> Vec<bool> {
         let mut accept = vec![false; self.order.len()];
-        for &k in self.slots[..served].iter().chain(self.slots.last()) {
+        for &k in &self.slots[..served] {
             accept[k] = true;
         }
         accept
     }
 
-    /// `E*(U(A)) + Σ_{i ∉ A} vᵢ` for the mask `accept` over `order`, with
-    /// both sums taken in slot order — the bits `Solution::for_accepted`
-    /// gives on an instance over `active ++ reserved ++ [anchor]`.
+    /// `H·rate(U(A)) + Σ_{i ∉ A} vᵢ` for the mask `accept` over `order`,
+    /// with both sums taken in slot order.
     fn cost(&self, view: &View<'_>, accept: &[bool]) -> Result<f64, SchedError> {
         let (mut u, mut v) = (0.0, 0.0);
         for &k in self.slots.iter().filter(|&&k| accept[k]) {
@@ -822,9 +801,8 @@ impl AdmissionEngine {
     /// # Errors
     ///
     /// * [`AdmitError::NoDomains`] for an empty domain list.
-    /// * [`AdmitError::InvalidParameter`] for a zero horizon or a regret
-    ///   threshold that is not finite.
-    /// * Oracle-construction errors propagate.
+    /// * [`AdmitError::InvalidParameter`] for a zero horizon, a zero
+    ///   re-solve budget or a regret threshold that is not finite.
     pub fn new(
         cpus: Vec<Processor>,
         policy: Box<dyn EnginePolicy>,
@@ -845,22 +823,24 @@ impl AdmissionEngine {
     ///
     /// # Errors
     ///
-    /// * [`AdmitError::InvalidParameter`] for a zero horizon, which prices
-    ///   nothing and divides the unserved penalties by 0, or for a regret
-    ///   threshold that is not finite: a NaN or `+∞` threshold would never
-    ///   fire and `−∞` would fire on every check, so computing the regret
-    ///   to compare with it would be wasted work.
-    /// * Oracle-construction errors propagate.
+    /// [`AdmitError::InvalidParameter`] for a zero horizon, which prices
+    /// nothing and divides the unserved penalties by 0; for a zero re-solve
+    /// budget, under which no re-solve could run; or for a regret threshold
+    /// that is not finite: a NaN or `+∞` threshold would never fire and
+    /// `−∞` would fire on every check, so computing the regret to compare
+    /// with it would be wasted work.
     pub fn with_domains(
         cpus: Vec<Processor>,
         policy: Box<dyn EnginePolicy>,
         config: EngineConfig,
     ) -> Result<Self, AdmitError> {
-        if config.horizon == 0 {
-            return Err(AdmitError::InvalidParameter {
-                name: "horizon",
-                value: 0.0,
-            });
+        for (name, value) in [
+            ("horizon", config.horizon),
+            ("resolve_budget", config.resolve_budget),
+        ] {
+            if value == 0 {
+                return Err(AdmitError::InvalidParameter { name, value: 0.0 });
+            }
         }
         if let Some(threshold) = config.regret_threshold.filter(|r| !r.is_finite()) {
             return Err(AdmitError::InvalidParameter {
@@ -868,12 +848,8 @@ impl AdmissionEngine {
                 value: threshold,
             });
         }
-        let domains = cpus
-            .into_iter()
-            .map(|cpu| Domain::new(cpu, config.horizon))
-            .collect::<Result<_, _>>()?;
         Ok(AdmissionEngine {
-            domains,
+            domains: cpus.into_iter().map(Domain::new).collect(),
             policy,
             config,
             clock: 0.0,
@@ -953,7 +929,7 @@ impl AdmissionEngine {
     /// # Errors
     ///
     /// * [`AdmitError::TimeRegression`] if `at` is behind the clock.
-    /// * Oracle errors propagate.
+    /// * Power-model errors propagate.
     pub fn advance_to(&mut self, at: f64) -> Result<(), AdmitError> {
         if !at.is_finite() || at < self.clock {
             return Err(AdmitError::TimeRegression {
@@ -1013,11 +989,12 @@ impl AdmissionEngine {
     /// # Errors
     ///
     /// * [`AdmitError::TimeRegression`] for out-of-order timestamps.
-    /// * [`AdmitError::DuplicateTask`] / [`AdmitError::ReservedId`] /
-    ///   [`AdmitError::AlreadyDeparted`] for invalid arrivals,
+    /// * [`AdmitError::ConstrainedDeadline`] / [`AdmitError::InvalidDomain`]
+    ///   / [`AdmitError::DomainFenced`] / [`AdmitError::AlreadyDeparted`] /
+    ///   [`AdmitError::DuplicateTask`] for invalid arrivals,
     ///   [`AdmitError::UnknownTask`] / [`AdmitError::AlreadyDeparted`] for
     ///   departures of absent tasks.
-    /// * Oracle and solver errors propagate (internal failures, unlike the
+    /// * Power-model and solver errors propagate (internal failures, unlike the
     ///   validation errors above — they may leave the clock advanced).
     /// * [`AdmitError::Journal`] when the write-ahead journal cannot be
     ///   written.
@@ -1064,8 +1041,8 @@ impl AdmissionEngine {
         match &event.kind {
             EventKind::Arrive(task) => {
                 let id = task.id();
-                if id.index() == RESERVED_ANCHOR_ID {
-                    return Err(AdmitError::ReservedId(id));
+                if task.deadline() < task.period() {
+                    return Err(AdmitError::ConstrainedDeadline(id));
                 }
                 if let Some(domain) = task.domain() {
                     if domain >= self.domains.len() {
@@ -1185,10 +1162,12 @@ impl AdmissionEngine {
                         continue;
                     }
                     if d.cpu.is_feasible(d.priced() + task.utilization()) {
-                        let marginal = d
-                            .oracle
-                            .marginal_energy(d.priced(), task.utilization())
-                            .map_err(AdmitError::Sched)?;
+                        let marginal = marginal_energy(
+                            &d.cpu,
+                            self.config.horizon,
+                            d.priced(),
+                            task.utilization(),
+                        )?;
                         if best.is_none_or(|(_, m)| marginal < m) {
                             best = Some((i, marginal));
                         }
@@ -1201,7 +1180,10 @@ impl AdmissionEngine {
             Some((i, _)) => {
                 let d = &mut self.domains[i];
                 let priced = d.priced();
-                if self.policy.decide(&d.oracle, priced, &task)? {
+                if self
+                    .policy
+                    .decide(&d.cpu, self.config.horizon, priced, &task)?
+                {
                     d.admit(task);
                     Verdict::Accepted { domain: i }
                 } else {
@@ -1257,10 +1239,7 @@ impl AdmissionEngine {
                 continue;
             }
             let u_reserved: f64 = d.reserved.iter().map(Task::utilization).sum();
-            let saving = d
-                .oracle
-                .marginal_energy(d.committed, u_reserved)
-                .map_err(AdmitError::Sched)?;
+            let saving = marginal_energy(&d.cpu, self.config.horizon, d.committed, u_reserved)?;
             let charged: f64 = d.reserved.iter().map(Task::penalty).sum();
             if saving > charged + RESOLVE_EPSILON {
                 continue; // shedding still pays for itself
@@ -1360,15 +1339,17 @@ impl AdmissionEngine {
     ///
     /// # Errors
     ///
-    /// Oracle errors propagate.
+    /// Power-model errors propagate.
     pub fn regret(&self) -> Result<f64, AdmitError> {
         let mut total = 0.0;
         for d in &self.domains {
             for t in &d.active {
-                let saving = d
-                    .oracle
-                    .marginal_energy(d.committed - t.utilization(), t.utilization())
-                    .map_err(AdmitError::Sched)?;
+                let saving = marginal_energy(
+                    &d.cpu,
+                    self.config.horizon,
+                    d.committed - t.utilization(),
+                    t.utilization(),
+                )?;
                 total += (saving - t.penalty()).max(0.0);
             }
         }
@@ -1408,7 +1389,7 @@ impl AdmissionEngine {
                 self.metrics.resolves_skipped += 1;
                 continue;
             }
-            d.build_ledger();
+            d.build_ledger(self.config.horizon);
             // The re-solve's conclusion, whatever it is, holds until the
             // ledger next changes.
             d.needs_resolve = false;
@@ -1440,7 +1421,7 @@ impl AdmissionEngine {
             for ((t, &was), &now) in view.order.iter().zip(&served).zip(&accept) {
                 match (was, now) {
                     (false, true) => to_readmit.push(t.id()),
-                    (true, false) if t.id().index() != RESERVED_ANCHOR_ID => to_shed.push(t.id()),
+                    (true, false) => to_shed.push(t.id()),
                     _ => {}
                 }
             }
@@ -1770,7 +1751,6 @@ impl AdmissionEngine {
         if let Some(&local) = self.imported.get(key) {
             return Ok(local);
         }
-        let horizon = self.config.horizon;
         let mut cur = SnapCursor::new(payload);
         let mut decode = || {
             let clock = cur.one_tagged("clock")?;
@@ -1779,7 +1759,7 @@ impl AdmissionEngine {
             let tsr = cur.parse_u64(tsr)?;
             // Task pins are the source's local index: any will do, the
             // tasks are re-pinned below.
-            let domain = Domain::decode(&mut cur, horizon, usize::MAX)?;
+            let domain = Domain::decode(&mut cur, usize::MAX)?;
             if domain.fenced {
                 return Err(cur.err("a migration payload cannot carry a fenced domain"));
             }
@@ -1989,7 +1969,7 @@ impl AdmissionEngine {
             )));
         }
         for i in 0..n_domains {
-            let domain = Domain::decode(&mut cur, self.config.horizon, n_domains)?;
+            let domain = Domain::decode(&mut cur, n_domains)?;
             match self.domains.get_mut(i) {
                 Some(d) if d.cpu != domain.cpu => {
                     return Err(cur.err(format!(
@@ -2090,8 +2070,7 @@ impl AdmissionEngine {
     ///
     /// # Errors
     ///
-    /// * Engine-construction errors ([`AdmitError::NoDomains`], oracle
-    ///   errors).
+    /// * Engine-construction errors ([`AdmitError::InvalidParameter`]).
     /// * [`AdmitError::Journal`] for I/O failures, snapshot/configuration
     ///   mismatches, or a tail record that fails to replay
     ///   ([`JournalError::Replay`] names its index).
@@ -2504,46 +2483,53 @@ impl std::fmt::Debug for AdmissionEngine {
 mod tests {
     use super::*;
     use crate::TraceSpec;
-    use reject_sched::Solution;
 
-    /// Checks every domain's ledger against an instance built from
-    /// scratch over `active ++ reserved ++ [anchor]`, building the ledger
-    /// first where no re-solve has yet.
-    fn assert_ledgers_match_fresh_instances(engine: &mut AdmissionEngine, label: &str) {
+    /// Checks every domain's ledger against one derived from scratch from
+    /// `active ++ reserved`, building the ledger first where no re-solve
+    /// has yet: the density order by an independent sort, break-evens by
+    /// `break_even_fn(cpu, H)`, the total penalty and the served set's cost
+    /// `H·rate(U) + Σ_{i ∉ active} vᵢ` summed in slot order, the unserved
+    /// penalties taken as all minus served, as `Solution::for_accepted`
+    /// takes them.
+    fn assert_ledgers_match_fresh_derivations(engine: &mut AdmissionEngine, label: &str) {
+        let horizon = engine.config.horizon;
         for (i, d) in engine.domains.iter_mut().enumerate() {
-            d.build_ledger();
-            let anchor = d.oracle.tasks()[0];
-            let tasks = d.active.iter().chain(&d.reserved).copied().chain([anchor]);
-            let instance =
-                Instance::new(TaskSet::try_from_tasks(tasks).unwrap(), d.cpu.clone()).unwrap();
-            let (want, ledger) = (instance.view(), d.ledger.as_ref().unwrap());
+            d.build_ledger(horizon);
+            let slots: Vec<Task> = d.active.iter().chain(&d.reserved).copied().collect();
+            let mut order = slots.clone();
+            order.sort_by(View::order_cmp);
+            let break_even: Vec<f64> = order.iter().map(break_even_fn(&d.cpu, horizon)).collect();
+            let total_penalty: f64 = slots.iter().map(Task::penalty).sum();
+            let (u, v) = d.active.iter().fold((0.0, 0.0), |(u, v), t| {
+                (u + t.utilization(), v + t.penalty())
+            });
+            let cost = d.cpu.energy_rate(u).unwrap() * horizon as f64 + (total_penalty - v);
+
+            let ledger = d.ledger.as_ref().unwrap();
             let got = ledger.view(&d.cpu);
-            let ids = |v: &View<'_>| v.order.iter().map(Task::id).collect::<Vec<_>>();
-            let bits = |v: &View<'_>| v.break_even.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
-            assert_eq!(ids(&got), ids(&want), "{label} domain {i}: order");
-            assert_eq!(bits(&got), bits(&want), "{label} domain {i}: break-evens");
+            let ids = |order: &[Task]| order.iter().map(Task::id).collect::<Vec<_>>();
+            let bits = |xs: &[f64]| xs.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            assert_eq!(ids(got.order), ids(&order), "{label} domain {i}: order");
+            assert_eq!(
+                bits(got.break_even),
+                bits(&break_even),
+                "{label} domain {i}: break-evens"
+            );
             assert_eq!(
                 got.total_penalty.to_bits(),
-                want.total_penalty.to_bits(),
+                total_penalty.to_bits(),
                 "{label} domain {i}: total penalty"
             );
-            assert_eq!(got.hyper_period, want.hyper_period, "{label} domain {i}: L");
-            let served = d.active.iter().map(Task::id).chain([anchor.id()]);
-            let current = Solution::for_accepted(&instance, "served", served).unwrap();
-            let served = ledger.served(d.active.len());
-            let cost = ledger.cost(&got, &served).unwrap();
-            assert_eq!(
-                cost.to_bits(),
-                current.cost().to_bits(),
-                "{label} domain {i}: cost"
-            );
+            assert_eq!(got.hyper_period, horizon, "{label} domain {i}: H");
+            assert!(std::ptr::eq(got.cpu, &d.cpu), "{label} domain {i}: cpu");
+            let served = ledger.cost(&got, &ledger.served(d.active.len())).unwrap();
+            assert_eq!(served.to_bits(), cost.to_bits(), "{label} domain {i}: cost");
         }
     }
 
     /// The ledger is kept in place across every kind of event, never
     /// rebuilt: after each event of the differential grid's traces it must
-    /// read exactly what a fresh instance reads. Generated periods divide
-    /// the horizon, so the instance's hyper-period is the ledger's `H`.
+    /// read exactly what a derivation from scratch reads.
     #[test]
     fn ledger_view_matches_a_fresh_instance_after_every_event() {
         for preset in ["xscale", "cubic", "xscale-table"] {
@@ -2568,7 +2554,7 @@ mod tests {
                         for (k, event) in trace.iter().enumerate() {
                             engine.apply(event).unwrap();
                             let label = format!("{label} event {k}");
-                            assert_ledgers_match_fresh_instances(&mut engine, &label);
+                            assert_ledgers_match_fresh_derivations(&mut engine, &label);
                         }
                     }
                 }

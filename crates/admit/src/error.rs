@@ -26,9 +26,10 @@ pub enum AdmitError {
     /// duplicate (client retry, replayed stream) rather than a new task —
     /// rejected without mutating any ledger.
     AlreadyDeparted(TaskId),
-    /// An arriving task used the identifier reserved for the engine's
-    /// internal billing-horizon anchor.
-    ReservedId(TaskId),
+    /// An arriving task has a deadline shorter than its period: the engine
+    /// admits on utilization and bills `H·rate(U)`, which are the EDF test
+    /// and the energy only for implicit deadlines.
+    ConstrainedDeadline(TaskId),
     /// The engine was configured with an empty domain list.
     NoDomains,
     /// An arriving task was pinned to a power domain the engine does not
@@ -63,7 +64,7 @@ pub enum AdmitError {
         /// The rejected value.
         value: f64,
     },
-    /// A scheduling-layer error (oracles, re-solve).
+    /// A scheduling-layer error (power model, re-solve).
     Sched(SchedError),
     /// A task-model error.
     Model(ModelError),
@@ -90,7 +91,7 @@ impl AdmitError {
             AdmitError::DuplicateTask(_) => "duplicate-task",
             AdmitError::UnknownTask(_) => "unknown-task",
             AdmitError::AlreadyDeparted(_) => "already-departed",
-            AdmitError::ReservedId(_) => "reserved-id",
+            AdmitError::ConstrainedDeadline(_) => "constrained-deadline",
             AdmitError::NoDomains => "no-domains",
             AdmitError::InvalidDomain { .. } => "invalid-domain",
             AdmitError::DomainFenced { .. } => "domain-fenced",
@@ -110,7 +111,7 @@ impl AdmitError {
             AdmitError::DuplicateTask(id)
             | AdmitError::UnknownTask(id)
             | AdmitError::AlreadyDeparted(id)
-            | AdmitError::ReservedId(id) => Some(*id),
+            | AdmitError::ConstrainedDeadline(id) => Some(*id),
             AdmitError::InvalidDomain { task, .. } => Some(*task),
             AdmitError::DomainFenced { task, .. } => Some(*task),
             _ => None,
@@ -127,8 +128,8 @@ impl fmt::Display for AdmitError {
             AdmitError::DuplicateTask(id) => write!(f, "task {id} is already present"),
             AdmitError::UnknownTask(id) => write!(f, "task {id} is not present"),
             AdmitError::AlreadyDeparted(id) => write!(f, "task {id} already departed"),
-            AdmitError::ReservedId(id) => {
-                write!(f, "task id {id} is reserved for the billing-horizon anchor")
+            AdmitError::ConstrainedDeadline(id) => {
+                write!(f, "task {id}'s deadline must equal its period")
             }
             AdmitError::NoDomains => write!(f, "engine needs at least one power domain"),
             AdmitError::InvalidDomain {

@@ -56,7 +56,6 @@ pub mod wire;
 pub use client::{AdmitClient, ClientConfig, ClientError, ClientMetrics};
 pub use engine::{
     AdmissionEngine, Decision, EngineConfig, EnginePolicy, Recovered, Verdict, WatermarkPolicy,
-    RESERVED_ANCHOR_ID,
 };
 pub use error::AdmitError;
 pub use journal::{FsyncPolicy, Journal, JournalConfig, JournalError};

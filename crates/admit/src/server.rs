@@ -743,7 +743,7 @@ mod tests {
         // Nothing was admitted and domain 0 was not fenced.
         assert_eq!(e.metrics().arrivals, 0);
         assert_eq!(e.domain_layout(), [(false, None)]);
-        let r = handle_line(&mut e, &arrive(r#""id":1,"period":1000,"deadline":500"#));
+        let r = handle_line(&mut e, &arrive(r#""id":1,"period":1000,"deadline":1000"#));
         assert!(
             r.response.contains("\"decision\":\"accepted\""),
             "{}",

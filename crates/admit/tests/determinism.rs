@@ -61,8 +61,11 @@ fn decision_log_is_bit_identical_across_replays() {
 /// itself. On E8's sustained overload (32 tasks, load 3.0, a tick every
 /// 50) the marginal-greedy incumbent is sometimes worse than the standing
 /// set, and the seed prunes nodes: unseeded (the engine's old cold start),
-/// these four traces spent 148 + 352 + 7 + 470 = 977 nodes, and seeded they
-/// spend 142 + 352 + 7 + 454 = 955. The counts are pinned exactly, so a
+/// these four traces spent 148 + 352 + 7 + 470 = 977 nodes, and seeded
+/// 142 + 352 + 7 + 454 = 955, both counted when every re-solve also
+/// branched on a zero-cycle, zero-penalty task of period `H` that set the
+/// billing horizon. Without it, seeded, they spend 140 + 352 + 7 + 450 =
+/// 949 with the same decisions. The counts are pinned exactly, so a
 /// search that loses the seed fails here; that the decisions are right is
 /// `differential.rs`'s to check.
 #[test]
@@ -84,7 +87,7 @@ fn warm_start_visits_strictly_fewer_nodes_than_cold() {
         assert_eq!(engine.metrics().resolves_degraded, 0, "seed {seed}");
         nodes.push(engine.metrics().resolve_nodes);
     }
-    assert_eq!(nodes, [142, 352, 7, 454]);
+    assert_eq!(nodes, [140, 352, 7, 450]);
     let total: u64 = nodes.iter().sum();
     assert!(total < COLD_TOTAL, "{total} nodes, cold {COLD_TOTAL}");
 }

@@ -4,10 +4,7 @@
 
 mod periods;
 
-use dvs_admit::{
-    AdmissionEngine, AdmitError, EngineConfig, TraceSpec, Verdict, WatermarkPolicy,
-    RESERVED_ANCHOR_ID,
-};
+use dvs_admit::{AdmissionEngine, AdmitError, EngineConfig, TraceSpec, Verdict, WatermarkPolicy};
 use dvs_power::presets::{by_name, cubic_ideal};
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::{EventKind, EventRecord};
@@ -48,19 +45,36 @@ fn rejects_time_regressions_and_bad_ids() {
         e.apply(&arrive(10.0, cheap(1, 0.1, 50.0))),
         Err(AdmitError::DuplicateTask(_))
     ));
-    assert!(matches!(
-        e.apply(&arrive(
-            10.0,
-            Task::new(RESERVED_ANCHOR_ID, 1.0, 1000).unwrap()
-        )),
-        Err(AdmitError::ReservedId(_))
-    ));
+    // Three tasks that each need 90 cycles within 100 ticks: together
+    // they cannot meet their deadlines at any speed up to 1, though their
+    // utilization is only 0.27. The engine serves implicit deadlines only.
+    for id in 2..5 {
+        let constrained = Task::new(id, 90.0, 1000)
+            .unwrap()
+            .with_deadline(100)
+            .unwrap()
+            .with_penalty(1000.0);
+        let err = e.apply(&arrive(10.0, constrained)).unwrap_err();
+        assert!(
+            matches!(err, AdmitError::ConstrainedDeadline(task) if task == TaskId::new(id)),
+            "{err}"
+        );
+        assert_eq!(err.kind(), "constrained-deadline");
+    }
     assert!(matches!(
         e.apply(&EventRecord::new(11.0, EventKind::Depart(TaskId::new(99)))),
         Err(AdmitError::UnknownTask(_))
     ));
     // Errors must not corrupt the ledger: the first task is still active.
     assert_eq!(e.active_len(0), 1);
+    assert_eq!(e.committed(0), 0.1);
+    assert_eq!(e.metrics().arrivals, 1);
+    // The largest id is an ordinary id.
+    let d = e
+        .apply(&arrive(12.0, cheap(usize::MAX, 0.1, 50.0)))
+        .unwrap();
+    assert!(matches!(d[0].verdict, Verdict::Accepted { domain: 0 }));
+    assert_eq!(e.active_len(0), 2);
 }
 
 #[test]
@@ -104,7 +118,7 @@ fn resolve_keeps_profitable_commitments_untouched() {
 
 #[test]
 fn domains_beyond_sixty_four_tasks_resolve_by_branch_and_bound() {
-    // 80 standing tasks (81 with the anchor): branch & bound re-solves the
+    // 80 standing tasks: branch & bound re-solves the
     // domain at any size, within the default node budget.
     let mut e = engine();
     for id in 0..80 {
@@ -192,17 +206,19 @@ fn watermark_policy_engages_and_disengages_with_hysteresis() {
 
     // Mirror the latch on a standalone policy to observe the flag.
     use dvs_admit::EnginePolicy;
-    let oracle = reject_sched::Instance::new(
-        rt_model::TaskSet::try_from_tasks([Task::new(0, 0.0, 1000).unwrap()]).unwrap(),
-        cubic_ideal(),
-    )
-    .unwrap();
+    let cpu = cubic_ideal();
     assert!(!policy.is_engaged());
-    policy.decide(&oracle, 0.7, &cheap(9, 0.1, 300.0)).unwrap();
+    policy
+        .decide(&cpu, 1000, 0.7, &cheap(9, 0.1, 300.0))
+        .unwrap();
     assert!(policy.is_engaged(), "crossing high engages");
-    policy.decide(&oracle, 0.45, &cheap(9, 0.1, 300.0)).unwrap();
+    policy
+        .decide(&cpu, 1000, 0.45, &cheap(9, 0.1, 300.0))
+        .unwrap();
     assert!(policy.is_engaged(), "between watermarks stays engaged");
-    policy.decide(&oracle, 0.2, &cheap(9, 0.1, 300.0)).unwrap();
+    policy
+        .decide(&cpu, 1000, 0.2, &cheap(9, 0.1, 300.0))
+        .unwrap();
     assert!(!policy.is_engaged(), "reaching low disengages");
 }
 
@@ -357,14 +373,12 @@ fn snapshots_round_trip_domain_pins() {
     ))
     .unwrap();
     a.apply(&arrive(2.0, cheap(3, 0.2, 900.0))).unwrap();
-    // A pinned constrained-deadline task, admitted on domain 1.
-    let constrained = Task::new(6, 100.0, 1000)
-        .unwrap()
-        .with_deadline(500)
+    // A second pinned task, admitted on domain 1.
+    let pinned = Task::new(6, 100.0, 1000)
         .unwrap()
         .with_penalty(900.0)
         .with_domain(1);
-    let d = a.apply(&arrive(2.0, constrained)).unwrap();
+    let d = a.apply(&arrive(2.0, pinned)).unwrap();
     assert!(matches!(d[0].verdict, Verdict::Accepted { domain: 1 }));
     // Domain 0 then fills to u = 1.0 with an unpinned low-penalty task and
     // a pinned high-penalty one; the tick's re-solve sheds the unpinned
@@ -387,7 +401,7 @@ fn snapshots_round_trip_domain_pins() {
     // Ledger lines are a trace's task columns, with the pin column only
     // for a pinned task.
     for line in [
-        "a 6 100 1000 500 900 1",
+        "a 6 100 1000 - 900 1",
         "a 5 400 1000 - 900 0",
         "r 4 400 1000 - 210",
     ] {

@@ -191,6 +191,7 @@ fn bad_flags_fail_with_a_message() {
         (&["--regret", "nan"][..], "--regret"),
         (&["--regret", "inf"][..], "--regret"),
         (&["--horizon", "0"][..], "--horizon"),
+        (&["--budget", "0"][..], "--budget"),
     ] {
         let mut child = spawn(args);
         child.stdin.take();

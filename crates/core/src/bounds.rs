@@ -40,6 +40,24 @@ pub fn break_even_fn(cpu: &Processor, hyper_period: u64) -> impl Fn(&Task) -> f6
     move |t| at_marginal(t.penalty_density() / l)
 }
 
+/// Marginal energy on `cpu` over `L` ticks of raising the served
+/// utilization from `u` to `u + du` (both feasible):
+/// `L·rate(u+du) − L·rate(u)`. The one formula behind
+/// [`Instance::marginal_energy`] and every online admission price.
+///
+/// # Errors
+///
+/// [`SchedError::Power`] if either point is infeasible.
+pub fn marginal_energy(
+    cpu: &Processor,
+    hyper_period: u64,
+    u: f64,
+    du: f64,
+) -> Result<f64, SchedError> {
+    let l = hyper_period as f64;
+    Ok(cpu.energy_rate(u + du)? * l - cpu.energy_rate(u)? * l)
+}
+
 /// Where a relaxation over a density-ordered task slice attains its
 /// minimum, and what the slice contributes there.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -5,7 +5,7 @@ use std::fmt;
 use dvs_power::{PowerError, Processor};
 use rt_model::{ModelError, Task, TaskId, TaskSet};
 
-use crate::bounds::break_even_fn;
+use crate::bounds::{break_even_fn, marginal_energy};
 use crate::SchedError;
 
 /// Lazily computed, immutable derived data about an [`Instance`].
@@ -306,7 +306,7 @@ impl Instance {
     ///
     /// [`SchedError::Power`] if either point is infeasible.
     pub fn marginal_energy(&self, u: f64, du: f64) -> Result<f64, SchedError> {
-        Ok(self.energy_for(u + du)? - self.energy_for(u)?)
+        marginal_energy(&self.cpu, self.hyper_period(), u, du)
     }
 
     /// `accepted_sums` with an unknown identifier as a model error.

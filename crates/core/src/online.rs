@@ -15,8 +15,10 @@
 //!   by a factor `θ ≥ 1`, reserving capacity for potentially denser future
 //!   arrivals (the classic online-knapsack style hedge).
 
+use dvs_power::Processor;
 use rt_model::{Task, TaskId};
 
+use crate::bounds::marginal_energy;
 use crate::{Instance, SchedError, Solution};
 
 /// An online admission policy: decides on one task given the utilization
@@ -25,15 +27,16 @@ pub trait AdmissionPolicy {
     /// Short stable identifier (used in reports).
     fn name(&self) -> &'static str;
 
-    /// Whether to accept `task` given committed utilization `u`.
-    ///
-    /// The policy may consult the instance's oracles (energy rates,
-    /// processor bounds) but not the not-yet-arrived tasks.
+    /// Whether to accept `task` on `cpu` given committed utilization `u`,
+    /// energy priced over `l` ticks (an instance's hyper-period `L`, an
+    /// engine's billing horizon `H`): `vᵢ` against
+    /// [`marginal_energy`]`(cpu, l, u, uᵢ)`. Tasks still to arrive are
+    /// not seen.
     ///
     /// # Errors
     ///
-    /// Oracle errors propagate.
-    fn admit(&self, instance: &Instance, u: f64, task: &Task) -> Result<bool, SchedError>;
+    /// Power-model errors propagate.
+    fn admit(&self, cpu: &Processor, l: u64, u: f64, task: &Task) -> Result<bool, SchedError>;
 }
 
 /// Myopic online rule: accept iff feasible and `vᵢ ≥ E*(u+uᵢ) − E*(u)`.
@@ -45,11 +48,11 @@ impl AdmissionPolicy for OnlineGreedy {
         "online-greedy"
     }
 
-    fn admit(&self, instance: &Instance, u: f64, task: &Task) -> Result<bool, SchedError> {
-        if !instance.processor().is_feasible(u + task.utilization()) {
+    fn admit(&self, cpu: &Processor, l: u64, u: f64, task: &Task) -> Result<bool, SchedError> {
+        if !cpu.is_feasible(u + task.utilization()) {
             return Ok(false);
         }
-        Ok(task.penalty() >= instance.marginal_energy(u, task.utilization())?)
+        Ok(task.penalty() >= marginal_energy(cpu, l, u, task.utilization())?)
     }
 }
 
@@ -91,11 +94,11 @@ impl AdmissionPolicy for ThresholdPolicy {
         "online-threshold"
     }
 
-    fn admit(&self, instance: &Instance, u: f64, task: &Task) -> Result<bool, SchedError> {
-        if !instance.processor().is_feasible(u + task.utilization()) {
+    fn admit(&self, cpu: &Processor, l: u64, u: f64, task: &Task) -> Result<bool, SchedError> {
+        if !cpu.is_feasible(u + task.utilization()) {
             return Ok(false);
         }
-        Ok(task.penalty() >= self.theta * instance.marginal_energy(u, task.utilization())?)
+        Ok(task.penalty() >= self.theta * marginal_energy(cpu, l, u, task.utilization())?)
     }
 }
 
@@ -108,7 +111,7 @@ impl AdmissionPolicy for ThresholdPolicy {
 /// # Errors
 ///
 /// * [`SchedError::Model`] for identifiers not in the instance.
-/// * Policy/oracle errors propagate.
+/// * Policy errors propagate.
 ///
 /// # Examples
 ///
@@ -131,6 +134,7 @@ pub fn run_online(
     order: &[TaskId],
     policy: &dyn AdmissionPolicy,
 ) -> Result<Solution, SchedError> {
+    let (cpu, l) = (instance.processor(), instance.hyper_period());
     let mut u = 0.0;
     let mut accepted = Vec::new();
     for id in order {
@@ -138,7 +142,7 @@ pub fn run_online(
             .tasks()
             .get(*id)
             .ok_or(rt_model::ModelError::UnknownTask { task: id.index() })?;
-        if policy.admit(instance, u, task)? {
+        if policy.admit(cpu, l, u, task)? {
             u += task.utilization();
             accepted.push(task.id());
         }

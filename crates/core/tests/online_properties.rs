@@ -68,7 +68,8 @@ fn theta_one_decides_identically_to_online_greedy() {
 fn higher_theta_is_decisionwise_more_conservative() {
     let thetas = [1.0, 1.25, 1.5, 2.0, 4.0, 16.0];
     for instance in generated_instances() {
-        let s_max = instance.processor().max_speed();
+        let (cpu, horizon) = (instance.processor(), instance.hyper_period());
+        let s_max = cpu.max_speed();
         // Sample committed-utilization levels across the feasible band.
         for k in 0..8 {
             let u = s_max * k as f64 / 10.0;
@@ -76,7 +77,7 @@ fn higher_theta_is_decisionwise_more_conservative() {
                 let mut prev_admitted = true;
                 for &theta in &thetas {
                     let policy = ThresholdPolicy::new(theta).unwrap();
-                    let admitted = policy.admit(&instance, u, task).unwrap();
+                    let admitted = policy.admit(cpu, horizon, u, task).unwrap();
                     assert!(
                         prev_admitted || !admitted,
                         "θ={theta} admitted {} at u={u:.2} after a lower θ rejected it",

@@ -81,7 +81,7 @@ use std::fmt::Write as _;
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::Handled;
 use dvs_admit::wire::{shed_ids, Refusal, Reply, Request};
-use dvs_admit::{AdmitClient, AdmitError, ClientConfig, ClientError, Decision, RESERVED_ANCHOR_ID};
+use dvs_admit::{AdmitClient, AdmitError, ClientConfig, ClientError, Decision};
 use rt_model::io::{EventKind, EventRecord};
 use rt_model::{Task, TaskId};
 
@@ -751,12 +751,12 @@ impl Router {
     }
 
     /// The engine's arrival checks, in the engine's order, against the
-    /// cluster: clock, reserved id, domain range, departed, present.
-    fn check_arrive(&self, at: f64, id: TaskId, g: usize) -> Result<(), AdmitError> {
+    /// cluster: clock, implicit deadline, domain range, departed, present.
+    fn check_arrive(&self, at: f64, task: &Task, g: usize) -> Result<(), AdmitError> {
         self.check_clock(at)?;
-        let domains = self.map.domains();
-        if id.index() == RESERVED_ANCHOR_ID {
-            Err(AdmitError::ReservedId(id))
+        let (id, domains) = (task.id(), self.map.domains());
+        if task.deadline() < task.period() {
+            Err(AdmitError::ConstrainedDeadline(id))
         } else if g >= domains {
             Err(AdmitError::InvalidDomain {
                 task: id,
@@ -815,7 +815,7 @@ impl Router {
         // identical pins.
         let g = task.domain().unwrap_or(id % self.map.domains());
         self.make_room(Some(id), out);
-        self.check_arrive(at, task.id(), g)
+        self.check_arrive(at, &task, g)
             .map_err(|e| Refusal::from(e).to_string())?;
         let Some((s, local)) = self.routes[g] else {
             return Err(self.unroutable(g, id));

@@ -244,6 +244,19 @@ fn router_mirrors_engine_validation_errors() {
         ),
         "invalid-domain"
     );
+    // Constrained deadlines: three tasks that each need 90 cycles within
+    // 100 ticks (utilization 0.27 together, infeasible under EDF at any
+    // speed up to 1). The deadline is checked before the domain range.
+    for (id, pin) in [(20, ""), (21, ",\"domain\":1"), (22, ",\"domain\":9")] {
+        let line = format!(
+            "{{\"op\":\"arrive\",\"at\":2,\"id\":{id},\"cycles\":90,\"period\":1000,\
+             \"deadline\":100,\"penalty\":1000{pin}}}"
+        );
+        assert_eq!(
+            kind(&router.handle_line(&line).response),
+            "constrained-deadline"
+        );
+    }
     // Time regression against the cluster clock.
     assert!(router
         .handle_line("{\"op\":\"tick\",\"at\":10}")

@@ -87,10 +87,11 @@ fn request_line(event: &EventRecord) -> String {
     Request::from(event).to_string()
 }
 
-/// Arrival fields the parse refuses (or, for the last, the engine's
-/// domain-range check): each is spliced in behind the clock and at it, so
-/// a router that checked the clock first would answer differently.
-const MALFORMED: [&str; 10] = [
+/// Arrival fields the parse refuses (or, for the last two, the engine's
+/// domain-range check and its deadline check, which comes first): each is
+/// spliced in behind the clock and at it, so a router that checked the
+/// clock first would answer differently.
+const MALFORMED: [&str; 11] = [
     "\"id\":{id},\"cycles\":40,\"period\":1000,\"penalty\":-1",
     "\"id\":{id},\"cycles\":-1,\"period\":1000,\"penalty\":3",
     "\"id\":{id},\"cycles\":40,\"period\":100,\"deadline\":200,\"penalty\":3",
@@ -101,6 +102,7 @@ const MALFORMED: [&str; 10] = [
     "\"id\":1e20,\"cycles\":40,\"period\":1000,\"penalty\":3",
     "\"id\":{id},\"cycles\":40,\"period\":1000,\"penalty\":3,\"domain\":1.5",
     "\"id\":{id},\"cycles\":40,\"period\":1000,\"penalty\":3,\"domain\":99",
+    "\"id\":{id},\"cycles\":90,\"period\":1000,\"deadline\":100,\"penalty\":3,\"domain\":99",
 ];
 
 /// A generated multi-domain session with, spliced in at seeded places,
@@ -275,6 +277,7 @@ fn batches_answer_exactly_like_line_by_line_and_like_one_engine() {
             "unknown-task",
             "time-regression",
             "already-departed",
+            "constrained-deadline",
         ] {
             assert!(
                 kinds.iter().any(|k| k == kind),
