@@ -2,8 +2,10 @@
 
 use rt_model::{Task, TaskId};
 
+use crate::algorithms::greedy::marginal_walk;
 use crate::algorithms::{acceptable_tasks, MarginalGreedy, RejectionPolicy};
 use crate::anytime::{AnytimeSolution, BudgetMeter, BudgetedPolicy, SolveBudget, SolveQuality};
+use crate::bounds::{break_even_fn, stationary_point};
 use crate::{Instance, SchedError, Solution};
 
 /// Hard caps on the DP table, to bound memory at 256 MiB per array: the
@@ -11,6 +13,11 @@ use crate::{Instance, SchedError, Solution};
 /// `V̂+1` at 2²⁵ entries.
 const MAX_TABLE_BITS: u128 = 1 << 31;
 const MAX_LEVELS: usize = 1 << 25;
+
+/// A subset fits the table's utilization limit `s` when its utilization is
+/// at most `s·(1 + LIMIT_SLACK)`: the demand tolerance of
+/// `Processor::is_feasible`.
+const LIMIT_SLACK: f64 = 1e-9;
 
 /// Scaled dynamic program over penalty values.
 ///
@@ -22,7 +29,13 @@ const MAX_LEVELS: usize = 1 << 25;
 /// **Guarantee**: the returned cost is at most `OPT + ε·v_max` (the rounding
 /// forfeits less than `μ` per task across at most `n` tasks). Utilizations
 /// and energies are exact throughout — only penalties are quantised.
-/// Running time is `O(n²·(n/ε))`, i.e. polynomial in `n` and `1/ε`.
+/// Running time is `O(n²·(n/ε))`, i.e. polynomial in `n` and `1/ε`, in the
+/// worst case. A complete solve bounds the table by the
+/// [`MarginalGreedy`] answer (docs/THEORY.md §7): it drops every table
+/// state whose best completion is provably worse, so each layer sweeps
+/// only the band of value levels still alive — a few percent of the table
+/// on overloaded instances — and returns the solution the whole table
+/// would.
 ///
 /// # Examples
 ///
@@ -87,28 +100,65 @@ impl TakeBits {
     }
 }
 
+/// The per-level cap of a bounded table (docs/THEORY.md §7): a state
+/// `(v, d)` after the first `i` layers can still finish at or below the
+/// incumbent only if `d ≤ after[i] + slope·v`.
+pub(crate) struct LevelCap {
+    /// `(inc + δ − L·m − C − Rᵢ)/ρ`, with `Rᵢ` the bound's rest over the
+    /// layers from `i` on; `n + 1` entries.
+    after: Vec<f64>,
+    /// `μ/ρ`.
+    slope: f64,
+}
+
 /// The 0/1 knapsack table over scaled values that [`ScaledDp`] and
 /// [`crate::budget::solve_budget_dp`] share: `d[v]` is the least total
 /// utilization of a subset whose weights sum to exactly `v` and that fits
-/// `limit`, `+∞` if none does.
+/// `limit`, `+∞` if none does (or, in a bounded table, if the state cannot
+/// beat the incumbent).
 pub(crate) struct LevelTable {
     d: Vec<f64>,
     take: TakeBits,
+    /// Levels the layers visited, summed over the layers (read by the
+    /// work pin).
+    #[cfg_attr(not(test), allow(dead_code))]
+    cells: u64,
 }
 
-/// Relaxes one 64-level block against the previous layer's levels `src`:
-/// `dst[j] = src[j] + u` wherever that is strictly smaller. Returns the
+/// Lane `j` of a 64-level block, as a float.
+const LANES: [f64; 64] = {
+    let mut lanes = [0.0; 64];
+    let mut j = 0;
+    while j < 64 {
+        lanes[j] = j as f64;
+        j += 1;
+    }
+    lanes
+};
+
+/// Relaxes the 64-level block starting at level `base` against the
+/// previous layer's levels `src`: `dst[j] = src[j] + u` wherever that is
+/// strictly smaller and within the cap `a + s·(base + j)`. Returns the
 /// written levels as a bit mask (bit `j` for `dst[j]`). Branch-free, so
 /// the compare-and-select vectorises on baseline x86-64; the eight
 /// `better` bytes of a chunk are packed into mask bits by one multiply
 /// (byte `j` lands on bit `56 + j`).
-fn relax_block(dst: &mut [f64; 64], src: &[f64; 64], u: f64) -> u64 {
+fn relax_block(
+    dst: &mut [f64; 64],
+    src: &[f64; 64],
+    u: f64,
+    (a, s): (f64, f64),
+    base: usize,
+) -> u64 {
+    let base = base as f64;
     let mut mask = 0u64;
-    for (k, (dst, src)) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)).enumerate() {
+    let chunks = dst.chunks_exact_mut(8).zip(src.chunks_exact(8));
+    for (k, ((dst, src), lanes)) in chunks.zip(LANES.chunks_exact(8)).enumerate() {
         let mut better = [0u8; 8];
-        for ((slot, &below), flag) in dst.iter_mut().zip(src).zip(&mut better) {
+        let lanes = dst.iter_mut().zip(src).zip(lanes).zip(&mut better);
+        for (((slot, &below), &lane), flag) in lanes {
             let cand = below + u;
-            let b = cand < *slot;
+            let b = (cand < *slot) & (cand <= a + s * (base + lane));
             *slot = if b { cand } else { *slot };
             *flag = u8::from(b);
         }
@@ -123,15 +173,22 @@ impl LevelTable {
     /// full width `V̂+1−wᵢ` before layer `i` and stops at the first layer
     /// it refuses (the table then covers the completed layers only).
     ///
-    /// Layer `i` visits only the levels `v ∈ [wᵢ, min(V̂, hi + wᵢ)]`, with
-    /// `hi` the highest level written so far: above that `d[v−wᵢ]` is
-    /// unreached, so the full-width sweep would write nothing there either.
-    /// During the sweep an unreached level holds the sentinel
-    /// `limit.next_up()` rather than `+∞`, so one compare `cand < d[v]`
-    /// also enforces `cand ≤ limit` (docs/THEORY.md §7); the sentinels
-    /// become `+∞` once the layers are done. The levels are updated in
-    /// aligned blocks of 64, one `take` word per block, from the top down,
-    /// and a block's `d[v−wᵢ]` are read before any of its levels is
+    /// The table keeps a band `[lo, hi]` of live levels: `hi` the highest
+    /// written level and `lo` the lowest one that still fit `cap` after the
+    /// last layer (without a cap, `lo` stays 0 and `hi` is the highest
+    /// written).
+    /// Layer `i` visits only `v ∈ [lo + wᵢ, min(V̂, hi + wᵢ)]`: below, the
+    /// source `d[v−wᵢ]` is dead and every candidate from it fails the cap;
+    /// above, it is unreached, so the full-width sweep would write nothing
+    /// there either. A candidate is written only within the cap, and after
+    /// each layer both ends of the band move inwards past levels the cap
+    /// now rules out. During the sweep an unreached level holds the
+    /// sentinel `limit.next_up()` rather than `+∞`, so one compare
+    /// `cand < d[v]` also enforces `cand ≤ limit`; after the last layer
+    /// every level outside the band or the last layer's cap (sentinels
+    /// included) becomes `+∞` (docs/THEORY.md §7). The levels are updated
+    /// in aligned blocks of 64, one `take` word per block, from the top
+    /// down, and a block's `d[v−wᵢ]` are read before any of its levels is
     /// written, so every read sees the previous layer, as in a descending
     /// in-place sweep, for any `wᵢ ≥ 1`.
     ///
@@ -143,6 +200,7 @@ impl LevelTable {
         tasks: &[Task],
         weights: &[usize],
         limit: f64,
+        cap: Option<&LevelCap>,
         meter: &mut BudgetMeter,
         algorithm: &'static str,
     ) -> Result<Self, SchedError> {
@@ -155,12 +213,16 @@ impl LevelTable {
                 algorithm,
             });
         }
-        let limit = limit * (1.0 + 1e-9);
+        let limit = limit * (1.0 + LIMIT_SLACK);
         let unreached = limit.next_up();
+        // `(a, s)`: the cap `a + s·v` on the states after `i` layers.
+        let line = |i: usize| cap.map_or((f64::INFINITY, 0.0), |c| (c.after[i], c.slope));
+        let live = |d: f64, (a, s): (f64, f64), v: usize| d <= (a + s * v as f64).min(limit);
         let mut d = vec![unreached; v_hat + 1];
         d[0] = 0.0;
         let mut take = TakeBits::new(n, v_hat + 1);
-        let mut hi = 0;
+        let (mut lo, mut hi) = (0, 0);
+        let mut cells = 0;
         for (i, t) in tasks.iter().enumerate() {
             let w = weights[i];
             if w == 0 {
@@ -172,45 +234,54 @@ impl LevelTable {
                 break;
             }
             let u = t.utilization();
-            let top = v_hat.min(hi + w);
+            let line = line(i + 1);
+            let (start, top) = (lo + w, v_hat.min(hi + w));
             let row = &mut take.words[i * take.stride..(i + 1) * take.stride];
-            for k in (w / 64..=top / 64).rev() {
-                let base = 64 * k;
-                let lo = w.max(base);
-                let len = top.min(base + 63) + 1 - lo;
-                let mask = if len == 64 && w >= 64 {
-                    // The sources lie wholly below the block: borrow both.
-                    let (below, block) = d.split_at_mut(base);
-                    let dst = (&mut block[..64]).try_into().expect("a full block");
-                    let src = below[base - w..][..64].try_into().expect("a full block");
-                    relax_block(dst, src, u)
-                } else {
-                    // A partial block, or sources that overlap it: copy
-                    // both in at their block offsets, padded with the
-                    // sentinel (which never relaxes), and copy back.
-                    let off = lo - base;
-                    let mut dst = [unreached; 64];
-                    let mut src = [unreached; 64];
-                    dst[off..off + len].copy_from_slice(&d[lo..lo + len]);
-                    src[off..off + len].copy_from_slice(&d[lo - w..lo - w + len]);
-                    let mask = relax_block(&mut dst, &src, u);
-                    d[lo..lo + len].copy_from_slice(&dst[off..off + len]);
-                    mask
-                };
-                if mask != 0 {
-                    row[k] |= mask;
-                    hi = hi.max(base + 63 - mask.leading_zeros() as usize);
+            if start <= top {
+                cells += (top + 1 - start) as u64;
+                for k in (start / 64..=top / 64).rev() {
+                    let base = 64 * k;
+                    let first = start.max(base);
+                    let len = top.min(base + 63) + 1 - first;
+                    let mask = if len == 64 && w >= 64 {
+                        // The sources lie wholly below the block: borrow both.
+                        let (below, block) = d.split_at_mut(base);
+                        let dst = (&mut block[..64]).try_into().expect("a full block");
+                        let src = below[base - w..][..64].try_into().expect("a full block");
+                        relax_block(dst, src, u, line, base)
+                    } else {
+                        // A partial block, or sources that overlap it: copy
+                        // both in at their block offsets, padded with the
+                        // sentinel (which never relaxes), and copy back.
+                        let off = first - base;
+                        let mut dst = [unreached; 64];
+                        let mut src = [unreached; 64];
+                        dst[off..off + len].copy_from_slice(&d[first..first + len]);
+                        src[off..off + len].copy_from_slice(&d[first - w..first - w + len]);
+                        let mask = relax_block(&mut dst, &src, u, line, base);
+                        d[first..first + len].copy_from_slice(&dst[off..off + len]);
+                        mask
+                    };
+                    if mask != 0 {
+                        row[k] |= mask;
+                        hi = hi.max(base + 63 - mask.leading_zeros() as usize);
+                    }
                 }
             }
+            while lo < hi && !live(d[lo], line, lo) {
+                lo += 1;
+            }
+            while hi > lo && !live(d[hi], line, hi) {
+                hi -= 1;
+            }
         }
-        // Level 0 is never written; every other level above `limit` was
-        // never reached and still holds the sentinel.
-        for level in &mut d[1..] {
-            if *level > limit {
+        let line = line(n);
+        for (v, level) in d.iter_mut().enumerate() {
+            if v < lo || v > hi || !live(*level, line, v) {
                 *level = f64::INFINITY;
             }
         }
-        Ok(LevelTable { d, take })
+        Ok(LevelTable { d, take, cells })
     }
 
     /// `d[v]` per value level `v ∈ [0, V̂]`.
@@ -237,6 +308,170 @@ impl LevelTable {
     }
 }
 
+/// An instance as the scaled DP tabulates it: one layer per acceptable
+/// task of positive utilization, in instance order.
+struct Scaled<'a> {
+    instance: &'a Instance,
+    tasks: Vec<Task>,
+    /// `⌊vᵢ/μ⌋` per layer.
+    weights: Vec<usize>,
+    /// The penalty unit `μ = ε·v_max/n`.
+    mu: f64,
+    /// `C = Σv − Σ_{free} v`: the penalty still paid at level 0.
+    unpaid: f64,
+}
+
+impl<'a> Scaled<'a> {
+    /// The free tasks (acceptable, zero utilization: always accepted) and
+    /// the layers, or `None` when no layer has a positive penalty.
+    fn new(instance: &'a Instance, epsilon: f64) -> (Vec<TaskId>, Option<Self>) {
+        let (free, tasks): (Vec<Task>, Vec<Task>) = acceptable_tasks(instance)
+            .into_iter()
+            .partition(|t| t.utilization() <= 0.0);
+        let accepted = free.iter().map(Task::id).collect();
+        let v_max = tasks.iter().map(Task::penalty).fold(0.0, f64::max);
+        if tasks.is_empty() || v_max <= 0.0 {
+            // Without penalties, accepting anything only costs energy.
+            return (accepted, None);
+        }
+        let mu = epsilon * v_max / tasks.len() as f64;
+        let weights = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
+        let free_penalty: f64 = free.iter().map(Task::penalty).sum();
+        let scaled = Scaled {
+            instance,
+            tasks,
+            weights,
+            mu,
+            unpaid: instance.total_penalty() - free_penalty,
+        };
+        (accepted, Some(scaled))
+    }
+
+    fn s_max(&self) -> f64 {
+        self.instance.processor().max_speed()
+    }
+
+    /// The level pick's cost estimate of level `v` at utilization `u`:
+    /// `L·rate(min(u, s_max)) + C − v·μ` (slightly pessimistic but
+    /// consistent); `None` where the rate is undefined.
+    fn estimate(&self, u: f64, v: usize) -> Option<f64> {
+        let rate = self.instance.energy_rate(u.min(self.s_max())).ok()?;
+        let l = self.instance.hyper_period() as f64;
+        Some(rate * l + (self.unpaid - v as f64 * self.mu))
+    }
+
+    /// The incumbent `inc`: [`MarginalGreedy`]'s accepted set restricted
+    /// to the layers of positive weight, summed in layer order (the bits
+    /// the table reaches it with) and priced by [`Scaled::estimate`];
+    /// `None` if it does not fit the table's limit.
+    fn incumbent(&self) -> Option<f64> {
+        let order = self.instance.density_order();
+        let cpu = self.instance.processor();
+        let accept = marginal_walk(order, cpu, |u| self.instance.energy_for(u)).ok()?;
+        let mut ids: Vec<TaskId> = order
+            .iter()
+            .zip(accept)
+            .filter_map(|(t, a)| a.then_some(t.id()))
+            .collect();
+        ids.sort_unstable();
+        let (mut u, mut v) = (0.0, 0);
+        for (t, &w) in self.tasks.iter().zip(&self.weights) {
+            if w > 0 && ids.binary_search(&t.id()).is_ok() {
+                u += t.utilization();
+                v += w;
+            }
+        }
+        if u > self.s_max() * (1.0 + LIMIT_SLACK) {
+            return None;
+        }
+        self.estimate(u, v)
+    }
+
+    /// The cap that drops every state whose completions all estimate above
+    /// `inc` (docs/THEORY.md §7). `λ = ρₖ/L` for the marginal task `k` of
+    /// the fractional relaxation, `t = utilization_at_marginal(λ)` (its
+    /// break-even) and `m = rate(t) − λ·t`, so `rate(u) ≥ m + λ·u`; a state
+    /// `(v, d)` before layer `i` estimates no lower than
+    /// `L·m + ρ·d + C − μ·v + Rᵢ`, `Rᵢ = Σ_{j≥i} min(0, ρ·uⱼ − μ·wⱼ)`.
+    /// `None` where no positive density prices the relaxation.
+    fn cap(&self, inc: f64) -> Option<LevelCap> {
+        let cpu = self.instance.processor();
+        let hyper_period = self.instance.hyper_period();
+        let order = self.instance.density_order();
+        let break_even = break_even_fn(cpu, hyper_period);
+        let pieces = order.iter().map(|t| (t.utilization(), t.penalty()));
+        let at = stationary_point(pieces, 0.0, self.s_max(), |k| break_even(&order[k]));
+        let k = at
+            .marginal
+            .or_else(|| order.iter().rposition(|t| t.utilization() > 0.0))?;
+        let rho = order[k].penalty_density();
+        if !(rho > 0.0 && rho.is_finite()) {
+            return None;
+        }
+        let l = hyper_period as f64;
+        let (lambda, t) = (rho / l, break_even(&order[k]));
+        let lm = (self.instance.energy_rate(t).ok()? - lambda * t) * l;
+        let n = self.tasks.len();
+        let mut rest = vec![0.0; n + 1];
+        let mut spread = 0.0;
+        for i in (0..n).rev() {
+            let (u, w) = (self.tasks[i].utilization(), self.weights[i]);
+            let gain = if w > 0 {
+                rho * u - self.mu * w as f64
+            } else {
+                0.0
+            };
+            rest[i] = rest[i + 1] + gain.min(0.0);
+            spread += rho * u;
+        }
+        // δ: the demand tolerance of the table's limit and of the discrete
+        // levels, and the rounding of every term the cap and the estimates
+        // sum (docs/THEORY.md §7).
+        let limit = self.s_max() * (1.0 + LIMIT_SLACK);
+        let scale = inc.abs() + lm.abs() + 2.0 * self.unpaid + rho * limit + spread;
+        let delta =
+            LIMIT_SLACK * rho * (1.0 + self.s_max()) + (n + 16) as f64 * f64::EPSILON * scale;
+        let k = inc + delta - lm - self.unpaid;
+        let after = rest.iter().map(|r| (k - r) / rho).collect();
+        let cap = LevelCap {
+            after,
+            slope: self.mu / rho,
+        };
+        (cap.after.iter().all(|a| a.is_finite()) && cap.slope.is_finite()).then_some(cap)
+    }
+
+    /// Fills the table, bounded by the incumbent if `bounded` and there is
+    /// one.
+    fn table(&self, bounded: bool, meter: &mut BudgetMeter) -> Result<LevelTable, SchedError> {
+        let cap = if bounded {
+            self.incumbent().and_then(|inc| self.cap(inc))
+        } else {
+            None
+        };
+        let (tasks, weights, s_max) = (&self.tasks, &self.weights, self.s_max());
+        LevelTable::build(tasks, weights, s_max, cap.as_ref(), meter, "scaled-dp")
+    }
+
+    /// The first level with the least estimate.
+    fn pick(&self, table: &LevelTable) -> usize {
+        let mut best_v = 0usize;
+        let mut best_est = f64::INFINITY;
+        for (v, &u) in table.levels().iter().enumerate() {
+            if !u.is_finite() {
+                continue;
+            }
+            let Some(est) = self.estimate(u, v) else {
+                continue;
+            };
+            if est < best_est {
+                best_est = est;
+                best_v = v;
+            }
+        }
+        best_v
+    }
+}
+
 impl ScaledDp {
     /// The DP core, shared by the plain and budgeted solves. Charges the
     /// meter one unit per cell of the full-width table (cells the sweep
@@ -244,51 +479,25 @@ impl ScaledDp {
     /// when the budget expires, the
     /// remaining task layers are skipped and the best level of the *partial*
     /// table is reconstructed (still a valid solution — just without the
-    /// `ε` guarantee).
+    /// `ε` guarantee). Only a `bounded` solve prunes by the incumbent: a
+    /// partial table's best level is not the whole table's.
     fn solve_inner(
         &self,
         instance: &Instance,
         meter: &mut BudgetMeter,
         name: &'static str,
+        bounded: bool,
     ) -> Result<Solution, SchedError> {
-        let tasks = acceptable_tasks(instance);
-        // Zero-utilization tasks are free shelter: always accept.
-        let (free, tasks): (Vec<Task>, Vec<Task>) =
-            tasks.into_iter().partition(|t| t.utilization() <= 0.0);
-        let mut accepted: Vec<TaskId> = free.iter().map(Task::id).collect();
-
-        let v_max = tasks.iter().map(Task::penalty).fold(0.0, f64::max);
-        if tasks.is_empty() || v_max <= 0.0 {
-            // Without penalties, accepting anything only costs energy.
+        let (mut accepted, scaled) = Scaled::new(instance, self.epsilon);
+        let Some(scaled) = scaled else {
             return Solution::for_accepted(instance, name, accepted);
-        }
-        let n = tasks.len();
-        let mu = self.epsilon * v_max / n as f64;
-        let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
-        let s_max = instance.processor().max_speed();
-        let table = LevelTable::build(&tasks, &weights, s_max, meter, "scaled-dp")?;
-
-        // Pick the scaled level with the best (slightly pessimistic but
-        // consistent) cost estimate, then reconstruct that level exactly.
-        let l = instance.hyper_period() as f64;
-        let total_penalty = instance.total_penalty();
-        let free_penalty: f64 = free.iter().map(Task::penalty).sum();
-        let mut best_v = 0usize;
-        let mut best_est = f64::INFINITY;
-        for (v, &u) in table.levels().iter().enumerate() {
-            if !u.is_finite() {
-                continue;
-            }
-            let Ok(rate) = instance.energy_rate(u.min(s_max)) else {
-                continue;
-            };
-            let est = rate * l + (total_penalty - free_penalty - v as f64 * mu);
-            if est < best_est {
-                best_est = est;
-                best_v = v;
-            }
-        }
-        table.reconstruct(&tasks, &weights, best_v, &mut accepted);
+        };
+        let table = scaled.table(bounded, meter)?;
+        // Pick the scaled level with the best estimate, then reconstruct
+        // that level exactly. A bounded table holds only the levels that
+        // can beat the incumbent, the best one among them.
+        let best_v = scaled.pick(&table);
+        table.reconstruct(&scaled.tasks, &scaled.weights, best_v, &mut accepted);
         Solution::for_accepted(instance, name, accepted)
     }
 }
@@ -304,7 +513,7 @@ impl RejectionPolicy for ScaledDp {
     /// cap (shrink `n` or raise `ε`).
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let mut meter = BudgetMeter::new(&SolveBudget::unlimited());
-        self.solve_inner(instance, &mut meter, self.name())
+        self.solve_inner(instance, &mut meter, self.name(), true)
     }
 }
 
@@ -329,7 +538,8 @@ impl BudgetedPolicy for ScaledDp {
         const NAME: &str = "anytime-scaled-dp";
         let seed = MarginalGreedy.solve(instance)?;
         let mut meter = BudgetMeter::new(budget);
-        let dp = match self.solve_inner(instance, &mut meter, NAME) {
+        let bounded = *budget == SolveBudget::unlimited();
+        let dp = match self.solve_inner(instance, &mut meter, NAME, bounded) {
             Ok(dp) => Some(dp),
             // Graceful degradation: an oversized table falls back to the
             // greedy seed rather than refusing to answer.
@@ -357,8 +567,11 @@ impl BudgetedPolicy for ScaledDp {
 mod tests {
     use super::*;
     use crate::algorithms::Exhaustive;
-    use dvs_power::presets::cubic_ideal;
-    use rt_model::generator::WorkloadSpec;
+    use dvs_power::presets::{
+        cubic_ideal, leaky_with_overhead, xscale_ideal, xscale_levels, xscale_measured,
+    };
+    use dvs_power::{PowerFunction, Processor, SpeedDomain};
+    use rt_model::generator::{PenaltyModel, WorkloadSpec};
     use rt_model::TaskSet;
 
     fn instance(parts: &[(f64, u64, f64)]) -> Instance {
@@ -417,7 +630,7 @@ mod tests {
         budget: &SolveBudget,
     ) -> (LevelTable, bool) {
         let mut meter = BudgetMeter::new(budget);
-        let table = LevelTable::build(tasks, weights, limit, &mut meter, "test").unwrap();
+        let table = LevelTable::build(tasks, weights, limit, None, &mut meter, "test").unwrap();
         let mut ref_meter = BudgetMeter::new(budget);
         let (d, take) = reference_table(tasks, weights, limit, &mut ref_meter);
         let bits = |levels: &[f64]| levels.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -524,6 +737,155 @@ mod tests {
         let (table, _) = assert_table_matches("zero cap", &tasks, &weights, 0.0, &unlimited);
         assert_eq!(table.levels()[76], 0.0, "tasks 0, 2 and 3 together");
         assert_eq!(table.levels()[64], f64::INFINITY);
+    }
+
+    /// The processor models the bound is checked on: ideal, discrete
+    /// levels, the measured table, dormant-enable with switch overheads,
+    /// cubic, and CMOS (whose break-evens are bisected).
+    fn processor_models() -> Vec<(&'static str, Processor)> {
+        let cmos = Processor::new(
+            PowerFunction::cmos(1.0, 0.4, 1.0, 0.05).unwrap(),
+            SpeedDomain::continuous(0.0, 1.0).unwrap(),
+        );
+        vec![
+            ("xscale_ideal", xscale_ideal()),
+            ("xscale_levels", xscale_levels()),
+            ("xscale_measured", xscale_measured()),
+            ("leaky_with_overhead", leaky_with_overhead(0.4, 4.0)),
+            ("cubic_ideal", cubic_ideal()),
+            ("cmos", cmos),
+        ]
+    }
+
+    /// Solves `inst` with the bounded and the whole table and compares
+    /// the solutions; then requires every finite bounded level to carry
+    /// the whole table's bits, and every reachable level the bound dropped
+    /// to estimate above the incumbent. Returns the cells each table swept.
+    fn assert_bound_is_exact(what: &str, inst: &Instance, epsilon: f64) -> (u64, u64) {
+        let bounded = ScaledDp::new(epsilon).unwrap().solve(inst).unwrap();
+        let (mut accepted, Some(scaled)) = Scaled::new(inst, epsilon) else {
+            return (0, 0);
+        };
+        let table = |bounded| {
+            let mut meter = BudgetMeter::new(&SolveBudget::unlimited());
+            scaled.table(bounded, &mut meter).unwrap()
+        };
+        let (pruned, full) = (table(true), table(false));
+        let (tasks, weights) = (&scaled.tasks, &scaled.weights);
+        full.reconstruct(tasks, weights, scaled.pick(&full), &mut accepted);
+        let whole = Solution::for_accepted(inst, "scaled-dp", accepted).unwrap();
+        assert_eq!(bounded.accepted(), whole.accepted(), "{what}: accepted");
+        assert_eq!(
+            bounded.energy().to_bits(),
+            whole.energy().to_bits(),
+            "{what}: energy"
+        );
+        assert_eq!(
+            bounded.penalty().to_bits(),
+            whole.penalty().to_bits(),
+            "{what}: penalty"
+        );
+        let inc = scaled.incumbent();
+        for (v, (&b, &r)) in pruned.levels().iter().zip(full.levels()).enumerate() {
+            if b.is_finite() {
+                assert_eq!(b.to_bits(), r.to_bits(), "{what}: level {v}");
+            } else if r.is_finite() {
+                let inc = inc.expect("only a bounded table drops a reachable level");
+                let est = scaled.estimate(r, v).unwrap();
+                assert!(est > inc, "{what}: level {v} dropped at {est} ≤ inc {inc}");
+            }
+        }
+        (pruned.cells, full.cells)
+    }
+
+    /// Every model × loads {0.6, 1.2, 3.0} × n {20, 50, 200} × ε {0.01,
+    /// 0.1, 0.5} × two seeds. The whole n = 200 tables at ε ≤ 0.1 take
+    /// 7·10⁶ to 8·10⁷ cells each, minutes in an unoptimised build, so that
+    /// build checks the rest and CI's optimised run checks all of them.
+    #[test]
+    fn bounded_table_is_exact_on_every_processor_model() {
+        let (mut swept, mut whole, mut solves) = (0, 0, 0);
+        for (name, cpu) in processor_models() {
+            for load in [0.6, 1.2, 3.0] {
+                for n in [20, 50, 200] {
+                    for epsilon in [0.01, 0.1, 0.5] {
+                        if cfg!(debug_assertions) && n == 200 && epsilon < 0.5 {
+                            continue;
+                        }
+                        for seed in 0..2 {
+                            let tasks = WorkloadSpec::new(n, load).seed(seed).generate().unwrap();
+                            let inst = Instance::new(tasks, cpu.clone()).unwrap();
+                            let what = format!("{name} load={load} n={n} ε={epsilon} seed={seed}");
+                            let (b, w) = assert_bound_is_exact(&what, &inst, epsilon);
+                            swept += b;
+                            whole += w;
+                            solves += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let corner = if cfg!(debug_assertions) { 2 } else { 0 };
+        assert_eq!(solves, 6 * 3 * (3 * 3 - corner) * 2);
+        // The bound is live: it drops most of the work.
+        assert!(swept * 4 < whole, "swept {swept} of {whole} cells");
+    }
+
+    /// An instance whose optimum sits on the supporting line's tangent
+    /// point, so its states' bound equals the incumbent up to rounding and
+    /// only the margin `δ` keeps them: on four uniform levels, two dense
+    /// tasks fill the level 0.5, and the marginal third task's density lies
+    /// between the hull's slopes on either side of it, so `t = 0.5` and the
+    /// third task is rejected.
+    #[test]
+    fn bounded_table_keeps_an_argmin_on_the_tangent_point() {
+        let cpu = dvs_power::presets::uniform_levels(4);
+        let rate = |u: f64| cpu.energy_rate(u).unwrap();
+        let below = (rate(0.5) - rate(0.25)) / 0.25;
+        let above = (rate(0.75) - rate(0.5)) / 0.25;
+        assert!(below < above);
+        let lambda = 0.5 * (below + above);
+        let tasks = TaskSet::try_from_tasks([
+            Task::new(0, 250.0, 1000).unwrap().with_penalty(1000.0),
+            Task::new(1, 250.0, 1000).unwrap().with_penalty(1000.0),
+            Task::new(2, 250.0, 1000)
+                .unwrap()
+                .with_penalty(lambda * 250.0),
+        ])
+        .unwrap();
+        let inst = Instance::new(tasks, cpu.clone()).unwrap();
+        assert_eq!(cpu.utilization_at_marginal(lambda), 0.5);
+        for epsilon in [0.001, 0.01, 0.1] {
+            assert_bound_is_exact(&format!("tangent ε={epsilon}"), &inst, epsilon);
+            let s = ScaledDp::new(epsilon).unwrap().solve(&inst).unwrap();
+            assert_eq!(s.accepted(), [TaskId::new(0), TaskId::new(1)]);
+        }
+    }
+
+    /// Cells swept and live levels of one T2 instance (n = 200 XScale
+    /// tasks at load 1.6, utilization-proportional penalties, seed 0) at
+    /// ε = 0.1, with the bound and without.
+    #[test]
+    fn bounded_table_work_is_pinned() {
+        let tasks = WorkloadSpec::new(200, 1.6)
+            .penalty_model(PenaltyModel::UtilizationProportional {
+                scale: 1.6,
+                jitter: 0.5,
+            })
+            .seed(0)
+            .generate()
+            .unwrap();
+        let inst = Instance::new(tasks, xscale_ideal()).unwrap();
+        let (_, scaled) = Scaled::new(&inst, 0.1);
+        let scaled = scaled.unwrap();
+        let work = |bounded| {
+            let mut meter = BudgetMeter::new(&SolveBudget::unlimited());
+            let table = scaled.table(bounded, &mut meter).unwrap();
+            let live = table.levels().iter().filter(|d| d.is_finite()).count();
+            (table.cells, live)
+        };
+        assert_eq!(work(true), (2_741, 2));
+        assert_eq!(work(false), (6_488_229, 54_093));
     }
 
     #[test]

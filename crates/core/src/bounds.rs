@@ -68,6 +68,9 @@ pub struct Stationary {
     pub sheltered: f64,
     /// `Σ vᵢ` over the slice, summed left to right.
     pub penalty: f64,
+    /// Index of the marginal piece, the one the minimum falls on; `None`
+    /// when every piece fits whole below its break-even and `cap`.
+    pub marginal: Option<usize>,
 }
 
 /// Minimises `g(t) + Σv − W(t)` over `t ∈ [0, cap]` for a convex energy
@@ -105,17 +108,18 @@ pub fn stationary_point(
         let target = break_even(k);
         if base + above >= target || above >= cap {
             let t = (target - base).max(below).min(above.min(cap));
-            at = Some((t, whole + v * ((t - below) / u).min(1.0)));
+            at = Some((k, t, whole + v * ((t - below) / u).min(1.0)));
         } else {
             below = above;
             whole += v;
         }
     }
-    let (t, partial) = at.unwrap_or((below, whole));
+    let (t, partial) = at.map_or((below, whole), |(_, t, partial)| (t, partial));
     Stationary {
         t,
         sheltered: free + partial,
         penalty,
+        marginal: at.map(|(k, ..)| k),
     }
 }
 

@@ -253,7 +253,7 @@ pub fn solve_budget_dp(
     let mu = epsilon * v_max / tasks.len() as f64;
     let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
     let mut meter = BudgetMeter::new(&SolveBudget::unlimited());
-    let table = LevelTable::build(&tasks, &weights, cap, &mut meter, "budget-dp")?;
+    let table = LevelTable::build(&tasks, &weights, cap, None, &mut meter, "budget-dp")?;
     let best_v = table
         .levels()
         .iter()

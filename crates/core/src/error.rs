@@ -41,6 +41,18 @@ pub enum SchedError {
         /// The rejected value.
         value: f64,
     },
+    /// A task has a constrained deadline (`dᵢ < pᵢ`), which
+    /// [`Instance`](crate::Instance)'s utilization pricing cannot
+    /// schedule; [`ConstrainedInstance`](crate::constrained::ConstrainedInstance)
+    /// prices such sets with the YDS oracle.
+    ConstrainedDeadline {
+        /// Index of the first such task.
+        task: usize,
+        /// Its relative deadline.
+        deadline: u64,
+        /// Its period.
+        period: u64,
+    },
     /// A solution failed verification against its instance.
     VerificationFailed {
         /// Human-readable description of the violated property.
@@ -65,6 +77,15 @@ impl fmt::Display for SchedError {
             SchedError::InvalidParameter { name, value } => {
                 write!(f, "parameter {name} = {value} is out of range")
             }
+            SchedError::ConstrainedDeadline {
+                task,
+                deadline,
+                period,
+            } => write!(
+                f,
+                "task τ{task} has a constrained deadline ({deadline} < period {period}); \
+                 use ConstrainedInstance"
+            ),
             SchedError::VerificationFailed { reason } => {
                 write!(f, "solution verification failed: {reason}")
             }

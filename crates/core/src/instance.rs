@@ -88,9 +88,20 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Currently infallible for validated inputs; returns `Result` so future
-    /// invariants can be added without breaking callers.
+    /// [`SchedError::ConstrainedDeadline`] naming the first task whose
+    /// deadline is shorter than its period: `U(A) ≤ s_max` and
+    /// `E* = L·rate(U(A))` hold for implicit deadlines only, and a set that
+    /// fits by utilization may still miss a deadline under EDF at the
+    /// billed speed. [`ConstrainedInstance`](crate::constrained::ConstrainedInstance)
+    /// takes such sets.
     pub fn new(tasks: TaskSet, cpu: Processor) -> Result<Self, SchedError> {
+        if let Some(t) = tasks.iter().find(|t| !t.is_implicit_deadline()) {
+            return Err(SchedError::ConstrainedDeadline {
+                task: t.id().index(),
+                deadline: t.deadline(),
+                period: t.period(),
+            });
+        }
         Ok(Instance {
             tasks,
             cpu,

@@ -13,6 +13,7 @@ use reject_sched::algorithms::{
 };
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
 use reject_sched::bounds::fractional_lower_bound;
+use reject_sched::constrained::ConstrainedInstance;
 use reject_sched::hardness::{Knapsack, KnapsackItem};
 use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
 use rt_model::generator::{PenaltyModel, WorkloadSpec};
@@ -299,6 +300,88 @@ fn optimal_solutions_replay_cleanly() {
         assert!(report.misses().is_empty());
         assert!((report.energy() - s.energy()).abs() < 1e-6 * s.energy().max(1.0));
     }
+}
+
+/// `Instance::new` refuses every constrained-deadline set, naming its first
+/// constrained task, and the `ConstrainedInstance` path solves the same set
+/// with solutions that replay under EDF without a miss.
+#[test]
+fn constrained_deadlines_take_the_constrained_path() {
+    let mut rng = Rng::seed_from_u64(0xC0DE_00D1);
+    let mut replayed = 0;
+    for case in 0..CASES {
+        let n = 2 + rng.gen_index(5);
+        let forced = rng.gen_index(n);
+        let tasks = TaskSet::try_from_tasks((0..n).map(|i| {
+            let period = [10, 20, 40][rng.gen_index(3)];
+            let cycles = rng.gen_f64(0.05, 0.6) * period as f64;
+            // Task `forced` has `d < p`; the others may too.
+            let top = if i == forced { period } else { period + 1 };
+            let deadline = rng.gen_u64(1, top);
+            Task::new(i, cycles, period)
+                .unwrap()
+                .with_deadline(deadline)
+                .unwrap()
+                .with_penalty(rng.gen_f64(0.1, 8.0))
+        }))
+        .unwrap();
+        let cpu = if case % 2 == 0 {
+            cubic_ideal()
+        } else {
+            xscale_ideal()
+        };
+        let first = tasks.iter().find(|t| !t.is_implicit_deadline()).unwrap();
+        match Instance::new(tasks.clone(), cpu.clone()) {
+            Err(SchedError::ConstrainedDeadline {
+                task,
+                deadline,
+                period,
+            }) => assert_eq!(
+                (task, deadline, period),
+                (first.id().index(), first.deadline(), first.period()),
+                "case {case}"
+            ),
+            other => panic!("case {case}: a constrained set gave {other:?}"),
+        }
+        let inst = ConstrainedInstance::new(tasks, cpu).unwrap();
+        for s in [
+            inst.solve_greedy().unwrap(),
+            inst.solve_exhaustive().unwrap(),
+        ] {
+            s.verify(&inst).unwrap();
+            if !s.accepted().is_empty() {
+                let report = s.replay(&inst).unwrap();
+                assert!(report.misses().is_empty(), "case {case}");
+                replayed += 1;
+            }
+        }
+    }
+    assert!(replayed > CASES, "{replayed} solutions replayed");
+}
+
+/// Three tasks that each fit by utilization but together need 270 cycles
+/// in the first 100 ticks: the plain instance refuses them, and the
+/// constrained path accepts one, which replays without a miss.
+#[test]
+fn a_set_edf_cannot_run_at_its_utilization_is_refused() {
+    let tasks = TaskSet::try_from_tasks((0..3).map(|i| {
+        Task::new(i, 90.0, 1000)
+            .unwrap()
+            .with_deadline(100)
+            .unwrap()
+            .with_penalty(1000.0)
+    }))
+    .unwrap();
+    let err = Instance::new(tasks.clone(), cubic_ideal()).unwrap_err();
+    assert!(matches!(
+        err,
+        SchedError::ConstrainedDeadline { task: 0, .. }
+    ));
+    assert!(err.to_string().contains("ConstrainedInstance"), "{err}");
+    let inst = ConstrainedInstance::new(tasks, cubic_ideal()).unwrap();
+    let s = inst.solve_exhaustive().unwrap();
+    assert_eq!(s.accepted().len(), 1);
+    assert!(s.replay(&inst).unwrap().misses().is_empty());
 }
 
 /// Monotonicity: raising every penalty raises (weakly) the optimal cost,
