@@ -205,7 +205,7 @@ impl BranchBound {
         cost: impl Fn(&S) -> f64,
         mut price: impl FnMut(Vec<bool>) -> Result<S, SchedError>,
     ) -> Result<AnytimeSolution<S>, SchedError> {
-        let greedy = price(marginal_walk(view.order, view.cpu, |u| view.energy(u))?)?;
+        let greedy = price(marginal_walk(view.order, view.cpu, |u| view.energy(u))?.accept)?;
         let seed = match warm {
             Some(w) if cost(&w) < cost(&greedy) => w,
             _ => greedy,

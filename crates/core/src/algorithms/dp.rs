@@ -367,7 +367,9 @@ impl<'a> Scaled<'a> {
     fn incumbent(&self) -> Option<f64> {
         let order = self.instance.density_order();
         let cpu = self.instance.processor();
-        let accept = marginal_walk(order, cpu, |u| self.instance.energy_for(u)).ok()?;
+        let accept = marginal_walk(order, cpu, |u| self.instance.energy_for(u))
+            .ok()?
+            .accept;
         let mut ids: Vec<TaskId> = order
             .iter()
             .zip(accept)

@@ -3,7 +3,7 @@
 use dvs_power::Processor;
 use rt_model::{Task, TaskId};
 
-use crate::algorithms::RejectionPolicy;
+use crate::algorithms::{on_hull, RejectionPolicy, PRUNE_SLACK};
 use crate::{Instance, SchedError, Solution};
 
 /// The densest tasks that fit: walks [`Instance::density_order`] and keeps
@@ -109,39 +109,85 @@ impl RejectionPolicy for MarginalGreedy {
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let order = instance.density_order();
-        let accept = marginal_walk(order, instance.processor(), |u| instance.energy_for(u))?;
+        let accept = marginal_walk(order, instance.processor(), |u| instance.energy_for(u))?.accept;
         let accepted = order.iter().zip(accept).filter(|(_, a)| *a);
         Solution::for_accepted(instance, self.name(), accepted.map(|(t, _)| t.id()))
     }
 }
 
+/// What [`marginal_walk`] decided, and the work it did.
+pub(crate) struct Walk {
+    /// Whether each task of the order is accepted.
+    pub(crate) accept: Vec<bool>,
+    /// `energy` evaluations (read by the work pin).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) priced: u64,
+}
+
 /// [`MarginalGreedy`]'s walk over a density `order` on `cpu` with
-/// `energy(u) = E*(u)`: whether each task is accepted. Branch & bound
-/// walks a [`View`](crate::View)'s fields; the plain solve walks the
-/// instance's and so never computes the break-evens a view carries.
+/// `energy(u) = E*(u)`: in order, each task that fits is accepted when its
+/// penalty covers its marginal energy `E*(u + uᵢ) − E*(u)`. Branch & bound
+/// walks a [`View`](crate::View)'s fields; the plain solve and `ScaledDp`'s
+/// incumbent walk the instance's and so never compute the break-evens a
+/// view carries. `order` must be in descending penalty density, as
+/// [`View::order`](crate::View::order) is.
+///
+/// The walk stops pricing where convexity decides (docs/THEORY.md §7).
+/// After a priced rejection of a task of density `ρₖ`, let `S` be the
+/// slope of `E*` over the last accepted step, less its rounding error: a
+/// left secant at `u`, priced already. If `S ≥ (1 + η)·ρₖ`
+/// (`η = PRUNE_SLACK`), every later task `j` costs a marginal energy of at
+/// least `(1 + η)·vⱼ`, now and after any later accept, and is rejected
+/// without pricing where `η·vⱼ` clears the rounding floor
+/// `64ε·E*(u) + ε·S·s_max` and its demand reads on the hull. The rest are
+/// priced as before, so the accepted set is the full walk's, and the walk
+/// never prices more than the full walk.
 pub(crate) fn marginal_walk(
     order: &[Task],
     cpu: &Processor,
     energy: impl Fn(f64) -> Result<f64, SchedError>,
-) -> Result<Vec<bool>, SchedError> {
+) -> Result<Walk, SchedError> {
+    let mut priced = 0;
+    let mut price = |u: f64| {
+        priced += 1;
+        energy(u)
+    };
     // `e_u = E*(u)` rides along with `u`: both move only on an accept, to
     // the point `e_next` was priced at, so `e_next − e_u` has the bits of
     // `marginal_energy(u, uᵢ)` with one evaluation per task.
     let mut u = 0.0;
-    let mut e_u = energy(u)?;
+    let mut e_u = price(u)?;
     let mut accept = vec![false; order.len()];
+    // `left` is the last point `u` moved from whose rate reads on the hull:
+    // the left end of a secant at `u`. `stop` holds `ε·S·s_max` once the
+    // stop is certified.
+    let (mut left, mut stop) = (None, None);
+    let eps = f64::EPSILON;
     for (t, take) in order.iter().zip(&mut accept) {
-        if !cpu.is_feasible(u + t.utilization()) {
+        let p = u + t.utilization();
+        if !cpu.is_feasible(p) {
             continue;
         }
-        let e_next = energy(u + t.utilization())?;
+        let clears_floor = stop.is_some_and(|g| PRUNE_SLACK * t.penalty() > 64.0 * eps * e_u + g);
+        if clears_floor && on_hull(cpu, p) {
+            continue; // costs more than `(1 + η)·vⱼ`: rejected
+        }
+        let e_next = price(p)?;
         if t.penalty() >= e_next - e_u {
-            u += t.utilization();
-            e_u = e_next;
+            if p > u && on_hull(cpu, u) {
+                left = Some((u, e_u));
+            }
+            (u, e_u) = (p, e_next);
             *take = true;
+        } else if let Some((u_l, e_l)) = left.filter(|_| stop.is_none()) {
+            // The secant from `left` to `u`, less the rounding of its ends.
+            let s = (e_u - e_l - 32.0 * eps * e_u) / (u - u_l);
+            if s >= (1.0 + PRUNE_SLACK) * t.penalty_density() {
+                stop = Some(eps * s * cpu.max_speed());
+            }
         }
     }
-    Ok(accept)
+    Ok(Walk { accept, priced })
 }
 
 /// Exact optimum over the restricted space "reject at most one task"
@@ -199,13 +245,14 @@ impl RejectionPolicy for DensitySweep {
         let (pu, pv) = instance.density_prefix();
         let l = instance.hyper_period() as f64;
         let total_penalty = instance.total_penalty();
-        let s_max = instance.processor().max_speed();
+        let cpu = instance.processor();
+        let s_max = cpu.max_speed();
         // A strict prefix that no longer fits makes every longer prefix
         // infeasible as well (they all contain this task), so the sweep
         // covers prefixes `1..=kmax` only.
         let mut kmax = 0;
         for (k, t) in tasks.iter().enumerate() {
-            if pu[k] + t.utilization() > s_max * (1.0 + 1e-9) {
+            if !cpu.is_feasible(pu[k] + t.utilization()) {
                 break;
             }
             kmax = k + 1;
@@ -241,8 +288,7 @@ impl RejectionPolicy for SafeGreedy {
         let a = MarginalGreedy.solve(instance)?;
         let b = BestOfSingle.solve(instance)?;
         let pick = if a.cost() <= b.cost() { a } else { b };
-        // Rebrand under this policy's name via reconstruction.
-        Solution::for_accepted(instance, self.name(), pick.accepted().to_vec())
+        Ok(pick.relabelled(self.name()))
     }
 }
 
@@ -433,5 +479,55 @@ mod tests {
         let a = MarginalGreedy.solve(&inst).unwrap();
         let b = MarginalGreedy.solve(&inst).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// `energy` evaluations of the walk on one basket-shaped n = 2 000
+    /// instance per load (the benchmark's `MarginalGreedy` entries). The
+    /// full walk makes 2 001: `E*(0)` and every task.
+    #[test]
+    fn marginal_walk_work_is_pinned() {
+        use crate::algorithms::test_support::basket_shaped;
+        for (load, priced) in [(1.2, 952), (3.0, 431)] {
+            let inst = basket_shaped(2000, load, 0);
+            let walk = marginal_walk(inst.density_order(), inst.processor(), |u| {
+                inst.energy_for(u)
+            })
+            .unwrap();
+            assert_eq!(walk.priced, priced, "load {load}");
+        }
+    }
+
+    /// The stop on `E*(u) = 10·u³`: the walk prices `E*(0)`, the
+    /// zero-utilization task 11, the five dense tasks and task 5, whose
+    /// rejection at `u = 0.5` (density 5, below the last accept's secant
+    /// slope 6.1) certifies the stop. It then skips the tie 6 and the task
+    /// 7 that fills `s_max`, and still prices 8 (a penalty below the
+    /// rounding floor), 9 (zero penalty) and 10 (zero utilization and
+    /// penalty): 11 evaluations, where the full walk makes 12.
+    #[test]
+    fn marginal_walk_skips_only_what_the_stop_decides() {
+        let mut parts = vec![(1.0, 10, 10.0); 5];
+        parts.extend([
+            (1.0, 10, 0.5),
+            (1.0, 10, 0.5),
+            (5.0, 10, 2.0),
+            (1e-19, 10, 1e-25),
+            (1.0, 10, 0.0),
+            (0.0, 10, 0.0),
+            (0.0, 10, 1.0),
+        ]);
+        let inst = instance(&parts);
+        let walk = marginal_walk(inst.density_order(), inst.processor(), |u| {
+            inst.energy_for(u)
+        })
+        .unwrap();
+        let accepted: Vec<usize> = inst
+            .density_order()
+            .iter()
+            .zip(&walk.accept)
+            .filter_map(|(t, &a)| a.then_some(t.id().index()))
+            .collect();
+        assert_eq!(accepted, [11, 0, 1, 2, 3, 4, 8, 10]);
+        assert_eq!(walk.priced, 11);
     }
 }

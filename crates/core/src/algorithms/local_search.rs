@@ -2,18 +2,8 @@
 
 use rt_model::Task;
 
-use crate::algorithms::RejectionPolicy;
+use crate::algorithms::{on_hull, RejectionPolicy, PRUNE_SLACK};
 use crate::{Instance, SchedError, Solution};
-
-/// Relative slack of a swap prune: `δ = PRUNE_SLACK · (1 + |θ| + |C_u| +
-/// V)` (docs/THEORY.md §7). It absorbs (a) float noise: the costs compared
-/// are rounded at the scale of their terms, a few ulps of `C_u + V`; and
-/// (b) on discrete speed sets, the sliver where `Processor::energy_rate`
-/// accepts a level up to 1e-9 below the demand, which moves a cost by at
-/// most `1e-9 · L · E′` — under 1e-8 of it for every preset (`E′/E ≤ 10`
-/// on the XScale and uniform-level hulls). Both stay an order of magnitude
-/// below δ.
-const PRUNE_SLACK: f64 = 1e-7;
 
 /// One neighborhood move over the acceptable-task list.
 #[derive(Debug, Clone, Copy)]
@@ -22,6 +12,19 @@ enum Move {
     Toggle(usize),
     /// Reject accepted task `.0`, accept rejected task `.1`.
     Swap(usize, usize),
+}
+
+impl Move {
+    /// `(out, into)`: the task the move rejects and the one it accepts,
+    /// with `None` for a task of zero utilization and penalty, so that a
+    /// toggle is a swap with that task.
+    fn ends(self, accepted: &[bool]) -> (Option<usize>, Option<usize>) {
+        match self {
+            Move::Toggle(i) if accepted[i] => (Some(i), None),
+            Move::Toggle(i) => (None, Some(i)),
+            Move::Swap(out, into) => (Some(out), Some(into)),
+        }
+    }
 }
 
 /// Shared read-only context for O(1) neighbor-cost evaluation.
@@ -64,8 +67,9 @@ impl Neighborhood<'_> {
     }
 }
 
-/// A lower bound on every swap's cost from one round's convexity data,
-/// so that a scan can skip the swaps it proves cannot be picked.
+/// A lower bound on every move's cost from one round's convexity data,
+/// so that a scan can skip the moves it proves cannot be picked, and
+/// enumerate only the others.
 ///
 /// `E*` is convex and nondecreasing in `u` on every processor (the power
 /// function's convexity is checked at construction; docs/THEORY.md §7), so
@@ -74,43 +78,50 @@ impl Neighborhood<'_> {
 /// `r(x) ≥ r(u) + s_L·(x−u)` for `x > u` and `r(x) ≥ r(u) + s_R·(x−u)` for
 /// `x < u`. A swap `(o, i)` therefore costs at least
 /// `C_u − [(vᵢ−v_o) − L·s·(uᵢ−u_o)] = C_u − (aᵢ − a_o)`, with
-/// `a_k = v_k − L·s·u_k` and `C_u` the current cost.
+/// `a_k = v_k − L·s·u_k` and `C_u` the current cost. A toggle is a swap
+/// with a task of zero utilization and penalty (`a = 0`).
 struct SwapBound {
     /// `C_u = L·r(u) + V − avoided`, priced as [`Neighborhood::move_cost`]
     /// prices a move.
     current: f64,
-    /// `a_k` with `s_L`, for swaps that do not lower `u`.
+    /// `a_k` with `s_L`, for moves that do not lower `u`.
     raise: Vec<f64>,
-    /// `a_k` with `s_R`, for swaps that lower `u`; `None` when the right
-    /// secant is unavailable, and such swaps are then never skipped.
+    /// `a_k` with `s_R`, for moves that lower `u`; `None` when the right
+    /// secant is unavailable, and such moves are then never skipped.
     lower: Option<Vec<f64>>,
     /// `V`, the instance's total penalty (a scale of the slack).
     total_penalty: f64,
-    /// `C_u − θ − δ` for the current threshold `θ`: a swap with
+    /// `C_u − θ − δ` for the current threshold `θ`: a move with
     /// `aᵢ − a_o` below it costs more than `θ`.
     cut: f64,
+    /// The round's rejected tasks by `raise`, descending.
+    by_raise: Vec<usize>,
+    /// The round's rejected tasks by `lower`, descending; by utilization,
+    /// ascending, when there is no right secant.
+    by_lower: Vec<usize>,
 }
 
 impl SwapBound {
     /// The bound around utilization `u` with sheltered penalty `avoided`,
-    /// secants `h` wide, against threshold `theta`; `None` if `r(u)`
-    /// cannot be priced.
-    fn new(nb: &Neighborhood<'_>, h: f64, u: f64, avoided: f64, theta: f64) -> Option<Self> {
+    /// secants `h` wide, against threshold `theta`, over the round's
+    /// `rejected` tasks; `None` if `r(u)` cannot be priced.
+    fn new(
+        nb: &Neighborhood<'_>,
+        h: f64,
+        u: f64,
+        avoided: f64,
+        theta: f64,
+        rejected: &[usize],
+        utils: &[f64],
+    ) -> Option<Self> {
         let instance = nb.instance;
-        let cpu = instance.processor();
         let r_u = instance.energy_rate(u).ok()?;
-        // A secant end must be feasible and not beyond `s_max` (where
-        // `energy_rate` is flat over the demand tolerance), nor within
-        // `PRUNE_SLACK` above a discrete level (where it accepts a level up
-        // to 1e-9 below the demand and reads below the convex hull): `1/h`
-        // would amplify either.
+        // A secant end must lie on the hull: `1/h` would amplify a sliver.
         let rate = |p: f64| {
-            let on_hull = p <= cpu.max_speed()
-                && cpu
-                    .domain()
-                    .levels()
-                    .is_none_or(|levels| !levels.iter().any(|&s| s < p && p <= s + PRUNE_SLACK));
-            instance.energy_rate(p).ok().filter(|_| on_hull)
+            instance
+                .energy_rate(p)
+                .ok()
+                .filter(|_| on_hull(instance.processor(), p))
         };
         // `E*` is nondecreasing, so `0` is a valid left slope where the
         // secant is unavailable (`u < h`).
@@ -122,12 +133,30 @@ impl SwapBound {
                 .map(|t| t.penalty() - nb.horizon * s * t.utilization())
                 .collect()
         };
+        let raise = slopes(s_l);
+        let lower = s_r.map(slopes);
+        let descending = |a: &[f64]| {
+            let mut order = rejected.to_vec();
+            order.sort_unstable_by(|&x, &y| a[y].total_cmp(&a[x]));
+            order
+        };
+        let by_raise = descending(&raise);
+        let by_lower = match &lower {
+            Some(a) => descending(a),
+            None => {
+                let mut order = rejected.to_vec();
+                order.sort_unstable_by(|&x, &y| utils[x].total_cmp(&utils[y]));
+                order
+            }
+        };
         let mut bound = SwapBound {
             current: r_u * nb.horizon + (nb.total_penalty - avoided),
-            raise: slopes(s_l),
-            lower: s_r.map(slopes),
+            raise,
+            lower,
             total_penalty: nb.total_penalty,
             cut: f64::NEG_INFINITY,
+            by_raise,
+            by_lower,
         };
         bound.set_threshold(theta);
         Some(bound)
@@ -140,16 +169,52 @@ impl SwapBound {
         self.cut = self.current - theta - slack;
     }
 
-    /// Whether the bound proves swap `(out, into)` costs more than `θ`.
-    fn rules_out(&self, out: usize, into: usize, utils: &[f64]) -> bool {
-        if utils[into] >= utils[out] {
-            self.raise[into] - self.raise[out] < self.cut
+    /// Whether the bound proves the move with ends `(out, into)`
+    /// ([`Move::ends`]) costs more than `θ`.
+    fn rules_out(&self, (out, into): (Option<usize>, Option<usize>), utils: &[f64]) -> bool {
+        let u = |k: Option<usize>| k.map_or(0.0, |k| utils[k]);
+        let gain = |a: &[f64]| into.map_or(0.0, |i| a[i]) - out.map_or(0.0, |o| a[o]);
+        if u(into) >= u(out) {
+            gain(&self.raise) < self.cut
         } else {
-            self.lower
-                .as_ref()
-                .is_some_and(|a| a[into] - a[out] < self.cut)
+            self.lower.as_deref().is_some_and(|a| gain(a) < self.cut)
         }
     }
+
+    /// Appends to `found` every rejected `into` whose swap with `out` the
+    /// bound does not rule out, in no particular order. `aᵢ − a_o < cut`
+    /// is monotone in `aᵢ` (float subtraction rounds monotonically), so
+    /// on each side of `u_out` those are a prefix of `by_raise` or
+    /// `by_lower`, found by bisection with the complement of the same
+    /// compare (no `a` or `cut` is NaN).
+    fn survivors(&self, out: usize, utils: &[f64], found: &mut Vec<usize>) {
+        let keeps = |a: &[f64], i: usize| a[i] - a[out] >= self.cut;
+        let end = self.by_raise.partition_point(|&i| keeps(&self.raise, i));
+        found.extend(
+            self.by_raise[..end]
+                .iter()
+                .filter(|&&i| utils[i] >= utils[out]),
+        );
+        let end = match &self.lower {
+            Some(a) => self.by_lower.partition_point(|&i| keeps(a, i)),
+            None => self.by_lower.partition_point(|&i| utils[i] < utils[out]),
+        };
+        found.extend(
+            self.by_lower[..end]
+                .iter()
+                .filter(|&&i| utils[i] < utils[out]),
+        );
+    }
+}
+
+/// What one [`LocalSearch`] solve did: the work the bound leaves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// Moves priced with an energy-rate query.
+    pub(crate) priced: u64,
+    /// Rounds whose bound had no right secant (`u + h` beyond the hull),
+    /// so every swap that lowers `u` was priced.
+    pub(crate) without_right_slope: u64,
 }
 
 /// Hill-climbing improvement: starting from a seed policy's solution,
@@ -159,8 +224,12 @@ impl SwapBound {
 /// * **swap** — exchange one accepted task for one rejected task,
 ///
 /// until a local optimum (or the iteration cap) is reached. With a greedy
-/// seed this recovers a large share of the gap to optimal at quadratic cost
-/// per round; it is the workhorse "polish" step of the experiment suite.
+/// seed this recovers a large share of the gap to optimal; it is the
+/// workhorse "polish" step of the experiment suite. Each round prices only
+/// the moves a convexity bound cannot rule out (docs/THEORY.md §7): the
+/// swaps are enumerated per accepted task from two sorted orders of the
+/// rejected ones, so a round costs `O(n log n)` plus the moves it prices,
+/// and picks the same move the full scan picks.
 ///
 /// # Examples
 ///
@@ -204,14 +273,9 @@ impl LocalSearch {
             max_rounds: Self::DEFAULT_MAX_ROUNDS,
         }
     }
-}
 
-impl RejectionPolicy for LocalSearch {
-    fn name(&self) -> &'static str {
-        "local-search"
-    }
-
-    fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
+    /// The solve, and the work it did.
+    fn polish(&self, instance: &Instance) -> Result<(Solution, Work), SchedError> {
         let seed = self.seed.solve(instance)?;
         let tasks: Vec<Task> = instance
             .tasks()
@@ -228,6 +292,7 @@ impl RejectionPolicy for LocalSearch {
             horizon: instance.hyper_period() as f64,
             total_penalty: instance.total_penalty(),
         };
+        let mut work = Work::default();
 
         // The secant step: the smallest positive task utilization, the
         // finest step in `u` a move can take, kept within
@@ -242,6 +307,7 @@ impl RejectionPolicy for LocalSearch {
             .fold(s_max, f64::min)
             .max(PRUNE_SLACK.sqrt() * s_max);
 
+        let mut found = Vec::new();
         for _ in 0..self.max_rounds {
             // Re-derive the exact sums once per round so delta errors never
             // accumulate across moves.
@@ -252,41 +318,47 @@ impl RejectionPolicy for LocalSearch {
                     avoided += t.penalty();
                 }
             }
-            // Scan the whole neighborhood — all toggles, then all out→in
-            // swaps — keeping the earliest strictly best improvement. A
-            // swap the bound proves costs more than `θ = min(cost − 1e-12,
-            // best so far)` could not pass `consider`, so skipping it
-            // leaves the pick unchanged.
-            let mut best: Option<(Move, f64)> = None;
-            // Whether `mv` became the best move so far.
-            let consider = |best: &mut Option<(Move, f64)>, mv: Move| {
-                let c = nb.move_cost(&accepted, u, avoided, mv);
-                let better = c < cost - 1e-12 && best.is_none_or(|(_, bc)| c < bc);
-                if better {
-                    *best = Some((mv, c));
-                }
-                better
-            };
-            for i in 0..n {
-                consider(&mut best, Move::Toggle(i));
-            }
-            // A best move already beats `cost − 1e-12`, so it is `θ`.
-            let theta = |best: Option<(Move, f64)>| best.map_or(cost - 1e-12, |(_, bc)| bc);
-            let mut bound = SwapBound::new(&nb, h, u, avoided, theta(best));
+            // The pick is the earliest strictly best improvement in scan
+            // order: all toggles, then the out→in swaps by `(out, into)`.
+            // A move the bound proves costs more than `θ = min(cost −
+            // 1e-12, best so far)` could not pass the compare below, so
+            // leaving it unpriced leaves the pick unchanged.
             let rejected: Vec<usize> = (0..n).filter(|&i| !accepted[i]).collect();
-            for out in (0..n).filter(|&i| accepted[i]) {
-                for &into in &rejected {
+            let mut bound = SwapBound::new(&nb, h, u, avoided, cost - 1e-12, &rejected, &utils);
+            work.without_right_slope +=
+                u64::from(bound.as_ref().is_some_and(|b| b.lower.is_none()));
+            let mut best: Option<(Move, f64)> = None;
+            // Prices `mv` unless the bound rules it out; a new best move
+            // tightens the bound.
+            let mut visit =
+                |bound: &mut Option<SwapBound>, best: &mut Option<(Move, f64)>, mv: Move| {
                     if bound
                         .as_ref()
-                        .is_some_and(|b| b.rules_out(out, into, &utils))
+                        .is_some_and(|b| b.rules_out(mv.ends(&accepted), &utils))
                     {
-                        continue;
+                        return;
                     }
-                    if consider(&mut best, Move::Swap(out, into)) {
-                        if let Some(b) = &mut bound {
-                            b.set_threshold(theta(best));
+                    let c = nb.move_cost(&accepted, u, avoided, mv);
+                    work.priced += 1;
+                    if c < cost - 1e-12 && best.is_none_or(|(_, bc)| c < bc) {
+                        *best = Some((mv, c));
+                        if let Some(b) = bound {
+                            b.set_threshold(c);
                         }
                     }
+                };
+            for i in 0..n {
+                visit(&mut bound, &mut best, Move::Toggle(i));
+            }
+            for out in (0..n).filter(|&i| accepted[i]) {
+                found.clear();
+                match &bound {
+                    Some(b) => b.survivors(out, &utils, &mut found),
+                    None => found.extend(&rejected),
+                }
+                found.sort_unstable();
+                for &into in &found {
+                    visit(&mut bound, &mut best, Move::Swap(out, into));
                 }
             }
             match best {
@@ -308,7 +380,17 @@ impl RejectionPolicy for LocalSearch {
             .zip(&accepted)
             .filter(|(_, &a)| a)
             .map(|(t, _)| t.id());
-        Solution::for_accepted(instance, self.name(), ids)
+        Ok((Solution::for_accepted(instance, self.name(), ids)?, work))
+    }
+}
+
+impl RejectionPolicy for LocalSearch {
+    fn name(&self) -> &'static str {
+        "local-search"
+    }
+
+    fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
+        Ok(self.polish(instance)?.0)
     }
 }
 
@@ -470,5 +552,41 @@ mod tests {
             .solve(&instance)
             .unwrap();
         assert_eq!(a.accepted(), b.accepted());
+    }
+
+    /// The moves priced by a greedy-seeded solve of one basket-shaped
+    /// n = 500 instance per load (the benchmark's `LocalSearch` entries):
+    /// the bound leaves a few dozen of the round's toggles and swaps.
+    #[test]
+    fn local_search_work_is_pinned() {
+        use crate::algorithms::test_support::basket_shaped;
+        for (load, priced) in [(1.2, 54), (3.0, 29)] {
+            let (_, work) = LocalSearch::around(MarginalGreedy)
+                .polish(&basket_shaped(500, load, 0))
+                .unwrap();
+            assert_eq!(work.priced, priced, "load {load}");
+            assert_eq!(work.without_right_slope, 0);
+        }
+    }
+
+    /// Where the current `u` lies within `h` of `s_max`, there is no right
+    /// secant: the swaps that lower `u` are then read off the
+    /// by-utilization order and all priced. On this basket-shaped instance
+    /// the accept-all seed runs one such round, and it picks a swap that
+    /// lowers `u` (`offline_pins.rs` compares the result with the full
+    /// scan).
+    #[test]
+    fn rounds_without_a_right_slope_price_every_swap_that_lowers_u() {
+        use crate::algorithms::test_support::basket_shaped;
+        let (_, work) = LocalSearch::around(AcceptAllFeasible)
+            .polish(&basket_shaped(12, 1.5, 8))
+            .unwrap();
+        assert_eq!(
+            work,
+            Work {
+                priced: 53,
+                without_right_slope: 1
+            }
+        );
     }
 }

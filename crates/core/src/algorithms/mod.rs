@@ -85,6 +85,26 @@ pub trait RejectionPolicy: Send + Sync {
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError>;
 }
 
+/// Relative slack of the convexity bounds that let [`LocalSearch`] skip
+/// moves and [`MarginalGreedy`]'s walk stop pricing (docs/THEORY.md §7):
+/// far above float noise and the 1e-9 demand tolerance of
+/// [`Processor::energy_rate`](dvs_power::Processor::energy_rate), far
+/// below any cost difference a solver acts on.
+pub(crate) const PRUNE_SLACK: f64 = 1e-7;
+
+/// Whether `cpu`'s energy rate at demand `p` is read on its convex hull,
+/// so that a secant or bound through it holds: `p` is not beyond `s_max`
+/// (where `energy_rate` is flat over the demand tolerance), nor within
+/// `PRUNE_SLACK` above a discrete level (where it accepts a level up to
+/// 1e-9 below the demand and reads below the hull).
+pub(crate) fn on_hull(cpu: &dvs_power::Processor, p: f64) -> bool {
+    p <= cpu.max_speed()
+        && cpu
+            .domain()
+            .levels()
+            .is_none_or(|levels| !levels.iter().any(|&s| s < p && p <= s + PRUNE_SLACK))
+}
+
 /// Tasks that can ever be accepted (`uᵢ ≤ s_max`), in instance order.
 pub(crate) fn acceptable_tasks(instance: &Instance) -> Vec<rt_model::Task> {
     instance
@@ -97,7 +117,7 @@ pub(crate) fn acceptable_tasks(instance: &Instance) -> Vec<rt_model::Task> {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use dvs_power::presets::cubic_ideal;
+    use dvs_power::presets::{cubic_ideal, xscale_ideal};
     use rt_model::generator::{PenaltyModel, WorkloadSpec};
 
     use crate::Instance;
@@ -130,6 +150,20 @@ pub(crate) mod test_support {
             }
         }
         out
+    }
+
+    /// An instance shaped like the benchmark's: `n` XScale tasks with
+    /// utilization-proportional penalties at `load`.
+    pub fn basket_shaped(n: usize, load: f64, seed: u64) -> Instance {
+        let tasks = WorkloadSpec::new(n, load)
+            .penalty_model(PenaltyModel::UtilizationProportional {
+                scale: 1.6,
+                jitter: 0.5,
+            })
+            .seed(seed)
+            .generate()
+            .expect("valid spec");
+        Instance::new(tasks, xscale_ideal()).expect("valid instance")
     }
 }
 

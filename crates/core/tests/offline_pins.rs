@@ -1,16 +1,19 @@
 //! Differential pins for the offline solvers that skip provably idle
-//! work: `LocalSearch` (swaps ruled out by a convexity bound are never
-//! priced) and the two users of the scaled DP table, `ScaledDp` and
-//! `budget::solve_budget_dp` (each layer visits only reachable value
-//! levels, 64 at a time).
+//! work: `LocalSearch` (moves ruled out by a convexity bound are never
+//! enumerated or priced), `MarginalGreedy` (its walk stops pricing once
+//! convexity decides the rest) and the two users of the scaled DP table,
+//! `ScaledDp` and `budget::solve_budget_dp` (each layer visits only
+//! reachable value levels, 64 at a time).
 //!
 //! Each is compared against a naive reference written out here — the full
-//! neighborhood scan and the full-width table — on accepted ids and cost
-//! bits, over every processor preset (each also dormant-disable) and a CMOS
-//! power model, three penalty models, several sizes and loads, and three
-//! seed policies. `ScaledDp` is also compared on instances shaped like the
-//! benchmark's (n = 200, a 20 000-level table), and `solve_budget_dp` at
-//! energy budgets whose utilization cap binds below `s_max`.
+//! neighborhood scan, the full walk and the full-width table — on accepted
+//! ids and cost bits, over every processor preset (each also
+//! dormant-disable) and a CMOS power model, three penalty models, several
+//! sizes and loads, and three seed policies. `LocalSearch` and `ScaledDp`
+//! are also compared on instances shaped like the benchmark's (n = 500 and
+//! n = 200), the walk on hand-built corners of its stop, and
+//! `solve_budget_dp` at energy budgets whose utilization cap binds below
+//! `s_max`.
 //! `ScaledDp::solve_within` is pinned on its work counter, quality and cost
 //! bits at budgets that expire mid-table.
 
@@ -23,9 +26,9 @@ use reject_sched::algorithms::{
 };
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
 use reject_sched::budget::{solve_budget_dp, utilization_cap_for_budget};
-use reject_sched::{Instance, RejectionPolicy, Solution};
+use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
 use rt_model::generator::{PenaltyModel, WorkloadSpec};
-use rt_model::{Task, TaskId};
+use rt_model::{Task, TaskId, TaskSet};
 
 /// Every preset, each also with a dormant-disable idle mode, plus a CMOS
 /// power model (golden-section critical speed).
@@ -146,6 +149,46 @@ fn reference_local_search(inst: &Instance, seed: &Solution) -> Solution {
         .filter(|(_, &a)| a)
         .map(|(t, _)| t.id());
     Solution::for_accepted(inst, "local-search", ids).unwrap()
+}
+
+/// The marginal greedy as a full walk: every task of the density order
+/// that fits is priced, and accepted when `vᵢ ≥ E*(u + uᵢ) − E*(u)`.
+fn reference_marginal_greedy(inst: &Instance) -> Solution {
+    let mut u = 0.0;
+    let mut accepted = Vec::new();
+    for t in inst.density_order() {
+        if !inst.processor().is_feasible(u + t.utilization()) {
+            continue;
+        }
+        let marginal = inst.energy_for(u + t.utilization()).unwrap() - inst.energy_for(u).unwrap();
+        if t.penalty() >= marginal {
+            u += t.utilization();
+            accepted.push(t.id());
+        }
+    }
+    Solution::for_accepted(inst, "marginal-greedy", accepted).unwrap()
+}
+
+/// A seed policy that accepts the tasks at the given indices.
+struct Accepts(&'static [usize]);
+
+impl RejectionPolicy for Accepts {
+    fn name(&self) -> &'static str {
+        "accepts"
+    }
+
+    fn solve(&self, inst: &Instance) -> Result<Solution, SchedError> {
+        Solution::for_accepted(inst, self.name(), self.0.iter().map(|&i| TaskId::new(i)))
+    }
+}
+
+/// An instance of `(cycles, penalty)` tasks, all of period 10.
+fn hand_built(cpu: Processor, tasks: &[(f64, f64)]) -> Instance {
+    let tasks = tasks
+        .iter()
+        .enumerate()
+        .map(|(i, &(c, v))| Task::new(i, c, 10).unwrap().with_penalty(v));
+    Instance::new(TaskSet::try_from_tasks(tasks).unwrap(), cpu).unwrap()
 }
 
 /// The full-width scaled-DP table: every layer sweeps every value level
@@ -299,6 +342,153 @@ fn local_search_matches_the_full_scan() {
         }
     }
     assert_eq!(solves, 14 * 3 * 5 * 3 * 3);
+}
+
+/// The benchmark's `LocalSearch` entries (n = 500 XScale tasks with
+/// utilization-proportional penalties, greedy seed) and n = 200 on every
+/// processor, where a round's pairs number in the ten thousands; and a
+/// seed that nearly fills the processor, so that no right secant exists
+/// and the swaps that lower `u` come from the by-utilization order.
+#[test]
+fn local_search_matches_the_full_scan_at_scale() {
+    let mut solves = 0;
+    let mut check =
+        |what: String, inst: &Instance, policy: &dyn Fn() -> LocalSearch, seed: Solution| {
+            let reference = reference_local_search(inst, &seed);
+            assert_same(&what, &policy().solve(inst).unwrap(), &reference);
+            solves += 1;
+        };
+    for load in [1.2, 3.0] {
+        for workload_seed in 0..3 {
+            let inst = instance(&xscale_ideal(), PENALTIES[1], 500, load, workload_seed);
+            let seed = MarginalGreedy.solve(&inst).unwrap();
+            let what = format!("basket n=500 load={load} seed={workload_seed}");
+            check(what, &inst, &|| LocalSearch::around(MarginalGreedy), seed);
+        }
+    }
+    for (name, cpu) in processors() {
+        for (p, &penalty) in PENALTIES.iter().enumerate() {
+            for load in [1.2, 3.0] {
+                let inst = instance(&cpu, penalty, 200, load, 0);
+                let seed = MarginalGreedy.solve(&inst).unwrap();
+                let what = format!("{name} penalty#{p} n=200 load={load}");
+                check(what, &inst, &|| LocalSearch::around(MarginalGreedy), seed);
+            }
+        }
+    }
+    // The accept-all seed leaves `u` within `h` of `s_max`, and the round
+    // without a right secant picks a swap that lowers `u`.
+    let full = instance(&xscale_ideal(), PENALTIES[1], 12, 1.5, 8);
+    let seed = AcceptAllFeasible.solve(&full).unwrap();
+    check(
+        "near-full processor".into(),
+        &full,
+        &|| LocalSearch::around(AcceptAllFeasible),
+        seed,
+    );
+    // Tasks 1 and 2 have equal utilizations: from the seed {0, 1} the pick
+    // is the swap 1 → 2 (`E*` is `10·u³`, so every toggle costs more).
+    let equal = hand_built(
+        cubic_ideal(),
+        &[(8.0, 10_000.0), (2.0, 100.0), (2.0, 150.0)],
+    );
+    let seed = Accepts(&[0, 1]).solve(&equal).unwrap();
+    check(
+        "equal utilizations".into(),
+        &equal,
+        &|| LocalSearch::around(Accepts(&[0, 1])),
+        seed,
+    );
+    assert_eq!(solves, 2 * 3 + 14 * 3 * 2 + 2);
+}
+
+#[test]
+fn marginal_greedy_matches_the_full_walk() {
+    let mut solves = 0;
+    for (name, cpu) in processors() {
+        for (p, &penalty) in PENALTIES.iter().enumerate() {
+            for n in [20, 200, 2000] {
+                for load in [0.8, 1.2, 3.0] {
+                    for workload_seed in 0..2 {
+                        let inst = instance(&cpu, penalty, n, load, workload_seed);
+                        let what =
+                            format!("{name} penalty#{p} n={n} load={load} seed={workload_seed}");
+                        let library = MarginalGreedy.solve(&inst).unwrap();
+                        assert_same(&what, &library, &reference_marginal_greedy(&inst));
+                        solves += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(solves, 14 * 3 * 3 * 3 * 2);
+}
+
+/// Tasks past the walk's stop that it must still price, and tasks it
+/// may skip at the edge of the hull.
+#[test]
+fn marginal_greedy_matches_the_full_walk_on_the_corners_of_its_stop() {
+    // `E*(u) = 10·u³`. Five dense tasks reach `u = 0.5`, where `E*′ = 7.5`;
+    // task 5 (density 5) is rejected and certifies the stop. Past it: a
+    // tie at its density, a task that fills `s_max = 1` exactly, a penalty
+    // below the rounding floor on a task too small to move `u` (priced,
+    // and accepted at a marginal energy of 0), a zero penalty, and a task
+    // of zero utilization and penalty (accepted at 0 ≥ 0). Task 11 has
+    // zero utilization and a positive penalty, so it leads the order.
+    let cubic = hand_built(
+        cubic_ideal(),
+        &[
+            (1.0, 10.0),
+            (1.0, 10.0),
+            (1.0, 10.0),
+            (1.0, 10.0),
+            (1.0, 10.0),
+            (1.0, 0.5),
+            (1.0, 0.5),
+            (5.0, 2.0),
+            (1e-19, 1e-25),
+            (1.0, 0.0),
+            (0.0, 0.0),
+            (0.0, 1.0),
+        ],
+    );
+    let library = MarginalGreedy.solve(&cubic).unwrap();
+    assert_same(
+        "cubic corners",
+        &library,
+        &reference_marginal_greedy(&cubic),
+    );
+    let ids: Vec<usize> = library.accepted().iter().map(|id| id.index()).collect();
+    assert_eq!(ids, [0, 1, 2, 3, 4, 8, 10, 11]);
+
+    // On five uniform levels the hull is linear on [0.4, 0.6] with slope
+    // `σ`. Tasks 0 and 1 bring `u` to 0.5 and then 0.6 − 1e-4, so the last
+    // accepted step has slope `σ`; task 2 (density `σ·(1 − 1e-6)`) crosses
+    // the level 0.6 and is rejected, which certifies the stop. Task 3
+    // lands 5e-10 above the level, where `energy_rate` reads the level
+    // itself, below the hull: the full walk accepts it, so the stop must
+    // price it.
+    let cpu = uniform_levels(5);
+    let e = |u: f64| cpu.energy_rate(u).unwrap() * 10.0;
+    let sigma = (e(0.6) - e(0.5)) / 0.1;
+    assert!(((e(0.5) - e(0.4)) / 0.1 - sigma).abs() < 1e-9 * sigma);
+    let sliver = hand_built(
+        cpu.clone(),
+        &[
+            (5.0, 300.0),
+            (0.999, 20.0),
+            (1.0, sigma * (1.0 - 1e-6) * 0.1),
+            (1e-3 + 5e-9, sigma * (1.0 - 2e-6) * (1e-4 + 5e-10)),
+        ],
+    );
+    let library = MarginalGreedy.solve(&sliver).unwrap();
+    assert_same(
+        "sliver corner",
+        &library,
+        &reference_marginal_greedy(&sliver),
+    );
+    let ids: Vec<usize> = library.accepted().iter().map(|id| id.index()).collect();
+    assert_eq!(ids, [0, 1, 3]);
 }
 
 #[test]
