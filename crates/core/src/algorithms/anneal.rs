@@ -1,7 +1,7 @@
 //! Simulated annealing over accepted sets.
 
 use rt_model::rng::Rng;
-use rt_model::{Task, TaskId};
+use rt_model::Task;
 
 use crate::algorithms::{acceptable_tasks, MarginalGreedy, RejectionPolicy};
 use crate::{Instance, SchedError, Solution};
@@ -78,9 +78,10 @@ impl RejectionPolicy for SimulatedAnnealing {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        let tasks = acceptable_tasks(instance);
+        let (positions, tasks): (Vec<usize>, Vec<Task>) =
+            acceptable_tasks(instance).into_iter().unzip();
         if tasks.is_empty() {
-            return Solution::for_accepted(instance, self.name(), []);
+            return Solution::from_marks(instance, self.name(), &vec![false; instance.len()]);
         }
         let seed_solution = MarginalGreedy.solve(instance)?;
         let mut accept: Vec<bool> = tasks
@@ -127,7 +128,7 @@ impl RejectionPolicy for SimulatedAnnealing {
             } else {
                 (u + utils[i], avoided + penalties[i])
             };
-            if new_u > s_max * (1.0 + 1e-9) {
+            if !instance.processor().is_feasible(new_u) {
                 temperature *= self.cooling;
                 continue;
             }
@@ -146,13 +147,8 @@ impl RejectionPolicy for SimulatedAnnealing {
             temperature *= self.cooling;
         }
 
-        let accepted: Vec<TaskId> = tasks
-            .iter()
-            .zip(&best_accept)
-            .filter(|(_, &a)| a)
-            .map(|(t, _)| t.id())
-            .collect();
-        Solution::for_accepted(instance, self.name(), accepted)
+        let marks = instance.marks_at(positions.into_iter().zip(best_accept));
+        Solution::from_marks(instance, self.name(), &marks)
     }
 }
 

@@ -173,8 +173,7 @@ impl BranchBound {
     ) -> Result<AnytimeSolution, SchedError> {
         let view = instance.view();
         let out = self.search(&view, budget, warm.cloned(), Solution::cost, |accept| {
-            let accepted = view.order.iter().zip(accept).filter(|(_, a)| *a);
-            Solution::for_accepted(instance, name, accepted.map(|(t, _)| t.id()))
+            Solution::from_marks(instance, name, &instance.density_marks(&accept))
         })?;
         Ok(AnytimeSolution {
             solution: out.solution.relabelled(name),

@@ -1,6 +1,6 @@
 //! Scaled dynamic programming (FPTAS-style approximation).
 
-use rt_model::{Task, TaskId};
+use rt_model::Task;
 
 use crate::algorithms::greedy::marginal_walk;
 use crate::algorithms::{acceptable_tasks, MarginalGreedy, RejectionPolicy};
@@ -289,18 +289,12 @@ impl LevelTable {
         &self.d
     }
 
-    /// Appends to `out` the identifiers of the subset that realises level
-    /// `v` (walking the layers backwards), which must be finite.
-    pub(crate) fn reconstruct(
-        &self,
-        tasks: &[Task],
-        weights: &[usize],
-        mut v: usize,
-        out: &mut Vec<TaskId>,
-    ) {
-        for i in (0..tasks.len()).rev() {
+    /// Calls `take` with each layer of the subset that realises level `v`
+    /// (walking the layers backwards), which must be finite.
+    pub(crate) fn reconstruct(&self, weights: &[usize], mut v: usize, mut take: impl FnMut(usize)) {
+        for i in (0..weights.len()).rev() {
             if v > 0 && weights[i] > 0 && weights[i] <= v && self.take.get(i, v) {
-                out.push(tasks[i].id());
+                take(i);
                 v -= weights[i];
             }
         }
@@ -313,6 +307,8 @@ impl LevelTable {
 struct Scaled<'a> {
     instance: &'a Instance,
     tasks: Vec<Task>,
+    /// The instance position of each layer's task.
+    positions: Vec<usize>,
     /// `⌊vᵢ/μ⌋` per layer.
     weights: Vec<usize>,
     /// The penalty unit `μ = ε·v_max/n`.
@@ -322,13 +318,14 @@ struct Scaled<'a> {
 }
 
 impl<'a> Scaled<'a> {
-    /// The free tasks (acceptable, zero utilization: always accepted) and
-    /// the layers, or `None` when no layer has a positive penalty.
-    fn new(instance: &'a Instance, epsilon: f64) -> (Vec<TaskId>, Option<Self>) {
-        let (free, tasks): (Vec<Task>, Vec<Task>) = acceptable_tasks(instance)
+    /// The free tasks (acceptable, zero utilization: always accepted) as
+    /// marks, and the layers, or `None` when no layer has a positive penalty.
+    fn new(instance: &'a Instance, epsilon: f64) -> (Vec<bool>, Option<Self>) {
+        let (free, layers): (Vec<_>, Vec<_>) = acceptable_tasks(instance)
             .into_iter()
-            .partition(|t| t.utilization() <= 0.0);
-        let accepted = free.iter().map(Task::id).collect();
+            .partition(|(_, t)| t.utilization() <= 0.0);
+        let accepted = instance.marks_at(free.iter().map(|&(p, _)| (p, true)));
+        let (positions, tasks): (Vec<usize>, Vec<Task>) = layers.into_iter().unzip();
         let v_max = tasks.iter().map(Task::penalty).fold(0.0, f64::max);
         if tasks.is_empty() || v_max <= 0.0 {
             // Without penalties, accepting anything only costs energy.
@@ -336,10 +333,11 @@ impl<'a> Scaled<'a> {
         }
         let mu = epsilon * v_max / tasks.len() as f64;
         let weights = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
-        let free_penalty: f64 = free.iter().map(Task::penalty).sum();
+        let free_penalty: f64 = free.iter().map(|(_, t)| t.penalty()).sum();
         let scaled = Scaled {
             instance,
             tasks,
+            positions,
             weights,
             mu,
             unpaid: instance.total_penalty() - free_penalty,
@@ -370,15 +368,10 @@ impl<'a> Scaled<'a> {
         let accept = marginal_walk(order, cpu, |u| self.instance.energy_for(u))
             .ok()?
             .accept;
-        let mut ids: Vec<TaskId> = order
-            .iter()
-            .zip(accept)
-            .filter_map(|(t, a)| a.then_some(t.id()))
-            .collect();
-        ids.sort_unstable();
+        let marks = self.instance.density_marks(&accept);
         let (mut u, mut v) = (0.0, 0);
-        for (t, &w) in self.tasks.iter().zip(&self.weights) {
-            if w > 0 && ids.binary_search(&t.id()).is_ok() {
+        for ((t, &w), &p) in self.tasks.iter().zip(&self.weights).zip(&self.positions) {
+            if w > 0 && marks[p] {
                 u += t.utilization();
                 v += w;
             }
@@ -492,15 +485,17 @@ impl ScaledDp {
     ) -> Result<Solution, SchedError> {
         let (mut accepted, scaled) = Scaled::new(instance, self.epsilon);
         let Some(scaled) = scaled else {
-            return Solution::for_accepted(instance, name, accepted);
+            return Solution::from_marks(instance, name, &accepted);
         };
         let table = scaled.table(bounded, meter)?;
         // Pick the scaled level with the best estimate, then reconstruct
         // that level exactly. A bounded table holds only the levels that
         // can beat the incumbent, the best one among them.
         let best_v = scaled.pick(&table);
-        table.reconstruct(&scaled.tasks, &scaled.weights, best_v, &mut accepted);
-        Solution::for_accepted(instance, name, accepted)
+        table.reconstruct(&scaled.weights, best_v, |i| {
+            accepted[scaled.positions[i]] = true;
+        });
+        Solution::from_marks(instance, name, &accepted)
     }
 }
 
@@ -551,7 +546,7 @@ impl BudgetedPolicy for ScaledDp {
         let degraded = meter.expired() || dp.is_none();
         let solution = match dp {
             Some(dp) if dp.cost() <= seed.cost() => dp,
-            _ => Solution::for_accepted(instance, NAME, seed.accepted().to_vec())?,
+            _ => seed.relabelled(NAME),
         };
         Ok(AnytimeSolution {
             solution,
@@ -574,7 +569,7 @@ mod tests {
     };
     use dvs_power::{PowerFunction, Processor, SpeedDomain};
     use rt_model::generator::{PenaltyModel, WorkloadSpec};
-    use rt_model::TaskSet;
+    use rt_model::{TaskId, TaskSet};
 
     fn instance(parts: &[(f64, u64, f64)]) -> Instance {
         let tasks = TaskSet::try_from_tasks(
@@ -773,9 +768,10 @@ mod tests {
             scaled.table(bounded, &mut meter).unwrap()
         };
         let (pruned, full) = (table(true), table(false));
-        let (tasks, weights) = (&scaled.tasks, &scaled.weights);
-        full.reconstruct(tasks, weights, scaled.pick(&full), &mut accepted);
-        let whole = Solution::for_accepted(inst, "scaled-dp", accepted).unwrap();
+        full.reconstruct(&scaled.weights, scaled.pick(&full), |i| {
+            accepted[scaled.positions[i]] = true;
+        });
+        let whole = Solution::from_marks(inst, "scaled-dp", &accepted).unwrap();
         assert_eq!(bounded.accepted(), whole.accepted(), "{what}: accepted");
         assert_eq!(
             bounded.energy().to_bits(),

@@ -1,6 +1,6 @@
 //! Exhaustive optimal search with admissible pruning.
 
-use rt_model::{Task, TaskId};
+use rt_model::Task;
 
 use crate::algorithms::{acceptable_tasks, RejectionPolicy};
 use crate::{Instance, SchedError, Solution};
@@ -132,12 +132,13 @@ impl RejectionPolicy for Exhaustive {
         }
         // Sort by penalty descending so high-value acceptances (and hence
         // tight incumbents) are found early, sharpening the prune.
-        tasks.sort_by(|a, b| {
+        tasks.sort_by(|(_, a), (_, b)| {
             b.penalty()
                 .partial_cmp(&a.penalty())
                 .expect("penalties are not NaN")
                 .then(a.id().index().cmp(&b.id().index()))
         });
+        let (positions, tasks): (Vec<usize>, Vec<Task>) = tasks.into_iter().unzip();
         let mut suffix_penalty = vec![0.0; tasks.len() + 1];
         for i in (0..tasks.len()).rev() {
             suffix_penalty[i] = suffix_penalty[i + 1] + tasks[i].penalty();
@@ -153,14 +154,8 @@ impl RejectionPolicy for Exhaustive {
             tasks,
         };
         search.dfs(0, 0.0, 0.0);
-        let accepted: Vec<TaskId> = search
-            .tasks
-            .iter()
-            .zip(&search.best_accept)
-            .filter(|(_, &take)| take)
-            .map(|(t, _)| t.id())
-            .collect();
-        Solution::for_accepted(instance, self.name(), accepted)
+        let marks = instance.marks_at(positions.into_iter().zip(search.best_accept));
+        Solution::from_marks(instance, self.name(), &marks)
     }
 }
 
@@ -168,7 +163,7 @@ impl RejectionPolicy for Exhaustive {
 mod tests {
     use super::*;
     use dvs_power::presets::cubic_ideal;
-    use rt_model::TaskSet;
+    use rt_model::{TaskId, TaskSet};
 
     fn instance(parts: &[(f64, u64, f64)]) -> Instance {
         let tasks = TaskSet::try_from_tasks(

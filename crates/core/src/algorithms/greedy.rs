@@ -1,24 +1,24 @@
 //! Greedy heuristics and baselines.
 
 use dvs_power::Processor;
-use rt_model::{Task, TaskId};
+use rt_model::Task;
 
 use crate::algorithms::{on_hull, RejectionPolicy, PRUNE_SLACK};
 use crate::{Instance, SchedError, Solution};
 
-/// The densest tasks that fit: walks [`Instance::density_order`] and keeps
-/// each task the processor can still serve, in that (descending-density)
-/// order.
-fn feasible_by_density(instance: &Instance) -> Vec<&Task> {
+/// The densest tasks that fit: walks [`Instance::density_order`] and marks
+/// each task the processor can still serve.
+fn feasible_by_density(instance: &Instance) -> Vec<bool> {
+    let order = instance.density_order();
     let mut u = 0.0;
-    let mut accepted = Vec::with_capacity(instance.density_order().len());
-    for t in instance.density_order() {
+    let mut accept = vec![false; order.len()];
+    for (t, take) in order.iter().zip(&mut accept) {
         if instance.processor().is_feasible(u + t.utilization()) {
             u += t.utilization();
-            accepted.push(t);
+            *take = true;
         }
     }
-    accepted
+    accept
 }
 
 /// Baseline that rejects every task: cost = `Σ vᵢ`, zero energy.
@@ -34,7 +34,7 @@ impl RejectionPolicy for RejectAll {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        Solution::for_accepted(instance, self.name(), [])
+        Solution::from_marks(instance, self.name(), &vec![false; instance.len()])
     }
 }
 
@@ -51,8 +51,8 @@ impl RejectionPolicy for AcceptAllFeasible {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        let accepted = feasible_by_density(instance);
-        Solution::for_accepted(instance, self.name(), accepted.iter().map(|t| t.id()))
+        let accept = feasible_by_density(instance);
+        Solution::from_marks(instance, self.name(), &instance.density_marks(&accept))
     }
 }
 
@@ -74,22 +74,23 @@ impl RejectionPolicy for DensityGreedy {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        let accepted = feasible_by_density(instance);
+        let order = instance.density_order();
+        let mut accept = feasible_by_density(instance);
         // Ascending density: cheapest-to-reject first.
-        let mut u: f64 = accepted.iter().rev().map(|t| t.utilization()).sum();
-        let mut keep: Vec<TaskId> = Vec::with_capacity(accepted.len());
-        for t in accepted.iter().rev() {
+        let accepted: Vec<usize> = (0..order.len()).rev().filter(|&k| accept[k]).collect();
+        let mut u: f64 = accepted.iter().map(|&k| order[k].utilization()).sum();
+        for k in accepted {
+            let t = &order[k];
             // Energy saved by rejecting t from the current acceptance.
             // (Clamp: float cancellation can leave a tiny negative rest.)
             let rest = (u - t.utilization()).max(0.0);
             let saved = instance.marginal_energy(rest, t.utilization())?;
             if t.penalty() < saved {
                 u = rest; // reject
-            } else {
-                keep.push(t.id());
+                accept[k] = false;
             }
         }
-        Solution::for_accepted(instance, self.name(), keep)
+        Solution::from_marks(instance, self.name(), &instance.density_marks(&accept))
     }
 }
 
@@ -110,8 +111,7 @@ impl RejectionPolicy for MarginalGreedy {
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let order = instance.density_order();
         let accept = marginal_walk(order, instance.processor(), |u| instance.energy_for(u))?.accept;
-        let accepted = order.iter().zip(accept).filter(|(_, a)| *a);
-        Solution::for_accepted(instance, self.name(), accepted.map(|(t, _)| t.id()))
+        Solution::from_marks(instance, self.name(), &instance.density_marks(&accept))
     }
 }
 
@@ -205,13 +205,13 @@ impl RejectionPolicy for BestOfSingle {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        let all: Vec<TaskId> = instance.tasks().iter().map(Task::id).collect();
+        let n = instance.len();
         // Scan order: the full set, then each leave-one-out set; the
         // earliest strictly best wins.
-        let mut best = Solution::for_accepted(instance, self.name(), [])?;
-        for skip in std::iter::once(None).chain(all.iter().map(Some)) {
-            let ids = all.iter().copied().filter(|id| Some(id) != skip);
-            match Solution::for_accepted(instance, self.name(), ids) {
+        let mut best = Solution::from_marks(instance, self.name(), &vec![false; n])?;
+        for skip in std::iter::once(None).chain((0..n).map(Some)) {
+            let marks: Vec<bool> = (0..n).map(|i| Some(i) != skip).collect();
+            match Solution::from_marks(instance, self.name(), &marks) {
                 Ok(s) if s.cost() < best.cost() => best = s,
                 // Infeasible candidates are simply skipped.
                 Ok(_) | Err(SchedError::Power(_)) => {}
@@ -267,8 +267,8 @@ impl RejectionPolicy for DensitySweep {
                 best = (cost, k);
             }
         }
-        let accepted: Vec<TaskId> = tasks[..best.1].iter().map(Task::id).collect();
-        Solution::for_accepted(instance, self.name(), accepted)
+        let accept: Vec<bool> = (0..tasks.len()).map(|k| k < best.1).collect();
+        Solution::from_marks(instance, self.name(), &instance.density_marks(&accept))
     }
 }
 
@@ -296,7 +296,7 @@ impl RejectionPolicy for SafeGreedy {
 mod tests {
     use super::*;
     use dvs_power::presets::{cubic_ideal, xscale_ideal};
-    use rt_model::TaskSet;
+    use rt_model::{TaskId, TaskSet};
 
     fn instance(parts: &[(f64, u64, f64)]) -> Instance {
         let tasks = TaskSet::try_from_tasks(

@@ -2,7 +2,7 @@
 
 use rt_model::Task;
 
-use crate::algorithms::{on_hull, RejectionPolicy, PRUNE_SLACK};
+use crate::algorithms::{acceptable_tasks, on_hull, RejectionPolicy, PRUNE_SLACK};
 use crate::{Instance, SchedError, Solution};
 
 /// One neighborhood move over the acceptable-task list.
@@ -277,12 +277,8 @@ impl LocalSearch {
     /// The solve, and the work it did.
     fn polish(&self, instance: &Instance) -> Result<(Solution, Work), SchedError> {
         let seed = self.seed.solve(instance)?;
-        let tasks: Vec<Task> = instance
-            .tasks()
-            .iter()
-            .filter(|t| instance.is_acceptable(t))
-            .copied()
-            .collect();
+        let (positions, tasks): (Vec<usize>, Vec<Task>) =
+            acceptable_tasks(instance).into_iter().unzip();
         let n = tasks.len();
         let mut accepted: Vec<bool> = tasks.iter().map(|t| seed.accepts(t.id())).collect();
         let mut cost = seed.cost();
@@ -375,12 +371,8 @@ impl LocalSearch {
                 None => break,
             }
         }
-        let ids = tasks
-            .iter()
-            .zip(&accepted)
-            .filter(|(_, &a)| a)
-            .map(|(t, _)| t.id());
-        Ok((Solution::for_accepted(instance, self.name(), ids)?, work))
+        let marks = instance.marks_at(positions.into_iter().zip(accepted));
+        Ok((Solution::from_marks(instance, self.name(), &marks)?, work))
     }
 }
 

@@ -105,14 +105,11 @@ pub(crate) fn on_hull(cpu: &dvs_power::Processor, p: f64) -> bool {
             .is_none_or(|levels| !levels.iter().any(|&s| s < p && p <= s + PRUNE_SLACK))
 }
 
-/// Tasks that can ever be accepted (`uᵢ ≤ s_max`), in instance order.
-pub(crate) fn acceptable_tasks(instance: &Instance) -> Vec<rt_model::Task> {
-    instance
-        .tasks()
-        .iter()
-        .filter(|t| instance.is_acceptable(t))
-        .copied()
-        .collect()
+/// Tasks that can ever be accepted (`uᵢ ≤ s_max`), in instance order,
+/// each with its instance position.
+pub(crate) fn acceptable_tasks(instance: &Instance) -> Vec<(usize, rt_model::Task)> {
+    let tasks = instance.tasks().iter().copied().enumerate();
+    tasks.filter(|(_, t)| instance.is_acceptable(t)).collect()
 }
 
 #[cfg(test)]

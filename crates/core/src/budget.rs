@@ -21,11 +21,11 @@
 //!   [`ScaledDp`](crate::algorithms::ScaledDp),
 //! * [`BudgetSolution::verify`] — budget and feasibility re-checking.
 
-use rt_model::{Task, TaskId};
+use rt_model::{ModelError, Task, TaskId};
 
 use crate::algorithms::LevelTable;
 use crate::anytime::{BudgetMeter, SolveBudget};
-use crate::{Instance, SchedError};
+use crate::{Instance, SchedError, View};
 
 /// Iterations of bisection for the budget → utilization-cap inversion.
 const BISECT_ITERS: usize = 200;
@@ -71,12 +71,11 @@ impl BudgetSolution {
     ///
     /// [`SchedError::VerificationFailed`] naming the violated property.
     pub fn verify(&self, instance: &Instance) -> Result<(), SchedError> {
-        let subset = instance.tasks().subset(&self.accepted).map_err(|e| {
-            SchedError::VerificationFailed {
-                reason: e.to_string(),
-            }
-        })?;
-        let u = subset.utilization();
+        let unknown = |id: TaskId| SchedError::VerificationFailed {
+            reason: ModelError::UnknownTask { task: id.index() }.to_string(),
+        };
+        let marks = instance.marks_of(&self.accepted).map_err(unknown)?;
+        let (u, value) = instance.marked_sums(&marks);
         if !instance.processor().is_feasible(u) {
             return Err(SchedError::VerificationFailed {
                 reason: format!("admitted utilization {u} exceeds the processor"),
@@ -92,7 +91,6 @@ impl BudgetSolution {
                 reason: format!("energy {energy} exceeds the budget {}", self.budget),
             });
         }
-        let value: f64 = subset.iter().map(Task::penalty).sum();
         if (value - self.value).abs() > 1e-6 * value.abs().max(1.0) {
             return Err(SchedError::VerificationFailed {
                 reason: format!("stored value {} but tasks sum to {value}", self.value),
@@ -157,28 +155,19 @@ pub fn utilization_cap_for_budget(instance: &Instance, budget: f64) -> Result<f6
     Ok(lo)
 }
 
-fn admissible(instance: &Instance, cap: f64) -> Vec<Task> {
-    instance
-        .tasks()
-        .iter()
-        .filter(|t| t.utilization() <= cap * (1.0 + 1e-9))
-        .copied()
+fn admissible(instance: &Instance, cap: f64) -> Vec<(usize, Task)> {
+    let tasks = instance.tasks().iter().copied().enumerate();
+    tasks
+        .filter(|(_, t)| t.utilization() <= cap * (1.0 + 1e-9))
         .collect()
 }
 
-fn build(
-    instance: &Instance,
-    budget: f64,
-    accepted: Vec<TaskId>,
-) -> Result<BudgetSolution, SchedError> {
-    let mut accepted = accepted;
-    accepted.sort();
-    accepted.dedup();
-    let subset = instance.tasks().subset(&accepted)?;
+fn build(instance: &Instance, budget: f64, marks: &[bool]) -> Result<BudgetSolution, SchedError> {
+    let (u, value) = instance.marked_sums(marks);
     Ok(BudgetSolution {
-        value: subset.iter().map(Task::penalty).sum(),
-        energy: instance.energy_for(subset.utilization())?,
-        accepted,
+        accepted: instance.marked_ids(marks),
+        value,
+        energy: instance.energy_for(u)?,
         budget,
     })
 }
@@ -195,27 +184,21 @@ fn build(
 pub fn solve_budget_greedy(instance: &Instance, budget: f64) -> Result<BudgetSolution, SchedError> {
     let cap = utilization_cap_for_budget(instance, budget)?;
     let mut tasks = admissible(instance, cap);
-    tasks.sort_by(|a, b| {
-        b.penalty_density()
-            .partial_cmp(&a.penalty_density())
-            .expect("densities are not NaN")
-            .then(a.id().index().cmp(&b.id().index()))
-    });
+    tasks.sort_by(|(_, a), (_, b)| View::order_cmp(a, b));
     let mut u = 0.0;
-    let mut greedy: Vec<TaskId> = Vec::new();
-    for t in &tasks {
+    let mut greedy = vec![false; instance.len()];
+    for &(p, t) in &tasks {
         if u + t.utilization() <= cap * (1.0 + 1e-9) {
             u += t.utilization();
-            greedy.push(t.id());
+            greedy[p] = true;
         }
     }
-    let greedy = build(instance, budget, greedy)?;
+    let greedy = build(instance, budget, &greedy)?;
     let best_single = tasks
         .iter()
-        .max_by(|a, b| a.penalty().partial_cmp(&b.penalty()).expect("finite"))
-        .map(|t| vec![t.id()])
-        .unwrap_or_default();
-    let single = build(instance, budget, best_single)?;
+        .max_by(|(_, a), (_, b)| a.penalty().partial_cmp(&b.penalty()).expect("finite"))
+        .map(|&(p, _)| (p, true));
+    let single = build(instance, budget, &instance.marks_at(best_single))?;
     Ok(if greedy.value >= single.value {
         greedy
     } else {
@@ -244,11 +227,12 @@ pub fn solve_budget_dp(
         });
     }
     let cap = utilization_cap_for_budget(instance, budget)?;
-    let tasks = admissible(instance, cap);
+    let (positions, tasks): (Vec<usize>, Vec<Task>) = admissible(instance, cap).into_iter().unzip();
+    let mut marks = vec![false; instance.len()];
     let v_max = tasks.iter().map(Task::penalty).fold(0.0, f64::max);
     if tasks.is_empty() || v_max <= 0.0 {
         // Zero-value tasks: admitting them is pointless (value 0 anyway).
-        return build(instance, budget, Vec::new());
+        return build(instance, budget, &marks);
     }
     let mu = epsilon * v_max / tasks.len() as f64;
     let weights: Vec<usize> = tasks.iter().map(|t| (t.penalty() / mu) as usize).collect();
@@ -259,9 +243,8 @@ pub fn solve_budget_dp(
         .iter()
         .rposition(|d| d.is_finite())
         .expect("level 0 is always reachable");
-    let mut accepted = Vec::new();
-    table.reconstruct(&tasks, &weights, best_v, &mut accepted);
-    build(instance, budget, accepted)
+    table.reconstruct(&weights, best_v, |i| marks[positions[i]] = true);
+    build(instance, budget, &marks)
 }
 
 #[cfg(test)]

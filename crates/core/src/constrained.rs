@@ -109,7 +109,7 @@ impl ConstrainedInstance {
         let mut energy = 0.0;
         for job in subset.hyper_period_jobs() {
             let s = speeds.speed_of(job.task(), job.index())?;
-            if s > s_max * (1.0 + 1e-9) {
+            if !self.cpu.is_feasible(s) {
                 return None;
             }
             if job.cycles() <= 0.0 {
@@ -193,11 +193,10 @@ impl ConstrainedInstance {
     ///
     /// Propagates oracle errors.
     pub fn solve_greedy(&self) -> Result<ConstrainedSolution, SchedError> {
-        let s_max = self.cpu.max_speed();
         let mut order: Vec<Task> = self
             .tasks
             .iter()
-            .filter(|t| t.density() <= s_max * (1.0 + 1e-9))
+            .filter(|t| self.cpu.is_feasible(t.density()))
             .copied()
             .collect();
         order.sort_by(|a, b| {
@@ -315,7 +314,7 @@ impl ConstrainedSolution {
                     reason: format!("speed assigned to unknown task {id}"),
                 });
             }
-            if *s > instance.processor().max_speed() * (1.0 + 1e-9) {
+            if !instance.processor().is_feasible(*s) {
                 return Err(SchedError::VerificationFailed {
                     reason: format!("job of {id} exceeds s_max with speed {s}"),
                 });

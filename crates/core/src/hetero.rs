@@ -27,7 +27,7 @@ use dvs_power::{PowerFunction, Processor};
 use edf_sim::{SimReport, Simulator, SpeedProfile};
 use rt_model::{Task, TaskId, TaskSet};
 
-use crate::SchedError;
+use crate::{SchedError, View};
 
 /// Iterations of λ-bisection (relative time-budget error < 1e-12).
 const BISECT_ITERS: usize = 200;
@@ -157,7 +157,7 @@ impl HeteroInstance {
         let items = self.indexed(accepted)?;
         let s_max = self.cpu.max_speed();
         let total_u: f64 = items.iter().map(|(_, t)| t.utilization()).sum();
-        if total_u > s_max * (1.0 + 1e-9) {
+        if !self.cpu.is_feasible(total_u) {
             return Err(dvs_power::PowerError::InfeasibleDemand {
                 utilization: total_u,
                 max_speed: s_max,
@@ -279,24 +279,18 @@ impl HeteroInstance {
     ///
     /// Propagates oracle errors.
     pub fn solve_greedy(&self) -> Result<HeteroSolution, SchedError> {
-        let s_max = self.cpu.max_speed();
         let mut order: Vec<Task> = self
             .tasks
             .iter()
-            .filter(|t| t.utilization() <= s_max * (1.0 + 1e-9))
+            .filter(|t| self.cpu.is_feasible(t.utilization()))
             .copied()
             .collect();
-        order.sort_by(|a, b| {
-            b.penalty_density()
-                .partial_cmp(&a.penalty_density())
-                .expect("densities are not NaN")
-                .then(a.id().index().cmp(&b.id().index()))
-        });
+        order.sort_by(View::order_cmp);
         let mut accepted: Vec<TaskId> = Vec::new();
         let mut u = 0.0;
         let mut energy = 0.0;
         for t in &order {
-            if u + t.utilization() > s_max * (1.0 + 1e-9) {
+            if !self.cpu.is_feasible(u + t.utilization()) {
                 continue;
             }
             let mut cand = accepted.clone();
@@ -395,7 +389,7 @@ impl HeteroSolution {
                 .ok_or_else(|| SchedError::VerificationFailed {
                     reason: format!("speed assigned to unknown task {id}"),
                 })?;
-            if *s > s_max * (1.0 + 1e-9) {
+            if !instance.processor().is_feasible(*s) {
                 return Err(SchedError::VerificationFailed {
                     reason: format!("task {id} speed {s} exceeds s_max {s_max}"),
                 });

@@ -23,8 +23,9 @@ struct InstanceCache {
     ids: OnceCell<Vec<(TaskId, usize)>>,
     /// `Σ vᵢ` over all tasks.
     total_penalty: OnceCell<f64>,
-    /// Acceptable tasks sorted by penalty density descending (ties by id).
-    density_order: OnceCell<Vec<Task>>,
+    /// Acceptable tasks sorted by penalty density descending (ties by id),
+    /// and the position of each (`u32`: half a `usize` per cached task).
+    density_order: OnceCell<(Vec<Task>, Vec<u32>)>,
     /// Break-even utilization of each task of
     /// [`InstanceCache::density_order`] (see [`Instance::break_even`]).
     break_even: OnceCell<Vec<f64>>,
@@ -179,15 +180,16 @@ impl Instance {
     /// algorithms and the branch & bound, computed once per instance.
     #[must_use]
     pub fn density_order(&self) -> &[Task] {
+        &self.density().0
+    }
+
+    fn density(&self) -> &(Vec<Task>, Vec<u32>) {
         self.cache.density_order.get_or_init(|| {
-            let mut tasks: Vec<Task> = self
-                .tasks
-                .iter()
-                .filter(|t| self.is_acceptable(t))
-                .copied()
-                .collect();
-            tasks.sort_by(View::order_cmp);
-            tasks
+            let tasks = (0u32..).zip(self.tasks.iter().copied());
+            let mut order: Vec<(u32, Task)> =
+                tasks.filter(|(_, t)| self.is_acceptable(t)).collect();
+            order.sort_by(|(_, a), (_, b)| View::order_cmp(a, b));
+            order.into_iter().map(|(p, t)| (t, p)).unzip()
         })
     }
 
@@ -242,17 +244,22 @@ impl Instance {
         (u, v)
     }
 
-    /// `(U(A), Σ_{i ∉ A} vᵢ)` for the tasks named by `accepted`
-    /// (duplicates collapse). One merge of the sorted identifiers with the
-    /// identifier table marks their positions; the accepted sums then run
-    /// in task-position order, the order (and so the bits) of summing over
-    /// [`TaskSet::subset`].
+    /// `(U(A), Σ_{i ∉ A} vᵢ)` for the tasks named by `accepted`, summed as
+    /// [`Instance::marked_sums`] sums; the error is [`Instance::marks_of`]'s.
+    pub(crate) fn accepted_sums(&self, accepted: &[TaskId]) -> Result<(f64, f64), TaskId> {
+        let (u, v) = self.marked_sums(&self.marks_of(accepted)?);
+        Ok((u, self.total_penalty() - v))
+    }
+
+    /// The mask over task positions of the tasks named by `accepted`
+    /// (duplicates collapse): one merge of the sorted identifiers with the
+    /// identifier table.
     ///
     /// # Errors
     ///
     /// The first identifier of `accepted`, in input order, that names no
     /// task.
-    pub(crate) fn accepted_sums(&self, accepted: &[TaskId]) -> Result<(f64, f64), TaskId> {
+    pub(crate) fn marks_of(&self, accepted: &[TaskId]) -> Result<Vec<bool>, TaskId> {
         let mut sorted = Vec::new();
         let ids = if accepted.is_sorted() {
             accepted
@@ -278,12 +285,37 @@ impl Instance {
                 }
             }
         }
-        let (mut u, mut v) = (0.0, 0.0);
-        for (t, _) in self.tasks.iter().zip(&marks).filter(|(_, &m)| m) {
-            u += t.utilization();
-            v += t.penalty();
-        }
-        Ok((u, self.total_penalty() - v))
+        Ok(marks)
+    }
+
+    /// The mask over task positions that sets each `(position, mark)` of `at`.
+    pub(crate) fn marks_at(&self, at: impl IntoIterator<Item = (usize, bool)>) -> Vec<bool> {
+        let mut marks = vec![false; self.len()];
+        at.into_iter().for_each(|(p, mark)| marks[p] = mark);
+        marks
+    }
+
+    /// [`Instance::marks_at`] for a mask over [`Instance::density_order`].
+    pub(crate) fn density_marks(&self, accept: &[bool]) -> Vec<bool> {
+        let positions = self.density().1.iter().map(|&p| p as usize);
+        self.marks_at(positions.zip(accept.iter().copied()))
+    }
+
+    /// `(U(A), Σ_{i ∈ A} vᵢ)` for the tasks at the marked positions,
+    /// summed in task-position order: the order (and so the bits) of
+    /// summing over [`TaskSet::subset`], except that an empty sum is `+0`.
+    pub(crate) fn marked_sums(&self, marks: &[bool]) -> (f64, f64) {
+        let marked = self.tasks.iter().zip(marks).filter(|(_, &m)| m);
+        marked.fold((0.0, 0.0), |(u, v), (t, _)| {
+            (u + t.utilization(), v + t.penalty())
+        })
+    }
+
+    /// The identifiers of the tasks at the marked positions, sorted: one
+    /// walk of the identifier table.
+    pub(crate) fn marked_ids(&self, marks: &[bool]) -> Vec<TaskId> {
+        let marked = self.id_table().iter().filter(|&&(_, p)| marks[p]);
+        marked.map(|&(id, _)| id).collect()
     }
 
     /// Whether the full set exceeds the processor capacity (`U(T) > s_max`),

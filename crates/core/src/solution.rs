@@ -2,7 +2,7 @@ use std::fmt;
 
 use dvs_power::ExecutionPlan;
 use edf_sim::{SimReport, Simulator, SpeedProfile};
-use rt_model::TaskId;
+use rt_model::{ModelError, TaskId};
 
 use crate::{Instance, SchedError};
 
@@ -37,14 +37,13 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Assembles a solution for `accepted` on `instance`, computing the
-    /// cost breakdown. This is the single constructor
-    /// all algorithms funnel through, so costs are always derived from the
-    /// instance's oracles, never from algorithm-internal bookkeeping.
+    /// The solution that accepts the tasks named by `accepted` on
+    /// `instance` (duplicates collapse), priced as every solver's result
+    /// is: `U(A)` and the accepted penalty summed in task-position order.
     ///
     /// # Errors
     ///
-    /// * [`SchedError::Model`] if an identifier is unknown or duplicated.
+    /// * [`SchedError::Model`] naming the least unknown identifier.
     /// * [`SchedError::Power`] if the accepted set is infeasible.
     pub fn for_accepted(
         instance: &Instance,
@@ -52,15 +51,30 @@ impl Solution {
         accepted: impl IntoIterator<Item = TaskId>,
     ) -> Result<Self, SchedError> {
         let mut accepted: Vec<TaskId> = accepted.into_iter().collect();
-        accepted.sort();
-        accepted.dedup();
-        let (u, penalty) = instance.sums_of(&accepted)?;
-        let energy = instance.energy_for(u)?;
+        accepted.sort_unstable();
+        let unknown = |id: TaskId| ModelError::UnknownTask { task: id.index() };
+        let marks = instance.marks_of(&accepted).map_err(unknown)?;
+        Self::from_marks(instance, algorithm, &marks)
+    }
+
+    /// The solution that accepts the tasks at the marked positions of
+    /// `instance`: the one constructor, so costs always come from the
+    /// instance's oracles, never from a solver's bookkeeping.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Power`] if the accepted set is infeasible.
+    pub(crate) fn from_marks(
+        instance: &Instance,
+        algorithm: &'static str,
+        marks: &[bool],
+    ) -> Result<Self, SchedError> {
+        let (u, served) = instance.marked_sums(marks);
         Ok(Solution {
             algorithm,
-            accepted,
-            energy,
-            penalty,
+            accepted: instance.marked_ids(marks),
+            energy: instance.energy_for(u)?,
+            penalty: instance.total_penalty() - served,
         })
     }
 

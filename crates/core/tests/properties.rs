@@ -456,7 +456,34 @@ fn budget_dual_properties() {
         let g = solve_budget_greedy(&inst, b_hi).unwrap();
         g.verify(&inst).unwrap();
         assert!(g.value() >= 0.5 * dp_hi.value() - 0.05 * v_max - 1e-9);
+        // At a zero budget nothing is admitted (every task here has
+        // positive utilization).
+        let none = [
+            solve_budget_dp(&inst, 0.0, 0.05).unwrap(),
+            solve_budget_greedy(&inst, 0.0).unwrap(),
+        ];
+        for sol in [dp_lo, dp_hi, g].iter().chain(&none) {
+            let (value, energy) = subset_priced(&inst, sol.accepted());
+            assert_eq!(sol.energy().to_bits(), energy.to_bits());
+            if sol.accepted().is_empty() {
+                // The position-order sums start from +0; an empty
+                // `Iterator::sum` is −0.
+                assert_eq!(value.to_bits(), (-0.0f64).to_bits());
+                assert_eq!(sol.value().to_bits(), 0.0f64.to_bits());
+            } else {
+                assert_eq!(sol.value().to_bits(), value.to_bits());
+            }
+        }
+        assert!(none.iter().all(|s| s.accepted().is_empty()));
     }
+}
+
+/// `(value, energy)` of an admitted set as `BudgetSolution`s were priced
+/// over `TaskSet::subset`: `Iterator::sum`s in task-position order.
+fn subset_priced(inst: &Instance, accepted: &[TaskId]) -> (f64, f64) {
+    let subset = inst.tasks().subset(accepted).unwrap();
+    let value = subset.iter().map(Task::penalty).sum();
+    (value, inst.energy_for(subset.utilization()).unwrap())
 }
 
 /// Constrained-deadline oracle degenerates to the scalar oracle for
@@ -910,6 +937,70 @@ fn branch_bound_results_equal_their_repriced_sets() {
             }
         }
     }
+}
+
+/// Every offline policy builds its solution from a mask of task
+/// positions; each result equals `Solution::for_accepted` of its own
+/// accepted set under its own name, bit for bit, and its cost bits equal
+/// the hash-marked reference's. The identifiers are shuffled and do not
+/// run 0..n, so position order is not identifier order, and the accepted
+/// list must still come out sorted.
+#[test]
+fn offline_policies_equal_their_repriced_sets() {
+    let mut rng = Rng::seed_from_u64(0xC0DE_0026);
+    let policies: Vec<Box<dyn RejectionPolicy>> = vec![
+        Box::new(Exhaustive::default()),
+        Box::new(BranchBound),
+        Box::new(ScaledDp::new(0.1).unwrap()),
+        Box::new(MarginalGreedy),
+        Box::new(DensityGreedy),
+        Box::new(DensitySweep),
+        Box::new(BestOfSingle),
+        Box::new(SafeGreedy),
+        Box::new(AcceptAllFeasible),
+        Box::new(RejectAll),
+        Box::new(LocalSearch::around(MarginalGreedy)),
+        Box::new(SimulatedAnnealing::new(3).with_iterations(500).unwrap()),
+    ];
+    let mut nonempty = 0u32;
+    for cpu in pricing_processors() {
+        for _ in 0..CASES / 4 {
+            let inst = pricing_instance(&mut rng, &cpu, 14);
+            let budget = SolveBudget::nodes(1 + rng.gen_index(400) as u64);
+            let anytime = [
+                BranchBound.solve_within(&inst, &budget).unwrap().solution,
+                ScaledDp::new(0.1)
+                    .unwrap()
+                    .solve_within(&inst, &budget)
+                    .unwrap()
+                    .solution,
+            ];
+            let solved = policies.iter().map(|p| {
+                let s = p.solve(&inst).unwrap();
+                assert_eq!(s.algorithm(), p.name());
+                s
+            });
+            for s in solved.chain(anytime) {
+                let what = format!("{} on {inst}", s.algorithm());
+                assert!(s.accepted().is_sorted(), "{what}: {:?}", s.accepted());
+                let again = Solution::for_accepted(&inst, s.algorithm(), s.accepted().to_vec());
+                let again = again.unwrap();
+                assert_eq!(s, again, "{what}");
+                let (u, penalty) = hash_marked_sums(&inst, s.accepted()).unwrap();
+                let energy = energy_reference(&inst, u).unwrap();
+                for (got, want) in [
+                    (s.energy(), energy),
+                    (again.energy(), energy),
+                    (s.penalty(), penalty),
+                    (again.penalty(), penalty),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what}");
+                }
+                nonempty += u32::from(s.accepted().len() > 1);
+            }
+        }
+    }
+    assert!(nonempty > 1_000, "{nonempty} sets of two or more tasks");
 }
 
 /// The recursive branch & bound that the heap-stack search replaced: the

@@ -1,4 +1,4 @@
-use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
+use reject_sched::{Instance, RejectionPolicy, SchedError, Solution, View};
 use rt_model::{Task, TaskId};
 
 use crate::{partition_tasks, MultiInstance, MultiSolution, PartitionStrategy};
@@ -53,12 +53,7 @@ pub fn solve_partitioned(
 /// Propagates oracle errors.
 pub fn solve_global_greedy(instance: &MultiInstance) -> Result<MultiSolution, SchedError> {
     let mut order: Vec<Task> = instance.tasks().iter().copied().collect();
-    order.sort_by(|a, b| {
-        b.penalty_density()
-            .partial_cmp(&a.penalty_density())
-            .expect("densities are not NaN")
-            .then(a.id().index().cmp(&b.id().index()))
-    });
+    order.sort_by(View::order_cmp);
     let m = instance.processors();
     let mut loads = vec![0.0f64; m];
     let mut buckets: Vec<Vec<TaskId>> = vec![Vec::new(); m];
