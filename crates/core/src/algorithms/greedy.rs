@@ -3,7 +3,7 @@
 use dvs_power::Processor;
 use rt_model::Task;
 
-use crate::algorithms::{on_hull, RejectionPolicy, PRUNE_SLACK};
+use crate::algorithms::{Hull, RejectionPolicy, PRUNE_SLACK};
 use crate::{Instance, SchedError, Solution};
 
 /// The densest tasks that fit: walks [`Instance::density_order`] and marks
@@ -99,7 +99,10 @@ impl RejectionPolicy for DensityGreedy {
 /// (and which still fits).
 ///
 /// This is the paper-style myopic heuristic: it reasons about the *marginal*
-/// trade `ΔE = E*(U+uᵢ) − E*(U)` versus `vᵢ` at every step.
+/// trade `ΔE = E*(U+uᵢ) − E*(U)` versus `vᵢ` at every step. It evaluates
+/// `E*` only where convexity does not decide that trade, near the
+/// break-even: `O(log n)` evaluations to bracket it plus the few tasks
+/// around it (docs/THEORY.md §7), one pass over the order besides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MarginalGreedy;
 
@@ -124,6 +127,82 @@ pub(crate) struct Walk {
     pub(crate) priced: u64,
 }
 
+/// A certified lead of a density `order` (docs/THEORY.md §7, "The walk's
+/// lead"): task `m`'s step over `[Uₘ, Uₘ₊₁]` has both ends priced and on
+/// the hull, and `ρₘ ≥ (1 + η)·S_R` for its secant slope `S_R`, rounded
+/// up. By convexity every earlier task then pays for its step with a
+/// margin of `η`. Here `U₀ = 0, Uₖ₊₁ = Uₖ + uₖ` are the sums the walk
+/// reaches while it accepts every task.
+struct Lead {
+    m: usize,
+    /// `E*(Uₘ)` and `E*(Uₘ₊₁)`.
+    e_m: f64,
+    e_next: f64,
+    /// `S_R`.
+    slope: f64,
+}
+
+impl Lead {
+    /// Searches for the largest `m` whose step certifies; `prefix(k)` is
+    /// `Uₖ` while it fits. Where the number `K` of steps that fit is known
+    /// the search bisects `1..K`; otherwise it gallops over `m = 1, 3, 7, …`
+    /// to the first step that does not certify and bisects below it, so
+    /// the walk sums only about `2m` utilizations. Every probe prices two
+    /// points, and any certified `m` is valid, so the bisection needs no
+    /// monotonicity.
+    fn find(
+        order: &[Task],
+        hull: Hull,
+        mut prefix: impl FnMut(usize) -> Option<f64>,
+        steps: Option<usize>,
+        mut price: impl FnMut(f64) -> Result<f64, SchedError>,
+    ) -> Result<Option<Lead>, SchedError> {
+        let mut certify = |m: usize| -> Result<Option<Lead>, SchedError> {
+            let (Some(a), Some(b)) = (prefix(m), prefix(m + 1)) else {
+                return Ok(None);
+            };
+            if !(a < b && hull.contains(a) && hull.contains(b)) {
+                return Ok(None);
+            }
+            let (e_m, e_next) = (price(a)?, price(b)?);
+            let slope = (e_next - e_m + 32.0 * f64::EPSILON * e_next) / (b - a);
+            let certified = order[m].penalty_density() >= (1.0 + PRUNE_SLACK) * slope;
+            Ok(certified.then_some(Lead {
+                m,
+                e_m,
+                e_next,
+                slope,
+            }))
+        };
+        let (mut lead, mut lo) = (None, 0);
+        let mut hi = match steps {
+            Some(steps) => steps,
+            None => loop {
+                let m = 2 * lo + 1;
+                match certify(m)? {
+                    Some(found) => (lead, lo) = (Some(found), m),
+                    None => break m,
+                }
+            },
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            match certify(mid)? {
+                Some(found) => (lead, lo) = (Some(found), mid),
+                None => hi = mid,
+            }
+        }
+        Ok(lead)
+    }
+
+    /// The rounding floor a lead task's `η·vₖ` must clear to be accepted
+    /// unpriced: `64ε·E*(Uₘ) + ε·S_R·s_max`.
+    fn floor(&self, hull: Hull) -> f64 {
+        let eps = f64::EPSILON;
+        64.0 * eps * self.e_m + eps * self.slope * hull.s_max
+    }
+}
+
 /// [`MarginalGreedy`]'s walk over a density `order` on `cpu` with
 /// `energy(u) = E*(u)`: in order, each task that fits is accepted when its
 /// penalty covers its marginal energy `E*(u + uᵢ) − E*(u)`. Branch & bound
@@ -132,16 +211,26 @@ pub(crate) struct Walk {
 /// view carries. `order` must be in descending penalty density, as
 /// [`View::order`](crate::View::order) is.
 ///
-/// The walk stops pricing where convexity decides (docs/THEORY.md §7).
-/// After a priced rejection of a task of density `ρₖ`, let `S` be the
-/// slope of `E*` over the last accepted step, less its rounding error: a
-/// left secant at `u`, priced already. If `S ≥ (1 + η)·ρₖ`
-/// (`η = PRUNE_SLACK`), every later task `j` costs a marginal energy of at
-/// least `(1 + η)·vⱼ`, now and after any later accept, and is rejected
-/// without pricing where `η·vⱼ` clears the rounding floor
-/// `64ε·E*(u) + ε·S·s_max` and its demand reads on the hull. The rest are
-/// priced as before, so the accepted set is the full walk's, and the walk
-/// never prices more than the full walk.
+/// The walk prices only near the break-even, where convexity does not
+/// decide (docs/THEORY.md §7):
+///
+/// - *The lead.* A gallop and a bisection find a task `m` whose step
+///   certifies ([`Lead`]). Every earlier task is accepted without pricing
+///   where `η·vₖ` clears the floor `64ε·E*(Uₘ) + ε·S_R·s_max` and `Uₖ`
+///   reads on the hull (`η = PRUNE_SLACK`); the others are priced as
+///   before, and a priced rejection ends the lead there. The walk resumes
+///   at `m`.
+/// - *The stop.* After a priced rejection of a task of density `ρₖ`, let
+///   `S` be the slope of `E*` over the last accepted step, less its
+///   rounding error: a left secant at `u`, priced already. If
+///   `S ≥ (1 + η)·ρₖ`, every later task `j` costs a marginal energy of at
+///   least `(1 + η)·vⱼ`, now and after any later accept, and is rejected
+///   without pricing where `η·vⱼ` clears the rounding floor
+///   `64ε·E*(u) + ε·S·s_max` and its demand reads on the hull.
+///
+/// The accepted set is the full walk's. The walk makes at most the full
+/// walk's `n + 1` evaluations plus the search's `4⌊log₂ n⌋`, and on the
+/// benchmark's n = 2 000 instances about 2 % of the full walk's.
 pub(crate) fn marginal_walk(
     order: &[Task],
     cpu: &Processor,
@@ -152,29 +241,77 @@ pub(crate) fn marginal_walk(
         priced += 1;
         energy(u)
     };
+    let mut accept = vec![false; order.len()];
+    let hull = Hull::of(cpu);
+    // `Uₖ`, summed on demand as far as the lead's search reaches and while
+    // it is at most `s_max`: a lead ends on the hull.
+    let mut sums = Vec::with_capacity(order.len() + 1);
+    sums.push(0.0);
+    let prefix = |k: usize| {
+        while sums.len() <= k {
+            let u = sums[sums.len() - 1] + order.get(sums.len() - 1)?.utilization();
+            if u > hull.s_max {
+                return None;
+            }
+            sums.push(u);
+        }
+        Some(sums[k])
+    };
+    let lead = Lead::find(order, hull, prefix, None, &mut price)?;
     // `e_u = E*(u)` rides along with `u`: both move only on an accept, to
     // the point `e_next` was priced at, so `e_next − e_u` has the bits of
-    // `marginal_energy(u, uᵢ)` with one evaluation per task.
-    let mut u = 0.0;
-    let mut e_u = price(u)?;
-    let mut accept = vec![false; order.len()];
+    // `marginal_energy(u, uᵢ)` with one evaluation per task. The walk
+    // resumes at task `start`; `next` is `E*` at its demand, if the lead
+    // priced it.
+    let (mut start, mut u, mut e_u, mut next) = match &lead {
+        Some(lead) => (lead.m, sums[lead.m], lead.e_m, Some(lead.e_next)),
+        None => (0, 0.0, price(0.0)?, None),
+    };
+    if let Some(lead) = &lead {
+        let floor = lead.floor(hull);
+        // `E*(Uₖ)`, when the previous task was priced.
+        let mut e_k = None;
+        for (k, t) in order[..lead.m].iter().enumerate() {
+            let (a, b) = (sums[k], sums[k + 1]);
+            if PRUNE_SLACK * t.penalty() > floor && hull.contains(a) {
+                accept[k] = true; // pays for its step: accepted
+                e_k = None;
+                continue;
+            }
+            let e_a = match e_k {
+                Some(e) => e,
+                None => price(a)?,
+            };
+            let e_b = if k + 1 == lead.m { lead.e_m } else { price(b)? };
+            if t.penalty() >= e_b - e_a {
+                accept[k] = true;
+                e_k = Some(e_b);
+            } else {
+                (start, u, e_u, next) = (k + 1, a, e_a, None);
+                break;
+            }
+        }
+    }
     // `left` is the last point `u` moved from whose rate reads on the hull:
     // the left end of a secant at `u`. `stop` holds `ε·S·s_max` once the
     // stop is certified.
     let (mut left, mut stop) = (None, None);
     let eps = f64::EPSILON;
-    for (t, take) in order.iter().zip(&mut accept) {
+    for (t, take) in order.iter().zip(&mut accept).skip(start) {
         let p = u + t.utilization();
         if !cpu.is_feasible(p) {
             continue;
         }
         let clears_floor = stop.is_some_and(|g| PRUNE_SLACK * t.penalty() > 64.0 * eps * e_u + g);
-        if clears_floor && on_hull(cpu, p) {
+        if clears_floor && hull.contains(p) {
             continue; // costs more than `(1 + η)·vⱼ`: rejected
         }
-        let e_next = price(p)?;
+        let e_next = match next.take() {
+            Some(e) => e,
+            None => price(p)?,
+        };
         if t.penalty() >= e_next - e_u {
-            if p > u && on_hull(cpu, u) {
+            if p > u && hull.contains(u) {
                 left = Some((u, e_u));
             }
             (u, e_u) = (p, e_next);
@@ -183,7 +320,7 @@ pub(crate) fn marginal_walk(
             // The secant from `left` to `u`, less the rounding of its ends.
             let s = (e_u - e_l - 32.0 * eps * e_u) / (u - u_l);
             if s >= (1.0 + PRUNE_SLACK) * t.penalty_density() {
-                stop = Some(eps * s * cpu.max_speed());
+                stop = Some(eps * s * hull.s_max);
             }
         }
     }
@@ -224,7 +361,8 @@ impl RejectionPolicy for BestOfSingle {
 
 /// Exact optimum over the restricted space of **density prefixes**: for
 /// every `k`, evaluate accepting the `k` densest feasible tasks, and return
-/// the best. `O(n)` cost evaluations after one sort.
+/// the best. One sort, then `O(log n)` cost evaluations to bracket the
+/// break-even and a handful near it (docs/THEORY.md §7, "The sweep").
 ///
 /// This is the Lagrangian view of the problem: pricing capacity at `λ`
 /// accepts exactly the tasks with `vᵢ/uᵢ ≥ λ`, i.e. a density prefix;
@@ -241,35 +379,124 @@ impl RejectionPolicy for DensitySweep {
     }
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
-        let tasks = instance.density_order();
-        let (pu, pv) = instance.density_prefix();
-        let l = instance.hyper_period() as f64;
-        let total_penalty = instance.total_penalty();
-        let cpu = instance.processor();
-        let s_max = cpu.max_speed();
-        // A strict prefix that no longer fits makes every longer prefix
-        // infeasible as well (they all contain this task), so the sweep
-        // covers prefixes `1..=kmax` only.
-        let mut kmax = 0;
-        for (k, t) in tasks.iter().enumerate() {
-            if !cpu.is_feasible(pu[k] + t.utilization()) {
-                break;
-            }
-            kmax = k + 1;
-        }
-        let mut best: (f64, usize) = (total_penalty, 0); // empty prefix
-        for k in 1..=kmax {
-            let rate = instance
-                .energy_rate(pu[k].min(s_max))
-                .map_err(SchedError::Power)?;
-            let cost = rate * l + total_penalty - pv[k];
-            if cost < best.0 {
-                best = (cost, k);
-            }
-        }
-        let accept: Vec<bool> = (0..tasks.len()).map(|k| k < best.1).collect();
+        let best = density_sweep(instance)?.best;
+        let accept: Vec<bool> = (0..instance.density_order().len())
+            .map(|k| k < best)
+            .collect();
         Solution::from_marks(instance, self.name(), &instance.density_marks(&accept))
     }
+}
+
+/// What [`density_sweep`] decided, and the work it did.
+pub(crate) struct Sweep {
+    /// The length of the best density prefix.
+    pub(crate) best: usize,
+    /// `energy_for` evaluations (read by the work pin).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) priced: u64,
+}
+
+/// The positions `k ∈ range` whose prefix `pu[k]` is not in `hull`, in
+/// order: by bisection on the nondecreasing `pu`, with
+/// [`Hull::contains`]'s compares.
+fn off_hull(hull: Hull, pu: &[f64], range: std::ops::Range<usize>) -> Vec<usize> {
+    let above = |x: f64| range.start + pu[range.clone()].partition_point(|&p| p <= x);
+    let mut ks: Vec<usize> = (hull.levels.iter())
+        .flat_map(|&s| above(s)..above(s + PRUNE_SLACK))
+        .chain(above(hull.s_max)..range.end)
+        .collect();
+    ks.sort_unstable();
+    ks.dedup();
+    ks
+}
+
+/// [`DensitySweep`]'s pick: the earliest strict minimum of
+/// `cost(k) = E*(Uₖ) + Σv − Vₖ` over the feasible prefixes `k = 0..=kmax`,
+/// where the empty prefix costs `Σv`. It prices only the prefixes that
+/// convexity does not rule out (docs/THEORY.md §7, "The sweep"):
+///
+/// - *The lead.* With the walk's certified lead `m` ([`Lead`]), every
+///   prefix `k < m` whose certified decrease to `m`, `η·(Vₘ − Vₖ)/2`, clears
+///   the rounding margin costs more than `m` and is skipped, unless `Uₖ` is
+///   off the hull. The skipped prefixes are an initial run, found by
+///   bisection on `V`.
+/// - *The stop.* After `m` (from the start without a lead), once a priced
+///   prefix `k` has a left secant `S ≥ (1 + η)·ρₖ` and its cost exceeds
+///   the best by more than the penalties of the remaining tasks too small
+///   to move `U` and the rounding margin, no later prefix on the hull can
+///   come back below the best; only the prefixes off the hull are priced
+///   after it.
+pub(crate) fn density_sweep(instance: &Instance) -> Result<Sweep, SchedError> {
+    let order = instance.density_order();
+    let (pu, pv) = instance.density_prefix();
+    let total = instance.total_penalty();
+    let cpu = instance.processor();
+    let hull = Hull::of(cpu);
+    let (eps, s_max) = (f64::EPSILON, hull.s_max);
+    // A strict prefix that no longer fits makes every longer prefix
+    // infeasible as well (they all contain this task), so the sweep
+    // covers prefixes `1..=kmax` only.
+    let kmax = pu[1..].partition_point(|&u| cpu.is_feasible(u));
+    let mut priced = 0;
+    let mut price = |u: f64| {
+        priced += 1;
+        instance.energy_for(u)
+    };
+    let offer = |best: &mut (f64, usize), k: usize, e: f64| {
+        let cost = e + total - pv[k];
+        if cost < best.0 {
+            *best = (cost, k);
+        }
+        cost
+    };
+    let mut best = (total, 0); // the empty prefix
+    let lead = Lead::find(order, hull, |k| Some(pu[k]), Some(kmax), &mut price)?;
+    // Prefixes `from..=kmax` are left; `left` is the last priced one on the
+    // hull, and `next` the energy of `from` if the lead priced it.
+    let (mut from, mut left, mut next) = (1, None, None);
+    if let Some(lead) = &lead {
+        let m = lead.m;
+        let margin = eps
+            * (m as f64 * (2.0 * lead.slope * s_max + 4.0 * pv[m])
+                + 128.0 * (lead.e_m + total + pv[m]));
+        let k0 = 1 + pv[1..m].partition_point(|&v| PRUNE_SLACK * (pv[m] - v) > margin);
+        for k in off_hull(hull, pu, 1..k0).into_iter().chain(k0..m) {
+            offer(&mut best, k, price(pu[k])?);
+        }
+        offer(&mut best, m, lead.e_m);
+        (from, left, next) = (m + 1, Some((m, lead.e_m)), Some(lead.e_next));
+    }
+    for k in from..=kmax {
+        let e = match next.take() {
+            Some(e) => e,
+            None => price(pu[k])?,
+        };
+        let cost = offer(&mut best, k, e);
+        if !hull.contains(pu[k]) {
+            continue;
+        }
+        if let Some((l, e_l)) = left.filter(|&(l, _)| k < kmax && pu[l] < pu[k]) {
+            let slope = (e - e_l - 32.0 * eps * e) / (pu[k] - pu[l]);
+            let rho = order[k].penalty_density();
+            let rest = (kmax - k) as f64;
+            // The remaining tasks with `uⱼ < 2ε·s_max/η` may lower the cost
+            // by their penalties, each below `ρ·2ε·s_max/η`.
+            let small = 2.0 * rest * rho * (2.0 * eps * s_max / PRUNE_SLACK);
+            let margin = small
+                + eps * (2.0 * rest * pv[kmax] + 64.0 * (best.0.abs() + total + pv[kmax] + e));
+            if slope >= (1.0 + PRUNE_SLACK) * rho && cost - best.0 > margin {
+                for k in off_hull(hull, pu, k + 1..kmax + 1) {
+                    offer(&mut best, k, price(pu[k])?);
+                }
+                break;
+            }
+        }
+        left = Some((k, e));
+    }
+    Ok(Sweep {
+        best: best.1,
+        priced,
+    })
 }
 
 /// The better of [`MarginalGreedy`] and [`BestOfSingle`] — the classic
@@ -483,11 +710,13 @@ mod tests {
 
     /// `energy` evaluations of the walk on one basket-shaped n = 2 000
     /// instance per load (the benchmark's `MarginalGreedy` entries). The
-    /// full walk makes 2 001: `E*(0)` and every task.
+    /// full walk makes 2 001: `E*(0)` and every task; with the stop alone
+    /// the walk made 952 / 431. The lead's gallop and bisection make 38 /
+    /// 34 of these.
     #[test]
     fn marginal_walk_work_is_pinned() {
         use crate::algorithms::test_support::basket_shaped;
-        for (load, priced) in [(1.2, 952), (3.0, 431)] {
+        for (load, priced) in [(1.2, 43), (3.0, 49)] {
             let inst = basket_shaped(2000, load, 0);
             let walk = marginal_walk(inst.density_order(), inst.processor(), |u| {
                 inst.energy_for(u)
@@ -497,13 +726,28 @@ mod tests {
         }
     }
 
-    /// The stop on `E*(u) = 10·u³`: the walk prices `E*(0)`, the
-    /// zero-utilization task 11, the five dense tasks and task 5, whose
-    /// rejection at `u = 0.5` (density 5, below the last accept's secant
-    /// slope 6.1) certifies the stop. It then skips the tie 6 and the task
-    /// 7 that fills `s_max`, and still prices 8 (a penalty below the
-    /// rounding floor), 9 (zero penalty) and 10 (zero utilization and
-    /// penalty): 11 evaluations, where the full walk makes 12.
+    /// `energy_for` evaluations of the sweep on the same two instances. The
+    /// full sweep prices every feasible prefix: 1 620 / 638.
+    #[test]
+    fn density_sweep_work_is_pinned() {
+        use crate::algorithms::test_support::basket_shaped;
+        for (load, priced) in [(1.2, 23), (3.0, 19)] {
+            let inst = basket_shaped(2000, load, 0);
+            assert_eq!(density_sweep(&inst).unwrap().priced, priced, "load {load}");
+        }
+    }
+
+    /// The lead and the stop on `E*(u) = 10·u³`. The gallop probes the
+    /// steps of tasks 0, 2 and 6 and the bisection those of tasks 4 and 5,
+    /// two evaluations each; the lead ends at task 4 (density 100 against
+    /// a secant of 6.1). The leader 11 and tasks 0–3 are accepted unpriced,
+    /// and task 4 is decided from the probe's values. The walk then prices
+    /// task 5, whose rejection at `u = 0.5` (density 5, below the last
+    /// accept's secant slope 6.1) certifies the stop. It skips the tie 6
+    /// and the task 7 that fills `s_max`, and still prices 8 (a penalty
+    /// below the rounding floor), 9 (zero penalty) and 10 (zero
+    /// utilization and penalty): 14 evaluations. The full walk makes 12:
+    /// on a dozen tasks the search costs more than it saves.
     #[test]
     fn marginal_walk_skips_only_what_the_stop_decides() {
         let mut parts = vec![(1.0, 10, 10.0); 5];
@@ -528,6 +772,6 @@ mod tests {
             .filter_map(|(t, &a)| a.then_some(t.id().index()))
             .collect();
         assert_eq!(accepted, [11, 0, 1, 2, 3, 4, 8, 10]);
-        assert_eq!(walk.priced, 11);
+        assert_eq!(walk.priced, 14);
     }
 }

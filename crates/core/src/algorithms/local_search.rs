@@ -2,7 +2,7 @@
 
 use rt_model::Task;
 
-use crate::algorithms::{acceptable_tasks, on_hull, RejectionPolicy, PRUNE_SLACK};
+use crate::algorithms::{acceptable_tasks, Hull, RejectionPolicy, PRUNE_SLACK};
 use crate::{Instance, SchedError, Solution};
 
 /// One neighborhood move over the acceptable-task list.
@@ -121,7 +121,7 @@ impl SwapBound {
             instance
                 .energy_rate(p)
                 .ok()
-                .filter(|_| on_hull(instance.processor(), p))
+                .filter(|_| Hull::of(instance.processor()).contains(p))
         };
         // `E*` is nondecreasing, so `0` is a valid left slope where the
         // secant is unavailable (`u < h`).

@@ -11,9 +11,9 @@
 //! | [`Exhaustive`] | exact | optimal (n ≤ 26) |
 //! | [`BranchBound`] | exact | optimal, convex-relaxation pruning |
 //! | [`ScaledDp`] | approximation | cost ≤ OPT + ε·v_max |
-//! | [`MarginalGreedy`] | heuristic | accepts while marginal energy < penalty |
+//! | [`MarginalGreedy`] | heuristic | accepts while marginal energy < penalty; `O(log n)` + near-break-even cost evaluations |
 //! | [`DensityGreedy`] | heuristic | density-ordered rejection with cost check |
-//! | [`DensitySweep`] | restricted exact | best density prefix (Lagrangian dual sweep) |
+//! | [`DensitySweep`] | restricted exact | best density prefix (Lagrangian dual sweep); `O(log n)` + near-break-even cost evaluations |
 //! | [`BestOfSingle`] | restricted exact | best among "reject ≤ 1 task" |
 //! | [`SafeGreedy`] | heuristic | min(MarginalGreedy, BestOfSingle) |
 //! | [`AcceptAllFeasible`] | baseline | rejection only to restore feasibility |
@@ -86,23 +86,38 @@ pub trait RejectionPolicy: Send + Sync {
 }
 
 /// Relative slack of the convexity bounds that let [`LocalSearch`] skip
-/// moves and [`MarginalGreedy`]'s walk stop pricing (docs/THEORY.md §7):
+/// moves and [`MarginalGreedy`]'s walk and [`DensitySweep`] skip pricing
+/// (docs/THEORY.md §7):
 /// far above float noise and the 1e-9 demand tolerance of
 /// [`Processor::energy_rate`](dvs_power::Processor::energy_rate), far
 /// below any cost difference a solver acts on.
 pub(crate) const PRUNE_SLACK: f64 = 1e-7;
 
-/// Whether `cpu`'s energy rate at demand `p` is read on its convex hull,
-/// so that a secant or bound through it holds: `p` is not beyond `s_max`
-/// (where `energy_rate` is flat over the demand tolerance), nor within
-/// `PRUNE_SLACK` above a discrete level (where it accepts a level up to
-/// 1e-9 below the demand and reads below the hull).
-pub(crate) fn on_hull(cpu: &dvs_power::Processor, p: f64) -> bool {
-    p <= cpu.max_speed()
-        && cpu
-            .domain()
-            .levels()
-            .is_none_or(|levels| !levels.iter().any(|&s| s < p && p <= s + PRUNE_SLACK))
+/// Where a processor's energy rate is read on its convex hull, so that a
+/// secant or bound through it holds: `s_max` and the discrete levels, read
+/// once for the loops that ask it of every task.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hull<'a> {
+    pub(crate) s_max: f64,
+    pub(crate) levels: &'a [f64],
+}
+
+impl<'a> Hull<'a> {
+    pub(crate) fn of(cpu: &'a dvs_power::Processor) -> Self {
+        let levels = cpu.domain().levels().unwrap_or_default();
+        Hull {
+            s_max: cpu.max_speed(),
+            levels,
+        }
+    }
+
+    /// Whether the rate at demand `p` reads on the hull: `p` is not beyond
+    /// `s_max` (where `energy_rate` is flat over the demand tolerance), nor
+    /// within `PRUNE_SLACK` above a discrete level (where it accepts a
+    /// level up to 1e-9 below the demand and reads below the hull).
+    pub(crate) fn contains(&self, p: f64) -> bool {
+        p <= self.s_max && !self.levels.iter().any(|&s| s < p && p <= s + PRUNE_SLACK)
+    }
 }
 
 /// Tasks that can ever be accepted (`uᵢ ≤ s_max`), in instance order,

@@ -1,17 +1,19 @@
 //! Differential pins for the offline solvers that skip provably idle
 //! work: `LocalSearch` (moves ruled out by a convexity bound are never
-//! enumerated or priced), `MarginalGreedy` (its walk stops pricing once
-//! convexity decides the rest) and the two users of the scaled DP table,
-//! `ScaledDp` and `budget::solve_budget_dp` (each layer visits only
-//! reachable value levels, 64 at a time).
+//! enumerated or priced), `MarginalGreedy` and `DensitySweep` (they price
+//! only where convexity does not decide: after a certified lead and before
+//! a certified stop) and the two users of the scaled DP table, `ScaledDp`
+//! and `budget::solve_budget_dp` (each layer visits only reachable value
+//! levels, 64 at a time).
 //!
 //! Each is compared against a naive reference written out here — the full
-//! neighborhood scan, the full walk and the full-width table — on accepted
-//! ids and cost bits, over every processor preset (each also
-//! dormant-disable) and a CMOS power model, three penalty models, several
-//! sizes and loads, and three seed policies. `LocalSearch` and `ScaledDp`
-//! are also compared on instances shaped like the benchmark's (n = 500 and
-//! n = 200), the walk on hand-built corners of its stop, and
+//! neighborhood scan, the full walk, the full sweep and the full-width
+//! table — on accepted ids and cost bits, over every processor preset (each
+//! also dormant-disable) and a CMOS power model, three penalty models,
+//! several sizes and loads, and three seed policies. `LocalSearch` and
+//! `ScaledDp` are also compared on instances shaped like the benchmark's
+//! (n = 500 and n = 200), the walk on hand-built corners of its stop, the
+//! walk and the sweep on hand-built corners of the lead, and
 //! `solve_budget_dp` at energy budgets whose utilization cap binds below
 //! `s_max`.
 //! `ScaledDp::solve_within` is pinned on its work counter, quality and cost
@@ -22,7 +24,7 @@ use dvs_power::presets::{
 };
 use dvs_power::{IdleMode, PowerFunction, Processor, SpeedDomain};
 use reject_sched::algorithms::{
-    AcceptAllFeasible, LocalSearch, MarginalGreedy, RejectAll, ScaledDp,
+    AcceptAllFeasible, DensitySweep, LocalSearch, MarginalGreedy, RejectAll, ScaledDp,
 };
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
 use reject_sched::budget::{solve_budget_dp, utilization_cap_for_budget};
@@ -167,6 +169,28 @@ fn reference_marginal_greedy(inst: &Instance) -> Solution {
         }
     }
     Solution::for_accepted(inst, "marginal-greedy", accepted).unwrap()
+}
+
+/// The density sweep as a full sweep: every feasible prefix `1..=kmax` is
+/// priced, and the earliest strict minimum wins (the empty prefix costs
+/// `Σv`).
+fn reference_density_sweep(inst: &Instance) -> Solution {
+    let order = inst.density_order();
+    let total = inst.total_penalty();
+    let (mut u, mut v, mut best) = (0.0, 0.0, (total, 0));
+    for (k, t) in order.iter().enumerate() {
+        u += t.utilization();
+        v += t.penalty();
+        if !inst.processor().is_feasible(u) {
+            break;
+        }
+        let cost = inst.energy_for(u).unwrap() + total - v;
+        if cost < best.0 {
+            best = (cost, k + 1);
+        }
+    }
+    let accepted = order[..best.1].iter().map(Task::id);
+    Solution::for_accepted(inst, "density-sweep", accepted).unwrap()
 }
 
 /// A seed policy that accepts the tasks at the given indices.
@@ -489,6 +513,184 @@ fn marginal_greedy_matches_the_full_walk_on_the_corners_of_its_stop() {
     );
     let ids: Vec<usize> = library.accepted().iter().map(|id| id.index()).collect();
     assert_eq!(ids, [0, 1, 3]);
+}
+
+#[test]
+fn density_sweep_matches_the_full_sweep() {
+    let mut solves = 0;
+    for (name, cpu) in processors() {
+        for (p, &penalty) in PENALTIES.iter().enumerate() {
+            for n in [20, 200, 2000] {
+                for load in [0.8, 1.2, 3.0] {
+                    for workload_seed in 0..2 {
+                        let inst = instance(&cpu, penalty, n, load, workload_seed);
+                        let what =
+                            format!("{name} penalty#{p} n={n} load={load} seed={workload_seed}");
+                        let library = DensitySweep.solve(&inst).unwrap();
+                        assert_same(&what, &library, &reference_density_sweep(&inst));
+                        solves += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(solves, 14 * 3 * 3 * 3 * 2);
+}
+
+/// The walk and the sweep on hand-built corners of their lead, each
+/// against its twin; returns the ids each accepts.
+fn lead_corner(what: &str, inst: &Instance) -> [Vec<usize>; 2] {
+    let walk = MarginalGreedy.solve(inst).unwrap();
+    assert_same(what, &walk, &reference_marginal_greedy(inst));
+    let sweep = DensitySweep.solve(inst).unwrap();
+    assert_same(what, &sweep, &reference_density_sweep(inst));
+    [walk, sweep].map(|s| s.accepted().iter().map(|id| id.index()).collect())
+}
+
+#[test]
+fn the_lead_matches_the_full_walk_and_sweep_on_its_corners() {
+    // `E*(u) = 10·u³`. Task 0 has zero utilization and a positive penalty,
+    // so it leads the order. Task 2 (1e-20 of utilization, penalty 1e-25)
+    // is absorbed by the prefix sum 2e-4: its step is empty, so no lead
+    // ends there, and its penalty is below the floor, so the walk prices
+    // it (a marginal energy of 0). The lead ends at task 4; task 5 is
+    // rejected, and the zero-penalty task 6 after the stop is priced.
+    let leader = hand_built(
+        cubic_ideal(),
+        &[
+            (0.0, 0.5),
+            (2e-3, 2e-8),
+            (1e-19, 1e-25),
+            (1e-3, 9e-10),
+            (1e-3, 6e-10),
+            (1e-3, 5e-10),
+            (1.0, 0.0),
+            (0.0, 0.0),
+        ],
+    );
+    let [walk, sweep] = lead_corner("leader and absorbed task", &leader);
+    assert_eq!(walk, [0, 1, 2, 3, 4, 7]);
+    assert_eq!(sweep, [0, 1, 2, 3, 4]);
+
+    // Zero-penalty tasks inside the lead: at utilizations of 1e-112, `E*`
+    // underflows to 0, so every step's secant is 0 and the lead ends at
+    // task 4 with density 0. The floor is 0 too, so tasks 1–3 are priced
+    // (accepted at a marginal energy of 0), and task 6 is rejected.
+    let mut parts = vec![(0.0, 1.0)];
+    parts.extend([(1e-111, 0.0); 4]);
+    parts.extend([(0.0, 0.0), (5.0, 0.0)]);
+    let [walk, sweep] = lead_corner(
+        "zero penalties in the lead",
+        &hand_built(cubic_ideal(), &parts),
+    );
+    assert_eq!(walk, [0, 1, 2, 3, 4, 5]);
+    assert_eq!(sweep, [0]);
+
+    // A lead that ends exactly at `s_max = 1`: the last step [0.75, 1]
+    // certifies (density 30 against a secant of 23.1). Task 3 fits nowhere.
+    let full = hand_built(
+        cubic_ideal(),
+        &[(5.0, 100.0), (2.5, 50.0), (2.5, 7.5), (1.0, 0.5)],
+    );
+    let [walk, sweep] = lead_corner("lead ending at s_max", &full);
+    assert_eq!(walk, [0, 1, 2]);
+    assert_eq!(sweep, [0, 1, 2]);
+
+    // On five uniform levels the hull is linear on [0.4, 0.6] with slope
+    // `σ`. Tasks 0–11 bring `U` 5e-10 above the level 0.4, where
+    // `energy_rate` reads the level itself, below the hull: task 12's step
+    // from there reads `σ·(1e-4 + 5e-10)`, more than its penalty, so the
+    // full walk rejects it although its density is above the lead's end
+    // (task 18). The walk must price it, and the sweep must price prefix
+    // 12, which is the cheapest prefix for the same reason. No probe of
+    // either search ends at `U₁₂`.
+    let cpu = uniform_levels(5);
+    let e = |u: f64| cpu.energy_rate(u).unwrap() * 10.0;
+    let sigma = (e(0.6) - e(0.4)) / 0.2;
+    let mut parts = vec![(0.3125, 3.0 * sigma * 0.03125); 11];
+    parts.push((0.5625 + 5e-9, 3.0 * sigma * 0.05625));
+    parts.push((1e-3, sigma * 1e-4 * (1.0 + 2e-6)));
+    parts.extend([(2e-4, sigma * 2e-5 * (1.0 + 1.5e-6)); 5]);
+    parts.push((2e-4, sigma * 2e-5 * (1.0 + 1e-6)));
+    parts.extend([(0.5, sigma * 0.05 * (1.0 - 1e-3)), (0.5, sigma * 0.025)]);
+    let [walk, sweep] = lead_corner("sliver inside the lead", &hand_built(cpu.clone(), &parts));
+    assert_eq!(walk, (0..12).collect::<Vec<_>>());
+    assert_eq!(sweep, (0..12).collect::<Vec<_>>());
+    // Here the first step that would certify ends 5e-10 above the level
+    // 0.4, and the next starts there: neither reads on the hull, so there
+    // is no lead.
+    let end = hand_built(
+        cpu.clone(),
+        &[
+            (3.0, 3.0 * sigma),
+            (1.0 + 5e-9, 1.2 * sigma * (0.1 + 5e-10)),
+            (1.0, 0.11 * sigma),
+            (1.0, 0.05 * sigma),
+        ],
+    );
+    let [walk, sweep] = lead_corner("lead end in a sliver", &end);
+    assert_eq!(walk, [0, 1, 2]);
+    assert_eq!(sweep, [0, 1, 2]);
+
+    // A density within a few ulps of the step's secant `S_R` (rounded up
+    // as the lead rounds it), and of `(1 + η)·S_R`, `η = 1e-7`: task 1's
+    // step [0.5, 0.6] certifies or not, and the walk accepts it either way.
+    let a = 0.5;
+    let b = a + 0.1;
+    let e = |u: f64| cubic_ideal().energy_rate(u).unwrap() * 10.0;
+    let s_r = (e(b) - e(a) + 32.0 * f64::EPSILON * e(b)) / (b - a);
+    for base in [s_r, (1.0 + 1e-7) * s_r] {
+        for ulps in -3..=3 {
+            let rho = base * (1.0 + f64::from(ulps) * f64::EPSILON);
+            let tie = hand_built(cubic_ideal(), &[(5.0, 100.0), (1.0, rho * 0.1), (1.0, 0.5)]);
+            let [walk, sweep] = lead_corner(&format!("density {ulps} ulps from {base}"), &tie);
+            assert_eq!(walk, [0, 1]);
+            assert_eq!(sweep, [0, 1]);
+        }
+    }
+
+    // A task just over half an ulp of `U = 0.5`: its step rounds up to a
+    // whole ulp, about twice its utilization, so the full walk rejects it
+    // although its density is above the lead's end (task 3). Its penalty
+    // is far below the floor, so the walk prices it.
+    let half_ulp = 0.51 * (0.5f64.next_up() - 0.5) * 10.0;
+    let rounded = hand_built(
+        cubic_ideal(),
+        &[
+            (2.5, 100.0),
+            (2.5, 75.0),
+            (half_ulp, 7.75 * half_ulp / 10.0),
+            (0.1, 0.077),
+            (1.0, 0.5),
+        ],
+    );
+    let [walk, sweep] = lead_corner("step rounded up", &rounded);
+    assert_eq!(walk, [0, 1, 3]);
+    assert_eq!(sweep, [0, 1, 2, 3]);
+    // The sweep's stop on `E*(u) = 10·u³`: the cost rises by a few ulps
+    // after prefix 2 (task 1 pays for `1 − 1e-6` of its step), and 40
+    // tasks of 5e-17 follow. Each is absorbed by `U = 0.5 + 1e-9` but not
+    // by the penalty sum, so each lowers the cost by an ulp, and the last
+    // prefix is the cheapest. Only the stop's margin keeps the sweep from
+    // stopping at prefix 2.
+    let mut parts = vec![(5.0, 3.8), (1e-8, 7.5 * (1.0 - 1e-6) * 1e-9)];
+    parts.extend([(5e-16, 7.4 * 5e-17); 40]);
+    let [walk, sweep] = lead_corner(
+        "penalties under the floor after the stop",
+        &hand_built(cubic_ideal(), &parts),
+    );
+    assert_eq!(walk, [0].into_iter().chain(2..42).collect::<Vec<_>>());
+    assert_eq!(sweep, (0..42).collect::<Vec<_>>());
+    // Steps of 1e-10 whose cost changes hide below an ulp of a total
+    // penalty of 1e6 (task 0 can never fit): prefix 2 (tasks 1 and 2) is
+    // the cheapest, prefixes 4 and 6 tie with it, and the lead ends at
+    // task 6. Only the rounding margin keeps prefix 2 priced.
+    let mut parts = vec![(20.0, 1e6), (5.0, 100.0), (1e-7, 7.6e-8)];
+    parts.extend((0..4).map(|i| (1e-9, 7.51 * (1.0 - f64::from(i) * 1e-6) * 1e-10)));
+    parts.push((1.0, 0.5));
+    let [walk, sweep] = lead_corner("costs below an ulp", &hand_built(cubic_ideal(), &parts));
+    assert_eq!(walk, [1, 2, 3, 4, 5, 6]);
+    assert_eq!(sweep, [1, 2]);
 }
 
 #[test]
