@@ -1,5 +1,7 @@
 //! Scaled dynamic programming (FPTAS-style approximation).
 
+use std::ops::Range;
+
 use rt_model::Task;
 
 use crate::algorithms::greedy::marginal_walk;
@@ -8,9 +10,12 @@ use crate::anytime::{AnytimeSolution, BudgetMeter, BudgetedPolicy, SolveBudget, 
 use crate::bounds::{break_even_fn, stationary_point};
 use crate::{Instance, SchedError, Solution};
 
-/// Hard caps on the DP table, to bound memory at 256 MiB per array: the
-/// reconstruction bits `n · (V̂+1)` at 2³¹ and the `f64` level array
-/// `V̂+1` at 2²⁵ entries.
+/// Hard caps on the DP table's nominal size: the full-width
+/// reconstruction bits `n · (V̂+1)` at 2³¹ and the level count `V̂+1` at
+/// 2²⁵, 256 MiB each at full width. The table stores only the band its
+/// layers sweep, so it never reaches them; the guard stands on the nominal
+/// size so that which tables are refused, and so every answer, does not
+/// depend on how wide a band turns out.
 const MAX_TABLE_BITS: u128 = 1 << 31;
 const MAX_LEVELS: usize = 1 << 25;
 
@@ -80,23 +85,32 @@ impl ScaledDp {
     }
 }
 
-/// Packed 2-D bit matrix for DP reconstruction.
+/// The DP's reconstruction bits, one row per layer, in one arena: a row
+/// stores one word per 64-level block its layer swept, and every bit
+/// outside those words is 0 (the sweep writes no bit there).
 struct TakeBits {
     words: Vec<u64>,
-    stride: usize,
+    /// Per row: the first stored block, and the row's words in `words`.
+    rows: Vec<(usize, Range<usize>)>,
 }
 
 impl TakeBits {
-    fn new(rows: usize, cols: usize) -> Self {
-        let stride = cols.div_ceil(64);
-        TakeBits {
-            words: vec![0; rows.max(1) * stride],
-            stride,
-        }
+    /// Bit `col` of row `row`.
+    fn get(&self, row: usize, col: usize) -> bool {
+        let (first, ref span) = self.rows[row];
+        let word = (col / 64)
+            .checked_sub(first)
+            .and_then(|k| self.words[span.clone()].get(k));
+        word.is_some_and(|w| w & (1 << (col % 64)) != 0)
     }
 
-    fn get(&self, row: usize, col: usize) -> bool {
-        self.words[row * self.stride + col / 64] & (1 << (col % 64)) != 0
+    /// Appends a zeroed row for layer `row` covering blocks
+    /// `first..=last`, and lends its words.
+    fn push(&mut self, row: usize, first: usize, last: usize) -> &mut [u64] {
+        let at = self.words.len();
+        self.words.resize(at + last + 1 - first, 0);
+        self.rows[row] = (first, at..self.words.len());
+        &mut self.words[at..]
     }
 }
 
@@ -192,10 +206,14 @@ impl LevelTable {
     /// written, so every read sees the previous layer, as in a descending
     /// in-place sweep, for any `wᵢ ≥ 1`.
     ///
+    /// Only what the layers sweep is stored: `d` grows with the band's
+    /// top, in whole blocks, and ends at `hi`; each layer's `take` row
+    /// holds the words of the blocks it visited.
+    ///
     /// # Errors
     ///
-    /// [`SchedError::TooLarge`] (naming `algorithm`) if the table would
-    /// exceed either memory cap.
+    /// [`SchedError::TooLarge`] (naming `algorithm`) if the full-width
+    /// table would exceed either cap.
     pub(crate) fn build(
         tasks: &[Task],
         weights: &[usize],
@@ -218,9 +236,12 @@ impl LevelTable {
         // `(a, s)`: the cap `a + s·v` on the states after `i` layers.
         let line = |i: usize| cap.map_or((f64::INFINITY, 0.0), |c| (c.after[i], c.slope));
         let live = |d: f64, (a, s): (f64, f64), v: usize| d <= (a + s * v as f64).min(limit);
-        let mut d = vec![unreached; v_hat + 1];
+        let mut d = vec![unreached; 64];
         d[0] = 0.0;
-        let mut take = TakeBits::new(n, v_hat + 1);
+        let mut take = TakeBits {
+            words: Vec::new(),
+            rows: vec![(0, 0..0); n],
+        };
         let (mut lo, mut hi) = (0, 0);
         let mut cells = 0;
         for (i, t) in tasks.iter().enumerate() {
@@ -236,34 +257,35 @@ impl LevelTable {
             let u = t.utilization();
             let line = line(i + 1);
             let (start, top) = (lo + w, v_hat.min(hi + w));
-            let row = &mut take.words[i * take.stride..(i + 1) * take.stride];
             if start <= top {
                 cells += (top + 1 - start) as u64;
-                for k in (start / 64..=top / 64).rev() {
+                let (first, last) = (start / 64, top / 64);
+                if d.len() < 64 * (last + 1) {
+                    d.resize(64 * (last + 1), unreached);
+                }
+                let row = take.push(i, first, last);
+                for k in (first..=last).rev() {
                     let base = 64 * k;
-                    let first = start.max(base);
-                    let len = top.min(base + 63) + 1 - first;
+                    let from = start.max(base);
+                    let len = top.min(base + 63) + 1 - from;
                     let mask = if len == 64 && w >= 64 {
                         // The sources lie wholly below the block: borrow both.
                         let (below, block) = d.split_at_mut(base);
-                        let dst = (&mut block[..64]).try_into().expect("a full block");
-                        let src = below[base - w..][..64].try_into().expect("a full block");
+                        let dst = (&mut block[..64]).try_into().expect("a whole block");
+                        let src = below[base - w..][..64].try_into().expect("a whole block");
                         relax_block(dst, src, u, line, base)
                     } else {
                         // A partial block, or sources that overlap it: copy
-                        // both in at their block offsets, padded with the
-                        // sentinel (which never relaxes), and copy back.
-                        let off = first - base;
-                        let mut dst = [unreached; 64];
+                        // the sources in at their block offsets, padded
+                        // with the sentinel (which never relaxes), and relax
+                        // the block in place.
                         let mut src = [unreached; 64];
-                        dst[off..off + len].copy_from_slice(&d[first..first + len]);
-                        src[off..off + len].copy_from_slice(&d[first - w..first - w + len]);
-                        let mask = relax_block(&mut dst, &src, u, line, base);
-                        d[first..first + len].copy_from_slice(&dst[off..off + len]);
-                        mask
+                        src[from - base..][..len].copy_from_slice(&d[from - w..][..len]);
+                        let dst = (&mut d[base..base + 64]).try_into().expect("a whole block");
+                        relax_block(dst, &src, u, line, base)
                     };
+                    row[k - first] = mask;
                     if mask != 0 {
-                        row[k] |= mask;
                         hi = hi.max(base + 63 - mask.leading_zeros() as usize);
                     }
                 }
@@ -276,15 +298,17 @@ impl LevelTable {
             }
         }
         let line = line(n);
+        d.truncate(hi + 1);
         for (v, level) in d.iter_mut().enumerate() {
-            if v < lo || v > hi || !live(*level, line, v) {
+            if v < lo || !live(*level, line, v) {
                 *level = f64::INFINITY;
             }
         }
         Ok(LevelTable { d, take, cells })
     }
 
-    /// `d[v]` per value level `v ∈ [0, V̂]`.
+    /// `d[v]` per value level `v ∈ [0, hi]`; every level above the slice,
+    /// up to `V̂`, is `+∞`.
     pub(crate) fn levels(&self) -> &[f64] {
         &self.d
     }
@@ -618,7 +642,10 @@ mod tests {
 
     /// Builds the table both ways under `budget` and compares every level
     /// bit, every `take` bit and the meter; returns the library's table and
-    /// whether the meter expired.
+    /// whether the meter expired. The library stores levels up to `hi` and
+    /// each layer's swept words only: every reference level above `hi`
+    /// must be `+∞`, and every reference `take` bit outside a layer's
+    /// stored words 0.
     fn assert_table_matches(
         what: &str,
         tasks: &[Task],
@@ -631,10 +658,21 @@ mod tests {
         let mut ref_meter = BudgetMeter::new(budget);
         let (d, take) = reference_table(tasks, weights, limit, &mut ref_meter);
         let bits = |levels: &[f64]| levels.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(table.levels()), bits(&d), "{what}: levels");
+        let (band, above) = d.split_at(table.levels().len());
+        assert_eq!(bits(table.levels()), bits(band), "{what}: levels");
+        assert!(
+            above.iter().all(|&x| x == f64::INFINITY),
+            "{what}: above hi"
+        );
         for (i, row) in take.iter().enumerate() {
+            let (first, ref span) = table.take.rows[i];
+            let stored = first * 64..(first + span.len()) * 64;
             for (v, &bit) in row.iter().enumerate() {
                 assert_eq!(table.take.get(i, v), bit, "{what}: take[{i}][{v}]");
+                assert!(
+                    stored.contains(&v) || !bit,
+                    "{what}: take[{i}][{v}] unstored"
+                );
             }
         }
         assert_eq!(meter.used(), ref_meter.used(), "{what}: work");
@@ -784,7 +822,9 @@ mod tests {
             "{what}: penalty"
         );
         let inc = scaled.incumbent();
-        for (v, (&b, &r)) in pruned.levels().iter().zip(full.levels()).enumerate() {
+        let level = |t: &LevelTable, v: usize| t.levels().get(v).copied().unwrap_or(f64::INFINITY);
+        for v in 0..pruned.levels().len().max(full.levels().len()) {
+            let (b, r) = (level(&pruned, v), level(&full, v));
             if b.is_finite() {
                 assert_eq!(b.to_bits(), r.to_bits(), "{what}: level {v}");
             } else if r.is_finite() {
@@ -860,11 +900,9 @@ mod tests {
         }
     }
 
-    /// Cells swept and live levels of one T2 instance (n = 200 XScale
-    /// tasks at load 1.6, utilization-proportional penalties, seed 0) at
-    /// ε = 0.1, with the bound and without.
-    #[test]
-    fn bounded_table_work_is_pinned() {
+    /// One T2 instance: n = 200 XScale tasks at load 1.6,
+    /// utilization-proportional penalties, seed 0.
+    fn pinned_instance() -> Instance {
         let tasks = WorkloadSpec::new(200, 1.6)
             .penalty_model(PenaltyModel::UtilizationProportional {
                 scale: 1.6,
@@ -873,9 +911,36 @@ mod tests {
             .seed(0)
             .generate()
             .unwrap();
-        let inst = Instance::new(tasks, xscale_ideal()).unwrap();
-        let (_, scaled) = Scaled::new(&inst, 0.1);
-        let scaled = scaled.unwrap();
+        Instance::new(tasks, xscale_ideal()).unwrap()
+    }
+
+    /// The `take` words and levels that `bounded_table_work_is_pinned`'s
+    /// tables store, bounded (beside its 2 741 cells) and whole. A
+    /// full-width table holds `n·⌈(V̂+1)/64⌉ = 229 200` words and `V̂+1 =
+    /// 73 319` levels; the bounded one stores 0.1 % of those words.
+    #[test]
+    fn bounded_table_words_are_pinned() {
+        let inst = pinned_instance();
+        let scaled = Scaled::new(&inst, 0.1).1.unwrap();
+        let v_hat: usize = scaled.weights.iter().sum();
+        let full_width = scaled.weights.len() * (v_hat + 1).div_ceil(64);
+        assert_eq!((full_width, v_hat), (229_200, 73_318));
+        let stored = |bounded| {
+            let mut meter = BudgetMeter::new(&SolveBudget::unlimited());
+            let table = scaled.table(bounded, &mut meter).unwrap();
+            (table.take.words.len(), table.levels().len())
+        };
+        assert_eq!(stored(true), (237, 36_739));
+        assert!(stored(true).0 * 20 <= full_width);
+        assert_eq!(stored(false), (101_561, 54_095));
+    }
+
+    /// Cells swept and live levels of [`pinned_instance`] at ε = 0.1, with
+    /// the bound and without.
+    #[test]
+    fn bounded_table_work_is_pinned() {
+        let inst = pinned_instance();
+        let scaled = Scaled::new(&inst, 0.1).1.unwrap();
         let work = |bounded| {
             let mut meter = BudgetMeter::new(&SolveBudget::unlimited());
             let table = scaled.table(bounded, &mut meter).unwrap();

@@ -344,15 +344,22 @@ impl RejectionPolicy for BestOfSingle {
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let n = instance.len();
         // Scan order: the full set, then each leave-one-out set; the
-        // earliest strictly best wins.
+        // earliest strictly best wins. One mask serves every candidate: a
+        // leave-one-out set clears its entry and restores it after.
         let mut best = Solution::from_marks(instance, self.name(), &vec![false; n])?;
+        let mut marks = vec![true; n];
         for skip in std::iter::once(None).chain((0..n).map(Some)) {
-            let marks: Vec<bool> = (0..n).map(|i| Some(i) != skip).collect();
+            if let Some(i) = skip {
+                marks[i] = false;
+            }
             match Solution::from_marks(instance, self.name(), &marks) {
                 Ok(s) if s.cost() < best.cost() => best = s,
                 // Infeasible candidates are simply skipped.
                 Ok(_) | Err(SchedError::Power(_)) => {}
                 Err(e) => return Err(e),
+            }
+            if let Some(i) = skip {
+                marks[i] = true;
             }
         }
         Ok(best)
@@ -380,10 +387,9 @@ impl RejectionPolicy for DensitySweep {
 
     fn solve(&self, instance: &Instance) -> Result<Solution, SchedError> {
         let best = density_sweep(instance)?.best;
-        let accept: Vec<bool> = (0..instance.density_order().len())
-            .map(|k| k < best)
-            .collect();
-        Solution::from_marks(instance, self.name(), &instance.density_marks(&accept))
+        let prefix = instance.density_positions()[..best].iter();
+        let marks = instance.marks_at(prefix.map(|&p| (p as usize, true)));
+        Solution::from_marks(instance, self.name(), &marks)
     }
 }
 

@@ -94,11 +94,13 @@ struct SwapBound {
     /// `C_u − θ − δ` for the current threshold `θ`: a move with
     /// `aᵢ − a_o` below it costs more than `θ`.
     cut: f64,
-    /// The round's rejected tasks by `raise`, descending.
-    by_raise: Vec<usize>,
-    /// The round's rejected tasks by `lower`, descending; by utilization,
-    /// ascending, when there is no right secant.
-    by_lower: Vec<usize>,
+    /// `(raise, index)` of the round's rejected tasks, by `raise`
+    /// descending.
+    by_raise: Vec<(f64, usize)>,
+    /// `(lower, index)` of the round's rejected tasks, by `lower`
+    /// descending; `(utilization, index)`, ascending, when there is no
+    /// right secant.
+    by_lower: Vec<(f64, usize)>,
 }
 
 impl SwapBound {
@@ -135,17 +137,19 @@ impl SwapBound {
         };
         let raise = slopes(s_l);
         let lower = s_r.map(slopes);
+        let keyed =
+            |a: &[f64]| -> Vec<(f64, usize)> { rejected.iter().map(|&i| (a[i], i)).collect() };
         let descending = |a: &[f64]| {
-            let mut order = rejected.to_vec();
-            order.sort_unstable_by(|&x, &y| a[y].total_cmp(&a[x]));
+            let mut order = keyed(a);
+            order.sort_unstable_by(|x, y| y.0.total_cmp(&x.0));
             order
         };
         let by_raise = descending(&raise);
         let by_lower = match &lower {
             Some(a) => descending(a),
             None => {
-                let mut order = rejected.to_vec();
-                order.sort_unstable_by(|&x, &y| utils[x].total_cmp(&utils[y]));
+                let mut order = keyed(utils);
+                order.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
                 order
             }
         };
@@ -188,22 +192,18 @@ impl SwapBound {
     /// `by_lower`, found by bisection with the complement of the same
     /// compare (no `a` or `cut` is NaN).
     fn survivors(&self, out: usize, utils: &[f64], found: &mut Vec<usize>) {
-        let keeps = |a: &[f64], i: usize| a[i] - a[out] >= self.cut;
-        let end = self.by_raise.partition_point(|&i| keeps(&self.raise, i));
-        found.extend(
-            self.by_raise[..end]
-                .iter()
-                .filter(|&&i| utils[i] >= utils[out]),
-        );
+        let keeps = |key: f64, a: &[f64]| key - a[out] >= self.cut;
+        let end = self
+            .by_raise
+            .partition_point(|&(key, _)| keeps(key, &self.raise));
+        let raising = self.by_raise[..end].iter().map(|&(_, i)| i);
+        found.extend(raising.filter(|&i| utils[i] >= utils[out]));
         let end = match &self.lower {
-            Some(a) => self.by_lower.partition_point(|&i| keeps(a, i)),
-            None => self.by_lower.partition_point(|&i| utils[i] < utils[out]),
+            Some(a) => self.by_lower.partition_point(|&(key, _)| keeps(key, a)),
+            None => self.by_lower.partition_point(|&(u, _)| u < utils[out]),
         };
-        found.extend(
-            self.by_lower[..end]
-                .iter()
-                .filter(|&&i| utils[i] < utils[out]),
-        );
+        let lowering = self.by_lower[..end].iter().map(|&(_, i)| i);
+        found.extend(lowering.filter(|&i| utils[i] < utils[out]));
     }
 }
 
@@ -280,7 +280,8 @@ impl LocalSearch {
         let (positions, tasks): (Vec<usize>, Vec<Task>) =
             acceptable_tasks(instance).into_iter().unzip();
         let n = tasks.len();
-        let mut accepted: Vec<bool> = tasks.iter().map(|t| seed.accepts(t.id())).collect();
+        let (seed_marks, _) = instance.merge_marks(seed.accepted());
+        let mut accepted: Vec<bool> = positions.iter().map(|&p| seed_marks[p]).collect();
         let mut cost = seed.cost();
         let nb = Neighborhood {
             instance,
@@ -308,9 +309,9 @@ impl LocalSearch {
             // Re-derive the exact sums once per round so delta errors never
             // accumulate across moves.
             let (mut u, mut avoided) = (0.0, 0.0);
-            for (i, t) in tasks.iter().enumerate() {
-                if accepted[i] {
-                    u += t.utilization();
+            for ((t, &u_t), &a) in tasks.iter().zip(&utils).zip(&accepted) {
+                if a {
+                    u += u_t;
                     avoided += t.penalty();
                 }
             }

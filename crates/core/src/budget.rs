@@ -75,7 +75,8 @@ impl BudgetSolution {
             reason: ModelError::UnknownTask { task: id.index() }.to_string(),
         };
         let marks = instance.marks_of(&self.accepted).map_err(unknown)?;
-        let (u, value) = instance.marked_sums(&marks);
+        let marked = instance.marked(&marks);
+        let (u, value) = (marked.utilization, marked.value);
         if !instance.processor().is_feasible(u) {
             return Err(SchedError::VerificationFailed {
                 reason: format!("admitted utilization {u} exceeds the processor"),
@@ -163,11 +164,11 @@ fn admissible(instance: &Instance, cap: f64) -> Vec<(usize, Task)> {
 }
 
 fn build(instance: &Instance, budget: f64, marks: &[bool]) -> Result<BudgetSolution, SchedError> {
-    let (u, value) = instance.marked_sums(marks);
+    let marked = instance.marked(marks);
     Ok(BudgetSolution {
-        accepted: instance.marked_ids(marks),
-        value,
-        energy: instance.energy_for(u)?,
+        energy: instance.energy_for(marked.utilization)?,
+        accepted: marked.ids,
+        value: marked.value,
         budget,
     })
 }

@@ -245,10 +245,10 @@ impl Instance {
     }
 
     /// `(U(A), Σ_{i ∉ A} vᵢ)` for the tasks named by `accepted`, summed as
-    /// [`Instance::marked_sums`] sums; the error is [`Instance::marks_of`]'s.
+    /// [`Instance::marked`] sums; the error is [`Instance::marks_of`]'s.
     pub(crate) fn accepted_sums(&self, accepted: &[TaskId]) -> Result<(f64, f64), TaskId> {
-        let (u, v) = self.marked_sums(&self.marks_of(accepted)?);
-        Ok((u, self.total_penalty() - v))
+        let marked = self.marked(&self.marks_of(accepted)?);
+        Ok((marked.utilization, self.total_penalty() - marked.value))
     }
 
     /// The mask over task positions of the tasks named by `accepted`
@@ -268,24 +268,35 @@ impl Instance {
             sorted.sort_unstable();
             &sorted
         };
+        match self.merge_marks(ids) {
+            (marks, true) => Ok(marks),
+            (_, false) => {
+                let table = self.id_table();
+                Err(*accepted
+                    .iter()
+                    .find(|&&id| table.binary_search_by_key(&id, |&(t, _)| t).is_err())
+                    .expect("the merge met an unknown identifier"))
+            }
+        }
+    }
+
+    /// The mask over task positions of the tasks named by the sorted `ids`,
+    /// and whether every one names a task (unknown ones are left out).
+    pub(crate) fn merge_marks(&self, ids: &[TaskId]) -> (Vec<bool>, bool) {
         let table = self.id_table();
         let mut marks = vec![false; table.len()];
+        let mut known = true;
         let mut row = 0;
         for &id in ids {
             while row < table.len() && table[row].0 < id {
                 row += 1;
             }
             match table.get(row) {
-                Some(&(known, pos)) if known == id => marks[pos] = true,
-                _ => {
-                    return Err(*accepted
-                        .iter()
-                        .find(|&&id| table.binary_search_by_key(&id, |&(t, _)| t).is_err())
-                        .expect("the merge met an unknown identifier"))
-                }
+                Some(&(at, pos)) if at == id => marks[pos] = true,
+                _ => known = false,
             }
         }
-        Ok(marks)
+        (marks, known)
     }
 
     /// The mask over task positions that sets each `(position, mark)` of `at`.
@@ -295,27 +306,48 @@ impl Instance {
         marks
     }
 
+    /// The position of each task of [`Instance::density_order`].
+    pub(crate) fn density_positions(&self) -> &[u32] {
+        &self.density().1
+    }
+
     /// [`Instance::marks_at`] for a mask over [`Instance::density_order`].
     pub(crate) fn density_marks(&self, accept: &[bool]) -> Vec<bool> {
-        let positions = self.density().1.iter().map(|&p| p as usize);
+        let positions = self.density_positions().iter().map(|&p| p as usize);
         self.marks_at(positions.zip(accept.iter().copied()))
     }
 
-    /// `(U(A), Σ_{i ∈ A} vᵢ)` for the tasks at the marked positions,
-    /// summed in task-position order: the order (and so the bits) of
-    /// summing over [`TaskSet::subset`], except that an empty sum is `+0`.
-    pub(crate) fn marked_sums(&self, marks: &[bool]) -> (f64, f64) {
-        let marked = self.tasks.iter().zip(marks).filter(|(_, &m)| m);
-        marked.fold((0.0, 0.0), |(u, v), (t, _)| {
-            (u + t.utilization(), v + t.penalty())
-        })
-    }
-
-    /// The identifiers of the tasks at the marked positions, sorted: one
-    /// walk of the identifier table.
-    pub(crate) fn marked_ids(&self, marks: &[bool]) -> Vec<TaskId> {
-        let marked = self.id_table().iter().filter(|&&(_, p)| marks[p]);
-        marked.map(|&(id, _)| id).collect()
+    /// The tasks at the marked positions, in one pass: the positions are
+    /// compacted without a branch on the mark, then each marked task is
+    /// read once, in position order. `U(A)` and `Σ_{i ∈ A} vᵢ` are summed
+    /// in that order: the order (and so the bits) of summing over
+    /// [`TaskSet::subset`], except that an empty sum is `+0`. The
+    /// identifiers are sorted only when they do not already ascend.
+    pub(crate) fn marked(&self, marks: &[bool]) -> Marked {
+        let tasks = self.tasks.as_slice();
+        // Every position is written; the cursor moves past it if marked.
+        let mut at = vec![0u32; marks.len()];
+        let mut count = 0;
+        for (p, &mark) in (0u32..).zip(marks) {
+            at[count] = p;
+            count += usize::from(mark);
+        }
+        let (mut utilization, mut value) = (0.0, 0.0);
+        let mut ids = Vec::with_capacity(count);
+        for &p in &at[..count] {
+            let t = &tasks[p as usize];
+            utilization += t.utilization();
+            value += t.penalty();
+            ids.push(t.id());
+        }
+        if !ids.is_sorted() {
+            ids.sort_unstable();
+        }
+        Marked {
+            utilization,
+            value,
+            ids,
+        }
     }
 
     /// Whether the full set exceeds the processor capacity (`U(T) > s_max`),
@@ -395,6 +427,17 @@ impl Instance {
     pub fn energy_rate(&self, u: f64) -> Result<f64, PowerError> {
         self.cpu.energy_rate(u)
     }
+}
+
+/// The tasks at the marked positions of an instance
+/// ([`Instance::marked`]).
+pub(crate) struct Marked {
+    /// `U(A)`.
+    pub(crate) utilization: f64,
+    /// `Σ_{i ∈ A} vᵢ`.
+    pub(crate) value: f64,
+    /// The identifiers, sorted.
+    pub(crate) ids: Vec<TaskId>,
 }
 
 /// A borrowed, density-ordered rejection instance: everything

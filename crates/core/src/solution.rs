@@ -59,7 +59,9 @@ impl Solution {
 
     /// The solution that accepts the tasks at the marked positions of
     /// `instance`: the one constructor, so costs always come from the
-    /// instance's oracles, never from a solver's bookkeeping.
+    /// instance's oracles, never from a solver's bookkeeping. One pass
+    /// over the marked tasks ([`Instance::marked`]) sums `U(A)` and the
+    /// accepted penalty in position order and collects the sorted ids.
     ///
     /// # Errors
     ///
@@ -69,12 +71,12 @@ impl Solution {
         algorithm: &'static str,
         marks: &[bool],
     ) -> Result<Self, SchedError> {
-        let (u, served) = instance.marked_sums(marks);
+        let marked = instance.marked(marks);
         Ok(Solution {
             algorithm,
-            accepted: instance.marked_ids(marks),
-            energy: instance.energy_for(u)?,
-            penalty: instance.total_penalty() - served,
+            energy: instance.energy_for(marked.utilization)?,
+            penalty: instance.total_penalty() - marked.value,
+            accepted: marked.ids,
         })
     }
 
@@ -105,12 +107,9 @@ impl Solution {
     /// The rejected task identifiers (those of `instance` not accepted).
     #[must_use]
     pub fn rejected(&self, instance: &Instance) -> Vec<TaskId> {
-        instance
-            .tasks()
-            .iter()
-            .map(|t| t.id())
-            .filter(|id| !self.accepts(*id))
-            .collect()
+        let (accepted, _) = instance.merge_marks(&self.accepted);
+        let tasks = instance.tasks().iter().zip(accepted);
+        tasks.filter(|(_, a)| !a).map(|(t, _)| t.id()).collect()
     }
 
     /// The optimal execution plan for the accepted set on `instance`

@@ -17,7 +17,9 @@
 //! `solve_budget_dp` at energy budgets whose utilization cap binds below
 //! `s_max`.
 //! `ScaledDp::solve_within` is pinned on its work counter, quality and cost
-//! bits at budgets that expire mid-table.
+//! bits at budgets that expire mid-table. The one `Solution` constructor is
+//! compared with its old two walks (the sums over the marked positions,
+//! and the ids off a table sorted by id) at the benchmark's n = 2 000.
 
 use dvs_power::presets::{
     cubic_ideal, leaky_with_overhead, uniform_levels, xscale_ideal, xscale_levels, xscale_measured,
@@ -30,6 +32,7 @@ use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
 use reject_sched::budget::{solve_budget_dp, utilization_cap_for_budget};
 use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
 use rt_model::generator::{PenaltyModel, WorkloadSpec};
+use rt_model::rng::Rng;
 use rt_model::{Task, TaskId, TaskSet};
 
 /// Every preset, each also with a dormant-disable idle mode, plus a CMOS
@@ -856,4 +859,111 @@ fn scaled_dp_level_array_is_capped() {
     let greedy = MarginalGreedy.solve(&inst).unwrap();
     assert_eq!(out.quality, SolveQuality::Degraded);
     assert_eq!(out.solution.accepted(), greedy.accepted());
+}
+
+/// `Solution`'s constructor as two walks of a position mask: `U(A)` and
+/// `Σ_{i ∈ A} vᵢ` over the marked positions in position order, and the
+/// ids read off an `(id, position)` table sorted by id.
+fn two_walks(inst: &Instance, marks: &[bool]) -> (f64, f64, Vec<TaskId>) {
+    let marked = inst.tasks().iter().zip(marks).filter(|(_, &m)| m);
+    let (u, v) = marked.fold((0.0, 0.0), |(u, v), (t, _)| {
+        (u + t.utilization(), v + t.penalty())
+    });
+    let mut table: Vec<(TaskId, usize)> = (inst.tasks().iter().enumerate())
+        .map(|(p, t)| (t.id(), p))
+        .collect();
+    table.sort_unstable();
+    let ids = table.iter().filter(|&&(_, p)| marks[p]).map(|&(id, _)| id);
+    (u, v, ids.collect())
+}
+
+/// n = 2 000 XScale tasks as the benchmark's greedy and sweep entries
+/// draw them, at loads 0.6 (the full set fits) and 1.2, with ids that
+/// ascend in position order and with the same ids shuffled (the
+/// constructor's sort path). Each mask — empty (`+0` sums), one task,
+/// about half the tasks at random, all of them, and the masks of
+/// `MarginalGreedy` and `DensitySweep` — is priced through the public
+/// oracles and `Solution::for_accepted`, and compared with the two walks
+/// on ids and sum bits.
+#[test]
+fn solution_constructor_matches_the_two_walks_at_basket_scale() {
+    let n = 2_000;
+    let mut rng = Rng::seed_from_u64(53);
+    let mut solved = 0;
+    for load in [0.6, 1.2] {
+        let tasks = WorkloadSpec::new(n, load)
+            .penalty_model(PenaltyModel::UtilizationProportional {
+                scale: 1.6,
+                jitter: 0.5,
+            })
+            .seed(11)
+            .generate()
+            .unwrap();
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            shuffled.swap(i, rng.gen_index(i + 1));
+        }
+        for ids in [(0..n).collect::<Vec<_>>(), shuffled] {
+            let ascending = ids.is_sorted();
+            let tasks = TaskSet::try_from_tasks(tasks.iter().zip(&ids).map(|(t, &id)| {
+                Task::new(id, t.wcec(), t.period())
+                    .unwrap()
+                    .with_penalty(t.penalty())
+            }))
+            .unwrap();
+            let inst = Instance::new(tasks, xscale_ideal()).unwrap();
+            let position: std::collections::HashMap<TaskId, usize> = (inst.tasks().iter())
+                .enumerate()
+                .map(|(p, t)| (t.id(), p))
+                .collect();
+            let marks_of = |s: Solution| {
+                let mut marks = vec![false; n];
+                s.accepted()
+                    .iter()
+                    .for_each(|id| marks[position[id]] = true);
+                marks
+            };
+            let mut single = vec![false; n];
+            single[n / 3] = true;
+            let masks = [
+                ("empty", vec![false; n]),
+                ("single", single),
+                ("random", (0..n).map(|_| rng.gen_index(2) == 1).collect()),
+                ("full", vec![true; n]),
+                ("greedy", marks_of(MarginalGreedy.solve(&inst).unwrap())),
+                ("sweep", marks_of(DensitySweep.solve(&inst).unwrap())),
+            ];
+            for (mask, marks) in masks {
+                let what = format!("load {load}, ascending ids {ascending}, {mask}");
+                let (u, v, want) = two_walks(&inst, &marks);
+                let named: Vec<TaskId> = (inst.tasks().iter().zip(&marks))
+                    .filter(|(_, &m)| m)
+                    .map(|(t, _)| t.id())
+                    .collect();
+                let rejected = inst.total_penalty() - v;
+                let utilization = inst.utilization_of(&named).unwrap();
+                assert_eq!(utilization.to_bits(), u.to_bits(), "{what}: U(A)");
+                let penalty = inst.rejected_penalty_of(&named).unwrap();
+                assert_eq!(penalty.to_bits(), rejected.to_bits(), "{what}: penalty");
+                match Solution::for_accepted(&inst, "two-walks", named) {
+                    Ok(s) => {
+                        assert_eq!(s.accepted(), want, "{what}: ids");
+                        let energy = inst.energy_for(u).unwrap();
+                        assert_eq!(s.energy().to_bits(), energy.to_bits(), "{what}: energy");
+                        assert_eq!(s.penalty().to_bits(), rejected.to_bits(), "{what}");
+                        solved += 1;
+                    }
+                    Err(SchedError::Power(_)) => {
+                        assert!(!inst.processor().is_feasible(u), "{what}: fits");
+                    }
+                    Err(e) => panic!("{what}: {e}"),
+                }
+                if mask == "empty" {
+                    assert_eq!(utilization.to_bits(), 0.0f64.to_bits(), "{what}: +0");
+                }
+            }
+        }
+    }
+    // Only the full set at load 1.2 does not fit, with either id order.
+    assert_eq!(solved, 2 * 2 * 6 - 2);
 }
